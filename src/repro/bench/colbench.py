@@ -24,13 +24,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.core import (
+    artefact_dict,
+    check_envelope,
+    checked_records,
+    sorted_rows,
+)
 from repro.bench.tpch import load_tpch_cluster
 from repro.bench.tpch.queries import ENABLED_QUERY_IDS, QUERIES
 from repro.common.config import PRESETS
-from repro.common.ordering import NullsLast
 
 #: Version tag stamped into every colbench artefact.
 COLBENCH_SCHEMA = "repro-colbench/v1"
@@ -38,6 +43,9 @@ COLBENCH_SCHEMA = "repro-colbench/v1"
 #: Queries the ``--smoke`` tier used by CI runs (small, fast, still
 #: covering scan/filter/join/aggregate/sort shapes).
 SMOKE_QUERY_IDS = (1, 3, 6)
+
+#: Report properties the artefact carries next to the dataclass fields.
+_DERIVED = ("geomean_speedup",)
 
 
 @dataclass
@@ -73,16 +81,7 @@ class ColbenchReport:
         return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
 
     def to_dict(self) -> Dict:
-        return {
-            "schema": COLBENCH_SCHEMA,
-            "system": self.system,
-            "sites": self.sites,
-            "scale_factor": self.scale_factor,
-            "repeats": self.repeats,
-            "geomean_speedup": self.geomean_speedup,
-            "queries": [asdict(q) for q in self.queries],
-            "skipped": dict(self.skipped),
-        }
+        return artefact_dict(COLBENCH_SCHEMA, self, _DERIVED)
 
     def to_text(self) -> str:
         lines = [
@@ -108,10 +107,6 @@ class ColbenchReport:
 
     def validate(self) -> List[str]:
         return validate_colbench_artefact(self.to_dict())
-
-
-def _sorted_rows(rows: Sequence[tuple]) -> List[tuple]:
-    return sorted(rows, key=lambda r: tuple(NullsLast(v) for v in r))
 
 
 def _best_time(cluster, plan, repeats: int) -> float:
@@ -167,8 +162,8 @@ def run_colbench(
                 speedup=row_seconds / col_seconds if col_seconds else 0.0,
                 simulated_seconds=row_result.simulated_seconds,
                 results_match=(
-                    _sorted_rows(row_result.rows)
-                    == _sorted_rows(col_result.rows)
+                    sorted_rows(row_result.rows)
+                    == sorted_rows(col_result.rows)
                 ),
                 makespans_match=(
                     row_result.simulated_seconds
@@ -179,29 +174,6 @@ def run_colbench(
     return report
 
 
-_ROW_REQUIRED = (
-    "query",
-    "rows",
-    "row_seconds",
-    "columnar_seconds",
-    "speedup",
-    "simulated_seconds",
-    "results_match",
-    "makespans_match",
-)
-
-_TOP_REQUIRED = (
-    "schema",
-    "system",
-    "sites",
-    "scale_factor",
-    "repeats",
-    "geomean_speedup",
-    "queries",
-    "skipped",
-)
-
-
 def validate_colbench_artefact(obj: Dict) -> List[str]:
     """Schema-check one colbench artefact dict; returns violations.
 
@@ -209,31 +181,12 @@ def validate_colbench_artefact(obj: Dict) -> List[str]:
     *and* differentially clean: every query row carries matching results
     and bit-identical makespans across the two backends.
     """
-    problems: List[str] = []
-    if not isinstance(obj, dict):
-        return [f"artefact must be a dict, got {type(obj).__name__}"]
-    for key in _TOP_REQUIRED:
-        if key not in obj:
-            problems.append(f"missing top-level key {key!r}")
+    problems = check_envelope(obj, COLBENCH_SCHEMA, ColbenchReport, _DERIVED)
     if problems:
         return problems
-    if obj["schema"] != COLBENCH_SCHEMA:
-        problems.append(
-            f"schema is {obj['schema']!r}, expected {COLBENCH_SCHEMA!r}"
-        )
-    rows = obj["queries"]
-    if not isinstance(rows, list) or not rows:
-        return problems + ["queries must be a non-empty list"]
-    for row in rows:
-        if not isinstance(row, dict):
-            problems.append("query row is not a dict")
-            continue
-        name = row.get("query", "<unnamed>")
-        missing = [key for key in _ROW_REQUIRED if key not in row]
-        for key in missing:
-            problems.append(f"query {name!r}: missing {key!r}")
-        if missing:
-            continue
+    for name, row in checked_records(
+        obj, "queries", QueryColbench, ("query",), problems
+    ):
         if not row["results_match"]:
             problems.append(f"query {name!r}: backend results differ")
         if not row["makespans_match"]:

@@ -29,9 +29,16 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.core import (
+    artefact_dict,
+    check_envelope,
+    check_record,
+    checked_records,
+    ordered_match,
+)
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.common.config import PRESETS
@@ -258,18 +265,7 @@ class FedbenchReport:
     chaos: Optional[ChaosCell] = None
 
     def to_dict(self) -> Dict:
-        return {
-            "schema": FEDBENCH_SCHEMA,
-            "sites": self.sites,
-            "scale_factor": self.scale_factor,
-            "seed": self.seed,
-            "systems": list(self.systems),
-            "adapters": dict(self.adapters),
-            "cells": [asdict(c) for c in self.cells],
-            "pushdown": [asdict(p) for p in self.pushdown],
-            "plan_flips": [asdict(f) for f in self.plan_flips],
-            "chaos": asdict(self.chaos) if self.chaos is not None else None,
-        }
+        return artefact_dict(FEDBENCH_SCHEMA, self)
 
     def to_text(self) -> str:
         lines = [
@@ -321,18 +317,6 @@ def _plan_digest(plan) -> str:
     return hashlib.sha256(plan.explain().encode("utf-8")).hexdigest()[:16]
 
 
-def _ordered_match(actual: Sequence[Tuple], expected: Sequence[Tuple]) -> bool:
-    """Order-sensitive row comparison with float rounding."""
-
-    def canon(rows):
-        return [
-            tuple(round(v, 6) if isinstance(v, float) else v for v in row)
-            for row in rows
-        ]
-
-    return canon(actual) == canon(expected)
-
-
 def run_fedbench(
     systems: Sequence[str] = ("IC", "IC+", "IC+M"),
     scale_factor: float = 0.05,
@@ -373,7 +357,7 @@ def run_fedbench(
                         backend=backend,
                         rows=len(result.rows),
                         simulated_seconds=result.simulated_seconds,
-                        rows_match=_ordered_match(result.rows, expected),
+                        rows_match=ordered_match(result.rows, expected),
                         plan_digest=_plan_digest(plan),
                     )
                 )
@@ -483,7 +467,7 @@ def _chaos_cell(
         cluster.parse_to_logical(sql)
     )
     outcome = cluster.try_sql(sql)
-    rows_match = outcome.succeeded and _ordered_match(
+    rows_match = outcome.succeeded and ordered_match(
         outcome.result.rows, expected
     )
     return ChaosCell(
@@ -499,46 +483,6 @@ def _chaos_cell(
 # Artefact validation
 # ---------------------------------------------------------------------------
 
-_TOP_REQUIRED = (
-    "schema",
-    "sites",
-    "scale_factor",
-    "seed",
-    "systems",
-    "adapters",
-    "cells",
-    "pushdown",
-    "plan_flips",
-    "chaos",
-)
-
-_CELL_REQUIRED = (
-    "query",
-    "system",
-    "backend",
-    "rows",
-    "simulated_seconds",
-    "rows_match",
-    "plan_digest",
-)
-
-_PUSH_REQUIRED = (
-    "query",
-    "adapter",
-    "rows_scanned",
-    "rows_out",
-    "scan_rows_in",
-)
-
-_FLIP_REQUIRED = (
-    "query",
-    "system",
-    "federated_digest",
-    "native_digest",
-    "flipped",
-)
-
-
 def validate_fedbench_artefact(obj: Dict) -> List[str]:
     """Schema-check one fedbench artefact dict; returns violations.
 
@@ -549,64 +493,30 @@ def validate_fedbench_artefact(obj: Dict) -> List[str]:
     flipped on the federated layout, and the chaos replay stayed
     row-correct.
     """
-    problems: List[str] = []
-    if not isinstance(obj, dict):
-        return [f"artefact must be a dict, got {type(obj).__name__}"]
-    for key in _TOP_REQUIRED:
-        if key not in obj:
-            problems.append(f"missing top-level key {key!r}")
+    problems = check_envelope(obj, FEDBENCH_SCHEMA, FedbenchReport)
     if problems:
         return problems
-    if obj["schema"] != FEDBENCH_SCHEMA:
-        problems.append(
-            f"schema is {obj['schema']!r}, expected {FEDBENCH_SCHEMA!r}"
-        )
-    cells = obj["cells"]
-    if not isinstance(cells, list) or not cells:
-        return problems + ["cells must be a non-empty list"]
-    for cell in cells:
-        if not isinstance(cell, dict):
-            problems.append("cell is not a dict")
-            continue
-        name = f"{cell.get('query', '?')}/{cell.get('system', '?')}/" \
-               f"{cell.get('backend', '?')}"
-        missing = [key for key in _CELL_REQUIRED if key not in cell]
-        for key in missing:
-            problems.append(f"cell {name}: missing {key!r}")
-        if missing:
-            continue
+    for name, cell in checked_records(
+        obj, "cells", FedbenchCell, ("query", "system", "backend"), problems
+    ):
         if not cell["rows_match"]:
             problems.append(f"cell {name}: rows diverged from the oracle")
         if cell["rows"] <= 0:
             problems.append(f"cell {name}: empty result set")
-    pushes = obj["pushdown"]
-    if not isinstance(pushes, list) or not pushes:
-        problems.append("pushdown must be a non-empty list")
-        pushes = []
-    absorbed = False
-    for push in pushes:
-        if not isinstance(push, dict):
-            problems.append("pushdown row is not a dict")
-            continue
-        name = f"{push.get('query', '?')}/{push.get('adapter', '?')}"
-        missing = [key for key in _PUSH_REQUIRED if key not in push]
-        for key in missing:
-            problems.append(f"pushdown {name}: missing {key!r}")
-        if missing:
-            continue
+    pushes = checked_records(
+        obj, "pushdown", PushdownEvidence, ("query", "adapter"), problems
+    )
+    for name, push in pushes:
         if push["rows_out"] > push["rows_scanned"]:
             problems.append(
                 f"pushdown {name}: rows_out exceeds rows_scanned"
             )
-        if push["rows_out"] < push["rows_scanned"]:
-            absorbed = True
     # Reconciliation: per query, the adapter counters' scanned total must
     # equal the rows_in the engine's FragmentStats recorded for the same
     # scans (native scans record neither, so the totals line up exactly).
     by_query: Dict[str, List[Dict]] = {}
-    for push in pushes:
-        if isinstance(push, dict) and all(k in push for k in _PUSH_REQUIRED):
-            by_query.setdefault(push["query"], []).append(push)
+    for _, push in pushes:
+        by_query.setdefault(push["query"], []).append(push)
     for query, rows in sorted(by_query.items()):
         total = sum(r["rows_scanned"] for r in rows)
         for r in rows:
@@ -616,31 +526,24 @@ def validate_fedbench_artefact(obj: Dict) -> List[str]:
                     f"rows but FragmentStats recorded {r['scan_rows_in']}"
                 )
                 break
-    if pushes and not absorbed:
+    if pushes and not any(
+        push["rows_out"] < push["rows_scanned"] for _, push in pushes
+    ):
         problems.append(
             "no pushdown evidence: every scan shipped all scanned rows"
         )
-    flips = obj["plan_flips"]
-    if not isinstance(flips, list) or not flips:
-        problems.append("plan_flips must be a non-empty list")
-        flips = []
-    for flip in flips:
-        if not isinstance(flip, dict):
-            problems.append("plan flip row is not a dict")
-            continue
-        missing = [key for key in _FLIP_REQUIRED if key not in flip]
-        for key in missing:
-            problems.append(f"plan flip: missing {key!r}")
-    if flips and not any(
-        isinstance(f, dict) and f.get("flipped") for f in flips
-    ):
+    flips = checked_records(
+        obj, "plan_flips", PlanFlip, ("query", "system"), problems
+    )
+    if flips and not any(flip["flipped"] for _, flip in flips):
         problems.append(
             "no plan flip: adapter cost constants changed no plan choice"
         )
     chaos = obj["chaos"]
-    if chaos is not None:
-        if not isinstance(chaos, dict):
-            problems.append("chaos must be a dict or null")
-        elif not chaos.get("rows_match"):
-            problems.append("chaos replay diverged from the oracle")
+    if (
+        chaos is not None
+        and check_record(chaos, ChaosCell, "chaos", problems)
+        and not chaos["rows_match"]
+    ):
+        problems.append("chaos replay diverged from the oracle")
     return problems

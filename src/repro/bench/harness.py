@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.core import percentile
 from repro.cluster.scheduler import TaskGraph, WorkloadSimulator
 from repro.common.config import SystemConfig
 from repro.core.cluster import IgniteCalciteCluster, QueryOutcome, QueryStatus
@@ -125,22 +126,6 @@ class ResponseTimeHarness:
             sum(measured) / len(measured),
             registry.delta_since(before),
         )
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]) of ``values``.
-
-    Deterministic and exact for the small samples the chaos and AQL
-    harnesses produce (no interpolation: the returned value is always an
-    observed latency).
-    """
-    if not values:
-        raise ValueError("percentile of an empty sequence")
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile q={q} outside [0, 100]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 def latency_percentiles(

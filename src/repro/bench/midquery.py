@@ -26,15 +26,22 @@ the re-optimizer never fired at all, fails validation.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
+from repro.bench.core import (
+    artefact_dict,
+    check_envelope,
+    checked_records,
+    counter_deltas,
+    ordered_match,
+    read_counters,
+    unordered_match,
+)
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.common.config import PRESETS, SystemConfig
-from repro.common.ordering import NullsLast
 from repro.core.cluster import IgniteCalciteCluster
-from repro.obs.metrics import get_registry
 from repro.verify.reference import ReferenceExecutor
 
 #: Version tag stamped into every midquery artefact.
@@ -82,6 +89,9 @@ _COUNTERS = (
     "midquery.plan_switches",
     "midquery.declined",
 )
+
+#: Report properties the artefact carries next to the dataclass fields.
+_DERIVED = ("total_replans",)
 
 
 def load_skewed_cluster(
@@ -191,17 +201,7 @@ class MidqueryReport:
         return sum(q.replans for q in self.queries)
 
     def to_dict(self) -> Dict:
-        return {
-            "schema": MIDQUERY_SCHEMA,
-            "systems": list(self.systems),
-            "sites": self.sites,
-            "scale_factor": self.scale_factor,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "total_replans": self.total_replans,
-            "queries": [asdict(q) for q in self.queries],
-            "skipped": dict(self.skipped),
-        }
+        return artefact_dict(MIDQUERY_SCHEMA, self, _DERIVED)
 
     def to_text(self) -> str:
         lines = [
@@ -229,24 +229,6 @@ class MidqueryReport:
         return validate_midquery_artefact(self.to_dict())
 
 
-def _canon(rows: Sequence[tuple]) -> List[tuple]:
-    """Rounded floats, the repo's differential convention: plans that sum
-    doubles in a different order differ in the last bits, not in truth."""
-    return [
-        tuple(
-            round(value, 6) if isinstance(value, float) else value
-            for value in row
-        )
-        for row in rows
-    ]
-
-
-def _sorted_rows(rows: Sequence[tuple]) -> List[tuple]:
-    return sorted(
-        _canon(rows), key=lambda r: tuple(NullsLast(v) for v in r)
-    )
-
-
 def run_midquery_bench(
     systems: Sequence[str] = ("IC", "IC+", "IC+M"),
     scale_factor: float = 1.0,
@@ -264,7 +246,6 @@ def run_midquery_bench(
         threshold=threshold,
     )
     names = tuple(query_ids) if query_ids else tuple(MIDQUERY_QUERIES)
-    registry = get_registry()
     for system in systems:
         base = PRESETS[system](sites)
         static_cluster = load_skewed_cluster(base, scale_factor, seed)
@@ -280,7 +261,7 @@ def run_midquery_bench(
         for name in names:
             sql = MIDQUERY_QUERIES[name]
             key = f"{name}/{system}"
-            before = {c: registry.counter(c) for c in _COUNTERS}
+            before = read_counters(_COUNTERS)
             try:
                 static_result = static_cluster.sql(sql)
                 adaptive_result = adaptive_cluster.sql(sql)
@@ -290,9 +271,7 @@ def run_midquery_bench(
             except Exception as exc:  # pragma: no cover - preset-dependent
                 report.skipped[key] = f"{type(exc).__name__}: {exc}"
                 continue
-            deltas = {
-                c: int(registry.counter(c) - before[c]) for c in _COUNTERS
-            }
+            deltas = counter_deltas(before)
             adaptive_s = adaptive_result.simulated_seconds
             report.queries.append(
                 QueryMidquery(
@@ -311,45 +290,15 @@ def run_midquery_bench(
                     plan_switches=deltas["midquery.plan_switches"],
                     declined=deltas["midquery.declined"],
                     # ORDER BY over unique keys: compare rows *in order*.
-                    results_match=(
-                        _canon(static_result.rows)
-                        == _canon(adaptive_result.rows)
+                    results_match=ordered_match(
+                        static_result.rows, adaptive_result.rows
                     ),
-                    oracle_match=(
-                        _sorted_rows(adaptive_result.rows)
-                        == _sorted_rows(reference)
+                    oracle_match=unordered_match(
+                        adaptive_result.rows, reference
                     ),
                 )
             )
     return report
-
-
-_ROW_REQUIRED = (
-    "query",
-    "system",
-    "rows",
-    "static_seconds",
-    "adaptive_seconds",
-    "speedup",
-    "triggers",
-    "replans",
-    "plan_switches",
-    "declined",
-    "results_match",
-    "oracle_match",
-)
-
-_TOP_REQUIRED = (
-    "schema",
-    "systems",
-    "sites",
-    "scale_factor",
-    "seed",
-    "threshold",
-    "total_replans",
-    "queries",
-    "skipped",
-)
 
 
 def validate_midquery_artefact(obj: Dict) -> List[str]:
@@ -361,31 +310,12 @@ def validate_midquery_artefact(obj: Dict) -> List[str]:
     and at least one suffix re-plan actually fired somewhere (a run that
     never re-optimizes is not evidence the subsystem works).
     """
-    problems: List[str] = []
-    if not isinstance(obj, dict):
-        return [f"artefact must be a dict, got {type(obj).__name__}"]
-    for key in _TOP_REQUIRED:
-        if key not in obj:
-            problems.append(f"missing top-level key {key!r}")
+    problems = check_envelope(obj, MIDQUERY_SCHEMA, MidqueryReport, _DERIVED)
     if problems:
         return problems
-    if obj["schema"] != MIDQUERY_SCHEMA:
-        problems.append(
-            f"schema is {obj['schema']!r}, expected {MIDQUERY_SCHEMA!r}"
-        )
-    rows = obj["queries"]
-    if not isinstance(rows, list) or not rows:
-        return problems + ["queries must be a non-empty list"]
-    for row in rows:
-        if not isinstance(row, dict):
-            problems.append("query row is not a dict")
-            continue
-        name = f"{row.get('query', '?')}/{row.get('system', '?')}"
-        missing = [key for key in _ROW_REQUIRED if key not in row]
-        for key in missing:
-            problems.append(f"query {name!r}: missing {key!r}")
-        if missing:
-            continue
+    for name, row in checked_records(
+        obj, "queries", QueryMidquery, ("query", "system"), problems
+    ):
         if not row["results_match"]:
             problems.append(
                 f"query {name!r}: adaptive rows differ from static rows"

@@ -130,7 +130,6 @@ class ServeBenchResult:
 
 def run_serve_bench(
     loader: Callable[[SystemConfig, float], object],
-    queries: Dict[str, str],
     systems: Sequence[str],
     sf: float,
     tenants: Sequence[TenantSpec],
@@ -144,8 +143,8 @@ def run_serve_bench(
     shed_wait_seconds: float = None,
     plan_cache: bool = True,
 ) -> ServeBenchResult:
-    """Serve the same seeded traffic against each system variant."""
-    del queries  # tenants already embed the mix; kept for signature symmetry
+    """Serve the same seeded traffic against each system variant (the
+    query mix travels inside ``tenants``)."""
     unknown = [s for s in systems if s not in PRESETS]
     if unknown:
         raise ServeBenchError(

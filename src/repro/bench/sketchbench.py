@@ -36,18 +36,27 @@ improve with sketches on.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.core import (
+    artefact_dict,
+    check_envelope,
+    checked_records,
+    counter_deltas,
+    ordered_match,
+    percentile,
+    read_counters,
+    unordered_match,
+)
 from repro.bench.midquery import HOT_CUSTOMER, load_skewed_cluster
 from repro.bench.ssb import load_ssb_cluster
 from repro.bench.tpch import TPCH_INDEXES, cached_tpch_data, tpch_schemas
 from repro.common.config import PRESETS, SystemConfig
-from repro.common.ordering import NullsLast
 from repro.core.cluster import IgniteCalciteCluster
 from repro.exec.engine import ExecutionResult
 from repro.exec.physical import PhysJoinBase
-from repro.obs.metrics import get_registry, q_error
+from repro.obs.metrics import q_error
 from repro.verify.reference import ReferenceExecutor
 
 #: Version tag stamped into every sketchbench artefact.
@@ -139,6 +148,9 @@ _COUNTERS = (
     "sketch.operator_hits",
 )
 
+#: Report properties the artefact carries next to the dataclass fields.
+_DERIVED = ("total_plan_flips", "tpch_p95_join_improved")
+
 
 def load_skewed_tpch_cluster(
     config: SystemConfig,
@@ -171,7 +183,7 @@ def load_skewed_tpch_cluster(
     return cluster
 
 
-_LOADERS = {
+LOADERS = {
     "company": load_skewed_cluster,
     "tpch": load_skewed_tpch_cluster,
     "ssb": load_ssb_cluster,
@@ -200,40 +212,19 @@ def _operator_q_errors(result: ExecutionResult) -> List[Tuple[bool, float]]:
     return out
 
 
-def _percentile(values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile; 1.0 (the perfect q-error) when empty."""
-    if not values:
-        return 1.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, round(fraction * (len(ordered) - 1))))
-    return ordered[rank]
+def _q_error_percentile(values: Sequence[float], q: float) -> float:
+    """Rounded nearest-rank percentile; 1.0 (the perfect q-error) when
+    no operator contributed."""
+    return round(percentile(values, q), 4) if values else 1.0
 
 
 def _distribution(values: Sequence[float]) -> Dict[str, float]:
     return {
         "count": len(values),
-        "p50": round(_percentile(values, 0.50), 4),
-        "p95": round(_percentile(values, 0.95), 4),
+        "p50": _q_error_percentile(values, 50.0),
+        "p95": _q_error_percentile(values, 95.0),
         "max": round(max(values), 4) if values else 1.0,
     }
-
-
-def _canon(rows: Sequence[tuple]) -> List[tuple]:
-    """Rounded floats, the repo's differential convention: plans that sum
-    doubles in a different order differ in the last bits, not in truth."""
-    return [
-        tuple(
-            round(value, 6) if isinstance(value, float) else value
-            for value in row
-        )
-        for row in rows
-    ]
-
-
-def _sorted_rows(rows: Sequence[tuple]) -> List[tuple]:
-    return sorted(
-        _canon(rows), key=lambda r: tuple(NullsLast(v) for v in r)
-    )
 
 
 @dataclass
@@ -292,21 +283,7 @@ class SketchbenchReport:
         return self.tpch_join_p95_sketches < self.tpch_join_p95_histograms
 
     def to_dict(self) -> Dict:
-        return {
-            "schema": SKETCHBENCH_SCHEMA,
-            "systems": list(self.systems),
-            "benches": list(self.benches),
-            "sites": self.sites,
-            "scale_factor": self.scale_factor,
-            "seed": self.seed,
-            "total_plan_flips": self.total_plan_flips,
-            "tpch_join_p95_histograms": self.tpch_join_p95_histograms,
-            "tpch_join_p95_sketches": self.tpch_join_p95_sketches,
-            "tpch_p95_join_improved": self.tpch_p95_join_improved,
-            "queries": [asdict(q) for q in self.queries],
-            "cells": [asdict(c) for c in self.cells],
-            "skipped": dict(self.skipped),
-        }
+        return artefact_dict(SKETCHBENCH_SCHEMA, self, _DERIVED)
 
     def to_text(self) -> str:
         lines = [
@@ -363,11 +340,10 @@ def run_sketchbench(
         seed=seed,
     )
     wanted = {q.upper() for q in query_ids} if query_ids else None
-    registry = get_registry()
     tpch_hist_joins: List[float] = []
     tpch_sketch_joins: List[float] = []
     for bench in benches:
-        loader = _LOADERS[bench]
+        loader = LOADERS[bench]
         names = [
             name
             for name in SKETCHBENCH_QUERIES[bench]
@@ -377,7 +353,7 @@ def run_sketchbench(
             continue
         for system in systems:
             base = PRESETS[system](sites)
-            before = {c: registry.counter(c) for c in _COUNTERS}
+            before = read_counters(_COUNTERS)
             try:
                 hist_cluster = loader(base, scale_factor, seed)
                 sketch_cluster = loader(
@@ -432,21 +408,17 @@ def run_sketchbench(
                             max((q for _, q in s_ops), default=1.0), 4
                         ),
                         # ORDER BY over unique keys: compare *in order*.
-                        results_match=(
-                            _canon(hist_result.rows)
-                            == _canon(sketch_result.rows)
+                        results_match=ordered_match(
+                            hist_result.rows, sketch_result.rows
                         ),
-                        oracle_match=(
-                            _sorted_rows(sketch_result.rows)
-                            == _sorted_rows(reference)
+                        oracle_match=unordered_match(
+                            sketch_result.rows, reference
                         ),
                     )
                 )
             if not ran:
                 continue
-            deltas = {
-                c: int(registry.counter(c) - before[c]) for c in _COUNTERS
-            }
+            deltas = counter_deltas(before)
             report.cells.append(
                 CellSketchbench(
                     bench=bench,
@@ -469,54 +441,13 @@ def run_sketchbench(
             if bench == "tpch":
                 tpch_hist_joins.extend(hist_join)
                 tpch_sketch_joins.extend(sketch_join)
-    report.tpch_join_p95_histograms = round(
-        _percentile(tpch_hist_joins, 0.95), 4
+    report.tpch_join_p95_histograms = _q_error_percentile(
+        tpch_hist_joins, 95.0
     )
-    report.tpch_join_p95_sketches = round(
-        _percentile(tpch_sketch_joins, 0.95), 4
+    report.tpch_join_p95_sketches = _q_error_percentile(
+        tpch_sketch_joins, 95.0
     )
     return report
-
-
-_QUERY_REQUIRED = (
-    "bench",
-    "query",
-    "system",
-    "rows",
-    "plan_flip",
-    "histogram_max_q_error",
-    "sketch_max_q_error",
-    "results_match",
-    "oracle_match",
-)
-
-_CELL_REQUIRED = (
-    "bench",
-    "system",
-    "queries",
-    "plan_flips",
-    "histogram_q_errors",
-    "sketch_q_errors",
-    "table_builds",
-    "seam_refreshes",
-    "operator_hits",
-)
-
-_TOP_REQUIRED = (
-    "schema",
-    "systems",
-    "benches",
-    "sites",
-    "scale_factor",
-    "seed",
-    "total_plan_flips",
-    "tpch_join_p95_histograms",
-    "tpch_join_p95_sketches",
-    "tpch_p95_join_improved",
-    "queries",
-    "cells",
-    "skipped",
-)
 
 
 def validate_sketchbench_artefact(obj: Dict) -> List[str]:
@@ -531,31 +462,14 @@ def validate_sketchbench_artefact(obj: Dict) -> List[str]:
     skewed-TPC-H cell was run — its pooled p95 join q-error strictly
     improved over histograms-only.
     """
-    problems: List[str] = []
-    if not isinstance(obj, dict):
-        return [f"artefact must be a dict, got {type(obj).__name__}"]
-    for key in _TOP_REQUIRED:
-        if key not in obj:
-            problems.append(f"missing top-level key {key!r}")
+    problems = check_envelope(
+        obj, SKETCHBENCH_SCHEMA, SketchbenchReport, _DERIVED
+    )
     if problems:
         return problems
-    if obj["schema"] != SKETCHBENCH_SCHEMA:
-        problems.append(
-            f"schema is {obj['schema']!r}, expected {SKETCHBENCH_SCHEMA!r}"
-        )
-    rows = obj["queries"]
-    if not isinstance(rows, list) or not rows:
-        return problems + ["queries must be a non-empty list"]
-    for row in rows:
-        if not isinstance(row, dict):
-            problems.append("query row is not a dict")
-            continue
-        name = f"{row.get('query', '?')}/{row.get('system', '?')}"
-        missing = [key for key in _QUERY_REQUIRED if key not in row]
-        for key in missing:
-            problems.append(f"query {name!r}: missing {key!r}")
-        if missing:
-            continue
+    for name, row in checked_records(
+        obj, "queries", QuerySketchbench, ("query", "system"), problems
+    ):
         if not row["results_match"]:
             problems.append(
                 f"query {name!r}: sketch rows differ from histogram rows"
@@ -568,20 +482,10 @@ def validate_sketchbench_artefact(obj: Dict) -> List[str]:
             value = row[key]
             if not (isinstance(value, (int, float)) and value >= 1.0):
                 problems.append(f"query {name!r}: bad {key} {value!r}")
-    cells = obj["cells"]
-    if not isinstance(cells, list) or not cells:
-        return problems + ["cells must be a non-empty list"]
     ran_tpch = False
-    for cell in cells:
-        if not isinstance(cell, dict):
-            problems.append("cell is not a dict")
-            continue
-        name = f"{cell.get('bench', '?')}/{cell.get('system', '?')}"
-        missing = [key for key in _CELL_REQUIRED if key not in cell]
-        for key in missing:
-            problems.append(f"cell {name!r}: missing {key!r}")
-        if missing:
-            continue
+    for name, cell in checked_records(
+        obj, "cells", CellSketchbench, ("bench", "system"), problems
+    ):
         ran_tpch = ran_tpch or cell["bench"] == "tpch"
         for side in ("histogram_q_errors", "sketch_q_errors"):
             dists = cell[side]

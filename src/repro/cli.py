@@ -1,121 +1,60 @@
-"""Command-line interface for the reproduction.
+"""Command-line interface for the reproduction (``repro-bench``).
 
-::
-
-    repro-bench failures  [--sf 0.5]
-    repro-bench figure7   [--sf 0.5,1] [--sites 4,8]
-    repro-bench figure8   [--sf 0.5,1] [--sites 4,8]
-    repro-bench figure9   [--sf 0.5,1] [--sites 4]
-    repro-bench table3    [--sf 1] [--sites 4,8] [--clients 2,4,8]
-    repro-bench figure11  [--sf 0.5,1] [--sites 4,8]
-    repro-bench verify    [--queries tpch] [--seed 0] [--count 50]
-                          [--systems IC,IC+,IC+M] [--sf 0.05]
-    repro-bench chaos     [--queries tpch] [--seed 0] [--kill-site 2@t=0.5]
-                          [--slow-site 1x4@t=0.2] [--drop-exchange 3@t=0.1]
-                          [--oom-fragment 2@t=0.0] [--retries 2]
-                          [--deadline 5.0] [--system IC+] [--sf 0.05]
-    repro-bench adaptive  [--queries tpch] [--system IC+] [--sf 0.05]
-                          [--sites 4] [--repeats 3] [--limit 8]
-                          [--threshold 8.0]
-    repro-bench serve     [--queries tpch] [--systems IC,IC+,IC+M] [--sf 0.05]
-                          [--sites 4] [--tenants 2] [--rate 1.0]
-                          [--duration 30] [--seed 0] [--policy fifo]
-                          [--arrivals poisson] [--max-concurrent 0]
-                          [--queue-depth 0] [--tenant-slots 0]
-                          [--shed-wait None] [--limit 4] [--no-plan-cache]
-                          [--out slo.json] [--smoke]
-    repro-bench colbench  [--system IC+] [--sf 1] [--sites 4]
-                          [--queries Q1,Q6] [--repeats 3] [--seed 7]
-                          [--out colbench.json] [--smoke]
-    repro-bench midquery  [--systems IC,IC+,IC+M] [--sf 1] [--sites 4]
-                          [--queries MQ1,MQ3] [--seed 7] [--threshold 4.0]
-                          [--out midquery.json] [--smoke]
-    repro-bench sketchbench [--systems IC,IC+,IC+M] [--sf 0.05] [--sites 4]
-                            [--benches company,tpch,ssb] [--queries C1,T2]
-                            [--seed 7] [--out sketchbench.json] [--smoke]
-    repro-bench fedbench  [--systems IC,IC+,IC+M] [--sf 0.05] [--sites 4]
-                          [--queries FB1,FB4] [--seed 7]
-                          [--out fedbench.json] [--smoke]
-    repro-bench query "select ..." [--system IC+] [--bench tpch] [--sf 0.5]
-                                   [--backend row] [--explain] [--analyze]
-                                   [--no-plan-cache]
-    repro-bench trace Q3  [--system IC+M] [--bench tpch] [--sf 0.05]
-                          [--sites 4] [--out trace.json] [--chrome chrome.json]
-
-Each figure command re-runs the corresponding paper experiment on the
-simulated cluster and prints the table.  ``query`` runs ad-hoc SQL against
-a loaded TPC-H or SSB cluster (``--analyze`` prints EXPLAIN ANALYZE:
-estimated vs actual rows and per-operator q-error; ``EXPLAIN [ANALYZE]
-select ...`` works as SQL too).  ``trace`` executes one benchmark query
-with tracing enabled and dumps the ``repro-trace/v1`` JSON artefact
-(optionally also Chrome trace-event format for chrome://tracing).
-``serve`` runs seeded multi-tenant traffic through the admission
-controller and shared scheduler and prints per-tenant SLO tables
-(p50/p95/p99, throughput, rejections, cache hit-rate); ``--smoke`` is the
-tier-1 variant: a tiny deterministic run whose ``repro-serve/v1``
-artefact is schema-validated, exiting non-zero on violation.
-``colbench`` compares interpreter wall-clock between the row and
-columnar execution backends on TPC-H (plans once, warm caches, best of
-``--repeats``), asserting identical results and bit-identical simulated
-makespans; its ``repro-colbench/v1`` artefact is schema-validated and
-``--smoke`` is the tier-1 variant.
-``midquery`` runs a seeded skew-heavy workload twice per system — once
-statically, once with mid-query re-optimization at pipeline breakers —
-and reports both makespans (the adaptive one includes the charged
-re-planning cost), replan/plan-switch counts and the order-sensitive
-differential columns; its ``repro-midquery/v1`` artefact is
-schema-validated and ``--smoke`` is the tier-1 variant.
-``sketchbench`` runs the same seeded skew-heavy query set twice per
-(bench, system) cell — histograms-only vs ``sketch_statistics`` — and
-reports per-operator q-error distributions (p50/p95/max, overall and
-joins-only), plan-choice flips and order-sensitive differential columns;
-its ``repro-sketchbench/v1`` artefact is schema-validated (the skewed
-TPC-H cell's p95 join q-error must strictly improve) and ``--smoke`` is
-the tier-1 variant.
-``fedbench`` spreads a company star over all three storage adapters
-(native, columnfile, remote) and runs cross-source joins through every
-(query, system, backend) cell, diffing each order-sensitively against
-the reference executor; its ``repro-fedbench/v1`` artefact carries the
-pushdown evidence (adapter rows scanned vs shipped, reconciled against
-FragmentStats), the plan-digest flips proving per-adapter cost constants
-steer plan choice, and a chaos replay — schema-validated, with
-``--smoke`` as the tier-1 variant.
-``adaptive`` repeats a workload slice on a plan-cache +
-cardinality-feedback cluster and reports planning-tick savings, cache
-hits, feedback replans and q-error drift (rows are diffed across repeats
-— any divergence is an error).  ``chaos`` replays the workload under an
-injected fault schedule and
-reports availability, retries and latency percentiles; ``verify`` exits
-with a distinct code per failure class (see ``EXIT_*`` below) so CI can
-tell a wrong answer from a broken invariant from a harness crash.
+Three families of subcommands, all listed with their flags by
+``repro-bench --help`` and ``repro-bench <command> --help``: the paper
+artefacts (``failures``, ``figure7``-``figure11``, ``table3``) re-run an
+experiment on the simulated cluster through :mod:`repro.bench.reporting`
+and print its table; the single-cluster tools (``query``, ``trace``,
+``verify``, ``chaos``, ``adaptive``) load TPC-H or SSB and drive one
+subsystem; and the five artefact benches (``serve``, ``colbench``,
+``midquery``, ``sketchbench``, ``fedbench``) share one path — run, print,
+validate the versioned JSON artefact, write ``--out``, exit non-zero on a
+violation — with ``--smoke`` as the tiny deterministic tier-1 variant.
+Exit codes are the ``EXIT_*`` constants below, so CI can tell a wrong
+answer from a broken invariant from a harness crash from bad arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.bench.harness import ResponseTimeHarness, run_aql
-from repro.bench.ssb import FIGURE11_QUERY_IDS, SSB_QUERIES, load_ssb_cluster
+from repro.bench import colbench, fedbench, midquery, sketchbench
+from repro.bench.reporting import (
+    GainFigure,
+    aql_table,
+    failure_matrix,
+    ssb_gain_figure,
+    tpch_gain_figure,
+)
+from repro.bench.serve import ServeBenchError, build_tenants, run_serve_bench
+from repro.bench.ssb import SSB_QUERIES, load_ssb_cluster
 from repro.bench.tpch import (
     ENABLED_QUERY_IDS,
     IC_FAILING_QUERY_IDS,
     QUERIES,
     load_tpch_cluster,
 )
-from repro.common.config import PRESETS, SystemConfig
+from repro.common.config import PRESETS
 
 TPCH_QUERIES = {f"Q{qid}": QUERIES[qid].sql for qid in ENABLED_QUERY_IDS}
 
-#: ``repro-bench verify``/``chaos`` exit codes.  Distinct codes let CI
-#: classify a failure without parsing stdout; crash > invariant > mismatch
-#: when several classes occur in one sweep.
+#: ``repro-bench`` exit codes.  Distinct codes let CI classify a failure
+#: without parsing stdout; crash > invariant > mismatch when several
+#: classes occur in one sweep.
 EXIT_OK = 0
 EXIT_MISMATCH = 1   # distributed rows diverged from the reference executor
 EXIT_INVARIANT = 2  # an optimised plan violated a structural invariant
 EXIT_CRASH = 3      # the harness itself raised — a bug in the repro
 EXIT_USAGE = 64     # bad arguments (BSD EX_USAGE)
+
+
+class UsageError(Exception):
+    """Bad arguments argparse cannot catch; ``main`` prints the message
+    and exits :data:`EXIT_USAGE`."""
 
 
 def _floats(raw: str) -> Tuple[float, ...]:
@@ -126,129 +65,323 @@ def _ints(raw: str) -> Tuple[int, ...]:
     return tuple(int(x) for x in raw.split(","))
 
 
-def _gain_table(
-    title: str,
-    baseline_name: str,
-    improved_name: str,
-    scale_factors: Sequence[float],
-    site_counts: Sequence[int],
-) -> None:
-    print(title)
-    print("query  " + "  ".join(f"{s}-sites" for s in site_counts))
-    results = {}
-    for sites in site_counts:
-        for name in (baseline_name, improved_name):
-            harness = ResponseTimeHarness(
-                load_tpch_cluster, TPCH_QUERIES, scale_factors
-            )
-            results[(name, sites)] = harness.run(PRESETS[name](sites))
-    for query in TPCH_QUERIES:
+def _query_name(raw: str) -> str:
+    """Canonical query id: upper-cased, and a bare or ``Q``-prefixed
+    number names a TPC-H query (``3``, ``q3`` and ``Q03`` are ``Q3``)."""
+    name = raw.strip().upper()
+    digits = name[1:] if name.startswith("Q") else name
+    return f"Q{int(digits)}" if digits.isdecimal() else name
+
+
+def _choices(
+    raw: str,
+    valid: Iterable[str],
+    what: str,
+    canon: Callable[[str], str] = str.strip,
+) -> List[str]:
+    """Split a comma-separated flag value, rejecting unknown members."""
+    valid = list(valid)
+    values = [canon(value) for value in raw.split(",")]
+    unknown = [value for value in values if value not in valid]
+    if unknown:
+        raise UsageError(
+            f"unknown {what}: {', '.join(unknown)} "
+            f"(choose from {', '.join(valid)})"
+        )
+    return values
+
+
+def _workload(bench: str, ic_safe: bool = False):
+    """``tpch|ssb`` -> (cluster loader, {query id: sql}); ``ic_safe``
+    drops the TPC-H queries stock IC cannot plan."""
+    if bench == "ssb":
+        return load_ssb_cluster, {q: SSB_QUERIES[q].sql for q in SSB_QUERIES}
+    pool = {
+        name: sql
+        for name, sql in TPCH_QUERIES.items()
+        if not (ic_safe and int(name[1:]) in IC_FAILING_QUERY_IDS)
+    }
+    return load_tpch_cluster, pool
+
+
+def _write_json(path: str, obj, sort_keys: bool = True) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Paper artefacts: text renderings of the repro.bench.reporting objects
+# ---------------------------------------------------------------------------
+
+
+def _print_gains(figure: GainFigure) -> None:
+    print(figure.title)
+    print("query  " + "  ".join(f"{s}-sites" for s in figure.site_counts))
+    for query in figure.queries:
         cells = []
-        for sites in site_counts:
-            gain = results[(improved_name, sites)].mean_gain_over(
-                results[(baseline_name, sites)], query, scale_factors
-            )
+        for sites in figure.site_counts:
+            gain = figure.gains[(query, sites)]
             cells.append("  n/a  " if gain is None else f"{gain:6.2f}x")
         print(f"{query:<6} " + "  ".join(cells))
 
 
 def cmd_failures(args) -> None:
     sf = args.sf[0]
-    ic = load_tpch_cluster(SystemConfig.ic(4), sf)
-    ic_plus = load_tpch_cluster(SystemConfig.ic_plus(4), sf)
     print(f"Baseline failure matrix at SF {sf} (Section 1 / Section 6)")
     print("query  IC                IC+")
-    for qid in sorted(QUERIES):
-        a = ic.try_sql(QUERIES[qid].sql)
-        b = ic_plus.try_sql(QUERIES[qid].sql)
-        print(f"Q{qid:<5} {a.status.value:<17} {b.status.value}")
+    for query, ic_status, ic_plus_status in failure_matrix(sf):
+        print(f"{query:<6} {ic_status:<17} {ic_plus_status}")
 
 
 def cmd_figure7(args) -> None:
-    _gain_table(
+    _print_gains(tpch_gain_figure(
         "Figure 7: IC+ speedup over IC", "IC", "IC+", args.sf, args.sites
-    )
+    ))
 
 
 def cmd_figure8(args) -> None:
-    _gain_table(
+    _print_gains(tpch_gain_figure(
         "Figure 8: IC+M speedup over IC", "IC", "IC+M", args.sf, args.sites
-    )
+    ))
 
 
 def cmd_figure9(args) -> None:
-    for sites in args.sites:
-        base = ResponseTimeHarness(
-            load_tpch_cluster, TPCH_QUERIES, args.sf
-        ).run(SystemConfig.ic_plus(sites))
-        multi = ResponseTimeHarness(
-            load_tpch_cluster, TPCH_QUERIES, args.sf
-        ).run(SystemConfig.ic_plus_m(sites))
+    figure = tpch_gain_figure(
+        "Figures 9/10", "IC+", "IC+M", args.sf, args.sites
+    )
+    for sites in figure.site_counts:
         print(f"Figure {'9' if sites == 4 else '10'}: "
               f"IC+ vs IC+M incremental change ({sites} sites)")
-        for query in TPCH_QUERIES:
-            gain = multi.mean_gain_over(base, query, args.sf)
+        for query in figure.queries:
+            gain = figure.gains[(query, sites)]
             cell = "   n/a" if gain is None else f"{(gain - 1) * 100:+6.1f}%"
             print(f"{query:<6} {cell}")
         print()
 
 
 def cmd_table3(args) -> None:
-    workload = {
-        f"Q{qid}": QUERIES[qid].sql
-        for qid in ENABLED_QUERY_IDS
-        if qid not in IC_FAILING_QUERY_IDS
-    }
     sf = args.sf[0]
+    table = aql_table(sf, args.sites, args.clients)
+    columns = [
+        (sites, system)
+        for sites in table.site_counts
+        for system in table.systems
+    ]
     print(f"Table 3: Average Query Latency (simulated seconds, SF {sf})")
-    systems = list(PRESETS)
-    print("clients  " + "  ".join(
-        f"{s}@{n}" for n in args.sites for s in systems
-    ))
-    clusters = {
-        (name, sites): load_tpch_cluster(PRESETS[name](sites), sf)
-        for sites in args.sites
-        for name in systems
-    }
-    for clients in args.clients:
-        cells = []
-        for sites in args.sites:
-            for name in systems:
-                result = run_aql(
-                    clusters[(name, sites)], workload, clients, 300.0
-                )
-                cells.append(f"{result.average_latency:7.3f}")
+    print("clients  " + "  ".join(f"{s}@{n}" for n, s in columns))
+    for clients in table.clients:
+        cells = [
+            f"{table.latencies[(sites, system, clients)]:7.3f}"
+            for sites, system in columns
+        ]
         print(f"{clients:<8} " + "  ".join(cells))
 
 
 def cmd_figure11(args) -> None:
-    queries = {qid: SSB_QUERIES[qid].sql for qid in FIGURE11_QUERY_IDS}
-    print("Figure 11: SSB per-query multiplier, IC vs IC+M")
-    print("query  " + "  ".join(f"{s}-sites" for s in args.sites))
-    results = {}
-    for sites in args.sites:
-        for name in ("IC", "IC+M"):
-            harness = ResponseTimeHarness(load_ssb_cluster, queries, args.sf)
-            results[(name, sites)] = harness.run(PRESETS[name](sites))
-    for qid in FIGURE11_QUERY_IDS:
-        cells = []
-        for sites in args.sites:
-            gain = results[("IC+M", sites)].mean_gain_over(
-                results[("IC", sites)], qid, args.sf
-            )
-            cells.append("  n/a  " if gain is None else f"{gain:6.2f}x")
-        print(f"{qid:<6} " + "  ".join(cells))
+    figure = ssb_gain_figure(args.sf, args.sites)
+    # The markdown report parenthesises this title; stdout never did.
+    figure.title = "Figure 11: SSB per-query multiplier, IC vs IC+M"
+    _print_gains(figure)
     print("(QS2 and QS4 excluded, Section 6.4)")
+
+
+# ---------------------------------------------------------------------------
+# The five artefact benches: one run -> print -> validate -> write -> exit
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ArtefactBench:
+    """What tells one artefact subcommand from the other four."""
+
+    #: args (``systems``/``benches``/``queries`` already split and
+    #: checked) -> a report with ``to_text``/``to_dict``/``validate``.
+    run: Callable
+    #: Flag values ``--smoke`` pins: the tiny deterministic CI run.
+    smoke: Dict[str, object]
+    #: args -> the query ids ``--queries`` may name (None: argparse
+    #: already restricts the flag to choices).
+    known_queries: Optional[Callable] = None
+    #: How stdout names the artefact.
+    label: str = ""
+    #: Exit code for an artefact that fails its validator.
+    invalid_exit: int = EXIT_MISMATCH
+
+
+def _run_serve(args):
+    loader, pool = _workload(args.queries, ic_safe=True)
+    tenants = build_tenants(
+        pool,
+        tenants=args.tenants,
+        rate=args.rate,
+        arrivals=args.arrivals,
+        limit=args.limit,
+        clients=args.clients,
+    )
+    return run_serve_bench(
+        loader,
+        args.systems,
+        args.sf[0],
+        tenants,
+        args.duration,
+        seed=args.seed,
+        sites=args.sites[0],
+        policy=args.policy,
+        max_concurrent=args.max_concurrent,
+        queue_depth=args.queue_depth,
+        tenant_slots=args.tenant_slots,
+        shed_wait_seconds=args.shed_wait,
+        plan_cache=not args.no_plan_cache,
+    )
+
+
+def _run_colbench(args):
+    return colbench.run_colbench(
+        system=args.system,
+        scale_factor=args.sf[0],
+        sites=args.sites[0],
+        repeats=args.repeats,
+        query_ids=args.queries and [int(q[1:]) for q in args.queries],
+        seed=args.seed,
+    )
+
+
+def _run_midquery(args):
+    return midquery.run_midquery_bench(
+        systems=args.systems,
+        scale_factor=args.sf[0],
+        sites=args.sites[0],
+        seed=args.seed,
+        threshold=args.threshold,
+        query_ids=args.queries,
+    )
+
+
+def _run_sketchbench(args):
+    return sketchbench.run_sketchbench(
+        systems=args.systems,
+        benches=args.benches,
+        scale_factor=args.sf[0],
+        sites=args.sites[0],
+        seed=args.seed,
+        query_ids=args.queries,
+    )
+
+
+def _run_fedbench(args):
+    return fedbench.run_fedbench(
+        systems=args.systems,
+        scale_factor=args.sf[0],
+        sites=args.sites[0],
+        seed=args.seed,
+        query_ids=args.queries,
+    )
+
+
+ARTEFACT_BENCHES: Dict[str, ArtefactBench] = {
+    # Smoke: one system, short horizon, small mix — exercises the full
+    # serving pipeline and validates the artefact.
+    "serve": ArtefactBench(
+        run=_run_serve,
+        smoke=dict(systems="IC+", sf=(0.01,), duration=5.0, limit=2),
+        label="SLO",
+        invalid_exit=EXIT_CRASH,
+    ),
+    # Smoke: few queries, small scale, one measured repeat — exercises
+    # both backends end to end and validates the artefact (including the
+    # differential columns).
+    "colbench": ArtefactBench(
+        run=_run_colbench,
+        smoke=dict(
+            system="IC+", sf=(0.05,), sites=(4,), repeats=1,
+            queries=",".join(f"Q{q}" for q in colbench.SMOKE_QUERY_IDS),
+        ),
+        known_queries=lambda args: TPCH_QUERIES,
+    ),
+    # Smoke: one system, small scale, the two queries known to re-plan —
+    # exercises capture -> trigger -> suffix re-entry -> splice end to
+    # end and validates the artefact (including the order-sensitive
+    # differential columns).
+    "midquery": ArtefactBench(
+        run=_run_midquery,
+        smoke=dict(
+            systems="IC+", sf=(0.5,), sites=(4,),
+            queries=",".join(midquery.SMOKE_QUERY_IDS),
+        ),
+        known_queries=lambda args: midquery.MIDQUERY_QUERIES,
+    ),
+    # Smoke: one system, the skewed company and TPC-H cells (the
+    # validator demands the TPC-H p95 join q-error improvement), three
+    # queries — exercises table-sketch build -> estimator consultation ->
+    # seam harvest end to end and validates the artefact including the
+    # differential columns.
+    "sketchbench": ArtefactBench(
+        run=_run_sketchbench,
+        smoke=dict(
+            systems="IC+", benches=",".join(sketchbench.SMOKE_BENCHES),
+            sf=(0.05,), sites=(4,),
+            queries=",".join(sketchbench.SMOKE_QUERY_IDS),
+        ),
+        known_queries=lambda args: [
+            query
+            for bench in args.benches
+            for query in sketchbench.SKETCHBENCH_QUERIES[bench]
+        ],
+    ),
+    # Smoke: one system, three queries still crossing all three adapters
+    # — exercises DDL routing, pushdown rules, both execution backends
+    # and the chaos replay end to end and validates the artefact
+    # (including the plan-flip evidence).
+    "fedbench": ArtefactBench(
+        run=_run_fedbench,
+        smoke=dict(
+            systems="IC+", sf=(0.05,), sites=(4,),
+            queries=",".join(fedbench.SMOKE_QUERY_IDS),
+        ),
+        known_queries=lambda args: fedbench.FEDBENCH_QUERIES,
+    ),
+}
+
+
+def cmd_artefact(args) -> None:
+    """The one command path of the five artefact benches."""
+    name = args.command
+    bench = ARTEFACT_BENCHES[name]
+    label = bench.label or name
+    if args.smoke:
+        vars(args).update(bench.smoke)
+    try:
+        if hasattr(args, "systems"):
+            args.systems = _choices(args.systems, sorted(PRESETS), "system(s)")
+        if hasattr(args, "benches"):
+            args.benches = _choices(
+                args.benches, sketchbench.SKETCHBENCH_QUERIES, "bench(es)",
+                canon=lambda raw: raw.strip().lower(),
+            )
+        if bench.known_queries is not None and args.queries is not None:
+            args.queries = _choices(
+                args.queries, bench.known_queries(args), "query id(s)",
+                canon=_query_name,
+            )
+        report = bench.run(args)
+    except (UsageError, ServeBenchError) as exc:
+        raise UsageError(f"bad {name} parameters: {exc}") from None
+    print(report.to_text())
+    problems = report.validate()
+    if args.out:
+        _write_json(args.out, report.to_dict())
+        print(f"{label} artefact written to {args.out}")
+    if problems:
+        print(f"invalid {label} artefact: " + "; ".join(problems))
+        sys.exit(bench.invalid_exit)
+    if args.smoke:
+        print(f"{name} smoke: artefact valid")
 
 
 def cmd_adaptive(args) -> None:
     from repro.bench.adaptive import default_workload, run_adaptive
 
-    if args.queries == "tpch":
-        loader, pool = load_tpch_cluster, TPCH_QUERIES
-    else:
-        loader = load_ssb_cluster
-        pool = {qid: SSB_QUERIES[qid].sql for qid in SSB_QUERIES}
+    loader, pool = _workload(args.queries)
     config = PRESETS[args.system](args.sites[0]).with_(
         plan_cache=True,
         cardinality_feedback=True,
@@ -266,247 +399,8 @@ def cmd_adaptive(args) -> None:
         sys.exit(EXIT_MISMATCH)
 
 
-def cmd_serve(args) -> None:
-    import json
-
-    from repro.bench.serve import (
-        ServeBenchError,
-        build_tenants,
-        run_serve_bench,
-    )
-
-    if args.queries == "tpch":
-        loader = load_tpch_cluster
-        pool = {
-            f"Q{qid}": QUERIES[qid].sql
-            for qid in ENABLED_QUERY_IDS
-            if qid not in IC_FAILING_QUERY_IDS
-        }
-    else:
-        loader = load_ssb_cluster
-        pool = {qid: SSB_QUERIES[qid].sql for qid in SSB_QUERIES}
-    if args.smoke:
-        # Tiny deterministic run for CI: one system, short horizon, small
-        # mix — exercises the full pipeline and validates the artefact.
-        systems = ["IC+"]
-        sf, duration, limit = 0.01, 5.0, 2
-    else:
-        systems = [s.strip() for s in args.systems.split(",")]
-        sf, duration, limit = args.sf[0], args.duration, args.limit
-    try:
-        tenants = build_tenants(
-            pool,
-            tenants=args.tenants,
-            rate=args.rate,
-            arrivals=args.arrivals,
-            limit=limit,
-            clients=args.clients,
-        )
-        bench = run_serve_bench(
-            loader,
-            pool,
-            systems,
-            sf,
-            tenants,
-            duration,
-            seed=args.seed,
-            sites=args.sites[0],
-            policy=args.policy,
-            max_concurrent=args.max_concurrent,
-            queue_depth=args.queue_depth,
-            tenant_slots=args.tenant_slots,
-            shed_wait_seconds=args.shed_wait,
-            plan_cache=not args.no_plan_cache,
-        )
-    except ServeBenchError as exc:
-        print(f"bad serve parameters: {exc}")
-        sys.exit(EXIT_USAGE)
-    print(bench.to_text())
-    problems = bench.validate()
-    if args.out:
-        payload = json.dumps(bench.to_dict(), indent=2, sort_keys=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"SLO artefact written to {args.out}")
-    if problems:
-        print("invalid SLO artefact: " + "; ".join(problems))
-        sys.exit(EXIT_CRASH)
-    if args.smoke:
-        print("serve smoke: artefact valid")
-
-
-def cmd_colbench(args) -> None:
-    import json
-
-    from repro.bench.colbench import SMOKE_QUERY_IDS, run_colbench
-
-    if args.smoke:
-        # Tiny deterministic run for CI: few queries, small scale, one
-        # measured repeat — exercises both backends end to end and
-        # validates the artefact (including the differential columns).
-        report = run_colbench(
-            system="IC+", scale_factor=0.05, sites=4, repeats=1,
-            query_ids=SMOKE_QUERY_IDS, seed=args.seed,
-        )
-    else:
-        query_ids = None
-        if args.queries:
-            query_ids = [
-                int(q.strip().upper().lstrip("Q"))
-                for q in args.queries.split(",")
-            ]
-        report = run_colbench(
-            system=args.system,
-            scale_factor=args.sf[0],
-            sites=args.sites[0],
-            repeats=args.repeats,
-            query_ids=query_ids,
-            seed=args.seed,
-        )
-    print(report.to_text())
-    problems = report.validate()
-    if args.out:
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"colbench artefact written to {args.out}")
-    if problems:
-        print("invalid colbench artefact: " + "; ".join(problems))
-        sys.exit(EXIT_MISMATCH)
-    if args.smoke:
-        print("colbench smoke: artefact valid")
-
-
-def cmd_midquery(args) -> None:
-    import json
-
-    from repro.bench.midquery import SMOKE_QUERY_IDS, run_midquery_bench
-
-    if args.smoke:
-        # Tiny deterministic run for CI: one system, small scale, the two
-        # queries known to re-plan — exercises capture -> trigger ->
-        # suffix re-entry -> splice end to end and validates the artefact
-        # (including the order-sensitive differential columns).
-        report = run_midquery_bench(
-            systems=("IC+",), scale_factor=0.5, sites=4, seed=args.seed,
-            threshold=args.threshold, query_ids=SMOKE_QUERY_IDS,
-        )
-    else:
-        query_ids = None
-        if args.queries:
-            query_ids = [q.strip().upper() for q in args.queries.split(",")]
-        report = run_midquery_bench(
-            systems=[s.strip() for s in args.systems.split(",")],
-            scale_factor=args.sf[0],
-            sites=args.sites[0],
-            seed=args.seed,
-            threshold=args.threshold,
-            query_ids=query_ids,
-        )
-    print(report.to_text())
-    problems = report.validate()
-    if args.out:
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"midquery artefact written to {args.out}")
-    if problems:
-        print("invalid midquery artefact: " + "; ".join(problems))
-        sys.exit(EXIT_MISMATCH)
-    if args.smoke:
-        print("midquery smoke: artefact valid")
-
-
-def cmd_sketchbench(args) -> None:
-    import json
-
-    from repro.bench.sketchbench import (
-        SMOKE_BENCHES,
-        SMOKE_QUERY_IDS,
-        run_sketchbench,
-    )
-
-    if args.smoke:
-        # Tiny deterministic run for CI: one system, the skewed company
-        # and TPC-H cells (the validator demands the TPC-H p95 join
-        # q-error improvement), three queries — exercises table-sketch
-        # build -> estimator consultation -> seam harvest end to end and
-        # validates the artefact including the differential columns.
-        report = run_sketchbench(
-            systems=("IC+",), benches=SMOKE_BENCHES, scale_factor=0.05,
-            sites=4, seed=args.seed, query_ids=SMOKE_QUERY_IDS,
-        )
-    else:
-        query_ids = None
-        if args.queries:
-            query_ids = [q.strip().upper() for q in args.queries.split(",")]
-        report = run_sketchbench(
-            systems=[s.strip() for s in args.systems.split(",")],
-            benches=[b.strip().lower() for b in args.benches.split(",")],
-            scale_factor=args.sf[0],
-            sites=args.sites[0],
-            seed=args.seed,
-            query_ids=query_ids,
-        )
-    print(report.to_text())
-    problems = report.validate()
-    if args.out:
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"sketchbench artefact written to {args.out}")
-    if problems:
-        print("invalid sketchbench artefact: " + "; ".join(problems))
-        sys.exit(EXIT_MISMATCH)
-    if args.smoke:
-        print("sketchbench smoke: artefact valid")
-
-
-def cmd_fedbench(args) -> None:
-    import json
-
-    from repro.bench.fedbench import SMOKE_QUERY_IDS, run_fedbench
-
-    if args.smoke:
-        # Tiny deterministic run for CI: one system, three queries still
-        # crossing all three adapters — exercises DDL routing, pushdown
-        # rules, both execution backends and the chaos replay end to end
-        # and validates the artefact (including the plan-flip evidence).
-        report = run_fedbench(
-            systems=("IC+",), scale_factor=0.05, sites=4, seed=args.seed,
-            query_ids=SMOKE_QUERY_IDS,
-        )
-    else:
-        query_ids = None
-        if args.queries:
-            query_ids = [q.strip().upper() for q in args.queries.split(",")]
-        try:
-            report = run_fedbench(
-                systems=[s.strip() for s in args.systems.split(",")],
-                scale_factor=args.sf[0],
-                sites=args.sites[0],
-                seed=args.seed,
-                query_ids=query_ids,
-            )
-        except ValueError as exc:
-            print(f"bad fedbench parameters: {exc}")
-            sys.exit(EXIT_USAGE)
-    print(report.to_text())
-    problems = report.validate()
-    if args.out:
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"fedbench artefact written to {args.out}")
-    if problems:
-        print("invalid fedbench artefact: " + "; ".join(problems))
-        sys.exit(EXIT_MISMATCH)
-    if args.smoke:
-        print("fedbench smoke: artefact valid")
-
-
 def cmd_query(args) -> None:
-    loader = load_tpch_cluster if args.bench == "tpch" else load_ssb_cluster
+    loader, _ = _workload(args.bench)
     config = PRESETS[args.system](args.sites[0]).with_(
         execution_backend=args.backend
     )
@@ -539,30 +433,17 @@ def cmd_query(args) -> None:
 
 
 def cmd_trace(args) -> None:
-    import json
-
     from repro.obs.metrics import get_registry
     from repro.obs.trace import validate_trace
 
-    if args.bench == "tpch":
-        raw = args.query.upper().lstrip("Q")
-        qid = int(raw) if raw.isdigit() else None
-        if qid is None or qid not in ENABLED_QUERY_IDS:
-            enabled = ", ".join(f"Q{q}" for q in ENABLED_QUERY_IDS)
-            print(f"unknown tpch query {args.query!r} (enabled: {enabled})")
-            sys.exit(EXIT_USAGE)
-        name, sql = f"Q{qid}", QUERIES[qid].sql
-        loader = load_tpch_cluster
-    else:
-        name = args.query
-        if name not in SSB_QUERIES:
-            print(
-                f"unknown ssb query {args.query!r} "
-                f"(choose from {', '.join(sorted(SSB_QUERIES))})"
-            )
-            sys.exit(EXIT_USAGE)
-        sql = SSB_QUERIES[name].sql
-        loader = load_ssb_cluster
+    loader, pool = _workload(args.bench)
+    name = _query_name(args.query) if args.bench == "tpch" else args.query
+    if name not in pool:
+        raise UsageError(
+            f"unknown {args.bench} query {args.query!r} "
+            f"(choose from {', '.join(pool)})"
+        )
+    sql = pool[name]
     config = PRESETS[args.system](args.sites[0]).with_(tracing=True)
     cluster = loader(config, args.sf[0])
     registry = get_registry()
@@ -580,17 +461,15 @@ def cmd_trace(args) -> None:
     if problems:
         print("invalid trace artefact: " + "; ".join(problems))
         sys.exit(EXIT_CRASH)
-    payload = json.dumps(artefact, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        _write_json(args.out, artefact)
         print(f"trace written to {args.out}")
     else:
-        print(payload)
+        print(json.dumps(artefact, indent=2, sort_keys=True))
     if args.chrome:
-        chrome = json.dumps(cluster.last_trace.to_chrome(), indent=2)
-        with open(args.chrome, "w", encoding="utf-8") as handle:
-            handle.write(chrome + "\n")
+        _write_json(
+            args.chrome, cluster.last_trace.to_chrome(), sort_keys=False
+        )
         print(f"chrome trace written to {args.chrome}")
 
 
@@ -598,16 +477,9 @@ def cmd_verify(args) -> None:
     from repro.verify.differential import INVARIANT, differential_check
     from repro.verify.generator import QueryGenerator, SSB_EXTRA_EDGES
 
-    loader = load_tpch_cluster if args.queries == "tpch" else load_ssb_cluster
+    loader, _ = _workload(args.queries)
     extra_edges = SSB_EXTRA_EDGES if args.queries == "ssb" else ()
-    systems = [s.strip() for s in args.systems.split(",")]
-    unknown = [s for s in systems if s not in PRESETS]
-    if unknown:
-        print(
-            f"unknown system(s): {', '.join(unknown)} "
-            f"(choose from {', '.join(sorted(PRESETS))})"
-        )
-        sys.exit(EXIT_USAGE)
+    systems = _choices(args.systems, sorted(PRESETS), "system(s)")
     sf = args.sf[0]
     sites = args.sites[0]
     seed_store = loader(PRESETS[systems[0]](sites), sf).store
@@ -682,13 +554,8 @@ def cmd_chaos(args) -> None:
             try:
                 faults.append(parse_fault(kind, spec))
             except (ReproError, ValueError) as exc:
-                print(f"bad --{kind} spec: {exc}")
-                sys.exit(EXIT_USAGE)
-    if args.queries == "tpch":
-        loader, workload = load_tpch_cluster, TPCH_QUERIES
-    else:
-        loader = load_ssb_cluster
-        workload = {qid: SSB_QUERIES[qid].sql for qid in SSB_QUERIES}
+                raise UsageError(f"bad --{kind} spec: {exc}") from None
+    loader, workload = _workload(args.queries)
     config = PRESETS[args.system](args.sites[0]).with_(
         faults=tuple(faults),
         max_retries=args.retries,
@@ -821,12 +688,41 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_sf="0.05", default_sites="4")
     p.set_defaults(func=cmd_adaptive)
 
-    p = sub.add_parser(
-        "serve", help="multi-tenant serving with admission control + SLOs"
+    def artefact_bench(name, help, sf, example=None, systems=True, seed=7):
+        """The flags every artefact subcommand shares; bench-specific
+        ones are added to the returned sub-parser."""
+        p = sub.add_parser(name, help=help)
+        if systems:
+            p.add_argument("--systems", default="IC,IC+,IC+M")
+        if example:
+            p.add_argument(
+                "--queries", default=None,
+                help=f"comma-separated query ids (e.g. {example}); "
+                "default: all",
+            )
+        else:
+            p.add_argument(
+                "--queries", choices=("tpch", "ssb"), default="tpch"
+            )
+        p.add_argument("--seed", type=int, default=seed)
+        label = ARTEFACT_BENCHES[name].label or name
+        p.add_argument(
+            "--out", default=None,
+            help=f"write the {label} JSON artefact here",
+        )
+        p.add_argument(
+            "--smoke", action="store_true",
+            help="tiny deterministic CI run; non-zero exit on an invalid "
+            "artefact",
+        )
+        common(p, default_sf=sf, default_sites="4")
+        p.set_defaults(func=cmd_artefact)
+        return p
+
+    p = artefact_bench(
+        "serve", "multi-tenant serving with admission control + SLOs",
+        sf="0.05", seed=0,
     )
-    p.add_argument("--queries", choices=("tpch", "ssb"), default="tpch")
-    p.add_argument("--systems", default="IC,IC+,IC+M")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tenants", type=int, default=2)
     p.add_argument(
         "--rate", type=float, default=1.0,
@@ -871,108 +767,41 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-plan-cache", action="store_true",
         help="disable the adaptive layer (plan cache + feedback)",
     )
-    p.add_argument(
-        "--out", default=None, help="write the SLO JSON artefact here"
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="tiny deterministic CI run; non-zero exit on artefact violation",
-    )
-    common(p, default_sf="0.05", default_sites="4")
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser(
-        "colbench",
-        help="row vs columnar backend wall-clock comparison on TPC-H",
+    p = artefact_bench(
+        "colbench", "row vs columnar backend wall-clock comparison on TPC-H",
+        sf="1", example="Q1,Q6", systems=False,
     )
     p.add_argument("--system", choices=sorted(PRESETS), default="IC+")
-    p.add_argument(
-        "--queries", default=None,
-        help="comma-separated TPC-H query ids (e.g. Q1,Q6); default: all",
-    )
     p.add_argument(
         "--repeats", type=int, default=3,
         help="measured executions per backend; the best is kept",
     )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--out", default=None, help="write the colbench JSON artefact here"
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="tiny deterministic CI run; validates the artefact",
-    )
-    common(p, default_sf="1", default_sites="4")
-    p.set_defaults(func=cmd_colbench)
 
-    p = sub.add_parser(
-        "midquery",
-        help="static vs mid-query-re-optimized makespans under skew",
+    p = artefact_bench(
+        "midquery", "static vs mid-query-re-optimized makespans under skew",
+        sf="1", example="MQ1,MQ3",
     )
-    p.add_argument("--systems", default="IC,IC+,IC+M")
-    p.add_argument(
-        "--queries", default=None,
-        help="comma-separated query ids (e.g. MQ1,MQ3); default: all",
-    )
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--threshold", type=float, default=4.0,
         help="observed q-error above which the plan suffix is re-planned",
     )
-    p.add_argument(
-        "--out", default=None, help="write the midquery JSON artefact here"
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="tiny deterministic CI run; validates the artefact",
-    )
-    common(p, default_sf="1", default_sites="4")
-    p.set_defaults(func=cmd_midquery)
 
-    p = sub.add_parser(
+    p = artefact_bench(
         "sketchbench",
-        help="estimator q-errors, histograms-only vs sketch statistics",
+        "estimator q-errors, histograms-only vs sketch statistics",
+        sf="0.05", example="C1,T2",
     )
-    p.add_argument("--systems", default="IC,IC+,IC+M")
     p.add_argument(
         "--benches", default="company,tpch,ssb",
         help="comma-separated cells (company = skewed star, tpch = "
         "re-skewed orders, ssb = low-skew control)",
     )
-    p.add_argument(
-        "--queries", default=None,
-        help="comma-separated query ids (e.g. C1,T2); default: all",
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--out", default=None, help="write the sketchbench JSON artefact here"
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="tiny deterministic CI run; validates the artefact",
-    )
-    common(p, default_sf="0.05", default_sites="4")
-    p.set_defaults(func=cmd_sketchbench)
 
-    p = sub.add_parser(
-        "fedbench",
-        help="cross-source federation cells over the storage adapters",
+    artefact_bench(
+        "fedbench", "cross-source federation cells over the storage adapters",
+        sf="0.05", example="FB1,FB4",
     )
-    p.add_argument("--systems", default="IC,IC+,IC+M")
-    p.add_argument(
-        "--queries", default=None,
-        help="comma-separated query ids (e.g. FB1,FB4); default: all",
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--out", default=None, help="write the fedbench JSON artefact here"
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="tiny deterministic CI run; validates the artefact",
-    )
-    common(p, default_sf="0.05", default_sites="4")
-    p.set_defaults(func=cmd_fedbench)
 
     p = sub.add_parser("query", help="run ad-hoc SQL")
     p.add_argument("sql")
@@ -1015,7 +844,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except UsageError as exc:
+        print(exc)
+        sys.exit(EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ hit rate.  The JSON artefact is versioned (``repro-serve/v1``) and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import HistogramSummary
@@ -189,17 +189,9 @@ def _tenant_slo(
     return row
 
 
-#: Fields every tenant row of a v1 artefact must carry.
-_ROW_REQUIRED = (
-    "tenant",
-    "offered",
-    "completed",
-    "rejected",
-    "failed",
-    "throughput_qps",
-    "rejection_rate",
-    "cache_hit_rate",
-)
+#: Fields every tenant row of a v1 artefact must carry: all of them, so
+#: the emitted row and the validator cannot drift apart.
+_ROW_REQUIRED = tuple(f.name for f in fields(TenantSlo))
 
 _TOP_REQUIRED = (
     "schema",

@@ -16,12 +16,8 @@ and demands:
 
 import pytest
 
-from repro.bench.sketchbench import (
-    _LOADERS,
-    SKETCHBENCH_QUERIES,
-    _canon,
-    _sorted_rows,
-)
+from repro.bench.core import canon_rows, sorted_rows
+from repro.bench.sketchbench import LOADERS, SKETCHBENCH_QUERIES
 from repro.common.config import PRESETS
 from repro.obs.trace import validate_trace
 from repro.verify.reference import ReferenceExecutor
@@ -39,12 +35,14 @@ def test_sketch_cell_matches_oracle(bench, execution_backend):
         config = PRESETS[system](4).with_(
             sketch_statistics=True, execution_backend=execution_backend
         )
-        cluster = _LOADERS[bench](config, SCALE, SEED)
+        cluster = LOADERS[bench](config, SCALE, SEED)
         oracle = ReferenceExecutor(cluster.store)
         for name, sql in SKETCHBENCH_QUERIES[bench].items():
             result = cluster.sql(sql)
             reference = oracle.execute(cluster.parse_to_logical(sql))
-            assert _sorted_rows(result.rows) == _sorted_rows(reference), (
+            assert sorted_rows(canon_rows(result.rows)) == sorted_rows(
+                canon_rows(reference)
+            ), (
                 f"{bench}/{system}/{name} diverged from the oracle "
                 f"under the {execution_backend} backend"
             )
@@ -57,19 +55,19 @@ def test_sketch_rows_order_identical_to_histogram_rows(bench):
     keys unique in the output, so plan changes may not reorder them."""
     for system in SYSTEMS:
         base = PRESETS[system](4)
-        hist_cluster = _LOADERS[bench](base, SCALE, SEED)
-        sketch_cluster = _LOADERS[bench](
+        hist_cluster = LOADERS[bench](base, SCALE, SEED)
+        sketch_cluster = LOADERS[bench](
             base.with_(sketch_statistics=True), SCALE, SEED
         )
         for name, sql in SKETCHBENCH_QUERIES[bench].items():
-            assert _canon(hist_cluster.sql(sql).rows) == _canon(
+            assert canon_rows(hist_cluster.sql(sql).rows) == canon_rows(
                 sketch_cluster.sql(sql).rows
             ), f"{bench}/{system}/{name}: sketches changed the answer"
 
 
 def test_traced_run_stays_valid_with_sketches_on():
     config = PRESETS["IC+M"](4).with_(sketch_statistics=True, tracing=True)
-    cluster = _LOADERS["tpch"](config, SCALE, SEED)
+    cluster = LOADERS["tpch"](config, SCALE, SEED)
     sql = SKETCHBENCH_QUERIES["tpch"]["T2"]
     cluster.sql(sql)
     artefact = cluster.last_trace.to_dict(query="T2", system="IC+M")

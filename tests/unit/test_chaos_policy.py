@@ -80,6 +80,15 @@ class TestPercentile:
         assert percentile(values, 0.0) == 10.0
         assert percentile(values, 100.0) == 50.0
 
+    def test_even_sized_samples_take_the_lower_middle(self):
+        # Nearest rank is ceil(q/100 * n): the p50 of an even-sized pool
+        # is its lower middle value whatever n is (banker's rounding of a
+        # fractional index picked the 3rd of 4 but also the 3rd of 6).
+        assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == 2.0
+        assert percentile([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 50.0) == 3.0
+        assert percentile([1.0, 2.0, 3.0, 4.0], 95.0) == 4.0
+        assert percentile([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 95.0) == 6.0
+
     def test_returned_value_is_always_observed(self):
         values = [3.0, 1.0, 2.0]
         for q in (1, 33, 50, 66, 99):

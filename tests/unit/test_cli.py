@@ -1,8 +1,20 @@
 """Unit tests for the repro-bench command-line interface."""
 
+import argparse
+import copy
+import dataclasses
+import json
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.bench import colbench, fedbench, midquery, sketchbench
 from repro.cli import build_parser, main
+from repro.serve.slo import TenantSlo, validate_slo_artefact
+
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 class TestArgumentParsing:
@@ -124,12 +136,6 @@ class TestExecution:
             ])
         assert "unsupported" in capsys.readouterr().out
 
-    def test_failures_command(self, capsys):
-        main(["failures", "--sf", "0.1"])
-        out = capsys.readouterr().out
-        assert "planning_failed" in out
-        assert "planner_defect" in out
-
     def test_ssb_query(self, capsys):
         main([
             "query", "select count(*) from supplier", "--bench", "ssb",
@@ -178,107 +184,270 @@ class TestServeCommand:
         # milliseconds printed in the footer.
         assert col_out == row_out
 
-    def test_colbench_gate(self, capsys, tmp_path):
-        """A tiny colbench run: artefact must validate (identical rows,
-        bit-identical makespans across backends) or `main` exits
-        non-zero."""
-        import json
 
-        out_path = tmp_path / "colbench.json"
-        main([
-            "colbench", "--queries", "Q6", "--sf", "0.01",
-            "--repeats", "1", "--out", str(out_path),
-        ])
+# ---------------------------------------------------------------------------
+# The five artefact benches share one command path (cli.cmd_artefact)
+# ---------------------------------------------------------------------------
+
+
+def _check_colbench(out, payload):
+    """Identical rows and bit-identical makespans across backends."""
+    assert "geomean speedup" in out
+    assert payload["schema"] == "repro-colbench/v1"
+    assert payload["queries"][0]["query"] == "Q6"
+    assert payload["queries"][0]["results_match"] is True
+
+
+def _check_serve(out, payload):
+    assert "serve smoke: artefact valid" in out
+    assert "p99" in out
+    assert payload["schema"] == "repro-serve-bench/v1"
+    assert "IC+" in payload["systems"]
+
+
+def _check_midquery(out, payload):
+    """Adaptive rows order-identical to static, oracle match, >= 1
+    replan fired."""
+    assert "midquery smoke: artefact valid" in out
+    assert payload["schema"] == "repro-midquery/v1"
+    assert payload["total_replans"] >= 1
+    for row in payload["queries"]:
+        assert row["results_match"] is True
+        assert row["oracle_match"] is True
+
+
+def _check_sketchbench(out, payload):
+    """Sketch rows order-identical to histogram rows, oracle match, >= 1
+    plan flip, and the skewed TPC-H p95 join q-error strictly improves."""
+    assert "sketchbench smoke: artefact valid" in out
+    assert payload["schema"] == "repro-sketchbench/v1"
+    assert payload["total_plan_flips"] >= 1
+    assert payload["tpch_p95_join_improved"] is True
+    assert (
+        payload["tpch_join_p95_sketches"]
+        < payload["tpch_join_p95_histograms"]
+    )
+    for row in payload["queries"]:
+        assert row["results_match"] is True
+        assert row["oracle_match"] is True
+
+
+def _check_fedbench(out, payload):
+    """Every cell order-identical to the reference executor on both
+    backends, pushdown absorbed at the source, >= 1 plan-digest flip and
+    a row-correct chaos replay."""
+    assert "fedbench smoke: artefact valid" in out
+    assert payload["schema"] == "repro-fedbench/v1"
+    assert payload["adapters"] == {
+        "emp": "native", "sales": "columnfile", "dept": "remote",
+    }
+    assert any(f["flipped"] for f in payload["plan_flips"])
+    assert any(
+        p["rows_out"] < p["rows_scanned"] for p in payload["pushdown"]
+    )
+    for cell in payload["cells"]:
+        assert cell["rows_match"] is True
+    assert payload["chaos"]["rows_match"] is True
+
+
+class TestArtefactCommands:
+    @pytest.mark.parametrize(
+        "argv, label, check",
+        [
+            (
+                ["colbench", "--queries", "Q6", "--sf", "0.01",
+                 "--repeats", "1"],
+                "colbench", _check_colbench,
+            ),
+            (["serve", "--smoke"], "SLO", _check_serve),
+            (["midquery", "--smoke"], "midquery", _check_midquery),
+            (["sketchbench", "--smoke"], "sketchbench", _check_sketchbench),
+            (["fedbench", "--smoke"], "fedbench", _check_fedbench),
+        ],
+        ids=["colbench", "serve", "midquery", "sketchbench", "fedbench"],
+    )
+    def test_artefact_gate(self, argv, label, check, capsys, tmp_path):
+        """The tier-1 gates: a tiny run whose artefact must validate —
+        `main` exits non-zero (SystemExit) on any violation, so this test
+        failing means the gate fired."""
+        out_path = tmp_path / "artefact.json"
+        main(argv + ["--out", str(out_path)])
         out = capsys.readouterr().out
-        assert "geomean speedup" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == "repro-colbench/v1"
-        assert payload["queries"][0]["query"] == "Q6"
-        assert payload["queries"][0]["results_match"] is True
+        assert f"{label} artefact written to {out_path}" in out
+        check(out, json.loads(out_path.read_text()))
 
-    def test_serve_smoke_gate(self, capsys, tmp_path):
-        """The tier-1 gate: a tiny serving run whose SLO artefact must
-        validate — `main` exits non-zero (SystemExit) on any schema
-        violation, so this test failing means the gate fired."""
-        import json
-
-        out_path = tmp_path / "slo.json"
-        main(["serve", "--smoke", "--out", str(out_path)])
-        out = capsys.readouterr().out
-        assert "serve smoke: artefact valid" in out
-        assert "p99" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == "repro-serve-bench/v1"
-        assert "IC+" in payload["systems"]
-
-    def test_midquery_smoke_gate(self, capsys, tmp_path):
-        """The midquery gate: a tiny skewed run whose artefact must be
-        differentially clean (adaptive rows order-identical to static,
-        oracle match, >= 1 replan fired) or `main` exits non-zero."""
-        import json
-
-        out_path = tmp_path / "midquery.json"
-        main(["midquery", "--smoke", "--out", str(out_path)])
-        out = capsys.readouterr().out
-        assert "midquery smoke: artefact valid" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == "repro-midquery/v1"
-        assert payload["total_replans"] >= 1
-        for row in payload["queries"]:
-            assert row["results_match"] is True
-            assert row["oracle_match"] is True
-
-    def test_sketchbench_smoke_gate(self, capsys, tmp_path):
-        """The sketchbench gate: a tiny histograms-vs-sketches run whose
-        artefact must be differentially clean (sketch rows order-identical
-        to histogram rows, oracle match, >= 1 plan flip) and whose skewed
-        TPC-H p95 join q-error strictly improves, or `main` exits
-        non-zero."""
-        import json
-
-        out_path = tmp_path / "sketchbench.json"
-        main(["sketchbench", "--smoke", "--out", str(out_path)])
-        out = capsys.readouterr().out
-        assert "sketchbench smoke: artefact valid" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == "repro-sketchbench/v1"
-        assert payload["total_plan_flips"] >= 1
-        assert payload["tpch_p95_join_improved"] is True
-        assert (
-            payload["tpch_join_p95_sketches"]
-            < payload["tpch_join_p95_histograms"]
-        )
-        for row in payload["queries"]:
-            assert row["results_match"] is True
-            assert row["oracle_match"] is True
-
-    def test_fedbench_smoke_gate(self, capsys, tmp_path):
-        """The fedbench gate: a tiny cross-source run whose artefact must
-        be differentially clean (every cell order-identical to the
-        reference executor across both backends), show pushdown absorbed
-        at the source, carry >= 1 plan-digest flip, and replay the chaos
-        cell row-correct — or `main` exits non-zero."""
-        import json
-
-        out_path = tmp_path / "fedbench.json"
-        main(["fedbench", "--smoke", "--out", str(out_path)])
-        out = capsys.readouterr().out
-        assert "fedbench smoke: artefact valid" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == "repro-fedbench/v1"
-        assert payload["adapters"] == {
-            "emp": "native", "sales": "columnfile", "dept": "remote",
-        }
-        assert any(f["flipped"] for f in payload["plan_flips"])
-        assert any(
-            p["rows_out"] < p["rows_scanned"] for p in payload["pushdown"]
-        )
-        for cell in payload["cells"]:
-            assert cell["rows_match"] is True
-        assert payload["chaos"]["rows_match"] is True
-
-    def test_fedbench_unknown_query_exits_usage(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["colbench", "--queries", "foo"],
+            ["colbench", "--queries", "QQ3"],
+            ["midquery", "--queries", "MQ9"],
+            ["midquery", "--systems", "ICX"],
+            ["sketchbench", "--queries", "ZZ"],
+            ["sketchbench", "--systems", "ICX"],
+            ["sketchbench", "--benches", "nope"],
+            ["fedbench", "--queries", "FB99"],
+            ["fedbench", "--systems", "ICX"],
+            ["serve", "--systems", "ICX"],
+            ["serve", "--tenants", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_arguments_exit_usage(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["fedbench", "--queries", "FB99"])
+            main(argv)
         assert excinfo.value.code == 64
-        assert "bad fedbench parameters" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"bad {argv[0]} parameters" in out
+        if argv[1] != "--tenants":
+            assert "choose from" in out
+
+    @pytest.mark.parametrize(
+        "name, invalid_exit",
+        [
+            ("serve", 3), ("colbench", 1), ("midquery", 1),
+            ("sketchbench", 1), ("fedbench", 1),
+        ],
+    )
+    def test_invalid_artefact_exit_code(
+        self, name, invalid_exit, capsys, monkeypatch
+    ):
+        """A report that fails its validator exits with the bench's own
+        code (serve: 3, the others: 1) after printing the violations."""
+        from repro import cli
+
+        class Broken:
+            def to_text(self):
+                return "broken report"
+
+            def to_dict(self):
+                return {}
+
+            def validate(self):
+                return ["first problem", "second problem"]
+
+        monkeypatch.setitem(
+            cli.ARTEFACT_BENCHES,
+            name,
+            dataclasses.replace(
+                cli.ARTEFACT_BENCHES[name], run=lambda args: Broken()
+            ),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main([name])
+        assert excinfo.value.code == invalid_exit
+        label = "SLO" if name == "serve" else name
+        assert (
+            f"invalid {label} artefact: first problem; second problem"
+            in capsys.readouterr().out
+        )
+
+
+def _smoke_artefact(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    main([name, "--smoke", "--out", str(path)])
+    payload = json.loads(path.read_text())
+    # The serve bench artefact wraps one repro-serve/v1 report per
+    # system; that report is what its validator checks.
+    return payload["systems"]["IC+"] if name == "serve" else payload
+
+
+#: bench -> (validator, {record key: record class}).
+CONTRACTS = {
+    "colbench": (
+        colbench.validate_colbench_artefact,
+        {"queries": colbench.QueryColbench},
+    ),
+    "midquery": (
+        midquery.validate_midquery_artefact,
+        {"queries": midquery.QueryMidquery},
+    ),
+    "sketchbench": (
+        sketchbench.validate_sketchbench_artefact,
+        {
+            "queries": sketchbench.QuerySketchbench,
+            "cells": sketchbench.CellSketchbench,
+        },
+    ),
+    "fedbench": (
+        fedbench.validate_fedbench_artefact,
+        {
+            "cells": fedbench.FedbenchCell,
+            "pushdown": fedbench.PushdownEvidence,
+            "plan_flips": fedbench.PlanFlip,
+            "chaos": fedbench.ChaosCell,
+        },
+    ),
+    "serve": (validate_slo_artefact, {"tenants": TenantSlo}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTS))
+def test_validator_requires_every_emitted_key(name, tmp_path):
+    """The artefact contract: every top-level key and every field of
+    every record class is required, by name.  Required keys are derived
+    from ``dataclasses.fields``, so this fails the moment a dataclass
+    field and the validator disagree."""
+    validate, records = CONTRACTS[name]
+    valid = _smoke_artefact(name, tmp_path)
+    assert validate(valid) == []
+
+    def problems_without(*path):
+        broken = copy.deepcopy(valid)
+        target = broken
+        for step in path[:-1]:
+            target = target[step]
+        del target[path[-1]]
+        return validate(broken)
+
+    for key in valid:
+        assert any(
+            repr(key) in problem for problem in problems_without(key)
+        ), f"dropping top-level {key!r} went unnoticed"
+    for key, record_cls in records.items():
+        first = (0,) if isinstance(valid[key], list) else ()
+        row = valid[key][0] if first else valid[key]
+        names = [f.name for f in dataclasses.fields(record_cls)]
+        assert sorted(row) == sorted(names)
+        for field_name in names:
+            assert any(
+                repr(field_name) in problem
+                for problem in problems_without(key, *first, field_name)
+            ), f"dropping {key}.{field_name} went unnoticed"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["failures", "--sf", "0.1"], "cli-failures-sf0.1.txt"),
+        (
+            ["figure7", "--sf", "0.1", "--sites", "4"],
+            "cli-figure7-sf0.1-sites4.txt",
+        ),
+    ],
+    ids=["failures", "figure7"],
+)
+def test_paper_artefact_stdout_is_pinned(argv, golden, capsys):
+    """The figure commands render repro.bench.reporting objects; their
+    stdout is pinned to text captured before they did (PR 12's tree)."""
+    main(argv)
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def _documented_subcommands(path):
+    match = re.search(r"^Subcommands: `([^`]+)`", path.read_text(), re.M)
+    assert match, f"{path} lists no subcommands"
+    return sorted(match.group(1).split())
+
+
+@pytest.mark.parametrize(
+    "path", [ROOT / "README.md", ROOT / ".claude/skills/verify/SKILL.md"],
+    ids=["README", "verify-skill"],
+)
+def test_documented_subcommands_match_the_parser(path):
+    sub = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert _documented_subcommands(path) == sorted(sub.choices)
