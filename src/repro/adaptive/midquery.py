@@ -18,8 +18,8 @@ exceeds ``SystemConfig.midquery_replan_q_error_threshold`` the controller
    (``__mq_<n>``) whose rows are the captured fragment output — loading
    computes exact statistics, so the re-planner sees truth, not guesses;
 3. re-enters the full two-stage planner (Hep + Volcano) on that suffix;
-4. re-fragments the new physical suffix, renumbers its fragment and
-   exchange ids past the existing ones, wires its task-graph
+4. re-fragments the new physical suffix, numbering its fragments and
+   exchanges past the ids in use, wires its task-graph
    dependencies to the executed prefix, and hands it back for splicing.
 
 Cost honesty: the planner-budget ticks the re-plan consumed and the
@@ -254,14 +254,13 @@ class MidQueryController:
         shipping, shipped_rows = self._install_pending_temps()
         planner = QueryPlanner(self.store, self.config)
         new_physical = planner.plan(suffix_logical)
-        new_fragments = fragment_plan(new_physical)
+        new_fragments = fragment_plan(new_physical, *self._free_ids(fragments))
         if self.config.verify_execution:
             # Imported lazily: repro.verify imports the engine.
             from repro.verify.invariants import PlanValidator
 
             PlanValidator().check(new_physical, new_fragments)
         trigger_id = fragments[index].fragment_id
-        self._renumber(new_fragments, fragments)
         self._wire_dependencies(new_fragments, trigger_id)
         for new_fragment in new_fragments:
             new_fragment.replanned = True
@@ -272,27 +271,20 @@ class MidQueryController:
             shipped_rows,
         )
 
-    def _renumber(
-        self, new_fragments: List[Fragment], old_fragments: Sequence[Fragment]
-    ) -> None:
-        """Shift the fresh suffix's fragment/exchange ids past every id in
-        use, so spliced fragments never collide with the executed prefix
-        (or with a previous splice)."""
-        fid_offset = max(f.fragment_id for f in old_fragments) + 1
+    @staticmethod
+    def _free_ids(old_fragments: Sequence[Fragment]) -> Tuple[int, int]:
+        """First fragment / exchange id past every id in use, so spliced
+        fragments never collide with the executed prefix (or with a
+        previous splice)."""
         exchange_ids = [
             f.sender.exchange_id
             for f in old_fragments
             if f.sender is not None
         ]
-        ex_offset = max(exchange_ids) + 1 if exchange_ids else 0
-        for fragment in new_fragments:
-            fragment.fragment_id += fid_offset
-            fragment.child_ids = [c + fid_offset for c in fragment.child_ids]
-            if fragment.sender is not None:
-                fragment.sender.exchange_id += ex_offset
-            for op in fragment.operators():
-                if isinstance(op, PhysReceiver):
-                    op.exchange_id += ex_offset
+        return (
+            max(f.fragment_id for f in old_fragments) + 1,
+            max(exchange_ids) + 1 if exchange_ids else 0,
+        )
 
     def _wire_dependencies(
         self, new_fragments: List[Fragment], trigger_id: int

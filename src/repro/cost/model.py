@@ -22,25 +22,34 @@ of partition sites (Eq. 6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.common.config import SystemConfig
 from repro.common.constants import AFS, HAC, RCC, RPTC
 
 
-@dataclass(frozen=True)
 class Cost:
-    """A four-component operator cost (Eq. 2)."""
+    """A four-component operator cost (Eq. 2).
 
-    cpu: float = 0.0
-    memory: float = 0.0
-    io: float = 0.0
-    network: float = 0.0
+    A plain value object: the planner allocates one per operator and one
+    per cumulative sum, so the equal-weighted total is worked out once, at
+    construction, rather than on every comparison.
+    """
 
-    @property
-    def value(self) -> float:
-        """Equal-weighted sum (Eq. 2)."""
-        return self.cpu + self.memory + self.io + self.network
+    __slots__ = ("cpu", "memory", "io", "network", "value")
+
+    def __init__(
+        self,
+        cpu: float = 0.0,
+        memory: float = 0.0,
+        io: float = 0.0,
+        network: float = 0.0,
+    ):
+        self.cpu = cpu
+        self.memory = memory
+        self.io = io
+        self.network = network
+        #: Equal-weighted sum (Eq. 2).
+        self.value = cpu + memory + io + network
 
     def __add__(self, other: "Cost") -> "Cost":
         return Cost(
@@ -52,6 +61,15 @@ class Cost:
 
     def __lt__(self, other: "Cost") -> bool:
         return self.value < other.value
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Cost) and (
+            (self.cpu, self.memory, self.io, self.network)
+            == (other.cpu, other.memory, other.io, other.network)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.cpu, self.memory, self.io, self.network))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -70,27 +88,12 @@ def distribution_factor(node) -> float:
     operator runs in parallel on the partitions of the leaf relation(s) and
     the factor is the number of partition sites (1 for replicated tables).
     Any exchange on the way means the operator sees a whole relation:
-    factor 1.
+    factor 1.  Both facts are derived once, when the physical node is
+    built (:class:`repro.exec.physical.PhysNode`).
     """
-    if _has_exchange(node):
+    if node.has_exchange:
         return 1.0
-    return float(_leaf_partition_sites(node))
-
-
-def _has_exchange(node) -> bool:
-    if getattr(node, "is_exchange", False):
-        return True
-    return any(_has_exchange(child) for child in node.inputs)
-
-
-def _leaf_partition_sites(node) -> int:
-    sites = getattr(node, "partition_site_count", None)
-    if sites is not None:
-        return sites
-    child_sites = [_leaf_partition_sites(c) for c in node.inputs]
-    if not child_sites:
-        return 1
-    return min(child_sites)
+    return float(node.leaf_partition_sites)
 
 
 class CostModel:

@@ -35,14 +35,12 @@ class PhysReceiver(PhysNode):
         super().__init__((), fields, distribution, collation)
         self.exchange_id = exchange_id
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysReceiver":
-        clone = PhysReceiver(
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysReceiver":
+        return PhysReceiver(
             self.exchange_id, self.fields, self.distribution, self.collation
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return f"PReceiver(#{self.exchange_id})[{self._traits()}]"
 
     def _explain_self(self) -> str:
@@ -89,14 +87,18 @@ class Fragment:
         return f"{head}\n{self.root.explain(indent=1)}"
 
 
-def fragment_plan(root: PhysNode) -> List[Fragment]:
+def fragment_plan(
+    root: PhysNode, first_fragment_id: int = 0, first_exchange_id: int = 0
+) -> List[Fragment]:
     """Algorithm 1: split ``root`` into fragments at each exchange.
 
     Returns fragments in dependency order (children before parents); the
-    root fragment is last.
+    root fragment is last.  Ids count up from ``first_*_id``, so a suffix
+    spliced into a running query is numbered past the ids in use from the
+    start rather than renumbered afterwards.
     """
     fragments: List[Fragment] = []
-    next_ids = {"exchange": 0, "fragment": 0}
+    next_ids = {"exchange": first_exchange_id, "fragment": first_fragment_id}
 
     def split(node: PhysNode) -> Tuple[PhysNode, List[int]]:
         """Replace exchanges under ``node``; returns (new tree, child ids)."""
@@ -130,8 +132,7 @@ def fragment_plan(root: PhysNode) -> List[Fragment]:
                 rebuilt.fields,
                 rebuilt.distribution,
                 rebuilt.collation,
-            )
-            receiver.rows_est = rebuilt.rows_est
+            ).costed(rebuilt.rows_est)
             return receiver, [fragment_id]
         return rebuilt, child_ids
 

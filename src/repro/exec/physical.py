@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence, Tuple
 
+from repro.common.errors import PlannerError
 from repro.cost.model import Cost, ZERO_COST
 from repro.rel.expr import Expr
 from repro.rel.logical import AggCall, JoinType, RelNode
@@ -22,14 +23,24 @@ from repro.rel.traits import Collation, Distribution, EMPTY_COLLATION
 
 
 class PhysNode(RelNode):
-    """Base class for physical operators."""
+    """Base class for physical operators.
+
+    A node is built bottom-up and never changes afterwards.  What the
+    planner keeps asking of a subtree is therefore derived once per node
+    from its (already final) inputs: whether an exchange occurs in it and
+    the smallest leaf partition-site count (Algorithm 2's two questions,
+    fixed at construction), and the cumulative cost (summed on first read,
+    after which :meth:`costed` refuses to change what it was summed from).
+    Rewrites go through :meth:`copy`, which carries the estimate and self
+    cost over and derives everything else afresh from the new inputs.
+    """
 
     #: Exchanges set this; Algorithm 2 looks for it.
     is_exchange = False
 
     def __init__(
         self,
-        inputs: Sequence[RelNode],
+        inputs: Sequence["PhysNode"],
         fields: Sequence[str],
         distribution: Distribution,
         collation: Collation = EMPTY_COLLATION,
@@ -37,15 +48,72 @@ class PhysNode(RelNode):
         super().__init__(inputs, fields)
         self.distribution = distribution
         self.collation = collation
-        self.rows_est: float = 1.0
-        self.self_cost: Cost = ZERO_COST
+        self._rows_est: float = 1.0
+        self._self_cost: Cost = ZERO_COST
+        self._sealed = False  # by costed(), or by the first total_cost()
+        self._total_cost: Optional[Cost] = None
+        has_exchange = self.is_exchange
+        sites = None
+        for child in self.inputs:
+            has_exchange = has_exchange or child.has_exchange
+            if sites is None or child.leaf_partition_sites < sites:
+                sites = child.leaf_partition_sites
+        #: An exchange occurs somewhere in this subtree (this node included).
+        self.has_exchange: bool = has_exchange
+        #: Smallest partition-site count among the subtree's leaves (scans
+        #: set their own; any other leaf counts as one site).
+        self.leaf_partition_sites: int = 1 if sites is None else sites
+
+    @property
+    def rows_est(self) -> float:
+        """The planner's estimated output row count (set by :meth:`costed`)."""
+        return self._rows_est
+
+    @property
+    def self_cost(self) -> Cost:
+        """This operator's own cost, Ignite's ``getSelfCost``."""
+        return self._self_cost
+
+    def costed(self, rows_est: float, self_cost: Cost = ZERO_COST) -> "PhysNode":
+        """Fix the estimate and self cost, once; returns ``self``."""
+        if self._sealed:
+            raise PlannerError(
+                f"{type(self).__name__} is already costed; build a new node "
+                "(copy()) instead of re-costing one whose cumulative cost "
+                "may have been read"
+            )
+        self._sealed = True
+        self._rows_est = rows_est
+        self._self_cost = self_cost
+        return self
 
     def total_cost(self) -> Cost:
-        total = self.self_cost
-        for child in self.inputs:
-            if isinstance(child, PhysNode):
+        """Cumulative cost of the subtree (Eq. 1): self first, then the
+        inputs left to right, summed on the first read and kept.
+
+        Reading it on a node that was never costed fixes that node at its
+        defaults (one row, zero self cost).
+        """
+        total = self._total_cost
+        if total is None:
+            self._sealed = True
+            total = self._self_cost
+            for child in self.inputs:
                 total = total + child.total_cost()
+            self._total_cost = total
         return total
+
+    def copy(self, inputs: Sequence[RelNode]) -> "PhysNode":
+        """Clone over new inputs, carrying the estimate and self cost.
+
+        The clone's cumulative cost, exchange flag, leaf sites and digest
+        are its own, derived from ``inputs`` — never the original's.
+        """
+        return self._clone(inputs).costed(self._rows_est, self._self_cost)
+
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysNode":
+        """Same operator parameters over ``inputs``, not yet costed."""
+        raise NotImplementedError
 
     def _traits(self) -> str:
         parts = [str(self.distribution)]
@@ -85,22 +153,21 @@ class PhysTableScan(PhysNode):
         self.table = table
         self.alias = alias
         self.partition_site_count = partition_site_count
+        self.leaf_partition_sites = partition_site_count
         self.pushed_filter = pushed_filter
         self.pushed_project = (
             tuple(pushed_project) if pushed_project is not None else None
         )
         self.pushed_fetch = pushed_fetch
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysTableScan":
-        clone = PhysTableScan(
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysTableScan":
+        return PhysTableScan(
             self.table, self.alias, self.fields, self.distribution,
             self.partition_site_count,
             pushed_filter=self.pushed_filter,
             pushed_project=self.pushed_project,
             pushed_fetch=self.pushed_fetch,
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
     def pushdown_digest(self) -> str:
         extras = []
@@ -114,7 +181,7 @@ class PhysTableScan(PhysNode):
             return ""
         return ", pushed[" + ", ".join(extras) + "]"
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return (
             f"PScan({self.table}/{self.alias}{self.pushdown_digest()})"
             f"[{self._traits()}]"
@@ -160,6 +227,7 @@ class PhysIndexScan(PhysNode):
         self.alias = alias
         self.index_name = index_name
         self.partition_site_count = partition_site_count
+        self.leaf_partition_sites = partition_site_count
         self.low = low
         self.high = high
         self.low_inclusive = low_inclusive
@@ -169,16 +237,14 @@ class PhysIndexScan(PhysNode):
     def is_range_scan(self) -> bool:
         return self.low is not None or self.high is not None
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysIndexScan":
-        clone = PhysIndexScan(
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysIndexScan":
+        return PhysIndexScan(
             self.table, self.alias, self.fields, self.index_name,
             self.distribution, self.collation, self.partition_site_count,
             self.low, self.high, self.low_inclusive, self.high_inclusive,
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         bounds = ""
         if self.is_range_scan:
             lo = "(" if not self.low_inclusive else "["
@@ -202,13 +268,11 @@ class PhysFilter(PhysNode):
     def input(self) -> PhysNode:
         return self.inputs[0]  # type: ignore[return-value]
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysFilter":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysFilter":
         (child,) = inputs
-        clone = PhysFilter(child, self.condition)  # type: ignore[arg-type]
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
+        return PhysFilter(child, self.condition)  # type: ignore[arg-type]
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return f"PFilter({self.condition.digest()}, {self.inputs[0].digest()})"
 
     def _explain_self(self) -> str:
@@ -247,13 +311,11 @@ class PhysProject(PhysNode):
     def input(self) -> PhysNode:
         return self.inputs[0]  # type: ignore[return-value]
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysProject":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysProject":
         (child,) = inputs
-        clone = PhysProject(child, self.exprs, self.fields)  # type: ignore[arg-type]
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
+        return PhysProject(child, self.exprs, self.fields)  # type: ignore[arg-type]
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         inner = ", ".join(e.digest() for e in self.exprs)
         return f"PProject([{inner}], {self.inputs[0].digest()})"
 
@@ -307,7 +369,7 @@ class PhysJoinBase(PhysNode):
     def right(self) -> PhysNode:
         return self.inputs[1]  # type: ignore[return-value]
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         cond = self.condition.digest() if self.condition else "true"
         return (
             f"P{self.algorithm}({self.join_type.value}, {cond}, "
@@ -329,14 +391,12 @@ class PhysNestedLoopJoin(PhysJoinBase):
 
     algorithm = "NestedLoopJoin"
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysNestedLoopJoin":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysNestedLoopJoin":
         left, right = inputs
-        clone = PhysNestedLoopJoin(
+        return PhysNestedLoopJoin(
             left, right, self.condition, self.join_type, self.distribution,
             self.collation,
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
 
 class PhysMergeJoin(PhysJoinBase):
@@ -358,16 +418,14 @@ class PhysMergeJoin(PhysJoinBase):
         self.pairs = tuple(pairs)
         self.residual = residual
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysMergeJoin":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysMergeJoin":
         left, right = inputs
-        clone = PhysMergeJoin(
+        return PhysMergeJoin(
             left, right, self.pairs, self.residual, self.join_type,
             self.distribution, self.collation,
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return (
             f"PMergeJoin({self.join_type.value}, {self.pairs}, "
             f"{self.residual.digest() if self.residual else 'true'}, "
@@ -394,16 +452,14 @@ class PhysHashJoin(PhysJoinBase):
         self.pairs = tuple(pairs)
         self.residual = residual
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysHashJoin":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysHashJoin":
         left, right = inputs
-        clone = PhysHashJoin(
+        return PhysHashJoin(
             left, right, self.pairs, self.residual, self.join_type,
             self.distribution,
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return (
             f"PHashJoin({self.join_type.value}, {self.pairs}, "
             f"{self.residual.digest() if self.residual else 'true'}, "
@@ -438,15 +494,13 @@ class PhysSort(PhysNode):
     def input(self) -> PhysNode:
         return self.inputs[0]  # type: ignore[return-value]
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysSort":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysSort":
         (child,) = inputs
-        clone = PhysSort(  # type: ignore[arg-type]
+        return PhysSort(  # type: ignore[arg-type]
             child, self.keys, self.fetch, self.offset
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         extra = f", offset={self.offset}" if self.offset is not None else ""
         return (
             f"PSort({self.keys}, fetch={self.fetch}{extra}, "
@@ -472,15 +526,13 @@ class PhysLimit(PhysNode):
     def input(self) -> PhysNode:
         return self.inputs[0]  # type: ignore[return-value]
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysLimit":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysLimit":
         (child,) = inputs
-        clone = PhysLimit(  # type: ignore[arg-type]
+        return PhysLimit(  # type: ignore[arg-type]
             child, self.fetch, self.offset
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         extra = f", offset={self.offset}" if self.offset is not None else ""
         return f"PLimit({self.fetch}{extra}, {self.inputs[0].digest()})"
 
@@ -527,7 +579,7 @@ class PhysAggregateBase(PhysNode):
     def is_reduction(self) -> bool:
         return self.phase.is_reduction
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         calls = ", ".join(c.digest() for c in self.agg_calls)
         return (
             f"{type(self).__name__}({self.phase.value}, "
@@ -545,27 +597,23 @@ class PhysAggregateBase(PhysNode):
 
 
 class PhysHashAggregate(PhysAggregateBase):
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysHashAggregate":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysHashAggregate":
         (child,) = inputs
-        clone = PhysHashAggregate(
+        return PhysHashAggregate(
             child, self.group_keys, self.agg_calls, self.phase,
             self.distribution, self.collation,
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
 
 class PhysSortAggregate(PhysAggregateBase):
     """Aggregation over input sorted on the group keys."""
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysSortAggregate":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysSortAggregate":
         (child,) = inputs
-        clone = PhysSortAggregate(
+        return PhysSortAggregate(
             child, self.group_keys, self.agg_calls, self.phase,
             self.distribution, self.collation,
         )
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
 
 
 class PhysExchange(PhysNode):
@@ -593,13 +641,11 @@ class PhysExchange(PhysNode):
     def input(self) -> PhysNode:
         return self.inputs[0]  # type: ignore[return-value]
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysExchange":
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysExchange":
         (child,) = inputs
-        clone = PhysExchange(child, self.distribution, self.collation)  # type: ignore[arg-type]
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
+        return PhysExchange(child, self.distribution, self.collation)  # type: ignore[arg-type]
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return (
             f"PExchange({self.distribution}, {self.inputs[0].digest()})"
             f"[{self._traits()}]"
@@ -611,12 +657,10 @@ class PhysValues(PhysNode):
         super().__init__((), names, Distribution.broadcast())
         self.rows = tuple(tuple(r) for r in rows)
 
-    def copy(self, inputs: Sequence[RelNode]) -> "PhysValues":
-        clone = PhysValues(self.rows, self.fields)
-        clone.rows_est, clone.self_cost = self.rows_est, self.self_cost
-        return clone
+    def _clone(self, inputs: Sequence[RelNode]) -> "PhysValues":
+        return PhysValues(self.rows, self.fields)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return f"PValues({self.rows!r})"
 
 

@@ -8,8 +8,13 @@ algorithm (nested-loop / merge, plus the Section 5.1.2 hash join).  When a
 child's distribution does not satisfy the requirement (Table 1), an
 exchange enforcer is inserted.
 
-The planner is a memoised dynamic program over (logical digest,
-requirement); each implementation alternative charges one tick against the
+The planner is a memoised dynamic program with Calcite's two levels.  A
+*group* (Calcite's ``RelSet``) is a logical digest; the un-enforced
+physical alternatives of a join, aggregate or sort do not depend on what
+the parent requires, so they are built once per group.  A *winner*
+(``RelSubset``) belongs to a (group, requirement) pair: enforcers are put
+on every alternative and the cheapest is kept.  Each winner sought and
+each join/aggregate alternative weighed charges one tick against the
 planning budget, which is how single-phase optimisation over large join
 search spaces exhausts Calcite's limits (Section 4.3).
 """
@@ -17,13 +22,14 @@ search spaces exhausts Calcite's limits (Section 4.3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import PlannerError
 from repro.cost.model import Cost, CostModel, distribution_factor
 from repro.exec.physical import (
+    DEGRADED_HASH_KEY,
     AggPhase,
     PhysExchange,
     PhysFilter,
@@ -42,7 +48,7 @@ from repro.exec.physical import (
 )
 from repro.planner.budget import PlanningBudget
 from repro.rel import expr as rex
-from repro.rel.expr import ColRef, make_conjunction, shift_refs
+from repro.rel.expr import BinaryOp, ColRef, Literal, make_conjunction
 from repro.rel.logical import (
     JoinType,
     LogicalAggregate,
@@ -75,6 +81,22 @@ class Requirement:
     kind: ReqKind = ReqKind.ANY
     keys: Tuple[int, ...] = ()
     collation: Collation = EMPTY_COLLATION
+    #: The distribution an enforcing exchange should produce (``None`` for
+    #: ANY, which needs no enforcement; ANY_HASH falls back to its keys).
+    target: Optional[Distribution] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        if self.kind is ReqKind.SINGLE:
+            target = Distribution.single()
+        elif self.kind is ReqKind.BROADCAST:
+            target = Distribution.broadcast()
+        elif self.kind is ReqKind.ANY:
+            target = None
+        else:
+            target = Distribution.hash(self.keys)
+        object.__setattr__(self, "target", target)
 
     @staticmethod
     def any() -> "Requirement":
@@ -82,11 +104,13 @@ class Requirement:
 
     @staticmethod
     def single(collation: Collation = EMPTY_COLLATION) -> "Requirement":
+        if collation is EMPTY_COLLATION:
+            return _SINGLE_REQ
         return Requirement(ReqKind.SINGLE, (), collation)
 
     @staticmethod
     def broadcast() -> "Requirement":
-        return Requirement(ReqKind.BROADCAST)
+        return _BROADCAST_REQ
 
     @staticmethod
     def hash(keys: Sequence[int]) -> "Requirement":
@@ -101,26 +125,12 @@ class Requirement:
             return True
         if self.kind is ReqKind.ANY_HASH:
             return dist.is_hash
-        if self.kind is ReqKind.SINGLE:
-            return satisfies(dist, Distribution.single())
-        if self.kind is ReqKind.BROADCAST:
-            return satisfies(dist, Distribution.broadcast())
-        return satisfies(dist, Distribution.hash(self.keys))
-
-    def target_distribution(self) -> Distribution:
-        """The distribution an enforcing exchange should produce."""
-        if self.kind is ReqKind.SINGLE:
-            return Distribution.single()
-        if self.kind is ReqKind.BROADCAST:
-            return Distribution.broadcast()
-        if self.kind is ReqKind.HASH:
-            return Distribution.hash(self.keys)
-        if self.kind is ReqKind.ANY_HASH:
-            return Distribution.hash(self.keys)
-        raise PlannerError("ANY requirement needs no enforcement")
+        return satisfies(dist, self.target)
 
 
 _ANY_REQ = Requirement()
+_SINGLE_REQ = Requirement(ReqKind.SINGLE)
+_BROADCAST_REQ = Requirement(ReqKind.BROADCAST)
 
 
 class PhysicalPlanner:
@@ -139,7 +149,12 @@ class PhysicalPlanner:
         self._est = estimator
         self._cost = cost_model
         self._budget = budget
+        #: (group, requirement) -> winner.
         self._memo: Dict[Tuple[str, Requirement], PhysNode] = {}
+        #: group -> un-enforced alternatives (joins, aggregates, sorts).
+        self._groups: Dict[str, List[PhysNode]] = {}
+        #: (left width, right width) -> the H* column-order restore list.
+        self._restore_refs: Dict[Tuple[int, int], List[ColRef]] = {}
 
     # -- entry point -------------------------------------------------------------
 
@@ -162,11 +177,17 @@ class PhysicalPlanner:
         elif isinstance(node, LogicalProject):
             plan = self._implement_project(node, req)
         elif isinstance(node, LogicalJoin):
-            plan = self._implement_join(node, req)
+            plan = self._winner(
+                node, self._join_alternatives, req, charge_each=True
+            )
         elif isinstance(node, LogicalAggregate):
-            plan = self._implement_aggregate(node, req)
+            plan = self._winner(
+                node, self._aggregate_alternatives, req, charge_each=True
+            )
         elif isinstance(node, LogicalSort):
-            plan = self._implement_sort(node, req)
+            plan = self._winner(
+                node, self._sort_alternatives, req, charge_each=False
+            )
         elif isinstance(node, LogicalValues):
             plan = self._implement_values(node, req)
         else:
@@ -179,31 +200,30 @@ class PhysicalPlanner:
     def _enforce(self, plan: PhysNode, req: Requirement) -> PhysNode:
         """Insert exchange/sort enforcers so ``plan`` satisfies ``req``."""
         result = plan
+        # Enforcers neither drop rows nor change the schema.
+        rows, width = plan.rows_est, plan.width
+        wanted = req.collation
         if not req.distribution_satisfied(result.distribution):
-            target = req.target_distribution()
+            target = req.target
             merge = (
                 result.collation
-                if result.collation.satisfies(req.collation)
-                and req.collation.is_sorted
+                if wanted.is_sorted and result.collation.satisfies(wanted)
                 else EMPTY_COLLATION
             )
-            exchange = PhysExchange(result, target, merge)
-            exchange.rows_est = result.rows_est
-            df = distribution_factor(result)
-            exchange.self_cost = self._cost.exchange(
-                result.rows_est,
-                result.width,
-                self._target_site_count(target),
-                df,
+            result = PhysExchange(result, target, merge).costed(
+                rows,
+                self._cost.exchange(
+                    rows,
+                    width,
+                    self._target_site_count(target),
+                    distribution_factor(result),
+                ),
             )
-            result = exchange
-        if req.collation.is_sorted and not result.collation.satisfies(req.collation):
-            sort = PhysSort(result, req.collation.keys)
-            sort.rows_est = result.rows_est
-            sort.self_cost = self._cost.sort(
-                result.rows_est, result.width, distribution_factor(result)
+        if wanted.is_sorted and not result.collation.satisfies(wanted):
+            result = PhysSort(result, wanted.keys).costed(
+                rows,
+                self._cost.sort(rows, width, distribution_factor(result)),
             )
-            result = sort
         return result
 
     def _target_site_count(self, dist: Distribution) -> int:
@@ -212,78 +232,78 @@ class PhysicalPlanner:
         return self._store.site_count
 
     def _cheapest(self, candidates: List[PhysNode]) -> PhysNode:
+        """The first candidate of minimal cumulative cost."""
         if not candidates:
             raise PlannerError("no physical candidates produced")
         return min(candidates, key=lambda p: p.total_cost().value)
+
+    def _winner(
+        self, node: RelNode, build, req: Requirement, charge_each: bool
+    ) -> PhysNode:
+        """Enforce ``req`` on every alternative of ``node``'s group and keep
+        the cheapest.  The group is built by ``build(node)`` the first time
+        it is met; ``charge_each`` bills one tick per alternative weighed."""
+        digest = node.digest()
+        alternatives = self._groups.get(digest)
+        if alternatives is None:
+            alternatives = self._groups[digest] = build(node)
+        if charge_each:
+            self._budget.charge(len(alternatives))
+        return self._cheapest([self._enforce(p, req) for p in alternatives])
 
     # -- scans --------------------------------------------------------------------------
 
     def _implement_scan(self, node: LogicalTableScan, req: Requirement) -> PhysNode:
         data = self._store.table(node.table)
-        schema = data.schema
-        if schema.replicated:
-            native = Distribution.broadcast()
-        elif node.pushed_project is not None:
-            # The scan emits a column subset: remap the affinity-hash key
-            # to its output position, or degrade if it was projected away.
-            from repro.exec.physical import DEGRADED_HASH_KEY
-
-            if schema.affinity_index in node.pushed_project:
-                native = Distribution.hash(
-                    (node.pushed_project.index(schema.affinity_index),)
-                )
-            else:
-                native = Distribution.hash((DEGRADED_HASH_KEY,))
-        else:
-            native = Distribution.hash((schema.affinity_index,))
+        native = _native_distribution(data.schema, node.pushed_project)
         sites = data.partition_site_count()
         rows = self._est.row_count(node)
-        candidates: List[PhysNode] = []
-
+        adapter = data.adapter
+        if adapter is not None and adapter.name != "native":
+            # Adapter sources read the full base relation (CPU/IO) but ship
+            # only what survives pushdown (network).
+            scan_cost = self._cost.scan(
+                float(data.row_count), len(node.fields), sites,
+                adapter_costs=adapter.costs, out_rows=rows,
+            )
+        else:
+            scan_cost = self._cost.scan(rows, len(node.fields), sites)
         table_scan = PhysTableScan(
             node.table, node.alias, node.fields, native, sites,
             pushed_filter=node.pushed_filter,
             pushed_project=node.pushed_project,
             pushed_fetch=node.pushed_fetch,
-        )
-        table_scan.rows_est = rows
-        adapter = data.adapter
-        if adapter is not None and adapter.name != "native":
-            # Adapter sources read the full base relation (CPU/IO) but ship
-            # only what survives pushdown (network).
-            table_scan.self_cost = self._cost.scan(
-                float(data.row_count), len(node.fields), sites,
-                adapter_costs=adapter.costs, out_rows=rows,
-            )
-        else:
-            table_scan.self_cost = self._cost.scan(rows, len(node.fields), sites)
-        candidates.append(self._enforce(table_scan, req))
-
-        has_pushdown = (
-            node.pushed_filter is not None
-            or node.pushed_project is not None
-            or node.pushed_fetch is not None
-        )
+        ).costed(rows, scan_cost)
+        candidates = [self._enforce(table_scan, req)]
         # Engine-side index scans read the in-memory mirror and would not
         # honour adapter-pushed work, so they only compete on plain scans.
-        if req.collation.is_sorted and not has_pushdown:
-            index_name = self._matching_index(schema, req.collation)
+        if req.collation.is_sorted and not node.has_pushdown:
+            index_name = self._matching_index(data.schema, req.collation)
             if index_name is not None:
-                index_def = schema.indexes[index_name]
-                keys = tuple(
-                    (schema.column_index(c), True) for c in index_def.columns
-                )
-                index_scan = PhysIndexScan(
-                    node.table, node.alias, node.fields, index_name,
-                    native, Collation(keys), sites,
-                )
-                index_scan.rows_est = rows
-                # Index scans pay a small per-row indirection premium but
-                # deliver order for free.
-                cost = self._cost.scan(rows, len(node.fields), sites)
-                index_scan.self_cost = Cost(cpu=cost.cpu * 1.1)
+                index_scan = self._index_scan(node, data, index_name, rows)
                 candidates.append(self._enforce(index_scan, req))
         return self._cheapest(candidates)
+
+    def _index_scan(
+        self, scan: LogicalTableScan, data, index_name: str, rows: float,
+        **bounds,
+    ) -> PhysIndexScan:
+        """A costed index-ordered scan of a plain (un-pushed) table scan.
+
+        Index scans pay a small per-row indirection premium but deliver
+        order for free.
+        """
+        schema = data.schema
+        sites = data.partition_site_count()
+        keys = tuple(
+            (schema.column_index(c), True)
+            for c in schema.indexes[index_name].columns
+        )
+        cost = self._cost.scan(rows, scan.width, sites)
+        return PhysIndexScan(
+            scan.table, scan.alias, scan.fields, index_name,
+            _native_distribution(schema), Collation(keys), sites, **bounds,
+        ).costed(rows, Cost(cpu=cost.cpu * 1.1))
 
     def _matching_index(self, schema, collation: Collation) -> Optional[str]:
         """An index whose key order provides the requested collation."""
@@ -308,10 +328,9 @@ class PhysicalPlanner:
         candidates: List[PhysNode] = []
         for child_req in self._pass_through_reqs(req):
             child = self.implement(node.input, child_req)
-            filt = PhysFilter(child, node.condition)
-            filt.rows_est = self._est.row_count(node)
-            filt.self_cost = self._cost.filter(
-                child.rows_est, distribution_factor(child)
+            filt = PhysFilter(child, node.condition).costed(
+                self._est.row_count(node),
+                self._cost.filter(child.rows_est, distribution_factor(child)),
             )
             candidates.append(self._enforce(filt, req))
         range_scan = self._try_index_range(node, req)
@@ -327,11 +346,7 @@ class PhysicalPlanner:
         scan = node.input
         if not isinstance(scan, LogicalTableScan):
             return None
-        if (
-            scan.pushed_filter is not None
-            or scan.pushed_project is not None
-            or scan.pushed_fetch is not None
-        ):
+        if scan.has_pushdown:
             # A pushed scan's output no longer matches the base schema's
             # column positions; index ranges only apply to plain scans.
             return None
@@ -362,98 +377,82 @@ class PhysicalPlanner:
                 continue
             low, low_inc = entry.get("lo", (None, True))
             high, high_inc = entry.get("hi", (None, True))
-            if schema.replicated:
-                native = Distribution.broadcast()
-            else:
-                native = Distribution.hash((schema.affinity_index,))
-            keys = tuple(
-                (schema.column_index(c), True) for c in index_def.columns
+            used = bound_exprs.get(leading, [])
+            bound_condition = make_conjunction(list(used))
+            scanned = max(
+                1.0,
+                self._est.row_count(scan)
+                * self._est.selectivity(bound_condition, scan),
             )
-            sites = data.partition_site_count()
-            index_scan = PhysIndexScan(
-                scan.table, scan.alias, scan.fields, index_name,
-                native, Collation(keys), sites,
+            result: PhysNode = self._index_scan(
+                scan, data, index_name, scanned,
                 low=low, high=high,
                 low_inclusive=low_inc, high_inclusive=high_inc,
             )
-            used = bound_exprs.get(leading, [])
-            bound_condition = make_conjunction(list(used))
-            scanned = self._est.row_count(scan) * self._est.selectivity(
-                bound_condition, scan
-            )
-            index_scan.rows_est = max(1.0, scanned)
-            cost = self._cost.scan(index_scan.rows_est, scan.width, sites)
-            index_scan.self_cost = Cost(cpu=cost.cpu * 1.1)
             residual = make_conjunction(
                 [c for c in conjuncts if not any(c is u for u in used)]
             )
-            result: PhysNode = index_scan
             if residual is not None:
-                filt = PhysFilter(index_scan, residual)
-                filt.rows_est = self._est.row_count(node)
-                filt.self_cost = self._cost.filter(
-                    index_scan.rows_est, distribution_factor(index_scan)
+                result = PhysFilter(result, residual).costed(
+                    self._est.row_count(node),
+                    self._cost.filter(scanned, distribution_factor(result)),
                 )
-                result = filt
             return self._enforce(result, req)
         return None
 
     def _pass_through_reqs(self, req: Requirement) -> List[Requirement]:
         """Requirements to try on a transparent operator's input: the
         original requirement (enforce below) and ANY (enforce above)."""
-        reqs = [Requirement(req.kind, req.keys, req.collation)]
+        reqs = [req]
         if req.kind is not ReqKind.ANY:
             reqs.append(Requirement(ReqKind.ANY, (), req.collation))
         return reqs
 
     def _implement_project(self, node: LogicalProject, req: Requirement) -> PhysNode:
         child = self.implement(node.input, Requirement.any())
-        project = PhysProject(child, node.exprs, node.fields)
-        project.rows_est = child.rows_est
-        project.self_cost = self._cost.project(
-            child.rows_est, node.width, distribution_factor(child)
+        project = PhysProject(child, node.exprs, node.fields).costed(
+            child.rows_est,
+            self._cost.project(
+                child.rows_est, node.width, distribution_factor(child)
+            ),
         )
         return self._enforce(project, req)
 
     # -- joins ---------------------------------------------------------------------------------
 
-    def _implement_join(self, node: LogicalJoin, req: Requirement) -> PhysNode:
-        left_width = node.left.width
-        pairs, residual_list = rex.extract_equi_keys(node.condition, left_width)
+    def _join_alternatives(self, node: LogicalJoin) -> List[PhysNode]:
+        """Every distribution mapping x join algorithm, not yet enforced."""
+        pairs, residual_list = rex.extract_equi_keys(
+            node.condition, node.left.width
+        )
         residual = make_conjunction(residual_list)
         rows = self._est.row_count(node)
-        candidates: List[PhysNode] = []
-
-        for mapping in self._join_mappings(node, pairs):
-            left_req, right_req, out_dist_fn = mapping
+        alternatives: List[PhysNode] = []
+        for left_req, right_req, out_dist in self._join_mappings(node, pairs):
             left_plan = self.implement(node.left, left_req)
             right_plan = self.implement(node.right, right_req)
-            out_dist = out_dist_fn(left_plan, right_plan)
+            if callable(out_dist):
+                out_dist = out_dist(left_plan, right_plan)
 
             # Nested-loop join: always available, any condition.
             nlj = PhysNestedLoopJoin(
                 left_plan, right_plan, node.condition, node.join_type, out_dist
             )
-            nlj.rows_est = rows
-            nlj.self_cost = self._cost.nested_loop_join(
-                left_plan.rows_est,
-                right_plan.rows_est,
-                right_plan.width,
+            nlj_cost = self._cost.nested_loop_join(
+                left_plan.rows_est, right_plan.rows_est, right_plan.width,
                 distribution_factor(left_plan),
             )
-            candidates.append(self._enforce(nlj, req))
-
+            alternatives.append(nlj.costed(rows, nlj_cost))
             if pairs:
-                candidates.extend(
-                    self._equi_join_candidates(
+                alternatives.extend(
+                    self._equi_join_alternatives(
                         node, pairs, residual, rows,
-                        left_plan, right_plan, out_dist, req,
+                        left_plan, right_plan, out_dist,
                     )
                 )
-        self._budget.charge(len(candidates))
-        return self._cheapest(candidates)
+        return alternatives
 
-    def _equi_join_candidates(
+    def _equi_join_alternatives(
         self,
         node: LogicalJoin,
         pairs: List[Tuple[int, int]],
@@ -462,134 +461,109 @@ class PhysicalPlanner:
         left_plan: PhysNode,
         right_plan: PhysNode,
         out_dist: Distribution,
-        req: Requirement,
     ) -> List[PhysNode]:
-        candidates: List[PhysNode] = []
-        left_width = node.left.width
+        left_width, right_width = node.left.width, node.right.width
 
         # Merge join: sort both inputs on the join keys.
+        left_order = Collation(tuple((lk, True) for lk, _ in pairs))
+        right_order = Collation(tuple((rk, True) for _, rk in pairs))
         sorted_left = self._enforce(
-            left_plan,
-            Requirement(
-                ReqKind.ANY, (), Collation(tuple((lk, True) for lk, _ in pairs))
-            ),
+            left_plan, Requirement(ReqKind.ANY, (), left_order)
         )
         sorted_right = self._enforce(
-            right_plan,
-            Requirement(
-                ReqKind.ANY, (), Collation(tuple((rk, True) for _, rk in pairs))
-            ),
+            right_plan, Requirement(ReqKind.ANY, (), right_order)
         )
         merge = PhysMergeJoin(
             sorted_left, sorted_right, pairs, residual, node.join_type,
             out_dist, sorted_left.collation,
         )
-        merge.rows_est = rows
-        merge.self_cost = self._cost.merge_join(
-            sorted_left.rows_est,
-            sorted_right.rows_est,
+        merge_cost = self._cost.merge_join(
+            sorted_left.rows_est, sorted_right.rows_est,
             distribution_factor(sorted_left),
         )
-        candidates.append(self._enforce(merge, req))
+        alternatives: List[PhysNode] = [merge.costed(rows, merge_cost)]
+        if not self._config.hash_join:
+            return alternatives
 
-        if self._config.hash_join:
-            df_left = distribution_factor(left_plan)
-            df_right = distribution_factor(right_plan)
-            # Section 5.1.3: never build the hash table on shipped data.
-            # When exactly one input is a local partition (df > 1), the
-            # build side must be that input; the commuted H* operator is
-            # how the planner reaches the swapped orientation.
-            standard_allowed = not (df_right == 1.0 and df_left > 1.0)
-            commuted_allowed = (
-                node.join_type is JoinType.INNER
-                and not (df_left == 1.0 and df_right > 1.0)
+        df_left = distribution_factor(left_plan)
+        df_right = distribution_factor(right_plan)
+        # Section 5.1.3: never build the hash table on shipped data.  When
+        # exactly one input is a local partition (df > 1), the build side
+        # must be that input; the commuted H* operator is how the planner
+        # reaches the swapped orientation.
+        if not (df_right == 1.0 and df_left > 1.0):
+            hash_join = PhysHashJoin(
+                left_plan, right_plan, pairs, residual, node.join_type, out_dist
             )
-            if standard_allowed:
-                hash_join = PhysHashJoin(
-                    left_plan, right_plan, pairs, residual, node.join_type,
-                    out_dist,
-                )
-                hash_join.rows_est = rows
-                hash_join.self_cost = self._cost.hash_join(
-                    left_plan.rows_est,
-                    right_plan.rows_est,
-                    right_plan.width,
-                    df_right,
-                )
-                candidates.append(self._enforce(hash_join, req))
+            hash_cost = self._cost.hash_join(
+                left_plan.rows_est, right_plan.rows_est, right_plan.width,
+                df_right,
+            )
+            alternatives.append(hash_join.costed(rows, hash_cost))
 
-            if commuted_allowed:
-                # Section 5.1.3's H*: the commuted hash join that builds on
-                # the (possibly cheaper) other side; a projection restores
-                # the output column order.
-                swapped_pairs = [(rk, lk) for lk, rk in pairs]
-                swapped_residual = (
-                    _swap_sides(residual, left_width, node.right.width)
-                    if residual is not None
-                    else None
+        if node.join_type is JoinType.INNER and not (
+            df_left == 1.0 and df_right > 1.0
+        ):
+            # Section 5.1.3's H*: the commuted hash join that builds on the
+            # (possibly cheaper) other side; a projection restores the
+            # output column order.
+            star = PhysHashJoin(
+                right_plan, left_plan,
+                [(rk, lk) for lk, rk in pairs],
+                _swap_sides(residual, left_width, right_width)
+                if residual is not None
+                else None,
+                node.join_type,
+                _swap_distribution(out_dist, left_width, right_width),
+            )
+            star_cost = self._cost.hash_join(
+                right_plan.rows_est, left_plan.rows_est, left_plan.width,
+                df_left,
+            )
+            star.costed(rows, star_cost)
+            restore = self._restore_refs.get((left_width, right_width))
+            if restore is None:
+                restore = self._restore_refs[left_width, right_width] = [
+                    ColRef(right_width + i) for i in range(left_width)
+                ] + [ColRef(i) for i in range(right_width)]
+            project_cost = self._cost.project(
+                rows, node.width, distribution_factor(star)
+            )
+            alternatives.append(
+                PhysProject(star, restore, node.fields).costed(
+                    rows, project_cost
                 )
-                swapped_dist = _swap_distribution(
-                    out_dist, left_width, node.right.width
-                )
-                star = PhysHashJoin(
-                    right_plan, left_plan, swapped_pairs, swapped_residual,
-                    node.join_type, swapped_dist,
-                )
-                star.rows_est = rows
-                star.self_cost = self._cost.hash_join(
-                    right_plan.rows_est,
-                    left_plan.rows_est,
-                    left_plan.width,
-                    distribution_factor(left_plan),
-                )
-                restore = [
-                    ColRef(node.right.width + i) for i in range(left_width)
-                ] + [ColRef(i) for i in range(node.right.width)]
-                project = PhysProject(star, restore, node.fields)
-                project.rows_est = rows
-                project.self_cost = self._cost.project(
-                    rows, node.width, distribution_factor(star)
-                )
-                candidates.append(self._enforce(project, req))
-        return candidates
+            )
+        return alternatives
 
     def _join_mappings(self, node: LogicalJoin, pairs):
         """Distribution mappings for a join (Table 2 + Section 5.1.1).
 
-        Each mapping is ``(left_req, right_req, out_dist_fn)``.
+        Each mapping is ``(left_req, right_req, out)`` where ``out`` is the
+        join's output distribution, or a function of the two input plans
+        when it depends on where they ended up.
         """
-        mappings = []
-
-        def single_out(left_plan, right_plan):
-            return Distribution.single()
-
-        def broadcast_out(left_plan, right_plan):
-            return Distribution.broadcast()
-
         # 1. Single-site join: no restrictions; the most frequent baseline
         # plan ("all data is shipped to a single processing site").
-        mappings.append(
-            (Requirement.single(), Requirement.single(), single_out)
-        )
-
         # 2. Fully replicated join.
-        mappings.append(
-            (Requirement.broadcast(), Requirement.broadcast(), broadcast_out)
-        )
+        mappings = [
+            (Requirement.single(), Requirement.single(), Distribution.single()),
+            (
+                Requirement.broadcast(),
+                Requirement.broadcast(),
+                Distribution.broadcast(),
+            ),
+        ]
 
         # 3. Co-located hash join on a shared equi key.
         if pairs and node.join_type is not JoinType.LEFT:
             left_keys = tuple(lk for lk, _ in pairs)
             right_keys = tuple(rk for _, rk in pairs)
-
-            def hash_out(left_plan, right_plan, keys=left_keys):
-                return Distribution.hash(keys)
-
             mappings.append(
                 (
                     Requirement.hash(left_keys),
                     Requirement.hash(right_keys),
-                    hash_out,
+                    Distribution.hash(left_keys),
                 )
             )
 
@@ -603,9 +577,9 @@ class PhysicalPlanner:
 
             if node.join_type is JoinType.INNER:
 
-                def dist_out(left_plan, right_plan, width=left_width):
+                def dist_out(left_plan, right_plan):
                     remapped = right_plan.distribution.remap(
-                        lambda i: i + width
+                        lambda i: i + left_width
                     )
                     if remapped is not None:
                         return remapped
@@ -642,10 +616,9 @@ class PhysicalPlanner:
 
     # -- aggregates ------------------------------------------------------------------------------
 
-    def _implement_aggregate(self, node: LogicalAggregate, req: Requirement) -> PhysNode:
-        splittable = all(not c.distinct for c in node.agg_calls)
+    def _aggregate_alternatives(self, node: LogicalAggregate) -> List[PhysNode]:
         groups = self._est.row_count(node)
-        candidates: List[PhysNode] = []
+        width = node.width
 
         # (a) Single-phase: gather, then aggregate (a reduction operator).
         child_single = self.implement(node.input, Requirement.single())
@@ -653,15 +626,14 @@ class PhysicalPlanner:
             child_single, node.group_keys, node.agg_calls,
             AggPhase.SINGLE, Distribution.single(),
         )
-        single.rows_est = groups
-        single.self_cost = self._cost.hash_aggregate(
-            child_single.rows_est, groups, node.width,
+        single_cost = self._cost.hash_aggregate(
+            child_single.rows_est, groups, width,
             distribution_factor(child_single),
         )
-        candidates.append(self._enforce(single, req))
+        alternatives: List[PhysNode] = [single.costed(groups, single_cost)]
 
         # (b) Two-phase map-reduce when every call can be split.
-        if splittable:
+        if all(not c.distinct for c in node.agg_calls):
             child_any = self.implement(node.input, Requirement.any())
             if not child_any.distribution.is_single:
                 map_groups = min(
@@ -672,25 +644,24 @@ class PhysicalPlanner:
                     child_any, node.group_keys, node.agg_calls,
                     AggPhase.MAP, child_any.distribution,
                 )
-                map_agg.rows_est = map_groups
-                map_agg.self_cost = self._cost.hash_aggregate(
-                    child_any.rows_est, map_groups, node.width,
+                map_cost = self._cost.hash_aggregate(
+                    child_any.rows_est, map_groups, width,
                     distribution_factor(child_any),
                 )
+                map_agg.costed(map_groups, map_cost)
                 gather = PhysExchange(map_agg, Distribution.single())
-                gather.rows_est = map_groups
-                gather.self_cost = self._cost.exchange(
-                    map_groups, node.width, 1, distribution_factor(map_agg)
+                gather_cost = self._cost.exchange(
+                    map_groups, width, 1, distribution_factor(map_agg)
                 )
                 reduce_agg = PhysHashAggregate(
-                    gather, tuple(range(len(node.group_keys))), node.agg_calls,
+                    gather.costed(map_groups, gather_cost),
+                    tuple(range(len(node.group_keys))), node.agg_calls,
                     AggPhase.REDUCE, Distribution.single(),
                 )
-                reduce_agg.rows_est = groups
-                reduce_agg.self_cost = self._cost.hash_aggregate(
-                    map_groups, groups, node.width, 1.0
+                reduce_cost = self._cost.hash_aggregate(
+                    map_groups, groups, width, 1.0
                 )
-                candidates.append(self._enforce(reduce_agg, req))
+                alternatives.append(reduce_agg.costed(groups, reduce_cost))
 
         # (c) Sort-based aggregation over input sorted on the group keys
         # (the Q14 plan shape).
@@ -700,29 +671,26 @@ class PhysicalPlanner:
                 node.input, Requirement.single(collation)
             )
             if child_sorted.collation.satisfies(collation):
+                out_order = tuple(
+                    (i, True) for i in range(len(node.group_keys))
+                )
                 sort_agg = PhysSortAggregate(
                     child_sorted, node.group_keys, node.agg_calls,
                     AggPhase.SINGLE, Distribution.single(),
-                    Collation(
-                        tuple(
-                            (i, True) for i in range(len(node.group_keys))
-                        )
-                    ),
+                    Collation(out_order),
                 )
-                sort_agg.rows_est = groups
-                sort_agg.self_cost = self._cost.sort_aggregate(
-                    child_sorted.rows_est, groups, node.width, 1.0
+                sort_cost = self._cost.sort_aggregate(
+                    child_sorted.rows_est, groups, width, 1.0
                 )
-                candidates.append(self._enforce(sort_agg, req))
-        self._budget.charge(len(candidates))
-        return self._cheapest(candidates)
+                alternatives.append(sort_agg.costed(groups, sort_cost))
+        return alternatives
 
     # -- sort / limit -------------------------------------------------------------------------------
 
-    def _implement_sort(self, node: LogicalSort, req: Requirement) -> PhysNode:
-        candidates: List[PhysNode] = []
+    def _sort_alternatives(self, node: LogicalSort) -> List[PhysNode]:
         collation = Collation(tuple(node.sort_keys))
         offset = node.offset
+        limited = node.fetch is not None or offset is not None
 
         def out_est(rows: float) -> float:
             if offset is not None:
@@ -731,23 +699,24 @@ class PhysicalPlanner:
                 rows = min(rows, float(node.fetch))
             return rows
 
+        def limit(child: PhysNode) -> PhysNode:
+            rows = out_est(child.rows_est)
+            return PhysLimit(child, node.fetch, offset).costed(
+                rows, self._cost.limit(rows)
+            )
+
         # (a) Gather first, sort at one site.
         child_single = self.implement(node.input, Requirement.single())
         if node.sort_keys:
             sorted_single: PhysNode = PhysSort(
                 child_single, node.sort_keys, node.fetch, offset
+            ).costed(
+                out_est(child_single.rows_est),
+                self._cost.sort(child_single.rows_est, node.width, 1.0),
             )
-            sorted_single.rows_est = out_est(child_single.rows_est)
-            sorted_single.self_cost = self._cost.sort(
-                child_single.rows_est, node.width, 1.0
-            )
-        elif node.fetch is not None or offset is not None:
-            sorted_single = PhysLimit(child_single, node.fetch, offset)
-            sorted_single.rows_est = out_est(child_single.rows_est)
-            sorted_single.self_cost = self._cost.limit(sorted_single.rows_est)
         else:
-            sorted_single = child_single
-        candidates.append(self._enforce(sorted_single, req))
+            sorted_single = limit(child_single) if limited else child_single
+        alternatives = [sorted_single]
 
         # (b) Partially distributed sort: sort each partition locally and
         # merge the sorted streams through a merging exchange.  The offset
@@ -758,39 +727,52 @@ class PhysicalPlanner:
         if node.sort_keys:
             child_any = self.implement(node.input, Requirement.any())
             if not child_any.distribution.is_single:
+                rows = child_any.rows_est
                 prefetch = (
                     node.fetch + (offset or 0)
                     if node.fetch is not None
                     else None
                 )
-                local_sort = PhysSort(child_any, node.sort_keys, prefetch)
-                local_sort.rows_est = child_any.rows_est
-                local_sort.self_cost = self._cost.sort(
-                    child_any.rows_est, node.width,
-                    distribution_factor(child_any),
+                local_sort = PhysSort(
+                    child_any, node.sort_keys, prefetch
+                ).costed(
+                    rows,
+                    self._cost.sort(
+                        rows, node.width, distribution_factor(child_any)
+                    ),
                 )
                 merge = PhysExchange(
                     local_sort, Distribution.single(), collation
+                ).costed(
+                    rows,
+                    self._cost.exchange(
+                        rows, node.width, 1, distribution_factor(local_sort)
+                    ),
                 )
-                merge.rows_est = local_sort.rows_est
-                merge.self_cost = self._cost.exchange(
-                    local_sort.rows_est, node.width, 1,
-                    distribution_factor(local_sort),
-                )
-                result: PhysNode = merge
-                if node.fetch is not None or offset is not None:
-                    limit = PhysLimit(merge, node.fetch, offset)
-                    limit.rows_est = out_est(merge.rows_est)
-                    limit.self_cost = self._cost.limit(limit.rows_est)
-                    result = limit
-                candidates.append(self._enforce(result, req))
-        return self._cheapest(candidates)
+                alternatives.append(limit(merge) if limited else merge)
+        return alternatives
 
     def _implement_values(self, node: LogicalValues, req: Requirement) -> PhysNode:
-        values = PhysValues(node.rows, node.fields)
-        values.rows_est = float(len(node.rows))
-        values.self_cost = self._cost.values(values.rows_est)
+        rows = float(len(node.rows))
+        values = PhysValues(node.rows, node.fields).costed(
+            rows, self._cost.values(rows)
+        )
         return self._enforce(values, req)
+
+
+def _native_distribution(schema, pushed_project=None) -> Distribution:
+    """Where a table's rows live, over the scan's output columns."""
+    if schema.replicated:
+        return Distribution.broadcast()
+    if pushed_project is None:
+        return Distribution.hash((schema.affinity_index,))
+    # The scan emits a column subset: remap the affinity-hash key to its
+    # output position, or degrade if it was projected away.
+    if schema.affinity_index in pushed_project:
+        return Distribution.hash(
+            (pushed_project.index(schema.affinity_index),)
+        )
+    return Distribution.hash((DEGRADED_HASH_KEY,))
 
 
 def _sargable_bound(conjunct):
@@ -799,8 +781,6 @@ def _sargable_bound(conjunct):
     Equality contributes both bounds via two calls ("lo" here; the "hi"
     side is added by treating ``=`` as a closed interval below).
     """
-    from repro.rel.expr import BinaryOp, ColRef, Literal
-
     if not isinstance(conjunct, BinaryOp):
         return None
     left, right, op = conjunct.left, conjunct.right, conjunct.op

@@ -34,6 +34,7 @@ Reproduces both behaviours Section 4.3 describes:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import SystemConfig
@@ -229,11 +230,12 @@ class JoinOrderEnumerator:
         if original not in orders:
             orders.insert(0, original)
         get_registry().inc("planner.join_orders_enumerated", len(orders))
+        owned = [(c, _owners(offsets, c)) for c in conjuncts]
         best_tree: Optional[RelNode] = None
         best_cost = math.inf
         for order in orders:
             self._budget.charge(1)
-            candidate = self._build_order(inputs, offsets, conjuncts, order)
+            candidate = self._build_order(inputs, offsets, owned, order)
             plan = self._physical.implement(candidate, Requirement.any())
             cost = plan.total_cost().value
             if cost < best_cost:
@@ -260,7 +262,6 @@ class JoinOrderEnumerator:
                 and node.join_type is JoinType.INNER
             ):
                 descend(node.left)
-                start = sum(i.width for i in inputs)
                 inputs.append(node.right)
                 if node.condition is not None:
                     conjuncts.extend(rex.split_conjunction(node.condition))
@@ -278,8 +279,7 @@ class JoinOrderEnumerator:
     ) -> Set[Tuple[int, int]]:
         edges: Set[Tuple[int, int]] = set()
         for conjunct in conjuncts:
-            refs = rex.references(conjunct)
-            touched = {_input_of(offsets, r) for r in refs}
+            touched = _owners(offsets, conjunct)
             if len(touched) == 2:
                 a, b = sorted(touched)
                 edges.add((a, b))
@@ -327,11 +327,12 @@ class JoinOrderEnumerator:
         self,
         inputs: Sequence[RelNode],
         offsets: Sequence[int],
-        conjuncts: Sequence[Expr],
+        owned: Sequence[Tuple[Expr, Set[int]]],
         order: Sequence[int],
     ) -> RelNode:
         """Rebuild a left-deep tree for ``order`` and restore the original
-        output column order with a projection."""
+        output column order with a projection.  ``owned`` pairs each
+        conjunct with the inputs it references (the same for every order)."""
         new_offsets: Dict[int, int] = {}
         position = 0
         for input_index in order:
@@ -343,10 +344,7 @@ class JoinOrderEnumerator:
             local = global_index - offsets[owner]
             return new_offsets[owner] + local
 
-        remaining = [
-            (rex.remap_refs(c, remap), {_input_of(offsets, r) for r in rex.references(c)})
-            for c in conjuncts
-        ]
+        remaining = [(rex.remap_refs(c, remap), owners) for c, owners in owned]
         tree: RelNode = inputs[order[0]]
         present: Set[int] = {order[0]}
         for input_index in order[1:]:
@@ -391,13 +389,13 @@ def _offsets(inputs: Sequence[RelNode]) -> List[int]:
 
 
 def _input_of(offsets: Sequence[int], global_index: int) -> int:
-    owner = 0
-    for i, offset in enumerate(offsets):
-        if global_index >= offset:
-            owner = i
-        else:
-            break
-    return owner
+    """The input whose column range contains ``global_index``."""
+    return max(0, bisect_right(offsets, global_index) - 1)
+
+
+def _owners(offsets: Sequence[int], conjunct: Expr) -> Set[int]:
+    """The inputs a conjunct references."""
+    return {_input_of(offsets, r) for r in rex.references(conjunct)}
 
 
 # ---------------------------------------------------------------------------

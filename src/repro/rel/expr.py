@@ -26,9 +26,15 @@ from repro.common.errors import ValidationError
 
 
 class Expr:
-    """Base class for all row expressions.  Immutable."""
+    """Base class for all row expressions.  Immutable.
 
-    __slots__ = ()
+    Because an expression never changes after construction, its digest is
+    built once (``_build_digest``) and kept in the ``_digest`` slot;
+    equality and hashing, which go through the digest, cost one attribute
+    read from then on.
+    """
+
+    __slots__ = ("_digest",)
 
     def children(self) -> Tuple["Expr", ...]:
         return ()
@@ -39,6 +45,14 @@ class Expr:
         return self
 
     def digest(self) -> str:
+        """Canonical text of this expression (computed once)."""
+        try:
+            return self._digest
+        except AttributeError:
+            digest = self._digest = self._build_digest()
+            return digest
+
+    def _build_digest(self) -> str:
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:
@@ -61,7 +75,7 @@ class ColRef(Expr):
         self.name = name or f"$%d" % index
 
     def digest(self) -> str:
-        return f"${self.index}"
+        return f"${self.index}"  # cheaper to format than to cache
 
 
 class Literal(Expr):
@@ -130,7 +144,7 @@ class BinaryOp(Expr):
         left, right = children
         return BinaryOp(self.op, left, right)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return f"({self.left.digest()} {self.op} {self.right.digest()})"
 
 
@@ -152,7 +166,7 @@ class UnaryOp(Expr):
         (operand,) = children
         return UnaryOp(self.op, operand)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return f"({self.op} {self.operand.digest()})"
 
 
@@ -173,7 +187,7 @@ class FuncCall(Expr):
     def with_children(self, children: Sequence[Expr]) -> "FuncCall":
         return FuncCall(self.name, children)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         inner = ", ".join(a.digest() for a in self.args)
         return f"{self.name}({inner})"
 
@@ -201,7 +215,7 @@ class CaseExpr(Expr):
         pairs = list(zip(children[0::2], children[1::2]))
         return CaseExpr(pairs, default)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         parts = " ".join(
             f"WHEN {c.digest()} THEN {v.digest()}" for c, v in self.whens
         )
@@ -225,7 +239,7 @@ class InList(Expr):
         (operand,) = children
         return InList(operand, self.values, self.negated)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         op = "NOT IN" if self.negated else "IN"
         return f"({self.operand.digest()} {op} {sorted(map(repr, self.values))})"
 
@@ -248,7 +262,7 @@ class LikeExpr(Expr):
         (operand,) = children
         return LikeExpr(operand, self.pattern, self.negated)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         op = "NOT LIKE" if self.negated else "LIKE"
         return f"({self.operand.digest()} {op} {self.pattern!r})"
 
@@ -269,7 +283,7 @@ class IsNull(Expr):
         (operand,) = children
         return IsNull(operand, self.negated)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         op = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand.digest()} {op})"
 

@@ -34,6 +34,7 @@ class RelNode:
     def __init__(self, inputs: Sequence["RelNode"], fields: Sequence[str]):
         self.inputs: Tuple[RelNode, ...] = tuple(inputs)
         self.fields: Tuple[str, ...] = tuple(fields)
+        self._digest: Optional[str] = None
 
     # -- structure -------------------------------------------------------------
 
@@ -46,7 +47,18 @@ class RelNode:
         raise NotImplementedError
 
     def digest(self) -> str:
-        """A canonical string identifying this subtree up to equivalence."""
+        """A canonical string identifying this subtree up to equivalence.
+
+        Built once per node from the inputs' (equally cached) digests:
+        nodes do not change after construction, and rewrites go through
+        :meth:`copy`, whose result is a new node with a digest of its own.
+        """
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = self._build_digest()
+        return digest
+
+    def _build_digest(self) -> str:
         raise NotImplementedError
 
     def explain(self, indent: int = 0) -> str:
@@ -121,6 +133,15 @@ class LogicalTableScan(RelNode):
             pushed_fetch=self.pushed_fetch,
         )
 
+    @property
+    def has_pushdown(self) -> bool:
+        """Whether the adapter absorbed any work into this scan."""
+        return (
+            self.pushed_filter is not None
+            or self.pushed_project is not None
+            or self.pushed_fetch is not None
+        )
+
     def pushdown_digest(self) -> str:
         """Shared digest suffix describing pushed work ('' when none)."""
         extras = []
@@ -134,7 +155,7 @@ class LogicalTableScan(RelNode):
             return ""
         return ", pushed[" + ", ".join(extras) + "]"
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return f"Scan({self.table} as {self.alias}{self.pushdown_digest()})"
 
     def _explain_self(self) -> str:
@@ -159,7 +180,7 @@ class LogicalFilter(RelNode):
         (child,) = inputs
         return LogicalFilter(child, self.condition)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return f"Filter({self.condition.digest()}, {self.inputs[0].digest()})"
 
     def _explain_self(self) -> str:
@@ -185,7 +206,7 @@ class LogicalProject(RelNode):
         (child,) = inputs
         return LogicalProject(child, self.exprs, self.fields)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         inner = ", ".join(e.digest() for e in self.exprs)
         return f"Project([{inner}], {self.inputs[0].digest()})"
 
@@ -235,7 +256,7 @@ class LogicalJoin(RelNode):
             left, right, self.condition, self.join_type, self.correlate_origin
         )
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         cond = self.condition.digest() if self.condition else "true"
         marker = "corr " if self.correlate_origin else ""
         return (
@@ -272,11 +293,11 @@ class AggCall:
         self.arg = arg
         self.distinct = distinct
         self.name = name or func.value
+        arg_digest = arg.digest() if arg is not None else "*"
+        self._digest = f"{func.value}({'distinct ' if distinct else ''}{arg_digest})"
 
     def digest(self) -> str:
-        arg = self.arg.digest() if self.arg is not None else "*"
-        distinct = "distinct " if self.distinct else ""
-        return f"{self.func.value}({distinct}{arg})"
+        return self._digest
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AggCall) and self.digest() == other.digest()
@@ -308,7 +329,7 @@ class LogicalAggregate(RelNode):
         (child,) = inputs
         return LogicalAggregate(child, self.group_keys, self.agg_calls)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         calls = ", ".join(c.digest() for c in self.agg_calls)
         return (
             f"Aggregate(keys={list(self.group_keys)}, [{calls}], "
@@ -343,7 +364,7 @@ class LogicalSort(RelNode):
         (child,) = inputs
         return LogicalSort(child, self.sort_keys, self.fetch, self.offset)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         keys = [f"{i}{'' if asc else 'd'}" for i, asc in self.sort_keys]
         # Offset is rare; keep the digest byte-stable for offset-free plans
         # so plan-cache keys and golden EXPLAIN snapshots do not churn.
@@ -369,7 +390,7 @@ class LogicalValues(RelNode):
     def copy(self, inputs: Sequence[RelNode]) -> "LogicalValues":
         return LogicalValues(self.rows, self.fields)
 
-    def digest(self) -> str:
+    def _build_digest(self) -> str:
         return f"Values({self.rows!r})"
 
     def _explain_self(self) -> str:

@@ -263,6 +263,18 @@ class PlanValidator:
         cost = node.self_cost.value
         if not math.isfinite(cost) or cost < 0:
             fail("self-cost-sane", f"self_cost={node.self_cost!r}")
+        # The cumulative cost a node keeps is its self cost plus its
+        # inputs' cumulative costs, summed in that order — a clone that
+        # kept its original's total, or a node edited behind ``costed()``,
+        # fails here.
+        summed = node.self_cost
+        for child in node.inputs:
+            summed = summed + child.total_cost()
+        if node.total_cost() != summed:
+            fail(
+                "cumulative-cost-consistent",
+                f"keeps {node.total_cost()!r}, inputs sum to {summed!r}",
+            )
 
         # Trait indexes stay inside the operator's own schema.
         for key, _ in node.collation.keys:

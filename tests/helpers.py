@@ -289,3 +289,81 @@ def make_federated_store(
         store.create_table(schema, rows)
     store.create_index("emp", "emp_pk", ["emp_id"])
     return store
+
+
+# ---------------------------------------------------------------------------
+# Reference (recursive) plan facts
+# ---------------------------------------------------------------------------
+#
+# Physical nodes derive their cumulative cost, exchange flag, leaf
+# partition sites and digest once, at construction.  These are the
+# recursive definitions the planner used before that, kept here as the
+# oracle the cached values are compared against bit for bit.
+
+
+def reference_total_cost(node):
+    """Eq. 1 by recursion: self cost, then each input's subtree, in order."""
+    total = node.self_cost
+    for child in node.inputs:
+        total = total + reference_total_cost(child)
+    return total
+
+
+def reference_has_exchange(node) -> bool:
+    if getattr(node, "is_exchange", False):
+        return True
+    return any(reference_has_exchange(child) for child in node.inputs)
+
+
+def reference_leaf_partition_sites(node) -> int:
+    sites = getattr(node, "partition_site_count", None)
+    if sites is not None:
+        return sites
+    child_sites = [reference_leaf_partition_sites(c) for c in node.inputs]
+    if not child_sites:
+        return 1
+    return min(child_sites)
+
+
+def reference_distribution_factor(node) -> float:
+    """Algorithm 2 by recursion."""
+    if reference_has_exchange(node):
+        return 1.0
+    return float(reference_leaf_partition_sites(node))
+
+
+def reference_digest(node) -> str:
+    """The digest by full recursion.
+
+    Every cached digest in ``node``'s tree is set aside first, so each
+    node's ``_build_digest`` runs again over inputs that are themselves
+    rebuilt; the cached values are put back afterwards.
+    """
+    saved = []
+
+    def set_aside(n):
+        saved.append((n, n._digest))
+        n._digest = None
+        for child in n.inputs:
+            set_aside(child)
+
+    set_aside(node)
+    try:
+        return node.digest()
+    finally:
+        for n, digest in saved:
+            n._digest = digest
+
+
+def reference_expr_digest(expr) -> str:
+    """An expression's digest rebuilt from fresh nodes (no cached slot)."""
+    from repro.rel.expr import ColRef, Literal
+
+    def fresh(e):
+        if isinstance(e, ColRef):
+            return ColRef(e.index, e.name)
+        if isinstance(e, Literal):
+            return Literal(e.value)
+        return e.with_children([fresh(c) for c in e.children()])
+
+    return fresh(expr).digest()

@@ -131,6 +131,35 @@ class TestPinnedRegression:
             < static_result.simulated_seconds
         )
 
+    def test_spliced_suffix_keeps_no_stale_node_facts(self):
+        """The splice numbers its receivers at birth (no in-place renumber),
+        so every digest names the exchange the receiver really reads and
+        every kept cumulative cost is what its inputs sum to."""
+        from repro.exec.fragments import PhysReceiver
+        from repro.verify.invariants import PlanValidator
+
+        cluster = load_skewed_cluster(
+            SystemConfig.ic_plus(4).with_(**ADAPTIVE_KNOBS)
+        )
+        result = cluster.sql(MIDQUERY_QUERIES["MQ1"])
+        fragments = result.fragment_trees
+        spliced = [f for f in fragments if f.replanned]
+        assert spliced
+        assert "cumulative-cost-consistent" not in {
+            v.rule for v in PlanValidator().validate_fragments(spliced)
+        }
+        senders = [f.sender.exchange_id for f in fragments if f.sender]
+        assert len(senders) == len(set(senders))
+        receivers = [
+            op
+            for f in spliced
+            for op in f.operators()
+            if isinstance(op, PhysReceiver)
+        ]
+        assert receivers
+        for op in receivers:
+            assert op.digest().startswith(f"PReceiver(#{op.exchange_id})")
+
     def test_temp_tables_are_dropped_after_execution(self):
         base = SystemConfig.ic_plus(4).with_(**ADAPTIVE_KNOBS)
         cluster = load_skewed_cluster(base)

@@ -38,7 +38,7 @@ class TestEngineFlag:
         store = make_company_store(sites=4)
         logical = SqlToRelConverter(store.catalog).convert(parse(SQL))
         plan = QueryPlanner(store, config).plan(logical)
-        plan.rows_est = float("nan")
+        plan._rows_est = float("nan")  # corrupt behind costed()
         engine = ExecutionEngine(store, config)
         with pytest.raises(PlanInvariantError):
             raw_execute()(engine, plan)
@@ -50,7 +50,7 @@ class TestEngineFlag:
         store = make_company_store(sites=4)
         logical = SqlToRelConverter(store.catalog).convert(parse(SQL))
         plan = QueryPlanner(store, config).plan(logical)
-        plan.rows_est = float("nan")
+        plan._rows_est = float("nan")  # corrupt behind costed()
         engine = ExecutionEngine(store, config)
         result = raw_execute()(engine, plan)
         assert len(result.rows) == 500

@@ -7,16 +7,24 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.common.constants import AFS, HAC, RCC, RPTC
 from repro.cost.model import Cost, CostModel, ZERO_COST, distribution_factor
+from repro.exec.physical import (
+    PhysExchange,
+    PhysFilter,
+    PhysNestedLoopJoin,
+    PhysTableScan,
+    PhysValues,
+)
+from repro.rel.expr import BinaryOp, ColRef, Literal
+from repro.rel.logical import JoinType
+from repro.rel.traits import Distribution
 
 
-class FakeNode:
-    """Minimal physical-node stand-in for Algorithm 2 tests."""
+def scan(sites):
+    return PhysTableScan("t", "t", ["t.a"], Distribution.hash((0,)), sites)
 
-    def __init__(self, inputs=(), is_exchange=False, sites=None):
-        self.inputs = tuple(inputs)
-        self.is_exchange = is_exchange
-        if sites is not None:
-            self.partition_site_count = sites
+
+def filtered(node):
+    return PhysFilter(node, BinaryOp("=", ColRef(0), Literal(1)))
 
 
 class TestCost:
@@ -34,31 +42,38 @@ class TestCost:
     def test_zero_cost(self):
         assert ZERO_COST.value == 0.0
 
+    def test_value_equality(self):
+        assert Cost(cpu=1.0, network=2.0) == Cost(cpu=1.0, network=2.0)
+        assert Cost(cpu=1.0) != Cost(memory=1.0)
+        assert hash(Cost(cpu=1.0)) == hash(Cost(cpu=1.0))
+
 
 class TestDistributionFactor:
-    """Algorithm 2."""
+    """Algorithm 2, answered from what each node derived at construction."""
 
     def test_scan_without_exchange_uses_partition_sites(self):
-        assert distribution_factor(FakeNode(sites=4)) == 4.0
+        assert distribution_factor(scan(4)) == 4.0
 
     def test_exchange_anywhere_forces_one(self):
-        leaf = FakeNode(sites=4)
-        exchange = FakeNode(inputs=[leaf], is_exchange=True)
-        op = FakeNode(inputs=[exchange])
-        assert distribution_factor(op) == 1.0
+        exchange = PhysExchange(scan(4), Distribution.single())
+        assert distribution_factor(filtered(exchange)) == 1.0
 
     def test_exchange_at_root_forces_one(self):
-        assert distribution_factor(FakeNode(inputs=[FakeNode(sites=4)], is_exchange=True)) == 1.0
+        assert distribution_factor(PhysExchange(scan(4), Distribution.single())) == 1.0
 
     def test_multiple_leaves_take_minimum(self):
-        join = FakeNode(inputs=[FakeNode(sites=4), FakeNode(sites=1)])
+        join = PhysNestedLoopJoin(
+            scan(4), filtered(scan(1)), None, JoinType.INNER,
+            Distribution.hash((0,)),
+        )
+        assert join.leaf_partition_sites == 1
         assert distribution_factor(join) == 1.0
 
     def test_replicated_leaf_is_one(self):
-        assert distribution_factor(FakeNode(sites=1)) == 1.0
+        assert distribution_factor(scan(1)) == 1.0
 
     def test_no_leaf_info_defaults_to_one(self):
-        assert distribution_factor(FakeNode()) == 1.0
+        assert distribution_factor(PhysValues([(1,)], ["x"])) == 1.0
 
 
 class TestUnitNormalisation:

@@ -96,3 +96,41 @@ class TestFragmentation:
         fragments = fragment_plan(exchange)
         assert "Fragment" in fragments[0].explain()
         assert "RootFragment" in fragments[1].explain()
+
+    def test_ids_count_up_from_the_given_first_ids(self):
+        """A spliced suffix is numbered past the ids in use at birth, so no
+        receiver is renumbered after its digest could have been read."""
+        inner = PhysExchange(scan(), Distribution.hash((0,)))
+        outer = PhysExchange(
+            PhysFilter(inner, BinaryOp("=", ColRef(0), Literal(1))),
+            Distribution.single(),
+        )
+        fragments = fragment_plan(outer, first_fragment_id=5, first_exchange_id=7)
+        assert [f.fragment_id for f in fragments] == [5, 6, 7]
+        assert [f.sender.exchange_id for f in fragments[:-1]] == [7, 8]
+        assert fragments[1].child_ids == [5] and fragments[2].child_ids == [6]
+        for fragment in fragments:
+            for op in fragment.operators():
+                if isinstance(op, PhysReceiver):
+                    assert f"#{op.exchange_id})" in op.digest()
+
+    def test_rebuilt_fragments_carry_costs_and_resum_totals(self):
+        from repro.cost.model import Cost
+        from repro.verify.invariants import PlanValidator
+
+        leaf = scan().costed(40.0, Cost(cpu=40.0))
+        exchange = PhysExchange(leaf, Distribution.single()).costed(
+            40.0, Cost(network=8.0)
+        )
+        plan = PhysFilter(exchange, BinaryOp("=", ColRef(0), Literal(1))).costed(
+            4.0, Cost(cpu=2.0)
+        )
+        assert plan.total_cost().value == 50.0
+        child, root = fragment_plan(plan)
+        # The rebuilt filter keeps its own cost but sits on a zero-cost
+        # receiver now: its total is re-summed, not the original's 50.
+        assert root.root.rows_est == 4.0 and root.root.self_cost == Cost(cpu=2.0)
+        assert root.root.total_cost().value == 2.0
+        assert root.root.inputs[0].rows_est == 40.0
+        assert root.root.digest() != plan.digest()
+        assert PlanValidator().validate_fragments([child, root]) == []

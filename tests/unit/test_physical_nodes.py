@@ -2,15 +2,29 @@
 
 import pytest
 
+from helpers import (
+    reference_digest,
+    reference_has_exchange,
+    reference_leaf_partition_sites,
+    reference_total_cost,
+)
+from repro.common.errors import PlannerError
 from repro.cost.model import Cost
+from repro.exec.fragments import PhysReceiver
 from repro.exec.physical import (
     AggPhase,
     PhysExchange,
     PhysFilter,
     PhysHashAggregate,
     PhysHashJoin,
+    PhysIndexScan,
+    PhysLimit,
+    PhysMergeJoin,
+    PhysNestedLoopJoin,
+    PhysNode,
     PhysProject,
     PhysSort,
+    PhysSortAggregate,
     PhysTableScan,
     PhysValues,
     walk_physical,
@@ -21,12 +35,9 @@ from repro.rel.traits import Collation, Distribution
 
 
 def scan(dist=None):
-    node = PhysTableScan(
+    return PhysTableScan(
         "t", "t", ["t.a", "t.b"], dist or Distribution.hash((0,)), 4
-    )
-    node.rows_est = 100.0
-    node.self_cost = Cost(cpu=100.0)
-    return node
+    ).costed(100.0, Cost(cpu=100.0))
 
 
 class TestCopies:
@@ -45,9 +56,144 @@ class TestCopies:
 
     def test_total_cost_sums_subtree(self):
         inner = scan()
-        filt = PhysFilter(inner, BinaryOp("=", ColRef(0), Literal(1)))
-        filt.self_cost = Cost(cpu=50.0)
+        filt = PhysFilter(inner, BinaryOp("=", ColRef(0), Literal(1))).costed(
+            10.0, Cost(cpu=50.0)
+        )
         assert filt.total_cost().value == pytest.approx(150.0)
+
+
+def _cond():
+    return BinaryOp("=", ColRef(0), Literal(1))
+
+
+def _calls():
+    return (AggCall(AggFunc.COUNT, None),)
+
+
+#: One constructor per node class with a ``copy()``: ``(arity, build)``
+#: where ``build`` takes that many input nodes.
+CLONE_PATHS = {
+    "PhysTableScan": (0, lambda: PhysTableScan(
+        "t", "t", ["t.a", "t.b"], Distribution.hash((0,)), 4
+    )),
+    "PhysIndexScan": (0, lambda: PhysIndexScan(
+        "t", "t", ["t.a", "t.b"], "idx", Distribution.hash((0,)),
+        Collation(((0, True),)), 4, low=1,
+    )),
+    "PhysValues": (0, lambda: PhysValues([(1, 2)], ["a", "b"])),
+    "PhysReceiver": (0, lambda: PhysReceiver(
+        3, ["a", "b"], Distribution.single()
+    )),
+    "PhysFilter": (1, lambda c: PhysFilter(c, _cond())),
+    "PhysProject": (1, lambda c: PhysProject(
+        c, [ColRef(1), ColRef(0)], ["b", "a"]
+    )),
+    "PhysSort": (1, lambda c: PhysSort(c, ((0, True),), fetch=5)),
+    "PhysLimit": (1, lambda c: PhysLimit(c, 5, 1)),
+    "PhysExchange": (1, lambda c: PhysExchange(c, Distribution.single())),
+    "PhysHashAggregate": (1, lambda c: PhysHashAggregate(
+        c, (0,), _calls(), AggPhase.SINGLE, Distribution.single()
+    )),
+    "PhysSortAggregate": (1, lambda c: PhysSortAggregate(
+        c, (0,), _calls(), AggPhase.SINGLE, Distribution.single()
+    )),
+    "PhysNestedLoopJoin": (2, lambda l, r: PhysNestedLoopJoin(
+        l, r, _cond(), JoinType.INNER, Distribution.single()
+    )),
+    "PhysMergeJoin": (2, lambda l, r: PhysMergeJoin(
+        l, r, [(0, 0)], None, JoinType.INNER, Distribution.single()
+    )),
+    "PhysHashJoin": (2, lambda l, r: PhysHashJoin(
+        l, r, [(0, 0)], None, JoinType.INNER, Distribution.single()
+    )),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestSetOnce:
+    """rows_est / self_cost are fixed by one ``costed()`` call."""
+
+    def test_costed_twice_raises(self):
+        with pytest.raises(PlannerError):
+            scan().costed(5.0, Cost(cpu=5.0))
+
+    def test_costing_after_the_total_was_read_raises(self):
+        node = PhysFilter(scan(), _cond())
+        assert node.total_cost().value == 100.0  # defaults: zero self cost
+        with pytest.raises(PlannerError):
+            node.costed(10.0, Cost(cpu=50.0))
+
+    @pytest.mark.parametrize("attribute", ["rows_est", "self_cost"])
+    def test_plain_assignment_raises(self, attribute):
+        with pytest.raises(AttributeError):
+            setattr(scan(), attribute, 1.0)
+
+    def test_every_copyable_class_has_a_clone_path_test(self):
+        copyable = {
+            cls.__name__
+            for cls in _subclasses(PhysNode)
+            if "_clone" in vars(cls)
+        }
+        assert copyable == set(CLONE_PATHS)
+
+
+@pytest.mark.parametrize("name", sorted(CLONE_PATHS))
+class TestClonePaths:
+    """``copy()`` carries the estimate and self cost; everything derived
+    from the inputs is the clone's own."""
+
+    def _original_and_clone(self, name):
+        arity, build = CLONE_PATHS[name]
+        original = build(*[scan() for _ in range(arity)]).costed(
+            7.0, Cost(cpu=3.0, memory=1.0)
+        )
+        original.total_cost(), original.digest()  # fill every cache
+        # New inputs differ in cost, digest, exchange-ness and leaf sites.
+        replacement = [
+            PhysExchange(
+                PhysTableScan(
+                    "u", "u", ["u.a", "u.b"], Distribution.hash((0,)), 2
+                ).costed(9.0, Cost(cpu=11.0)),
+                Distribution.hash((0,)),
+            ).costed(9.0, Cost(network=13.0))
+            for _ in range(arity)
+        ]
+        return original, original.copy(replacement), replacement
+
+    def test_carries_estimate_and_self_cost(self, name):
+        original, clone, _ = self._original_and_clone(name)
+        assert type(clone) is type(original) and clone is not original
+        assert clone.rows_est == 7.0
+        assert clone.self_cost == Cost(cpu=3.0, memory=1.0)
+
+    def test_total_cost_is_resummed_over_the_new_inputs(self, name):
+        original, clone, replacement = self._original_and_clone(name)
+        assert clone.total_cost() == reference_total_cost(clone)
+        if replacement:
+            assert clone.total_cost() != original.total_cost()
+            assert clone.total_cost().network == 13.0 * len(replacement)
+
+    def test_digest_and_exchange_facts_are_the_clones_own(self, name):
+        original, clone, replacement = self._original_and_clone(name)
+        assert clone.digest() == reference_digest(clone)
+        assert clone.has_exchange == reference_has_exchange(clone)
+        assert clone.leaf_partition_sites == reference_leaf_partition_sites(
+            clone
+        )
+        if replacement:
+            assert clone.digest() != original.digest()
+            assert clone.has_exchange
+            assert clone.leaf_partition_sites == 2
+
+    def test_clone_is_sealed_too(self, name):
+        _, clone, _ = self._original_and_clone(name)
+        with pytest.raises(PlannerError):
+            clone.costed(1.0)
 
 
 class TestProjectTraitPropagation:

@@ -19,11 +19,9 @@ from repro.rel.traits import Distribution
 
 
 def scan(name="t", rows=1000.0, sites=4):
-    node = PhysTableScan(
+    return PhysTableScan(
         name, name, [f"{name}.a", f"{name}.b"], Distribution.hash((0,)), sites
-    )
-    node.rows_est = rows
-    return node
+    ).costed(rows)
 
 
 def fragment(root, is_root=False):
@@ -75,8 +73,7 @@ class TestClassification:
         small = scan("small", rows=10)
         join = PhysHashJoin(
             small, big, [(0, 0)], None, JoinType.INNER, Distribution.hash((0,))
-        )
-        join.rows_est = 10_000
+        ).costed(10_000)
         plan = plan_variants(fragment(join))
         # The heavier (right) side continues in split mode: operators above
         # the small side would be duplicated.
@@ -114,8 +111,7 @@ class TestClassification:
         assert plan.scaling[id(right_filter)] == DUPLICATE
 
     def test_receiver_is_a_source(self):
-        receiver = PhysReceiver(0, ["x"], Distribution.single())
-        receiver.rows_est = 10
+        receiver = PhysReceiver(0, ["x"], Distribution.single()).costed(10)
         node = PhysProject(receiver, [ColRef(0)], ["x"])
         plan = plan_variants(fragment(node))
         assert plan.scaling[id(receiver)] == SOURCE

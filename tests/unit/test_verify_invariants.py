@@ -64,13 +64,26 @@ class TestCleanPlans:
 class TestNodeInvariants:
     def test_nan_rows_estimate_is_flagged(self, store):
         plan = plan_for(store, JOIN_SQL)
-        plan.rows_est = float("nan")
+        plan._rows_est = float("nan")  # corrupt behind costed()
         assert "rows-est-sane" in rules(PlanValidator().validate_plan(plan))
 
     def test_negative_rows_estimate_is_flagged(self, store):
         plan = plan_for(store, JOIN_SQL)
-        plan.rows_est = -3.0
+        plan._rows_est = -3.0  # corrupt behind costed()
         assert "rows-est-sane" in rules(PlanValidator().validate_plan(plan))
+
+    def test_stale_cumulative_cost_is_flagged(self, store):
+        from repro.cost.model import Cost
+
+        plan = plan_for(store, JOIN_SQL)
+        assert "cumulative-cost-consistent" not in rules(
+            PlanValidator().validate_plan(plan)
+        )
+        # Re-cost a node behind costed()'s back: its kept total goes stale.
+        plan._self_cost = plan._self_cost + Cost(cpu=1.0)
+        assert "cumulative-cost-consistent" in rules(
+            PlanValidator().validate_plan(plan)
+        )
 
     def test_out_of_range_hash_key_is_flagged(self, store):
         plan = plan_for(store, JOIN_SQL)
@@ -101,7 +114,7 @@ class TestNodeInvariants:
 
     def test_check_raises_with_violations_attached(self, store):
         plan = plan_for(store, JOIN_SQL)
-        plan.rows_est = float("inf")
+        plan._rows_est = float("inf")  # corrupt behind costed()
         with pytest.raises(PlanInvariantError) as excinfo:
             PlanValidator().check(plan)
         assert any(v.rule == "rows-est-sane" for v in excinfo.value.violations)
