@@ -55,7 +55,6 @@ from repro.exec.operators import (
     apply_offset_fetch,
     charge_adapter_scan,
     compiled_pushdown,
-    sort_rows,
 )
 from repro.exec.physical import (
     AggPhase,
@@ -96,6 +95,9 @@ Rows = List[Row]
 #: 'n' no non-null value seen (typed only by the schema, if at all).
 _FILLS = {"b": False, "i": 0, "f": 0.0, "U": ""}
 
+#: numpy ``dtype.kind`` -> kind (anything else is 'O').
+_DTYPE_KINDS = {"b": "b", "i": "i", "u": "i", "f": "f", "U": "U"}
+
 #: ColumnType.value -> kind, for schema-typed scan batches.
 _SCHEMA_KINDS = {
     "INTEGER": "i", "BIGINT": "i", "DOUBLE": "f", "DECIMAL": "f",
@@ -123,63 +125,93 @@ class Column:
     ``mask[i] is True`` means row ``i`` is SQL NULL; ``values[i]`` then
     holds an arbitrary fill value (except object columns, which keep
     ``None`` in place).  ``mask is None`` means no NULLs.
+
+    A column is either *materialised* or *deferred*: ``take`` copies
+    nothing, it returns a reference to a materialised source column plus
+    an int64 index vector.  Reading ``values``/``mask`` gathers once and
+    caches; ``kind`` and ``len()`` answer from the source, and a further
+    ``take``/``slice`` composes index vectors, so a column nobody reads
+    is never gathered however many joins, filters and sorts it crosses.
     """
 
-    __slots__ = ("values", "mask", "_ucache")
+    __slots__ = ("_values", "_mask", "_source", "_index", "_ucache")
 
     def __init__(self, values: np.ndarray, mask: Optional[np.ndarray] = None):
-        self.values = values
-        self.mask = mask if (mask is not None and mask.any()) else None
+        self._values = values
+        # ``mask is None`` steers kernels, so an all-False mask is dropped.
+        self._mask = mask if (mask is not None and mask.any()) else None
+        self._source: Optional["Column"] = None
+        self._index: Optional[np.ndarray] = None
         #: Lazily cached ``U``-dtype view of an all-string object column
         #: (False = known unconvertible).  Pays off when LIKE repeatedly
         #: scans a cached table column of wide strings.
         self._ucache = None
 
+    @classmethod
+    def _deferred(cls, source: "Column", index: np.ndarray) -> "Column":
+        """``source`` (materialised) gathered at ``index`` — on first read."""
+        col = cls.__new__(cls)
+        col._values = col._mask = col._ucache = None
+        col._source, col._index = source, index
+        return col
+
+    def _force(self) -> None:
+        """Materialise a deferred column: the one place data is gathered."""
+        source, index = self._source, self._index
+        mask = source._mask
+        if mask is not None:
+            mask = mask[index]
+            self._mask = mask if mask.any() else None
+        self._values = source._values[index]
+        self._source = self._index = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._source is not None:
+            self._force()
+        return self._values
+
+    @property
+    def mask(self) -> Optional[np.ndarray]:
+        if self._source is not None:
+            self._force()
+        return self._mask
+
     def __len__(self) -> int:
-        return len(self.values)
+        if self._source is not None:
+            return len(self._index)
+        return len(self._values)
 
     @property
     def kind(self) -> str:
-        dtype = self.values.dtype
-        if dtype == np.bool_:
-            return "b"
-        code = dtype.kind
-        if code in "iu":
-            return "i"
-        if code == "f":
-            return "f"
-        if code == "U":
-            return "U"
-        return "O"
+        source = self._source
+        dtype = (self if source is None else source)._values.dtype
+        return _DTYPE_KINDS.get(dtype.kind, "O")
 
     def null_mask(self) -> np.ndarray:
-        if self.mask is not None:
-            return self.mask
-        return np.zeros(len(self.values), dtype=np.bool_)
+        mask = self.mask
+        if mask is not None:
+            return mask
+        return np.zeros(len(self), dtype=np.bool_)
 
     def take(self, indices: np.ndarray) -> "Column":
-        return Column(
-            self.values[indices],
-            self.mask[indices] if self.mask is not None else None,
-        )
+        return _take_columns((self,), indices)[0]
 
     def slice(self, start: int, stop: Optional[int]) -> "Column":
+        if self._source is not None:
+            return Column._deferred(self._source, self._index[start:stop])
+        mask = self._mask
         return Column(
-            self.values[start:stop],
-            self.mask[start:stop] if self.mask is not None else None,
+            self._values[start:stop],
+            mask[start:stop] if mask is not None else None,
         )
 
     def to_list(self) -> list:
         out = self.values.tolist()
-        if self.mask is not None:
-            for i in np.flatnonzero(self.mask).tolist():
+        if self._mask is not None:
+            for i in np.flatnonzero(self._mask).tolist():
                 out[i] = None
         return out
-
-    def nbytes(self) -> int:
-        return self.values.nbytes + (
-            self.mask.nbytes if self.mask is not None else 0
-        )
 
 
 _KIND_OF_TYPE = {bool: "b", int: "i", float: "f", str: "U"}
@@ -299,8 +331,7 @@ class ColumnBatch:
 
     def take(self, indices: np.ndarray) -> "ColumnBatch":
         return ColumnBatch(
-            [c.take(indices) if c is not None else None for c in self.columns],
-            int(len(indices)),
+            _take_columns(self.columns, indices), int(len(indices))
         )
 
     def slice(self, start: int, stop: Optional[int]) -> "ColumnBatch":
@@ -330,8 +361,29 @@ class ColumnBatch:
             return [() for _ in range(self.length)]
         return list(zip(*lists))
 
-    def nbytes(self) -> int:
-        return sum(c.nbytes() for c in self.columns if c is not None)
+
+def _take_columns(
+    columns: Sequence[Optional[Column]], indices: np.ndarray
+) -> List[Optional[Column]]:
+    """Rows ``indices`` of sibling columns, deferred (``None`` stays).
+
+    Columns already deferred over one index vector — everything a join
+    side produced — compose it with ``indices`` once, so a join level
+    costs one int64 gather per side, not one per column.
+    """
+    composed: Dict[int, np.ndarray] = {}
+    out: List[Optional[Column]] = []
+    for col in columns:
+        if col is None:
+            out.append(None)
+        elif col._source is None:
+            out.append(Column._deferred(col, indices))
+        else:
+            index = composed.get(id(col._index))
+            if index is None:
+                index = composed[id(col._index)] = col._index[indices]
+            out.append(Column._deferred(col._source, index))
+    return out
 
 
 def from_rows(
@@ -357,12 +409,12 @@ def concat_columns(columns: Sequence[Column]) -> Column:
         # ``np.concatenate`` would silently promote and rewrite values
         # (1 -> 1.0), so fall back to an object column holding the exact
         # Python values, NULLs as in-place ``None``.
-        total = sum(len(c.values) for c in columns)
+        total = sum(len(c) for c in columns)
         values = np.empty(total, dtype=object)
         pos = 0
         for c in columns:
-            values[pos : pos + len(c.values)] = c.to_list()
-            pos += len(c.values)
+            values[pos : pos + len(c)] = c.to_list()
+            pos += len(c)
         mask = np.concatenate([c.null_mask() for c in columns])
         return Column(values, mask)
     values = np.concatenate([c.values for c in columns])
@@ -442,10 +494,10 @@ def _eval_on_subset(
     references are gathered.
     """
     refs = references(expr)
-    columns = [
-        col.take(indices) if (i in refs and col is not None) else None
-        for i, col in enumerate(batch.columns)
-    ]
+    columns = _take_columns(
+        [col if i in refs else None for i, col in enumerate(batch.columns)],
+        indices,
+    )
     return eval_expr(expr, ColumnBatch(columns, int(len(indices))))
 
 
@@ -749,6 +801,45 @@ def eval_expr(expr: Expr, batch: ColumnBatch) -> Column:
 # ---------------------------------------------------------------------------
 
 
+#: Key codes are combined as ``codes * n + next`` in int64; past this
+#: bound they are re-numbered densely first.
+_CODE_LIMIT = 1 << 62
+
+
+def _dense_codes(
+    left: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Order-preserving dense re-numbering (from 0) of a value pair."""
+    _, inv = np.unique(np.concatenate([left, right]), return_inverse=True)
+    codes = inv.astype(np.int64, copy=False)
+    return codes[: len(left)], codes[len(left) :]
+
+
+def _dict_codes(values: list) -> Tuple[np.ndarray, int]:
+    """First-occurrence codes under Python ``==``/``hash`` (``None`` is
+    a value like any other) and the number of distinct values."""
+    mapping: Dict = {}
+    codes = np.fromiter(
+        (mapping.setdefault(v, len(mapping)) for v in values),
+        np.int64,
+        count=len(values),
+    )
+    return codes, len(mapping)
+
+
+def _code_count(left: np.ndarray, right: np.ndarray) -> int:
+    return int(max(left.max(initial=-1), right.max(initial=-1))) + 1
+
+
+def _float_exact(col: Column) -> bool:
+    """True if a float64 cast keeps the column's values apart: beyond
+    +-2**53 neighbouring integers share one float."""
+    if col.kind != "i":
+        return True
+    values, limit = col.values, 1 << 53
+    return bool(((values >= -limit) & (values <= limit)).all())
+
+
 def _codes_pair(
     left: Column, right: Column
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -757,36 +848,33 @@ def _codes_pair(
     Equal values (by Python ``==``, the hash table's bucket equality)
     receive equal codes; NULLs receive ``-1`` on both sides, so a NULL
     key can never match anything — SQL ``NULL = NULL`` is not true.
+    Codes need not be dense: the probe sorts and binary-searches them.
     """
     lk, rk = left.kind, right.kind
-    numeric = ("b", "i", "f")
-    n_left = len(left)
-    if lk in numeric and rk in numeric:
-        combined = np.concatenate([
-            np.asarray(left.values, dtype=np.float64),
-            np.asarray(right.values, dtype=np.float64),
-        ])
-        _, inv = np.unique(combined, return_inverse=True)
-        codes = inv.astype(np.int64, copy=False)
+    lv, rv = left.values, right.values
+    if lk in "bi" and rk in "bi":
+        # Integer keys are their own codes, shifted to start at zero;
+        # int64 throughout, so neighbours beyond 2**53 stay distinct.
+        lv = lv.astype(np.int64, copy=False)
+        rv = rv.astype(np.int64, copy=False)
+        low = int(min(lv.min(initial=0), rv.min(initial=0)))
+        high = int(max(lv.max(initial=0), rv.max(initial=0)))
+        if high - low < _CODE_LIMIT:
+            lcodes, rcodes = lv - low, rv - low
+        else:
+            lcodes, rcodes = _dense_codes(lv, rv)
     elif lk == "U" and rk == "U":
-        combined = np.concatenate([left.values, right.values])
-        _, inv = np.unique(combined, return_inverse=True)
-        codes = inv.astype(np.int64, copy=False)
+        lcodes, rcodes = _dense_codes(lv, rv)
+    elif (
+        lk in "bif" and rk in "bif"
+        and _float_exact(left) and _float_exact(right)
+    ):
+        lcodes, rcodes = _dense_codes(
+            lv.astype(np.float64), rv.astype(np.float64)
+        )
     else:
-        mapping: Dict = {}
-        values = left.to_list() + right.to_list()
-        codes = np.empty(len(values), dtype=np.int64)
-        for i, v in enumerate(values):
-            if v is None:
-                codes[i] = -1
-                continue
-            code = mapping.get(v)
-            if code is None:
-                code = len(mapping)
-                mapping[v] = code
-            codes[i] = code
-        return codes[:n_left], codes[n_left:]
-    lcodes, rcodes = codes[:n_left].copy(), codes[n_left:].copy()
+        codes, _ = _dict_codes(left.to_list() + right.to_list())
+        lcodes, rcodes = codes[: len(left)], codes[len(left) :]
     if left.mask is not None:
         lcodes[left.mask] = -1
     if right.mask is not None:
@@ -802,16 +890,22 @@ def _join_codes(
     rcodes: Optional[np.ndarray] = None
     for lk_pos, rk_pos in pairs:
         lc, rc = _codes_pair(left.column(lk_pos), right.column(rk_pos))
-        n_codes = int(max(lc.max(initial=-1), rc.max(initial=-1))) + 1
         if lcodes is None:
             lcodes, rcodes = lc, rc
-        else:
-            lnull = (lcodes < 0) | (lc < 0)
-            rnull = (rcodes < 0) | (rc < 0)
-            lcodes = lcodes * n_codes + lc
-            rcodes = rcodes * n_codes + rc
-            lcodes[lnull] = -1
-            rcodes[rnull] = -1
+            continue
+        lnull = (lcodes < 0) | (lc < 0)
+        rnull = (rcodes < 0) | (rc < 0)
+        n_codes = _code_count(lc, rc)
+        if _code_count(lcodes, rcodes) * n_codes >= _CODE_LIMIT:
+            # Raw integer codes are as wide as the key range: re-number
+            # both halves densely (NULL rows are overwritten below).
+            lcodes, rcodes = _dense_codes(lcodes, rcodes)
+            lc, rc = _dense_codes(lc, rc)
+            n_codes = _code_count(lc, rc)
+        lcodes = lcodes * n_codes + lc
+        rcodes = rcodes * n_codes + rc
+        lcodes[lnull] = -1
+        rcodes[rnull] = -1
     assert lcodes is not None and rcodes is not None
     return lcodes, rcodes
 
@@ -823,18 +917,8 @@ def _group_codes(col: Column) -> Tuple[np.ndarray, int]:
     one fresh code (the row path groups by the raw tuple, where
     ``(None,) == (None,)``).
     """
-    kind = col.kind
-    if kind == "O":
-        mapping: Dict = {}
-        values = col.to_list()
-        codes = np.empty(len(values), dtype=np.int64)
-        for i, v in enumerate(values):
-            code = mapping.get(v)
-            if code is None:
-                code = len(mapping)
-                mapping[v] = code
-            codes[i] = code
-        return codes, len(mapping)
+    if col.kind == "O":
+        return _dict_codes(col.to_list())
     uniques, inv = np.unique(col.values, return_inverse=True)
     codes = inv.astype(np.int64, copy=True)
     count = len(uniques)
@@ -888,7 +972,9 @@ def sort_batch(
             if col.mask is not None:
                 flag[col.mask] = 1  # NULLS LAST
         else:
-            values = -values
+            # Reverse the order: ``~v`` for integers (``-v`` wraps
+            # INT64_MIN onto itself), negation for floats.
+            values = -values if kind == "f" else ~values
             flag = np.ones(n, np.int8)
             if col.mask is not None:
                 flag[col.mask] = 0  # NULLS FIRST under DESC
@@ -916,11 +1002,7 @@ def execute_columnar(node: PhysNode, site: int, ctx: ExecContext) -> Rows:
     """
     batch = _execute(node, site, ctx)
     rows = batch.to_rows()
-    cache = getattr(ctx, "_columnar_streams", None)
-    if cache is None:
-        cache = {}
-        ctx._columnar_streams = cache
-    cache[id(rows)] = (rows, batch)
+    ctx.columnar_streams[id(rows)] = (rows, batch)
     return rows
 
 
@@ -1069,7 +1151,7 @@ def _exec_receiver(
     node: PhysReceiver, site: int, ctx: ExecContext
 ) -> ColumnBatch:
     streams = ctx.inbound.get((node.exchange_id, site), [])
-    cache = getattr(ctx, "_columnar_streams", None) or {}
+    cache = ctx.columnar_streams
     batches = []
     for stream in streams:
         # Singleton and broadcast exchanges deliver the sender's row
@@ -1124,17 +1206,19 @@ def _combined_batch(
     refs: Sequence[int],
 ) -> ColumnBatch:
     """The candidate-pair batch for residual evaluation: only referenced
-    columns are materialised."""
+    columns are present."""
     refs = set(refs)
     width_left = left.width
-    columns: List[Optional[Column]] = []
-    for i in range(width_left + right.width):
-        if i not in refs:
-            columns.append(None)
-        elif i < width_left:
-            columns.append(left.column(i).take(left_idx))
-        else:
-            columns.append(right.column(i - width_left).take(right_idx))
+    columns = _take_columns(
+        [c if i in refs else None for i, c in enumerate(left.columns)],
+        left_idx,
+    ) + _take_columns(
+        [
+            c if i + width_left in refs else None
+            for i, c in enumerate(right.columns)
+        ],
+        right_idx,
+    )
     return ColumnBatch(columns, int(len(left_idx)))
 
 
@@ -1144,28 +1228,24 @@ def _gather_joined(
     left_idx: np.ndarray,
     right_idx: np.ndarray,
 ) -> ColumnBatch:
-    """Materialise joined output rows; ``right_idx == -1`` pads NULLs."""
-    columns: List[Optional[Column]] = [
-        left.column(i).take(left_idx) for i in range(left.width)
-    ]
+    """Joined output rows (deferred); ``right_idx == -1`` pads NULLs,
+    which forces the right columns: the pad joins their null masks."""
+    n = int(len(left_idx))
+    columns = _take_columns(left.columns, left_idx)
     pad = right_idx < 0
-    any_pad = bool(pad.any())
-    safe_idx = np.where(pad, 0, right_idx) if any_pad else right_idx
-    for i in range(right.width):
-        if right.length == 0:
-            # Every output row is a pad (LEFT join against an empty
-            # right side): there is no row 0 to gather the fill from.
-            values = np.empty(len(right_idx), dtype=object)
+    if not pad.any():
+        columns += _take_columns(right.columns, right_idx)
+    elif right.length == 0:
+        # Every output row is a pad (LEFT join against an empty right
+        # side): there is no row 0 to gather the fill from.
+        for _ in range(right.width):
+            values = np.empty(n, dtype=object)
             values[:] = None
-            columns.append(
-                Column(values, np.ones(len(right_idx), dtype=np.bool_))
-            )
-            continue
-        col = right.column(i).take(safe_idx)
-        if any_pad:
-            col = Column(col.values, col.null_mask() | pad)
-        columns.append(col)
-    return ColumnBatch(columns, int(len(left_idx)))
+            columns.append(Column(values, pad))
+    else:
+        for col in _take_columns(right.columns, np.where(pad, 0, right_idx)):
+            columns.append(Column(col.values, col.null_mask() | pad))
+    return ColumnBatch(columns, n)
 
 
 def _assemble_join_output(
@@ -1622,7 +1702,7 @@ def _aggregate_batch(node, batch: ColumnBatch, sorted_runs: bool) -> ColumnBatch
             row = evaluator.results(evaluator.new_group())
             return from_rows([row], node.width)
         return from_rows([], node.width)
-    columns = [batch.column(k).take(rep_idx) for k in keys]
+    columns = _take_columns([batch.column(k) for k in keys], rep_idx)
     if node.phase is AggPhase.REDUCE:
         columns.extend(_reduce_columns(node, batch, group_ids, n_groups))
     else:
@@ -1666,7 +1746,3 @@ _HANDLERS = {
     PhysHashAggregate: _exec_hash_aggregate,
     PhysSortAggregate: _exec_sort_aggregate,
 }
-
-# ``sort_rows`` is imported for parity documentation/tests; keep the
-# reference so linters see it used.
-_ = sort_rows

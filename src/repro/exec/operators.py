@@ -87,6 +87,8 @@ class ExecContext:
         self.fragment_memory: Dict[Tuple[int, int], float] = {}
         #: (exchange id, site) -> list of inbound row streams.
         self.inbound: Dict[Tuple[int, int], List[Rows]] = {}
+        #: id(row list) -> (row list, the columnar batch that produced it).
+        self.columnar_streams: Dict[int, tuple] = {}
         #: total network units charged (reporting).
         self.network_units = 0.0
         #: rows shipped over the network (reporting).

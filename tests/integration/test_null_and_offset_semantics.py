@@ -234,3 +234,53 @@ class TestOffset:
         )
         root = [f for f in result.fragments if f.fragment_id == root_id]
         assert root and root[0].rows_out == 5
+
+
+BIG = 2**53
+INT64_MIN = -(2**63)
+
+
+class TestInt64Extremes:
+    """Integers a float64 cannot tell apart still join and sort exactly
+    (the columnar kernels once cast keys to float64 and negated DESC
+    keys; Python ``==`` and ``NullsLast`` on the row path never did)."""
+
+    # Non-matching filler rows make the planner pick a merge join (IC)
+    # and a hash join (IC+) over the tiny-input nested loop.
+    FILLER = 50
+
+    @pytest.fixture(params=["IC", "IC+"])
+    def cluster(self, request, execution_backend):
+        config = PRESETS[request.param](4).with_(
+            execution_backend=execution_backend
+        )
+        cluster = IgniteCalciteCluster(config)
+        for name, rows, base in (
+            ("bl", [(1, BIG), (2, BIG + 1), (3, 5), (4, INT64_MIN), (5, None)], 100),
+            ("br", [(1, BIG + 1), (2, 7), (3, INT64_MIN), (4, None)], 1000),
+        ):
+            rows = rows + [(10 + i, base + i) for i in range(self.FILLER)]
+            cluster.create_table(
+                TableSchema(
+                    name,
+                    [
+                        Column("id", ColumnType.INTEGER),
+                        Column("k", ColumnType.BIGINT, nullable=True),
+                    ],
+                    ["id"],
+                ),
+                rows,
+            )
+        return cluster
+
+    def test_neighbours_beyond_2_53_do_not_join(self, cluster):
+        sql = "select bl.id, br.id from bl join br on bl.k = br.k"
+        assert "NestedLoop" not in cluster.explain(sql)
+        result = cluster.sql(sql + " order by bl.id, br.id")
+        assert result.rows == [(2, 1), (4, 3)]
+
+    def test_desc_sort_keeps_int64_min_last(self, cluster):
+        result = cluster.sql("select k from bl where id < 10 order by k desc")
+        assert result.rows == [
+            (None,), (BIG + 1,), (BIG,), (5,), (INT64_MIN,),
+        ]

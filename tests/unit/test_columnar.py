@@ -14,6 +14,8 @@ import pytest
 
 from repro.exec.columnar import (
     ColumnBatch,
+    _codes_pair,
+    _join_codes,
     column_from_values,
     concat_batches,
     concat_columns,
@@ -225,6 +227,132 @@ class TestSortBatch:
         got = sort_batch(from_rows(rows, 2), [(0, True)]).to_rows()
         assert got == sort_rows(rows, [(0, True)])
         assert [r[1] for r in got[:10]] == list(range(10))
+
+
+    def test_desc_on_int64_min(self):
+        # ``-values`` wraps INT64_MIN onto itself; the row path has no
+        # such edge.
+        rows = [(5,), (-(2**63),), (None,), (7,), (2**63 - 1,)]
+        for ascending in (True, False):
+            keys = [(0, ascending)]
+            got = sort_batch(from_rows(rows, 1), keys).to_rows()
+            assert got == sort_rows(rows, keys)
+
+    def test_desc_on_bools_strings_and_floats(self):
+        rows = [
+            (True, "b", 1.5), (False, "a", -0.0), (None, None, None),
+            (True, "a", 2.5), (False, "c", 0.0),
+        ]
+        for pos in range(3):
+            keys = [(pos, False)]
+            got = sort_batch(from_rows(rows, 3), keys).to_rows()
+            assert got == sort_rows(rows, keys)
+
+
+def _matches(lcodes, rcodes):
+    return sorted(
+        (i, j)
+        for i, a in enumerate(lcodes.tolist())
+        for j, b in enumerate(rcodes.tolist())
+        if a >= 0 and a == b
+    )
+
+
+def _python_matches(left, right):
+    return sorted(
+        (i, j)
+        for i, a in enumerate(left)
+        for j, b in enumerate(right)
+        if a is not None and b is not None and a == b
+    )
+
+
+class TestJoinCodes:
+    """Codes are equal exactly where Python ``==`` (the row hash join's
+    bucket equality) holds, for any integer range."""
+
+    CASES = [
+        ([2**53, 2**53 + 1, 5], [2**53 + 1, 7]),
+        ([-(2**63), 2**63 - 1, 0, None], [2**63 - 1, -(2**63), None, 1]),
+        ([3, None, 1, 3], [3, 3, None, 2]),
+        ([-1, 0, 1], [-1, 1]),
+        ([True, False, None], [1, 0, 2]),
+        ([2**53 + 1, 4], [float(2**53), 4.0]),  # mixed: exact dict path
+        ([1, 2, 3], [2.0, 3.5, None]),
+        ([1.5, None, 2.5], [2.5, 1.5]),
+        ([], [1, 2]),
+        ([1, 2], []),
+    ]
+
+    @pytest.mark.parametrize("left,right", CASES)
+    def test_single_key_matches_python_equality(self, left, right):
+        lcodes, rcodes = _codes_pair(
+            column_from_values(left), column_from_values(right)
+        )
+        assert _matches(lcodes, rcodes) == _python_matches(left, right)
+
+    def test_big_neighbours_get_distinct_codes(self):
+        lcodes, _ = _codes_pair(
+            column_from_values([2**53, 2**53 + 1, 5]),
+            column_from_values([2**53 + 1, 7]),
+        )
+        assert len(set(lcodes.tolist())) == 3
+
+    def test_multi_key_redensifies_instead_of_overflowing(self):
+        # Three keys spanning ~2**62 each: the raw product passes int64.
+        big = 2**62 - 1
+        left = [(0, 0, 0), (big, big, big), (big, 0, big), (None, 0, 0)]
+        right = [(big, big, big), (0, 0, 0), (big, 0, 0), (None, 0, 0)]
+        pairs = [(0, 0), (1, 1), (2, 2)]
+        lcodes, rcodes = _join_codes(
+            from_rows(left, 3), from_rows(right, 3), pairs
+        )
+        expected = sorted(
+            (i, j)
+            for i, a in enumerate(left)
+            for j, b in enumerate(right)
+            if None not in a and None not in b and a == b
+        )
+        assert _matches(lcodes, rcodes) == expected
+
+
+class TestDeferredColumns:
+    """``take``/``slice`` copy nothing until ``values``/``mask`` is read."""
+
+    def _forced(self, col):
+        return col._source is None
+
+    def test_take_defers_and_kind_len_do_not_force(self):
+        col = column_from_values(["x" * 40, None, "y" * 40, "z"])
+        picked = col.take(np.array([2, 0, 0], dtype=np.int64))
+        assert not self._forced(picked)
+        assert (picked.kind, len(picked)) == ("O", 3)
+        assert not self._forced(picked)
+        assert picked.to_list() == ["y" * 40, "x" * 40, "x" * 40]
+        assert self._forced(picked)
+
+    def test_chained_takes_compose_over_the_original_source(self):
+        col = column_from_values([10, None, 30, 40])
+        chained = col.take(np.array([3, 1, 0])).take(np.array([2, 0])).slice(1, None)
+        assert chained._source is col
+        assert chained.to_list() == [40]
+
+    def test_forced_mask_is_none_iff_no_null_selected(self):
+        col = column_from_values([1, None, 3])
+        assert col.take(np.array([0, 2])).mask is None
+        assert col.take(np.array([1, 2])).mask.tolist() == [True, False]
+        empty = col.take(np.empty(0, dtype=np.int64))
+        assert empty.mask is None and empty.to_list() == []
+
+    def test_batch_take_composes_each_index_vector_once(self):
+        batch = from_rows([(i, str(i), None) for i in range(6)], 3)
+        first = batch.take(np.array([5, 4, 3, 2]))
+        extra = column_from_values([7, 8, 9, 10])
+        second = ColumnBatch(first.columns + [extra], 4).take(np.array([0, 3]))
+        a, b, c, d = second.columns
+        assert a._index is b._index is c._index
+        assert d._source is extra and d._index is not a._index
+        assert second.to_rows() == [(5, "5", None, 7), (2, "2", None, 10)]
 
 
 class TestBatchErrors:
