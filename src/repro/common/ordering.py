@@ -21,11 +21,22 @@ The row interpreter (:mod:`repro.exec.operators`), the reference oracle
 (:mod:`repro.storage.table`) and the columnar backend
 (:mod:`repro.exec.columnar`) must all agree on this order — keep it in
 one place.
+
+The wrapper costs a Python-level ``__lt__`` per comparison, so the
+sorting paths ask :func:`orderable` first: a key column that holds one
+orderable kind (numbers, or strings) and no NULL is already totally
+ordered by raw ``<`` exactly as ``NullsLast`` orders it, and is compared
+raw at C speed.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, List, Sequence, Tuple
+
+_NUMBERS = frozenset({int, float, bool})
+_STRINGS = frozenset({str})
 
 
 class NullsLast:
@@ -57,3 +68,32 @@ class NullsLast:
 def ordering_key(row: Tuple, positions: Sequence[int]) -> Tuple[NullsLast, ...]:
     """The total-order sort key for ``row`` over ``positions`` (all ASC)."""
     return tuple(NullsLast(row[p]) for p in positions)
+
+
+def orderable(*columns: Iterable) -> bool:
+    """Raw ``<`` over the values of ``columns`` together is the engine's
+    total order: they hold one orderable kind and no NULL."""
+    kinds = frozenset(map(type, chain(*columns)))
+    return kinds <= _NUMBERS or kinds <= _STRINGS
+
+
+def sort_rows(rows: Iterable[Tuple], keys: Sequence[Tuple[int, bool]]) -> List[Tuple]:
+    """Stable multi-key sort supporting mixed ASC/DESC on any type.
+
+    Keys compare through the engine's total order: NULLs sort last under
+    ASC (first under DESC) and mixed-type keys cannot raise TypeError.
+    Keys of one direction sort in one pass over a tuple key; mixed
+    directions sort once per key, least significant first.
+    """
+    result = list(rows)
+    if len({ascending for _, ascending in keys}) == 1:
+        passes = [(tuple(index for index, _ in keys), keys[0][1])]
+    else:
+        passes = [((index,), ascending) for index, ascending in reversed(keys)]
+    for positions, ascending in passes:
+        if all(orderable(map(itemgetter(p), result)) for p in positions):
+            key = itemgetter(*positions)
+        else:
+            key = lambda row, positions=positions: ordering_key(row, positions)
+        result.sort(key=key, reverse=not ascending)
+    return result

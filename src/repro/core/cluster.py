@@ -21,6 +21,7 @@ consumes.
 from __future__ import annotations
 
 import enum
+import traceback
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -464,32 +465,43 @@ class IgniteCalciteCluster:
                 plan = self._plan_select(statement)
             except FaultError as exc:
                 # EXPLAIN ANALYZE executes, so injected faults surface here.
-                return QueryOutcome(QueryStatus.FAILED_SITE, error=exc)
+                return _failed(QueryStatus.FAILED_SITE, exc)
             except ExecutionTimeoutError as exc:
-                return QueryOutcome(QueryStatus.TIMED_OUT, error=exc)
+                return _failed(QueryStatus.TIMED_OUT, exc)
             except UnsupportedSqlError as exc:
-                return QueryOutcome(QueryStatus.UNSUPPORTED, error=exc)
+                return _failed(QueryStatus.UNSUPPORTED, exc)
             except PlannerDefectError as exc:
-                return QueryOutcome(QueryStatus.PLANNER_DEFECT, error=exc)
+                return _failed(QueryStatus.PLANNER_DEFECT, exc)
             except PlanningTimeoutError as exc:
-                return QueryOutcome(QueryStatus.PLANNING_FAILED, error=exc)
+                return _failed(QueryStatus.PLANNING_FAILED, exc)
             except ReproError as exc:
                 # User errors (unknown tables/columns, syntax) — not one of the
                 # paper's systemic failure modes, but the harness should not
                 # crash on them either.
-                return QueryOutcome(QueryStatus.ERROR, error=exc)
+                return _failed(QueryStatus.ERROR, exc)
             try:
                 result = self.execute_plan(plan, at=at)
             except FaultError as exc:
                 self._harvest_partial()
-                return QueryOutcome(QueryStatus.FAILED_SITE, error=exc)
+                return _failed(QueryStatus.FAILED_SITE, exc)
             except ExecutionTimeoutError as exc:
                 self._harvest_partial()
-                return QueryOutcome(QueryStatus.TIMED_OUT, error=exc)
+                return _failed(QueryStatus.TIMED_OUT, exc)
             self._observe_adaptive(plan, result)
             if result.degraded:
                 return QueryOutcome(QueryStatus.DEGRADED, result=result)
             return QueryOutcome(QueryStatus.OK, result=result)
+
+
+def _failed(status: QueryStatus, exc: ReproError) -> QueryOutcome:
+    """A classified failure that holds on to nothing but the exception.
+
+    The traceback keeps every interpreter frame the exception crossed
+    alive, and each frame its locals — a timed-out IC Q21 pins its whole
+    nested-loop cross product that way for as long as the outcome lives.
+    """
+    traceback.clear_frames(exc.__traceback__)
+    return QueryOutcome(status, error=exc)
 
 
 def _empty_result(config: SystemConfig) -> ExecutionResult:

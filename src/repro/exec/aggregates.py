@@ -10,6 +10,11 @@ Supports the three execution phases of :class:`repro.exec.physical.AggPhase`:
 
 SQL NULL semantics: aggregate arguments that evaluate to ``None`` are
 skipped; SUM/MIN/MAX/AVG over no rows yield ``None``; COUNT yields 0.
+
+The row interpreter runs every phase through :func:`aggregate_kernel`, a
+generated loop over a flat slot list per group; :class:`AggAccumulator`
+is the definition those slots follow, and what the reference executor
+and the test oracles run.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
-from repro.rel.expr import compile_expr
+from repro.exec.physical import AggPhase
+from repro.rel.expr import KernelBuilder, compile_expr
 from repro.rel.logical import AggCall, AggFunc
 
 
@@ -138,3 +144,82 @@ class AggregateEvaluator:
 
     def results(self, accumulators: List[AggAccumulator]) -> Tuple:
         return tuple(a.result() for a in accumulators)
+
+
+def aggregate_kernel(
+    group_keys: Sequence[int], calls: Sequence[AggCall], phase: AggPhase, runs: bool
+) -> Callable[[List[Tuple]], List[Tuple]]:
+    """Generate ``rows -> output rows`` for one aggregate node.
+
+    Each group owns one flat slot list (COUNT one slot, SUM/AVG a float
+    sum from ``0.0`` plus a count, MIN/MAX one, DISTINCT a set of values
+    seen) updated in call order exactly as :class:`AggAccumulator` would,
+    so results are bit-identical.  ``runs`` groups consecutive equal keys
+    (sort aggregate) instead of hashing.
+    """
+    reduce, partial = phase is AggPhase.REDUCE, phase is AggPhase.MAP
+    builder = KernelBuilder()
+    init: List[str] = []
+    update: List[str] = []
+    final: List[str] = []
+    for position, call in enumerate(calls):
+        slot = f"s[{len(init)}]"
+        if reduce:
+            update.append(f"v = row[{len(group_keys) + position}]")
+        elif call.arg is not None:
+            update.append(f"v = {builder.render(call.arg)}")
+        guard = "v is not None"
+        if call.func is AggFunc.COUNT:
+            init.append("0")
+            step = [f"{slot} += v" if reduce else f"{slot} += 1"]
+            if reduce or call.arg is None:  # a partial count, COUNT(*)
+                guard = ""
+            final.append(slot)
+        elif call.func in (AggFunc.SUM, AggFunc.AVG):
+            count = f"s[{len(init) + 1}]"
+            init += ["0.0", "0"]
+            if reduce:
+                step = [f"{slot} += v[0]", f"{count} += v[1]"]
+            else:
+                step = [f"{slot} += v", f"{count} += 1"]
+            if partial:
+                final.append(f"({slot}, {count})")
+            else:
+                value = slot if call.func is AggFunc.SUM else f"{slot} / {count}"
+                final.append(f"({value} if {count} else None)")
+        else:
+            better = "<" if call.func is AggFunc.MIN else ">"
+            init.append("None")
+            guard += f" and ({slot} is None or v {better} {slot})"
+            step = [f"{slot} = v"]
+            final.append(slot)
+        if call.distinct:
+            if reduce or partial:
+                raise ExecutionError("distinct aggregates cannot be split")
+            seen = f"s[{len(init)}]"
+            init.append("set()")
+            guard += f" and v not in {seen}"
+            step.append(f"{seen}.add(v)")
+        update += [f"if {guard}:", *(f"    {line}" for line in step)] if guard else step
+    key = "".join(f"row[{k}], " for k in group_keys)
+    fresh = f"[{', '.join(init)}]"
+    if runs:
+        start = ["groups = []", "s = prev = None"]
+        lookup = [
+            "if s is None or k != prev:",
+            f"    prev, s = k, {fresh}",
+            "    groups.append((k, s))",
+        ]
+        empty, items = f"groups.append(((), {fresh}))", "groups"
+    else:
+        start = ["groups = {}", "get = groups.get"]
+        lookup = ["s = get(k)", "if s is None:", f"    s = groups[k] = {fresh}"]
+        empty, items = f"groups[()] = {fresh}", "groups.items()"
+    body = start + ["for row in rows:", f"    k = ({key})"]
+    body += [f"    {line}" for line in lookup + update]
+    if not group_keys and not partial:
+        # A scalar aggregate over an empty input still yields one row.
+        body += ["if not groups:", f"    {empty}"]
+    outputs = "".join(f"{value}, " for value in final)
+    body.append(f"return [k + ({outputs}) for k, s in {items}]")
+    return builder.function("aggregate", "rows", body)

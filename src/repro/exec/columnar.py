@@ -483,7 +483,7 @@ def _truthy(col: Column) -> np.ndarray:
 
 
 def _eval_on_subset(
-    expr: Expr, batch: ColumnBatch, indices: np.ndarray
+    expr: Expr, batch: ColumnBatch, indices: np.ndarray, test: bool = False
 ) -> Column:
     """Evaluate ``expr`` only on the given row subset.
 
@@ -498,7 +498,7 @@ def _eval_on_subset(
         [col if i in refs else None for i, col in enumerate(batch.columns)],
         indices,
     )
-    return eval_expr(expr, ColumnBatch(columns, int(len(indices))))
+    return eval_expr(expr, ColumnBatch(columns, int(len(indices))), test)
 
 
 def _can_raise(expr: Expr) -> bool:
@@ -517,11 +517,21 @@ def _numeric_values(col: Column) -> np.ndarray:
     raise _Fallback
 
 
-def _eval_binary(expr: BinaryOp, batch: ColumnBatch) -> Column:
+def _kleene(op: str, ltrue, lnull, rtrue, rnull) -> Column:
+    """Three-valued AND/OR: FALSE decides an AND and TRUE an OR even
+    beside a NULL; otherwise a NULL operand makes the result NULL."""
+    if op == "AND":
+        decided = ~(ltrue | lnull) | ~(rtrue | rnull)
+        return Column(ltrue & rtrue, (lnull | rnull) & ~decided)
+    decided = ltrue | rtrue
+    return Column(decided, (lnull | rnull) & ~decided)
+
+
+def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Column:
     op = expr.op
     n = batch.length
     if op in ("AND", "OR"):
-        left = _eval_vec(expr.left, batch)
+        left = _eval_vec(expr.left, batch, test)
         if left.kind != "b":
             raise _Fallback
         lnull = left.null_mask()
@@ -529,28 +539,28 @@ def _eval_binary(expr: BinaryOp, batch: ColumnBatch) -> Column:
         if not _can_raise(expr.right):
             # Division-free right side: evaluate eagerly on the whole
             # batch and combine with masks — short-circuit unobservable.
-            right = _eval_vec(expr.right, batch)
+            right = _eval_vec(expr.right, batch, test)
             if right.kind != "b":
                 raise _Fallback
             rnull = right.null_mask()
-            rtrue = right.values & ~rnull
-            if op == "AND":
-                return Column(ltrue & rtrue, lnull | (ltrue & rnull))
-            return Column(ltrue | rtrue, ~ltrue & rnull)
-        # The row path short-circuits: for AND the right side runs only
-        # where the left is truthy, for OR only where it is falsy/NULL.
-        sub = np.flatnonzero(ltrue if op == "AND" else ~ltrue)
-        out_vals = ltrue.copy()
-        out_null = lnull.copy() if op == "AND" else np.zeros(n, np.bool_)
+            return _kleene(op, ltrue, lnull, right.values & ~rnull, rnull)
+        # The row path short-circuits: the right side runs only where the
+        # left has not decided the result — and, where only truth is
+        # tested (NULL as good as FALSE), not behind a NULL left AND.
+        if op == "OR":
+            decided = ltrue
+        else:
+            decided = ~ltrue if test else ~(ltrue | lnull)
+        sub = np.flatnonzero(~decided)
+        rtrue = np.zeros(n, np.bool_)  # a skipped right side changes nothing
+        rnull = np.zeros(n, np.bool_)
         if sub.size:
-            right = _eval_on_subset(expr.right, batch, sub)
+            right = _eval_on_subset(expr.right, batch, sub, test)
             if right.kind != "b":
                 raise _Fallback
-            rnull = right.null_mask()
-            rtrue = right.values & ~rnull
-            out_vals[sub] = rtrue
-            out_null[sub] = rnull
-        return Column(out_vals, out_null)
+            rnull[sub] = right.null_mask()
+            rtrue[sub] = right.values & ~rnull[sub]
+        return _kleene(op, ltrue, lnull, rtrue, rnull)
 
     left = _eval_vec(expr.left, batch)
     right = _eval_vec(expr.right, batch)
@@ -717,23 +727,25 @@ def _eval_in_list(expr: InList, batch: ColumnBatch) -> Column:
     return Column(out)
 
 
-def _eval_case(expr: CaseExpr, batch: ColumnBatch) -> Column:
+def _eval_case(expr: CaseExpr, batch: ColumnBatch, test: bool = False) -> Column:
     n = batch.length
     remaining = np.arange(n)
     pieces: List[Tuple[np.ndarray, Column]] = []
     for cond, value in expr.whens:
         if remaining.size == 0:
             break
-        cond_col = _eval_on_subset(cond, batch, remaining)
+        cond_col = _eval_on_subset(cond, batch, remaining, True)
         hit = _truthy(cond_col)
         chosen = remaining[hit]
         if chosen.size:
             # The value expression runs only on the rows this branch
             # won — division in an unreached branch must not raise.
-            pieces.append((chosen, _eval_on_subset(value, batch, chosen)))
+            pieces.append((chosen, _eval_on_subset(value, batch, chosen, test)))
         remaining = remaining[~hit]
     if remaining.size:
-        pieces.append((remaining, _eval_on_subset(expr.default, batch, remaining)))
+        pieces.append(
+            (remaining, _eval_on_subset(expr.default, batch, remaining, test))
+        )
     if not pieces:
         return _object_column([])
     kinds = {col.kind for _, col in pieces}
@@ -753,13 +765,15 @@ def _eval_case(expr: CaseExpr, batch: ColumnBatch) -> Column:
     return column_from_values(out)
 
 
-def _eval_vec(expr: Expr, batch: ColumnBatch) -> Column:
+def _eval_vec(expr: Expr, batch: ColumnBatch, test: bool = False) -> Column:
+    """``test``: only the truth of the result is looked at (see
+    ``KernelBuilder.render``); it reaches AND/OR and CASE branches."""
     if isinstance(expr, ColRef):
         return batch.column(expr.index)
     if isinstance(expr, Literal):
         return _literal_column(expr.value, batch.length)
     if isinstance(expr, BinaryOp):
-        return _eval_binary(expr, batch)
+        return _eval_binary(expr, batch, test)
     if isinstance(expr, UnaryOp):
         operand = _eval_vec(expr.operand, batch)
         if expr.op == "NOT":
@@ -770,7 +784,7 @@ def _eval_vec(expr: Expr, batch: ColumnBatch) -> Column:
     if isinstance(expr, FuncCall):
         return _eval_func(expr, batch)
     if isinstance(expr, CaseExpr):
-        return _eval_case(expr, batch)
+        return _eval_case(expr, batch, test)
     if isinstance(expr, InList):
         return _eval_in_list(expr, batch)
     if isinstance(expr, LikeExpr):
@@ -782,16 +796,16 @@ def _eval_vec(expr: Expr, batch: ColumnBatch) -> Column:
     raise _Fallback
 
 
-def eval_expr(expr: Expr, batch: ColumnBatch) -> Column:
+def eval_expr(expr: Expr, batch: ColumnBatch, test: bool = False) -> Column:
     """Evaluate an expression over a batch, vectorized where possible.
 
     Unsupported shapes fall back to the compiled row evaluator over only
     the columns the expression references — same results, row speed.
     """
     try:
-        return _eval_vec(expr, batch)
+        return _eval_vec(expr, batch, test)
     except _Fallback:
-        fn = compile_expr(expr)
+        fn = compile_expr(expr, test)
         rows = batch.partial_rows(references(expr))
         return column_from_values([fn(row) for row in rows])
 
@@ -1176,7 +1190,7 @@ def _exec_receiver(
 
 def _exec_filter(node: PhysFilter, site: int, ctx: ExecContext) -> ColumnBatch:
     batch = _execute(node.input, site, ctx)
-    keep = _truthy(eval_expr(node.condition, batch))
+    keep = _truthy(eval_expr(node.condition, batch, True))
     out = batch.take(np.flatnonzero(keep))
     ctx.charge(node, site, batch.length * (RPTC + RCC))
     return out
@@ -1327,7 +1341,7 @@ def _exec_equi_join(node, site: int, ctx: ExecContext, is_hash: bool) -> ColumnB
         combined = _combined_batch(
             left, right, cand_left, cand_right, references(residual)
         )
-        passed = _truthy(eval_expr(residual, combined))
+        passed = _truthy(eval_expr(residual, combined, True))
         match_li, match_ri = cand_left[passed], cand_right[passed]
         match_counts = np.bincount(match_li, minlength=left.length)
         if join_type.projects_right:
@@ -1391,7 +1405,7 @@ def _exec_nested_loop_join(
             li = np.repeat(np.arange(start, stop, dtype=np.int64), n_right)
             ri = np.tile(base_ri, stop - start)
             combined = _combined_batch(left, right, li, ri, refs)
-            passed = _truthy(eval_expr(condition, combined))
+            passed = _truthy(eval_expr(condition, combined, True))
             li_parts.append(li[passed])
             ri_parts.append(ri[passed])
             match_counts[start:stop] = np.bincount(

@@ -11,7 +11,9 @@ instead of grinding.
 
 from __future__ import annotations
 
-import heapq
+import math
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.constants import (
@@ -24,8 +26,8 @@ from repro.common.constants import (
     RPTC,
 )
 from repro.common.errors import ExecutionError, ExecutionTimeoutError
-from repro.common.ordering import NullsLast, ordering_key
-from repro.exec.aggregates import AggregateEvaluator
+from repro.common.ordering import orderable, ordering_key, sort_rows
+from repro.exec.aggregates import aggregate_kernel
 from repro.exec.fragments import PhysReceiver
 from repro.exec.physical import (
     AggPhase,
@@ -45,7 +47,7 @@ from repro.exec.physical import (
     PhysValues,
 )
 from repro.obs.metrics import get_registry
-from repro.rel.expr import compile_expr
+from repro.rel.expr import KernelBuilder
 from repro.rel.logical import JoinType
 from repro.storage.adapters import compile_pushdown, scan_charge
 from repro.storage.store import DataStore
@@ -266,52 +268,36 @@ def _exec_table_scan(node: PhysTableScan, site: int, ctx: ExecContext) -> Rows:
 def _exec_index_scan(node: PhysIndexScan, site: int, ctx: ExecContext) -> Rows:
     data = ctx.store.table(node.table)
     indexes = data.index(node.index_name)
-    key_positions = indexes[0].key_positions if indexes else ()
-
-    def sort_key(row: Row):
-        return ordering_key(row, key_positions)
-
+    partitions = ctx.partitions_for(data, site)
     if node.is_range_scan:
         streams = [
             indexes[partition].range_scan(
                 node.low, node.high, node.low_inclusive, node.high_inclusive
             )
-            for partition in ctx.partitions_for(data, site)
+            for partition in partitions
         ]
     else:
-        streams = [
-            indexes[partition].scan()
-            for partition in ctx.partitions_for(data, site)
-        ]
-    if len(streams) == 1:
-        rows = list(streams[0])
-    else:
-        rows = list(heapq.merge(*streams, key=sort_key))
+        streams = [indexes[partition].scan() for partition in partitions]
+    rows = _merge_sorted(
+        streams, [(k, True) for k in indexes[0].key_positions] if indexes else ()
+    )
     ctx.charge(node, site, len(rows) * RPTC * 1.1)
     return rows
 
 
+def _merge_sorted(streams: Sequence[Rows], keys: Sequence[Tuple[int, bool]]) -> Rows:
+    """Merge streams that are each sorted by ``keys``.  A stable sort of
+    their concatenation is the k-way merge (ties keep stream order), and
+    Timsort finds the sorted runs itself."""
+    if len(streams) == 1:
+        return list(streams[0])
+    return sort_rows(chain.from_iterable(streams), keys)
+
+
 def _exec_receiver(node: PhysReceiver, site: int, ctx: ExecContext) -> Rows:
     streams = ctx.inbound.get((node.exchange_id, site), [])
-    if node.collation.is_sorted and len(streams) > 1:
-        keys = node.collation.keys
-        if all(asc for _, asc in keys):
-            positions = tuple(k for k, _ in keys)
-            rows = list(
-                heapq.merge(
-                    *streams,
-                    key=lambda row: ordering_key(row, positions),
-                )
-            )
-        else:
-            # Descending keys have no natural heapq ordering for arbitrary
-            # types; the streams are already sorted, so a stable multi-key
-            # re-sort restores the global order.
-            rows = sort_rows(
-                [row for stream in streams for row in stream], keys
-            )
-    else:
-        rows = [row for stream in streams for row in stream]
+    keys = node.collation.keys if node.collation.is_sorted else ()
+    rows = _merge_sorted(streams, keys)
     ctx.record_input(node, site, sum(len(s) for s in streams))
     ctx.note_memory(site, len(rows) * node.width * AFS)
     ctx.charge(node, site, len(rows) * RPTC)
@@ -319,22 +305,36 @@ def _exec_receiver(node: PhysReceiver, site: int, ctx: ExecContext) -> Rows:
 
 
 # -- row-at-a-time operators ------------------------------------------------------
+#
+# Each handler runs one kernel generated from its node's expressions
+# (``KernelBuilder``) and cached on the node: the loop and the expressions
+# in it are one piece of Python source, with no call per row.
+
+
+def _filter_kernel(node: PhysFilter) -> Callable[[Rows], Rows]:
+    builder = KernelBuilder()
+    test = builder.render(node.condition, test=True)
+    body = [f"return [row for row in rows if {test}]"]
+    return builder.function("filter", "rows", body)
 
 
 def _exec_filter(node: PhysFilter, site: int, ctx: ExecContext) -> Rows:
     rows = execute_node(node.input, site, ctx)
-    predicate = _compiled(node, "_predicate", lambda: compile_expr(node.condition))
-    out = [row for row in rows if predicate(row)]
+    out = _compiled(node, "_kernel", lambda: _filter_kernel(node))(rows)
     ctx.charge(node, site, len(rows) * (RPTC + RCC))
     return out
 
 
+def _project_kernel(node: PhysProject) -> Callable[[Rows], Rows]:
+    builder = KernelBuilder()
+    items = "".join(f"{builder.render(expr)}, " for expr in node.exprs)
+    body = [f"return [({items}) for row in rows]"]
+    return builder.function("project", "rows", body)
+
+
 def _exec_project(node: PhysProject, site: int, ctx: ExecContext) -> Rows:
     rows = execute_node(node.input, site, ctx)
-    fns = _compiled(
-        node, "_fns", lambda: [compile_expr(e) for e in node.exprs]
-    )
-    out = [tuple(fn(row) for fn in fns) for row in rows]
+    out = _compiled(node, "_kernel", lambda: _project_kernel(node))(rows)
     ctx.charge(node, site, len(rows) * RPTC)
     return out
 
@@ -347,6 +347,45 @@ def _exec_values(node: PhysValues, site: int, ctx: ExecContext) -> Rows:
 # -- joins ------------------------------------------------------------------------
 
 
+def _join_kernel(
+    node, name: str, params: str, condition, head: Sequence[str], candidates: str
+) -> Callable:
+    """Generate one join loop, specialised to the node's join type.
+
+    ``head`` are the source lines up to and including the ``for l in
+    ...:`` over left rows plus whatever finds ``candidates`` (the right
+    rows ``l`` may match); the condition is tested on ``(l, r)`` without
+    building ``l + r`` for a failing pair.  The kernel returns the output
+    rows and how many candidates were tested (hash join bills them).
+    """
+    width = node.left.width
+    builder = KernelBuilder(lambda i: f"l[{i}]" if i < width else f"r[{i - width}]")
+    test = None if condition is None else builder.render(condition, test=True)
+    join_type = node.join_type
+    if join_type.projects_right:
+        where = "" if test is None else f" if {test}"
+        body = [
+            f"tested += len({candidates})",
+            f"m = [l + r for r in {candidates}{where}]",
+        ]
+        if join_type is JoinType.INNER:
+            body.append("out += m")
+        else:
+            pad = builder.bind((None,) * node.right.width)
+            body += ["if m:", "    out += m", "else:", f"    out.append(l + {pad})"]
+    elif test is None:
+        keep = candidates if join_type is JoinType.SEMI else f"not {candidates}"
+        body = [f"if {keep}:", "    out.append(l)"]
+    else:
+        body = [f"for r in {candidates}:", "    tested += 1", f"    if {test}:"]
+        if join_type is JoinType.SEMI:  # emit on the first match
+            body += ["        out.append(l)", "        break"]
+        else:  # ANTI: emit when the loop finds none
+            body += ["        break", "else:", "    out.append(l)"]
+    lines = ["out = []", "tested = 0", *head, *(f"    {line}" for line in body)]
+    return builder.function(name, params, lines + ["return out, tested"])
+
+
 def _exec_nested_loop_join(
     node: PhysNestedLoopJoin, site: int, ctx: ExecContext
 ) -> Rows:
@@ -356,189 +395,111 @@ def _exec_nested_loop_join(
     # Pre-check: a hopeless nested-loop plan must abort without grinding
     # through the cross product (the paper's four-hour timeout analogue).
     ctx.precheck(node, site, pairs * RCC)
-    condition = node.condition
-    predicate = (
-        _compiled(node, "_predicate", lambda: compile_expr(condition))
-        if condition is not None
-        else None
+    kernel = _compiled(
+        node,
+        "_kernel",
+        lambda: _join_kernel(
+            node, "nested_loop_join", "left, right", node.condition,
+            ["for l in left:"], "right",
+        ),
     )
-    out: Rows = []
-    join_type = node.join_type
-    pad = (None,) * node.right.width
-    for left_row in left:
-        matched = False
-        for right_row in right:
-            combined = left_row + right_row
-            if predicate is None or predicate(combined):
-                matched = True
-                if join_type is JoinType.INNER or join_type is JoinType.LEFT:
-                    out.append(combined)
-                elif join_type is JoinType.SEMI:
-                    break
-                else:  # ANTI: one match disqualifies the left row
-                    break
-        if join_type is JoinType.SEMI and matched:
-            out.append(left_row)
-        elif join_type is JoinType.ANTI and not matched:
-            out.append(left_row)
-        elif join_type is JoinType.LEFT and not matched:
-            out.append(left_row + pad)
+    out, _ = kernel(left, right)
     ctx.charge(
         node, site, pairs * RCC + (len(left) + len(right) + len(out)) * RPTC
     )
     return out
 
 
-def _exec_hash_join(node: PhysHashJoin, site: int, ctx: ExecContext) -> Rows:
-    left = execute_node(node.left, site, ctx)
-    right = execute_node(node.right, site, ctx)
-    left_keys = tuple(lk for lk, _ in node.pairs)
-    right_keys = tuple(rk for _, rk in node.pairs)
-    residual = node.residual
-    residual_fn = (
-        _compiled(node, "_residual", lambda: compile_expr(residual))
-        if residual is not None
-        else None
-    )
+def _key_source(row: str, positions: Sequence[int]) -> str:
+    if len(positions) == 1:
+        return f"{row}[{positions[0]}]"
+    return "(" + "".join(f"{row}[{p}], " for p in positions) + ")"
+
+
+def _hash_join_kernel(node: PhysHashJoin) -> Callable:
+    left_keys = [lk for lk, _ in node.pairs]
+    right_keys = [rk for _, rk in node.pairs]
     # Build phase on the right input (Section 5.1.2).  NULL join keys are
     # never inserted: SQL ``NULL = NULL`` is not true, so a None key can
     # match nothing — probes with a None component miss the table outright.
-    table: Dict[Tuple, Rows] = {}
-    if len(right_keys) == 1:
-        rk = right_keys[0]
-        for row in right:
-            key = row[rk]
-            if key is not None:
-                table.setdefault(key, []).append(row)
+    null_free = "k is not None" if len(right_keys) == 1 else "None not in k"
+    head = [
+        "table = {}",
+        "for r in right:",
+        f"    k = {_key_source('r', right_keys)}",
+        f"    if {null_free}:",
+        "        if k in table:",
+        "            table[k].append(r)",
+        "        else:",
+        "            table[k] = [r]",
+        "get = table.get",
+        "for l in left:",
+        f"    bucket = get({_key_source('l', left_keys)}, ())",
+    ]
+    return _join_kernel(node, "hash_join", "left, right", node.residual, head, "bucket")
 
-        def probe_key(row: Row, lk=left_keys[0]):
-            return row[lk]
 
-    else:
-        for row in right:
-            key = tuple(row[k] for k in right_keys)
-            if None not in key:
-                table.setdefault(key, []).append(row)
-
-        def probe_key(row: Row, lks=left_keys):
-            return tuple(row[k] for k in lks)
-
+def _exec_hash_join(node: PhysHashJoin, site: int, ctx: ExecContext) -> Rows:
+    left = execute_node(node.left, site, ctx)
+    right = execute_node(node.right, site, ctx)
+    kernel = _compiled(node, "_kernel", lambda: _hash_join_kernel(node))
     ctx.note_memory(site, len(right) * node.right.width * AFS)
-    out: Rows = []
-    join_type = node.join_type
-    pad = (None,) * node.right.width
-    matches_scanned = 0
-    for left_row in left:
-        bucket = table.get(probe_key(left_row))
-        matched = False
-        if bucket:
-            if residual_fn is None:
-                matched = True
-                if join_type.projects_right:
-                    for right_row in bucket:
-                        out.append(left_row + right_row)
-                    matches_scanned += len(bucket)
-            else:
-                for right_row in bucket:
-                    combined = left_row + right_row
-                    matches_scanned += 1
-                    if residual_fn(combined):
-                        matched = True
-                        if join_type.projects_right:
-                            out.append(combined)
-                        else:
-                            break
-        if join_type is JoinType.SEMI and matched:
-            out.append(left_row)
-        elif join_type is JoinType.ANTI and not matched:
-            out.append(left_row)
-        elif join_type is JoinType.LEFT and not matched:
-            out.append(left_row + pad)
+    out, matches_scanned = kernel(left, right)
     units = (len(left) + len(right)) * (RCC + RPTC + HAC)
     units += matches_scanned * RCC + len(out) * RPTC
     ctx.charge(node, site, units)
     return out
 
 
+def _merge_join_kernel(node: PhysMergeJoin) -> Callable:
+    # ``lkeys``/``rkeys`` are the two sorted key columns; consecutive
+    # left rows with one key share the block of right rows carrying it.
+    head = [
+        "j, n = 0, len(right)",
+        "block = prev = None",
+        "for l, key, null in zip(left, lkeys, nulls):",
+        "    if block is None or key != prev:",
+        "        prev = key",
+        "        while j < n and rkeys[j] < key:",
+        "            j += 1",
+        "        end = j",
+        "        while end < n and rkeys[end] == key:",
+        "            end += 1",
+        # SQL NULL = NULL is not true: a NULL-keyed left row matches no
+        # right block (and NULL-keyed right rows match nothing).
+        "        block = () if null else right[j:end]",
+    ]
+    params = "left, right, lkeys, rkeys, nulls"
+    return _join_kernel(node, "merge_join", params, node.residual, head, "block")
+
+
 def _exec_merge_join(node: PhysMergeJoin, site: int, ctx: ExecContext) -> Rows:
     left = execute_node(node.left, site, ctx)
     right = execute_node(node.right, site, ctx)
-    left_keys = tuple(lk for lk, _ in node.pairs)
-    right_keys = tuple(rk for _, rk in node.pairs)
-    residual = node.residual
-    residual_fn = (
-        _compiled(node, "_residual", lambda: compile_expr(residual))
-        if residual is not None
-        else None
-    )
-
-    def lkey(row: Row):
-        return tuple(row[k] for k in left_keys)
-
-    # Ordered comparisons go through the engine's total order (NULLS
-    # LAST, mixed-type safe) so a None key can't raise TypeError.
-    def rkey(row: Row):
-        return ordering_key(row, right_keys)
-
-    out: Rows = []
-    join_type = node.join_type
-    pad = (None,) * node.right.width
-    i = j = 0
-    n_left, n_right = len(left), len(right)
-    while i < n_left:
-        raw = lkey(left[i])
-        key = tuple(NullsLast(v) for v in raw)
-        while j < n_right and rkey(right[j]) < key:
-            j += 1
-        if None in raw:
-            # SQL NULL = NULL is not true: a NULL-keyed left row matches
-            # no right block (and NULL-keyed right rows match nothing).
-            block_start = block_end = j
-        else:
-            block_start = j
-            block_end = j
-            while block_end < n_right and rkey(right[block_end]) == key:
-                block_end += 1
-        # Process every left row sharing this key against the block.
-        while i < n_left and lkey(left[i]) == raw:
-            left_row = left[i]
-            matched = False
-            for bi in range(block_start, block_end):
-                combined = left_row + right[bi]
-                if residual_fn is None or residual_fn(combined):
-                    matched = True
-                    if join_type.projects_right:
-                        out.append(combined)
-                    else:
-                        break
-            if join_type is JoinType.SEMI and matched:
-                out.append(left_row)
-            elif join_type is JoinType.ANTI and not matched:
-                out.append(left_row)
-            elif join_type is JoinType.LEFT and not matched:
-                out.append(left_row + pad)
-            i += 1
-    units = (n_left + n_right) * (RCC + RPTC + HAC) + len(out) * RPTC
+    left_keys = [lk for lk, _ in node.pairs]
+    right_keys = [rk for _, rk in node.pairs]
+    lkeys = list(map(itemgetter(*left_keys), left))
+    if all(
+        orderable(map(itemgetter(lk), left), map(itemgetter(rk), right))
+        for lk, rk in node.pairs
+    ):
+        rkeys = list(map(itemgetter(*right_keys), right))
+        nulls = repeat(False)
+    else:
+        # Ordered comparisons go through the engine's total order (NULLS
+        # LAST, mixed-type safe) so a None key can't raise TypeError.
+        single = len(left_keys) == 1
+        nulls = [key is None if single else None in key for key in lkeys]
+        lkeys = [ordering_key(row, left_keys) for row in left]
+        rkeys = [ordering_key(row, right_keys) for row in right]
+    kernel = _compiled(node, "_kernel", lambda: _merge_join_kernel(node))
+    out, _ = kernel(left, right, lkeys, rkeys, nulls)
+    units = (len(left) + len(right)) * (RCC + RPTC + HAC) + len(out) * RPTC
     ctx.charge(node, site, units)
     return out
 
 
 # -- sort / limit ---------------------------------------------------------------------
-
-
-def sort_rows(rows: Rows, keys: Sequence[Tuple[int, bool]]) -> Rows:
-    """Stable multi-key sort supporting mixed ASC/DESC on any type.
-
-    Keys compare through the engine's total order: NULLs sort last under
-    ASC (first under DESC) and mixed-type keys cannot raise TypeError.
-    """
-    result = list(rows)
-    for index, ascending in reversed(list(keys)):
-        result.sort(
-            key=lambda row, i=index: NullsLast(row[i]),
-            reverse=not ascending,
-        )
-    return result
 
 
 def apply_offset_fetch(
@@ -563,8 +524,6 @@ def _exec_sort(node: PhysSort, site: int, ctx: ExecContext) -> Rows:
     out = sort_rows(rows, node.keys)
     if node.fetch is not None or node.offset is not None:
         out, _ = apply_offset_fetch(out, node.offset, node.fetch)
-    import math
-
     n = len(rows)
     ctx.charge(node, site, n * RPTC + n * math.log2(n + 2) * RCC)
     return out
@@ -583,75 +542,22 @@ def _exec_limit(node: PhysLimit, site: int, ctx: ExecContext) -> Rows:
 # -- aggregates ----------------------------------------------------------------------
 
 
-def hash_aggregate_rows(node: PhysHashAggregate, rows: Rows) -> Rows:
-    """The hash aggregate's pure row-space evaluation (shared with the
-    columnar backend's fallback path for REDUCE and DISTINCT calls)."""
-    evaluator: AggregateEvaluator = _compiled(
-        node, "_evaluator", lambda: AggregateEvaluator(node.agg_calls)
+def _aggregate_kernel(node: PhysAggregateBase, runs: bool) -> Callable[[Rows], Rows]:
+    """``runs`` groups consecutive equal keys (sort aggregate), not hashes."""
+    return _compiled(
+        node,
+        "_kernel",
+        lambda: aggregate_kernel(node.group_keys, node.agg_calls, node.phase, runs),
     )
-    keys = node.group_keys
-    groups: Dict[Tuple, list] = {}
-    phase = node.phase
-    if phase is AggPhase.REDUCE:
-        offset = len(keys)
-        for row in rows:
-            group_key = tuple(row[k] for k in keys)
-            accumulators = groups.get(group_key)
-            if accumulators is None:
-                accumulators = evaluator.new_group()
-                groups[group_key] = accumulators
-            evaluator.merge_row(accumulators, row, offset)
-    else:
-        for row in rows:
-            group_key = tuple(row[k] for k in keys)
-            accumulators = groups.get(group_key)
-            if accumulators is None:
-                accumulators = evaluator.new_group()
-                groups[group_key] = accumulators
-            evaluator.accumulate(accumulators, row)
-    if not keys and not groups and phase is not AggPhase.MAP:
-        # Scalar aggregate over an empty input still yields one row.
-        groups[()] = evaluator.new_group()
-    finalize = evaluator.partials if phase is AggPhase.MAP else evaluator.results
-    return [group_key + finalize(acc) for group_key, acc in groups.items()]
 
 
 def _exec_hash_aggregate(
     node: PhysHashAggregate, site: int, ctx: ExecContext
 ) -> Rows:
     rows = execute_node(node.input, site, ctx)
-    out = hash_aggregate_rows(node, rows)
+    out = _aggregate_kernel(node, runs=False)(rows)
     ctx.note_memory(site, len(out) * node.width * AFS)
     ctx.charge(node, site, len(rows) * (RPTC + HAC) + len(out) * RPTC)
-    return out
-
-
-def sort_aggregate_rows(node: PhysSortAggregate, rows: Rows) -> Rows:
-    """The sort aggregate's pure row-space evaluation (shared with the
-    columnar backend's fallback path for DISTINCT calls)."""
-    evaluator: AggregateEvaluator = _compiled(
-        node, "_evaluator", lambda: AggregateEvaluator(node.agg_calls)
-    )
-    keys = node.group_keys
-    phase = node.phase
-    if phase is AggPhase.REDUCE:
-        raise ExecutionError("sort aggregate does not implement REDUCE")
-    out: Rows = []
-    current_key: Optional[Tuple] = None
-    accumulators = None
-    finalize = evaluator.partials if phase is AggPhase.MAP else evaluator.results
-    for row in rows:
-        group_key = tuple(row[k] for k in keys)
-        if group_key != current_key:
-            if accumulators is not None:
-                out.append(current_key + finalize(accumulators))
-            current_key = group_key
-            accumulators = evaluator.new_group()
-        evaluator.accumulate(accumulators, row)
-    if accumulators is not None:
-        out.append(current_key + finalize(accumulators))
-    elif not keys and phase is not AggPhase.MAP:
-        out.append(finalize(evaluator.new_group()))
     return out
 
 
@@ -659,7 +565,9 @@ def _exec_sort_aggregate(
     node: PhysSortAggregate, site: int, ctx: ExecContext
 ) -> Rows:
     rows = execute_node(node.input, site, ctx)
-    out = sort_aggregate_rows(node, rows)
+    if node.phase is AggPhase.REDUCE:
+        raise ExecutionError("sort aggregate does not implement REDUCE")
+    out = _aggregate_kernel(node, runs=True)(rows)
     ctx.charge(node, site, len(rows) * (RPTC + RCC) + len(out) * RPTC)
     return out
 

@@ -14,8 +14,7 @@ and the common-conjunct factoring of Section 5.2.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import linecache
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ValidationError
@@ -90,36 +89,11 @@ class Literal(Expr):
         return repr(self.value)
 
 
-def _null_safe(fn: Callable) -> Callable:
-    """SQL semantics: any comparison/arithmetic with NULL yields NULL."""
-
-    def wrapped(a, b):
-        if a is None or b is None:
-            return None
-        return fn(a, b)
-
-    return wrapped
-
-
-#: Binary operators with their (null-propagating) evaluation functions.
-_BINARY_OPS: Dict[str, Callable] = {
-    "=": _null_safe(lambda a, b: a == b),
-    "<>": _null_safe(lambda a, b: a != b),
-    "<": _null_safe(lambda a, b: a < b),
-    "<=": _null_safe(lambda a, b: a <= b),
-    ">": _null_safe(lambda a, b: a > b),
-    ">=": _null_safe(lambda a, b: a >= b),
-    "+": _null_safe(lambda a, b: a + b),
-    "-": _null_safe(lambda a, b: a - b),
-    "*": _null_safe(lambda a, b: a * b),
-    "/": _null_safe(lambda a, b: a / b),
-    # Approximate three-valued logic: Python's short-circuit operators
-    # treat None as false, which matches WHERE-clause filtering.
-    "AND": lambda a, b: a and b,
-    "OR": lambda a, b: a or b,
-}
-
 COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
+
+#: Every binary operator: comparisons and arithmetic propagate NULL
+#: (``KernelBuilder._strict``), AND/OR are three-valued.
+_BINARY_OPS = COMPARISONS | {"+", "-", "*", "/", "AND", "OR"}
 
 #: Mirror image of each comparison, for normalising ``lit op col``.
 MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -363,81 +337,167 @@ def _compile_like(pattern: str) -> Callable[[str], bool]:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to Python callables
+# Compilation to Python source
 # ---------------------------------------------------------------------------
 
+_PYTHON_OPS = {"=": "==", "<>": "!="}
 
-def compile_expr(expr: Expr) -> Callable[[Tuple], object]:
-    """Compile an expression tree into a fast ``row -> value`` callable."""
-    if isinstance(expr, ColRef):
-        index = expr.index
-        return lambda row: row[index]
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, BinaryOp):
-        left = compile_expr(expr.left)
-        right = compile_expr(expr.right)
-        if expr.op == "AND":
-            return lambda row: left(row) and right(row)
-        if expr.op == "OR":
-            return lambda row: left(row) or right(row)
-        fn = _BINARY_OPS[expr.op]
-        return lambda row: fn(left(row), right(row))
-    if isinstance(expr, UnaryOp):
-        operand = compile_expr(expr.operand)
-        if expr.op == "NOT":
-            return lambda row: None if (v := operand(row)) is None else not v
-        return lambda row: None if (v := operand(row)) is None else -v
-    if isinstance(expr, FuncCall):
-        fn = SCALAR_FUNCTIONS[expr.name]
-        args = [compile_expr(a) for a in expr.args]
-        if expr.name == "COALESCE":
-            return lambda row: fn(*[a(row) for a in args])
-        if len(args) == 1:
-            arg0 = args[0]
-            return lambda row: None if (v := arg0(row)) is None else fn(v)
 
-        def call(row):
-            values = [a(row) for a in args]
-            if any(v is None for v in values):
-                return None
-            return fn(*values)
+def _can_raise(expr: Expr) -> bool:
+    """Whether evaluating ``expr`` can raise: it holds an arithmetic,
+    comparison, function or LIKE node (type errors, division by zero)."""
+    if isinstance(expr, (ColRef, Literal)):
+        return False
+    logical = getattr(expr, "op", None) in ("AND", "OR", "NOT")
+    if logical or isinstance(expr, (IsNull, InList, CaseExpr)):
+        return any(_can_raise(child) for child in expr.children())
+    return True
 
-        return call
-    if isinstance(expr, CaseExpr):
-        whens = [(compile_expr(c), compile_expr(v)) for c, v in expr.whens]
-        default = compile_expr(expr.default)
 
-        def case(row):
-            for cond, value in whens:
-                if cond(row):
-                    return value(row)
-            return default(row)
+class KernelBuilder:
+    """Turns expression trees into Python source and source into functions.
 
-        return case
-    if isinstance(expr, InList):
-        operand = compile_expr(expr.operand)
-        values = expr.values
-        if expr.negated:
-            return lambda row: operand(row) not in values
-        return lambda row: operand(row) in values
-    if isinstance(expr, LikeExpr):
-        operand = compile_expr(expr.operand)
-        matcher = expr._matcher
-        if expr.negated:
-            return lambda row: (
-                None if (v := operand(row)) is None else not matcher(v)
+    One builder makes one function.  ``render`` gives the source of one
+    expression with SQL NULL propagation written out; a column reference
+    is whatever ``ref(index)`` says (``row[i]`` by default, ``l[i]`` /
+    ``r[i - width]`` for a join condition over two rows).  Only ``None``,
+    ``True`` and ``False`` appear as literals in the source; every other
+    constant, and every helper function, is bound by name in
+    ``namespace``, which becomes the function's globals.
+    """
+
+    def __init__(self, ref: Callable[[int], str] = "row[{}]".format):
+        self.ref = ref
+        self.namespace: Dict[str, object] = {}
+        self._temps = 0
+
+    def bind(self, value: object) -> str:
+        name = f"_k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def _temp(self) -> str:
+        self._temps += 1
+        return f"_t{self._temps}"
+
+    def _strict(self, operands: Sequence[Expr], apply: str) -> str:
+        """``apply.format(*operands)``, or NULL when an operand is NULL.
+
+        Each operand is evaluated once, left to right.  The NULL tests
+        short-circuit unless a later operand can raise; then they are
+        joined with ``|`` so it still runs (and raises) behind a NULL.
+        """
+        names: List[str] = []
+        checks: List[str] = []
+        for operand in operands:
+            code = self.render(operand)
+            if not isinstance(operand, (ColRef, Literal)):
+                code, value = self._temp(), code
+                checks.append(f"({code} := {value}) is None")
+            elif not isinstance(operand, Literal) or operand.value is None:
+                checks.append(f"{code} is None")
+            names.append(code)
+        value = apply.format(*names)
+        if not checks:
+            return f"({value})"
+        if any(_can_raise(operand) for operand in operands[1:]):
+            nulls = " | ".join(f"({check})" for check in checks)
+        else:
+            nulls = " or ".join(checks)
+        return f"(None if {nulls} else {value})"
+
+    def render(self, expr: Expr, test: bool = False) -> str:
+        """Python source for ``expr``.
+
+        ``test`` says only the truth of the value will be looked at (a
+        filter or join condition), where NULL and FALSE are the same:
+        AND/OR stay Python's short-circuit operators there, and are
+        three-valued (Kleene) wherever the value itself can be seen.
+        """
+        if isinstance(expr, ColRef):
+            return self.ref(expr.index)
+        if isinstance(expr, Literal):
+            value = expr.value
+            inline = value is None or type(value) is bool
+            return repr(value) if inline else self.bind(value)
+        if isinstance(expr, BinaryOp):
+            op = expr.op
+            if op in ("AND", "OR"):
+                return self._logical(expr, test)
+            if op == "=" and test:
+                # Equal to a non-NULL means non-NULL: x == y, and unless
+                # one is a non-NULL literal, y is not None (one chain,
+                # so each is evaluated once).
+                known = any(
+                    isinstance(side, Literal) and side.value is not None
+                    for side in expr.children()
+                )
+                chain = f"{self.render(expr.left)} == {self.render(expr.right)}"
+                return f"({chain})" if known else f"({chain} is not None)"
+            python_op = _PYTHON_OPS.get(op, op)
+            return self._strict(expr.children(), f"{{}} {python_op} {{}}")
+        if isinstance(expr, UnaryOp):
+            return self._strict([expr.operand], "not {}" if expr.op == "NOT" else "-{}")
+        if isinstance(expr, FuncCall):
+            fn = self.bind(SCALAR_FUNCTIONS[expr.name])
+            if expr.name == "COALESCE":
+                return f"{fn}({', '.join(map(self.render, expr.args))})"
+            slots = ", ".join(["{}"] * len(expr.args))
+            return self._strict(expr.args, f"{fn}({slots})")
+        if isinstance(expr, CaseExpr):
+            code = self.render(expr.default, test)
+            for cond, value in reversed(expr.whens):
+                hit = self.render(value, test)
+                code = f"({hit} if {self.render(cond, True)} else {code})"
+            return code
+        if isinstance(expr, InList):
+            op = "not in" if expr.negated else "in"
+            return f"({self.render(expr.operand)} {op} {self.bind(expr.values)})"
+        if isinstance(expr, LikeExpr):
+            matcher = self.bind(expr._matcher)
+            call = f"not {matcher}({{}})" if expr.negated else f"{matcher}({{}})"
+            return self._strict([expr.operand], call)
+        if isinstance(expr, IsNull):
+            op = "is not" if expr.negated else "is"
+            if isinstance(expr.operand, Literal):  # "5 is None" is a SyntaxWarning
+                return repr((expr.operand.value is None) is not expr.negated)
+            return f"({self.render(expr.operand)} {op} None)"
+        raise ValidationError(f"cannot compile expression {expr!r}")
+
+    def _logical(self, expr: BinaryOp, test: bool) -> str:
+        left, right = self.render(expr.left, test), self.render(expr.right, test)
+        if test:
+            return f"({left} {expr.op.lower()} {right})"
+        a, b = self._temp(), self._temp()
+        if expr.op == "AND":  # FALSE wins, then NULL
+            return (
+                f"({a} if ({a} := {left}) is not None and not {a} else "
+                f"{b} if (({b} := {right}) is not None and not {b}) or {a} else None)"
             )
-        return lambda row: (
-            None if (v := operand(row)) is None else matcher(v)
+        return (  # TRUE wins, then NULL
+            f"({a} if ({a} := {left}) else "
+            f"{b} if ({b} := {right}) or {a} is not None else None)"
         )
-    if isinstance(expr, IsNull):
-        operand = compile_expr(expr.operand)
-        if expr.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
-    raise ValidationError(f"cannot compile expression {expr!r}")
+
+    def function(self, name: str, params: str, body: Sequence[str]) -> Callable:
+        """Compile ``def name(params): body``.  The source stays on the
+        function (``__source__``) and in ``linecache`` under a filename
+        derived from it, so a traceback through the kernel shows its line."""
+        source = f"def {name}({params}):\n"
+        source += "".join(f"    {line}\n" for line in body)
+        filename = f"<kernel {name} {hash(source) & 0xFFFFFFFFFFFFFFFF:016x}>"
+        lines = source.splitlines(True)
+        linecache.cache[filename] = (len(source), None, lines, filename)
+        exec(compile(source, filename, "exec"), self.namespace)
+        function = self.namespace.pop(name)  # no globals -> function cycle
+        function.__source__ = source
+        return function
+
+
+def compile_expr(expr: Expr, test: bool = False) -> Callable[[Tuple], object]:
+    """Compile an expression tree into a ``row -> value`` callable."""
+    builder = KernelBuilder()
+    return builder.function("expr", "row", [f"return {builder.render(expr, test)}"])
 
 
 # ---------------------------------------------------------------------------

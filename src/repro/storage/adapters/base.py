@@ -185,7 +185,7 @@ def compile_pushdown(node) -> Optional[PushedScan]:
     pushed_fetch = getattr(node, "pushed_fetch", None)
     if pushed_filter is None and pushed_project is None and pushed_fetch is None:
         return None
-    filter_fn = compile_expr(pushed_filter) if pushed_filter is not None else None
+    filter_fn = compile_expr(pushed_filter, test=True) if pushed_filter is not None else None
     return PushedScan(
         filter_fn,
         sargable_bounds(pushed_filter),

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.catalog.schema import IndexDef, TableSchema
 from repro.catalog.statistics import TableStats, compute_table_stats
 from repro.common.errors import StorageError
-from repro.common.ordering import NullsLast, ordering_key
+from repro.common.ordering import NullsLast, sort_rows
 
 Row = Tuple
 
@@ -82,9 +82,7 @@ class PartitionIndex:
         first = self.key_positions[0]
         # Sorted through the engine's total order: NULL keys sort last and
         # mixed-type keys cannot raise TypeError at index-build time.
-        decorated = sorted(
-            rows, key=lambda r: ordering_key(r, self.key_positions)
-        )
+        decorated = sort_rows(rows, [(p, True) for p in self.key_positions])
         self.rows: List[Row] = decorated
         self._leading_keys = [NullsLast(row[first]) for row in decorated]
         # First slot whose leading key is NULL: bounded range scans stop

@@ -153,7 +153,7 @@ class ReferenceExecutor:
             return [tuple(row) for row in node.rows]
         if isinstance(node, LogicalFilter):
             rows = self._eval(node.input)
-            predicate = compile_expr(node.condition)
+            predicate = compile_expr(node.condition, test=True)
             return [row for row in rows if predicate(row)]
         if isinstance(node, LogicalProject):
             rows = self._eval(node.input)
@@ -183,7 +183,7 @@ class ReferenceExecutor:
         # engine-side Sort/Limit applies, which the oracle evaluates from
         # the full row set.
         if node.pushed_filter is not None:
-            predicate = compile_expr(node.pushed_filter)
+            predicate = compile_expr(node.pushed_filter, test=True)
             rows = [row for row in rows if predicate(row)]
         if node.pushed_project is not None:
             positions = node.pushed_project
@@ -227,7 +227,7 @@ class ReferenceExecutor:
         left_keys = tuple(lk for lk, _ in pairs)
         right_keys = tuple(rk for _, rk in pairs)
         residual = make_conjunction(residual_list)
-        residual_fn = compile_expr(residual) if residual is not None else None
+        residual_fn = compile_expr(residual, test=True) if residual is not None else None
         table: Dict[Tuple, Rows] = {}
         for row in right:
             key = tuple(row[k] for k in right_keys)
@@ -249,7 +249,7 @@ class ReferenceExecutor:
 
     def _loop_matches(self, left, right, condition):
         """Yield (left_row, matching right rows) via the nested loop."""
-        predicate = compile_expr(condition) if condition is not None else None
+        predicate = compile_expr(condition, test=True) if condition is not None else None
         for left_row in left:
             if predicate is None:
                 yield left_row, list(right)

@@ -367,3 +367,229 @@ def reference_expr_digest(expr) -> str:
         return e.with_children([fresh(c) for c in e.children()])
 
     return fresh(expr).digest()
+
+
+# ---------------------------------------------------------------------------
+# Expression oracle (PR 18)
+# ---------------------------------------------------------------------------
+#
+# ``repro.rel.expr`` compiles an expression to Python source.  This is the
+# closure tree it replaced — one lambda per node, walked per row — kept as
+# the oracle the generated code is compared against, value for value and
+# exception type for exception type.  It carries the same two evaluation
+# contexts: under ``test`` (a filter or join condition) AND/OR are Python's
+# short-circuit operators, everywhere else they are three-valued.
+
+
+def _null_safe(fn):
+    """SQL semantics: any comparison/arithmetic with NULL yields NULL
+    (both operands are evaluated first)."""
+
+    def wrapped(a, b):
+        if a is None or b is None:
+            return None
+        return fn(a, b)
+
+    return wrapped
+
+
+_REFERENCE_BINARY_OPS = {
+    "=": _null_safe(lambda a, b: a == b),
+    "<>": _null_safe(lambda a, b: a != b),
+    "<": _null_safe(lambda a, b: a < b),
+    "<=": _null_safe(lambda a, b: a <= b),
+    ">": _null_safe(lambda a, b: a > b),
+    ">=": _null_safe(lambda a, b: a >= b),
+    "+": _null_safe(lambda a, b: a + b),
+    "-": _null_safe(lambda a, b: a - b),
+    "*": _null_safe(lambda a, b: a * b),
+    "/": _null_safe(lambda a, b: a / b),
+}
+
+
+def _kleene_and(left, right):
+    def evaluate(row):
+        a = left(row)
+        if a is not None and not a:
+            return a  # FALSE decides
+        b = right(row)
+        if a:
+            return b
+        return b if b is not None and not b else None
+
+    return evaluate
+
+
+def _kleene_or(left, right):
+    def evaluate(row):
+        a = left(row)
+        if a:
+            return a  # TRUE decides
+        b = right(row)
+        if b or a is not None:
+            return b
+        return None
+
+    return evaluate
+
+
+def reference_compile_expr(expr, test: bool = False):
+    """Compile an expression tree into a ``row -> value`` closure tree."""
+    from repro.rel import expr as rex
+
+    compile_ = reference_compile_expr
+    if isinstance(expr, rex.ColRef):
+        index = expr.index
+        return lambda row: row[index]
+    if isinstance(expr, rex.Literal):
+        value = expr.value
+        return lambda row: value
+    if isinstance(expr, rex.BinaryOp):
+        if expr.op in ("AND", "OR"):
+            left = compile_(expr.left, test)
+            right = compile_(expr.right, test)
+            if not test:
+                return (_kleene_and if expr.op == "AND" else _kleene_or)(left, right)
+            if expr.op == "AND":
+                return lambda row: left(row) and right(row)
+            return lambda row: left(row) or right(row)
+        left = compile_(expr.left)
+        right = compile_(expr.right)
+        fn = _REFERENCE_BINARY_OPS[expr.op]
+        return lambda row: fn(left(row), right(row))
+    if isinstance(expr, rex.UnaryOp):
+        operand = compile_(expr.operand)
+        if expr.op == "NOT":
+            return lambda row: None if (v := operand(row)) is None else not v
+        return lambda row: None if (v := operand(row)) is None else -v
+    if isinstance(expr, rex.FuncCall):
+        fn = rex.SCALAR_FUNCTIONS[expr.name]
+        args = [compile_(a) for a in expr.args]
+        if expr.name == "COALESCE":
+            return lambda row: fn(*[a(row) for a in args])
+
+        def call(row):
+            values = [a(row) for a in args]
+            if any(v is None for v in values):
+                return None
+            return fn(*values)
+
+        return call
+    if isinstance(expr, rex.CaseExpr):
+        whens = [(compile_(c, True), compile_(v, test)) for c, v in expr.whens]
+        default = compile_(expr.default, test)
+
+        def case(row):
+            for cond, value in whens:
+                if cond(row):
+                    return value(row)
+            return default(row)
+
+        return case
+    if isinstance(expr, rex.InList):
+        operand = compile_(expr.operand)
+        values = expr.values
+        if expr.negated:
+            return lambda row: operand(row) not in values
+        return lambda row: operand(row) in values
+    if isinstance(expr, rex.LikeExpr):
+        operand = compile_(expr.operand)
+        matcher = expr._matcher
+        if expr.negated:
+            return lambda row: (
+                None if (v := operand(row)) is None else not matcher(v)
+            )
+        return lambda row: None if (v := operand(row)) is None else matcher(v)
+    if isinstance(expr, rex.IsNull):
+        operand = compile_(expr.operand)
+        if expr.negated:
+            return lambda row: operand(row) is not None
+        return lambda row: operand(row) is None
+    raise TypeError(f"cannot compile expression {expr!r}")
+
+
+# ---------------------------------------------------------------------------
+# Ordering oracles (PR 18)
+# ---------------------------------------------------------------------------
+#
+# The row interpreter compares raw values where a key column allows it.
+# These are the definitions it must agree with: every comparison through
+# ``NullsLast``, one stable pass per sort key, the merge join walking
+# wrapped keys row by row.
+
+
+def reference_sort_rows(rows, keys):
+    from repro.common.ordering import NullsLast
+
+    result = list(rows)
+    for index, ascending in reversed(list(keys)):
+        result.sort(key=lambda row, i=index: NullsLast(row[i]), reverse=not ascending)
+    return result
+
+
+def reference_merge_join(left, right, pairs, join_type, residual_fn, right_width):
+    from repro.common.ordering import NullsLast, ordering_key
+
+    left_keys = tuple(lk for lk, _ in pairs)
+    right_keys = tuple(rk for _, rk in pairs)
+    out = []
+    pad = (None,) * right_width
+    i = j = 0
+    while i < len(left):
+        raw = tuple(left[i][k] for k in left_keys)
+        key = tuple(NullsLast(v) for v in raw)
+        while j < len(right) and ordering_key(right[j], right_keys) < key:
+            j += 1
+        block_end = j
+        if None not in raw:
+            while (
+                block_end < len(right)
+                and ordering_key(right[block_end], right_keys) == key
+            ):
+                block_end += 1
+        while i < len(left) and tuple(left[i][k] for k in left_keys) == raw:
+            left_row = left[i]
+            matched = False
+            for right_row in right[j:block_end]:
+                combined = left_row + right_row
+                if residual_fn is None or residual_fn(combined):
+                    matched = True
+                    if join_type.projects_right:
+                        out.append(combined)
+                    else:
+                        break
+            if join_type is JoinType.SEMI and matched:
+                out.append(left_row)
+            elif join_type is JoinType.ANTI and not matched:
+                out.append(left_row)
+            elif join_type is JoinType.LEFT and not matched:
+                out.append(left_row + pad)
+            i += 1
+    return out
+
+
+def reference_aggregate_rows(rows, group_keys, calls, phase, runs):
+    """An aggregate node's output by the ``AggAccumulator`` state machines
+    (what the row interpreter ran before its generated loop)."""
+    from repro.exec.physical import AggPhase
+
+    evaluator = AggregateEvaluator(calls)
+    groups: List[Tuple[Tuple, list]] = []
+    by_key: Dict[Tuple, list] = {}
+    for row in rows:
+        key = tuple(row[k] for k in group_keys)
+        if runs:
+            acc = groups[-1][1] if groups and groups[-1][0] == key else None
+        else:
+            acc = by_key.get(key)
+        if acc is None:
+            acc = by_key[key] = evaluator.new_group()
+            groups.append((key, acc))
+        if phase is AggPhase.REDUCE:
+            evaluator.merge_row(acc, row, len(group_keys))
+        else:
+            evaluator.accumulate(acc, row)
+    if not group_keys and not groups and phase is not AggPhase.MAP:
+        groups.append(((), evaluator.new_group()))
+    finalize = evaluator.partials if phase is AggPhase.MAP else evaluator.results
+    return [key + finalize(acc) for key, acc in groups]

@@ -284,3 +284,110 @@ class TestInt64Extremes:
         assert result.rows == [
             (None,), (BIG + 1,), (BIG,), (5,), (INT64_MIN,),
         ]
+
+
+class TestThreeValuedLogic:
+    """AND/OR are Kleene wherever their value can be seen (PR 18).
+
+    ``NULL AND FALSE`` is FALSE and ``NULL OR TRUE`` is TRUE; Python's
+    ``and``/``or`` gave ``None`` / ``False`` for ``NULL AND FALSE`` /
+    ``NULL OR FALSE``, which a surrounding NOT, IS NULL, CASE or
+    projection then turned into wrong rows — on the row backend, the
+    columnar backend and the reference executor together, so these
+    expectations are hardcoded.
+    """
+
+    ROWS = [
+        (1, None, 2),
+        (2, 7, 1),
+        (3, 7, 2),
+        (4, None, 1),
+        (5, 3, None),
+        (6, None, None),
+    ]
+
+    @pytest.fixture
+    def cluster(self, execution_backend):
+        config = PRESETS["IC+"](4).with_(execution_backend=execution_backend)
+        cluster = IgniteCalciteCluster(config)
+        cluster.create_table(
+            TableSchema(
+                "t",
+                [
+                    Column("id", ColumnType.INTEGER),
+                    Column("x", ColumnType.INTEGER, nullable=True),
+                    Column("y", ColumnType.INTEGER, nullable=True),
+                ],
+                ["id"],
+            ),
+            self.ROWS,
+        )
+        return cluster
+
+    def ids(self, cluster, where):
+        result = cluster.sql(f"select id from t where {where} order by id")
+        return [row[0] for row in result.rows]
+
+    def test_not_over_null_and_false_keeps_the_row(self, cluster):
+        # id 1 is (NULL, 2): NULL AND FALSE = FALSE, so NOT(...) is TRUE.
+        assert self.ids(cluster, "not (x > 5 and y = 1)") == [1, 3, 5]
+        assert self.ids(cluster, "(x > 5 and y = 1) is null") == [4, 6]
+
+    def test_not_over_null_or_false_drops_the_row(self, cluster):
+        # id 1: NULL OR FALSE = NULL, so NOT(...) is NULL, not TRUE.
+        assert self.ids(cluster, "not (x > 5 or y = 1)") == []
+        assert self.ids(cluster, "(x > 5 or y = 1) is null") == [1, 5, 6]
+
+    def test_projected_and_or_values(self, cluster):
+        result = cluster.sql(
+            "select id, x > 5 and y = 1, x > 5 or y = 1 from t order by id"
+        )
+        assert result.rows == [
+            (1, False, None),
+            (2, True, True),
+            (3, False, True),
+            (4, None, True),
+            (5, False, None),
+            (6, None, None),
+        ]
+
+    def test_filter_short_circuit_still_guards_a_division(self, cluster):
+        # In a WHERE clause NULL is as good as FALSE and the right side of
+        # an AND runs only behind a true left side: y = 0 never divides.
+        assert self.ids(cluster, "y <> 1 and x / (y - 1) > 2") == [3]
+
+    def test_reference_executor_agrees(self, cluster):
+        for where in (
+            "not (x > 5 and y = 1)",
+            "not (x > 5 or y = 1)",
+            "(x > 5 or y = 1) is null",
+            "case when not (x > 5 or y = 1) then true else y = 2 end",
+        ):
+            report = differential_check(
+                f"select id from t where {where}", cluster.store, cluster.config
+            )
+            assert report.status == "ok", f"{where}: {report.detail}"
+
+    def test_ternary_partition_over_generated_predicates(self, cluster):
+        """``p``, ``NOT p`` and ``p IS NULL`` split the table exactly, for
+        AND/OR pairs of QueryGenerator predicates over nullable columns."""
+        import random
+
+        from repro.verify.generator import QueryGenerator
+
+        generator = QueryGenerator(cluster.store, seed=18)
+        rows = self.ROWS
+        rng = random.Random(18)
+        everything = [row[0] for row in self.ROWS]
+        for _ in range(25):
+            atoms = []
+            for position, name in ((1, "x"), (2, "y")):
+                value = rng.choice([r[position] for r in rows if r[position] is not None])
+                atoms.append(generator._predicate(name, value, rows, position))
+            p = f"({atoms[0]} {rng.choice(['and', 'or'])} {atoms[1]})"
+            parts = [
+                self.ids(cluster, p),
+                self.ids(cluster, f"not {p}"),
+                self.ids(cluster, f"{p} is null"),
+            ]
+            assert sorted(parts[0] + parts[1] + parts[2]) == everything, p
