@@ -113,7 +113,7 @@ class AdaptiveController:
         if result.degraded:
             return
         if self.feedback is not None:
-            self.feedback.harvest(result)
+            self.feedback.harvest(result.fragment_trees, result.operator_actuals)
         if self.cache is None or key is None:
             return
         entry = self.cache.peek(key)

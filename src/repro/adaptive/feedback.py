@@ -61,8 +61,9 @@ class FeedbackRegistry:
             entry.rows = rows
             entry.observations += 1
 
-    def harvest(self, result) -> int:
-        """Record every eligible operator actual from one execution.
+    def harvest(self, fragment_trees, operator_actuals) -> int:
+        """Record every eligible operator actual of the executed
+        ``fragment_trees`` (``operator_actuals``: op_id -> actuals).
 
         Returns the number of observations recorded.
         """
@@ -72,19 +73,19 @@ class FeedbackRegistry:
         # its real children rather than an opaque receiver digest.
         roots = {
             fragment.sender.exchange_id: fragment.root
-            for fragment in result.fragment_trees
+            for fragment in fragment_trees
             if fragment.sender is not None
         }
         recorded = 0
-        for fragment in result.fragment_trees:
+        for fragment in fragment_trees:
             for op in fragment.operators():
-                actual = result.operator_actuals.get(id(op))
+                actual = operator_actuals.get(op.op_id)
                 if actual is None or not self._eligible(op):
                     continue
                 signature = operator_signature(op, self._store, roots.get)
                 if signature is None:
                     continue
-                self.record(signature, float(actual[0]))
+                self.record(signature, float(actual.rows_out))
                 recorded += 1
         if recorded:
             get_registry().inc("adaptive.feedback_observations", recorded, **tenant_labels())

@@ -18,8 +18,8 @@ exceeds ``SystemConfig.midquery_replan_q_error_threshold`` the controller
    (``__mq_<n>``) whose rows are the captured fragment output — loading
    computes exact statistics, so the re-planner sees truth, not guesses;
 3. re-enters the full two-stage planner (Hep + Volcano) on that suffix;
-4. re-fragments the new physical suffix, numbering its fragments and
-   exchanges past the ids in use, wires its task-graph
+4. re-fragments the new physical suffix, numbering its fragments,
+   exchanges and operators past the ids in use, wires its task-graph
    dependencies to the executed prefix, and hands it back for splicing.
 
 Cost honesty: the planner-budget ticks the re-plan consumed and the
@@ -41,11 +41,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
+from repro.common import charges
 from repro.common.config import SystemConfig
-from repro.common.constants import RPTC
 from repro.common.errors import ReproError, StorageError
 from repro.exec.fragments import Fragment, PhysReceiver, fragment_plan
-from repro.exec.operators import network_units_for
+from repro.exec.operators import network_units_for, stream_rows
 from repro.exec.physical import (
     AggPhase,
     PhysAggregateBase,
@@ -146,9 +146,12 @@ class MidQueryController:
 
     # -- capture ------------------------------------------------------------
 
-    def capture(self, fragment: Fragment, site: int, rows: List[Tuple]) -> None:
-        """Record one site's pre-routing output of a non-root fragment."""
-        self._outputs.setdefault(fragment.fragment_id, {})[site] = list(rows)
+    def capture(self, fragment: Fragment, site: int, out) -> None:
+        """Record one site's pre-routing output of a non-root fragment
+        (a row list or a columnar batch), as rows of its own."""
+        self._outputs.setdefault(fragment.fragment_id, {})[site] = list(
+            stream_rows(out)
+        )
 
     def _rows_of(self, fragment: Fragment) -> List[Tuple]:
         """The fragment's full logical output, union'd across sites.
@@ -272,10 +275,10 @@ class MidQueryController:
         )
 
     @staticmethod
-    def _free_ids(old_fragments: Sequence[Fragment]) -> Tuple[int, int]:
-        """First fragment / exchange id past every id in use, so spliced
-        fragments never collide with the executed prefix (or with a
-        previous splice)."""
+    def _free_ids(old_fragments: Sequence[Fragment]) -> Tuple[int, int, int]:
+        """First fragment / exchange / operator id past every id in use,
+        so spliced fragments never collide with the executed prefix (or
+        with a previous splice)."""
         exchange_ids = [
             f.sender.exchange_id
             for f in old_fragments
@@ -284,6 +287,7 @@ class MidQueryController:
         return (
             max(f.fragment_id for f in old_fragments) + 1,
             max(exchange_ids) + 1 if exchange_ids else 0,
+            max(op.op_id for f in old_fragments for op in f.operators()) + 1,
         )
 
     def _wire_dependencies(
@@ -481,7 +485,7 @@ class MidQueryController:
             self._temp_producer[name] = producer.fragment_id
             _ACTIVE_STORES.add(self.store)
             copies = self.config.sites
-            shipping += len(rows) * 2.0 * RPTC + network_units_for(
+            shipping += charges.exchange(len(rows)) + network_units_for(
                 len(rows), width, copies
             )
             shipped_rows += len(rows) * copies

@@ -393,9 +393,9 @@ def _pushdown_evidence(query, delta, result) -> List[PushdownEvidence]:
         bucket[adapter] = bucket.get(adapter, 0) + int(value)
     scan_rows_in = 0
     for fragment in result.fragment_trees:
-        for op in _walk_phys(fragment.root):
+        for op in fragment.operators():
             if isinstance(op, PhysTableScan):
-                scan_rows_in += result.operator_rows_in.get(id(op), 0)
+                scan_rows_in += result.operator_actuals[op.op_id].rows_in
     return [
         PushdownEvidence(
             query=query,
@@ -406,12 +406,6 @@ def _pushdown_evidence(query, delta, result) -> List[PushdownEvidence]:
         )
         for adapter in sorted(scanned)
     ]
-
-
-def _walk_phys(node):
-    yield node
-    for child in node.inputs:
-        yield from _walk_phys(child)
 
 
 def _plan_flip(

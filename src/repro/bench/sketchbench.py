@@ -56,7 +56,6 @@ from repro.common.config import PRESETS, SystemConfig
 from repro.core.cluster import IgniteCalciteCluster
 from repro.exec.engine import ExecutionResult
 from repro.exec.physical import PhysJoinBase
-from repro.obs.metrics import q_error
 from repro.verify.reference import ReferenceExecutor
 
 #: Version tag stamped into every sketchbench artefact.
@@ -191,25 +190,9 @@ LOADERS = {
 
 
 def _operator_q_errors(result: ExecutionResult) -> List[Tuple[bool, float]]:
-    """(is_join, q_error) per executed operator with a recorded actual.
-
-    Broadcast-distribution operators are excluded for the same reason
-    :meth:`ExecutionResult.max_q_error` excludes them: their actual is
-    summed over every site holding a copy.
-    """
-    out: List[Tuple[bool, float]] = []
-    for fragment in result.fragment_trees:
-        for op in fragment.operators():
-            actual = result.operator_actuals.get(id(op))
-            if actual is None:
-                continue
-            distribution = getattr(op, "distribution", None)
-            if distribution is not None and distribution.is_broadcast:
-                continue
-            out.append(
-                (isinstance(op, PhysJoinBase), q_error(op.rows_est, actual[0]))
-            )
-    return out
+    """(is_join, q_error) per executed operator with a recorded actual
+    (broadcast operators excluded, see ``ExecutionResult.q_errors``)."""
+    return [(isinstance(op, PhysJoinBase), q) for op, q in result.q_errors()]
 
 
 def _q_error_percentile(values: Sequence[float], q: float) -> float:

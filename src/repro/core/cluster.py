@@ -357,7 +357,7 @@ class IgniteCalciteCluster:
         partial = self._engine.last_partial
         if partial is None:
             return
-        recorded = self.adaptive.feedback.harvest(partial)
+        recorded = self.adaptive.feedback.harvest(*partial)
         if recorded:
             get_registry().inc("adaptive.feedback_partial_harvests")
 
@@ -373,9 +373,9 @@ class IgniteCalciteCluster:
         """
         plan = self._plan_select(statement.select, allow_cache=False)
         if not statement.analyze:
-            return _text_result(self.config, plan.explain())
+            return _text_result(plan.explain())
         inner = self.execute_plan(plan, at=at)
-        return _text_result(self.config, inner.explain_analyze(), base=inner)
+        return _text_result(inner.explain_analyze(), base=inner)
 
     # -- execution ----------------------------------------------------------------------
 
@@ -406,7 +406,7 @@ class IgniteCalciteCluster:
                 )
             if isinstance(statement, ast_module.CreateTable):
                 self._ddl_create_table(statement)
-                return _empty_result(self.config)
+                return _empty_result()
             if self.config.verify_execution:
                 # Imported lazily: the differential module imports the engine.
                 from repro.verify.differential import differential_check
@@ -450,12 +450,12 @@ class IgniteCalciteCluster:
                     self._views[statement.name] = statement.select
                     self._invalidate_plans()
                     return QueryOutcome(
-                        QueryStatus.OK, result=_empty_result(self.config)
+                        QueryStatus.OK, result=_empty_result()
                     )
                 if isinstance(statement, ast_module.CreateTable):
                     self._ddl_create_table(statement)
                     return QueryOutcome(
-                        QueryStatus.OK, result=_empty_result(self.config)
+                        QueryStatus.OK, result=_empty_result()
                     )
                 if isinstance(statement, ast_module.Explain):
                     return QueryOutcome(
@@ -504,7 +504,7 @@ def _failed(status: QueryStatus, exc: ReproError) -> QueryOutcome:
     return QueryOutcome(status, error=exc)
 
 
-def _empty_result(config: SystemConfig) -> ExecutionResult:
+def _empty_result() -> ExecutionResult:
     from repro.cluster.scheduler import TaskGraph
 
     return ExecutionResult(
@@ -518,15 +518,13 @@ def _empty_result(config: SystemConfig) -> ExecutionResult:
     )
 
 
-def _text_result(
-    config: SystemConfig, text: str, base: Optional[ExecutionResult] = None
-) -> ExecutionResult:
+def _text_result(text: str, base: Optional[ExecutionResult] = None) -> ExecutionResult:
     """A one-column ``PLAN`` result carrying rendered explain text.
 
     When ``base`` is the inner EXPLAIN ANALYZE execution, its simulated
     cost is propagated so harnesses account for the work actually done.
     """
-    result = _empty_result(config)
+    result = _empty_result()
     result.fields = ["PLAN"]
     result.rows = [(line,) for line in text.splitlines()]
     if base is not None:

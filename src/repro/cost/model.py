@@ -17,14 +17,17 @@ Two defects of the stock model are reproducible via flags:
 ``distribution_factor`` (Alg. 2) rewards operators that run on partitioned
 data without an intervening exchange by dividing their work by the number
 of partition sites (Eq. 6).
+
+CPU terms are not written here: each is the charge spec's function
+(:mod:`repro.common.charges`) on estimated local row counts, the function
+execution charges on actual ones.
 """
 
 from __future__ import annotations
 
-import math
-
+from repro.common import charges
 from repro.common.config import SystemConfig
-from repro.common.constants import AFS, HAC, RCC, RPTC
+from repro.common.constants import AFS
 
 
 class Cost:
@@ -143,10 +146,10 @@ class CostModel:
         """
         local = rows / self._df(df)
         if adapter_costs is None:
-            return Cost(cpu=local * RPTC)
+            return Cost(cpu=charges.pass_through(local))
         shipped = (rows if out_rows is None else out_rows) / self._df(df)
         return Cost(
-            cpu=local * RPTC * adapter_costs.scan_cpu_factor,
+            cpu=charges.pass_through(local) * adapter_costs.scan_cpu_factor,
             io=local * adapter_costs.io_units_per_row,
             network=(
                 shipped * adapter_costs.network_units_per_row
@@ -154,25 +157,27 @@ class CostModel:
             ),
         )
 
+    def index_scan(self, rows: float, df: float = 1.0) -> Cost:
+        """Index-ordered scan of a native table: a small per-row
+        indirection premium, order for free."""
+        return Cost(cpu=charges.index_scan(rows / self._df(df)))
+
     def filter(self, rows: float, df: float = 1.0) -> Cost:
-        local = rows / self._df(df)
-        return Cost(cpu=local * (RPTC + RCC))
+        return Cost(cpu=charges.filter(rows / self._df(df)))
 
     def project(self, rows: float, width: int, df: float = 1.0) -> Cost:
-        local = rows / self._df(df)
-        return Cost(cpu=local * RPTC)
+        return Cost(cpu=charges.pass_through(rows / self._df(df)))
 
     def sort(self, rows: float, width: int, df: float = 1.0) -> Cost:
         """Eq. 4 / Eq. 5 / Eq. 6 depending on the enabled fixes."""
         local = rows / self._df(df)
-        compare = local * math.log2(local + 2.0) * RCC
-        return Cost(cpu=local * RPTC + compare, memory=self._bytes(local, width))
+        return Cost(cpu=charges.sort(local), memory=self._bytes(local, width))
 
     def limit(self, rows: float) -> Cost:
-        return Cost(cpu=rows * RPTC)
+        return Cost(cpu=charges.pass_through(rows))
 
     def values(self, rows: float) -> Cost:
-        return Cost(cpu=rows * RPTC)
+        return Cost(cpu=charges.pass_through(rows))
 
     def nested_loop_join(
         self,
@@ -183,10 +188,8 @@ class CostModel:
     ) -> Cost:
         """Nested-loop join: compare every outer tuple with every inner."""
         outer = left_rows / self._df(df_left)
-        comparisons = outer * right_rows * RCC
-        passes = (outer + right_rows) * RPTC
         return Cost(
-            cpu=comparisons + passes,
+            cpu=charges.nested_loop_join(outer, right_rows),
             memory=self._bytes(right_rows, right_width),
         )
 
@@ -200,8 +203,9 @@ class CostModel:
         MJ_CPU will always be less than H_CPU" hold.  Input sorts are
         separate operators and carry their own cost.
         """
+        # The factor divides the sum, so the sum goes in as one input.
         local = (left_rows + right_rows) / self._df(df)
-        return Cost(cpu=local * (RCC + RPTC))
+        return Cost(cpu=charges.merge_join(local, 0.0))
 
     def hash_join(
         self,
@@ -217,9 +221,8 @@ class CostModel:
         partition (Section 5.1.2).
         """
         build = right_rows / self._df(df_right)
-        processed = left_rows + build
         return Cost(
-            cpu=processed * (RCC + RPTC + HAC),
+            cpu=charges.hash_join(left_rows, build),
             memory=self._bytes(build, right_width),
         )
 
@@ -228,7 +231,7 @@ class CostModel:
     ) -> Cost:
         local = rows / self._df(df)
         return Cost(
-            cpu=local * (RPTC + HAC),
+            cpu=charges.hash_aggregate(local),
             memory=self._bytes(min(groups, local), width),
         )
 
@@ -242,7 +245,7 @@ class CostModel:
         hash-based one and removed an intermediate sort entirely.
         """
         local = rows / self._df(df)
-        return Cost(cpu=local * (RPTC + RCC), memory=self._bytes(1.0, width))
+        return Cost(cpu=charges.sort_aggregate(local), memory=self._bytes(1.0, width))
 
     def exchange(
         self, rows: float, width: int, target_sites: int, df: float = 1.0
@@ -259,4 +262,4 @@ class CostModel:
         network = self._bytes(local, width)
         if self.config.exchange_penalty_fix and target_sites > 1:
             network *= target_sites
-        return Cost(cpu=local * 2.0 * RPTC, network=network)
+        return Cost(cpu=charges.exchange(local), network=network)

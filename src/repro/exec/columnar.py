@@ -17,10 +17,12 @@ Three rules keep the backend honest:
   path is this backend's differential oracle — the property sweep in
   ``tests/property/test_columnar_differential.py`` pins the contract.
 
-* **Identical work-unit charges.**  Operators charge the same
-  RPTC/RCC/HAC formulas on the same row counts as the row interpreter,
-  so simulated makespans, traces, ``rows_in``/``rows_out`` and memory
-  high-waters are backend-independent; only real wall-clock changes.
+* **Identical work-unit charges.**  True by construction: handlers here
+  are pure transforms run under the same operator shell as the row
+  handlers (:func:`repro.exec.operators.run_operator`), which charges
+  the one charge spec on the row counts it observes — so simulated
+  makespans, traces, ``rows_in``/``rows_out`` and memory high-waters
+  are backend-independent; only real wall-clock changes.
 
 * **Row fallback, never wrong answers.**  Expressions the vectorizer
   does not cover (SUBSTRING, COALESCE, mixed-type object columns, ...)
@@ -31,30 +33,32 @@ Three rules keep the backend honest:
   stay vectorized without changing a single output bit.
 
 The engine seam is unchanged: :func:`execute_columnar` has the same
-signature as ``execute_node`` and maintains the same ``ExecContext``
-accounting, so fragments, scheduling, fault injection, tracing and the
-serve layer all work unchanged.  Exchanges still ship plain row lists
-(the network model serialises tuples); receivers re-batch on arrival.
+signature as ``execute_node``, so fragments, scheduling, fault
+injection, tracing and the serve layer all work unchanged.  A fragment's
+output stays a :class:`ColumnBatch` across single and broadcast
+exchanges; whoever needs tuples (hash routing, seam capture, the result)
+asks for ``to_rows()`` there, and receivers re-batch only row lists.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.constants import AFS, HAC, RCC, RPTC
+from repro.common import charges
+from repro.common.constants import AFS
 from repro.common.errors import ExecutionError
 from repro.common.ordering import NullsLast
 from repro.exec.aggregates import AggregateEvaluator
 from repro.exec.fragments import PhysReceiver
 from repro.exec.operators import (
     ExecContext,
+    Rows,
     adapter_scan,
     apply_offset_fetch,
-    charge_adapter_scan,
-    compiled_pushdown,
+    exec_limit,
+    run_operator,
 )
 from repro.exec.physical import (
     AggPhase,
@@ -87,9 +91,6 @@ from repro.rel.expr import (
     references,
 )
 from repro.rel.logical import AggFunc, JoinType
-
-Row = Tuple
-Rows = List[Row]
 
 #: Kind codes: 'b' bool, 'i' int64, 'f' float64, 'U' unicode, 'O' object,
 #: 'n' no non-null value seen (typed only by the schema, if at all).
@@ -320,6 +321,12 @@ class ColumnBatch:
     @property
     def width(self) -> int:
         return len(self.columns)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, rows: slice) -> "ColumnBatch":
+        return self.slice(rows.start or 0, rows.stop)
 
     def column(self, index: int) -> Column:
         col = self.columns[index]
@@ -1003,41 +1010,11 @@ def sort_batch(
 # ---------------------------------------------------------------------------
 
 
-def execute_columnar(node: PhysNode, site: int, ctx: ExecContext) -> Rows:
-    """Drop-in replacement for ``execute_node``: same fragment trees,
-    same ``ExecContext`` accounting, rows out — vectorized inside.
-
-    The returned row list is remembered (keyed by object identity) next
-    to the batch that produced it.  Singleton and broadcast exchanges
-    deliver that very list to the receiving sites, so the receiver can
-    reuse the sender's batch instead of re-transposing rows; hash
-    exchanges build fresh per-destination lists and miss the cache.  The
-    cache lives on the ``ExecContext``, i.e. exactly one execution.
-    """
-    batch = _execute(node, site, ctx)
-    rows = batch.to_rows()
-    ctx.columnar_streams[id(rows)] = (rows, batch)
-    return rows
-
-
-def _execute(node: PhysNode, site: int, ctx: ExecContext) -> ColumnBatch:
-    handler = _HANDLERS.get(type(node))
-    if handler is None:
-        raise ExecutionError(
-            f"no columnar interpreter for {type(node).__name__}"
-        )
-    caller = ctx._op_stack[-1] if ctx._op_stack else None
-    ctx._op_stack.append(id(node))
-    try:
-        batch = handler(node, site, ctx)
-    finally:
-        ctx._op_stack.pop()
-    key = (id(node), site)
-    ctx.op_rows[key] = ctx.op_rows.get(key, 0) + batch.length
-    if caller is not None:
-        in_key = (caller, site)
-        ctx.op_rows_in[in_key] = ctx.op_rows_in.get(in_key, 0) + batch.length
-    return batch
+def execute_columnar(node: PhysNode, site: int, ctx: ExecContext) -> ColumnBatch:
+    """Drop-in replacement for ``execute_node``: same fragment trees under
+    the same operator shell, a :class:`ColumnBatch` out — ``len()`` works
+    on it, ``to_rows()`` gives the row backend's tuples."""
+    return run_operator(_HANDLERS, node, site, ctx)
 
 
 # -- scans --------------------------------------------------------------------
@@ -1078,24 +1055,18 @@ def _exec_table_scan(
     node: PhysTableScan, site: int, ctx: ExecContext
 ) -> ColumnBatch:
     data = ctx.store.table(node.table)
-    adapter = data.adapter
-    if adapter is not None and (
-        adapter.name != "native" or compiled_pushdown(node) is not None
-    ):
+    scan = adapter_scan(node, site, ctx, data)
+    if scan is not None:
         # Adapter-backed (or pushed) scans go through the shared adapter
         # seam so charges, scan counters and pushdown metrics match the
         # row backend exactly — and are never cached: every execution
         # must re-read the source (remote request counters, zone-map
         # pruning stats) just like the row path does.
-        partitions = list(ctx.partitions_for(data, site))
-        scanned, rows = adapter_scan(node, data, partitions)
-        charge_adapter_scan(
-            node, site, ctx, data, scanned, len(rows), len(partitions)
-        )
+        rows, detail = scan
         kinds = _table_plan(data)
         if node.pushed_project is not None:
             kinds = [kinds[i] for i in node.pushed_project]
-        return from_rows(rows, len(node.fields), kinds)
+        return from_rows(rows, len(node.fields), kinds), detail
     partitions = tuple(ctx.partitions_for(data, site))
     # Stored rows are immutable after load, so the concatenated batch for
     # one site's partition set is cached too (keyed by the partition set:
@@ -1108,7 +1079,6 @@ def _exec_table_scan(
             data.schema.width,
         )
         cache[partitions] = batch
-    ctx.charge(node, site, batch.length * RPTC)
     return batch
 
 
@@ -1157,7 +1127,6 @@ def _exec_index_scan(
         # A stable sort of the concatenated sorted streams equals the
         # row path's heapq.merge (ties resolve to the earlier stream).
         batch = sort_batch(batch, [(p, True) for p in key_positions])
-    ctx.charge(node, site, batch.length * RPTC * 1.1)
     return batch
 
 
@@ -1165,48 +1134,39 @@ def _exec_receiver(
     node: PhysReceiver, site: int, ctx: ExecContext
 ) -> ColumnBatch:
     streams = ctx.inbound.get((node.exchange_id, site), [])
-    cache = ctx.columnar_streams
-    batches = []
-    for stream in streams:
-        # Singleton and broadcast exchanges deliver the sender's row
-        # list by reference; reuse the batch that produced it instead of
-        # re-transposing.  Hash exchanges build fresh lists and miss.
-        entry = cache.get(id(stream))
-        if entry is not None and entry[0] is stream:
-            batches.append(entry[1])
-        else:
-            batches.append(from_rows(stream, node.width))
+    # Singleton and broadcast exchanges deliver the sender's batch as it
+    # is; hash exchanges deliver per-destination row lists.
+    batches = [
+        stream if isinstance(stream, ColumnBatch)
+        else from_rows(stream, node.width)
+        for stream in streams
+    ]
     batch = concat_batches(batches, node.width)
     if node.collation.is_sorted and len(streams) > 1:
         batch = sort_batch(batch, node.collation.keys)
     ctx.record_input(node, site, sum(len(s) for s in streams))
     ctx.note_memory(site, batch.length * node.width * AFS)
-    ctx.charge(node, site, batch.length * RPTC)
     return batch
 
 
 # -- filter / project / values ------------------------------------------------
 
 
-def _exec_filter(node: PhysFilter, site: int, ctx: ExecContext) -> ColumnBatch:
-    batch = _execute(node.input, site, ctx)
+def _exec_filter(
+    node: PhysFilter, site: int, ctx: ExecContext, batch: ColumnBatch
+) -> ColumnBatch:
     keep = _truthy(eval_expr(node.condition, batch, True))
-    out = batch.take(np.flatnonzero(keep))
-    ctx.charge(node, site, batch.length * (RPTC + RCC))
-    return out
+    return batch.take(np.flatnonzero(keep))
 
 
-def _exec_project(node: PhysProject, site: int, ctx: ExecContext) -> ColumnBatch:
-    batch = _execute(node.input, site, ctx)
-    columns = [eval_expr(e, batch) for e in node.exprs]
-    ctx.charge(node, site, batch.length * RPTC)
-    return ColumnBatch(columns, batch.length)
+def _exec_project(
+    node: PhysProject, site: int, ctx: ExecContext, batch: ColumnBatch
+) -> ColumnBatch:
+    return ColumnBatch([eval_expr(e, batch) for e in node.exprs], batch.length)
 
 
 def _exec_values(node: PhysValues, site: int, ctx: ExecContext) -> ColumnBatch:
-    batch = from_rows(list(node.rows), len(node.fields))
-    ctx.charge(node, site, batch.length * RPTC)
-    return batch
+    return from_rows(list(node.rows), len(node.fields))
 
 
 # -- joins --------------------------------------------------------------------
@@ -1321,10 +1281,14 @@ def _equi_candidates(
     return cand_left, cand_right, counts, offsets, pos_in_bucket
 
 
-def _exec_equi_join(node, site: int, ctx: ExecContext, is_hash: bool) -> ColumnBatch:
-    left = _execute(node.left, site, ctx)
-    right = _execute(node.right, site, ctx)
-    if is_hash:
+def _exec_equi_join(
+    node, site: int, ctx: ExecContext, left: ColumnBatch, right: ColumnBatch
+) -> Tuple[ColumnBatch, int]:
+    """Hash and merge join: the output and the bucket candidates a hash
+    join tests finding it.  Both inputs of a merge join arrive sorted on
+    the keys, so its matches per left row equal the hash join's — the
+    merge scan is an access-path detail (its charge ignores the count)."""
+    if isinstance(node, PhysHashJoin):
         ctx.note_memory(site, right.length * node.right.width * AFS)
     cand_left, cand_right, counts, _, pos_in_bucket = _equi_candidates(
         left, right, node.pairs
@@ -1355,34 +1319,15 @@ def _exec_equi_join(node, site: int, ctx: ExecContext, is_hash: bool) -> ColumnB
     out = _assemble_join_output(
         node, left, right, match_li, match_ri, match_counts
     )
-    units = (left.length + right.length) * (RCC + RPTC + HAC)
-    if is_hash:
-        units += matches_scanned * RCC
-    units += out.length * RPTC
-    ctx.charge(node, site, units)
-    return out
-
-
-def _exec_hash_join(node: PhysHashJoin, site: int, ctx: ExecContext) -> ColumnBatch:
-    return _exec_equi_join(node, site, ctx, is_hash=True)
-
-
-def _exec_merge_join(node: PhysMergeJoin, site: int, ctx: ExecContext) -> ColumnBatch:
-    # Both inputs arrive sorted on the keys, so the set of matches per
-    # left row equals the hash join's — the merge scan is an access-path
-    # detail.  The charge formula is the merge join's own (no bucket-scan
-    # term).
-    return _exec_equi_join(node, site, ctx, is_hash=False)
+    return out, matches_scanned
 
 
 def _exec_nested_loop_join(
-    node: PhysNestedLoopJoin, site: int, ctx: ExecContext
+    node: PhysNestedLoopJoin, site: int, ctx: ExecContext,
+    left: ColumnBatch, right: ColumnBatch,
 ) -> ColumnBatch:
-    left = _execute(node.left, site, ctx)
-    right = _execute(node.right, site, ctx)
     n_left, n_right = left.length, right.length
-    pairs = n_left * n_right
-    ctx.precheck(node, site, pairs * RCC)
+    ctx.precheck(node, site, charges.nested_loop_pairs(n_left, n_right))
     condition = node.condition
     if condition is None or n_left == 0 or n_right == 0:
         if n_right == 0:
@@ -1417,40 +1362,21 @@ def _exec_nested_loop_join(
         match_ri = (
             np.concatenate(ri_parts) if ri_parts else np.empty(0, np.int64)
         )
-    out = _assemble_join_output(
+    return _assemble_join_output(
         node, left, right, match_li, match_ri, match_counts
     )
-    ctx.charge(
-        node, site, pairs * RCC + (n_left + n_right + out.length) * RPTC
-    )
-    return out
 
 
 # -- sort / limit -------------------------------------------------------------
 
 
-def _exec_sort(node: PhysSort, site: int, ctx: ExecContext) -> ColumnBatch:
-    batch = _execute(node.input, site, ctx)
+def _exec_sort(
+    node: PhysSort, site: int, ctx: ExecContext, batch: ColumnBatch
+) -> ColumnBatch:
     ctx.note_memory(site, batch.length * node.width * AFS)
     out = sort_batch(batch, node.keys)
     if node.fetch is not None or node.offset is not None:
-        skip = node.offset or 0
-        stop = None if node.fetch is None else skip + node.fetch
-        out = out.slice(skip, stop)
-    n = batch.length
-    ctx.charge(node, site, n * RPTC + n * math.log2(n + 2) * RCC)
-    return out
-
-
-def _exec_limit(node: PhysLimit, site: int, ctx: ExecContext) -> ColumnBatch:
-    batch = _execute(node.input, site, ctx)
-    skip = node.offset or 0
-    if node.fetch is None:
-        out, consumed = batch.slice(skip, None), batch.length
-    else:
-        end = skip + node.fetch
-        out, consumed = batch.slice(skip, end), min(batch.length, end)
-    ctx.charge(node, site, consumed * RPTC)
+        out, _ = apply_offset_fetch(out, node.offset, node.fetch)
     return out
 
 
@@ -1725,24 +1651,19 @@ def _aggregate_batch(node, batch: ColumnBatch, sorted_runs: bool) -> ColumnBatch
 
 
 def _exec_hash_aggregate(
-    node: PhysHashAggregate, site: int, ctx: ExecContext
+    node: PhysHashAggregate, site: int, ctx: ExecContext, batch: ColumnBatch
 ) -> ColumnBatch:
-    batch = _execute(node.input, site, ctx)
     out = _aggregate_batch(node, batch, sorted_runs=False)
     ctx.note_memory(site, out.length * node.width * AFS)
-    ctx.charge(node, site, batch.length * (RPTC + HAC) + out.length * RPTC)
     return out
 
 
 def _exec_sort_aggregate(
-    node: PhysSortAggregate, site: int, ctx: ExecContext
+    node: PhysSortAggregate, site: int, ctx: ExecContext, batch: ColumnBatch
 ) -> ColumnBatch:
-    batch = _execute(node.input, site, ctx)
     if node.phase is AggPhase.REDUCE:
         raise ExecutionError("sort aggregate does not implement REDUCE")
-    out = _aggregate_batch(node, batch, sorted_runs=True)
-    ctx.charge(node, site, batch.length * (RPTC + RCC) + out.length * RPTC)
-    return out
+    return _aggregate_batch(node, batch, sorted_runs=True)
 
 
 _HANDLERS = {
@@ -1753,10 +1674,10 @@ _HANDLERS = {
     PhysProject: _exec_project,
     PhysValues: _exec_values,
     PhysNestedLoopJoin: _exec_nested_loop_join,
-    PhysHashJoin: _exec_hash_join,
-    PhysMergeJoin: _exec_merge_join,
+    PhysHashJoin: _exec_equi_join,
+    PhysMergeJoin: _exec_equi_join,
     PhysSort: _exec_sort,
-    PhysLimit: _exec_limit,
+    PhysLimit: exec_limit,  # slices whatever it is given
     PhysHashAggregate: _exec_hash_aggregate,
     PhysSortAggregate: _exec_sort_aggregate,
 }

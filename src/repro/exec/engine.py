@@ -18,14 +18,14 @@ sub-partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.common import charges
 from repro.common.config import SystemConfig
 from repro.common.constants import (
     AFS,
     CORE_UNITS_PER_SECOND,
     FRAGMENT_SETUP_UNITS,
-    NETWORK_ROWS_PER_MESSAGE,
     RPTC,
     VARIANT_MIN_UNITS,
     VARIANT_SETUP_UNITS,
@@ -47,7 +47,13 @@ from repro.faults.injector import FaultInjector, failover_owner
 from repro.obs.metrics import get_registry, q_error
 from repro.obs.trace import get_tracer
 from repro.exec.fragments import Fragment, PhysReceiver, fragment_plan
-from repro.exec.operators import ExecContext, execute_node, network_units_for
+from repro.exec.operators import (
+    ExecContext,
+    execute_node,
+    network_messages,
+    network_units_for,
+    stream_rows,
+)
 from repro.exec.physical import PhysNode
 from repro.exec.variants import SOURCE, plan_variants
 from repro.rel.traits import Distribution, satisfies
@@ -76,6 +82,40 @@ class FragmentStats:
     mem_bytes: float = 0.0
 
 
+class OperatorActuals(NamedTuple):
+    """What one operator actually did, summed over its sites."""
+
+    rows_out: int
+    units: float
+    #: The children's outputs; delivered rows for receivers, source-read
+    #: rows for adapter scans.
+    rows_in: int
+
+
+def fold_actuals(
+    fragments: Sequence[Fragment],
+    fragment_sites: Dict[int, List[int]],
+    ctx: ExecContext,
+) -> Dict[int, OperatorActuals]:
+    """op_id -> actuals over ``fragments``: the context's per-(operator,
+    site) cells summed over each fragment's sites.  The one fold every
+    exit of ``execute`` — success, deadline, failure — reports through;
+    plain ints, floats and tuples, so it serialises."""
+    actuals: Dict[int, OperatorActuals] = {}
+    for fragment in fragments:
+        sites = fragment_sites[fragment.fragment_id]
+        for op in fragment.operators():
+            rows_in = rows_out = 0
+            units = 0.0
+            for site in sites:
+                cell = ctx.ops[op.op_id, site]
+                rows_in += cell[0]
+                rows_out += cell[1]
+                units += cell[2]
+            actuals[op.op_id] = OperatorActuals(rows_out, units, rows_in)
+    return actuals
+
+
 @dataclass
 class ExecutionResult:
     """Everything one query execution produced."""
@@ -90,11 +130,8 @@ class ExecutionResult:
     fragments: List[FragmentStats] = field(default_factory=list)
     #: The executed fragments with per-operator actuals (EXPLAIN ANALYZE).
     fragment_trees: List[Fragment] = field(default_factory=list)
-    #: id(operator) -> (actual output rows across sites, work units).
-    operator_actuals: Dict[int, Tuple[int, float]] = field(default_factory=dict)
-    #: id(operator) -> actual input rows across sites (sum of the
-    #: children's outputs; delivered rows for receivers).
-    operator_rows_in: Dict[int, int] = field(default_factory=dict)
+    #: op_id -> (rows out, work units, rows in) across sites.
+    operator_actuals: Dict[int, OperatorActuals] = field(default_factory=dict)
     #: The query completed but not at full strength: it started with dead
     #: sites (inputs re-partitioned onto survivors) and/or lost tasks to a
     #: mid-flight crash that were re-dispatched.
@@ -131,52 +168,40 @@ class ExecutionResult:
         return "\n".join(lines)
 
     def _annotate(self, node, indent: int) -> List[str]:
-        actual = self.operator_actuals.get(id(node))
+        actual = self.operator_actuals.get(node.op_id)
         suffix = ""
         if actual is not None:
-            rows, units = actual
-            q = q_error(node.rows_est, rows)
+            q = q_error(node.rows_est, actual.rows_out)
             suffix = (
-                f"  [actual rows={rows}, units={units:,.0f}, q-err={q:.2f}]"
+                f"  [actual rows={actual.rows_out}, "
+                f"units={actual.units:,.0f}, q-err={q:.2f}]"
             )
         lines = ["  " * indent + node._explain_self() + suffix]
         for child in node.inputs:
             lines.extend(self._annotate(child, indent + 1))
         return lines
 
-    def max_q_error(self) -> float:
-        """The worst per-operator q-error of the executed plan.
+    def q_errors(self):
+        """``(operator, q-error)`` for every executed operator.
 
         Broadcast-distribution operators are excluded: their recorded
         actual is summed over every site holding a copy, so a perfectly
         estimated broadcast input would still score q-error == site
         count.  (EXPLAIN ANALYZE keeps showing the raw numbers.)
         """
-        worst = 1.0
         for fragment in self.fragment_trees:
             for op in fragment.operators():
-                actual = self.operator_actuals.get(id(op))
+                actual = self.operator_actuals.get(op.op_id)
                 if actual is None:
                     continue
                 distribution = getattr(op, "distribution", None)
                 if distribution is not None and distribution.is_broadcast:
                     continue
-                worst = max(worst, q_error(op.rows_est, actual[0]))
-        return worst
+                yield op, q_error(op.rows_est, actual.rows_out)
 
-
-@dataclass
-class PartialExecution:
-    """What a *failed* (or shed) execution still learned.
-
-    Carries just the fields :meth:`FeedbackRegistry.harvest` reads, so
-    true cardinalities observed at materialization points before the
-    failure still feed adaptive re-planning — a query that times out on a
-    bad plan is precisely the one whose actuals matter most.
-    """
-
-    fragment_trees: List[Fragment]
-    operator_actuals: Dict[int, Tuple[int, float]]
+    def max_q_error(self) -> float:
+        """The worst per-operator q-error of the executed plan."""
+        return max((q for _, q in self.q_errors()), default=1.0)
 
 
 class ExecutionEngine:
@@ -189,9 +214,13 @@ class ExecutionEngine:
         #: rows crossing non-root fragment seams are harvested into its
         #: operator-level HLLs after every successful fault-free run.
         self.sketches = sketches
-        #: Actuals from the completed fragments of the most recent
-        #: execution that *raised*; None after a successful one.
-        self.last_partial: Optional[PartialExecution] = None
+        #: ``(completed fragments, their operator actuals)`` of the most
+        #: recent execution that *raised* mid-run, for feedback to harvest
+        #: (a query that times out on a bad plan is precisely the one whose
+        #: true cardinalities matter most); None otherwise.
+        self.last_partial: Optional[
+            Tuple[List[Fragment], Dict[int, OperatorActuals]]
+        ] = None
 
     # -- public API ------------------------------------------------------------
 
@@ -210,6 +239,9 @@ class ExecutionEngine:
         against the task-graph simulation, and one-shot faults (exchange
         drops, fragment OOM kills) due at ``at`` fire during this attempt.
         """
+        # First, so that an execution that fails before running anything
+        # cannot leave the previous query's partial to be harvested again.
+        self.last_partial = None
         tracer = get_tracer()
         registry = get_registry()
         with tracer.span("fragment") as span:
@@ -246,7 +278,6 @@ class ExecutionEngine:
             run_fragment = execute_columnar
         else:
             run_fragment = execute_node
-        self.last_partial = None
         midquery = None
         if self.config.midquery_reoptimization and injector is None:
             # Imported lazily: repro.adaptive imports the planner, which
@@ -260,7 +291,8 @@ class ExecutionEngine:
         completed: List[Fragment] = []
         # Sketch refresh taps the same seams as mid-query capture; fault-
         # injected runs stay untouched so chaos replays are deterministic.
-        seam_captures: Optional[List[Tuple[Fragment, List[Tuple]]]] = (
+        # (fragment, that site's output in the backend's own form)
+        seam_captures: Optional[List[Tuple[Fragment, object]]] = (
             [] if self.sketches is not None and injector is None else None
         )
 
@@ -284,16 +316,16 @@ class ExecutionEngine:
                         f"fragment#{fragment.fragment_id}", sites=len(sites)
                     ) as span:
                         for site in sites:
-                            rows = run_fragment(fragment.root, site, ctx)
+                            out = run_fragment(fragment.root, site, ctx)
                             if fragment.is_root:
-                                result_rows = rows
+                                result_rows = stream_rows(out)
                             else:
                                 if midquery is not None:
-                                    midquery.capture(fragment, site, rows)
+                                    midquery.capture(fragment, site, out)
                                 if seam_captures is not None:
-                                    seam_captures.append((fragment, rows))
+                                    seam_captures.append((fragment, out))
                                 self._route(
-                                    fragment, site, rows, ctx, coordinator,
+                                    fragment, site, out, ctx, coordinator,
                                     injector, at,
                                 )
                         tracer.advance(ctx.total_units - units_before)
@@ -314,8 +346,8 @@ class ExecutionEngine:
                 ctx.current_fragment = None
         except Exception:
             if completed:
-                self.last_partial = self._partial_execution(
-                    completed, fragment_sites, ctx
+                self.last_partial = (
+                    completed, fold_actuals(completed, fragment_sites, ctx)
                 )
             raise
         finally:
@@ -341,13 +373,12 @@ class ExecutionEngine:
             makespan = simulate_makespan(
                 graph, self.config.sites, self.config.cores_per_site
             )
+        actuals = fold_actuals(fragments, fragment_sites, ctx)
         deadline = self.config.query_deadline_seconds
         if deadline is not None and makespan > deadline:
             # The work is done and every actual is known — feed them to
             # adaptive re-planning even though the query misses its SLO.
-            self.last_partial = self._partial_execution(
-                completed, fragment_sites, ctx
-            )
+            self.last_partial = (completed, actuals)
             raise QueryDeadlineError(
                 f"query ran {makespan:.3f}s simulated, past its "
                 f"{deadline:.3f}s deadline",
@@ -355,26 +386,19 @@ class ExecutionEngine:
                 elapsed=makespan,
             )
         if seam_captures:
-            self.sketches.harvest(fragments, seam_captures)
+            self.sketches.harvest(
+                fragments,
+                [(fragment, stream_rows(out)) for fragment, out in seam_captures],
+            )
         degraded = redispatched > 0 or (
             alive is not None and len(alive) < self.config.sites
         )
-        actuals: Dict[int, Tuple[int, float]] = {}
-        rows_in: Dict[int, int] = {}
         for fragment in fragments:
-            sites = fragment_sites[fragment.fragment_id]
             for op in fragment.operators():
-                rows = sum(ctx.op_rows.get((id(op), site), 0) for site in sites)
-                units = sum(
-                    ctx.op_units.get((id(op), site), 0.0) for site in sites
-                )
-                actuals[id(op)] = (rows, units)
-                rows_in[id(op)] = sum(
-                    ctx.op_rows_in.get((id(op), site), 0) for site in sites
-                )
+                actual = actuals[op.op_id]
                 op_name = type(op).__name__
-                registry.inc("operator.rows_out", rows, op=op_name)
-                registry.inc("operator.rows_in", rows_in[id(op)], op=op_name)
+                registry.inc("operator.rows_out", actual.rows_out, op=op_name)
+                registry.inc("operator.rows_in", actual.rows_in, op=op_name)
         for stat in stats:
             stat.mem_bytes = max(
                 (
@@ -408,7 +432,6 @@ class ExecutionEngine:
             fragments=stats,
             fragment_trees=list(fragments),
             operator_actuals=actuals,
-            operator_rows_in=rows_in,
             degraded=degraded,
             redispatched_tasks=redispatched,
         )
@@ -417,28 +440,6 @@ class ExecutionEngine:
 
             check_execution_result(result)
         return result
-
-    def _partial_execution(
-        self,
-        completed: Sequence[Fragment],
-        fragment_sites: Dict[int, List[int]],
-        ctx: ExecContext,
-    ) -> PartialExecution:
-        """Per-operator actuals over the fragments that did finish."""
-        actuals: Dict[int, Tuple[int, float]] = {}
-        for fragment in completed:
-            sites = fragment_sites.get(fragment.fragment_id, [])
-            for op in fragment.operators():
-                rows = sum(
-                    ctx.op_rows.get((id(op), site), 0) for site in sites
-                )
-                units = sum(
-                    ctx.op_units.get((id(op), site), 0.0) for site in sites
-                )
-                actuals[id(op)] = (rows, units)
-        return PartialExecution(
-            fragment_trees=list(completed), operator_actuals=actuals
-        )
 
     # -- fragment placement ---------------------------------------------------------
 
@@ -466,12 +467,15 @@ class ExecutionEngine:
         self,
         fragment: Fragment,
         site: int,
-        rows: List[Tuple],
+        out,
         ctx: ExecContext,
         coordinator: int = COORDINATOR,
         injector: Optional[FaultInjector] = None,
         at: float = 0.0,
     ) -> None:
+        """Ship one site's fragment output (a row list or a columnar
+        batch): single and broadcast exchanges hand it over as it is,
+        hash exchanges read its rows into per-destination lists."""
         sender = fragment.sender
         assert sender is not None
         if injector is not None and injector.take_exchange_drop(
@@ -491,11 +495,11 @@ class ExecutionEngine:
             else list(range(self.config.sites))
         )
         if target.is_single:
-            ctx.deliver(sender.exchange_id, coordinator, rows)
+            ctx.deliver(sender.exchange_id, coordinator, out)
             copies = 1
         elif target.is_broadcast:
             for destination in destinations:
-                ctx.deliver(sender.exchange_id, destination, rows)
+                ctx.deliver(sender.exchange_id, destination, out)
             copies = len(destinations)
         elif target.is_hash:
             buckets: Dict[int, List[Tuple]] = {
@@ -511,6 +515,7 @@ class ExecutionEngine:
             else:
                 def owner(partition: int) -> int:
                     return partition % sites
+            rows = stream_rows(out)
             if len(keys) == 1:
                 key = keys[0]
                 for row in rows:
@@ -526,26 +531,24 @@ class ExecutionEngine:
             copies = 1
         else:
             raise ExecutionError(f"cannot route to distribution {target}")
-        units = len(rows) * 2.0 * RPTC + network_units_for(
-            len(rows), width, copies
-        )
-        ctx.charge(root, site, units)
-        ctx.network_units += network_units_for(len(rows), width, copies)
-        ctx.rows_shipped += len(rows) * copies
-        batches = (
-            max(1, len(rows) // NETWORK_ROWS_PER_MESSAGE) if rows else 0
-        )
+        shipped = len(out)
+        network = network_units_for(shipped, width, copies)
+        ctx.charge(root, site, charges.exchange(shipped) + network)
+        ctx.network_units += network
+        ctx.rows_shipped += shipped * copies
         registry = get_registry()
         registry.inc(
-            "exchange.rows", len(rows) * copies, exchange=sender.exchange_id
+            "exchange.rows", shipped * copies, exchange=sender.exchange_id
         )
         registry.inc(
             "exchange.bytes",
-            len(rows) * width * AFS * copies,
+            shipped * width * AFS * copies,
             exchange=sender.exchange_id,
         )
         registry.inc(
-            "exchange.batches", batches * copies, exchange=sender.exchange_id
+            "exchange.batches",
+            network_messages(shipped) * copies,
+            exchange=sender.exchange_id,
         )
 
     # -- task graph ------------------------------------------------------------------------
@@ -585,13 +588,11 @@ class ExecutionEngine:
             task_ids: List[int] = []
             fragment_units = 0.0
             rows_out = 0
+            operators = list(fragment.operators())
             for site in sites:
-                rows_out += ctx.op_rows.get((id(fragment.root), site), 0)
-                op_units = {
-                    id(op): ctx.op_units.get((id(op), site), 0.0)
-                    for op in fragment.operators()
-                }
-                site_units = sum(op_units.values())
+                rows_out += ctx.ops[fragment.root.op_id, site][1]
+                per_op = [ctx.ops[op.op_id, site][2] for op in operators]
+                site_units = sum(per_op)
                 fragment_units += site_units
                 if variant_plan is None or site_units < VARIANT_MIN_UNITS:
                     # Too little work at this site to amortise the variant
@@ -613,9 +614,9 @@ class ExecutionEngine:
                 )
                 for _ in range(variants_requested):
                     duration = overhead + FRAGMENT_SETUP_UNITS + delay_units
-                    for op in fragment.operators():
+                    for op, units in zip(operators, per_op):
                         factor = variant_plan.factor(op, variants_requested)
-                        duration += op_units[id(op)] * factor
+                        duration += units * factor
                     task_ids.append(graph.add(site, duration, deps))
             fragment_tasks[fragment.fragment_id] = task_ids
             stats.append(
@@ -633,10 +634,8 @@ class ExecutionEngine:
         self, fragment: Fragment, site: int, ctx: ExecContext, variant_plan
     ) -> float:
         """Rows read by the fragment's sources at ``site`` (re-read cost)."""
-        if variant_plan is None:
-            return 0.0
         rows = 0.0
         for op in fragment.operators():
-            if variant_plan.scaling.get(id(op)) == SOURCE:
-                rows += ctx.op_units.get((id(op), site), 0.0) / RPTC
+            if variant_plan.scaling.get(op.op_id) == SOURCE:
+                rows += ctx.ops[op.op_id, site][2] / RPTC
         return rows

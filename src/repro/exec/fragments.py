@@ -87,15 +87,36 @@ class Fragment:
         return f"{head}\n{self.root.explain(indent=1)}"
 
 
+def number_operators(root: PhysNode, first_op_id: int = 0) -> int:
+    """Give every operator under ``root`` its ``op_id`` (pre-order, counting
+    up from ``first_op_id``); returns the next free id.
+
+    The id is the operator's accounting key for the whole execution: work
+    units, rows in/out, variant scaling and ``operator_actuals`` are all
+    keyed by it, never by object identity.
+    """
+    next_id = first_op_id
+    for op in walk_physical(root):
+        op.op_id = next_id
+        next_id += 1
+    return next_id
+
+
 def fragment_plan(
-    root: PhysNode, first_fragment_id: int = 0, first_exchange_id: int = 0
+    root: PhysNode,
+    first_fragment_id: int = 0,
+    first_exchange_id: int = 0,
+    first_op_id: int = 0,
 ) -> List[Fragment]:
     """Algorithm 1: split ``root`` into fragments at each exchange.
 
     Returns fragments in dependency order (children before parents); the
     root fragment is last.  Ids count up from ``first_*_id``, so a suffix
     spliced into a running query is numbered past the ids in use from the
-    start rather than renumbered afterwards.
+    start rather than renumbered afterwards; operators likewise
+    (:func:`number_operators`), fragment by fragment.  A fragment tree owns
+    its nodes — leaves are copied like inner nodes — so numbering one
+    never writes to a (possibly cached) plan.
     """
     fragments: List[Fragment] = []
     next_ids = {"exchange": first_exchange_id, "fragment": first_fragment_id}
@@ -108,7 +129,7 @@ def fragment_plan(
             new_child, ids = split(child)  # type: ignore[arg-type]
             new_inputs.append(new_child)
             child_ids.extend(ids)
-        rebuilt = node.copy(new_inputs) if node.inputs else node
+        rebuilt = node.copy(new_inputs)
         if isinstance(rebuilt, PhysExchange):
             exchange_id = next_ids["exchange"]
             next_ids["exchange"] += 1
@@ -146,4 +167,6 @@ def fragment_plan(
             child_ids=child_ids,
         )
     )
+    for fragment in fragments:
+        first_op_id = number_operators(fragment.root, first_op_id)
     return fragments

@@ -1,29 +1,32 @@
-"""The operator interpreter: executes one fragment's tree at one site.
+"""The operator shell and the row backend: one fragment tree at one site.
 
-Operators consume and produce lists of Python tuples.  Every operator
-charges *work units* (the same RPTC/RCC/HAC constants the cost model uses)
-to the execution context; the simulated cluster turns those units into
-simulated time.  The context enforces the runtime limit — the analogue of
-the paper's four-hour cap — and nested-loop joins pre-check their pair
-count so a doomed baseline plan (Q17/Q19/Q21 on IC) aborts immediately
-instead of grinding.
+:func:`run_operator` is the one interpreter loop both backends run under.
+It evaluates a node's inputs left to right, calls the backend's handler as
+a pure transform of those inputs, records rows in and out under the node's
+plan-time ``op_id``, and charges the *work units* the charge spec
+(:mod:`repro.common.charges`) states for that operator type — so the row
+and the columnar backend cannot disagree on simulated time, and the
+planner's cost model reads the same functions.  The context enforces the
+runtime limit — the analogue of the paper's four-hour cap — and
+nested-loop joins pre-check their pair count so a doomed baseline plan
+(Q17/Q19/Q21 on IC) aborts immediately instead of grinding.
+
+The row handlers below consume and produce lists of Python tuples.
 """
 
 from __future__ import annotations
 
-import math
+from collections import defaultdict
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.common import charges
 from repro.common.constants import (
     AFS,
-    HAC,
     NETWORK_ROWS_PER_MESSAGE,
     NETWORK_UNITS_PER_BYTE,
     NETWORK_UNITS_PER_MESSAGE,
-    RCC,
-    RPTC,
 )
 from repro.common.errors import ExecutionError, ExecutionTimeoutError
 from repro.common.ordering import orderable, ordering_key, sort_rows
@@ -68,29 +71,21 @@ class ExecContext:
         self.store = store
         self.limit_units = limit_units
         self.total_units = 0.0
-        #: (node id, site) -> work units, for task building.
-        self.op_units: Dict[Tuple[int, int], float] = {}
-        #: (node id, site) -> actual output rows (EXPLAIN ANALYZE).
-        self.op_rows: Dict[Tuple[int, int], int] = {}
-        #: (node id, site) -> actual input rows, attributed by the
-        #: interpreter: an operator's input is the sum of its children's
-        #: outputs plus, for receivers, the rows delivered to it.  The
-        #: metric-conservation property tests pin rows_in == sum(rows_out
-        #: of children) per operator.
-        self.op_rows_in: Dict[Tuple[int, int], int] = {}
-        #: Interpreter call stack of node ids (per site, execution is
-        #: sequential) — how a child's output is attributed as its
-        #: caller's input.
-        self._op_stack: List[int] = []
+        #: (op_id, site) -> [rows in, rows out, work units].  Rows in are
+        #: the children's outputs (the conservation property tests pin
+        #: that) plus what ``record_input`` adds for receivers and
+        #: adapter scans.
+        self.ops: Dict[Tuple[int, int], list] = defaultdict(
+            lambda: [0, 0, 0.0]
+        )
         #: The fragment currently being interpreted (set by the engine).
         self.current_fragment: Optional[int] = None
         #: (fragment id, site) -> peak buffered bytes (hash tables, sort
         #: buffers, receiver concatenation) observed while interpreting.
         self.fragment_memory: Dict[Tuple[int, int], float] = {}
-        #: (exchange id, site) -> list of inbound row streams.
-        self.inbound: Dict[Tuple[int, int], List[Rows]] = {}
-        #: id(row list) -> (row list, the columnar batch that produced it).
-        self.columnar_streams: Dict[int, tuple] = {}
+        #: (exchange id, site) -> inbound streams, in the sending
+        #: backend's own form (row lists, or columnar batches).
+        self.inbound: Dict[Tuple[int, int], list] = {}
         #: total network units charged (reporting).
         self.network_units = 0.0
         #: rows shipped over the network (reporting).
@@ -118,14 +113,9 @@ class ExecContext:
             if failover_owner(p, data.site_count, alive) == site
         ]
 
-    def charge(
-        self, node: PhysNode, site: int, units: float, rows: Optional[int] = None
-    ) -> None:
+    def charge(self, node: PhysNode, site: int, units: float) -> None:
         self.total_units += units
-        key = (id(node), site)
-        self.op_units[key] = self.op_units.get(key, 0.0) + units
-        if rows is not None:
-            self.op_rows[key] = self.op_rows.get(key, 0) + rows
+        self.ops[node.op_id, site][2] += units
         if self.total_units > self.limit_units:
             raise ExecutionTimeoutError(
                 "simulated execution exceeded the runtime limit",
@@ -139,8 +129,8 @@ class ExecContext:
             self.charge(node, site, units)  # raises
 
     def record_input(self, node: PhysNode, site: int, rows: int) -> None:
-        key = (id(node), site)
-        self.op_rows_in[key] = self.op_rows_in.get(key, 0) + rows
+        """Input that is no child's output: delivered or source-read rows."""
+        self.ops[node.op_id, site][0] += rows
 
     def note_memory(self, site: int, byte_count: float) -> None:
         """Report a buffer allocation; keeps the per-fragment high water."""
@@ -151,7 +141,7 @@ class ExecContext:
         if byte_count > current:
             self.fragment_memory[key] = byte_count
 
-    def deliver(self, exchange_id: int, site: int, stream: Rows) -> None:
+    def deliver(self, exchange_id: int, site: int, stream) -> None:
         self.inbound.setdefault((exchange_id, site), []).append(stream)
 
 
@@ -163,105 +153,78 @@ def _compiled(node: PhysNode, attr: str, factory: Callable):
     return cached
 
 
-def execute_node(node: PhysNode, site: int, ctx: ExecContext) -> Rows:
-    """Interpret ``node`` at ``site``, returning its output rows."""
-    handler = _HANDLERS.get(type(node))
+def run_operator(handlers: dict, node: PhysNode, site: int, ctx: ExecContext):
+    """The operator shell: interpret ``node`` at ``site`` with a backend's
+    ``handlers`` and account for it.
+
+    A handler is a pure transform ``handler(node, site, ctx, *inputs)`` of
+    its already-evaluated inputs; it returns its output, or ``(output,
+    detail)`` when the charge needs something only it saw (see
+    ``_CHARGES``).  Outputs only need ``len()``.
+    """
+    handler = handlers.get(type(node))
     if handler is None:
         raise ExecutionError(f"no interpreter for {type(node).__name__}")
-    caller = ctx._op_stack[-1] if ctx._op_stack else None
-    ctx._op_stack.append(id(node))
-    try:
-        rows = handler(node, site, ctx)
-    finally:
-        ctx._op_stack.pop()
-    key = (id(node), site)
-    ctx.op_rows[key] = ctx.op_rows.get(key, 0) + len(rows)
-    if caller is not None:
-        in_key = (caller, site)
-        ctx.op_rows_in[in_key] = ctx.op_rows_in.get(in_key, 0) + len(rows)
-    return rows
+    inputs = [run_operator(handlers, child, site, ctx) for child in node.inputs]
+    out = handler(node, site, ctx, *inputs)
+    detail = None
+    if type(out) is tuple:
+        out, detail = out
+    counts = [len(rows) for rows in inputs]
+    cell = ctx.ops[node.op_id, site]
+    cell[0] += sum(counts)
+    cell[1] += len(out)
+    ctx.charge(node, site, _CHARGES[type(node)](counts, len(out), detail))
+    return out
+
+
+def execute_node(node: PhysNode, site: int, ctx: ExecContext) -> Rows:
+    """Run the fragment tree under ``node`` at ``site`` on the row backend."""
+    return run_operator(_HANDLERS, node, site, ctx)
 
 
 # -- scans --------------------------------------------------------------------
 
 
-_PUSHDOWN_UNSET = object()
-
-
-def compiled_pushdown(node: PhysTableScan):
-    """Cached :func:`compile_pushdown` for a scan node (None when bare)."""
-    cached = node.__dict__.get("_pushed_scan", _PUSHDOWN_UNSET)
-    if cached is _PUSHDOWN_UNSET:
-        cached = compile_pushdown(node)
-        node.__dict__["_pushed_scan"] = cached
-    return cached
-
-
 def adapter_scan(
-    node: PhysTableScan, data, partitions: Sequence[int]
-) -> Tuple[int, Rows]:
-    """Scan ``partitions`` through the table's adapter, honouring pushdown.
+    node: PhysTableScan, site: int, ctx: ExecContext, data
+) -> Optional[Tuple[Rows, Tuple]]:
+    """``site``'s partitions of ``data`` read through the table's adapter,
+    honouring pushdown — or None for a native table with nothing pushed,
+    which each backend reads its own (historical, fast) way.
 
-    Returns ``(scanned, rows)`` where ``scanned`` is the source-side row
-    count *before* any pushed filter/project/fetch applied — the number
-    the work-unit charge and the ``adapter.rows_scanned`` metric bill for.
-    Shared by the row and columnar backends so their simulated times and
-    scan traces stay bit-identical.
+    Returns ``(rows, detail)``; the detail (adapter costs, source-side rows
+    read *before* any pushed filter/project/fetch applied, partition
+    requests) is what ``_CHARGES`` bills and ``adapter.rows_scanned``
+    counts.  Shared by both backends: one scan trace, one charge.
     """
-    pushed = compiled_pushdown(node)
     adapter = data.adapter
-    scanned_total = 0
+    pushed = _compiled(node, "_pushed_scan", lambda: compile_pushdown(node))
+    if adapter is None or (adapter.name == "native" and pushed is None):
+        return None
+    partitions = ctx.partitions_for(data, site)
+    scanned = 0
     rows: Rows = []
     for partition in partitions:
-        scanned, out = adapter.scan_partition(data, partition, pushed)
-        scanned_total += scanned
+        read, out = adapter.scan_partition(data, partition, pushed)
+        scanned += read
         rows.extend(out)
-    return scanned_total, rows
-
-
-def charge_adapter_scan(
-    node: PhysTableScan,
-    site: int,
-    ctx: ExecContext,
-    data,
-    scanned: int,
-    produced: int,
-    partitions: int,
-) -> None:
-    """Bill an adapter-backed scan and record its pushdown evidence."""
-    adapter = data.adapter
     ctx.record_input(node, site, scanned)
-    ctx.charge(
-        node,
-        site,
-        scan_charge(adapter.costs, scanned, produced, max(1, partitions)),
-    )
     registry = get_registry()
-    registry.inc(
-        "adapter.rows_scanned", scanned, adapter=adapter.name, table=node.table
-    )
-    registry.inc(
-        "adapter.rows_out", produced, adapter=adapter.name, table=node.table
-    )
+    labels = {"adapter": adapter.name, "table": node.table}
+    registry.inc("adapter.rows_scanned", scanned, **labels)
+    registry.inc("adapter.rows_out", len(rows), **labels)
+    return rows, (adapter.costs, scanned, max(1, len(partitions)))
 
 
-def _exec_table_scan(node: PhysTableScan, site: int, ctx: ExecContext) -> Rows:
+def _exec_table_scan(node: PhysTableScan, site: int, ctx: ExecContext):
     data = ctx.store.table(node.table)
-    adapter = data.adapter
-    if (
-        adapter is None
-        or (adapter.name == "native" and compiled_pushdown(node) is None)
-    ):
-        # The historical fast path: native tables with nothing pushed are
-        # read straight out of the partition lists at RPTC per row.
-        rows: Rows = []
-        for partition in ctx.partitions_for(data, site):
-            rows.extend(data.partitions[partition])
-        ctx.charge(node, site, len(rows) * RPTC)
-        return rows
-    partitions = ctx.partitions_for(data, site)
-    scanned, rows = adapter_scan(node, data, partitions)
-    charge_adapter_scan(node, site, ctx, data, scanned, len(rows), len(partitions))
+    scan = adapter_scan(node, site, ctx, data)
+    if scan is not None:
+        return scan
+    rows: Rows = []
+    for partition in ctx.partitions_for(data, site):
+        rows.extend(data.partitions[partition])
     return rows
 
 
@@ -278,11 +241,9 @@ def _exec_index_scan(node: PhysIndexScan, site: int, ctx: ExecContext) -> Rows:
         ]
     else:
         streams = [indexes[partition].scan() for partition in partitions]
-    rows = _merge_sorted(
+    return _merge_sorted(
         streams, [(k, True) for k in indexes[0].key_positions] if indexes else ()
     )
-    ctx.charge(node, site, len(rows) * RPTC * 1.1)
-    return rows
 
 
 def _merge_sorted(streams: Sequence[Rows], keys: Sequence[Tuple[int, bool]]) -> Rows:
@@ -300,7 +261,6 @@ def _exec_receiver(node: PhysReceiver, site: int, ctx: ExecContext) -> Rows:
     rows = _merge_sorted(streams, keys)
     ctx.record_input(node, site, sum(len(s) for s in streams))
     ctx.note_memory(site, len(rows) * node.width * AFS)
-    ctx.charge(node, site, len(rows) * RPTC)
     return rows
 
 
@@ -308,7 +268,8 @@ def _exec_receiver(node: PhysReceiver, site: int, ctx: ExecContext) -> Rows:
 #
 # Each handler runs one kernel generated from its node's expressions
 # (``KernelBuilder``) and cached on the node: the loop and the expressions
-# in it are one piece of Python source, with no call per row.
+# in it are one piece of Python source, with no call per row.  Handlers
+# transform inputs into output; the shell does the accounting.
 
 
 def _filter_kernel(node: PhysFilter) -> Callable[[Rows], Rows]:
@@ -318,11 +279,8 @@ def _filter_kernel(node: PhysFilter) -> Callable[[Rows], Rows]:
     return builder.function("filter", "rows", body)
 
 
-def _exec_filter(node: PhysFilter, site: int, ctx: ExecContext) -> Rows:
-    rows = execute_node(node.input, site, ctx)
-    out = _compiled(node, "_kernel", lambda: _filter_kernel(node))(rows)
-    ctx.charge(node, site, len(rows) * (RPTC + RCC))
-    return out
+def _exec_filter(node: PhysFilter, site: int, ctx: ExecContext, rows: Rows) -> Rows:
+    return _compiled(node, "_kernel", lambda: _filter_kernel(node))(rows)
 
 
 def _project_kernel(node: PhysProject) -> Callable[[Rows], Rows]:
@@ -332,15 +290,11 @@ def _project_kernel(node: PhysProject) -> Callable[[Rows], Rows]:
     return builder.function("project", "rows", body)
 
 
-def _exec_project(node: PhysProject, site: int, ctx: ExecContext) -> Rows:
-    rows = execute_node(node.input, site, ctx)
-    out = _compiled(node, "_kernel", lambda: _project_kernel(node))(rows)
-    ctx.charge(node, site, len(rows) * RPTC)
-    return out
+def _exec_project(node: PhysProject, site: int, ctx: ExecContext, rows: Rows) -> Rows:
+    return _compiled(node, "_kernel", lambda: _project_kernel(node))(rows)
 
 
 def _exec_values(node: PhysValues, site: int, ctx: ExecContext) -> Rows:
-    ctx.charge(node, site, len(node.rows) * RPTC)
     return list(node.rows)
 
 
@@ -387,14 +341,11 @@ def _join_kernel(
 
 
 def _exec_nested_loop_join(
-    node: PhysNestedLoopJoin, site: int, ctx: ExecContext
+    node: PhysNestedLoopJoin, site: int, ctx: ExecContext, left: Rows, right: Rows
 ) -> Rows:
-    left = execute_node(node.left, site, ctx)
-    right = execute_node(node.right, site, ctx)
-    pairs = len(left) * len(right)
     # Pre-check: a hopeless nested-loop plan must abort without grinding
     # through the cross product (the paper's four-hour timeout analogue).
-    ctx.precheck(node, site, pairs * RCC)
+    ctx.precheck(node, site, charges.nested_loop_pairs(len(left), len(right)))
     kernel = _compiled(
         node,
         "_kernel",
@@ -403,11 +354,7 @@ def _exec_nested_loop_join(
             ["for l in left:"], "right",
         ),
     )
-    out, _ = kernel(left, right)
-    ctx.charge(
-        node, site, pairs * RCC + (len(left) + len(right) + len(out)) * RPTC
-    )
-    return out
+    return kernel(left, right)[0]
 
 
 def _key_source(row: str, positions: Sequence[int]) -> str:
@@ -439,16 +386,13 @@ def _hash_join_kernel(node: PhysHashJoin) -> Callable:
     return _join_kernel(node, "hash_join", "left, right", node.residual, head, "bucket")
 
 
-def _exec_hash_join(node: PhysHashJoin, site: int, ctx: ExecContext) -> Rows:
-    left = execute_node(node.left, site, ctx)
-    right = execute_node(node.right, site, ctx)
+def _exec_hash_join(
+    node: PhysHashJoin, site: int, ctx: ExecContext, left: Rows, right: Rows
+) -> Tuple[Rows, int]:
+    """Returns the output and the bucket candidates tested (billed)."""
     kernel = _compiled(node, "_kernel", lambda: _hash_join_kernel(node))
     ctx.note_memory(site, len(right) * node.right.width * AFS)
-    out, matches_scanned = kernel(left, right)
-    units = (len(left) + len(right)) * (RCC + RPTC + HAC)
-    units += matches_scanned * RCC + len(out) * RPTC
-    ctx.charge(node, site, units)
-    return out
+    return kernel(left, right)
 
 
 def _merge_join_kernel(node: PhysMergeJoin) -> Callable:
@@ -473,9 +417,9 @@ def _merge_join_kernel(node: PhysMergeJoin) -> Callable:
     return _join_kernel(node, "merge_join", params, node.residual, head, "block")
 
 
-def _exec_merge_join(node: PhysMergeJoin, site: int, ctx: ExecContext) -> Rows:
-    left = execute_node(node.left, site, ctx)
-    right = execute_node(node.right, site, ctx)
+def _exec_merge_join(
+    node: PhysMergeJoin, site: int, ctx: ExecContext, left: Rows, right: Rows
+) -> Rows:
     left_keys = [lk for lk, _ in node.pairs]
     right_keys = [rk for _, rk in node.pairs]
     lkeys = list(map(itemgetter(*left_keys), left))
@@ -493,10 +437,7 @@ def _exec_merge_join(node: PhysMergeJoin, site: int, ctx: ExecContext) -> Rows:
         lkeys = [ordering_key(row, left_keys) for row in left]
         rkeys = [ordering_key(row, right_keys) for row in right]
     kernel = _compiled(node, "_kernel", lambda: _merge_join_kernel(node))
-    out, _ = kernel(left, right, lkeys, rkeys, nulls)
-    units = (len(left) + len(right)) * (RCC + RPTC + HAC) + len(out) * RPTC
-    ctx.charge(node, site, units)
-    return out
+    return kernel(left, right, lkeys, rkeys, nulls)[0]
 
 
 # -- sort / limit ---------------------------------------------------------------------
@@ -518,25 +459,19 @@ def apply_offset_fetch(
     return rows[skip:end], min(len(rows), end)
 
 
-def _exec_sort(node: PhysSort, site: int, ctx: ExecContext) -> Rows:
-    rows = execute_node(node.input, site, ctx)
+def _exec_sort(node: PhysSort, site: int, ctx: ExecContext, rows: Rows) -> Rows:
     ctx.note_memory(site, len(rows) * node.width * AFS)
     out = sort_rows(rows, node.keys)
     if node.fetch is not None or node.offset is not None:
         out, _ = apply_offset_fetch(out, node.offset, node.fetch)
-    n = len(rows)
-    ctx.charge(node, site, n * RPTC + n * math.log2(n + 2) * RCC)
     return out
 
 
-def _exec_limit(node: PhysLimit, site: int, ctx: ExecContext) -> Rows:
-    rows = execute_node(node.input, site, ctx)
-    out, consumed = apply_offset_fetch(rows, node.offset, node.fetch)
-    # Charge for every row consumed, not just those emitted: rows skipped
-    # by the offset were still read and counted, and the work units must
-    # agree between the row and columnar backends.
-    ctx.charge(node, site, consumed * RPTC)
-    return out
+def exec_limit(node: PhysLimit, site: int, ctx: ExecContext, rows):
+    """Both backends' LIMIT (``rows`` is anything sliceable): the output
+    and the rows consumed (billed) — rows skipped by the offset were
+    still read and counted."""
+    return apply_offset_fetch(rows, node.offset, node.fetch)
 
 
 # -- aggregates ----------------------------------------------------------------------
@@ -552,35 +487,64 @@ def _aggregate_kernel(node: PhysAggregateBase, runs: bool) -> Callable[[Rows], R
 
 
 def _exec_hash_aggregate(
-    node: PhysHashAggregate, site: int, ctx: ExecContext
+    node: PhysHashAggregate, site: int, ctx: ExecContext, rows: Rows
 ) -> Rows:
-    rows = execute_node(node.input, site, ctx)
     out = _aggregate_kernel(node, runs=False)(rows)
     ctx.note_memory(site, len(out) * node.width * AFS)
-    ctx.charge(node, site, len(rows) * (RPTC + HAC) + len(out) * RPTC)
     return out
 
 
 def _exec_sort_aggregate(
-    node: PhysSortAggregate, site: int, ctx: ExecContext
+    node: PhysSortAggregate, site: int, ctx: ExecContext, rows: Rows
 ) -> Rows:
-    rows = execute_node(node.input, site, ctx)
     if node.phase is AggPhase.REDUCE:
         raise ExecutionError("sort aggregate does not implement REDUCE")
-    out = _aggregate_kernel(node, runs=True)(rows)
-    ctx.charge(node, site, len(rows) * (RPTC + RCC) + len(out) * RPTC)
-    return out
+    return _aggregate_kernel(node, runs=True)(rows)
 
 
 # -- sender-side routing helper ----------------------------------------------------------
 
 
+def stream_rows(stream) -> Rows:
+    """A fragment's output as row tuples, whichever backend produced it."""
+    return stream if isinstance(stream, list) else stream.to_rows()
+
+
+def network_messages(rows: int) -> int:
+    """Messages a sender batches ``rows`` into, per target."""
+    return max(1, rows // NETWORK_ROWS_PER_MESSAGE) if rows else 0
+
+
 def network_units_for(rows: int, width: int, copies: int = 1) -> float:
     """Work units to serialise and ship ``rows`` to ``copies`` targets."""
     byte_units = rows * width * AFS * NETWORK_UNITS_PER_BYTE
-    messages = max(1, rows // NETWORK_ROWS_PER_MESSAGE) if rows else 0
-    return copies * (byte_units + messages * NETWORK_UNITS_PER_MESSAGE)
+    return copies * (
+        byte_units + network_messages(rows) * NETWORK_UNITS_PER_MESSAGE
+    )
 
+
+#: The charge spec per physical operator type: work units from (input row
+#: counts, output rows, the detail the handler reported).  Only formulas
+#: from :mod:`repro.common.charges` (adapter scans: the adapter's
+#: ``scan_charge``) appear on the right.
+_CHARGES = {
+    PhysTableScan: lambda ins, out, adapter: (
+        charges.pass_through(out) if adapter is None
+        else scan_charge(adapter[0], adapter[1], out, adapter[2])
+    ),
+    PhysIndexScan: lambda ins, out, _: charges.index_scan(out),
+    PhysReceiver: lambda ins, out, _: charges.pass_through(out),
+    PhysFilter: lambda ins, out, _: charges.filter(*ins),
+    PhysProject: lambda ins, out, _: charges.pass_through(*ins),
+    PhysValues: lambda ins, out, _: charges.pass_through(out),
+    PhysNestedLoopJoin: lambda ins, out, _: charges.nested_loop_join(*ins, out),
+    PhysHashJoin: lambda ins, out, tested: charges.hash_join(*ins, out, tested),
+    PhysMergeJoin: lambda ins, out, _: charges.merge_join_charged(*ins, out),
+    PhysSort: lambda ins, out, _: charges.sort(*ins),
+    PhysLimit: lambda ins, out, consumed: charges.pass_through(consumed),
+    PhysHashAggregate: lambda ins, out, _: charges.hash_aggregate(*ins, out),
+    PhysSortAggregate: lambda ins, out, _: charges.sort_aggregate(*ins, out),
+}
 
 _HANDLERS = {
     PhysTableScan: _exec_table_scan,
@@ -593,7 +557,7 @@ _HANDLERS = {
     PhysHashJoin: _exec_hash_join,
     PhysMergeJoin: _exec_merge_join,
     PhysSort: _exec_sort,
-    PhysLimit: _exec_limit,
+    PhysLimit: exec_limit,
     PhysHashAggregate: _exec_hash_aggregate,
     PhysSortAggregate: _exec_sort_aggregate,
 }

@@ -44,12 +44,12 @@ class VariantPlan:
     """The outcome of Algorithm 3 for one fragment."""
 
     def __init__(self, scaling: Dict[int, str]):
-        #: id(node) -> SOURCE | SPLIT | DUPLICATE
+        #: op_id -> SOURCE | SPLIT | DUPLICATE
         self.scaling = scaling
 
     def factor(self, node: PhysNode, variants: int) -> float:
         """Elapsed-units multiplier for ``node`` in one of ``variants``."""
-        kind = self.scaling.get(id(node), SPLIT)
+        kind = self.scaling.get(node.op_id, SPLIT)
         if kind == SPLIT:
             return 1.0 / variants
         return 1.0
@@ -88,12 +88,12 @@ def plan_variants(fragment: Fragment) -> Optional[VariantPlan]:
     def classify(node: PhysNode, mode: str) -> bool:
         """Returns False when a reduction operator forbids variants."""
         if isinstance(node, _SOURCE_TYPES):
-            scaling[id(node)] = SOURCE
+            scaling[node.op_id] = SOURCE
             return True
         if isinstance(node, PhysAggregateBase) and node.is_reduction:
             return False
         if isinstance(node, PhysJoinBase):
-            scaling[id(node)] = mode
+            scaling[node.op_id] = mode
             if node.join_type is JoinType.INNER:
                 left_heavy = source_rows(node.inputs[0]) >= source_rows(
                     node.inputs[1]
@@ -105,7 +105,7 @@ def plan_variants(fragment: Fragment) -> Optional[VariantPlan]:
             if not classify(dup_child, DUPLICATE):
                 return False
             return classify(split_child, mode)
-        scaling[id(node)] = mode
+        scaling[node.op_id] = mode
         return all(classify(child, mode) for child in node.inputs)
 
     if not classify(fragment.root, SPLIT):

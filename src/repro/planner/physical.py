@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import PlannerError
-from repro.cost.model import Cost, CostModel, distribution_factor
+from repro.cost.model import CostModel, distribution_factor
 from repro.exec.physical import (
     DEGRADED_HASH_KEY,
     AggPhase,
@@ -299,11 +299,10 @@ class PhysicalPlanner:
             (schema.column_index(c), True)
             for c in schema.indexes[index_name].columns
         )
-        cost = self._cost.scan(rows, scan.width, sites)
         return PhysIndexScan(
             scan.table, scan.alias, scan.fields, index_name,
             _native_distribution(schema), Collation(keys), sites, **bounds,
-        ).costed(rows, Cost(cpu=cost.cpu * 1.1))
+        ).costed(rows, self._cost.index_scan(rows, sites))
 
     def _matching_index(self, schema, collation: Collation) -> Optional[str]:
         """An index whose key order provides the requested collation."""

@@ -42,7 +42,7 @@ the store without DDL (mid-query temp tables).
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.obs.metrics import get_registry
 from repro.stats.sketches import (
@@ -208,16 +208,13 @@ class SketchRegistry:
             for fragment in fragments
             if fragment.sender is not None
         }
-        by_fragment: Dict[int, List] = {}
-        order: List = []
+        #: fragment id -> (fragment, its per-site row streams), in seam order
+        by_fragment: Dict[int, Tuple] = {}
         for fragment, rows in captures:
-            bucket = by_fragment.get(id(fragment))
-            if bucket is None:
-                by_fragment[id(fragment)] = bucket = []
-                order.append(fragment)
-            bucket.append(rows)
+            entry = by_fragment.setdefault(fragment.fragment_id, (fragment, []))
+            entry[1].append(rows)
         harvested = 0
-        for fragment in order:
+        for fragment, streams in by_fragment.values():
             root = fragment.root
             if not FeedbackRegistry._eligible(root):
                 continue
@@ -226,7 +223,7 @@ class SketchRegistry:
                 continue
             remaining = MAX_SEAM_ROWS
             sketches: Dict[int, HyperLogLog] = {}
-            for site_rows in by_fragment[id(fragment)]:
+            for site_rows in streams:
                 if remaining <= 0:
                     break
                 for row in site_rows[:remaining]:

@@ -28,7 +28,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.constants import RPTC
+from repro.common import charges
 from repro.common.errors import StorageError
 from repro.rel.expr import (
     BinaryOp,
@@ -71,7 +71,7 @@ def scan_charge(
     charged only on ``produced``.
     """
     return (
-        scanned * RPTC * costs.scan_cpu_factor
+        charges.pass_through(scanned) * costs.scan_cpu_factor
         + scanned * costs.io_units_per_row
         + produced * costs.network_units_per_row
         + requests * costs.request_units

@@ -22,7 +22,9 @@ supposed to uphold:
 * **Fragment wiring** — exactly one root fragment; every non-root
   fragment has exactly one sender; sender/receiver exchange ids pair up
   bijectively; ``child_ids`` agree with the receivers actually present;
-  no exchange operator survives fragmentation.
+  no exchange operator survives fragmentation; every operator carries
+  an ``op_id`` and neither an id nor a node object occurs twice (all
+  execution accounting is keyed by it).
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ class PlanValidator:
             )
 
         fragment_ids = set()
+        op_ids = set()
+        nodes = set()  # id(node): one object under two keys is one cell
         senders: Dict[int, Fragment] = {}  # exchange id -> producing fragment
         for fragment in fragments:
             where = f"fragment #{fragment.fragment_id}"
@@ -130,6 +134,14 @@ class PlanValidator:
             fragment_ids.add(fragment.fragment_id)
             for node in fragment.operators():
                 self._check_node(node, violations)
+                op_id = getattr(node, "op_id", None)
+                if op_id is None or op_id in op_ids or id(node) in nodes:
+                    detail = f"{self._name(node)}: op_id {op_id} missing or reused"
+                    violations.append(
+                        Violation("operator-ids-unique", where, detail)
+                    )
+                op_ids.add(op_id)
+                nodes.add(id(node))
                 if isinstance(node, PhysExchange):
                     violations.append(
                         Violation(

@@ -53,7 +53,7 @@ def _execute_cell(cluster, sql: str) -> dict:
     operators = cell["operators"] = []
     for fragment in result.fragment_trees:
         for op in fragment.operators():
-            rows, units = result.operator_actuals.get(id(op), (0, 0.0))
+            rows, units, _ = result.operator_actuals.get(op.op_id, (0, 0.0, 0))
             operators.append(f"{type(op).__name__} {rows} {float(units).hex()}")
     cell["total_units"] = float(result.total_units).hex()
     cell["rows_shipped"] = result.rows_shipped

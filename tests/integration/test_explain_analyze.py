@@ -19,7 +19,7 @@ def test_actuals_are_recorded(cluster):
     assert result.operator_actuals
     assert all(
         rows >= 0 and units >= 0
-        for rows, units in result.operator_actuals.values()
+        for rows, units, _rows_in in result.operator_actuals.values()
     )
 
 
@@ -38,7 +38,7 @@ def test_scan_actuals_match_table_size(cluster):
     result = cluster.sql("select emp_id from emp")
     scans = [
         (rows, units)
-        for op_id, (rows, units) in result.operator_actuals.items()
+        for op_id, (rows, units, _rows_in) in result.operator_actuals.items()
     ]
     # Some operator (the scan) saw every employee row.
     assert any(rows == 120 for rows, _ in scans)

@@ -17,6 +17,7 @@ from helpers import make_company_cluster
 from repro.bench.tpch import QUERIES, load_tpch_cluster
 from repro.common.config import PRESETS
 from repro.core.cluster import QueryStatus
+from repro.exec.fragments import number_operators
 from repro.exec.physical import PhysFilter, PhysValues
 from repro.exec.operators import ExecContext, execute_node
 from repro.rel.expr import BinaryOp, ColRef, Literal, compile_expr
@@ -43,6 +44,7 @@ class TestKernelTracebacks:
             BinaryOp(">", BinaryOp("/", ColRef(0), ColRef(1)), Literal(1)),
         )
         ctx = ExecContext(DataStore(site_count=1, partitions_per_table=1), 1e9)
+        number_operators(node)
         with pytest.raises(ZeroDivisionError) as info:
             execute_node(node, 0, ctx)
         frames = kernel_frames(info.value)

@@ -78,7 +78,8 @@ def read_leaf_columns(node, needed, out):
 
 
 class Ledger:
-    """Wraps the interpreter's dispatch and ``Column._force``."""
+    """Wraps every columnar handler, the fragment entry point and
+    ``Column._force``."""
 
     def __init__(self, monkeypatch):
         self.origin = {}      # id(column) -> {(id(leaf), position)}
@@ -89,22 +90,31 @@ class Ledger:
         self.gathers = 0
         self.views_checked = 0
         self._last_output = {}
-        self._depth = 0
-        self._execute = columnar._execute
         self._force = columnar.Column._force
-        monkeypatch.setattr(columnar, "_execute", self.execute)
+        run_fragment = columnar.execute_columnar
+
+        def execute_root(node, site, ctx):  # its rows are shipped
+            read_leaf_columns(node, set(range(node.width)), self.allowed)
+            return run_fragment(node, site, ctx)
+
+        monkeypatch.setattr(columnar, "execute_columnar", execute_root)
+        for op_type, handler in columnar._HANDLERS.items():
+            monkeypatch.setitem(
+                columnar._HANDLERS, op_type, self.observed(handler)
+            )
         monkeypatch.setattr(
             columnar.Column, "_force", lambda col: self.force(col)
         )
 
-    def execute(self, node, site, ctx):
-        if self._depth == 0:  # a fragment root: its rows are shipped
-            read_leaf_columns(node, set(range(node.width)), self.allowed)
-        self._depth += 1
-        try:
-            batch = self._execute(node, site, ctx)
-        finally:
-            self._depth -= 1
+    def observed(self, handler):
+        def handle(node, site, ctx, *inputs):
+            result = handler(node, site, ctx, *inputs)
+            self.observe(node, result[0] if type(result) is tuple else result)
+            return result
+
+        return handle
+
+    def observe(self, node, batch):
         self._last_output[id(node)] = batch
         self.alive.append(node)
         if not node.inputs:
@@ -127,7 +137,6 @@ class Ledger:
                         f"below a project that never reads it"
                     )
                     self.views_checked += 1
-        return batch
 
     def force(self, col):
         labels = self.origin.get(id(col)) or self.origin.get(id(col._source))

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from helpers import make_company_cluster, naive_execute, normalise
+from repro.bench.tpch import load_tpch_cluster
 from repro.bench.midquery import (
     MIDQUERY_QUERIES,
     load_skewed_cluster,
@@ -27,7 +28,7 @@ from repro.bench.midquery import (
 )
 from repro.common.config import SystemConfig
 from repro.core.cluster import QueryStatus
-from repro.faults.injector import ExchangeDrop, FragmentOom
+from repro.faults.injector import ExchangeDrop, FragmentOom, SiteCrash
 from repro.obs.metrics import get_registry, q_error
 from repro.verify.reference import ReferenceExecutor
 
@@ -75,7 +76,7 @@ def _root_q_error(result) -> float:
     its estimate is the one the replan was allowed to fix.
     """
     root = result.fragment_trees[-1].root
-    rows, _units = result.operator_actuals[id(root)]
+    rows, _units, _rows_in = result.operator_actuals[root.op_id]
     return q_error(root.rows_est, rows)
 
 
@@ -150,6 +151,14 @@ class TestPinnedRegression:
         }
         senders = [f.sender.exchange_id for f in fragments if f.sender]
         assert len(senders) == len(set(senders))
+        # Operators too: the splice continues the query's numbering, so
+        # prefix and suffix never share an accounting key.
+        op_ids = [op.op_id for f in fragments for op in f.operators()]
+        assert len(op_ids) == len(set(op_ids))
+        assert set(op_ids) == set(result.operator_actuals)
+        assert "operator-ids-unique" not in {
+            v.rule for v in PlanValidator().validate_fragments(fragments)
+        }
         receivers = [
             op
             for f in spliced
@@ -369,6 +378,35 @@ class TestPartialHarvest:
             get_registry().counter("adaptive.feedback_partial_harvests")
             >= 1
         )
+
+
+    def test_a_query_that_never_ran_does_not_reharvest_the_previous_partial(self):
+        # Attempt 1 loses exchange #1 after fragment #0 completed: one
+        # partial harvest.  By t=10 every site is dead, so attempt 2
+        # fails before executing anything — and must not feed attempt
+        # 1's partial to feedback a second time.
+        config = SystemConfig.ic_plus(4).with_(
+            cardinality_feedback=True,
+            faults=(ExchangeDrop(1, at=0.0),)
+            + tuple(SiteCrash(site, at=5.0) for site in range(4)),
+        )
+        cluster = load_tpch_cluster(config, 0.02)
+        sql = (
+            "select c_mktsegment, count(*) from customer, orders "
+            "where c_custkey = o_custkey group by c_mktsegment"
+        )
+        registry = get_registry()
+
+        first = cluster.try_sql(sql, at=0.0)
+        assert first.status is QueryStatus.FAILED_SITE
+        assert registry.counter("adaptive.feedback_partial_harvests") == 1
+        observations = registry.counter("adaptive.feedback_observations")
+        assert observations >= 1
+
+        second = cluster.try_sql(sql, at=10.0)
+        assert second.status is QueryStatus.FAILED_SITE
+        assert registry.counter("adaptive.feedback_partial_harvests") == 1
+        assert registry.counter("adaptive.feedback_observations") == observations
 
 
 class TestBenchArtefact:

@@ -220,9 +220,8 @@ class TestOffset:
         for node in limits:
             if node.offset is None:
                 continue
-            rows_in = result.operator_rows_in[id(node)]
+            rows_out, units, rows_in = result.operator_actuals[node.op_id]
             consumed = min(rows_in, (node.offset or 0) + (node.fetch or 0))
-            rows_out, units = result.operator_actuals[id(node)]
             assert rows_out == len(result.rows)
             # The seed bug: charging only the emitted rows, letting an
             # OFFSET page deep into a table for (almost) free.

@@ -24,6 +24,7 @@ from helpers import (
     reference_sort_rows,
 )
 from repro.common.ordering import ordering_key, sort_rows
+from repro.exec.fragments import number_operators
 from repro.exec.operators import ExecContext, _merge_sorted, execute_node
 from repro.exec.aggregates import aggregate_kernel
 from repro.exec.physical import AggPhase, PhysMergeJoin, PhysValues
@@ -218,6 +219,7 @@ class TestRawOrderings:
             PhysValues(right, ["c", "d", "q"]),
             pairs, residual, join_type, Distribution.single(),
         )
+        number_operators(node)
         ctx = ExecContext(DataStore(site_count=1, partitions_per_table=1), 1e12)
         residual_fn = (
             reference_compile_expr(residual, test=True) if with_residual else None

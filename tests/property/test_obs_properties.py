@@ -58,10 +58,10 @@ def test_rows_in_equals_children_rows_out(cluster, generated_queries):
                 if not op.inputs:
                     continue
                 expected = sum(
-                    result.operator_actuals.get(id(child), (0, 0.0))[0]
+                    result.operator_actuals[child.op_id].rows_out
                     for child in op.inputs
                 )
-                actual = result.operator_rows_in.get(id(op), 0)
+                actual = result.operator_actuals[op.op_id].rows_in
                 assert actual == expected, (
                     f"rows_in mismatch at {op._explain_self()} "
                     f"({actual} != {expected}) for: {sql}"

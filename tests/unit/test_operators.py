@@ -5,8 +5,9 @@ import pytest
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.common.errors import ExecutionTimeoutError
-from repro.exec.fragments import PhysReceiver
-from repro.exec.operators import ExecContext, execute_node, sort_rows
+from repro.exec import operators
+from repro.exec.fragments import PhysReceiver, number_operators
+from repro.exec.operators import ExecContext, sort_rows
 from repro.exec.physical import (
     AggPhase,
     PhysFilter,
@@ -49,6 +50,12 @@ def store():
 @pytest.fixture
 def ctx(store):
     return ExecContext(store, limit_units=1e9)
+
+
+def execute_node(node, site, ctx):
+    """Hand-built trees take their ids from fragment_plan's numbering."""
+    number_operators(node)
+    return operators.execute_node(node, site, ctx)
 
 
 def values_node(rows, names=("a", "b")):

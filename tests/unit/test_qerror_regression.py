@@ -84,10 +84,10 @@ def test_max_q_error_is_the_worst_operator():
     result = cluster.sql(SMALL_INPUT_JOIN)
     # broadcast operators are excluded: their actuals sum every copy
     per_op = [
-        q_error(op.rows_est, result.operator_actuals[id(op)][0])
+        q_error(op.rows_est, result.operator_actuals[op.op_id][0])
         for fragment in result.fragment_trees
         for op in fragment.operators()
-        if id(op) in result.operator_actuals
+        if op.op_id in result.operator_actuals
         and not (
             getattr(op, "distribution", None) is not None
             and op.distribution.is_broadcast

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.exec.fragments import Fragment, PhysReceiver, SenderSpec, fragment_plan
+from repro.exec.fragments import (
+    Fragment,
+    PhysReceiver,
+    SenderSpec,
+    fragment_plan,
+    number_operators,
+)
 from repro.exec.physical import (
     AggPhase,
     PhysExchange,
@@ -26,6 +32,7 @@ def scan(name="t", rows=1000.0, sites=4):
 
 def fragment(root, is_root=False):
     sender = None if is_root else SenderSpec(0, Distribution.single())
+    number_operators(root)
     return Fragment(fragment_id=0, root=root, sender=sender)
 
 
@@ -58,15 +65,15 @@ class TestEligibility:
         )
         plan = plan_variants(fragment(agg))
         assert plan is not None
-        assert plan.scaling[id(agg)] == SPLIT
+        assert plan.scaling[agg.op_id] == SPLIT
 
 
 class TestClassification:
     def test_sources_read_fully(self):
         node = PhysFilter(scan(), BinaryOp("=", ColRef(0), Literal(1)))
         plan = plan_variants(fragment(node))
-        assert plan.scaling[id(node.input)] == SOURCE
-        assert plan.scaling[id(node)] == SPLIT
+        assert plan.scaling[node.input.op_id] == SOURCE
+        assert plan.scaling[node.op_id] == SPLIT
 
     def test_inner_join_splits_heavier_side(self):
         big = scan("big", rows=10_000)
@@ -83,7 +90,7 @@ class TestClassification:
             Distribution.hash((0,)),
         )
         plan2 = plan_variants(fragment(join2))
-        assert plan2.scaling[id(above_small)] == DUPLICATE
+        assert plan2.scaling[above_small.op_id] == DUPLICATE
 
     def test_semi_join_always_splits_left(self):
         """A split right side would emit the same left row from several
@@ -97,7 +104,7 @@ class TestClassification:
             Distribution.hash((0,)),
         )
         plan = plan_variants(fragment(join))
-        assert plan.scaling[id(left_filter)] == SPLIT
+        assert plan.scaling[left_filter.op_id] == SPLIT
 
     def test_anti_join_duplicates_right(self):
         right_filter = PhysFilter(
@@ -108,13 +115,13 @@ class TestClassification:
             Distribution.hash((0,)),
         )
         plan = plan_variants(fragment(join))
-        assert plan.scaling[id(right_filter)] == DUPLICATE
+        assert plan.scaling[right_filter.op_id] == DUPLICATE
 
     def test_receiver_is_a_source(self):
         receiver = PhysReceiver(0, ["x"], Distribution.single()).costed(10)
         node = PhysProject(receiver, [ColRef(0)], ["x"])
         plan = plan_variants(fragment(node))
-        assert plan.scaling[id(receiver)] == SOURCE
+        assert plan.scaling[receiver.op_id] == SOURCE
 
 
 class TestFactors:
