@@ -58,6 +58,7 @@ from repro.exec.operators import (
     adapter_scan,
     apply_offset_fetch,
     exec_limit,
+    merge_sorted,
     run_operator,
 )
 from repro.exec.physical import (
@@ -826,6 +827,13 @@ def eval_expr(expr: Expr, batch: ColumnBatch, test: bool = False) -> Column:
 #: bound they are re-numbered densely first.
 _CODE_LIMIT = 1 << 62
 
+#: Keys whose code span is at most this multiple of the rows at hand are
+#: *dense* (surrogate keys, flags): a table with one slot per code is
+#: addressed directly.  Anything sparser (SSB's ``yyyymmdd`` date keys,
+#: multi-column products) keeps the sort-based kernels, whose cost does
+#: not depend on the span.
+_DENSE_SPAN = 8
+
 
 def _dense_codes(
     left: np.ndarray, right: np.ndarray
@@ -869,7 +877,7 @@ def _codes_pair(
     Equal values (by Python ``==``, the hash table's bucket equality)
     receive equal codes; NULLs receive ``-1`` on both sides, so a NULL
     key can never match anything — SQL ``NULL = NULL`` is not true.
-    Codes need not be dense: the probe sorts and binary-searches them.
+    Codes need not be dense: a sparse span takes the sorted probe.
     """
     lk, rk = left.kind, right.kind
     lv, rv = left.values, right.values
@@ -932,7 +940,7 @@ def _join_codes(
 
 
 def _group_codes(col: Column) -> Tuple[np.ndarray, int]:
-    """Grouping codes for one GROUP BY column.
+    """Grouping codes for one GROUP BY column and a bound above them.
 
     Unlike join keys, NULL *is* a grouping value here: all NULLs share
     one fresh code (the row path groups by the raw tuple, where
@@ -940,9 +948,17 @@ def _group_codes(col: Column) -> Tuple[np.ndarray, int]:
     """
     if col.kind == "O":
         return _dict_codes(col.to_list())
-    uniques, inv = np.unique(col.values, return_inverse=True)
-    codes = inv.astype(np.int64, copy=True)
-    count = len(uniques)
+    values, codes = col.values, None
+    if col.kind in "bi" and len(values):
+        values = values.astype(np.int64, copy=False)
+        low = int(values.min())
+        count = int(values.max()) - low + 1
+        if count <= _DENSE_SPAN * len(values):
+            codes = values - low  # dense integers are their own codes
+    if codes is None:
+        uniques, inv = np.unique(values, return_inverse=True)
+        codes = inv.astype(np.int64, copy=True)
+        count = len(uniques)
     if col.mask is not None:
         codes[col.mask] = count
         count += 1
@@ -1082,17 +1098,20 @@ def _exec_table_scan(
     return batch
 
 
-def _index_partition_batch(data, index_name: str, partition: int) -> ColumnBatch:
+def _index_order_batch(
+    data, index_name: str, partitions: Tuple[int, ...]
+) -> ColumnBatch:
+    """One site's rows in index order: its partitions' sorted streams
+    merged once (by the row path's own merge, ties to the earlier
+    partition) and cached per partition set like ``_columnar_scan_cache``."""
     cache = data.__dict__.setdefault("_columnar_index_cache", {})
-    key = (index_name, partition)
-    batch = cache.get(key)
+    batch = cache.get((index_name, partitions))
     if batch is None:
-        batch = from_rows(
-            data.index(index_name)[partition].rows,
-            data.schema.width,
-            _table_plan(data),
-        )
-        cache[key] = batch
+        indexes = data.index(index_name)
+        keys = [(k, True) for k in indexes[0].key_positions] if indexes else ()
+        rows = merge_sorted([indexes[p].rows for p in partitions], keys)
+        batch = from_rows(rows, data.schema.width, _table_plan(data))
+        cache[index_name, partitions] = batch
     return batch
 
 
@@ -1100,33 +1119,23 @@ def _exec_index_scan(
     node: PhysIndexScan, site: int, ctx: ExecContext
 ) -> ColumnBatch:
     data = ctx.store.table(node.table)
-    indexes = data.index(node.index_name)
-    key_positions = indexes[0].key_positions if indexes else ()
-    partitions = ctx.partitions_for(data, site)
+    partitions = tuple(ctx.partitions_for(data, site))
+    batch = _index_order_batch(data, node.index_name, partitions)
     if node.is_range_scan:
-        # Range pruning binary-searches each partition's sorted keys and
-        # slices the cached per-partition batch — no row re-batching.
-        batches = [
-            _index_partition_batch(data, node.index_name, p).slice(
-                *indexes[p].range_bounds(
-                    node.low, node.high,
-                    node.low_inclusive, node.high_inclusive,
-                )
+        # The leading key orders the merged batch, so the rows in range
+        # are one block of it: it starts after every partition's rows
+        # below the range and holds every partition's rows inside it, in
+        # merged order — the merge of the per-partition slices.
+        indexes = data.index(node.index_name)
+        bounds = [
+            indexes[p].range_bounds(
+                node.low, node.high, node.low_inclusive, node.high_inclusive
             )
             for p in partitions
         ]
-        batches = [b for b in batches if b.length]
-        batch = concat_batches(batches, data.schema.width)
-    else:
-        batches = [
-            _index_partition_batch(data, node.index_name, p)
-            for p in partitions
-        ]
-        batch = concat_batches(batches, data.schema.width)
-    if len(batches) > 1:
-        # A stable sort of the concatenated sorted streams equals the
-        # row path's heapq.merge (ties resolve to the earlier stream).
-        batch = sort_batch(batch, [(p, True) for p in key_positions])
+        batch = batch.slice(
+            sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
+        )
     return batch
 
 
@@ -1260,14 +1269,41 @@ def _equi_candidates(
     """All candidate pairs of an equi join, left-major with build-side
     rows in insertion order — the row hash table's probe order.
 
-    Returns ``(cand_left, cand_right, counts, offsets, pos_in_bucket)``.
+    Returns ``(cand_left, cand_right, counts, offsets, pos_in_bucket)``,
+    the same arrays whether dense codes address a table directly or
+    sparse ones are sorted and binary-searched.
     """
+    n_left, n_right = left.length, right.length
+    if n_left == 0 or n_right == 0:
+        none, zeros = np.empty(0, np.int64), np.zeros(n_left, np.int64)
+        return none, none, zeros, zeros.copy(), none
     lcodes, rcodes = _join_codes(left, right, pairs)
-    order = np.argsort(rcodes, kind="stable")
-    sorted_codes = rcodes[order]
-    starts = np.searchsorted(sorted_codes, lcodes, side="left")
-    ends = np.searchsorted(sorted_codes, lcodes, side="right")
-    counts = ends - starts
+    slots = _code_count(lcodes, rcodes) + 1
+    if (
+        slots <= _DENSE_SPAN * (n_left + n_right)
+        and slots * n_right < _CODE_LIMIT
+    ):
+        # Direct addressing: one slot per code (slot 0 collects the -1
+        # NULL codes and is never probed), bucket sizes by counting.
+        build, rows = rcodes + 1, np.arange(n_right, dtype=np.int64)
+        sizes = np.bincount(build, minlength=slots)
+        starts = lcodes + 1
+        counts = sizes[starts]
+        if sizes[1:].max(initial=0) <= 1:
+            # Key-unique build side: the scatter table *is* the bucket
+            # array, each bucket starting at its own slot.
+            order = np.zeros(slots, np.int64)
+            order[build] = rows
+        else:
+            # Buckets in slot order, insertion order inside each: the
+            # (slot, row) pairs are distinct, so any sort is stable.
+            order = np.sort(build * n_right + rows) % n_right
+            starts = (np.cumsum(sizes) - sizes)[starts]
+    else:
+        order = np.argsort(rcodes, kind="stable")
+        sorted_codes = rcodes[order]
+        starts = np.searchsorted(sorted_codes, lcodes, side="left")
+        counts = np.searchsorted(sorted_codes, lcodes, side="right") - starts
     counts[lcodes < 0] = 0  # NULL keys probe nothing
     total = int(counts.sum())
     offsets = np.zeros(len(counts), dtype=np.int64)
@@ -1390,15 +1426,24 @@ def _group_ids(
     first-occurrence row index of each group — the row hash table's
     insertion order and representative key values."""
     n = batch.length
-    combined: Optional[np.ndarray] = None
+    combined = np.zeros(n, dtype=np.int64)
+    bound = 1
     for key in keys:
         codes, count = _group_codes(batch.column(key))
-        if combined is None:
-            combined = codes
-        else:
-            combined = combined * count + codes
-    if combined is None:
-        combined = np.zeros(n, dtype=np.int64)
+        if bound * count >= _CODE_LIMIT:  # keep the product inside int64
+            uniques, combined = np.unique(combined, return_inverse=True)
+            bound = len(uniques)
+        combined = combined * count + codes
+        bound *= count
+    if bound <= _DENSE_SPAN * n:
+        # One slot per combined code; ``minimum.at`` is the documented
+        # unbuffered form, so repeated codes keep their smallest row.
+        rows = np.arange(n, dtype=np.int64)
+        first = np.full(bound, n, dtype=np.int64)
+        np.minimum.at(first, combined, rows)
+        first_idx = np.flatnonzero(first[combined] == rows)
+        first[combined[first_idx]] = rows[: len(first_idx)]  # now: group id
+        return first[combined], len(first_idx), first_idx
     uniques, first_idx, inv = np.unique(
         combined, return_index=True, return_inverse=True
     )

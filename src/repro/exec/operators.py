@@ -241,12 +241,12 @@ def _exec_index_scan(node: PhysIndexScan, site: int, ctx: ExecContext) -> Rows:
         ]
     else:
         streams = [indexes[partition].scan() for partition in partitions]
-    return _merge_sorted(
+    return merge_sorted(
         streams, [(k, True) for k in indexes[0].key_positions] if indexes else ()
     )
 
 
-def _merge_sorted(streams: Sequence[Rows], keys: Sequence[Tuple[int, bool]]) -> Rows:
+def merge_sorted(streams: Sequence[Rows], keys: Sequence[Tuple[int, bool]]) -> Rows:
     """Merge streams that are each sorted by ``keys``.  A stable sort of
     their concatenation is the k-way merge (ties keep stream order), and
     Timsort finds the sorted runs itself."""
@@ -258,7 +258,7 @@ def _merge_sorted(streams: Sequence[Rows], keys: Sequence[Tuple[int, bool]]) -> 
 def _exec_receiver(node: PhysReceiver, site: int, ctx: ExecContext) -> Rows:
     streams = ctx.inbound.get((node.exchange_id, site), [])
     keys = node.collation.keys if node.collation.is_sorted else ()
-    rows = _merge_sorted(streams, keys)
+    rows = merge_sorted(streams, keys)
     ctx.record_input(node, site, sum(len(s) for s in streams))
     ctx.note_memory(site, len(rows) * node.width * AFS)
     return rows

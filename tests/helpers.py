@@ -593,3 +593,60 @@ def reference_aggregate_rows(rows, group_keys, calls, phase, runs):
         groups.append(((), evaluator.new_group()))
     finalize = evaluator.partials if phase is AggPhase.MAP else evaluator.results
     return [key + finalize(acc) for key, acc in groups]
+
+
+# ---------------------------------------------------------------------------
+# Reference (sort-based) keyed kernels of the columnar backend
+# ---------------------------------------------------------------------------
+#
+# The columnar join probe addresses a table directly and grouping
+# scatters first occurrences when the key codes are dense.  These are the
+# kernels it ran before that — a stable argsort with two binary searches,
+# and two rounds of ``np.unique`` — which the direct-address forms must
+# reproduce array for array.
+
+
+def reference_equi_candidates(left, right, pairs):
+    import numpy as np
+    from repro.exec.columnar import _join_codes
+
+    lcodes, rcodes = _join_codes(left, right, pairs)
+    order = np.argsort(rcodes, kind="stable")
+    sorted_codes = rcodes[order]
+    starts = np.searchsorted(sorted_codes, lcodes, side="left")
+    ends = np.searchsorted(sorted_codes, lcodes, side="right")
+    counts = ends - starts
+    counts[lcodes < 0] = 0
+    total = int(counts.sum())
+    offsets = np.zeros(len(counts), dtype=np.int64)
+    if len(counts):
+        np.cumsum(counts[:-1], out=offsets[1:])
+    cand_left = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    pos_in_bucket = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+    cand_right = order[pos_in_bucket + np.repeat(starts, counts)]
+    return cand_left, cand_right, counts, offsets, pos_in_bucket
+
+
+def reference_group_ids(batch, keys):
+    import numpy as np
+    from repro.exec.columnar import _dict_codes
+
+    combined = np.zeros(batch.length, dtype=np.int64)
+    for key in keys:
+        col = batch.column(key)
+        if col.kind == "O":
+            codes, count = _dict_codes(col.to_list())
+        else:
+            uniques, inv = np.unique(col.values, return_inverse=True)
+            codes, count = inv.astype(np.int64, copy=True), len(uniques)
+            if col.mask is not None:
+                codes[col.mask] = count
+                count += 1
+        combined = combined * count + codes
+    uniques, first_idx, inv = np.unique(
+        combined, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first_idx, kind="stable")
+    rank = np.empty(len(uniques), dtype=np.int64)
+    rank[order] = np.arange(len(uniques), dtype=np.int64)
+    return rank[inv.astype(np.int64, copy=False)], len(uniques), first_idx[order]

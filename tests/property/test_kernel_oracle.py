@@ -25,7 +25,7 @@ from helpers import (
 )
 from repro.common.ordering import ordering_key, sort_rows
 from repro.exec.fragments import number_operators
-from repro.exec.operators import ExecContext, _merge_sorted, execute_node
+from repro.exec.operators import ExecContext, merge_sorted, execute_node
 from repro.exec.aggregates import aggregate_kernel
 from repro.exec.physical import AggPhase, PhysMergeJoin, PhysValues
 from repro.rel.expr import (
@@ -193,7 +193,7 @@ class TestRawOrderings:
             )
         else:  # what the receiver did for DESC keys: re-sort the concatenation
             want = reference_sort_rows([r for s in streams for r in s], keys)
-        assert _merge_sorted(streams, keys) == want
+        assert merge_sorted(streams, keys) == want
 
     @given(
         keyed_rows(),

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.exec import columnar
 from repro.exec.columnar import (
     ColumnBatch,
     _codes_pair,
@@ -20,10 +21,18 @@ from repro.exec.columnar import (
     concat_batches,
     concat_columns,
     eval_expr,
+    execute_columnar,
     from_rows,
     sort_batch,
 )
-from repro.exec.operators import sort_rows
+from repro.exec.fragments import number_operators
+from repro.exec.operators import ExecContext, execute_node, sort_rows
+from repro.exec.physical import (
+    AggPhase,
+    PhysHashAggregate,
+    PhysHashJoin,
+    PhysValues,
+)
 from repro.rel.expr import (
     BinaryOp,
     CaseExpr,
@@ -36,6 +45,9 @@ from repro.rel.expr import (
     UnaryOp,
     compile_expr,
 )
+from repro.rel.logical import AggCall, AggFunc, JoinType
+from repro.rel.traits import Distribution
+from repro.storage.store import DataStore
 
 pytestmark = pytest.mark.columnar
 
@@ -314,6 +326,77 @@ class TestJoinCodes:
             if None not in a and None not in b and a == b
         )
         assert _matches(lcodes, rcodes) == expected
+
+
+def _run_both(node):
+    """The node's rows and ``(op, site) -> [rows in, rows out, units]``
+    under the row interpreter and under the columnar one."""
+    number_operators(node)
+    results = []
+    for run in (execute_node, lambda *a: execute_columnar(*a).to_rows()):
+        ctx = ExecContext(DataStore(site_count=1, partitions_per_table=1), 1e12)
+        results.append((run(node, 0, ctx), dict(ctx.ops)))
+    return results
+
+
+class TestEmptyJoinSide:
+    """``from_rows([], width)`` yields object-kind columns, and object
+    keys used to send the *other* side's rows through ``_dict_codes``."""
+
+    SIDES = {
+        "left-empty": ([], [(1, "x"), (2, "y"), (None, "z")]),
+        "right-empty": ([(1, "a"), (None, "b"), (1, "c")], []),
+        "both-empty": ([], []),
+    }
+
+    @pytest.mark.parametrize("join_type", list(JoinType))
+    @pytest.mark.parametrize("sides", sorted(SIDES))
+    @pytest.mark.parametrize("with_residual", [False, True])
+    def test_short_circuits_and_matches_the_row_backend(
+        self, monkeypatch, join_type, sides, with_residual
+    ):
+        left, right = self.SIDES[sides]
+        residual = BinaryOp("<>", ColRef(1), ColRef(3)) if with_residual else None
+        node = PhysHashJoin(
+            PhysValues(left, ["k", "p"]), PhysValues(right, ["j", "q"]),
+            [(0, 0)], residual, join_type, Distribution.single(),
+        )
+        factorised = []
+        dict_codes = columnar._dict_codes
+        monkeypatch.setattr(
+            columnar, "_dict_codes",
+            lambda values: factorised.append(len(values)) or dict_codes(values),
+        )
+        (row_rows, row_ops), (col_rows, col_ops) = _run_both(node)
+        assert col_rows == row_rows and col_ops == row_ops
+        assert not factorised, "an empty side must not factorise the other"
+        if join_type in (JoinType.LEFT, JoinType.ANTI):
+            assert len(col_rows) == len(left)
+        else:
+            assert col_rows == []
+
+
+class TestGroupOrder:
+    def test_first_occurrence_order_with_heavy_duplicates_and_a_null_group(self):
+        """Dense keys scatter their first row with ``np.minimum.at``: a
+        plain fancy assignment may keep any of a repeated slot's writers."""
+        rng = random.Random(7)
+        keys = [9, None, 3, 0, 7]  # first-occurrence order, neither sorted
+        rows = [(k, i) for i, k in enumerate(keys)]
+        rows += [(rng.choice(keys), i) for i in range(5, 4000)]
+        calls = [AggCall(AggFunc.COUNT, None), AggCall(AggFunc.MIN, ColRef(1))]
+        node = PhysHashAggregate(
+            PhysValues(rows, ["k", "v"]), [0], calls, AggPhase.SINGLE,
+            Distribution.single(),
+        )
+        (row_rows, row_ops), (col_rows, col_ops) = _run_both(node)
+        assert col_rows == row_rows and col_ops == row_ops
+        assert [r[0] for r in col_rows] == keys
+        # MIN(v) is each group's first row number: the representative.
+        assert [r[2] for r in col_rows] == [0, 1, 2, 3, 4]
+        ids, count, first = columnar._group_ids(from_rows(rows, 2), [0])
+        assert count == 5 and first.tolist() == [0, 1, 2, 3, 4]
+        assert ids.tolist() == [keys.index(k) for k, _ in rows]
 
 
 class TestDeferredColumns:
