@@ -11,7 +11,7 @@ that loop, following the runtime-dynamic-optimisation line of work
   and canonical per-operator signatures that match across the logical and
   physical operator families (the feedback key);
 * :mod:`repro.adaptive.cache` — an LRU plan cache consulted by
-  ``IgniteCalciteCluster._plan_select``; a hit skips Hep+Volcano entirely
+  ``IgniteCalciteCluster._plan``; a hit skips Hep+Volcano entirely
   (zero planner-budget ticks);
 * :mod:`repro.adaptive.feedback` — a registry of observed per-operator
   cardinalities harvested from :class:`~repro.exec.engine.ExecutionResult`

@@ -2,9 +2,11 @@
 
 One :class:`AdaptiveController` hangs off each
 :class:`~repro.core.cluster.IgniteCalciteCluster` whose config enables
-``plan_cache`` and/or ``cardinality_feedback``.  The cluster asks it for
-a cached plan before running the planner, hands it every successful
-execution result for harvesting, and tells it about DDL.
+``plan_cache`` and/or ``cardinality_feedback``.  The cluster's statement
+pipeline asks it for a cached plan before running the planner, hands it
+every successful execution result (and the completed prefix of a failed
+one) for harvesting, and tells it about DDL.  Which queries reach it at
+all is the pipeline's decision, made once per query.
 
 Replan policy: when an execution of a *cached* plan reports a
 ``max_q_error()`` above ``replan_q_error_threshold`` (and feedback is
@@ -46,7 +48,7 @@ class AdaptiveController:
     def __init__(self, config, store=None):
         self.config = config
         self.cache: Optional[PlanCache] = (
-            PlanCache(config.plan_cache_capacity) if config.plan_cache else None
+            PlanCache() if config.plan_cache else None
         )
         self.feedback: Optional[FeedbackRegistry] = (
             FeedbackRegistry(store) if config.cardinality_feedback else None
@@ -129,6 +131,20 @@ class AdaptiveController:
             self.cache.evict(key)
             self._pending_replans.add(key)
             get_registry().inc("plan_cache.replans", **tenant_labels())
+
+    def harvest_partial(self, partial) -> None:
+        """Feed the completed prefix of a *failed* execution to feedback.
+
+        ``partial`` is the ``ExecutionError.partial`` of the error that
+        ended the run (None when nothing had completed).  The fragments
+        completed before a failure, deadline or shed verdict carry true
+        cardinalities — exactly the evidence the next planning of the
+        same query needs to avoid failing the same way.
+        """
+        if self.feedback is None or partial is None:
+            return
+        if self.feedback.harvest(*partial):
+            get_registry().inc("adaptive.feedback_partial_harvests")
 
     # -- invalidation ------------------------------------------------------
 

@@ -44,7 +44,12 @@ from repro.catalog.types import ColumnType
 from repro.common import charges
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError, StorageError
-from repro.exec.fragments import Fragment, PhysReceiver, fragment_plan
+from repro.exec.fragments import (
+    Fragment,
+    PhysReceiver,
+    SeamObserver,
+    fragment_plan,
+)
 from repro.exec.operators import network_units_for, stream_rows
 from repro.exec.physical import (
     AggPhase,
@@ -80,6 +85,10 @@ from repro.storage.store import DataStore
 #: re-optimization itself shows up in the simulated makespan.
 REPLAN_UNITS_PER_TICK = 1.0
 
+#: Suffix re-plans allowed per query: re-planning is charged to the
+#: makespan, so unbounded re-planning could thrash.
+MAX_REPLANS = 2
+
 #: Prefix of the temp tables holding materialized intermediates.
 TEMP_PREFIX = "__mq_"
 
@@ -91,7 +100,7 @@ _ACTIVE_STORES: "weakref.WeakSet[DataStore]" = weakref.WeakSet()
 def reset_midquery_state() -> None:
     """Drop any leaked materialization temp tables (test hook).
 
-    The engine drops its temps in a ``finally``; this guards against
+    The engine closes its observers in a ``finally``; this guards against
     tests that monkeypatch execution or kill it between the splice and
     the cleanup.
     """
@@ -117,21 +126,19 @@ _LEAF_RE = re.compile(
 _ID_RE = re.compile(r"#\d+")
 
 
-class MidQueryController:
-    """Per-execution coordinator of mid-query re-optimization.
-
-    The engine owns one per query when
-    ``SystemConfig.midquery_reoptimization`` is set (and no fault
-    injector is active — chaos replays stay byte-identical).
+class MidQueryController(SeamObserver):
+    """Per-execution coordinator of mid-query re-optimization: the seam
+    observer the engine attaches to a run when
+    ``SystemConfig.midquery_reoptimization`` is set (which runs get
+    observers at all is ``ExecutionEngine._observers``'s decision).
     """
 
     def __init__(self, store: DataStore, config: SystemConfig):
         self.store = store
         self.config = config
         self.threshold = config.midquery_replan_q_error_threshold
-        self.max_replans = config.midquery_max_replans
         self.replans_done = 0
-        #: Temp tables installed in ``store`` (dropped by the engine).
+        #: Temp tables installed in ``store`` (dropped by :meth:`close`).
         self.temp_tables: List[str] = []
         #: fragment id -> site -> captured pre-routing output rows.
         self._outputs: Dict[int, Dict[int, List[Tuple]]] = {}
@@ -193,7 +200,7 @@ class MidQueryController:
         if q <= self.threshold:
             return None
         registry.inc("midquery.triggers")
-        if self.replans_done >= self.max_replans:
+        if self.replans_done >= MAX_REPLANS:
             return None
         tracer = get_tracer()
         with tracer.span(
@@ -509,8 +516,8 @@ class MidQueryController:
 
     # -- cleanup & reporting ---------------------------------------------------
 
-    def drop_temp_tables(self) -> None:
-        """Drop every temp this execution installed (engine ``finally``)."""
+    def close(self) -> None:
+        """Drop every temp this execution installed."""
         for name in self.temp_tables:
             try:
                 self.store.drop_table(name)

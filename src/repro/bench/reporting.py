@@ -156,74 +156,6 @@ def aql_table(
     return table
 
 
-@dataclass
-class ChaosTable:
-    """A chaos-run artefact: availability, retries and percentiles."""
-
-    title: str
-    availability: float
-    total_retries: int
-    makespan: float
-    #: percentile -> simulated seconds (p50/p95/p99).
-    percentiles: Dict[float, float] = field(default_factory=dict)
-    #: (query, status, retries, latency-or-None) per workload entry.
-    rows: List[Tuple[str, str, int, Optional[float]]] = field(
-        default_factory=list
-    )
-
-    def to_markdown(self) -> str:
-        lines = [
-            f"### {self.title}",
-            "",
-            f"availability {self.availability * 100:.1f}%, "
-            f"{self.total_retries} retries, "
-            f"makespan {self.makespan:.3f}s"
-            + "".join(
-                f", p{int(q)} {v:.4f}s"
-                for q, v in sorted(self.percentiles.items())
-            ),
-            "",
-            "| query | status | retries | latency |",
-            "|---|---|---|---|",
-        ]
-        for name, status, retries, latency in self.rows:
-            cell = "—" if latency is None else f"{latency:.4f}s"
-            lines.append(f"| {name} | {status} | {retries} | {cell} |")
-        return "\n".join(lines)
-
-
-def chaos_table(
-    scale_factor: float = 0.05,
-    sites: int = 4,
-    system: str = "IC+",
-    seed: int = 0,
-    faults: Sequence = (),
-    max_retries: int = 2,
-) -> ChaosTable:
-    """Run the TPC-H workload under ``faults`` and tabulate the report."""
-    from repro.faults import run_chaos
-
-    config = PRESETS[system](sites).with_(
-        faults=tuple(faults), max_retries=max_retries
-    )
-    cluster = load_tpch_cluster(config, scale_factor)
-    workload = {name: QUERIES[int(name[1:])].sql for name in TPCH_QUERY_NAMES}
-    report = run_chaos(cluster, workload, seed=seed)
-    table = ChaosTable(
-        f"Chaos: {system} at {sites} sites, SF {scale_factor}, "
-        f"{len(config.faults)} fault(s), seed {seed}",
-        availability=report.availability,
-        total_retries=report.total_retries,
-        makespan=report.makespan,
-        percentiles=report.percentiles(),
-    )
-    for record in report.records:
-        table.rows.append(
-            (record.name, record.status.value, record.retries, record.latency)
-        )
-    return table
-
-
 def failure_matrix(scale_factor: float = 0.5) -> List[Tuple[str, str, str]]:
     """(query, IC status, IC+ status) rows for the Section 1 matrix."""
     ic = load_tpch_cluster(SystemConfig.ic(4), scale_factor)

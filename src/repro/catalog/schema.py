@@ -96,9 +96,6 @@ class TableSchema:
         """Column count; the ``deg(A)`` of the paper's Eq. 4."""
         return len(self.columns)
 
-    def has_column(self, name: str) -> bool:
-        return name.lower() in self._index_of
-
     def column_index(self, name: str) -> int:
         try:
             return self._index_of[name.lower()]

@@ -29,26 +29,7 @@ class ColumnType(enum.Enum):
     def is_numeric(self) -> bool:
         return self in _NUMERIC
 
-    @property
-    def is_character(self) -> bool:
-        return self in (ColumnType.VARCHAR, ColumnType.CHAR)
-
-    def python_type(self) -> type:
-        """The Python type used to store values of this column type."""
-        return _PYTHON_TYPES[self]
-
 
 _NUMERIC = frozenset(
     {ColumnType.INTEGER, ColumnType.BIGINT, ColumnType.DOUBLE, ColumnType.DECIMAL}
 )
-
-_PYTHON_TYPES = {
-    ColumnType.INTEGER: int,
-    ColumnType.BIGINT: int,
-    ColumnType.DOUBLE: float,
-    ColumnType.DECIMAL: float,
-    ColumnType.VARCHAR: str,
-    ColumnType.CHAR: str,
-    ColumnType.DATE: str,
-    ColumnType.BOOLEAN: bool,
-}

@@ -75,10 +75,6 @@ class SystemConfig:
     two_phase_optimization: bool = False
     #: Rule-application budget standing in for Calcite's planning limits.
     planning_budget: int = 600_000
-    #: Thresholds above which the join-permutation rules are disabled in the
-    #: physical phase (Section 4.3: >3 nested joins or >4 joins).
-    max_nested_joins_for_permutation: int = 3
-    max_joins_for_permutation: int = 4
 
     # ----- Section 5.1: join execution ----------------------------------------
     #: Add the broadcast (fully distributed) join distribution mapping.
@@ -112,12 +108,9 @@ class SystemConfig:
     #: mid-query crash fails the query with ``FAILED_SITE`` instead.
     failover_redispatch: bool = True
     #: Retries per failed query (site failure / lost exchange / deadline),
-    #: with exponential backoff between attempts.  0 = fail fast.
+    #: with exponential backoff between attempts
+    #: (:class:`repro.faults.chaos.RetryPolicy`).  0 = fail fast.
     max_retries: int = 0
-    #: First retry waits this long (simulated seconds) ...
-    retry_backoff_seconds: float = 0.25
-    #: ... and each further retry multiplies the wait by this factor.
-    retry_backoff_factor: float = 2.0
     #: Per-query deadline in simulated wall-clock seconds (None = no
     #: deadline).  Distinct from ``runtime_limit_seconds``: the runtime
     #: limit caps a plan's *work*, the deadline caps elapsed time including
@@ -136,8 +129,6 @@ class SystemConfig:
     #: skips both planning stages (zero planner-budget ticks).  EXPLAIN,
     #: traced queries and fault-injected runs always bypass the cache.
     plan_cache: bool = False
-    #: Plan-cache slots (one per normalised plan signature).
-    plan_cache_capacity: int = 64
     #: Harvest per-operator actual cardinalities after every successful
     #: execution and let the estimator override its statistical guesses
     #: with them on the next planning of the same operator signature.
@@ -162,9 +153,6 @@ class SystemConfig:
     #: Observed q-error (``max(est/actual, actual/est)``) at a
     #: materialization point above which the suffix is re-planned.
     midquery_replan_q_error_threshold: float = 8.0
-    #: Suffix re-plans allowed per query (re-planning is charged to the
-    #: makespan, so unbounded replanning could thrash).
-    midquery_max_replans: int = 2
 
     # ----- sketch-based statistics (repro.stats.sketches) ---------------------------
     #: Consult seeded Fast-AGMS / Count-Min / HyperLogLog sketches in the
@@ -221,8 +209,8 @@ class SystemConfig:
     # ----- correctness harness ---------------------------------------------------
     #: Run the differential correctness harness (repro.verify) on every
     #: query: physical plans are checked against structural invariants
-    #: before execution, and ``IgniteCalciteCluster.sql`` additionally
-    #: cross-checks results against the single-node reference executor.
+    #: before execution, and ``IgniteCalciteCluster.sql`` / ``try_sql``
+    #: cross-check results against the single-node reference executor.
     verify_execution: bool = False
 
     # ----- defects kept in both systems ------------------------------------------
@@ -240,10 +228,6 @@ class SystemConfig:
     @property
     def is_multithreaded(self) -> bool:
         return self.variant_fragments > 1
-
-    @property
-    def adaptive_enabled(self) -> bool:
-        return self.plan_cache or self.cardinality_feedback
 
     # ----- presets ---------------------------------------------------------------
 

@@ -76,6 +76,12 @@ class PlannerDefectError(PlannerError):
 class ExecutionError(ReproError):
     """Base class for failures during plan execution."""
 
+    #: ``(completed fragments, their operator actuals)``: the prefix that
+    #: ran before this error, set by the engine when it raises mid-run (a
+    #: query that times out on a bad plan is precisely the one whose true
+    #: cardinalities matter most).  None when nothing had completed.
+    partial = None
+
 
 class ExecutionTimeoutError(ExecutionError):
     """Simulated execution time exceeded the configured runtime limit.

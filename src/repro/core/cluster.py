@@ -12,17 +12,21 @@ Three factory presets mirror the paper's systems under test::
     result = cluster.sql("SELECT ...")
     result.rows, result.simulated_seconds
 
-``try_sql`` never raises for the failure modes the paper catalogues; it
-returns a :class:`QueryOutcome` whose status records *how* a query failed
-(planning, timeout, unsupported), which is what the benchmark harness
-consumes.
+``sql`` and ``try_sql`` are two faces of one statement pipeline
+(``_run_statement``: trace -> parse -> dispatch on the statement kind ->
+plan -> execute -> observe), which returns a result or raises.  ``sql``
+is that; ``try_sql`` adds only the classification of what was raised —
+it never raises for a :class:`~repro.common.errors.ReproError` other
+than a failed correctness check, and returns a :class:`QueryOutcome`
+whose status records *how* a query failed (:data:`STATUS_BY_ERROR`),
+which is what the benchmark harness consumes.
 """
 
 from __future__ import annotations
 
 import enum
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.adaptive.controller import AdaptiveController
@@ -34,14 +38,14 @@ from repro.common.errors import (
     PlanningTimeoutError,
     ReproError,
     UnsupportedSqlError,
+    VerificationError,
 )
 from repro.faults.injector import FaultInjector
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.exec.engine import ExecutionEngine, ExecutionResult
 from repro.exec.physical import PhysNode
-from repro.obs.metrics import get_registry
-from repro.obs.trace import NULL_TRACER, Tracer, activate, get_tracer
+from repro.obs.trace import NULL_TRACER, Tracer, activate
 from repro.planner.volcano import QueryPlanner
 from repro.rel.logical import RelNode
 from repro.rel.sql2rel import SqlToRelConverter
@@ -95,6 +99,25 @@ class QueryStatus(enum.Enum):
     REJECTED = "rejected"
 
 
+#: How ``try_sql`` classifies what the pipeline raised: the first
+#: matching class wins, so subclasses sit above their bases (every
+#: injected fault is a ``FaultError``, ``QueryDeadlineError`` an
+#: ``ExecutionTimeoutError``).  ``VerificationError`` is absent on
+#: purpose: a failed correctness check is a defect in the system, not an
+#: outcome of the query, and always escapes.
+STATUS_BY_ERROR: Tuple[Tuple[type, QueryStatus], ...] = (
+    (FaultError, QueryStatus.FAILED_SITE),
+    (ExecutionTimeoutError, QueryStatus.TIMED_OUT),
+    (UnsupportedSqlError, QueryStatus.UNSUPPORTED),
+    (PlannerDefectError, QueryStatus.PLANNER_DEFECT),
+    (PlanningTimeoutError, QueryStatus.PLANNING_FAILED),
+    # User errors (unknown tables/columns, syntax) and anything else the
+    # library raises on purpose — not one of the paper's systemic failure
+    # modes, but the harness should not crash on them either.
+    (ReproError, QueryStatus.ERROR),
+)
+
+
 @dataclass
 class QueryOutcome:
     """Result of ``try_sql``: either rows or a classified failure."""
@@ -105,6 +128,9 @@ class QueryOutcome:
     #: Execution attempts consumed (1 on the happy path; > 1 after
     #: retries by the resilience layer in :mod:`repro.faults.chaos`).
     attempts: int = 1
+    #: The plan came out of the plan cache (whether or not it then ran to
+    #: completion): Hep + Volcano skipped, zero budget ticks spent.
+    plan_cached: bool = False
 
     @property
     def ok(self) -> bool:
@@ -229,18 +255,21 @@ class IgniteCalciteCluster:
 
     # -- planning --------------------------------------------------------------------
 
+    def _to_logical(self, select: ast_module.Select) -> RelNode:
+        converter = SqlToRelConverter(
+            self.store.catalog,
+            q20_defect_fixed=self.config.q20_defect_fixed,
+            views=self._views,
+        )
+        return converter.convert(select)
+
     def parse_to_logical(self, sql: str) -> RelNode:
         statement = parse(sql, allow_views=self.config.views_supported)
         if isinstance(statement, (ast_module.CreateView, ast_module.CreateTable)):
             raise UnsupportedSqlError(
                 "DDL statements have no logical plan; use sql() or try_sql()"
             )
-        converter = SqlToRelConverter(
-            self.store.catalog,
-            q20_defect_fixed=self.config.q20_defect_fixed,
-            views=self._views,
-        )
-        return converter.convert(statement)
+        return self._to_logical(statement)
 
     def create_view(self, sql: str) -> str:
         """Register a view from ``CREATE VIEW name AS select`` (extension).
@@ -250,6 +279,9 @@ class IgniteCalciteCluster:
         statement = parse(sql, allow_views=self.config.views_supported)
         if not isinstance(statement, ast_module.CreateView):
             raise UnsupportedSqlError("create_view expects a CREATE VIEW")
+        return self._register_view(statement)
+
+    def _register_view(self, statement: ast_module.CreateView) -> str:
         self._views[statement.name] = statement.select
         self._invalidate_plans()
         return statement.name
@@ -270,112 +302,105 @@ class IgniteCalciteCluster:
         result = self.sql(f"explain analyze {sql}")
         return "\n".join(row[0] for row in result.rows)
 
-    # -- statement plumbing ---------------------------------------------------
+    # -- the statement pipeline ---------------------------------------------------
 
-    def _begin_trace(self) -> Tracer:
-        """Fresh tracer for one query (inert unless ``config.tracing``)."""
+    def _run_statement(
+        self, sql: str, at: float, outcome: QueryOutcome
+    ) -> ExecutionResult:
+        """The one path from SQL text to a result; returns it or raises.
+
+        ``outcome`` is the per-query record: the pipeline notes on it what
+        must be known whichever way it exits (``plan_cached``).
+        """
         tracer = Tracer() if self.config.tracing else NULL_TRACER
         self.last_trace = tracer
-        return tracer
-
-    def _parse(self, sql: str):
-        tracer = get_tracer()
-        with tracer.span("parse"):
-            statement = parse(sql, allow_views=self.config.views_supported)
-            tracer.advance(1.0)  # parsing is one budget tick
-        return statement
-
-    def _plan_select(
-        self, select: ast_module.Select, allow_cache: bool = True
-    ) -> PhysNode:
-        converter = SqlToRelConverter(
-            self.store.catalog,
-            q20_defect_fixed=self.config.q20_defect_fixed,
-            views=self._views,
-        )
-        logical = converter.convert(select)
-        # Correctness guards: EXPLAIN [ANALYZE] (allow_cache=False), traced
-        # queries and fault-injected runs bypass the adaptive layer
-        # entirely — never served from the cache, never populating it, and
-        # never harvested — so golden EXPLAIN snapshots and chaos replays
-        # stay bit-identical with the flags on.
-        adaptive = self.adaptive
-        if (
-            adaptive is None
-            or not allow_cache
-            or self.config.tracing
-            or self.fault_injector is not None
-        ):
-            planner = QueryPlanner(
-                self.store, self.config, sketches=self.sketches
+        with activate(tracer), tracer.span("query", system=self.config.name):
+            with tracer.span("parse"):
+                statement = parse(sql, allow_views=self.config.views_supported)
+                tracer.advance(1.0)  # parsing is one budget tick
+            if isinstance(statement, ast_module.CreateView):
+                self._register_view(statement)
+                return ExecutionResult([], [])
+            if isinstance(statement, ast_module.CreateTable):
+                self._ddl_create_table(statement)
+                return ExecutionResult([], [])
+            explain = isinstance(statement, ast_module.Explain)
+            if self.config.verify_execution and not explain:
+                verified = self._differential(sql)
+                if verified is not None:
+                    return verified
+            # The adaptive layer's exclusions, decided here and nowhere
+            # else.  EXPLAIN [ANALYZE] and traced queries stay out of it
+            # entirely, so golden snapshots and traces are bit-identical
+            # with the flags on.  Under a fault schedule nothing is served,
+            # stored or observed (chaos replays stay deterministic), but
+            # the completed prefix of a failed attempt still feeds
+            # feedback: planning under faults never reads it, and later
+            # fault-free queries benefit.
+            adaptive = None if explain or self.config.tracing else self.adaptive
+            serving = adaptive if self.fault_injector is None else None
+            plan, key = self._plan(
+                statement.select if explain else statement, serving, outcome
             )
-            return planner.plan(logical)
-        signature, cached = adaptive.lookup(logical)
-        if cached is not None:
-            # Cache hit: Hep + Volcano skipped, zero budget ticks spent.
-            cached._adaptive_key = signature.key
-            return cached
+            if explain and not statement.analyze:
+                return _text_result(plan.explain())
+            try:
+                result = self.execute_plan(plan, at=at)
+            except (FaultError, ExecutionTimeoutError) as exc:
+                if adaptive is not None:
+                    adaptive.harvest_partial(exc.partial)
+                raise
+            if serving is not None:
+                serving.observe(key, result)
+            if explain:
+                # EXPLAIN ANALYZE costs what the query itself cost.
+                return _text_result(result.explain_analyze(), base=result)
+            return result
+
+    def _differential(self, sql: str) -> Optional[ExecutionResult]:
+        """``verify_execution``: validate the plan and diff the distributed
+        result against the reference executor; a divergence raises
+        :class:`~repro.common.errors.VerificationError`.
+
+        Returns the verified result, or None for the pipeline to run the
+        query itself: when the check was skipped (e.g. planning budget —
+        the caller then sees what an unverified run raises), and under a
+        fault schedule, where the harness ran *fault-free* and the caller
+        wants the degraded run (just proven row-correct).
+        """
+        # Imported lazily: the differential module imports the engine.
+        from repro.verify.differential import differential_check
+
+        report = differential_check(
+            sql, self.store, self.config, views=self._views
+        )
+        report.raise_on_failure()
+        return report.result if self.fault_injector is None else None
+
+    def _plan(
+        self,
+        select: ast_module.Select,
+        adaptive: Optional[AdaptiveController],
+        outcome: QueryOutcome,
+    ) -> Tuple[PhysNode, Optional[str]]:
+        """``(physical plan, plan-signature key)`` for one SELECT — through
+        the plan cache and with feedback-corrected cardinalities when
+        ``adaptive`` is given, straight from the planner otherwise."""
+        logical = self._to_logical(select)
+        signature = feedback = None
+        if adaptive is not None:
+            feedback = adaptive.feedback
+            signature, plan = adaptive.lookup(logical)
+            if plan is not None:
+                outcome.plan_cached = True
+                return plan, signature.key
         planner = QueryPlanner(
-            self.store,
-            self.config,
-            feedback=adaptive.feedback,
-            sketches=self.sketches,
+            self.store, self.config, feedback=feedback, sketches=self.sketches
         )
         plan = planner.plan(logical)
-        adaptive.store(signature, plan, planner.last_budget_spent)
-        plan._adaptive_key = signature.key if signature is not None else None
-        return plan
-
-    def _observe_adaptive(self, plan: PhysNode, result: ExecutionResult) -> None:
-        """Post-execution hook: harvest actuals, maybe evict for replan.
-
-        Only plans that went through the adaptive serve path carry the
-        ``_adaptive_key`` marker; EXPLAIN / traced / fault-injected plans
-        do not and are never harvested.
-        """
-        if self.adaptive is None or not hasattr(plan, "_adaptive_key"):
-            return
-        self.adaptive.observe(plan._adaptive_key, result)
-
-    def _harvest_partial(self) -> None:
-        """Feed actuals from a *failed* execution to cardinality feedback.
-
-        The fragments completed before the failure (or before a deadline /
-        shed verdict) carry true cardinalities — exactly the evidence the
-        next planning of the same query needs to avoid failing the same
-        way.  Traced runs skip this like every other adaptive path; a
-        fault-injected failure may harvest (planning under an injector
-        never consults feedback, so chaos replays stay deterministic, and
-        later fault-free queries still benefit).
-        """
-        if (
-            self.adaptive is None
-            or self.adaptive.feedback is None
-            or self.config.tracing
-        ):
-            return
-        partial = self._engine.last_partial
-        if partial is None:
-            return
-        recorded = self.adaptive.feedback.harvest(*partial)
-        if recorded:
-            get_registry().inc("adaptive.feedback_partial_harvests")
-
-    def _run_explain(
-        self, statement: ast_module.Explain, at: float = 0.0
-    ) -> ExecutionResult:
-        """EXPLAIN [ANALYZE]: a fabricated single-column text result.
-
-        Plain EXPLAIN only plans; ANALYZE also executes and reports the
-        per-operator actuals.  The returned result carries the inner
-        execution's simulated time so EXPLAIN ANALYZE costs what the
-        query itself cost.
-        """
-        plan = self._plan_select(statement.select, allow_cache=False)
-        if not statement.analyze:
-            return _text_result(plan.explain())
-        inner = self.execute_plan(plan, at=at)
-        return _text_result(inner.explain_analyze(), base=inner)
+        if adaptive is not None:
+            adaptive.store(signature, plan, planner.last_budget_spent)
+        return plan, signature.key if signature is not None else None
 
     # -- execution ----------------------------------------------------------------------
 
@@ -388,150 +413,53 @@ class IgniteCalciteCluster:
         """Plan and execute; raises on any failure.
 
         With ``verify_execution`` set, every query additionally runs
-        through the differential harness: the optimised plan is checked
-        against the structural invariants and the distributed result is
-        diffed against the reference executor.  A divergence raises
-        :class:`~repro.common.errors.VerificationError`.
+        through the differential harness (:meth:`_differential`).
         """
-        tracer = self._begin_trace()
-        with activate(tracer), tracer.span(
-            "query", system=self.config.name
-        ):
-            statement = self._parse(sql)
-            if isinstance(statement, ast_module.Explain):
-                return self._run_explain(statement)
-            if isinstance(statement, ast_module.CreateView):
-                raise UnsupportedSqlError(
-                    "CREATE VIEW is DDL; use create_view() or try_sql()"
-                )
-            if isinstance(statement, ast_module.CreateTable):
-                self._ddl_create_table(statement)
-                return _empty_result()
-            if self.config.verify_execution:
-                # Imported lazily: the differential module imports the engine.
-                from repro.verify.differential import differential_check
-
-                report = differential_check(
-                    sql, self.store, self.config, views=self._views
-                )
-                report.raise_on_failure()
-                if report.result is not None and self.fault_injector is None:
-                    # Under a fault schedule the harness's result is the
-                    # *fault-free* execution; fall through so the caller gets
-                    # the degraded run (already proven row-correct above).
-                    return report.result
-                # Skipped (e.g. planning budget): fall through so the caller
-                # sees the same exception an unverified run would raise.
-            plan = self._plan_select(statement)
-            try:
-                result = self.execute_plan(plan)
-            except (FaultError, ExecutionTimeoutError):
-                self._harvest_partial()
-                raise
-            self._observe_adaptive(plan, result)
-            return result
+        return self._run_statement(sql, 0.0, QueryOutcome(QueryStatus.OK))
 
     def try_sql(self, sql: str, at: float = 0.0) -> QueryOutcome:
         """Plan and execute, classifying the paper's failure modes.
 
-        With ``views_supported`` enabled, a CREATE VIEW statement registers
-        the view and succeeds with an empty result set.  Under a fault
-        schedule, ``at`` places the attempt on the chaos clock; failures
-        caused by injected faults classify as ``FAILED_SITE`` and a
-        degraded-but-correct completion as ``DEGRADED``.
+        Exactly :meth:`sql` (views, DDL, EXPLAIN, ``verify_execution``
+        included) except that a :class:`ReproError` comes back as a status
+        (:data:`STATUS_BY_ERROR`).  Under a fault schedule, ``at`` places
+        the attempt on the chaos clock; failures caused by injected faults
+        classify as ``FAILED_SITE`` and a degraded-but-correct completion
+        as ``DEGRADED``.
         """
-        tracer = self._begin_trace()
-        with activate(tracer), tracer.span(
-            "query", system=self.config.name
-        ):
-            try:
-                statement = self._parse(sql)
-                if isinstance(statement, ast_module.CreateView):
-                    self._views[statement.name] = statement.select
-                    self._invalidate_plans()
-                    return QueryOutcome(
-                        QueryStatus.OK, result=_empty_result()
-                    )
-                if isinstance(statement, ast_module.CreateTable):
-                    self._ddl_create_table(statement)
-                    return QueryOutcome(
-                        QueryStatus.OK, result=_empty_result()
-                    )
-                if isinstance(statement, ast_module.Explain):
-                    return QueryOutcome(
-                        QueryStatus.OK,
-                        result=self._run_explain(statement, at=at),
-                    )
-                plan = self._plan_select(statement)
-            except FaultError as exc:
-                # EXPLAIN ANALYZE executes, so injected faults surface here.
-                return _failed(QueryStatus.FAILED_SITE, exc)
-            except ExecutionTimeoutError as exc:
-                return _failed(QueryStatus.TIMED_OUT, exc)
-            except UnsupportedSqlError as exc:
-                return _failed(QueryStatus.UNSUPPORTED, exc)
-            except PlannerDefectError as exc:
-                return _failed(QueryStatus.PLANNER_DEFECT, exc)
-            except PlanningTimeoutError as exc:
-                return _failed(QueryStatus.PLANNING_FAILED, exc)
-            except ReproError as exc:
-                # User errors (unknown tables/columns, syntax) — not one of the
-                # paper's systemic failure modes, but the harness should not
-                # crash on them either.
-                return _failed(QueryStatus.ERROR, exc)
-            try:
-                result = self.execute_plan(plan, at=at)
-            except FaultError as exc:
-                self._harvest_partial()
-                return _failed(QueryStatus.FAILED_SITE, exc)
-            except ExecutionTimeoutError as exc:
-                self._harvest_partial()
-                return _failed(QueryStatus.TIMED_OUT, exc)
-            self._observe_adaptive(plan, result)
-            if result.degraded:
-                return QueryOutcome(QueryStatus.DEGRADED, result=result)
-            return QueryOutcome(QueryStatus.OK, result=result)
+        outcome = QueryOutcome(QueryStatus.OK)
+        try:
+            outcome.result = self._run_statement(sql, at, outcome)
+        except VerificationError:
+            raise
+        except ReproError as exc:
+            # Hold on to nothing but the exception: its traceback keeps each
+            # frame's locals alive (a timed-out IC Q21's whole nested-loop
+            # cross product) for as long as the outcome lives.
+            traceback.clear_frames(exc.__traceback__)
+            outcome.status, outcome.error = classify(exc), exc
+        else:
+            if outcome.result.degraded:
+                outcome.status = QueryStatus.DEGRADED
+        return outcome
 
 
-def _failed(status: QueryStatus, exc: ReproError) -> QueryOutcome:
-    """A classified failure that holds on to nothing but the exception.
-
-    The traceback keeps every interpreter frame the exception crossed
-    alive, and each frame its locals — a timed-out IC Q21 pins its whole
-    nested-loop cross product that way for as long as the outcome lives.
-    """
-    traceback.clear_frames(exc.__traceback__)
-    return QueryOutcome(status, error=exc)
-
-
-def _empty_result() -> ExecutionResult:
-    from repro.cluster.scheduler import TaskGraph
-
-    return ExecutionResult(
-        rows=[],
-        fields=[],
-        task_graph=TaskGraph(),
-        simulated_seconds=0.0,
-        total_units=0.0,
-        network_units=0.0,
-        rows_shipped=0,
+def classify(exc: ReproError) -> QueryStatus:
+    """The :data:`STATUS_BY_ERROR` row for ``exc``."""
+    return next(
+        status for cls, status in STATUS_BY_ERROR if isinstance(exc, cls)
     )
 
 
 def _text_result(text: str, base: Optional[ExecutionResult] = None) -> ExecutionResult:
-    """A one-column ``PLAN`` result carrying rendered explain text.
+    """Rendered explain text as the rows of a one-column ``PLAN`` result.
 
-    When ``base`` is the inner EXPLAIN ANALYZE execution, its simulated
-    cost is propagated so harnesses account for the work actually done.
+    The rows replace those of ``base``, the inner EXPLAIN ANALYZE
+    execution, so the statement costs what the query itself cost and
+    harnesses account for the work actually done.
     """
-    result = _empty_result()
-    result.fields = ["PLAN"]
-    result.rows = [(line,) for line in text.splitlines()]
-    if base is not None:
-        result.task_graph = base.task_graph
-        result.simulated_seconds = base.simulated_seconds
-        result.total_units = base.total_units
-        result.network_units = base.network_units
-        result.rows_shipped = base.rows_shipped
-        result.degraded = base.degraded
-    return result
+    return replace(
+        base or ExecutionResult([], []),
+        fields=["PLAN"],
+        rows=[(line,) for line in text.splitlines()],
+    )

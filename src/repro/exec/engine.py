@@ -8,6 +8,19 @@ charged.  The simulated cluster scheduler turns the task graph into a
 latency; the benchmark harness replays task graphs for the multi-client
 experiments.
 
+One query is four steps over one per-query record (:class:`_Run`):
+**prepare** (fragment, who is alive, backend, observers), **run
+fragments** (interpret and route, calling the
+:class:`~repro.exec.fragments.SeamObserver` list at every non-root
+seam), **simulate** (task graph, makespan, deadline) and **report**
+(metrics, :class:`ExecutionResult`).  A fault-free run is the run under
+the empty fault schedule, so liveness, coordinator choice, routing and
+task delays have one code path; mid-query re-planning and the sketch
+refresh are observers, attached — or, under faults, not — in
+``ExecutionEngine._observers``.  The engine keeps nothing between
+queries: a failed run hands its completed prefix to cardinality feedback
+on the exception it raises (``ExecutionError.partial``).
+
 Multithreaded (variant-fragment) execution is accounted per Section 5.3:
 eligible fragments become ``n`` parallel tasks per site whose durations
 follow the splitter/duplicator classification (:mod:`repro.exec.variants`),
@@ -18,7 +31,7 @@ sub-partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common import charges
 from repro.common.config import SystemConfig
@@ -46,7 +59,7 @@ from repro.cluster.scheduler import (
 from repro.faults.injector import FaultInjector, failover_owner
 from repro.obs.metrics import get_registry, q_error
 from repro.obs.trace import get_tracer
-from repro.exec.fragments import Fragment, PhysReceiver, fragment_plan
+from repro.exec.fragments import Fragment, SeamObserver, fragment_plan
 from repro.exec.operators import (
     ExecContext,
     execute_node,
@@ -92,41 +105,17 @@ class OperatorActuals(NamedTuple):
     rows_in: int
 
 
-def fold_actuals(
-    fragments: Sequence[Fragment],
-    fragment_sites: Dict[int, List[int]],
-    ctx: ExecContext,
-) -> Dict[int, OperatorActuals]:
-    """op_id -> actuals over ``fragments``: the context's per-(operator,
-    site) cells summed over each fragment's sites.  The one fold every
-    exit of ``execute`` — success, deadline, failure — reports through;
-    plain ints, floats and tuples, so it serialises."""
-    actuals: Dict[int, OperatorActuals] = {}
-    for fragment in fragments:
-        sites = fragment_sites[fragment.fragment_id]
-        for op in fragment.operators():
-            rows_in = rows_out = 0
-            units = 0.0
-            for site in sites:
-                cell = ctx.ops[op.op_id, site]
-                rows_in += cell[0]
-                rows_out += cell[1]
-                units += cell[2]
-            actuals[op.op_id] = OperatorActuals(rows_out, units, rows_in)
-    return actuals
-
-
 @dataclass
 class ExecutionResult:
     """Everything one query execution produced."""
 
     rows: List[Tuple]
     fields: List[str]
-    task_graph: TaskGraph
-    simulated_seconds: float
-    total_units: float
-    network_units: float
-    rows_shipped: int
+    task_graph: TaskGraph = field(default_factory=TaskGraph)
+    simulated_seconds: float = 0.0
+    total_units: float = 0.0
+    network_units: float = 0.0
+    rows_shipped: int = 0
     fragments: List[FragmentStats] = field(default_factory=list)
     #: The executed fragments with per-operator actuals (EXPLAIN ANALYZE).
     fragment_trees: List[Fragment] = field(default_factory=list)
@@ -204,23 +193,64 @@ class ExecutionResult:
         return max((q for _, q in self.q_errors()), default=1.0)
 
 
+@dataclass
+class _Run:
+    """Everything one ``execute`` call knows, handed from step to step;
+    the engine itself holds nothing between queries."""
+
+    plan: PhysNode
+    #: The fault schedule; a fault-free run carries the empty one.
+    injector: FaultInjector
+    #: Submission time on the chaos clock.
+    at: float
+    #: In execution order; an observer's checkpoint may replace the tail.
+    fragments: List[Fragment]
+    #: Accounting and buffers; ``ctx.alive_sites`` is who executes.
+    ctx: ExecContext
+    #: Receives SINGLE-distribution data and serves the result.
+    coordinator: int
+    #: The backend's ``(root, site, ctx) -> output`` entry point.
+    run_fragment: Callable
+    observers: List[SeamObserver]
+    fragment_sites: Dict[int, List[int]] = field(default_factory=dict)
+    completed: List[Fragment] = field(default_factory=list)
+    result_rows: Optional[List[Tuple]] = None
+    # -- filled in by the simulate step --
+    graph: Optional[TaskGraph] = None
+    stats: List[FragmentStats] = field(default_factory=list)
+    makespan: float = 0.0
+    redispatched: int = 0
+
+    def actuals(self) -> Dict[int, OperatorActuals]:
+        """op_id -> actuals of the fragments completed so far: the
+        context's per-(operator, site) cells summed over each fragment's
+        sites.  The one fold every exit of ``execute`` — success, deadline,
+        failure — reports through; plain ints, floats and tuples, so it
+        serialises."""
+        actuals: Dict[int, OperatorActuals] = {}
+        for fragment in self.completed:
+            sites = self.fragment_sites[fragment.fragment_id]
+            for op in fragment.operators():
+                rows_in = rows_out = 0
+                units = 0.0
+                for site in sites:
+                    cell = self.ctx.ops[op.op_id, site]
+                    rows_in += cell[0]
+                    rows_out += cell[1]
+                    units += cell[2]
+                actuals[op.op_id] = OperatorActuals(rows_out, units, rows_in)
+        return actuals
+
+
 class ExecutionEngine:
     """Executes physical plans for one cluster configuration."""
 
     def __init__(self, store: DataStore, config: SystemConfig, sketches=None):
         self.store = store
         self.config = config
-        #: Optional :class:`repro.stats.sketch_registry.SketchRegistry`:
-        #: rows crossing non-root fragment seams are harvested into its
-        #: operator-level HLLs after every successful fault-free run.
+        #: Optional :class:`repro.stats.sketch_registry.SketchRegistry`,
+        #: refreshed at fragment seams (see :meth:`_observers`).
         self.sketches = sketches
-        #: ``(completed fragments, their operator actuals)`` of the most
-        #: recent execution that *raised* mid-run, for feedback to harvest
-        #: (a query that times out on a bad plan is precisely the one whose
-        #: true cardinalities matter most); None otherwise.
-        self.last_partial: Optional[
-            Tuple[List[Fragment], Dict[int, OperatorActuals]]
-        ] = None
 
     # -- public API ------------------------------------------------------------
 
@@ -231,20 +261,39 @@ class ExecutionEngine:
         injector: Optional[FaultInjector] = None,
         at: float = 0.0,
     ) -> ExecutionResult:
-        """Execute ``plan``; with an ``injector``, under its fault schedule.
+        """Execute ``plan``: prepare -> run fragments -> simulate -> report.
 
-        ``at`` is the query's submission time on the chaos clock: sites
-        already dead then are excluded up front (their partitions fail over
-        to survivors), crash/slowdown events later than ``at`` are replayed
-        against the task-graph simulation, and one-shot faults (exchange
-        drops, fragment OOM kills) due at ``at`` fire during this attempt.
+        The run is under ``injector``'s fault schedule; none given means
+        the empty schedule.  ``at`` is the submission time on the chaos
+        clock: sites already dead then are excluded up front (their
+        partitions fail over to survivors), crash/slowdown events later
+        than ``at`` are replayed against the task-graph simulation, and
+        one-shot faults (exchange drops, fragment OOM kills) due at ``at``
+        fire during this attempt.  An :class:`ExecutionError` that ends
+        the run carries the completed prefix as ``partial``.
         """
-        # First, so that an execution that fails before running anything
-        # cannot leave the previous query's partial to be harvested again.
-        self.last_partial = None
-        tracer = get_tracer()
-        registry = get_registry()
-        with tracer.span("fragment") as span:
+        run = self._prepare(plan, injector or FaultInjector(), at)
+        try:
+            with get_tracer().span("execute"):
+                self._run_fragments(run)
+        except ExecutionError as exc:
+            if run.completed:
+                exc.partial = (run.completed, run.actuals())
+            raise
+        finally:
+            for observer in run.observers:
+                observer.close()
+        self._simulate(run)
+        return self._report(run)
+
+    # -- step 1: prepare ------------------------------------------------------------
+
+    def _prepare(
+        self, plan: PhysNode, injector: FaultInjector, at: float
+    ) -> _Run:
+        """Fragment the plan, decide who is alive and which backend and
+        observers this run gets."""
+        with get_tracer().span("fragment") as span:
             fragments = fragment_plan(plan)
             span.attrs["fragments"] = len(fragments)
         if self.config.verify_execution:
@@ -261,268 +310,143 @@ class ExecutionEngine:
             * CORE_UNITS_PER_SECOND
             * RUNTIME_LIMIT_PARALLELISM
         )
-        alive: Optional[List[int]] = None
-        coordinator = COORDINATOR
-        if injector is not None:
-            alive = injector.alive_sites(self.config.sites, at)
-            if not alive:
-                raise SiteFailureError(
-                    "no surviving sites to execute on", at=at
-                )
-            coordinator = COORDINATOR if COORDINATOR in alive else alive[0]
-        ctx = ExecContext(self.store, limit_units, alive_sites=alive)
+        alive = injector.alive_sites(self.config.sites, at)
+        if not alive:
+            raise SiteFailureError("no surviving sites to execute on", at=at)
         if self.config.execution_backend == "columnar":
             # Imported lazily: the row backend must work without numpy.
-            from repro.exec.columnar import execute_columnar
-
-            run_fragment = execute_columnar
+            from repro.exec.columnar import execute_columnar as run_fragment
         else:
             run_fragment = execute_node
-        midquery = None
-        if self.config.midquery_reoptimization and injector is None:
-            # Imported lazily: repro.adaptive imports the planner, which
-            # imports this module.  Fault-injected runs stay static so
-            # chaos replays remain deterministic.
+        return _Run(
+            plan=plan,
+            injector=injector,
+            at=at,
+            fragments=fragments,
+            ctx=ExecContext(self.store, limit_units, alive_sites=alive),
+            coordinator=COORDINATOR if COORDINATOR in alive else alive[0],
+            run_fragment=run_fragment,
+            observers=self._observers(injector),
+        )
+
+    def _observers(self, injector: FaultInjector) -> List[SeamObserver]:
+        """The seam observers of one run, in calling order.
+
+        The one place they are attached, and so the one statement of the
+        exclusion: a run under a non-empty fault schedule executes
+        statically — no mid-query re-planning, no sketch refresh — so that
+        chaos replays stay byte-identical.
+        """
+        observers: List[SeamObserver] = []
+        if injector.schedule:
+            return observers
+        if self.config.midquery_reoptimization:
+            # Imported lazily: repro.adaptive imports repro.exec.
             from repro.adaptive.midquery import MidQueryController
 
-            midquery = MidQueryController(self.store, self.config)
-        result_rows: Optional[List[Tuple]] = None
-        fragment_sites: Dict[int, List[int]] = {}
-        completed: List[Fragment] = []
-        # Sketch refresh taps the same seams as mid-query capture; fault-
-        # injected runs stay untouched so chaos replays are deterministic.
-        # (fragment, that site's output in the backend's own form)
-        seam_captures: Optional[List[Tuple[Fragment, object]]] = (
-            [] if self.sketches is not None and injector is None else None
-        )
+            observers.append(MidQueryController(self.store, self.config))
+        if self.sketches is not None:
+            observers.append(self.sketches.seam_harvest())
+        return observers
 
-        try:
-            with tracer.span("execute"):
-                index = 0
-                while index < len(fragments):
-                    fragment = fragments[index]
-                    if injector is not None and injector.take_fragment_oom(
-                        fragment.fragment_id, at
-                    ):
-                        raise FragmentOomError(
-                            f"fragment #{fragment.fragment_id} was OOM-killed",
-                            fragment_id=fragment.fragment_id,
-                        )
-                    sites = self._fragment_sites(fragment, alive, coordinator)
-                    fragment_sites[fragment.fragment_id] = sites
-                    ctx.current_fragment = fragment.fragment_id
-                    units_before = ctx.total_units
-                    with tracer.span(
-                        f"fragment#{fragment.fragment_id}", sites=len(sites)
-                    ) as span:
-                        for site in sites:
-                            out = run_fragment(fragment.root, site, ctx)
-                            if fragment.is_root:
-                                result_rows = stream_rows(out)
-                            else:
-                                if midquery is not None:
-                                    midquery.capture(fragment, site, out)
-                                if seam_captures is not None:
-                                    seam_captures.append((fragment, out))
-                                self._route(
-                                    fragment, site, out, ctx, coordinator,
-                                    injector, at,
-                                )
-                        tracer.advance(ctx.total_units - units_before)
-                        span.attrs["units"] = ctx.total_units - units_before
-                    completed.append(fragment)
-                    # A completed non-root fragment is a materialization
-                    # point: its true cardinality is known before any
-                    # consumer runs.  Past the q-error threshold the
-                    # controller re-plans the un-executed suffix and we
-                    # splice the new fragments in.
-                    if midquery is not None and not fragment.is_root:
-                        new_suffix = midquery.checkpoint(
-                            fragments, index, ctx, coordinator
-                        )
-                        if new_suffix is not None:
-                            fragments[index + 1:] = new_suffix
-                    index += 1
-                ctx.current_fragment = None
-        except Exception:
-            if completed:
-                self.last_partial = (
-                    completed, fold_actuals(completed, fragment_sites, ctx)
+    # -- step 2: run fragments ------------------------------------------------------
+
+    def _run_fragments(self, run: _Run) -> None:
+        """Interpret every fragment at its sites, children first, routing
+        each non-root output to its consumers."""
+        tracer = get_tracer()
+        fragments, ctx = run.fragments, run.ctx
+        index = 0
+        while index < len(fragments):
+            fragment = fragments[index]
+            if run.injector.take_fragment_oom(fragment.fragment_id, run.at):
+                raise FragmentOomError(
+                    f"fragment #{fragment.fragment_id} was OOM-killed",
+                    fragment_id=fragment.fragment_id,
                 )
-            raise
-        finally:
-            if midquery is not None:
-                midquery.drop_temp_tables()
+            sites = self._fragment_sites(fragment, run)
+            run.fragment_sites[fragment.fragment_id] = sites
+            ctx.current_fragment = fragment.fragment_id
+            units_before = ctx.total_units
+            with tracer.span(
+                f"fragment#{fragment.fragment_id}", sites=len(sites)
+            ) as span:
+                for site in sites:
+                    out = run.run_fragment(fragment.root, site, ctx)
+                    if fragment.is_root:
+                        run.result_rows = stream_rows(out)
+                        continue
+                    for observer in run.observers:
+                        observer.capture(fragment, site, out)
+                    self._route(run, fragment, site, out)
+                tracer.advance(ctx.total_units - units_before)
+                span.attrs["units"] = ctx.total_units - units_before
+            run.completed.append(fragment)
+            if not fragment.is_root:
+                # A materialisation point: the fragment's true cardinality
+                # is known before any consumer runs, and an observer may
+                # answer it with a re-planned suffix to splice in.
+                for observer in run.observers:
+                    new_suffix = observer.checkpoint(
+                        fragments, index, ctx, run.coordinator
+                    )
+                    if new_suffix is not None:
+                        fragments[index + 1:] = new_suffix
+            index += 1
+        ctx.current_fragment = None
+        assert run.result_rows is not None
 
-        assert result_rows is not None
-        graph, stats = self._build_task_graph(
-            fragments, fragment_sites, ctx, injector, at
-        )
-        redispatched = 0
-        events = injector.scheduler_events() if injector is not None else ()
-        if events:
-            makespan, redispatched = simulate_makespan_with_faults(
-                graph,
-                self.config.sites,
-                self.config.cores_per_site,
-                events,
-                at=at,
-                redispatch=self.config.failover_redispatch,
-            )
-        else:
-            makespan = simulate_makespan(
-                graph, self.config.sites, self.config.cores_per_site
-            )
-        actuals = fold_actuals(fragments, fragment_sites, ctx)
-        deadline = self.config.query_deadline_seconds
-        if deadline is not None and makespan > deadline:
-            # The work is done and every actual is known — feed them to
-            # adaptive re-planning even though the query misses its SLO.
-            self.last_partial = (completed, actuals)
-            raise QueryDeadlineError(
-                f"query ran {makespan:.3f}s simulated, past its "
-                f"{deadline:.3f}s deadline",
-                limit=deadline,
-                elapsed=makespan,
-            )
-        if seam_captures:
-            self.sketches.harvest(
-                fragments,
-                [(fragment, stream_rows(out)) for fragment, out in seam_captures],
-            )
-        degraded = redispatched > 0 or (
-            alive is not None and len(alive) < self.config.sites
-        )
-        for fragment in fragments:
-            for op in fragment.operators():
-                actual = actuals[op.op_id]
-                op_name = type(op).__name__
-                registry.inc("operator.rows_out", actual.rows_out, op=op_name)
-                registry.inc("operator.rows_in", actual.rows_in, op=op_name)
-        for stat in stats:
-            stat.mem_bytes = max(
-                (
-                    ctx.fragment_memory.get((stat.fragment_id, site), 0.0)
-                    for site in stat.sites
-                ),
-                default=0.0,
-            )
-            registry.gauge_max(
-                "fragment.mem_highwater_bytes",
-                stat.mem_bytes,
-                fragment=stat.fragment_id,
-            )
-        registry.inc("exec.queries")
-        registry.inc("exec.result_rows", len(result_rows))
-        registry.inc("exec.rows_shipped", ctx.rows_shipped)
-        registry.inc("exec.work_units", ctx.total_units)
-        registry.inc("exec.network_units", ctx.network_units)
-        if redispatched:
-            registry.inc("exec.redispatched_tasks", redispatched)
-        if degraded:
-            registry.inc("exec.degraded_queries")
-        result = ExecutionResult(
-            rows=result_rows,
-            fields=list(plan.fields),
-            task_graph=graph,
-            simulated_seconds=makespan,
-            total_units=ctx.total_units,
-            network_units=ctx.network_units,
-            rows_shipped=ctx.rows_shipped,
-            fragments=stats,
-            fragment_trees=list(fragments),
-            operator_actuals=actuals,
-            degraded=degraded,
-            redispatched_tasks=redispatched,
-        )
-        if self.config.verify_execution:
-            from repro.verify.invariants import check_execution_result
-
-            check_execution_result(result)
-        return result
-
-    # -- fragment placement ---------------------------------------------------------
-
-    def _fragment_sites(
-        self,
-        fragment: Fragment,
-        alive: Optional[List[int]] = None,
-        coordinator: int = COORDINATOR,
-    ) -> List[int]:
+    def _fragment_sites(self, fragment: Fragment, run: _Run) -> List[int]:
         """The processing sites a fragment is sent to (Section 3.2.3).
 
         With dead sites, distributed fragments run on the survivors only
         and the coordinator role falls to the lowest surviving site.
         """
-        dist = fragment.root.distribution
-        if satisfies(dist, Distribution.single()):
-            return [coordinator]
-        if alive is not None:
-            return list(alive)
-        return list(range(self.config.sites))
+        if satisfies(fragment.root.distribution, Distribution.single()):
+            return [run.coordinator]
+        return list(run.ctx.alive_sites)
 
-    # -- routing ------------------------------------------------------------------------
-
-    def _route(
-        self,
-        fragment: Fragment,
-        site: int,
-        out,
-        ctx: ExecContext,
-        coordinator: int = COORDINATOR,
-        injector: Optional[FaultInjector] = None,
-        at: float = 0.0,
-    ) -> None:
+    def _route(self, run: _Run, fragment: Fragment, site: int, out) -> None:
         """Ship one site's fragment output (a row list or a columnar
         batch): single and broadcast exchanges hand it over as it is,
         hash exchanges read its rows into per-destination lists."""
         sender = fragment.sender
         assert sender is not None
-        if injector is not None and injector.take_exchange_drop(
-            sender.exchange_id, at
-        ):
+        if run.injector.take_exchange_drop(sender.exchange_id, run.at):
             raise ExchangeLostError(
                 f"exchange #{sender.exchange_id} dropped its stream "
                 f"from site {site}",
                 exchange_id=sender.exchange_id,
             )
+        ctx = run.ctx
         target = sender.target
         width = fragment.root.width
-        root = fragment.root
-        destinations = (
-            list(ctx.alive_sites)
-            if ctx.alive_sites is not None
-            else list(range(self.config.sites))
-        )
+        alive = ctx.alive_sites
         if target.is_single:
-            ctx.deliver(sender.exchange_id, coordinator, out)
+            ctx.deliver(sender.exchange_id, run.coordinator, out)
             copies = 1
         elif target.is_broadcast:
-            for destination in destinations:
+            for destination in alive:
                 ctx.deliver(sender.exchange_id, destination, out)
-            copies = len(destinations)
+            copies = len(alive)
         elif target.is_hash:
-            buckets: Dict[int, List[Tuple]] = {
-                destination: [] for destination in destinations
-            }
+            buckets: Dict[int, List[Tuple]] = {dest: [] for dest in alive}
             keys = target.keys
             partitions = self.store.partitions_per_table
             sites = self.config.sites
-            alive = ctx.alive_sites
-            if alive is not None and len(alive) < sites:
+            if len(alive) < sites:
                 def owner(partition: int) -> int:
                     return failover_owner(partition, sites, alive)
             else:
                 def owner(partition: int) -> int:
                     return partition % sites
-            rows = stream_rows(out)
             if len(keys) == 1:
                 key = keys[0]
-                for row in rows:
+                for row in stream_rows(out):
                     partition = affinity_partition(row[key], partitions)
                     buckets[owner(partition)].append(row)
             else:
-                for row in rows:
+                for row in stream_rows(out):
                     value = tuple(row[k] for k in keys)
                     partition = affinity_partition(value, partitions)
                     buckets[owner(partition)].append(row)
@@ -533,7 +457,7 @@ class ExecutionEngine:
             raise ExecutionError(f"cannot route to distribution {target}")
         shipped = len(out)
         network = network_units_for(shipped, width, copies)
-        ctx.charge(root, site, charges.exchange(shipped) + network)
+        ctx.charge(fragment.root, site, charges.exchange(shipped) + network)
         ctx.network_units += network
         ctx.rows_shipped += shipped * copies
         registry = get_registry()
@@ -551,23 +475,50 @@ class ExecutionEngine:
             exchange=sender.exchange_id,
         )
 
-    # -- task graph ------------------------------------------------------------------------
+    # -- step 3: simulate -----------------------------------------------------------
+
+    def _simulate(self, run: _Run) -> None:
+        """Turn the charged work into a task graph and a makespan, and
+        hold the makespan against the query deadline."""
+        run.graph, run.stats = self._build_task_graph(run)
+        events = run.injector.scheduler_events()
+        if events:
+            run.makespan, run.redispatched = simulate_makespan_with_faults(
+                run.graph,
+                self.config.sites,
+                self.config.cores_per_site,
+                events,
+                at=run.at,
+                redispatch=self.config.failover_redispatch,
+            )
+        else:
+            run.makespan = simulate_makespan(
+                run.graph, self.config.sites, self.config.cores_per_site
+            )
+        deadline = self.config.query_deadline_seconds
+        if deadline is not None and run.makespan > deadline:
+            error = QueryDeadlineError(
+                f"query ran {run.makespan:.3f}s simulated, past its "
+                f"{deadline:.3f}s deadline",
+                limit=deadline,
+                elapsed=run.makespan,
+            )
+            # The work is done and every actual is known — feed them to
+            # adaptive re-planning even though the query misses its SLO.
+            error.partial = (run.completed, run.actuals())
+            raise error
 
     def _build_task_graph(
-        self,
-        fragments: Sequence[Fragment],
-        fragment_sites: Dict[int, List[int]],
-        ctx: ExecContext,
-        injector: Optional[FaultInjector] = None,
-        at: float = 0.0,
+        self, run: _Run
     ) -> Tuple[TaskGraph, List[FragmentStats]]:
+        ctx = run.ctx
         graph = TaskGraph()
         fragment_tasks: Dict[int, List[int]] = {}
         stats: List[FragmentStats] = []
         variants_requested = max(1, self.config.variant_fragments)
 
-        for fragment in fragments:
-            sites = fragment_sites[fragment.fragment_id]
+        for fragment in run.fragments:
+            sites = run.fragment_sites[fragment.fragment_id]
             deps: List[int] = []
             for child_id in fragment.child_ids:
                 deps.extend(fragment_tasks.get(child_id, ()))
@@ -578,10 +529,10 @@ class ExecutionEngine:
             # producing fragment: the shipment occupies its pipeline for
             # the extra time.
             delay_units = 0.0
-            if injector is not None and fragment.sender is not None:
+            if fragment.sender is not None:
                 delay_units = (
-                    injector.exchange_delay_seconds(
-                        fragment.sender.exchange_id, at
+                    run.injector.exchange_delay_seconds(
+                        fragment.sender.exchange_id, run.at
                     )
                     * CORE_UNITS_PER_SECOND
                 )
@@ -639,3 +590,64 @@ class ExecutionEngine:
             if variant_plan.scaling.get(op.op_id) == SOURCE:
                 rows += ctx.ops[op.op_id, site][2] / RPTC
         return rows
+
+    # -- step 4: report -------------------------------------------------------------
+
+    def _report(self, run: _Run) -> ExecutionResult:
+        """Tell the observers the run succeeded, publish its metrics and
+        assemble the result."""
+        for observer in run.observers:
+            observer.finish(run.fragments)
+        ctx = run.ctx
+        actuals = run.actuals()
+        degraded = (
+            run.redispatched > 0 or len(ctx.alive_sites) < self.config.sites
+        )
+        registry = get_registry()
+        for fragment in run.fragments:
+            for op in fragment.operators():
+                actual = actuals[op.op_id]
+                op_name = type(op).__name__
+                registry.inc("operator.rows_out", actual.rows_out, op=op_name)
+                registry.inc("operator.rows_in", actual.rows_in, op=op_name)
+        for stat in run.stats:
+            stat.mem_bytes = max(
+                (
+                    ctx.fragment_memory.get((stat.fragment_id, site), 0.0)
+                    for site in stat.sites
+                ),
+                default=0.0,
+            )
+            registry.gauge_max(
+                "fragment.mem_highwater_bytes",
+                stat.mem_bytes,
+                fragment=stat.fragment_id,
+            )
+        registry.inc("exec.queries")
+        registry.inc("exec.result_rows", len(run.result_rows))
+        registry.inc("exec.rows_shipped", ctx.rows_shipped)
+        registry.inc("exec.work_units", ctx.total_units)
+        registry.inc("exec.network_units", ctx.network_units)
+        if run.redispatched:
+            registry.inc("exec.redispatched_tasks", run.redispatched)
+        if degraded:
+            registry.inc("exec.degraded_queries")
+        result = ExecutionResult(
+            rows=run.result_rows,
+            fields=list(run.plan.fields),
+            task_graph=run.graph,
+            simulated_seconds=run.makespan,
+            total_units=ctx.total_units,
+            network_units=ctx.network_units,
+            rows_shipped=ctx.rows_shipped,
+            fragments=run.stats,
+            fragment_trees=list(run.fragments),
+            operator_actuals=actuals,
+            degraded=degraded,
+            redispatched_tasks=run.redispatched,
+        )
+        if self.config.verify_execution:
+            from repro.verify.invariants import check_execution_result
+
+            check_execution_result(result)
+        return result

@@ -87,6 +87,35 @@ class Fragment:
         return f"{head}\n{self.root.explain(indent=1)}"
 
 
+class SeamObserver:
+    """What may watch one execution at its fragment seams.
+
+    A completed non-root fragment is a materialisation point: its output
+    exists in full before any consumer runs.  The engine calls every
+    attached observer there, in list order; the defaults do nothing, so an
+    observer overrides only the hooks it needs.  Which observers a run
+    gets is decided in ``ExecutionEngine._observers`` and nowhere else.
+    """
+
+    def capture(self, fragment: Fragment, site: int, out) -> None:
+        """One site's output of a non-root fragment (a row list or a
+        columnar batch), before it is routed."""
+
+    def checkpoint(
+        self, fragments: List[Fragment], index: int, ctx, coordinator: int
+    ) -> Optional[List[Fragment]]:
+        """Non-root ``fragments[index]`` completed on every site: return a
+        replacement for the un-executed ``fragments[index + 1:]``, or None
+        to keep it."""
+        return None
+
+    def finish(self, fragments: Sequence[Fragment]) -> None:
+        """The run succeeded: every fragment executed, the deadline held."""
+
+    def close(self) -> None:
+        """The run ended, successfully or not: undo what was installed."""
+
+
 def number_operators(root: PhysNode, first_op_id: int = 0) -> int:
     """Give every operator under ``root`` its ``op_id`` (pre-order, counting
     up from ``first_op_id``); returns the next free id.

@@ -54,7 +54,9 @@ class RetryPolicy:
     replayability.
     """
 
+    #: The first retry waits this long (simulated seconds) ...
     base_seconds: float = 0.25
+    #: ... and each further retry multiplies the wait by this.
     factor: float = 2.0
     max_retries: int = 2
     jitter: float = 0.0
@@ -69,10 +71,6 @@ class RetryPolicy:
             rng = random.Random((self.seed << 32) ^ (retry << 16) ^ salt)
             wait *= 1.0 + self.jitter * rng.random()
         return wait
-
-    def total_backoff(self, retries: int) -> float:
-        """Backoff accumulated over ``retries`` consecutive failures."""
-        return sum(self.delay(k) for k in range(retries))
 
 
 @dataclass
@@ -208,15 +206,10 @@ def run_chaos(
 
     The cluster's :class:`~repro.common.config.SystemConfig` supplies both
     the schedule (``faults``) and the resilience policy (``max_retries``,
-    backoff, ``query_deadline_seconds``, ``failover_redispatch``).
+    ``query_deadline_seconds``, ``failover_redispatch``).
     """
     config = cluster.config
-    policy = RetryPolicy(
-        base_seconds=config.retry_backoff_seconds,
-        factor=config.retry_backoff_factor,
-        max_retries=config.max_retries,
-        seed=seed,
-    )
+    policy = RetryPolicy(max_retries=config.max_retries, seed=seed)
     if cluster.fault_injector is not None:
         cluster.fault_injector.reset()
     names = sorted(queries)

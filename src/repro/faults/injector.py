@@ -183,12 +183,13 @@ class FaultInjector:
     Mutable state is limited to the set of consumed one-shot faults; all
     queries of one chaos run share a single injector so a consumed drop or
     OOM does not refire on retry (the retry therefore succeeds, which is
-    what makes those faults *transient*).
+    what makes those faults *transient*).  The empty schedule is the
+    fault-free run — every site alive, no events, nothing to take, zero
+    delay — which is how the engine executes when given no injector.
     """
 
-    def __init__(self, schedule: Sequence[FaultSpec] = (), seed: int = 0):
+    def __init__(self, schedule: Sequence[FaultSpec] = ()):
         self.schedule: Tuple[FaultSpec, ...] = tuple(schedule)
-        self.seed = seed
         #: Indices (not specs) of consumed one-shots: two identical specs
         #: in a schedule mean two faults, and each must fire once.
         self._consumed: set = set()

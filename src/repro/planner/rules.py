@@ -105,27 +105,6 @@ class ProjectMergeRule(Rule):
         return LogicalProject(child.input, composed, node.fields)
 
 
-class ProjectRemoveRule(Rule):
-    """Remove identity projections (same width, ``$i -> $i``)."""
-
-    name = "ProjectRemove"
-
-    def apply(self, node: RelNode) -> Optional[RelNode]:
-        if not isinstance(node, LogicalProject):
-            return None
-        child = node.input
-        if node.width != child.width:
-            return None
-        for index, expr in enumerate(node.exprs):
-            if not isinstance(expr, ColRef) or expr.index != index:
-                return None
-        if tuple(node.fields) != tuple(child.fields):
-            # Output names differ: keep the projection (it is what gives
-            # the result set its column labels).
-            return None
-        return child
-
-
 class FilterIntoJoinRule(Rule):
     """Filter over inner Join -> merge the condition into the join.
 

@@ -72,6 +72,11 @@ from repro.storage.store import DataStore
 #: Cap on enumerated join orders per component (keeps planning bounded).
 MAX_JOIN_ORDERS = 400
 
+#: Section 4.3: past 3 nested joins or 4 joins the join-permutation rules
+#: are disabled in the physical phase (the paper's thresholds).
+MAX_NESTED_JOINS_FOR_PERMUTATION = 3
+MAX_JOINS_FOR_PERMUTATION = 4
+
 #: Multiplier base for redundant equi-graph connections (see module doc).
 CYCLE_BLOWUP = 15.0
 
@@ -183,8 +188,8 @@ class QueryPlanner:
         joins = count_joins(tree)
         nested = max_nested_joins(tree)
         permutations_enabled = (
-            nested <= self.config.max_nested_joins_for_permutation
-            and joins <= self.config.max_joins_for_permutation
+            nested <= MAX_NESTED_JOINS_FOR_PERMUTATION
+            and joins <= MAX_JOINS_FOR_PERMUTATION
         )
         if not permutations_enabled:
             return tree

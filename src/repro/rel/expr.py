@@ -659,18 +659,3 @@ def factor_common_conjuncts(expr: Expr) -> Optional[Expr]:
         if residual_or is not None:
             pieces.append(residual_or)
     return make_conjunction(pieces)
-
-
-def estimate_selectivity_shape(expr: Expr) -> str:
-    """Rough shape classification used by selectivity estimation."""
-    if isinstance(expr, BinaryOp) and expr.op in COMPARISONS:
-        return "equality" if expr.op == "=" else "range"
-    if isinstance(expr, (InList,)):
-        return "in"
-    if isinstance(expr, LikeExpr):
-        return "like"
-    if isinstance(expr, BinaryOp) and expr.op == "OR":
-        return "or"
-    if isinstance(expr, IsNull):
-        return "null"
-    return "other"

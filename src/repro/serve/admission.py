@@ -212,12 +212,6 @@ class AdmissionController:
         self.running_total += 1
         state.virtual_service += 1.0 / state.spec.weight
 
-    def start_unqueued(self, request: QueryRequest) -> None:
-        """Account a request dispatched without queueing (admission off)."""
-        get_registry().inc("serve.offered", tenant=request.tenant)
-        get_registry().inc("serve.admitted", tenant=request.tenant)
-        self._start(request)
-
     def finish(self, request: QueryRequest) -> None:
         """Release the slots held by a dispatched request."""
         state = self._state(request.tenant)

@@ -154,10 +154,7 @@ class QueryServer:
         self.redispatch = redispatch
         self._traffic = TrafficGenerator(tenants, seed=seed)
         self._retry_policy = RetryPolicy(
-            base_seconds=self.config.retry_backoff_seconds,
-            factor=self.config.retry_backoff_factor,
-            max_retries=self.config.max_retries,
-            seed=seed,
+            max_retries=self.config.max_retries, seed=seed
         )
         self._tags = itertools.count()
         self._inflight: Dict[int, _Inflight] = {}
@@ -251,14 +248,8 @@ class QueryServer:
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch(self, request: QueryRequest, now: float) -> None:
-        registry = get_registry()
-        hits_before = registry.counter("plan_cache.hits", tenant=request.tenant)
         with tenant_scope(request.tenant):
             outcome = self.cluster.try_sql(request.sql)
-        cache_hit = (
-            registry.counter("plan_cache.hits", tenant=request.tenant)
-            > hits_before
-        )
         record = ServeRecord(
             tenant=request.tenant,
             template=request.template,
@@ -266,7 +257,7 @@ class QueryServer:
             status=outcome.status,
             arrival=request.arrival,
             dispatched=now,
-            cache_hit=cache_hit,
+            cache_hit=outcome.plan_cached,
         )
         if not outcome.succeeded:
             # Planning failures, unsupported SQL, runtime-limit timeouts:

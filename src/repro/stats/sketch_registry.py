@@ -42,8 +42,10 @@ the store without DDL (mid-query temp tables).
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.exec.fragments import SeamObserver
+from repro.exec.operators import stream_rows
 from repro.obs.metrics import get_registry
 from repro.stats.sketches import (
     DEFAULT_SEED,
@@ -191,14 +193,19 @@ class SketchRegistry:
 
     # -- operator-level sketches (online refresh) ---------------------------
 
+    def seam_harvest(self) -> "SeamHarvest":
+        """The observer that refreshes this registry from one execution."""
+        return SeamHarvest(self)
+
     def harvest(self, fragments, captures: Iterable[Tuple]) -> int:
         """Refresh operator HLLs from one execution's fragment seams.
 
         ``fragments`` is the full executed fragment list (supplying the
         exchange-id -> source-root resolver that lets signatures descend
         across fragment boundaries); ``captures`` the per-site
-        ``(fragment, rows)`` pairs the engine collected at each non-root
-        seam.  Returns the number of fragments harvested.
+        ``(fragment, output)`` pairs a :class:`SeamHarvest` collected at
+        each non-root seam, outputs still in the backend's own form.
+        Returns the number of fragments harvested.
         """
         from repro.adaptive.feedback import FeedbackRegistry
         from repro.adaptive.signature import operator_signature
@@ -208,13 +215,13 @@ class SketchRegistry:
             for fragment in fragments
             if fragment.sender is not None
         }
-        #: fragment id -> (fragment, its per-site row streams), in seam order
+        #: fragment id -> (fragment, its per-site outputs), in seam order
         by_fragment: Dict[int, Tuple] = {}
-        for fragment, rows in captures:
+        for fragment, out in captures:
             entry = by_fragment.setdefault(fragment.fragment_id, (fragment, []))
-            entry[1].append(rows)
+            entry[1].append(out)
         harvested = 0
-        for fragment, streams in by_fragment.values():
+        for fragment, outputs in by_fragment.values():
             root = fragment.root
             if not FeedbackRegistry._eligible(root):
                 continue
@@ -223,9 +230,10 @@ class SketchRegistry:
                 continue
             remaining = MAX_SEAM_ROWS
             sketches: Dict[int, HyperLogLog] = {}
-            for site_rows in streams:
+            for out in outputs:
                 if remaining <= 0:
                     break
+                site_rows = stream_rows(out)
                 for row in site_rows[:remaining]:
                     for column, value in enumerate(row):
                         if value is None:
@@ -244,9 +252,6 @@ class SketchRegistry:
         if harvested:
             get_registry().inc("sketch.seam_refreshes", harvested)
         return harvested
-
-    def has_operator_sketches(self) -> bool:
-        return bool(self._operators)
 
     def operator_distinct(self, node, column: int) -> Optional[float]:
         """Online HLL distinct estimate for one operator output column."""
@@ -269,3 +274,20 @@ class SketchRegistry:
         """DDL hook: stored data changed, so every sketch is suspect."""
         self._tables.clear()
         self._operators.clear()
+
+
+class SeamHarvest(SeamObserver):
+    """One execution's sketch refresh: holds each non-root seam's per-site
+    output and hands them to the registry only once the run has
+    succeeded."""
+
+    def __init__(self, registry: SketchRegistry):
+        self._registry = registry
+        self._captures: List[Tuple] = []
+
+    def capture(self, fragment, site: int, out) -> None:
+        self._captures.append((fragment, out))
+
+    def finish(self, fragments) -> None:
+        if self._captures:
+            self._registry.harvest(fragments, self._captures)

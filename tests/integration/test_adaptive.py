@@ -13,6 +13,7 @@ The acceptance behaviours pinned here:
 
 import pytest
 
+from repro.adaptive.cache import PlanCache
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.common.config import PRESETS, SystemConfig
@@ -206,9 +207,8 @@ class TestInvalidation:
         assert registry.delta_since(before).get("plan_cache.misses") == 1.0
 
     def test_capacity_one_still_correct(self):
-        cluster = make_company_cluster(
-            SystemConfig.ic_plus(4, **{**ADAPTIVE, "plan_cache_capacity": 1})
-        )
+        cluster = make_company_cluster(SystemConfig.ic_plus(4, **ADAPTIVE))
+        cluster.adaptive.cache = PlanCache(1)
         a = "select name from emp where salary > 50000"
         b = "select dept_id, count(*) from emp group by dept_id"
         ra1 = cluster.sql(a)

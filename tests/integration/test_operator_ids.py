@@ -61,7 +61,7 @@ def test_two_plannings_of_one_query_number_alike(cluster):
 def test_fragment_trees_own_their_nodes(cluster):
     """Leaves are copied like inner nodes, so numbering a fragment tree
     never writes to the (possibly cached) plan it was cut from."""
-    plan = cluster._plan_select(cluster._parse(JOIN_SQL))
+    plan = cluster.plan_sql(JOIN_SQL)
     plan_nodes = {id(node) for node in walk_physical(plan)}
     for fragments in (fragment_plan(plan), fragment_plan(plan, 7, 7, 100)):
         for fragment in fragments:
@@ -88,21 +88,21 @@ class TestValidatorRule:
             outcome = cluster.try_sql("EXPLAIN " + query.sql)
             if not outcome.ok:
                 continue
-            plan = cluster._plan_select(cluster._parse(query.sql))
+            plan = cluster.plan_sql(query.sql)
             assert "operator-ids-unique" not in self.rules(fragment_plan(plan))
 
     def test_a_missing_id_is_reported(self, cluster):
-        fragments = fragment_plan(cluster._plan_select(cluster._parse(JOIN_SQL)))
+        fragments = fragment_plan(cluster.plan_sql(JOIN_SQL))
         del fragments[0].root.op_id
         assert "operator-ids-unique" in self.rules(fragments)
 
     def test_a_repeated_id_is_reported(self, cluster):
-        fragments = fragment_plan(cluster._plan_select(cluster._parse(JOIN_SQL)))
+        fragments = fragment_plan(cluster.plan_sql(JOIN_SQL))
         fragments[0].root.op_id = fragments[-1].root.op_id
         assert "operator-ids-unique" in self.rules(fragments)
 
     def test_a_node_reachable_twice_is_reported(self, cluster):
-        fragments = fragment_plan(cluster._plan_select(cluster._parse(JOIN_SQL)))
+        fragments = fragment_plan(cluster.plan_sql(JOIN_SQL))
         shared, root = fragments[0].root, fragments[-1].root
         fragments[-1].root = root.copy([shared] + list(root.inputs[1:]))
         fragments[-1].root.op_id = root.op_id

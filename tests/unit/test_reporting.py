@@ -1,6 +1,6 @@
 """Unit tests for the reporting artefact structures (rendering only)."""
 
-from repro.bench.reporting import AqlTable, ChaosTable, GainFigure
+from repro.bench.reporting import AqlTable, GainFigure
 
 
 class TestGainFigure:
@@ -41,27 +41,3 @@ class TestAqlTable:
         assert "| clients | IC@4 | IC+@4 |" in text
         assert "| 2 | 1.234 | 0.500 |" in text
         assert "| 4 | 2.000 | 0.750 |" in text
-
-
-class TestChaosTable:
-    def _table(self):
-        table = ChaosTable(
-            "Chaos X",
-            availability=0.75,
-            total_retries=3,
-            makespan=1.5,
-            percentiles={50.0: 0.1, 95.0: 0.4},
-        )
-        table.rows.append(("Q1", "retried", 2, 0.1234))
-        table.rows.append(("Q2", "failed_site", 1, None))
-        return table
-
-    def test_markdown_summary_line(self):
-        text = self._table().to_markdown()
-        assert "availability 75.0%, 3 retries, makespan 1.500s" in text
-        assert "p50 0.1000s, p95 0.4000s" in text
-
-    def test_markdown_rows(self):
-        text = self._table().to_markdown()
-        assert "| Q1 | retried | 2 | 0.1234s |" in text
-        assert "| Q2 | failed_site | 1 | — |" in text

@@ -14,7 +14,6 @@ from repro.planner.rules import (
     JoinConditionPushRule,
     JoinConditionSimplificationRule,
     ProjectMergeRule,
-    ProjectRemoveRule,
     stage_one_passes,
     substitute_refs,
 )
@@ -81,23 +80,6 @@ class TestProjectRules:
         merged = ProjectMergeRule().apply(outer)
         assert isinstance(merged.input, LogicalTableScan)
         assert merged.exprs[0].index == 0
-
-    def test_identity_project_removed(self):
-        node = LogicalProject(
-            SCAN_A, [ColRef(0), ColRef(1), ColRef(2)], list(SCAN_A.fields)
-        )
-        assert ProjectRemoveRule().apply(node) is SCAN_A
-
-    def test_renaming_project_kept(self):
-        node = LogicalProject(
-            SCAN_A, [ColRef(0), ColRef(1), ColRef(2)], ["p", "q", "r"]
-        )
-        assert ProjectRemoveRule().apply(node) is None
-
-    def test_permuting_project_kept(self):
-        node = LogicalProject(SCAN_A, [ColRef(1), ColRef(0), ColRef(2)],
-                              ["a.y", "a.x", "a.z"])
-        assert ProjectRemoveRule().apply(node) is None
 
 
 class TestFilterIntoJoin:

@@ -5,6 +5,7 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.common.errors import PlanningTimeoutError
 from repro.exec.physical import PhysNode
+from repro.planner import volcano
 from repro.planner.volcano import (
     QueryPlanner,
     _redundant_equi_connections,
@@ -60,13 +61,19 @@ class TestPhases:
         plan = plan_sql(store, SystemConfig.ic_plus(), sql)
         assert isinstance(plan, PhysNode)
 
-    def test_permutations_disabled_above_thresholds(self, store):
-        config = SystemConfig.ic_plus().with_(max_joins_for_permutation=0)
+    def test_permutations_disabled_above_thresholds(self, store, monkeypatch):
+        monkeypatch.setattr(volcano, "MAX_JOINS_FOR_PERMUTATION", 0)
+        reorders = []
+        monkeypatch.setattr(
+            volcano.JoinOrderEnumerator, "reorder",
+            lambda self, tree: reorders.append(tree) or tree,
+        )
         sql = (
             "select e.name from emp e, sales s where e.emp_id = s.emp_id"
         )
-        plan = plan_sql(store, config, sql)
+        plan = plan_sql(store, SystemConfig.ic_plus(), sql)
         assert isinstance(plan, PhysNode)
+        assert reorders == []
 
 
 class TestSinglePhaseSpace:
