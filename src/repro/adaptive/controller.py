@@ -45,13 +45,13 @@ def reset_adaptive_state() -> None:
 class AdaptiveController:
     """Plan cache + feedback registry for one cluster."""
 
-    def __init__(self, config, store=None):
+    def __init__(self, config):
         self.config = config
         self.cache: Optional[PlanCache] = (
             PlanCache() if config.plan_cache else None
         )
         self.feedback: Optional[FeedbackRegistry] = (
-            FeedbackRegistry(store) if config.cardinality_feedback else None
+            FeedbackRegistry() if config.cardinality_feedback else None
         )
         self.threshold: float = config.replan_q_error_threshold
         #: Keys evicted for excessive q-error and not yet re-stored; the
@@ -60,10 +60,10 @@ class AdaptiveController:
         _LIVE_CONTROLLERS.add(self)
 
     @staticmethod
-    def from_config(config, store=None) -> Optional["AdaptiveController"]:
+    def from_config(config) -> Optional["AdaptiveController"]:
         if not (config.plan_cache or config.cardinality_feedback):
             return None
-        return AdaptiveController(config, store)
+        return AdaptiveController(config)
 
     # -- the serve path ----------------------------------------------------
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.adaptive.signature import operator_signature
-from repro.exec.physical import PhysLimit, PhysNode, PhysSort
+from repro.adaptive.signature import is_harvestable, operator_signature
+from repro.exec.fragments import exchange_producers
 from repro.obs.metrics import get_registry, tenant_labels
 
 
@@ -41,10 +41,7 @@ class FeedbackEntry:
 class FeedbackRegistry:
     """Observed operator cardinalities, keyed by operator signature."""
 
-    def __init__(self, store=None):
-        #: Resolves index-scan bounds back to predicate conjuncts so the
-        #: pushed-down physical shape keys like its logical origin.
-        self._store = store
+    def __init__(self):
         self._entries: Dict[str, FeedbackEntry] = {}
 
     def __len__(self) -> int:
@@ -71,18 +68,14 @@ class FeedbackRegistry:
         # the resolver lets signatures descend across those seams into
         # the source fragment, so a join above an exchange still keys by
         # its real children rather than an opaque receiver digest.
-        roots = {
-            fragment.sender.exchange_id: fragment.root
-            for fragment in fragment_trees
-            if fragment.sender is not None
-        }
+        producers = exchange_producers(fragment_trees)
         recorded = 0
         for fragment in fragment_trees:
             for op in fragment.operators():
                 actual = operator_actuals.get(op.op_id)
-                if actual is None or not self._eligible(op):
+                if actual is None or not is_harvestable(op):
                     continue
-                signature = operator_signature(op, self._store, roots.get)
+                signature = operator_signature(op, producers.get)
                 if signature is None:
                     continue
                 self.record(signature, float(actual.rows_out))
@@ -90,19 +83,6 @@ class FeedbackRegistry:
         if recorded:
             get_registry().inc("adaptive.feedback_observations", recorded, **tenant_labels())
         return recorded
-
-    @staticmethod
-    def _eligible(op: PhysNode) -> bool:
-        distribution = getattr(op, "distribution", None)
-        if distribution is None or distribution.is_broadcast:
-            return False
-        if isinstance(op, PhysSort) and (
-            op.fetch is not None or op.offset is not None
-        ):
-            return distribution.is_single
-        if isinstance(op, PhysLimit):
-            return distribution.is_single
-        return True
 
     # -- consumption -------------------------------------------------------
 
@@ -117,7 +97,7 @@ class FeedbackRegistry:
         signature scheme guarantees a match with the physical operators
         the observation came from.
         """
-        signature = operator_signature(node, self._store)
+        signature = operator_signature(node)
         if signature is None:
             return None
         return self.lookup(signature)

@@ -48,6 +48,7 @@ from repro.exec.fragments import (
     Fragment,
     PhysReceiver,
     SeamObserver,
+    exchange_producers,
     fragment_plan,
 )
 from repro.exec.operators import network_units_for, stream_rows
@@ -68,7 +69,7 @@ from repro.exec.physical import (
 )
 from repro.obs.metrics import get_registry, q_error
 from repro.obs.trace import get_tracer
-from repro.rel.expr import BinaryOp, ColRef, Literal, make_conjunction
+from repro.rel.expr import BinaryOp, ColRef, make_conjunction
 from repro.rel.logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -253,13 +254,8 @@ class MidQueryController(SeamObserver):
         from repro.planner.volcano import QueryPlanner
 
         executed = {f.fragment_id for f in fragments[: index + 1]}
-        producers = {
-            f.sender.exchange_id: f
-            for f in fragments
-            if f.sender is not None
-        }
         suffix_logical = self._to_logical(
-            fragments[-1].root, producers, executed
+            fragments[-1].root, exchange_producers(fragments), executed
         )
         shipping, shipped_rows = self._install_pending_temps()
         planner = QueryPlanner(self.store, self.config)
@@ -346,15 +342,12 @@ class MidQueryController(SeamObserver):
             if producer.fragment_id in executed:
                 return self._temp_scan(producer)
             return convert(producer.root)
-        if isinstance(node, PhysTableScan):
-            names = [f.split(".", 1)[1] for f in node.fields]
-            return LogicalTableScan(node.table, node.alias, names)
-        if isinstance(node, PhysIndexScan):
-            names = [f.split(".", 1)[1] for f in node.fields]
-            scan = LogicalTableScan(node.table, node.alias, names)
-            if not node.is_range_scan:
-                return scan
-            return LogicalFilter(scan, self._index_bounds(node, names))
+        if isinstance(node, (PhysTableScan, PhysIndexScan)):
+            scan = LogicalTableScan(node.table, node.alias, node.column_names)
+            if isinstance(node, PhysIndexScan) and node.is_range_scan:
+                # The predicate the scan absorbed, as it was written.
+                return LogicalFilter(scan, node.bound_condition)
+            return scan
         if isinstance(node, PhysFilter):
             return LogicalFilter(convert(node.input), node.condition)
         if isinstance(node, PhysProject):
@@ -419,32 +412,6 @@ class MidQueryController(SeamObserver):
         if isinstance(node, PhysValues):
             return LogicalValues(node.rows, node.fields)
         raise _Unconvertible(type(node).__name__)
-
-    def _index_bounds(
-        self, node: PhysIndexScan, names: List[str]
-    ) -> Optional[BinaryOp]:
-        """Reconstruct the range predicate an index scan pushed down."""
-        schema = self.store.table(node.table).schema
-        leading = schema.indexes[node.index_name].columns[0]
-        column = ColRef(names.index(leading))
-        conjuncts = []
-        if node.low is not None:
-            conjuncts.append(
-                BinaryOp(
-                    ">=" if node.low_inclusive else ">",
-                    column,
-                    Literal(node.low),
-                )
-            )
-        if node.high is not None:
-            conjuncts.append(
-                BinaryOp(
-                    "<=" if node.high_inclusive else "<",
-                    column,
-                    Literal(node.high),
-                )
-            )
-        return make_conjunction(conjuncts)
 
     # -- materialization -------------------------------------------------------
 

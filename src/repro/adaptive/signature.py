@@ -21,8 +21,11 @@ Two different keying problems live here:
     and sorts without FETCH never change row counts;
   - filters key on the *sorted set* of canonical conjunct digests over
     the child signature, so conjunct order does not matter, and an index
-    range scan contributes its bounds as reconstructed conjuncts so the
-    pushed-down shape matches the logical ``Filter(Scan)`` it came from;
+    range scan contributes the predicate it absorbed — carried verbatim
+    as ``PhysIndexScan.bound_condition``, never rebuilt from the bounds —
+    so the pushed-down shape matches the logical ``Filter(Scan)`` it came
+    from whichever way that predicate was spelled (``g = 3``, ``3 = g``,
+    ``g >= 3 AND g <= 3``);
   - inner joins are commutative: the orientation is canonicalised by
     ordering the child signatures, swapping key pairs and remapping
     residual references when needed (this makes the commuted H* hash
@@ -34,7 +37,8 @@ Two different keying problems live here:
 
   Unlike plan signatures, operator signatures keep literal values: a
   feedback override is only trustworthy for the exact predicate that was
-  executed.
+  executed.  A signature is a function of the operator tree alone: no
+  catalog or store is consulted.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from repro.exec.physical import (
     PhysLimit,
     PhysMergeJoin,
     PhysHashJoin,
+    PhysNode,
     PhysProject,
     PhysSort,
     PhysTableScan,
@@ -192,7 +197,7 @@ def _expr_key(expr: Expr, literals: List) -> str:
 # ---------------------------------------------------------------------------
 
 
-def operator_signature(node: RelNode, store=None, resolve=None) -> Optional[str]:
+def operator_signature(node: RelNode, resolve=None) -> Optional[str]:
     """Canonical semantic signature of one operator, or None.
 
     None means "do not key feedback on this operator": wrappers
@@ -200,35 +205,36 @@ def operator_signature(node: RelNode, store=None, resolve=None) -> Optional[str]
     their child's key with actuals distorted by distribution, and
     MAP-phase aggregates emit partial states rather than result rows.
 
-    ``store`` (a :class:`~repro.storage.store.DataStore`) is only needed
-    to reconstruct bound conjuncts for index range scans; without it such
-    scans get an opaque, still-deterministic key.  ``resolve`` maps an
-    exchange id to the source fragment's root operator so signatures of
-    executed fragment trees (where exchanges appear as
+    ``resolve`` maps an exchange id to the fragment producing it
+    (``exec.fragments.exchange_producers(fragments).get``) so signatures
+    of executed fragment trees (where exchanges appear as
     :class:`~repro.exec.fragments.PhysReceiver` leaves) descend across
     fragment boundaries; planning-side trees do not need it.
     """
-    return _OperatorSignatures(store, resolve).signature(node)
+    return _OperatorSignatures(resolve).signature(node)
+
+
+def is_harvestable(op: PhysNode) -> bool:
+    """Whether ``op``'s per-site actuals sum to its semantic output size
+    (the eligibility rule of the feedback and the sketch harvest): not for
+    broadcast operators, whose every site holds a full copy, nor for
+    per-partition limits anywhere but on the single-site root."""
+    distribution = getattr(op, "distribution", None)
+    if distribution is None or distribution.is_broadcast:
+        return False
+    if isinstance(op, (PhysLimit, PhysSort)) and not _is_wrapper(op):
+        return distribution.is_single
+    return True
 
 
 class _OperatorSignatures:
-    def __init__(self, store=None, resolve=None):
-        self._store = store
+    def __init__(self, resolve=None):
         self._resolve = resolve
 
     def signature(self, node: RelNode) -> Optional[str]:
-        if isinstance(
-            node,
-            (PhysExchange, PhysProject, LogicalProject, PhysValues, LogicalValues),
-        ):
+        if _is_wrapper(node) or _is_receiver(node):
             return None
-        if _is_receiver(node):
-            return None
-        if (
-            isinstance(node, (PhysSort, LogicalSort))
-            and node.fetch is None
-            and node.offset is None
-        ):
+        if isinstance(node, (PhysValues, LogicalValues)):
             return None
         if isinstance(node, PhysAggregateBase) and node.phase is AggPhase.MAP:
             return None
@@ -237,55 +243,34 @@ class _OperatorSignatures:
     def _peel(self, node: RelNode) -> RelNode:
         """Skip cardinality-preserving wrappers and fragment seams."""
         while True:
-            if isinstance(node, (PhysExchange, PhysProject, LogicalProject)):
-                node = node.inputs[0]
-            elif (
-                isinstance(node, (PhysSort, LogicalSort))
-                and node.fetch is None
-                and node.offset is None
-            ):
+            if _is_wrapper(node):
                 node = node.inputs[0]
             elif _is_receiver(node) and self._resolve is not None:
-                source = self._resolve(node.exchange_id)
-                if source is None:
+                producer = self._resolve(node.exchange_id)
+                if producer is None:
                     return node
-                node = source
+                node = producer.root
             else:
                 return node
 
     def _node_sig(self, node: RelNode) -> str:
         node = self._peel(node)
-        if isinstance(node, (LogicalTableScan, PhysTableScan)):
-            return f"S({node.table}/{node.alias})"
-        if isinstance(node, PhysIndexScan):
-            if not node.is_range_scan:
-                return f"S({node.table}/{node.alias})"
-            conjuncts = self._index_bound_conjuncts(node)
-            if conjuncts is None:
-                return f"S({node.table}/{node.alias})#{node.digest()}"
-            base = f"S({node.table}/{node.alias})"
-            return f"F{sorted(conjuncts)}|{base}"
-        if isinstance(node, (LogicalFilter, PhysFilter)):
+        if isinstance(node, (LogicalFilter, PhysFilter)) or (
+            isinstance(node, PhysIndexScan) and node.is_range_scan
+        ):
             return self._filter_sig(node)
+        if isinstance(node, (LogicalTableScan, PhysTableScan, PhysIndexScan)):
+            return f"S({node.table}/{node.alias})"
         if isinstance(node, (LogicalJoin, PhysJoinBase)):
             return self._join_sig(node)
-        if isinstance(node, LogicalAggregate):
-            child = self._node_sig(node.input)
-            calls = ", ".join(c.digest() for c in node.agg_calls)
-            return f"A({list(node.group_keys)}, [{calls}])|{child}"
-        if isinstance(node, PhysAggregateBase):
-            return self._phys_agg_sig(node)
-        if isinstance(node, (PhysSort, LogicalSort)) and (
-            node.fetch is not None or node.offset is not None
-        ):
+        if isinstance(node, (LogicalAggregate, PhysAggregateBase)):
+            return self._aggregate_sig(node)
+        if isinstance(node, (PhysSort, LogicalSort, PhysLimit)):
             # A sort that survives _peel carries FETCH/OFFSET: limit
             # semantics.  Offset-free nodes keep the historical L(fetch)
             # form so existing feedback keys stay valid.
             extra = f",o{node.offset}" if node.offset is not None else ""
             return f"L({node.fetch}{extra})|{self._node_sig(node.inputs[0])}"
-        if isinstance(node, PhysLimit):
-            extra = f",o{node.offset}" if node.offset is not None else ""
-            return f"L({node.fetch}{extra})|{self._node_sig(node.input)}"
         if isinstance(node, (LogicalValues, PhysValues)):
             return f"V({len(node.rows)})"
         # Unknown operator kinds (incl. unresolvable receivers): verbatim
@@ -299,56 +284,21 @@ class _OperatorSignatures:
         """Filter keyed by the full conjunct set applied above the source.
 
         Consecutive filters collapse, and an index range scan below
-        contributes its bounds — so ``PhysFilter(residual,
+        contributes the predicate it absorbed — so ``PhysFilter(residual,
         PhysIndexScan)`` matches the ``LogicalFilter(Scan)`` the pushdown
         started from.
         """
-        conjuncts: List[str] = []
-        current = node
-        while True:
-            current = self._peel(current)
-            if isinstance(current, (LogicalFilter, PhysFilter)):
-                for c in rex.split_conjunction(current.condition):
-                    conjuncts.append(_canonical_conjunct(c))
-                current = current.inputs[0]
-                continue
-            break
+        conjuncts: List[Expr] = []
+        current = self._peel(node)
+        while isinstance(current, (LogicalFilter, PhysFilter)):
+            conjuncts.extend(rex.split_conjunction(current.condition))
+            current = self._peel(current.inputs[0])
         if isinstance(current, PhysIndexScan) and current.is_range_scan:
-            bounds = self._index_bound_conjuncts(current)
-            if bounds is None:
-                return f"F{sorted(conjuncts)}|X({current.digest()})"
-            conjuncts.extend(bounds)
+            conjuncts.extend(rex.split_conjunction(current.bound_condition))
             base = f"S({current.table}/{current.alias})"
-            return f"F{sorted(conjuncts)}|{base}"
-        return f"F{sorted(conjuncts)}|{self._node_sig(current)}"
-
-
-    def _index_bound_conjuncts(
-        self, node: PhysIndexScan
-    ) -> Optional[List[str]]:
-        """Rebuild the range predicate a bounded index scan absorbed.
-
-        Returns canonical conjunct digests over the scan's leading index
-        column (e.g. ``($2 >= 5)``), or None when the column cannot be
-        resolved without a store.
-        """
-        if self._store is None:
-            return None
-        try:
-            schema = self._store.table(node.table).schema
-            leading = schema.indexes[node.index_name].columns[0]
-            names = [f.split(".", 1)[1] for f in node.fields]
-            column = ColRef(names.index(leading))
-        except (KeyError, ValueError):
-            return None
-        out: List[str] = []
-        if node.low is not None:
-            op = ">=" if node.low_inclusive else ">"
-            out.append(BinaryOp(op, column, Literal(node.low)).digest())
-        if node.high is not None:
-            op = "<=" if node.high_inclusive else "<"
-            out.append(BinaryOp(op, column, Literal(node.high)).digest())
-        return out
+        else:
+            base = self._node_sig(current)
+        return f"F{sorted(_canonical_conjunct(c) for c in conjuncts)}|{base}"
 
     # -- joins --------------------------------------------------------------
 
@@ -388,23 +338,25 @@ class _OperatorSignatures:
 
     # -- aggregates ---------------------------------------------------------
 
-    def _phys_agg_sig(self, node: PhysAggregateBase) -> str:
-        if node.phase is AggPhase.REDUCE:
+    def _aggregate_sig(self, node: RelNode) -> str:
+        if isinstance(node, PhysAggregateBase) and node.phase is AggPhase.REDUCE:
             # The REDUCE half's group keys are positional over the MAP
             # output; descend through the gather exchange to the MAP half
-            # to recover the semantic keys and the real child.
+            # to recover the semantic keys and the real child.  (No MAP
+            # below is a degenerate shape, keyed as a single phase.)
             below = self._peel(node.input)
-            if (
-                isinstance(below, PhysAggregateBase)
-                and below.phase is AggPhase.MAP
-            ):
-                child = self._node_sig(below.input)
-                calls = ", ".join(c.digest() for c in below.agg_calls)
-                return f"A({list(below.group_keys)}, [{calls}])|{child}"
-            # Degenerate shape (no MAP below): fall through as a single.
-        child = self._node_sig(node.input)
+            if isinstance(below, PhysAggregateBase) and below.phase is AggPhase.MAP:
+                node = below
         calls = ", ".join(c.digest() for c in node.agg_calls)
+        child = self._node_sig(node.inputs[0])
         return f"A({list(node.group_keys)}, [{calls}])|{child}"
+
+
+def _is_wrapper(node: RelNode) -> bool:
+    """Never changes a row count: exchange, projection, fetch-less sort."""
+    if isinstance(node, (PhysSort, LogicalSort)):
+        return node.fetch is None and node.offset is None
+    return isinstance(node, (PhysExchange, PhysProject, LogicalProject))
 
 
 def _is_receiver(node: RelNode) -> bool:
@@ -414,15 +366,11 @@ def _is_receiver(node: RelNode) -> bool:
 
 def _canonical_conjunct(conjunct: Expr) -> str:
     """Digest with ``lit op col`` mirrored to ``col op lit``."""
-    if isinstance(conjunct, BinaryOp) and conjunct.op in rex.COMPARISONS:
-        if isinstance(conjunct.left, Literal) and isinstance(
-            conjunct.right, ColRef
-        ):
-            mirrored = BinaryOp(
-                rex.MIRRORED[conjunct.op], conjunct.right, conjunct.left
-            )
-            return mirrored.digest()
-    return conjunct.digest()
+    sarg = rex.column_vs_literal(conjunct)
+    if sarg is None or sarg[0] is conjunct.left:
+        return conjunct.digest()  # already canonical: the kept digest
+    column, op, value = sarg
+    return BinaryOp(op, column, Literal(value)).digest()
 
 
 def _join_parts(node: RelNode) -> Tuple[List[Tuple[int, int]], List[Expr]]:

@@ -22,11 +22,9 @@ MAX_SAMPLE = 4096
 class EquiDepthHistogram:
     """Bucket boundaries such that each bucket holds ~1/n of the rows."""
 
-    __slots__ = ("boundaries", "_distinct")
+    __slots__ = ("boundaries",)
 
-    def __init__(
-        self, boundaries: Sequence, distinct_values: Optional[int] = None
-    ):
+    def __init__(self, boundaries: Sequence):
         if len(boundaries) < 2:
             raise ValueError("histogram needs at least two boundaries")
         if boundaries[0] == boundaries[-1]:
@@ -36,10 +34,6 @@ class EquiDepthHistogram:
             # (EquiDepthHistogram.build returns None for this case).
             raise ValueError("histogram boundaries need two distinct values")
         self.boundaries = list(boundaries)
-        #: The column's true distinct count, tracked at build time — the
-        #: boundaries alone retain at most ``bucket_count + 1`` distinct
-        #: values and silently truncate any higher NDV.
-        self._distinct = distinct_values
 
     @property
     def bucket_count(self) -> int:
@@ -47,25 +41,16 @@ class EquiDepthHistogram:
 
     @staticmethod
     def build(
-        values: Sequence,
-        buckets: int = DEFAULT_BUCKETS,
-        distinct_values: Optional[int] = None,
+        values: Sequence, buckets: int = DEFAULT_BUCKETS
     ) -> Optional["EquiDepthHistogram"]:
         """Build from non-null ``values``; None when there is nothing to
         summarise — empty, single-valued or constant columns (whose
         sorted sample has no two distinct values) need no histogram and
         must fall back to the linear estimate.
-
-        ``distinct_values`` pins the column's true NDV when the caller
-        already tracked it over the *full* column (the sampled values
-        below may under-count it); left None, the NDV observed in
-        ``values`` is tracked before any sampling narrows it.
         """
         data = [v for v in values if v is not None]
         if len(data) < 2:
             return None
-        if distinct_values is None:
-            distinct_values = len(set(data))
         if len(data) > MAX_SAMPLE:
             step = len(data) / MAX_SAMPLE
             data = [data[int(i * step)] for i in range(MAX_SAMPLE)]
@@ -79,20 +64,7 @@ class EquiDepthHistogram:
             data[round(i * (len(data) - 1) / buckets)]
             for i in range(buckets + 1)
         ]
-        return EquiDepthHistogram(boundaries, distinct_values)
-
-    def distinct_estimate(self) -> int:
-        """The column's distinct count.
-
-        Returns the NDV tracked at build time.  Deriving the count from
-        the stored boundaries instead caps it at ``bucket_count + 1`` —
-        a 64-bucket histogram over a 1000-value column would silently
-        report <= 65 — so that derivation is only the last-resort
-        fallback for histograms constructed without tracking.
-        """
-        if self._distinct is not None:
-            return self._distinct
-        return len(set(self.boundaries))
+        return EquiDepthHistogram(boundaries)
 
     # -- estimation -----------------------------------------------------------
 
@@ -109,7 +81,9 @@ class EquiDepthHistogram:
         within = 0.5
         try:
             if high != low:
-                within = (_num(value) - _num(low)) / (_num(high) - _num(low))
+                within = (as_number(value) - as_number(low)) / (
+                    as_number(high) - as_number(low)
+                )
         except (TypeError, ValueError):
             pass
         within = min(1.0, max(0.0, within))
@@ -122,13 +96,14 @@ class EquiDepthHistogram:
         return max(0.0, below_high - below_low)
 
 
-def _num(value) -> float:
-    """Coerce a boundary to a number; ISO dates map to a pseudo-ordinal."""
+def as_number(value) -> float:
+    """Coerce a statistics value (a boundary, a min/max, a predicate
+    literal) to a number; ISO dates map to a pseudo-ordinal."""
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str):
         if len(value) == 10 and value[4] == "-" and value[7] == "-":
             year, month, day = value.split("-")
             return int(year) * 372.0 + int(month) * 31.0 + int(day)
-        raise ValueError(f"non-numeric boundary {value!r}")
+        raise ValueError(f"non-numeric value {value!r}")
     raise TypeError(type(value).__name__)

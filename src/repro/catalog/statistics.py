@@ -4,7 +4,7 @@ Ignite "already tracks metadata related to the data it is storing (schemas,
 cardinality, etc.)" and serves it to Calcite through provider hooks
 (Section 3.2).  The reproduction computes the same statistics directly from
 the stored data when a table is loaded: row counts and, per column, the
-number of distinct values, min/max and null fraction.  The join-size
+number of distinct values, min/max and null count.  The join-size
 estimators in :mod:`repro.stats` consume these.
 """
 
@@ -27,11 +27,6 @@ class ColumnStats:
     #: Equi-depth histogram for range selectivity; None for columns with
     #: too few distinct values (or incomparable types) to summarise.
     histogram: Optional[EquiDepthHistogram] = None
-
-    def null_fraction(self, row_count: int) -> float:
-        if row_count <= 0:
-            return 0.0
-        return self.null_count / row_count
 
 
 @dataclass
@@ -88,12 +83,7 @@ def compute_table_stats(
             sample = [
                 row[i] for row in rows[::sample_step] if row[i] is not None
             ]
-            # The true NDV was tracked over the full column above; the
-            # sampled build would otherwise under-count (and the stored
-            # boundaries truncate at bucket_count + 1 distinct values).
-            histogram = EquiDepthHistogram.build(
-                sample, distinct_values=len(distinct[i])
-            )
+            histogram = EquiDepthHistogram.build(sample)
         columns[name] = ColumnStats(
             distinct_count=len(distinct[i]),
             null_count=nulls[i],

@@ -225,10 +225,6 @@ class SystemConfig:
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **changes)
 
-    @property
-    def is_multithreaded(self) -> bool:
-        return self.variant_fragments > 1
-
     # ----- presets ---------------------------------------------------------------
 
     @staticmethod

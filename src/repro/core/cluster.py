@@ -179,7 +179,7 @@ class IgniteCalciteCluster:
         self.last_trace: Tracer = NULL_TRACER
         #: Plan cache + cardinality-feedback coordinator (None unless the
         #: config enables ``plan_cache`` / ``cardinality_feedback``).
-        self.adaptive = AdaptiveController.from_config(config, self.store)
+        self.adaptive = AdaptiveController.from_config(config)
 
     # -- presets --------------------------------------------------------------
 

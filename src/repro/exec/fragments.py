@@ -11,7 +11,7 @@ is the *root fragment* and serves results to the user.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.physical import PhysExchange, PhysNode, walk_physical
 from repro.rel.logical import RelNode
@@ -85,6 +85,16 @@ class Fragment:
             )
         )
         return f"{head}\n{self.root.explain(indent=1)}"
+
+
+def exchange_producers(fragments: Sequence[Fragment]) -> Dict[int, Fragment]:
+    """Exchange id -> the fragment whose sender feeds it: how a walk over
+    executed fragment trees crosses a :class:`PhysReceiver` leaf."""
+    return {
+        fragment.sender.exchange_id: fragment
+        for fragment in fragments
+        if fragment.sender is not None
+    }
 
 
 class SeamObserver:

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.common.errors import PlannerError
 from repro.cost.model import Cost, ZERO_COST
 from repro.rel.expr import Expr
-from repro.rel.logical import AggCall, JoinType, RelNode
+from repro.rel.logical import AggCall, JoinType, RelNode, ScanColumns
 from repro.rel.traits import Collation, Distribution, EMPTY_COLLATION
 
 
@@ -128,7 +128,7 @@ class PhysNode(RelNode):
         )
 
 
-class PhysTableScan(PhysNode):
+class PhysTableScan(ScanColumns, PhysNode):
     """Full scan of a base table's local partitions.
 
     For adapter-backed tables the scan may carry pushed-down work (see
@@ -195,7 +195,7 @@ class PhysTableScan(PhysNode):
         )
 
 
-class PhysIndexScan(PhysNode):
+class PhysIndexScan(ScanColumns, PhysNode):
     """Index-ordered scan; provides a collation without a Sort.
 
     The Q14 anecdote (Section 6.2.1) rides on this: an index scan with the
@@ -205,7 +205,12 @@ class PhysIndexScan(PhysNode):
     Optional ``low``/``high`` bounds prune the scan to a key range on the
     index's leading column (inclusive on both ends unless the
     corresponding ``*_inclusive`` flag is cleared) — the access path a
-    sargable predicate buys.
+    sargable predicate buys.  ``bound_condition`` is that predicate as the
+    planner met it, over the scan's output row: the conjuncts the bounds
+    were read from.  Operator signatures and mid-query re-planning take the
+    absorbed predicate from there, never back out of ``low``/``high``; it
+    says nothing the bounds do not, so it stays out of the digest and of
+    EXPLAIN.
     """
 
     def __init__(
@@ -221,6 +226,7 @@ class PhysIndexScan(PhysNode):
         high: Optional[object] = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
+        bound_condition: Optional[Expr] = None,
     ):
         super().__init__((), fields, distribution, collation)
         self.table = table
@@ -232,6 +238,7 @@ class PhysIndexScan(PhysNode):
         self.high = high
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
+        self.bound_condition = bound_condition
 
     @property
     def is_range_scan(self) -> bool:
@@ -242,6 +249,7 @@ class PhysIndexScan(PhysNode):
             self.table, self.alias, self.fields, self.index_name,
             self.distribution, self.collation, self.partition_site_count,
             self.low, self.high, self.low_inclusive, self.high_inclusive,
+            self.bound_condition,
         )
 
     def _build_digest(self) -> str:

@@ -86,11 +86,10 @@ class AdapterFilterPushdown(Rule):
         merged = make_conjunction(
             [c for c in (scan.pushed_filter, node.condition) if c is not None]
         )
-        names = [f.split(".", 1)[1] for f in scan.fields]
         return LogicalTableScan(
             scan.table,
             scan.alias,
-            names,
+            scan.column_names,
             pushed_filter=merged,
             pushed_project=None,
             pushed_fetch=scan.pushed_fetch,
@@ -127,11 +126,10 @@ class AdapterProjectPushdown(Rule):
         )
         if not used or len(used) >= scan.width:
             return None
-        names = [scan.fields[i].split(".", 1)[1] for i in used]
         new_scan = LogicalTableScan(
             scan.table,
             scan.alias,
-            names,
+            [scan.column_names[i] for i in used],
             pushed_filter=scan.pushed_filter,
             pushed_project=used,
             pushed_fetch=scan.pushed_fetch,
@@ -174,11 +172,10 @@ class AdapterLimitPushdown(Rule):
         adapter = _adapter_for(self._store, scan)
         if adapter is None or not adapter.supports_limit_pushdown:
             return None
-        names = [f.split(".", 1)[1] for f in scan.fields]
         new_scan: RelNode = LogicalTableScan(
             scan.table,
             scan.alias,
-            names,
+            scan.column_names,
             pushed_filter=scan.pushed_filter,
             pushed_project=scan.pushed_project,
             pushed_fetch=node.fetch + (node.offset or 0),

@@ -48,7 +48,7 @@ from repro.exec.physical import (
 )
 from repro.planner.budget import PlanningBudget
 from repro.rel import expr as rex
-from repro.rel.expr import BinaryOp, ColRef, Literal, make_conjunction
+from repro.rel.expr import ColRef, make_conjunction
 from repro.rel.logical import (
     JoinType,
     LogicalAggregate,
@@ -387,6 +387,7 @@ class PhysicalPlanner:
                 scan, data, index_name, scanned,
                 low=low, high=high,
                 low_inclusive=low_inc, high_inclusive=high_inc,
+                bound_condition=bound_condition,
             )
             residual = make_conjunction(
                 [c for c in conjuncts if not any(c is u for u in used)]
@@ -775,29 +776,19 @@ def _native_distribution(schema, pushed_project=None) -> Distribution:
 
 
 def _sargable_bound(conjunct):
-    """``(column, "lo"|"hi", value, inclusive)`` for index-usable conjuncts.
-
-    Equality contributes both bounds via two calls ("lo" here; the "hi"
-    side is added by treating ``=`` as a closed interval below).
-    """
-    if not isinstance(conjunct, BinaryOp):
+    """``(column, "lo"|"hi"|"eq", value, inclusive)`` for index-usable
+    conjuncts; ``_try_index_range`` reads ``eq`` as the closed interval
+    ``[value, value]``.  A NULL literal bounds nothing."""
+    sarg = rex.column_vs_literal(conjunct)
+    if sarg is None or sarg[2] is None:
         return None
-    left, right, op = conjunct.left, conjunct.right, conjunct.op
-    if isinstance(left, ColRef) and isinstance(right, Literal):
-        column, value = left.index, right.value
-    elif isinstance(right, ColRef) and isinstance(left, Literal):
-        column, value = right.index, left.value
-        op = rex.MIRRORED.get(op, op)
-    else:
-        return None
-    if value is None:
-        return None
+    column, op, value = sarg
     if op in (">", ">="):
-        return (column, "lo", value, op == ">=")
+        return (column.index, "lo", value, op == ">=")
     if op in ("<", "<="):
-        return (column, "hi", value, op == "<=")
+        return (column.index, "hi", value, op == "<=")
     if op == "=":
-        return (column, "eq", value, True)
+        return (column.index, "eq", value, True)
     return None
 
 

@@ -54,16 +54,14 @@ from repro.rel import expr as rex
 from repro.rel.expr import ColRef, Expr, make_conjunction
 from repro.rel.logical import (
     JoinType,
-    LogicalAggregate,
     LogicalFilter,
     LogicalJoin,
     LogicalProject,
-    LogicalSort,
-    LogicalTableScan,
-    LogicalValues,
     RelNode,
+    column_origin,
     count_joins,
     max_nested_joins,
+    scans_in,
     walk,
 )
 from repro.stats.estimator import Estimator
@@ -411,52 +409,26 @@ def _owners(offsets: Sequence[int], conjunct: Expr) -> Set[int]:
 def _redundant_equi_connections(tree: RelNode) -> int:
     """Surplus equi-graph connections over a spanning forest.
 
-    Trace every equi-join column to its originating base-table scan, build
-    equivalence classes over (scan, column) pairs, and count how many
-    class-supplied connections exceed what a spanning forest of the scans
-    needs.  A surplus means the same join subgraph is derivable along
-    multiple predicate paths — the redundancy that multiplies alternatives
-    in the optimiser's memo.
+    Trace every equi-join column to its originating base-table scan
+    (:func:`repro.rel.logical.column_origin`), build equivalence classes
+    over (scan, column) pairs, and count how many class-supplied
+    connections exceed what a spanning forest of the scans needs.  A
+    surplus means the same join subgraph is derivable along multiple
+    predicate paths — the redundancy that multiplies alternatives in the
+    optimiser's memo.
     """
-    scans = [n for n in walk(tree) if isinstance(n, LogicalTableScan)]
-    scan_ids = {id(n): i for i, n in enumerate(scans)}
+    scans = scans_in(tree)
     if len(scans) < 3:
         return 0
 
-    origin_cache: Dict[int, List[Optional[Tuple[int, int]]]] = {}
-
-    def origins(node: RelNode) -> List[Optional[Tuple[int, int]]]:
-        cached = origin_cache.get(id(node))
-        if cached is not None:
-            return cached
-        result: List[Optional[Tuple[int, int]]]
-        if isinstance(node, LogicalTableScan):
-            sid = scan_ids[id(node)]
-            result = [(sid, i) for i in range(node.width)]
-        elif isinstance(node, (LogicalFilter, LogicalSort)):
-            result = origins(node.inputs[0])
-        elif isinstance(node, LogicalProject):
-            child = origins(node.inputs[0])
-            result = [
-                child[e.index] if isinstance(e, ColRef) else None
-                for e in node.exprs
-            ]
-        elif isinstance(node, LogicalJoin):
-            left = origins(node.left)
-            if node.join_type.projects_right:
-                result = left + origins(node.right)
-            else:
-                result = list(left)
-        elif isinstance(node, LogicalAggregate):
-            child = origins(node.inputs[0])
-            result = [child[k] for k in node.group_keys]
-            result += [None] * len(node.agg_calls)
-        elif isinstance(node, LogicalValues):
-            result = [None] * node.width
-        else:
-            result = [None] * node.width
-        origin_cache[id(node)] = result
-        return result
+    def origin(node: RelNode, column: int) -> Optional[Tuple[int, int]]:
+        # Keyed by the scan *node*: one table under one alias in two
+        # subquery scopes is two scans with one digest.
+        found = column_origin(node, column)
+        if found is None:
+            return None
+        scan, position = found
+        return next(i for i, s in enumerate(scans) if s is scan), position
 
     # Union-find over (scan, column) pairs via the equi conjuncts.
     parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -476,12 +448,10 @@ def _redundant_equi_connections(tree: RelNode) -> int:
     for node in walk(tree):
         if not isinstance(node, LogicalJoin) or node.condition is None:
             continue
-        node_origins = origins(node.left) + origins(node.right)
-        left_width = node.left.width
-        pairs, _ = rex.extract_equi_keys(node.condition, left_width)
+        pairs, _ = rex.extract_equi_keys(node.condition, node.left.width)
         for lk, rk in pairs:
-            left_origin = node_origins[lk]
-            right_origin = node_origins[left_width + rk]
+            left_origin = origin(node.left, lk)
+            right_origin = origin(node.right, rk)
             if left_origin is not None and right_origin is not None:
                 union(left_origin, right_origin)
 

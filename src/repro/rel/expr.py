@@ -8,8 +8,9 @@ rows), which makes rewriting under operator reordering a pure index-remap.
 
 The module also carries the analysis utilities the planner rules need:
 conjunction splitting, referenced-column extraction, input-side
-classification for join conditions, equi-key extraction, index shifting,
-and the common-conjunct factoring of Section 5.2.
+classification for join conditions, equi-key extraction, the
+column-versus-literal recogniser, index shifting, and the common-conjunct
+factoring of Section 5.2.
 """
 
 from __future__ import annotations
@@ -624,6 +625,26 @@ def extract_equi_keys(
         if not matched:
             remainder.append(conjunct)
     return pairs, remainder
+
+
+def column_vs_literal(conjunct: Expr) -> Optional[Tuple[ColRef, str, object]]:
+    """``(column, op, value)`` when ``conjunct`` compares one column with
+    one literal, else None.
+
+    ``op`` reads with the column on the left whichever side it was written
+    on: ``5 < $2`` is ``($2, ">", 5)``.  This is the only recogniser of the
+    shape; what to do with it (interval pairing, index bounds, zone-map
+    ranges, canonical digests) is each caller's policy, and so is refusing
+    a NULL literal, which is handed through as ``None``.
+    """
+    if not isinstance(conjunct, BinaryOp) or conjunct.op not in COMPARISONS:
+        return None
+    left, right = conjunct.left, conjunct.right
+    if isinstance(left, ColRef) and isinstance(right, Literal):
+        return left, conjunct.op, right.value
+    if isinstance(left, Literal) and isinstance(right, ColRef):
+        return right, MIRRORED[conjunct.op], left.value
+    return None
 
 
 def factor_common_conjuncts(expr: Expr) -> Optional[Expr]:

@@ -9,10 +9,11 @@ copies via :meth:`RelNode.copy`.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ValidationError
-from repro.rel.expr import Expr
+from repro.rel.expr import ColRef, Expr
 
 
 class JoinType(enum.Enum):
@@ -83,7 +84,18 @@ class RelNode:
         return self._explain_self()
 
 
-class LogicalTableScan(RelNode):
+class ScanColumns:
+    """Mixin of the scan nodes, logical and physical, whose ``fields`` are
+    ``alias.column`` strings."""
+
+    @functools.cached_property
+    def column_names(self) -> Tuple[str, ...]:
+        """The base-table column behind each output field, by position
+        (a ``pushed_project`` scan lists exactly its subset)."""
+        return tuple(f.split(".", 1)[1] for f in self.fields)
+
+
+class LogicalTableScan(ScanColumns, RelNode):
     """Scan of a base table; ``alias`` disambiguates self-joins.
 
     Storage adapters that advertise pushdown capabilities can absorb work
@@ -125,9 +137,8 @@ class LogicalTableScan(RelNode):
     def copy(self, inputs: Sequence[RelNode]) -> "LogicalTableScan":
         if inputs:
             raise ValidationError("scan takes no inputs")
-        names = [f.split(".", 1)[1] for f in self.fields]
         return LogicalTableScan(
-            self.table, self.alias, names,
+            self.table, self.alias, self.column_names,
             pushed_filter=self.pushed_filter,
             pushed_project=self.pushed_project,
             pushed_fetch=self.pushed_fetch,
@@ -428,3 +439,45 @@ def max_nested_joins(node: RelNode) -> int:
 
 def scans_in(node: RelNode) -> List[LogicalTableScan]:
     return [n for n in walk(node) if isinstance(n, LogicalTableScan)]
+
+
+def column_origin(
+    node: RelNode, column: int, preserving: bool = False
+) -> Optional[Tuple[LogicalTableScan, int]]:
+    """The base-table column that output ``column`` of ``node`` copies:
+    ``(scan, position in the scan's output)``, or None for a computed
+    column, an aggregate result or a constant relation.
+
+    This is the only lineage walk in the planner; the returned scan is the
+    node of the tree itself, so the two sides of a self-join stay apart.
+    ``scan.column_names[position]`` names the column.  With ``preserving``
+    the walk stops at anything that can change the column's value
+    *multiset* — a filter, join, aggregate or FETCH/OFFSET sort — which is
+    what a whole-table synopsis (an AGMS sketch) needs to stay sound.
+    """
+    while True:
+        if isinstance(node, LogicalTableScan):
+            return node, column
+        if isinstance(node, LogicalProject):
+            expr = node.exprs[column]
+            if not isinstance(expr, ColRef):
+                return None
+            node, column = node.input, expr.index
+        elif isinstance(node, LogicalSort):
+            if preserving and (node.fetch is not None or node.offset is not None):
+                return None
+            node = node.input
+        elif preserving:
+            return None
+        elif isinstance(node, LogicalFilter):
+            node = node.input
+        elif isinstance(node, LogicalJoin):
+            left_width = node.left.width
+            if node.join_type.projects_right and column >= left_width:
+                node, column = node.right, column - left_width
+            else:
+                node = node.left
+        elif isinstance(node, LogicalAggregate) and column < len(node.group_keys):
+            node, column = node.input, node.group_keys[column]
+        else:
+            return None

@@ -17,6 +17,17 @@ that provider layer for the reproduction:
     planner into nested-loop plans;
   - :func:`swami_schiefer_join_size`: the replacement (Eq. 3),
     ``|A| * |B| / max(d_A, d_B)``.
+
+The plan facts an estimate reads are each stated once elsewhere and
+consulted here, as Calcite's providers consult one another (column
+origins feed selectivity, NDV and row count): *which base column is this*
+is :func:`repro.rel.logical.column_origin`, reached only through
+:meth:`Estimator._column_stats` — the one point where an estimate resolves
+its statistic (histogram, min/max, Count-Min, AGMS); *is this a column
+compared with a literal* is :func:`repro.rel.expr.column_vs_literal`, of
+which the estimator keeps only its policy (pairing range bounds into
+intervals).  :meth:`Estimator.distinct_count` propagates with its own
+clamps and is the one walk that stays.
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Tuple
 
+from repro.catalog.histogram import as_number
+from repro.catalog.statistics import ColumnStats
 from repro.rel import expr as rex
 from repro.rel.expr import (
     BinaryOp,
@@ -45,6 +58,7 @@ from repro.rel.logical import (
     LogicalTableScan,
     LogicalValues,
     RelNode,
+    column_origin,
 )
 from repro.storage.store import DataStore
 
@@ -183,10 +197,6 @@ class Estimator:
             return self._aggregate_rows(node)
         if isinstance(node, LogicalJoin):
             return self.join_size(node)
-        # Physical nodes delegate to their logical shape via duck typing.
-        estimate = getattr(node, "estimate_rows", None)
-        if estimate is not None:
-            return estimate(self)
         if node.inputs:
             return self.row_count(node.inputs[0])
         return 1.0
@@ -262,8 +272,8 @@ class Estimator:
         """
         if self._sketches is None:
             return None
-        left = self._pure_base_column(node.left, left_key)
-        right = self._pure_base_column(node.right, right_key)
+        left = self._column_stats(node.left, left_key, preserving=True)
+        right = self._column_stats(node.right, right_key, preserving=True)
         if left is None or right is None:
             return None
         estimate = self._sketches.join_inner_product(
@@ -272,23 +282,6 @@ class Estimator:
         if estimate is None:
             return None
         return max(1.0, estimate)
-
-    def _pure_base_column(
-        self, node: RelNode, column: int
-    ) -> Optional[Tuple[str, str]]:
-        """(table, column name) through cardinality-preserving nodes only."""
-        if isinstance(node, LogicalTableScan):
-            return (node.table, node.fields[column].split(".", 1)[1])
-        if isinstance(node, LogicalSort):
-            if node.fetch is not None or node.offset is not None:
-                return None
-            return self._pure_base_column(node.input, column)
-        if isinstance(node, LogicalProject):
-            expr = node.exprs[column]
-            if isinstance(expr, ColRef):
-                return self._pure_base_column(node.input, expr.index)
-            return None
-        return None
 
     def _sketch_equality_fraction(
         self, input_node: RelNode, column: int, literal: object
@@ -302,41 +295,34 @@ class Estimator:
         """
         if self._sketches is None:
             return None
-        base = self._base_column(input_node, column)
+        base = self._column_stats(input_node, column)
         if base is None:
             return None
         return self._sketches.equality_fraction(base[0], base[1], literal)
 
-    def _base_column(
-        self, node: RelNode, column: int
-    ) -> Optional[Tuple[str, str]]:
-        """(table, column name) of the source column, traced like bounds."""
-        if isinstance(node, LogicalTableScan):
-            return (node.table, node.fields[column].split(".", 1)[1])
-        if isinstance(node, (LogicalFilter, LogicalSort)):
-            return self._base_column(node.inputs[0], column)
-        if isinstance(node, LogicalProject):
-            expr = node.exprs[column]
-            if isinstance(expr, ColRef):
-                return self._base_column(node.input, expr.index)
+    def _column_stats(
+        self, node: RelNode, column: int, preserving: bool = False
+    ) -> Optional[Tuple[str, str, Optional[ColumnStats]]]:
+        """``(table, column name, load-time statistics)`` of the base
+        column behind an output column, or None when it has none.
+
+        The one place an estimate resolves its statistic: the histogram,
+        min/max, Count-Min and AGMS lookups all name their base column
+        through here (``preserving`` as in :func:`column_origin`).
+        """
+        origin = column_origin(node, column, preserving)
+        if origin is None:
             return None
-        if isinstance(node, LogicalJoin):
-            left_width = node.left.width
-            if node.join_type.projects_right and column >= left_width:
-                return self._base_column(node.right, column - left_width)
-            return self._base_column(node.left, column)
-        if isinstance(node, LogicalAggregate):
-            if column < len(node.group_keys):
-                return self._base_column(node.input, node.group_keys[column])
-            return None
-        return None
+        scan, position = origin
+        name = scan.column_names[position]
+        return scan.table, name, self._store.table(scan.table).stats.column(name)
 
     # -- distinct values --------------------------------------------------------------
 
     def distinct_count(self, node: RelNode, column: int) -> Optional[float]:
         """Estimated distinct values in ``column`` of ``node``'s output."""
         if isinstance(node, LogicalTableScan):
-            name = node.fields[column].split(".", 1)[1]
+            name = node.column_names[column]
             if self._sketches is not None:
                 estimate = self._sketches.table_distinct(node.table, name)
                 if estimate is not None:
@@ -382,9 +368,6 @@ class Estimator:
             if node.join_type.projects_right and column >= left_width:
                 return self.distinct_count(node.right, column - left_width)
             return self.distinct_count(node.left, column)
-        delegate = getattr(node, "estimate_distinct", None)
-        if delegate is not None:
-            return delegate(self, column)
         if node.inputs:
             return self.distinct_count(node.inputs[0], column)
         return None
@@ -420,13 +403,10 @@ class Estimator:
 
     def _range_bound(self, conjunct: Expr):
         """``(column, kind, literal, original)`` for range conjuncts."""
-        if not isinstance(conjunct, BinaryOp) or conjunct.op not in (
-            "<", "<=", ">", ">=",
-        ):
+        sarg = rex.column_vs_literal(conjunct)
+        if sarg is None or sarg[1] in ("=", "<>"):
             return None
-        column, literal, op = self._column_vs_literal(conjunct)
-        if column is None:
-            return None
+        column, op, literal = sarg
         kind = "hi" if op in ("<", "<=") else "lo"
         return (column.index, kind, literal, conjunct)
 
@@ -435,7 +415,7 @@ class Estimator:
     ) -> float:
         lows = [b[2] for b in bounds if b[1] == "lo"]
         highs = [b[2] for b in bounds if b[1] == "hi"]
-        histogram = self._column_histogram(input_node, column)
+        histogram, column_bounds = self._range_stats(input_node, column)
         if histogram is not None:
             try:
                 fraction = histogram.range_fraction(
@@ -445,17 +425,16 @@ class Estimator:
                 return max(1e-4, min(1.0, fraction))
             except (TypeError, ValueError):
                 pass
-        column_bounds = self._column_bounds(input_node, column)
         if column_bounds is None:
             return DEFAULT_RANGE_SELECTIVITY ** max(1, len(bounds) - 1)
         try:
-            low = _as_number(column_bounds[0])
-            high = _as_number(column_bounds[1])
+            low = as_number(column_bounds[0])
+            high = as_number(column_bounds[1])
             span = high - low
             if span <= 0:
                 return DEFAULT_RANGE_SELECTIVITY
-            effective_low = max([_as_number(v) for v in lows], default=low)
-            effective_high = min([_as_number(v) for v in highs], default=high)
+            effective_low = max([as_number(v) for v in lows], default=low)
+            effective_high = min([as_number(v) for v in highs], default=high)
         except (TypeError, ValueError):
             return DEFAULT_RANGE_SELECTIVITY
         fraction = (effective_high - max(effective_low, low)) / span
@@ -501,7 +480,7 @@ class Estimator:
         if isinstance(conjunct.operand, ColRef):
             column = conjunct.operand.index
             if self._sketches is not None:
-                base = self._base_column(input_node, column)
+                base = self._column_stats(input_node, column)
                 if base is not None:
                     # Sum of per-value CMS frequencies: IN lists mixing
                     # hot and absent values price each member by its true
@@ -525,48 +504,35 @@ class Estimator:
     def _comparison_selectivity(
         self, conjunct: BinaryOp, input_node: RelNode
     ) -> float:
-        column, literal, op = self._column_vs_literal(conjunct)
-        if column is None:
+        sarg = rex.column_vs_literal(conjunct)
+        if sarg is None:
             # Column-to-column comparisons (join-ish residuals).
             if conjunct.op == "=":
                 return DEFAULT_EQ_SELECTIVITY
             return DEFAULT_RANGE_SELECTIVITY
-        if op == "=":
-            fraction = self._sketch_equality_fraction(
-                input_node, column.index, literal
-            )
-            if fraction is not None:
-                return fraction
-            distinct = self.distinct_count(input_node, column.index)
-            if distinct:
-                return 1.0 / max(distinct, 1.0)
-            return DEFAULT_EQ_SELECTIVITY
-        if op == "<>":
-            fraction = self._sketch_equality_fraction(
-                input_node, column.index, literal
-            )
-            if fraction is not None:
-                return 1.0 - fraction
-            distinct = self.distinct_count(input_node, column.index)
-            if distinct:
-                return 1.0 - 1.0 / max(distinct, 1.0)
-            return 1.0 - DEFAULT_EQ_SELECTIVITY
+        column, op, literal = sarg
+        if op in ("=", "<>"):
+            equal = self._equality_selectivity(input_node, column.index, literal)
+            return equal if op == "=" else 1.0 - equal
         return self._range_selectivity(column, literal, op, input_node)
 
-    def _column_vs_literal(
-        self, conjunct: BinaryOp
-    ) -> Tuple[Optional[ColRef], Optional[object], str]:
-        left, right, op = conjunct.left, conjunct.right, conjunct.op
-        if isinstance(left, ColRef) and isinstance(right, Literal):
-            return left, right.value, op
-        if isinstance(right, ColRef) and isinstance(left, Literal):
-            return right, left.value, rex.MIRRORED[op]
-        return None, None, op
+    def _equality_selectivity(
+        self, input_node: RelNode, column: int, literal: object
+    ) -> float:
+        """``column = literal``: Count-Min frequency, else 1/NDV, else the
+        default."""
+        fraction = self._sketch_equality_fraction(input_node, column, literal)
+        if fraction is not None:
+            return fraction
+        distinct = self.distinct_count(input_node, column)
+        if distinct:
+            return 1.0 / max(distinct, 1.0)
+        return DEFAULT_EQ_SELECTIVITY
 
     def _range_selectivity(
         self, column: ColRef, literal: object, op: str, input_node: RelNode
     ) -> float:
-        histogram = self._column_histogram(input_node, column.index)
+        histogram, bounds = self._range_stats(input_node, column.index)
         if histogram is not None:
             try:
                 below = histogram.fraction_below(literal)
@@ -576,15 +542,14 @@ class Estimator:
                 if op in ("<", "<="):
                     return max(1e-4, below)
                 return max(1e-4, 1.0 - below)
-        bounds = self._column_bounds(input_node, column.index)
         if bounds is None:
             return DEFAULT_RANGE_SELECTIVITY
         low, high = bounds
         try:
-            span = _as_number(high) - _as_number(low)
+            span = as_number(high) - as_number(low)
             if span <= 0:
                 return DEFAULT_RANGE_SELECTIVITY
-            position = (_as_number(literal) - _as_number(low)) / span
+            position = (as_number(literal) - as_number(low)) / span
         except (TypeError, ValueError):
             return DEFAULT_RANGE_SELECTIVITY
         position = min(1.0, max(0.0, position))
@@ -592,73 +557,13 @@ class Estimator:
             return max(1e-4, position)
         return max(1e-4, 1.0 - position)
 
-    def _column_histogram(self, node: RelNode, column: int):
-        """The base column's equi-depth histogram, traced like bounds."""
-        if isinstance(node, LogicalTableScan):
-            name = node.fields[column].split(".", 1)[1]
-            stats = self._store.table(node.table).stats.column(name)
-            return stats.histogram if stats else None
-        if isinstance(node, (LogicalFilter, LogicalSort)):
-            return self._column_histogram(node.inputs[0], column)
-        if isinstance(node, LogicalProject):
-            expr = node.exprs[column]
-            if isinstance(expr, ColRef):
-                return self._column_histogram(node.input, expr.index)
-            return None
-        if isinstance(node, LogicalJoin):
-            left_width = node.left.width
-            if node.join_type.projects_right and column >= left_width:
-                return self._column_histogram(node.right, column - left_width)
-            return self._column_histogram(node.left, column)
-        if isinstance(node, LogicalAggregate):
-            if column < len(node.group_keys):
-                return self._column_histogram(
-                    node.input, node.group_keys[column]
-                )
-            return None
-        return None
-
-    def _column_bounds(
-        self, node: RelNode, column: int
-    ) -> Optional[Tuple[object, object]]:
-        """min/max of the source column, traced back to a base table."""
-        if isinstance(node, LogicalTableScan):
-            name = node.fields[column].split(".", 1)[1]
-            stats = self._store.table(node.table).stats.column(name)
-            if stats is None or stats.min_value is None:
-                return None
-            return (stats.min_value, stats.max_value)
-        if isinstance(node, (LogicalFilter, LogicalSort)):
-            return self._column_bounds(node.inputs[0], column)
-        if isinstance(node, LogicalProject):
-            expr = node.exprs[column]
-            if isinstance(expr, ColRef):
-                return self._column_bounds(node.input, expr.index)
-            return None
-        if isinstance(node, LogicalJoin):
-            left_width = node.left.width
-            if node.join_type.projects_right and column >= left_width:
-                return self._column_bounds(node.right, column - left_width)
-            return self._column_bounds(node.left, column)
-        if isinstance(node, LogicalAggregate):
-            if column < len(node.group_keys):
-                return self._column_bounds(
-                    node.input, node.group_keys[column]
-                )
-            return None  # aggregate outputs have no traceable bounds
-        delegate = getattr(node, "trace_bounds", None)
-        if delegate is not None:
-            return delegate(self, column)
-        return None
-
-
-def _as_number(value) -> float:
-    """Coerce stats values to a number; ISO dates map to their ordinal."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        if len(value) == 10 and value[4] == "-" and value[7] == "-":
-            year, month, day = value.split("-")
-            return int(year) * 372.0 + int(month) * 31.0 + int(day)
-        raise ValueError(f"non-numeric value {value!r}")
-    raise TypeError(f"cannot coerce {type(value).__name__}")
+    def _range_stats(self, node: RelNode, column: int):
+        """``(equi-depth histogram, (min, max))`` of the base column, each
+        None where the column has none."""
+        base = self._column_stats(node, column)
+        stats = base[2] if base else None
+        if stats is None:
+            return None, None
+        if stats.min_value is None:
+            return stats.histogram, None
+        return stats.histogram, (stats.min_value, stats.max_value)

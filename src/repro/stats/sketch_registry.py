@@ -44,7 +44,7 @@ from __future__ import annotations
 import weakref
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.exec.fragments import SeamObserver
+from repro.exec.fragments import SeamObserver, exchange_producers
 from repro.exec.operators import stream_rows
 from repro.obs.metrics import get_registry
 from repro.stats.sketches import (
@@ -207,14 +207,9 @@ class SketchRegistry:
         each non-root seam, outputs still in the backend's own form.
         Returns the number of fragments harvested.
         """
-        from repro.adaptive.feedback import FeedbackRegistry
-        from repro.adaptive.signature import operator_signature
+        from repro.adaptive.signature import is_harvestable, operator_signature
 
-        roots = {
-            fragment.sender.exchange_id: fragment.root
-            for fragment in fragments
-            if fragment.sender is not None
-        }
+        producers = exchange_producers(fragments)
         #: fragment id -> (fragment, its per-site outputs), in seam order
         by_fragment: Dict[int, Tuple] = {}
         for fragment, out in captures:
@@ -223,9 +218,9 @@ class SketchRegistry:
         harvested = 0
         for fragment, outputs in by_fragment.values():
             root = fragment.root
-            if not FeedbackRegistry._eligible(root):
+            if not is_harvestable(root):
                 continue
-            signature = operator_signature(root, self._store, roots.get)
+            signature = operator_signature(root, producers.get)
             if signature is None:
                 continue
             remaining = MAX_SEAM_ROWS
@@ -259,7 +254,7 @@ class SketchRegistry:
             return None
         from repro.adaptive.signature import operator_signature
 
-        signature = operator_signature(node, self._store)
+        signature = operator_signature(node)
         if signature is None:
             return None
         hll = self._operators.get((signature, column))

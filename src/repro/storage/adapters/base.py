@@ -31,11 +31,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.common import charges
 from repro.common.errors import StorageError
 from repro.rel.expr import (
-    BinaryOp,
-    ColRef,
     Expr,
-    Literal,
-    MIRRORED,
+    column_vs_literal,
     compile_expr,
     split_conjunction,
 )
@@ -136,21 +133,13 @@ def sargable_bounds(
     """
     ranges: Dict[int, List[object]] = {}
     for conjunct in split_conjunction(condition):
-        if not isinstance(conjunct, BinaryOp):
+        sarg = column_vs_literal(conjunct)
+        if sarg is None:
             continue
-        op, left, right = conjunct.op, conjunct.left, conjunct.right
-        if isinstance(left, Literal) and isinstance(right, ColRef):
-            left, right = right, left
-            op = MIRRORED.get(op)
-        if (
-            op not in ("=", "<", "<=", ">", ">=")
-            or not isinstance(left, ColRef)
-            or not isinstance(right, Literal)
-            or right.value is None
-        ):
+        column, op, value = sarg
+        if op == "<>" or value is None:
             continue
-        value = right.value
-        entry = ranges.setdefault(left.index, [None, True, None, True])
+        entry = ranges.setdefault(column.index, [None, True, None, True])
         if op in ("=", ">", ">="):
             inclusive = op != ">"
             if entry[0] is None or _tighter(value, entry[0], low=True):

@@ -90,17 +90,3 @@ class DataStore:
 
     def row_count(self, table: str) -> int:
         return self.table(table).row_count
-
-    def total_rows(self) -> int:
-        return sum(t.row_count for t in self._data.values())
-
-    def find_index_on(
-        self, table: str, leading_column: str
-    ) -> Optional[str]:
-        """Name of an index whose leading key is ``leading_column``."""
-        data = self.table(table)
-        target = leading_column.lower()
-        for name, index_def in data.schema.indexes.items():
-            if index_def.columns[0] == target:
-                return name
-        return None

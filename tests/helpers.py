@@ -245,6 +245,33 @@ def make_company_cluster(config, **data_knobs):
     return cluster
 
 
+#: Five spellings of one predicate on the indexed column of
+#: :func:`make_indexed_cluster`'s table; the last leaves a residual filter
+#: above the index range scan.
+INDEXED_EQUALITY_SPELLINGS = (
+    "g = 3",
+    "3 = g",
+    "g >= 3 and g <= 3",
+    "g between 3 and 3",
+    "g = 3 and v < 50",
+)
+
+
+def make_indexed_cluster(config):
+    """A cluster holding ``t(id, g, v)``, 4,000 rows, indexed on ``g``
+    (50 values): a predicate on ``g`` plans as an index range scan."""
+    from repro.core.cluster import IgniteCalciteCluster
+
+    cluster = IgniteCalciteCluster(config)
+    columns = [Column(name, ColumnType.BIGINT) for name in ("id", "g", "v")]
+    cluster.create_table(
+        TableSchema("t", columns, ["id"]),
+        [(i, i % 50, i % 100) for i in range(4000)],
+    )
+    cluster.create_index("t", "t_g", ["g"])
+    return cluster
+
+
 def _clone_schema(schema: TableSchema) -> TableSchema:
     return TableSchema(
         schema.name,

@@ -122,7 +122,6 @@ class TestStatistics:
         stats = compute_table_stats(rows, ["v"])
         column = stats.column("v")
         assert column.null_count == 2
-        assert column.null_fraction(3) == pytest.approx(2 / 3)
         assert column.distinct_count == 1
 
     def test_empty_table(self):

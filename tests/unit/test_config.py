@@ -40,7 +40,6 @@ class TestPresets:
         config = SystemConfig.ic_plus_m()
         assert config.name == "IC+M"
         assert config.variant_fragments == 2
-        assert config.is_multithreaded
         assert config.hash_join  # inherits everything from IC+
 
     def test_site_count_parameter(self):

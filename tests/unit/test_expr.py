@@ -14,6 +14,7 @@ from repro.rel.expr import (
     LikeExpr,
     Literal,
     UnaryOp,
+    column_vs_literal,
     compile_expr,
     extract_equi_keys,
     factor_common_conjuncts,
@@ -245,6 +246,52 @@ class TestEquiKeyExtraction:
     def test_none_condition(self):
         pairs, rest = extract_equi_keys(None, left_width=3)
         assert pairs == [] and rest == []
+
+
+class TestColumnVsLiteral:
+    """The one recogniser of ``col <cmp> literal``; callers keep policy."""
+
+    MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+    @pytest.mark.parametrize("op", sorted(MIRROR))
+    def test_both_orientations_of_every_comparison(self, op):
+        column, literal = ColRef(2), Literal(7)
+        assert column_vs_literal(BinaryOp(op, column, literal)) == (column, op, 7)
+        assert column_vs_literal(BinaryOp(op, literal, column)) == (
+            column, self.MIRROR[op], 7,
+        )
+
+    def test_mirroring_preserves_the_rows_selected(self):
+        for op in self.MIRROR:
+            written = BinaryOp(op, Literal(5), ColRef(0))
+            column, mirrored, value = column_vs_literal(written)
+            read = BinaryOp(mirrored, column, Literal(value))
+            for v in (4, 5, 6):
+                assert run(written, (v,)) == run(read, (v,)), (op, v)
+
+    @pytest.mark.parametrize(
+        "conjunct",
+        [
+            BinaryOp("<", ColRef(0), ColRef(1)),
+            BinaryOp("=", Literal(1), Literal(1)),
+            BinaryOp("+", ColRef(0), Literal(1)),
+            BinaryOp("=", BinaryOp("+", ColRef(0), Literal(1)), Literal(3)),
+            BinaryOp("AND", ColRef(0), Literal(True)),
+            InList(ColRef(0), [1, 2]),
+            IsNull(ColRef(0)),
+            ColRef(0),
+        ],
+        ids=lambda e: e.digest(),
+    )
+    def test_anything_else_is_not_recognised(self, conjunct):
+        assert column_vs_literal(conjunct) is None
+
+    def test_a_null_literal_is_handed_through(self):
+        """Index bounds and zone maps reject it themselves; the estimator
+        and the signature canonicaliser take it as any other value."""
+        assert column_vs_literal(BinaryOp("=", ColRef(0), Literal(None))) == (
+            ColRef(0), "=", None,
+        )
 
 
 class TestConditionFactoring:

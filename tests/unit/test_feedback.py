@@ -5,12 +5,18 @@ import pytest
 from repro.adaptive.feedback import FeedbackRegistry
 from repro.adaptive.signature import operator_signature
 from repro.common.config import SystemConfig
+from repro.exec.physical import PhysIndexScan
 from repro.obs.metrics import get_registry
 from repro.rel.expr import BinaryOp, ColRef, Literal
 from repro.rel.logical import LogicalFilter, LogicalTableScan
 from repro.stats.estimator import Estimator
 
-from helpers import make_company_cluster, make_company_store
+from helpers import (
+    INDEXED_EQUALITY_SPELLINGS,
+    make_company_cluster,
+    make_company_store,
+    make_indexed_cluster,
+)
 
 pytestmark = pytest.mark.adaptive
 
@@ -39,11 +45,11 @@ class TestRecordLookup:
         assert registry.lookup("sig") == 0.0
 
     def test_row_override_via_signature(self, store):
-        registry = FeedbackRegistry(store)
+        registry = FeedbackRegistry()
         node = LogicalFilter(
             scan(store, "emp"), BinaryOp("=", ColRef(1), Literal(3))
         )
-        signature = operator_signature(node, store)
+        signature = operator_signature(node)
         registry.record(signature, 77.0)
         assert registry.row_override(node) == 77.0
         # a different literal is a different operator — no override
@@ -93,13 +99,36 @@ class TestHarvest:
                 pytest.fail(f"broadcast scan harvested: {entry}")
 
     def test_estimator_consumes_override(self, store):
-        registry = FeedbackRegistry(store)
+        registry = FeedbackRegistry()
         node = LogicalFilter(
             scan(store, "emp"), BinaryOp("=", ColRef(1), Literal(3))
         )
-        registry.record(operator_signature(node, store), 90.0)
+        registry.record(operator_signature(node), 90.0)
         plain = Estimator(store, fixed_join_estimation=True)
         fed = Estimator(store, fixed_join_estimation=True, feedback=registry)
         assert plain.row_count(node) != 90.0
         assert fed.row_count(node) == 90.0
         assert get_registry().counter("adaptive.feedback_overrides") == 1.0
+
+
+class TestIndexRangeScanFeedback:
+    """Regression: the predicate an index range scan absorbed used to be
+    rebuilt from its bounds, so ``g = 3`` was observed as ``g >= 3 AND
+    g <= 3`` and the observation never matched the logical filter."""
+
+    @pytest.mark.parametrize("where", INDEXED_EQUALITY_SPELLINGS)
+    def test_second_planning_is_overridden(self, where):
+        cluster = make_indexed_cluster(
+            SystemConfig.ic_plus(4, cardinality_feedback=True)
+        )
+        sql = f"select id from t where {where}"
+        first = cluster.sql(sql)
+        assert any(
+            isinstance(op, PhysIndexScan) and op.is_range_scan
+            for fragment in first.fragment_trees
+            for op in fragment.operators()
+        )
+        before = get_registry().counter("adaptive.feedback_overrides")
+        second = cluster.sql(sql)
+        assert get_registry().counter("adaptive.feedback_overrides") > before
+        assert sorted(second.rows) == sorted(first.rows)

@@ -147,31 +147,22 @@ class TestStatisticsIntegration:
 
 
 class TestDistinctEstimate:
-    """Regression: the histogram-derived NDV used to be read off the
-    stored boundaries, which retain at most ``bucket_count + 1`` distinct
-    values — a 64-bucket histogram over a 1000-value column silently
-    reported <= 65."""
+    """Regression: an NDV read off histogram boundaries is capped at
+    ``bucket_count + 1`` — a 64-bucket histogram over a 1000-value column
+    silently reported <= 65.  The histogram no longer carries an NDV at
+    all; the one the estimator reads is ``TableStats.distinct_count``,
+    tracked over the full column."""
 
     def test_high_ndv_not_truncated_by_buckets(self):
-        histogram = EquiDepthHistogram.build(list(range(1000)))
-        assert histogram.bucket_count <= 64
-        assert histogram.distinct_estimate() == 1000
+        column = compute_table_stats([(i,) for i in range(1000)], ["v"]).column("v")
+        assert column.histogram.bucket_count <= 64
+        assert column.distinct_count == 1000
 
     def test_ndv_tracked_before_sampling(self):
-        # 100k distinct values, sampled down to 4096 during the build:
+        # 100k distinct values, sampled down to 4096 for the histogram:
         # the NDV must reflect the full input, not the sample.
-        histogram = EquiDepthHistogram.build(list(range(100_000)))
-        assert histogram.distinct_estimate() == 100_000
-
-    def test_caller_pinned_ndv_wins(self):
-        histogram = EquiDepthHistogram.build(
-            [1, 2, 3, 4], distinct_values=1234
-        )
-        assert histogram.distinct_estimate() == 1234
-
-    def test_untracked_histogram_falls_back_to_boundaries(self):
-        histogram = EquiDepthHistogram([1, 2, 3, 4])
-        assert histogram.distinct_estimate() == 4
+        stats = compute_table_stats([(i,) for i in range(100_000)], ["v"])
+        assert stats.distinct_count("v") == 100_000
 
     def test_table_stats_pin_true_ndv(self):
         rows = [(i, i % 997) for i in range(5000)]
@@ -179,19 +170,18 @@ class TestDistinctEstimate:
         column = stats.column("v")
         assert column.distinct_count == 997
         assert column.histogram is not None
-        assert column.histogram.distinct_estimate() == 997
 
     def test_histogram_and_hll_agree_on_small_inputs(self):
-        """Both NDV paths the estimator can take must tell the same
-        story where exactness is cheap: small inputs."""
+        """Both NDV paths the estimator can take (load-time statistics,
+        HLL sketch) must tell the same story where exactness is cheap:
+        small inputs."""
         from repro.stats.sketches import HyperLogLog
 
         for ndv in (2, 10, 64, 300):
             values = [i % ndv for i in range(1000)]
-            histogram = EquiDepthHistogram.build(values)
+            stats = compute_table_stats([(v,) for v in values], ["v"])
             hll = HyperLogLog()
             for v in values:
                 hll.add(v)
-            if histogram is not None:
-                assert histogram.distinct_estimate() == ndv
+            assert stats.distinct_count("v") == ndv
             assert round(hll.estimate()) == pytest.approx(ndv, rel=0.02)

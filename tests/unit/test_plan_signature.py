@@ -16,7 +16,14 @@ from repro.rel.logical import (
     LogicalTableScan,
 )
 
-from helpers import make_company_cluster, make_company_store
+from repro.exec.physical import PhysFilter, PhysIndexScan
+
+from helpers import (
+    INDEXED_EQUALITY_SPELLINGS,
+    make_company_cluster,
+    make_company_store,
+    make_indexed_cluster,
+)
 
 pytestmark = pytest.mark.adaptive
 
@@ -93,6 +100,26 @@ class TestOperatorSignature:
         physical = cluster.plan_sql("select * from emp")
         sigs = {operator_signature(op) for op in _walk(physical)}
         assert operator_signature(logical) in sigs
+
+    @pytest.mark.parametrize("where", INDEXED_EQUALITY_SPELLINGS)
+    def test_index_range_scan_matches_the_filter_it_absorbed(self, where):
+        """However the predicate was spelled, the planned ``PhysIndexScan``
+        (or the residual ``PhysFilter`` above it) keys like the
+        ``LogicalFilter(Scan)`` it came from."""
+        cluster = make_indexed_cluster(SystemConfig.ic_plus(4))
+        sql = f"select id from t where {where}"
+        logical = next(
+            n for n in _walk(cluster.parse_to_logical(sql))
+            if isinstance(n, LogicalFilter)
+        )
+        physical = next(
+            n for n in _walk(cluster.plan_sql(sql))
+            if isinstance(n, (PhysFilter, PhysIndexScan))
+        )
+        scan = next(n for n in _walk(physical) if isinstance(n, PhysIndexScan))
+        assert scan.is_range_scan
+        assert "v" not in where or isinstance(physical, PhysFilter)
+        assert operator_signature(physical) == operator_signature(logical)
 
     def test_conjunct_order_is_irrelevant(self, store):
         emp = scan(store, "emp")

@@ -119,7 +119,6 @@ class TestDataStore:
         store.create_table(schema, make_rows(30))
         assert store.has_table("t")
         assert store.row_count("t") == 30
-        assert store.total_rows() == 30
         assert store.table_names() == ["t"]
 
     def test_stats_computed_on_load(self):
@@ -128,13 +127,6 @@ class TestDataStore:
         stats = store.table("t").stats
         assert stats.row_count == 30
         assert stats.distinct_count("grp") == 7
-
-    def test_find_index_on(self):
-        store = DataStore(site_count=2)
-        store.create_table(TableSchema("t", COLS, ["id"]), make_rows(10))
-        store.create_index("t", "t_grp", ["grp", "id"])
-        assert store.find_index_on("t", "grp") == "t_grp"
-        assert store.find_index_on("t", "val") is None
 
     def test_unknown_table_raises(self):
         with pytest.raises(StorageError):
