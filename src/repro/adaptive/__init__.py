@@ -30,7 +30,7 @@ in this package runs.
 from repro.adaptive.cache import CacheEntry, PlanCache
 from repro.adaptive.controller import AdaptiveController, reset_adaptive_state
 from repro.adaptive.feedback import FeedbackRegistry
-from repro.adaptive.midquery import MidQueryController, reset_midquery_state
+from repro.adaptive.midquery import MidQueryController
 from repro.adaptive.signature import (
     PlanSignature,
     operator_signature,
@@ -47,5 +47,4 @@ __all__ = [
     "operator_signature",
     "plan_signature",
     "reset_adaptive_state",
-    "reset_midquery_state",
 ]

@@ -36,7 +36,6 @@ re-plan — the static plan keeps running, which is always correct.
 from __future__ import annotations
 
 import re
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Column, TableSchema
@@ -92,27 +91,6 @@ MAX_REPLANS = 2
 
 #: Prefix of the temp tables holding materialized intermediates.
 TEMP_PREFIX = "__mq_"
-
-#: Stores that ever held a ``__mq_*`` temp table, so the test-isolation
-#: hook can sweep leaked temps without keeping stores alive.
-_ACTIVE_STORES: "weakref.WeakSet[DataStore]" = weakref.WeakSet()
-
-
-def reset_midquery_state() -> None:
-    """Drop any leaked materialization temp tables (test hook).
-
-    The engine closes its observers in a ``finally``; this guards against
-    tests that monkeypatch execution or kill it between the splice and
-    the cleanup.
-    """
-    for store in list(_ACTIVE_STORES):
-        for name in list(store.table_names()):
-            if name.startswith(TEMP_PREFIX):
-                try:
-                    store.drop_table(name)
-                except StorageError:
-                    pass
-
 
 class _Unconvertible(Exception):
     """The suffix contains a shape the converter declines to re-plan."""
@@ -340,7 +318,12 @@ class MidQueryController(SeamObserver):
             if producer is None:
                 raise _Unconvertible(f"unknown exchange #{node.exchange_id}")
             if producer.fragment_id in executed:
-                return self._temp_scan(producer)
+                temp = self._temp_scan(producer)
+                if node.collation.keys:
+                    # A merging receiver: the temp holds the producer's
+                    # sorted runs end to end, so the order is restated.
+                    return LogicalSort(temp, node.collation.keys)
+                return temp
             return convert(producer.root)
         if isinstance(node, (PhysTableScan, PhysIndexScan)):
             scan = LogicalTableScan(node.table, node.alias, node.column_names)
@@ -457,7 +440,6 @@ class MidQueryController(SeamObserver):
             self.store.create_table(schema, rows)
             self.temp_tables.append(name)
             self._temp_producer[name] = producer.fragment_id
-            _ACTIVE_STORES.add(self.store)
             copies = self.config.sites
             shipping += charges.exchange(len(rows)) + network_units_for(
                 len(rows), width, copies

@@ -5,7 +5,6 @@ from repro.bench.harness import (
     QueryMeasurement,
     ResponseTimeHarness,
     ResponseTimeResult,
-    confidence_interval_95,
     run_aql,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "QueryMeasurement",
     "ResponseTimeHarness",
     "ResponseTimeResult",
-    "confidence_interval_95",
     "run_aql",
 ]

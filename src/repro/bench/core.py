@@ -6,10 +6,10 @@ cell, summarises a distribution and emits a versioned JSON artefact with
 a validator behind it.  The parts of that which are *not* specific to a
 bench live here as plain functions:
 
-* the differential row convention — floats rounded to six places
-  (:func:`canon_rows`), one NULLS-LAST sort (:func:`sorted_rows`) and the
-  order-sensitive / order-insensitive comparisons built on them;
-* the nearest-rank :func:`percentile`;
+* the row convention for comparing two engine runs — floats rounded to
+  six places (``verify.differential.canon_rows``), one NULLS-LAST sort
+  (:func:`sorted_rows`), order-sensitive :func:`ordered_match`; against
+  the reference executor a bench asks ``verify.differential.oracle_detail``;
 * registry counter deltas around a cell (:func:`read_counters` /
   :func:`counter_deltas`);
 * the artefact contract: an artefact is the schema tag plus every
@@ -24,24 +24,12 @@ rules (a re-plan fired, the q-error improved, pushdown reconciles).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, fields
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.common.ordering import NullsLast
 from repro.obs.metrics import get_registry
-
-
-def canon_rows(rows: Iterable[tuple]) -> List[tuple]:
-    """Rounded floats, the repo's differential convention: plans that sum
-    doubles in a different order differ in the last bits, not in truth."""
-    return [
-        tuple(
-            round(value, 6) if isinstance(value, float) else value
-            for value in row
-        )
-        for row in rows
-    ]
+from repro.verify.differential import canon_rows
 
 
 def sorted_rows(rows: Iterable[tuple]) -> List[tuple]:
@@ -52,29 +40,6 @@ def sorted_rows(rows: Iterable[tuple]) -> List[tuple]:
 def ordered_match(actual: Iterable[tuple], expected: Iterable[tuple]) -> bool:
     """Order-sensitive row comparison under :func:`canon_rows`."""
     return canon_rows(actual) == canon_rows(expected)
-
-
-def unordered_match(
-    actual: Iterable[tuple], expected: Iterable[tuple]
-) -> bool:
-    """Multiset row comparison under :func:`canon_rows`."""
-    return sorted_rows(canon_rows(actual)) == sorted_rows(canon_rows(expected))
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]) of ``values``.
-
-    Deterministic and exact for the small samples the chaos, AQL and
-    q-error harnesses produce (no interpolation: the returned value is
-    always an observed one).
-    """
-    if not values:
-        raise ValueError("percentile of an empty sequence")
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile q={q} outside [0, 100]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 def read_counters(names: Iterable[str]) -> Dict[str, float]:

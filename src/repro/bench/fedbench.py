@@ -8,8 +8,9 @@ native row store, ``sales`` on the columnar file adapter, ``dept``
 of cross-source joins and aggregates (every query carries a total ORDER
 BY) runs through every (query, system, backend) cell:
 
-* **differential**: each cell's rows must be *order-identical* to the
-  reference executor evaluating the same logical plan;
+* **differential**: each cell's rows must agree with the reference
+  executor evaluating the same logical plan — as a multiset and in the
+  total ORDER BY (``verify.differential.oracle_detail``);
 * **pushdown evidence**: the adapter scan metrics (``adapter.rows_scanned``
   vs ``adapter.rows_out``) must show work absorbed at the source, and the
   scanned counts must reconcile with the per-operator ``rows_in`` the
@@ -37,14 +38,13 @@ from repro.bench.core import (
     check_envelope,
     check_record,
     checked_records,
-    ordered_match,
 )
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.common.config import PRESETS
 from repro.core.cluster import IgniteCalciteCluster
 from repro.obs.metrics import get_registry
-from repro.verify.reference import ReferenceExecutor
+from repro.verify.differential import oracle_detail
 
 #: Version tag stamped into every fedbench artefact.
 FEDBENCH_SCHEMA = "repro-fedbench/v1"
@@ -342,14 +342,12 @@ def run_fedbench(
         for backend in ("row", "columnar"):
             config = base.with_(execution_backend=backend)
             cluster = load_fedbench_cluster(config, scale_factor, seed=seed)
-            oracle = ReferenceExecutor(cluster.store)
             for query in ids:
                 sql = FEDBENCH_QUERIES[query]
                 plan = cluster.plan_sql(sql)
                 before = registry.snapshot()
                 result = cluster.execute_plan(plan)
                 delta = registry.delta_since(before)
-                expected = oracle.execute(cluster.parse_to_logical(sql))
                 report.cells.append(
                     FedbenchCell(
                         query=query,
@@ -357,7 +355,11 @@ def run_fedbench(
                         backend=backend,
                         rows=len(result.rows),
                         simulated_seconds=result.simulated_seconds,
-                        rows_match=ordered_match(result.rows, expected),
+                        rows_match=not oracle_detail(
+                            cluster.store,
+                            cluster.parse_to_logical(sql),
+                            result.rows,
+                        ),
                         plan_digest=_plan_digest(plan),
                     )
                 )
@@ -457,12 +459,9 @@ def _chaos_cell(
         failover_redispatch=True,
     )
     cluster = load_fedbench_cluster(config, scale_factor, seed=seed)
-    expected = ReferenceExecutor(cluster.store).execute(
-        cluster.parse_to_logical(sql)
-    )
     outcome = cluster.try_sql(sql)
-    rows_match = outcome.succeeded and ordered_match(
-        outcome.result.rows, expected
+    rows_match = outcome.succeeded and not oracle_detail(
+        cluster.store, cluster.parse_to_logical(sql), outcome.rows
     )
     return ChaosCell(
         query=query,
@@ -481,7 +480,7 @@ def validate_fedbench_artefact(obj: Dict) -> List[str]:
     """Schema-check one fedbench artefact dict; returns violations.
 
     An empty list means a well-formed ``repro-fedbench/v1`` artefact in
-    which every cell is order-identical to the reference executor, the
+    which every cell agrees with the reference executor, the
     pushdown evidence shows work absorbed at the source (and reconciles
     with the engine's scan ``rows_in``), at least one query's plan
     flipped on the federated layout, and the chaos replay stayed

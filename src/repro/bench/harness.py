@@ -23,12 +23,10 @@ defaults to 1.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.core import percentile
 from repro.cluster.scheduler import TaskGraph, WorkloadSimulator
 from repro.common.config import SystemConfig
 from repro.core.cluster import IgniteCalciteCluster, QueryOutcome, QueryStatus
@@ -126,24 +124,6 @@ class ResponseTimeHarness:
             sum(measured) / len(measured),
             registry.delta_since(before),
         )
-
-
-def latency_percentiles(
-    values: Sequence[float], qs: Sequence[float] = (50.0, 95.0, 99.0)
-) -> Dict[float, float]:
-    """The chaos report's latency summary: {q: percentile} over ``values``."""
-    return {q: percentile(values, q) for q in qs}
-
-
-def confidence_interval_95(values: Sequence[float]) -> Tuple[float, float]:
-    """Mean and 95 % CI half-width (normal approximation) for error bars."""
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half = 1.96 * math.sqrt(variance / n)
-    return mean, half
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,12 @@ from repro.bench.core import (
     counter_deltas,
     ordered_match,
     read_counters,
-    unordered_match,
 )
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.common.config import PRESETS, SystemConfig
 from repro.core.cluster import IgniteCalciteCluster
-from repro.verify.reference import ReferenceExecutor
+from repro.verify.differential import oracle_detail
 
 #: Version tag stamped into every midquery artefact.
 MIDQUERY_SCHEMA = "repro-midquery/v1"
@@ -257,7 +256,6 @@ def run_midquery_bench(
             scale_factor,
             seed,
         )
-        oracle = ReferenceExecutor(static_cluster.store)
         for name in names:
             sql = MIDQUERY_QUERIES[name]
             key = f"{name}/{system}"
@@ -265,8 +263,10 @@ def run_midquery_bench(
             try:
                 static_result = static_cluster.sql(sql)
                 adaptive_result = adaptive_cluster.sql(sql)
-                reference = oracle.execute(
-                    static_cluster.parse_to_logical(sql)
+                oracle_diff = oracle_detail(
+                    adaptive_cluster.store,
+                    adaptive_cluster.parse_to_logical(sql),
+                    adaptive_result.rows,
                 )
             except Exception as exc:  # pragma: no cover - preset-dependent
                 report.skipped[key] = f"{type(exc).__name__}: {exc}"
@@ -293,9 +293,7 @@ def run_midquery_bench(
                     results_match=ordered_match(
                         static_result.rows, adaptive_result.rows
                     ),
-                    oracle_match=unordered_match(
-                        adaptive_result.rows, reference
-                    ),
+                    oracle_match=not oracle_diff,
                 )
             )
     return report

@@ -45,9 +45,7 @@ from repro.bench.core import (
     checked_records,
     counter_deltas,
     ordered_match,
-    percentile,
     read_counters,
-    unordered_match,
 )
 from repro.bench.midquery import HOT_CUSTOMER, load_skewed_cluster
 from repro.bench.ssb import load_ssb_cluster
@@ -56,7 +54,8 @@ from repro.common.config import PRESETS, SystemConfig
 from repro.core.cluster import IgniteCalciteCluster
 from repro.exec.engine import ExecutionResult
 from repro.exec.physical import PhysJoinBase
-from repro.verify.reference import ReferenceExecutor
+from repro.obs.metrics import percentile
+from repro.verify.differential import oracle_detail
 
 #: Version tag stamped into every sketchbench artefact.
 SKETCHBENCH_SCHEMA = "repro-sketchbench/v1"
@@ -347,7 +346,6 @@ def run_sketchbench(
                     f"{type(exc).__name__}: {exc}"
                 )
                 continue
-            oracle = ReferenceExecutor(hist_cluster.store)
             hist_all: List[float] = []
             hist_join: List[float] = []
             sketch_all: List[float] = []
@@ -362,8 +360,10 @@ def run_sketchbench(
                     sketch_digest = sketch_cluster.plan_sql(sql).digest()
                     hist_result = hist_cluster.sql(sql)
                     sketch_result = sketch_cluster.sql(sql)
-                    reference = oracle.execute(
-                        hist_cluster.parse_to_logical(sql)
+                    oracle_diff = oracle_detail(
+                        sketch_cluster.store,
+                        sketch_cluster.parse_to_logical(sql),
+                        sketch_result.rows,
                     )
                 except Exception as exc:  # pragma: no cover
                     report.skipped[key] = f"{type(exc).__name__}: {exc}"
@@ -394,9 +394,7 @@ def run_sketchbench(
                         results_match=ordered_match(
                             hist_result.rows, sketch_result.rows
                         ),
-                        oracle_match=unordered_match(
-                            sketch_result.rows, reference
-                        ),
+                        oracle_match=not oracle_diff,
                     )
                 )
             if not ran:

@@ -482,9 +482,15 @@ def cmd_verify(args) -> None:
     systems = _choices(args.systems, sorted(PRESETS), "system(s)")
     sf = args.sf[0]
     sites = args.sites[0]
-    seed_store = loader(PRESETS[systems[0]](sites), sf).store
+
+    def load(system):
+        return loader(PRESETS[system](sites).with_(verify_execution=True), sf)
+
+    # Every system loads the same data: the first cluster's store also
+    # seeds the generator.
+    cluster = load(systems[0])
     generator = QueryGenerator(
-        seed_store, seed=args.seed, extra_edges=extra_edges
+        cluster.store, seed=args.seed, extra_edges=extra_edges
     )
     queries = generator.queries(args.count)
     print(
@@ -494,14 +500,13 @@ def cmd_verify(args) -> None:
     )
     failures: List = []
     crashes: List[str] = []
-    for system in systems:
-        cluster = loader(PRESETS[system](sites), sf)
+    for position, system in enumerate(systems):
+        if position:
+            cluster = load(system)
         ok = skipped = crashed = 0
         for sql in queries:
             try:
-                report = differential_check(
-                    sql, cluster.store, cluster.config
-                )
+                report = differential_check(sql, cluster)
             except Exception as exc:  # the harness must never die silently
                 crashed += 1
                 crashes.append(f"[{system}] {type(exc).__name__}: {exc}")

@@ -207,10 +207,13 @@ class SystemConfig:
     execution_backend: str = field(default_factory=_default_backend)
 
     # ----- correctness harness ---------------------------------------------------
-    #: Run the differential correctness harness (repro.verify) on every
-    #: query: physical plans are checked against structural invariants
-    #: before execution, and ``IgniteCalciteCluster.sql`` / ``try_sql``
-    #: cross-check results against the single-node reference executor.
+    #: Check every query as it runs (repro.verify): the engine validates
+    #: the plan it is about to execute and the result it assembled, and
+    #: the statement pipeline diffs the rows it is about to return — from
+    #: whatever plan ran: cached, re-planned, degraded — against the
+    #: single-node reference executor.  Nothing is planned or executed
+    #: twice, so the flag composes with every other one.  EXPLAIN
+    #: [ANALYZE] returns plan text and stays unverified.
     verify_execution: bool = False
 
     # ----- defects kept in both systems ------------------------------------------

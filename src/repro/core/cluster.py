@@ -14,8 +14,11 @@ Three factory presets mirror the paper's systems under test::
 
 ``sql`` and ``try_sql`` are two faces of one statement pipeline
 (``_run_statement``: trace -> parse -> dispatch on the statement kind ->
-plan -> execute -> observe), which returns a result or raises.  ``sql``
-is that; ``try_sql`` adds only the classification of what was raised —
+plan -> execute -> observe -> verify), which returns a result or raises.
+Under ``verify_execution`` the last stage diffs the rows about to be
+returned — whatever plan produced them — against the reference executor
+(:func:`repro.verify.differential.oracle_detail`).  ``sql`` is that
+pipeline; ``try_sql`` adds only the classification of what was raised —
 it never raises for a :class:`~repro.common.errors.ReproError` other
 than a failed correctness check, and returns a :class:`QueryOutcome`
 whose status records *how* a query failed (:data:`STATUS_BY_ERROR`),
@@ -37,6 +40,7 @@ from repro.common.errors import (
     PlannerDefectError,
     PlanningTimeoutError,
     ReproError,
+    ResultMismatchError,
     UnsupportedSqlError,
     VerificationError,
 )
@@ -53,6 +57,7 @@ from repro.sql import ast as ast_module
 from repro.sql.parser import parse
 from repro.stats.sketch_registry import SketchRegistry
 from repro.storage.store import DataStore
+from repro.verify.differential import oracle_detail
 
 
 #: SQL type name (as lexed, lower-case) -> catalog column type for
@@ -287,9 +292,7 @@ class IgniteCalciteCluster:
         return statement.name
 
     def plan_sql(self, sql: str) -> PhysNode:
-        logical = self.parse_to_logical(sql)
-        planner = QueryPlanner(self.store, self.config, sketches=self.sketches)
-        return planner.plan(logical)
+        return self._plan(self.parse_to_logical(sql), None)[0]
 
     def explain(self, sql: str) -> str:
         """The optimised physical plan, rendered for humans."""
@@ -325,10 +328,7 @@ class IgniteCalciteCluster:
                 self._ddl_create_table(statement)
                 return ExecutionResult([], [])
             explain = isinstance(statement, ast_module.Explain)
-            if self.config.verify_execution and not explain:
-                verified = self._differential(sql)
-                if verified is not None:
-                    return verified
+            logical = self._to_logical(statement.select if explain else statement)
             # The adaptive layer's exclusions, decided here and nowhere
             # else.  EXPLAIN [ANALYZE] and traced queries stay out of it
             # entirely, so golden snapshots and traces are bit-identical
@@ -339,9 +339,7 @@ class IgniteCalciteCluster:
             # fault-free queries benefit.
             adaptive = None if explain or self.config.tracing else self.adaptive
             serving = adaptive if self.fault_injector is None else None
-            plan, key = self._plan(
-                statement.select if explain else statement, serving, outcome
-            )
+            plan, key, outcome.plan_cached = self._plan(logical, serving)
             if explain and not statement.analyze:
                 return _text_result(plan.explain())
             try:
@@ -355,52 +353,38 @@ class IgniteCalciteCluster:
             if explain:
                 # EXPLAIN ANALYZE costs what the query itself cost.
                 return _text_result(result.explain_analyze(), base=result)
+            if self.config.verify_execution:
+                # The rows about to be returned, from the plan that ran:
+                # cached or fresh, re-planned mid-query, on surviving sites.
+                detail = oracle_detail(self.store, logical, result.rows)
+                if detail:
+                    raise ResultMismatchError(
+                        f"engine/reference divergence on {self.config.name}",
+                        sql=sql,
+                        detail=detail,
+                    )
             return result
 
-    def _differential(self, sql: str) -> Optional[ExecutionResult]:
-        """``verify_execution``: validate the plan and diff the distributed
-        result against the reference executor; a divergence raises
-        :class:`~repro.common.errors.VerificationError`.
-
-        Returns the verified result, or None for the pipeline to run the
-        query itself: when the check was skipped (e.g. planning budget —
-        the caller then sees what an unverified run raises), and under a
-        fault schedule, where the harness ran *fault-free* and the caller
-        wants the degraded run (just proven row-correct).
-        """
-        # Imported lazily: the differential module imports the engine.
-        from repro.verify.differential import differential_check
-
-        report = differential_check(
-            sql, self.store, self.config, views=self._views
-        )
-        report.raise_on_failure()
-        return report.result if self.fault_injector is None else None
-
     def _plan(
-        self,
-        select: ast_module.Select,
-        adaptive: Optional[AdaptiveController],
-        outcome: QueryOutcome,
-    ) -> Tuple[PhysNode, Optional[str]]:
-        """``(physical plan, plan-signature key)`` for one SELECT — through
-        the plan cache and with feedback-corrected cardinalities when
-        ``adaptive`` is given, straight from the planner otherwise."""
-        logical = self._to_logical(select)
+        self, logical: RelNode, adaptive: Optional[AdaptiveController]
+    ) -> Tuple[PhysNode, Optional[str], bool]:
+        """``(physical plan, plan-signature key, served from the cache)``
+        for one logical plan — through the plan cache and with
+        feedback-corrected cardinalities when ``adaptive`` is given,
+        straight from the planner otherwise."""
         signature = feedback = None
         if adaptive is not None:
             feedback = adaptive.feedback
             signature, plan = adaptive.lookup(logical)
             if plan is not None:
-                outcome.plan_cached = True
-                return plan, signature.key
+                return plan, signature.key, True
         planner = QueryPlanner(
             self.store, self.config, feedback=feedback, sketches=self.sketches
         )
         plan = planner.plan(logical)
         if adaptive is not None:
             adaptive.store(signature, plan, planner.last_budget_spent)
-        return plan, signature.key if signature is not None else None
+        return plan, signature.key if signature is not None else None, False
 
     # -- execution ----------------------------------------------------------------------
 
@@ -410,11 +394,7 @@ class IgniteCalciteCluster:
         return self._engine.execute(plan, injector=self.fault_injector, at=at)
 
     def sql(self, sql: str) -> ExecutionResult:
-        """Plan and execute; raises on any failure.
-
-        With ``verify_execution`` set, every query additionally runs
-        through the differential harness (:meth:`_differential`).
-        """
+        """Plan and execute; raises on any failure."""
         return self._run_statement(sql, 0.0, QueryOutcome(QueryStatus.OK))
 
     def try_sql(self, sql: str, at: float = 0.0) -> QueryOutcome:

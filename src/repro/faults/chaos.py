@@ -11,9 +11,10 @@ treatment:
 * a successful attempt that ran below full strength is recorded as
   ``DEGRADED``; a success that needed retries as ``RETRIED``;
 * every recovered result is (optionally, default on) diffed against the
-  single-node :class:`~repro.verify.reference.ReferenceExecutor` — the
-  whole point of graceful degradation is *correct* answers from a wounded
-  cluster, and the oracle is the proof.
+  single-node reference executor
+  (:func:`~repro.verify.differential.oracle_detail`) — the whole point of
+  graceful degradation is *correct* answers from a wounded cluster, and
+  the oracle is the proof.
 
 The report carries availability, retry counts and latency percentiles,
 the resilience-side counterparts of the paper's Table 3 AQL numbers.
@@ -29,14 +30,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.harness import latency_percentiles
 from repro.common.errors import (
     ExecutionTimeoutError,
     QueryDeadlineError,
     SiteFailureError,
 )
 from repro.core.cluster import IgniteCalciteCluster, QueryOutcome, QueryStatus
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, percentile
+from repro.verify.differential import oracle_detail
 
 #: Failure statuses worth retrying: transient (a consumed one-shot fault
 #: will not refire) or possibly transient (a deadline blown by contention
@@ -143,7 +144,7 @@ class ChaosReport:
         latencies = [r.latency for r in self.records if r.latency is not None]
         if not latencies:
             return {}
-        return latency_percentiles(latencies, qs)
+        return {q: percentile(latencies, q) for q in qs}
 
     def to_text(self) -> str:
         """The CLI rendering: stable, diffable across identical runs."""
@@ -251,9 +252,10 @@ def run_chaos(
             degraded=bool(outcome.result and outcome.result.degraded),
         )
         if verify_oracle and outcome.succeeded:
-            record.oracle_ok, record.oracle_detail = _check_oracle(
-                cluster, sql, outcome
+            record.oracle_detail = oracle_detail(
+                cluster.store, cluster.parse_to_logical(sql), outcome.rows
             )
+            record.oracle_ok = not record.oracle_detail
         report.records.append(record)
     report.makespan = clock
     return report
@@ -278,15 +280,3 @@ def _failed_attempt_seconds(
     # Row-phase faults (lost exchange, OOM kill) fail fast.
     return 0.0
 
-
-def _check_oracle(
-    cluster: IgniteCalciteCluster, sql: str, outcome: QueryOutcome
-) -> Tuple[bool, str]:
-    """Diff a recovered result against the single-node reference oracle."""
-    from repro.verify.differential import compare_results
-    from repro.verify.reference import ReferenceExecutor
-
-    logical = cluster.parse_to_logical(sql)
-    reference_rows = ReferenceExecutor(cluster.store).execute(logical)
-    detail = compare_results(outcome.result.rows, reference_rows, logical)
-    return (not detail, detail)

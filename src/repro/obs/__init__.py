@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     get_registry,
     q_error,
     reset_registry,
-    reset_tenant_scope,
     tenant_labels,
     tenant_scope,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "get_tracer",
     "q_error",
     "reset_registry",
-    "reset_tenant_scope",
     "tenant_labels",
     "tenant_scope",
     "validate_trace",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -104,10 +104,6 @@ class MetricsRegistry:
         """Add ``value`` to the counter series ``name{labels}``."""
         key = _key(name, labels)
         self._counters[key] = self._counters.get(key, 0.0) + value
-
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        """Set the gauge series to ``value`` (last write wins)."""
-        self._gauges[_key(name, labels)] = value
 
     def gauge_max(self, name: str, value: float, **labels) -> None:
         """High-water gauge: keep the maximum value ever set."""
@@ -226,10 +222,7 @@ def tenant_scope(tenant: Optional[str]):
     try:
         yield
     finally:
-        # reset_tenant_scope() may have cleared the stack mid-scope
-        # (test teardown after a failure) — exiting must stay safe.
-        if _TENANT_STACK:
-            _TENANT_STACK.pop()
+        _TENANT_STACK.pop()
 
 
 def tenant_labels() -> Dict[str, str]:
@@ -238,9 +231,23 @@ def tenant_labels() -> Dict[str, str]:
     return {"tenant": tenant} if tenant is not None else {}
 
 
-def reset_tenant_scope() -> None:
-    """Drop any active tenant scopes (test isolation / crash recovery)."""
-    _TENANT_STACK.clear()
+# -- distribution summaries ---------------------------------------------------
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 100]) of ``values``.
+
+    Deterministic and exact for the small samples the chaos, AQL and
+    q-error harnesses produce (no interpolation: the returned value is
+    always an observed one).
+    """
+    if not values:
+        raise ValueError("percentile of an empty sequence")
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile q={q} outside [0, 100]")
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[rank - 1]
 
 
 # -- estimation quality -------------------------------------------------------

@@ -22,8 +22,6 @@ that serves sustained multi-tenant traffic on the simulated clock:
 Driven by ``repro-bench serve`` (see :mod:`repro.bench.serve`).
 """
 
-from repro.obs.metrics import reset_tenant_scope
-
 from repro.serve.admission import (
     POLICIES,
     REASON_QUEUE_FULL,
@@ -74,11 +72,5 @@ __all__ = [
     "TrafficError",
     "TrafficGenerator",
     "even_template_mix",
-    "reset_serve_state",
     "validate_slo_artefact",
 ]
-
-
-def reset_serve_state() -> None:
-    """Test hook: clear serving-layer process state (tenant scopes)."""
-    reset_tenant_scope()

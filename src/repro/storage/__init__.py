@@ -3,10 +3,8 @@
 from repro.storage.adapters import (
     AdapterCosts,
     StorageAdapter,
-    adapter_names,
     create_adapter,
     register_adapter,
-    reset_adapter_state,
 )
 from repro.storage.store import DataStore
 from repro.storage.table import PartitionIndex, Row, TableData, affinity_partition
@@ -18,9 +16,7 @@ __all__ = [
     "Row",
     "StorageAdapter",
     "TableData",
-    "adapter_names",
     "affinity_partition",
     "create_adapter",
     "register_adapter",
-    "reset_adapter_state",
 ]

@@ -9,11 +9,9 @@ from repro.storage.adapters.base import (
     AdapterCosts,
     PushedScan,
     StorageAdapter,
-    adapter_names,
     compile_pushdown,
     create_adapter,
     register_adapter,
-    reset_adapter_state,
     sargable_bounds,
     scan_charge,
 )
@@ -28,11 +26,9 @@ __all__ = [
     "PushedScan",
     "RemoteCatalogAdapter",
     "StorageAdapter",
-    "adapter_names",
     "compile_pushdown",
     "create_adapter",
     "register_adapter",
-    "reset_adapter_state",
     "sargable_bounds",
     "scan_charge",
 ]

@@ -24,7 +24,6 @@ plans, costs and golden EXPLAIN snapshots byte-identical.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -187,10 +186,6 @@ def compile_pushdown(node) -> Optional[PushedScan]:
 # The adapter interface
 # ---------------------------------------------------------------------------
 
-#: Every live adapter instance, for test-time state resets.
-_LIVE_ADAPTERS: "weakref.WeakSet[StorageAdapter]" = weakref.WeakSet()
-
-
 class StorageAdapter:
     """Base class and native-semantics default for storage adapters."""
 
@@ -204,9 +199,6 @@ class StorageAdapter:
     #: charges both derive from these.
     costs = AdapterCosts()
 
-    def __init__(self):
-        _LIVE_ADAPTERS.add(self)
-
     # -- lifecycle ------------------------------------------------------------
 
     def attach(self, data: TableData) -> None:
@@ -214,9 +206,6 @@ class StorageAdapter:
 
     def detach(self, data: TableData) -> None:
         """Release adapter-side state for a dropped table."""
-
-    def reset(self) -> None:
-        """Drop all adapter-side state (test isolation hook)."""
 
     # -- placement ------------------------------------------------------------
 
@@ -266,11 +255,3 @@ def create_adapter(name: str) -> StorageAdapter:
     return factory()
 
 
-def adapter_names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-def reset_adapter_state() -> None:
-    """Reset every live adapter instance (autouse test fixture hook)."""
-    for adapter in list(_LIVE_ADAPTERS):
-        adapter.reset()

@@ -58,7 +58,6 @@ class ColumnFileAdapter(StorageAdapter):
     costs = AdapterCosts(scan_cpu_factor=0.5, io_units_per_row=0.4)
 
     def __init__(self):
-        super().__init__()
         self._dir: Optional[str] = None
         #: table name -> per-partition file paths.
         self._files: Dict[str, List[str]] = {}
@@ -89,15 +88,6 @@ class ColumnFileAdapter(StorageAdapter):
             if os.path.exists(path):
                 os.remove(path)
         self._footers.pop(name, None)
-
-    def reset(self) -> None:
-        self._files.clear()
-        self._footers.clear()
-        self.groups_pruned = 0
-        self.groups_read = 0
-        if self._dir is not None and os.path.isdir(self._dir):
-            shutil.rmtree(self._dir, ignore_errors=True)
-        self._dir = None
 
     def __del__(self):  # pragma: no cover - GC cleanup
         try:
@@ -167,10 +157,6 @@ class ColumnFileAdapter(StorageAdapter):
         self, data: TableData, partition: int, pushed: Optional[PushedScan]
     ) -> Tuple[int, List[Row]]:
         name = data.schema.name
-        if name not in self._files:
-            # Re-materialise lazily: a test-isolation reset drops the files
-            # while the table (and its in-memory source rows) lives on.
-            self.attach(data)
         path = self._files[name][partition]
         footer = self._footers[name][partition]
         rows: List[Row] = []

@@ -43,14 +43,9 @@ class RemoteCatalogAdapter(StorageAdapter):
     )
 
     def __init__(self):
-        super().__init__()
         #: Scan requests issued against the remote source (observability).
         self.requests = 0
         #: Rows shipped back over the simulated wire.
-        self.rows_shipped = 0
-
-    def reset(self) -> None:
-        self.requests = 0
         self.rows_shipped = 0
 
     def partition_sites(

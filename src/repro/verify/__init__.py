@@ -1,22 +1,18 @@
-"""Differential correctness harness (reference oracle + plan invariants).
+"""Differential correctness harness (reference oracle + plan invariants)."""
 
-``differential`` is exposed lazily (PEP 562): it imports the execution
-engine, and the engine in turn lazy-imports ``invariants`` from here when
-``SystemConfig.verify_execution`` is set — eager loading in both
-directions would make the import order fragile.
-"""
-
+from repro.verify.differential import (
+    DifferentialReport,
+    compare_results,
+    differential_check,
+    oracle_detail,
+)
 from repro.verify.generator import (
     JoinEdge,
     QueryGenerator,
     SchemaProfile,
     SSB_EXTRA_EDGES,
 )
-from repro.verify.invariants import (
-    PlanValidator,
-    Violation,
-    validate_query_plan,
-)
+from repro.verify.invariants import PlanValidator, Violation
 from repro.verify.reference import ReferenceExecutor
 
 __all__ = [
@@ -30,15 +26,5 @@ __all__ = [
     "Violation",
     "compare_results",
     "differential_check",
-    "validate_query_plan",
+    "oracle_detail",
 ]
-
-_LAZY = {"differential_check", "compare_results", "DifferentialReport"}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from repro.verify import differential
-
-        return getattr(differential, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,49 +1,46 @@
-"""Differential correctness checks: distributed engine vs. reference oracle.
+"""The oracle comparison: rows a query returned vs. the reference executor.
 
-``differential_check`` runs one SQL query through both execution paths of
-the reproduction —
+There is one statement pipeline (``IgniteCalciteCluster._run_statement``)
+and therefore one thing to check: the rows it is about to return.
+:func:`oracle_detail` runs the logical plan the pipeline already built
+through :class:`ReferenceExecutor` (the single-node, single-threaded
+oracle) and diffs the two results — it is the only place the library
+constructs a ``ReferenceExecutor``.  Under
+``SystemConfig.verify_execution`` the pipeline raises
+:class:`ResultMismatchError` on a non-empty answer; the chaos harness
+and the artefact benches record the same answer as a field.
 
-1. parse -> logical plan -> :class:`ReferenceExecutor` (the single-node,
-   single-threaded oracle), and
-2. parse -> logical plan -> two-stage optimiser -> fragmentation ->
-   distributed :class:`ExecutionEngine` (the system under test),
+Results are compared as multisets with floating point columns
+canonicalised to six decimals, so partition-order-dependent summation
+does not read as a divergence.  When the query's outermost operator is
+an ORDER BY, the engine's row order is additionally checked against the
+sort keys in the engine's own total order (multiset equality alone would
+let a broken merge receiver slip through).
 
-validates the optimised plan against the structural invariants, and diffs
-the two result multisets.  Floating point columns are canonicalised to six
-decimals so partition-order-dependent summation does not read as a
-divergence.  When the query's outermost operator is an ORDER BY, the
-engine's row order is additionally checked against the sort keys (multiset
-equality alone would let a broken merge-receiver slip through).
-
-Queries that fail in one of the paper's *classified* ways (planning budget
-exhausted, runtime limit, unsupported SQL) are reported as skipped — those
-are modelled behaviours of the system variant, not correctness bugs.
+:func:`differential_check` is the continue-on-failure face for sweeps:
+``try_sql`` on a ``verify_execution`` cluster, folded into a report.
+Queries that fail in one of the *classified* ways (planning budget
+exhausted, runtime limit, unsupported SQL, a fault the schedule
+injected) are reported as skipped — those are modelled behaviours of the
+system variant, not correctness bugs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.config import SystemConfig
-from repro.common.errors import (
-    PlanInvariantError,
-    PlannerDefectError,
-    PlanningTimeoutError,
-    ExecutionTimeoutError,
-    ResultMismatchError,
-    UnsupportedSqlError,
-)
-from repro.exec.engine import ExecutionEngine, ExecutionResult
-from repro.exec.fragments import fragment_plan
-from repro.planner.volcano import QueryPlanner
+from repro.common.errors import PlanInvariantError, ResultMismatchError
+from repro.common.ordering import NullsLast
 from repro.rel.logical import LogicalSort, RelNode
-from repro.rel.sql2rel import SqlToRelConverter
-from repro.sql.parser import parse
 from repro.storage.store import DataStore
-from repro.verify.invariants import PlanValidator, Violation
+from repro.verify.invariants import Violation
 from repro.verify.reference import ReferenceExecutor
+
+if TYPE_CHECKING:  # the cluster imports this module
+    from repro.core.cluster import IgniteCalciteCluster
+    from repro.exec.engine import ExecutionResult
 
 #: Statuses a differential check can end in.
 OK = "ok"
@@ -52,16 +49,26 @@ INVARIANT = "invariant_violation"
 SKIPPED = "skipped"
 
 
+def oracle_detail(
+    store: DataStore, logical: RelNode, rows: Sequence[Tuple]
+) -> str:
+    """How ``rows`` differ from the reference executor's answer to
+    ``logical`` over ``store``; the empty string when they agree."""
+    return compare_results(
+        rows, ReferenceExecutor(store).execute(logical), logical
+    )
+
+
 @dataclass
 class DifferentialReport:
-    """Outcome of one differential check for one (sql, config) pair."""
+    """Outcome of one differential check for one (sql, system) pair."""
 
     sql: str
     system: str
     status: str
     detail: str = ""
     violations: Tuple[Violation, ...] = ()
-    result: Optional[ExecutionResult] = None
+    result: Optional["ExecutionResult"] = None
 
     @property
     def ok(self) -> bool:
@@ -71,76 +78,55 @@ class DifferentialReport:
     def skipped(self) -> bool:
         return self.status == SKIPPED
 
-    def raise_on_failure(self) -> None:
-        if self.status == INVARIANT:
-            raise PlanInvariantError(self.detail, self.violations)
-        if self.status == MISMATCH:
-            raise ResultMismatchError(
-                f"engine/reference divergence on {self.system}",
-                sql=self.sql,
-                detail=self.detail,
-            )
-
 
 def differential_check(
-    sql: str,
-    store: DataStore,
-    config: SystemConfig,
-    views: Optional[dict] = None,
+    sql: str, cluster: "IgniteCalciteCluster"
 ) -> DifferentialReport:
-    """Run ``sql`` through both paths and compare; never raises for the
-    modelled failure modes (returns a skipped report instead)."""
-    system = config.name
+    """``cluster.try_sql(sql)`` with its correctness checks reported
+    instead of raised; ``cluster`` must run with ``verify_execution``.
+
+    Whatever ``try_sql`` classifies is skipped, except the catch-all
+    ``ERROR``: a query the library refused for no modelled reason (bad
+    SQL from a generator, an engine defect) is re-raised, so a sweep
+    cannot pass by failing to run anything.
+    """
+    from repro.core.cluster import QueryStatus
+
+    if not cluster.config.verify_execution:
+        raise ValueError("differential_check needs a verify_execution cluster")
+    system = cluster.config.name
     try:
-        statement = parse(sql, allow_views=config.views_supported)
-        converter = SqlToRelConverter(
-            store.catalog,
-            q20_defect_fixed=config.q20_defect_fixed,
-            views=views or {},
-        )
-        logical = converter.convert(statement)
-    except (UnsupportedSqlError, PlannerDefectError) as exc:
+        outcome = cluster.try_sql(sql)
+    except PlanInvariantError as exc:
         return DifferentialReport(
-            sql, system, SKIPPED, f"{type(exc).__name__}: {exc}"
+            sql, system, INVARIANT, str(exc), exc.violations
         )
-
-    try:
-        plan = QueryPlanner(store, config).plan(logical)
-    except (PlanningTimeoutError, PlannerDefectError, UnsupportedSqlError) as exc:
-        return DifferentialReport(
-            sql, system, SKIPPED, f"{type(exc).__name__}: {exc}"
-        )
-
-    validator = PlanValidator()
-    violations = validator.validate_plan(plan)
-    violations += validator.validate_fragments(fragment_plan(plan))
-    if violations:
-        lines = "\n".join(str(v) for v in violations)
-        return DifferentialReport(
-            sql,
-            system,
-            INVARIANT,
-            f"{len(violations)} invariant violation(s):\n{lines}",
-            tuple(violations),
-        )
-
-    try:
-        result = ExecutionEngine(store, config).execute(plan)
-    except ExecutionTimeoutError as exc:
-        return DifferentialReport(
-            sql, system, SKIPPED, f"ExecutionTimeoutError: {exc}"
-        )
-
-    reference_rows = ReferenceExecutor(store).execute(logical)
-    detail = compare_results(result.rows, reference_rows, logical)
-    if detail:
-        return DifferentialReport(sql, system, MISMATCH, detail, result=result)
-    return DifferentialReport(sql, system, OK, result=result)
+    except ResultMismatchError as exc:
+        return DifferentialReport(sql, system, MISMATCH, exc.detail)
+    if outcome.succeeded:
+        return DifferentialReport(sql, system, OK, result=outcome.result)
+    if outcome.status is QueryStatus.ERROR:
+        raise outcome.error
+    return DifferentialReport(
+        sql, system, SKIPPED, f"{type(outcome.error).__name__}: {outcome.error}"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Result comparison
 # ---------------------------------------------------------------------------
+
+
+def canon_rows(rows: Iterable[Tuple]) -> List[Tuple]:
+    """Rounded floats, the repo's differential convention: plans that sum
+    doubles in a different order differ in the last bits, not in truth."""
+    return [
+        tuple(
+            round(value, 6) if isinstance(value, float) else value
+            for value in row
+        )
+        for row in rows
+    ]
 
 
 def compare_results(
@@ -154,8 +140,8 @@ def compare_results(
     logical plan's outermost operator is a Sort, the engine rows must also
     respect the requested ordering (ties may legitimately differ).
     """
-    engine_canon = [_canon_row(r) for r in engine_rows]
-    reference_canon = [_canon_row(r) for r in reference_rows]
+    engine_canon = canon_rows(engine_rows)
+    reference_canon = canon_rows(reference_rows)
     problems: List[str] = []
     if len(engine_canon) != len(reference_canon):
         problems.append(
@@ -185,25 +171,17 @@ def compare_results(
     return "; ".join(problems)
 
 
-def _canon_row(row: Tuple) -> Tuple:
-    return tuple(
-        round(value, 6) if isinstance(value, float) else value
-        for value in row
-    )
-
-
 def _respects_order(
     rows: Sequence[Tuple], keys: Sequence[Tuple[int, bool]]
 ) -> bool:
+    """Adjacent rows are in the engine's total order over ``keys``: NULLs
+    last under ASC, first under DESC (:class:`NullsLast`)."""
     for previous, current in zip(rows, rows[1:]):
         for index, ascending in keys:
-            a, b = previous[index], current[index]
-            if a is None or b is None:
-                break  # no total order over NULLs; skip this pair
+            a, b = NullsLast(previous[index]), NullsLast(current[index])
             if a == b:
                 continue
-            ordered = a < b if ascending else a > b
-            if not ordered:
+            if not (a < b if ascending else b < a):
                 return False
             break
     return True

@@ -459,14 +459,3 @@ def check_execution_result(result) -> None:
             violations,
         )
 
-
-def validate_query_plan(
-    plan: PhysNode, fragments: Optional[Sequence[Fragment]] = None
-) -> List[Violation]:
-    """Convenience wrapper: all violations for ``plan`` (and fragments)."""
-    validator = PlanValidator()
-    violations = validator.validate_plan(plan)
-    violations += validator.validate_fragments(
-        fragments if fragments is not None else fragment_plan(plan)
-    )
-    return violations

@@ -18,15 +18,10 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "src")
 )
 
-from repro.adaptive import (  # noqa: E402
-    reset_adaptive_state,
-    reset_midquery_state,
-)
+from repro.adaptive import reset_adaptive_state  # noqa: E402
 from repro.exec.engine import ExecutionEngine  # noqa: E402
 from repro.obs.metrics import reset_registry  # noqa: E402
-from repro.serve import reset_serve_state  # noqa: E402
 from repro.stats import reset_sketch_state  # noqa: E402
-from repro.storage.adapters import reset_adapter_state  # noqa: E402
 from repro.verify.invariants import (  # noqa: E402
     PlanValidator,
     check_execution_result,
@@ -99,32 +94,6 @@ def _reset_adaptive_state():
 
 
 @pytest.fixture(autouse=True)
-def _reset_midquery_state():
-    """Each test starts (and ends) without leaked ``__mq_*`` temp tables.
-
-    The engine drops its materialization temps in a ``finally``, but a
-    test that monkeypatches execution or asserts mid-failure could still
-    strand one in a module-scoped cluster's store.
-    """
-    reset_midquery_state()
-    yield
-    reset_midquery_state()
-
-
-@pytest.fixture(autouse=True)
-def _reset_serve_state():
-    """Each test starts outside any tenant scope.
-
-    A test that raises from inside ``tenant_scope`` would otherwise leave
-    the tenant label stack non-empty and silently attach tenant labels to
-    every later test's metrics.
-    """
-    reset_serve_state()
-    yield
-    reset_serve_state()
-
-
-@pytest.fixture(autouse=True)
 def _reset_sketch_state():
     """Each test starts with empty sketch registries.
 
@@ -135,20 +104,6 @@ def _reset_sketch_state():
     reset_sketch_state()
     yield
     reset_sketch_state()
-
-
-@pytest.fixture(autouse=True)
-def _reset_adapter_state():
-    """Each test starts with every storage adapter's caches empty.
-
-    Adapter instances live per-table, but module-scoped clusters outlive
-    a single test; wiping column-file row groups, remote request
-    counters and any other adapter-side state keeps one test's scans
-    from warming (or skewing the metrics of) another's.
-    """
-    reset_adapter_state()
-    yield
-    reset_adapter_state()
 
 
 @pytest.fixture(autouse=True)

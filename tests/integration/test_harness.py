@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.harness import (
     ResponseTimeHarness,
-    confidence_interval_95,
     run_aql,
 )
 from repro.bench.tpch import (
@@ -101,12 +100,3 @@ class TestAql:
         assert len(workload) == 14
 
 
-class TestConfidenceInterval:
-    def test_single_value_has_zero_width(self):
-        mean, half = confidence_interval_95([3.0])
-        assert mean == 3.0 and half == 0.0
-
-    def test_symmetric_values(self):
-        mean, half = confidence_interval_95([1.0, 3.0])
-        assert mean == 2.0
-        assert half > 0

@@ -181,6 +181,24 @@ class TestPinnedRegression:
         ]
         assert leaked == []
 
+    def test_a_replan_under_a_merging_receiver_keeps_the_order(
+        self, execution_backend
+    ):
+        """Found by ``test_flag_matrix.py`` (seed 23): when the executed
+        prefix feeds the root's *merging* receiver, the temp table holds
+        the per-site sorted runs end to end and the suffix must re-sort."""
+        config = SystemConfig.ic_plus(4).with_(
+            midquery_reoptimization=True, execution_backend=execution_backend
+        )
+        cluster = make_company_cluster(config, sales_skew=0.9)
+        result = cluster.sql(
+            "select t0.amount, t0.sale_id, t0.emp_id from sales t0 "
+            "where t0.emp_id <> 1 order by t0.emp_id"
+        )
+        assert get_registry().counter("midquery.replans") == 1
+        keys = [row[2] for row in result.rows]
+        assert len(keys) == 50 and keys == sorted(keys)
+
     def test_replan_is_visible_in_explain_analyze(self):
         base = SystemConfig.ic_plus(4).with_(**ADAPTIVE_KNOBS)
         cluster = load_skewed_cluster(base)

@@ -25,7 +25,7 @@ from repro.common.config import PRESETS
 from repro.common.constants import RPTC
 from repro.core.cluster import IgniteCalciteCluster
 from repro.exec.physical import PhysLimit, PhysNode
-from repro.verify.differential import differential_check
+from repro.verify.differential import compare_results, oracle_detail
 
 pytestmark = pytest.mark.columnar
 
@@ -141,10 +141,13 @@ class TestNullJoinKeys:
             "(select 1 from tr where tr.k = tl.k)",
             "select k, count(*) from tl group by k",
         ):
-            report = differential_check(
-                sql, null_cluster.store, null_cluster.config
-            )
-            assert report.status == "ok", f"{sql}: {report.detail}"
+            assert _oracle_diff(null_cluster, sql) == "", sql
+
+
+def _oracle_diff(cluster, sql):
+    return oracle_detail(
+        cluster.store, cluster.parse_to_logical(sql), cluster.sql(sql).rows
+    )
 
 
 class TestNullOrdering:
@@ -167,6 +170,28 @@ class TestNullOrdering:
             (20, 3),
             (10, 1),
         ]
+
+
+    @pytest.mark.parametrize(
+        "direction, misplaced",
+        [
+            ("", [(None, 2), (10, 1), (20, 3), (30, 5), (None, 4)]),
+            (" desc", [(None, 2), (30, 5), (None, 4), (20, 3), (10, 1)]),
+        ],
+        ids=["asc-null-first", "desc-null-in-the-middle"],
+    )
+    def test_oracle_checks_null_placement(
+        self, null_cluster, direction, misplaced
+    ):
+        """A merge receiver that misplaces NULLs returns the right
+        multiset; the ORDER BY check must compare through the engine's
+        total order (NULLs last under ASC, first under DESC)."""
+        sql = f"select k, id from tl order by k{direction}, id"
+        logical = null_cluster.parse_to_logical(sql)
+        correct = null_cluster.sql(sql).rows
+        assert sorted(map(repr, misplaced)) == sorted(map(repr, correct))
+        assert compare_results(correct, correct, logical) == ""
+        assert "ORDER BY" in compare_results(misplaced, correct, logical)
 
 
 def _find_limits(plan: PhysNode):
@@ -362,10 +387,8 @@ class TestThreeValuedLogic:
             "(x > 5 or y = 1) is null",
             "case when not (x > 5 or y = 1) then true else y = 2 end",
         ):
-            report = differential_check(
-                f"select id from t where {where}", cluster.store, cluster.config
-            )
-            assert report.status == "ok", f"{where}: {report.detail}"
+            sql = f"select id from t where {where}"
+            assert _oracle_diff(cluster, sql) == "", where
 
     def test_ternary_partition_over_generated_predicates(self, cluster):
         """``p``, ``NOT p`` and ``p IS NULL`` split the table exactly, for

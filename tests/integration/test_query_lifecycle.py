@@ -6,7 +6,11 @@ same rows or the same exception class <-> status, and with tracing on the
 same span-name sequence — then the pieces that only one face used to have
 (DDL through ``sql``, the differential harness through ``try_sql``,
 verification errors escaping, execution-time errors classified) each get
-a regression test that fails on the pre-pipeline code.
+a regression test that fails on the pre-pipeline code.  Under
+``verify_execution`` the oracle check is the pipeline's last stage, not a
+second pipeline: ``TestVerifyStage`` pins that what is checked is the run
+the caller gets (cache hit, mid-query re-plan, degraded) and that nothing
+else about the query changes.
 """
 
 import pytest
@@ -35,6 +39,7 @@ from repro.core.cluster import STATUS_BY_ERROR, QueryStatus, classify
 from repro.exec.engine import ExecutionEngine
 from repro.exec.physical import walk_physical
 from repro.faults.injector import SiteCrash
+from repro.obs.metrics import get_registry
 
 JOIN = (
     "select e.name, s.amount from emp e, sales s "
@@ -231,6 +236,99 @@ class TestSharedPipelineBugfixes:
         assert isinstance(outcome.error, ExecutionError)
         with pytest.raises(ExecutionError):
             cluster.sql(JOIN)
+
+
+# -- the verify stage ----------------------------------------------------------
+
+
+def _force_divergence(monkeypatch):
+    import repro.verify.differential as differential
+
+    monkeypatch.setattr(
+        differential,
+        "compare_results",
+        lambda engine_rows, reference_rows, logical=None: "forced",
+    )
+
+
+class TestVerifyStage:
+    VERIFIED = SystemConfig.ic_plus(4).with_(verify_execution=True)
+
+    def test_a_verified_query_is_served_from_the_plan_cache(self):
+        cluster = make_company_cluster(self.VERIFIED.with_(**ADAPTIVE))
+        cached = [cluster.try_sql(JOIN).plan_cached for _ in range(3)]
+        assert cached == [False, True, True]
+        assert len(cluster.adaptive.feedback) > 0
+
+    def test_a_cache_hit_is_verified(self, monkeypatch):
+        cluster = make_company_cluster(self.VERIFIED.with_(**ADAPTIVE))
+        assert cluster.try_sql(JOIN).ok
+        _force_divergence(monkeypatch)
+        with pytest.raises(ResultMismatchError) as raised:
+            cluster.try_sql(JOIN)
+        assert raised.value.sql == JOIN and raised.value.detail == "forced"
+        (entry,) = cluster.adaptive.cache._entries.values()
+        assert entry.hits == 1
+
+    def test_a_midquery_replanned_run_is_verified(self, monkeypatch):
+        from repro.bench.midquery import MIDQUERY_QUERIES, load_skewed_cluster
+
+        cluster = load_skewed_cluster(
+            self.VERIFIED.with_(midquery_reoptimization=True), 0.1
+        )
+        result = cluster.sql(MIDQUERY_QUERIES["MQ1"])
+        assert get_registry().counter("midquery.replans") >= 1
+        assert any(f.replanned for f in result.fragment_trees)
+        _force_divergence(monkeypatch)
+        with pytest.raises(ResultMismatchError):
+            cluster.sql(MIDQUERY_QUERIES["MQ1"])
+
+    def test_a_degraded_run_is_the_one_verified(self, monkeypatch):
+        import repro.verify.differential as differential
+
+        cluster = make_company_cluster(
+            self.VERIFIED.with_(faults=(SiteCrash(1, at=0.0),))
+        )
+        ran, compared = [], []
+        execute = ExecutionEngine.execute
+
+        def remember(self, plan, **kwargs):
+            ran.append(execute(self, plan, **kwargs))
+            return ran[-1]
+
+        def diverge(engine_rows, reference_rows, logical=None):
+            compared.append(engine_rows)
+            return "forced"
+
+        monkeypatch.setattr(ExecutionEngine, "execute", remember)
+        monkeypatch.setattr(differential, "compare_results", diverge)
+        with pytest.raises(ResultMismatchError):
+            cluster.try_sql(JOIN)
+        # Planned and executed once — there is no fault-free twin — and
+        # the rows handed to the oracle are that one degraded run's.
+        registry = get_registry()
+        assert registry.counter("exec.queries") == 1
+        assert registry.counter("planner.queries_planned") == 1
+        (result,), (rows,) = ran, compared
+        assert result.degraded and rows is result.rows
+
+    @pytest.mark.parametrize(
+        "name", ["budget-exhausted", "runtime-limit", "unsupported-sql", "explain"]
+    )
+    def test_the_flag_changes_no_classification(self, name, monkeypatch):
+        overrides, statement, _ = STATEMENTS[name]
+        config = SystemConfig.ic_plus(4).with_(**overrides)
+        plain = make_company_cluster(config).try_sql(statement)
+        # EXPLAIN stays unverified: even a forced divergence passes.
+        _force_divergence(monkeypatch)
+        verified = make_company_cluster(
+            config.with_(verify_execution=True)
+        ).try_sql(statement)
+        assert verified.status is plain.status
+        assert type(verified.error) is type(plain.error)
+        assert verified.succeeded == plain.succeeded
+        if plain.succeeded:
+            assert verified.rows == plain.rows
 
 
 # -- per-query values stay per query -----------------------------------------

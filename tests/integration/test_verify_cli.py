@@ -98,9 +98,9 @@ class TestVerifyExitCodes:
     def test_invariant_violation_exits_2(self, capsys, monkeypatch):
         import repro.verify.differential as differential
 
-        def forced_invariant(sql, store, config, views=None):
+        def forced_invariant(sql, cluster):
             return differential.DifferentialReport(
-                sql, config.name, differential.INVARIANT, "forced (test)"
+                sql, cluster.config.name, differential.INVARIANT, "forced"
             )
 
         monkeypatch.setattr(
@@ -114,7 +114,7 @@ class TestVerifyExitCodes:
     def test_harness_crash_exits_3(self, capsys, monkeypatch):
         import repro.verify.differential as differential
 
-        def exploding_check(sql, store, config, views=None):
+        def exploding_check(sql, cluster):
             raise RuntimeError("forced crash (test)")
 
         monkeypatch.setattr(
@@ -130,20 +130,20 @@ class TestVerifyExitCodes:
 
         calls = iter(("crash", "invariant", "mismatch"))
 
-        def mixed_check(sql, store, config, views=None):
+        def mixed_check(sql, cluster):
             kind = next(calls, "ok")
             if kind == "crash":
                 raise RuntimeError("forced crash (test)")
             if kind == "invariant":
                 return differential.DifferentialReport(
-                    sql, config.name, differential.INVARIANT, "forced"
+                    sql, cluster.config.name, differential.INVARIANT, "forced"
                 )
             if kind == "mismatch":
                 return differential.DifferentialReport(
-                    sql, config.name, differential.MISMATCH, "forced"
+                    sql, cluster.config.name, differential.MISMATCH, "forced"
                 )
             return differential.DifferentialReport(
-                sql, config.name, differential.OK
+                sql, cluster.config.name, differential.OK
             )
 
         monkeypatch.setattr(differential, "differential_check", mixed_check)

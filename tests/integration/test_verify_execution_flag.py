@@ -1,8 +1,9 @@
 """The ``SystemConfig.verify_execution`` flag end to end.
 
 With the flag on, the engine validates every plan it is about to execute
-and the cluster facade routes ``sql()`` through the differential harness;
-with it off, neither check runs (production behaviour).
+and the statement pipeline diffs the rows it is about to return against
+the reference executor; with it off, neither check runs (production
+behaviour).
 """
 
 import pytest
@@ -91,14 +92,12 @@ class TestClusterFlag:
         assert SQL in excinfo.value.sql
 
     def test_sql_unverified_by_default(self, monkeypatch):
-        # The differential path must not run unless the flag is set.
-        import repro.verify.differential as differential
+        # The oracle must not run unless the flag is set.
+        import repro.core.cluster as cluster_module
 
         def explode(*args, **kwargs):
-            raise AssertionError("differential_check ran without the flag")
+            raise AssertionError("the oracle ran without the flag")
 
-        monkeypatch.setattr(
-            differential, "differential_check", explode
-        )
+        monkeypatch.setattr(cluster_module, "oracle_detail", explode)
         cluster = make_company_cluster(SystemConfig.ic_plus(4))
         assert len(cluster.sql(SQL).rows) == 500

@@ -13,7 +13,7 @@ finally validates the trace artefacts a columnar execution emits.
 
 import pytest
 
-from helpers import make_company_store
+from helpers import make_company_cluster, make_company_store
 from repro.bench.ssb import SSB_QUERIES, load_ssb_cluster
 from repro.bench.tpch import load_tpch_cluster
 from repro.bench.tpch.queries import (
@@ -77,16 +77,16 @@ def _assert_backends_agree(row_report, col_report, sql, label):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_company_sweep_matches_row_backend_and_oracle(
-    preset, company_store, company_queries
+    preset, company_queries
 ):
-    factory = PRESETS[preset]
+    config = PRESETS[preset]().with_(verify_execution=True)
+    row_cluster = make_company_cluster(config.with_(execution_backend="row"))
+    col_cluster = make_company_cluster(
+        config.with_(execution_backend="columnar")
+    )
     for sql in company_queries:
-        row_report = differential_check(
-            sql, company_store, factory().with_(execution_backend="row")
-        )
-        col_report = differential_check(
-            sql, company_store, factory().with_(execution_backend="columnar")
-        )
+        row_report = differential_check(sql, row_cluster)
+        col_report = differential_check(sql, col_cluster)
         _assert_backends_agree(row_report, col_report, sql, preset)
 
 

@@ -9,7 +9,7 @@ explicitly with ``-m verify``.
 
 import pytest
 
-from helpers import make_company_store
+from helpers import make_company_cluster
 from repro.common.config import PRESETS
 from repro.verify.differential import differential_check
 from repro.verify.generator import QueryGenerator, SSB_EXTRA_EDGES
@@ -17,16 +17,24 @@ from repro.verify.generator import QueryGenerator, SSB_EXTRA_EDGES
 SYSTEMS = ["IC", "IC+", "IC+M"]
 
 
-def run_sweep(store, queries, system, extra_ok_statuses=()):
-    config = PRESETS[system](store.site_count)
+def verified(system):
+    return PRESETS[system](4).with_(verify_execution=True)
+
+
+def run_sweep(cluster, count, extra_edges=()):
+    """Checked (not skipped) queries of ``count`` generated over the
+    cluster's own data, which is the same under every preset."""
+    queries = QueryGenerator(
+        cluster.store, seed=0, extra_edges=extra_edges
+    ).queries(count)
     failures = []
     checked = 0
     for sql in queries:
-        report = differential_check(sql, store, config)
+        report = differential_check(sql, cluster)
         if report.skipped:
             continue
         checked += 1
-        if not report.ok and report.status not in extra_ok_statuses:
+        if not report.ok:
             failures.append(f"[{report.status}] {sql}\n{report.detail}")
     assert not failures, "\n\n".join(failures)
     return checked
@@ -34,53 +42,29 @@ def run_sweep(store, queries, system, extra_ok_statuses=()):
 
 @pytest.mark.verify
 class TestCompanySchema:
-    @pytest.fixture(scope="class")
-    def store(self):
-        return make_company_store(sites=4)
-
-    @pytest.fixture(scope="class")
-    def queries(self, store):
-        return QueryGenerator(store, seed=0).queries(50)
-
     @pytest.mark.parametrize("system", SYSTEMS)
-    def test_fifty_random_queries_agree(self, store, queries, system):
-        checked = run_sweep(store, queries, system)
+    def test_fifty_random_queries_agree(self, system):
+        checked = run_sweep(make_company_cluster(verified(system)), 50)
         assert checked >= 45  # nearly nothing should be skipped
 
 
 @pytest.mark.verify
 class TestTpchSchema:
-    @pytest.fixture(scope="class")
-    def store(self):
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_twenty_random_queries_agree(self, system):
         from repro.bench.tpch import load_tpch_cluster
 
-        return load_tpch_cluster(PRESETS["IC+"](4), 0.02).store
-
-    @pytest.fixture(scope="class")
-    def queries(self, store):
-        return QueryGenerator(store, seed=0).queries(20)
-
-    @pytest.mark.parametrize("system", SYSTEMS)
-    def test_twenty_random_queries_agree(self, store, queries, system):
-        checked = run_sweep(store, queries, system)
+        checked = run_sweep(load_tpch_cluster(verified(system), 0.02), 20)
         assert checked >= 15
 
 
 @pytest.mark.verify
 class TestSsbSchema:
-    @pytest.fixture(scope="class")
-    def store(self):
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_fifteen_random_queries_agree(self, system):
         from repro.bench.ssb import load_ssb_cluster
 
-        return load_ssb_cluster(PRESETS["IC+"](4), 0.02).store
-
-    @pytest.fixture(scope="class")
-    def queries(self, store):
-        return QueryGenerator(
-            store, seed=0, extra_edges=SSB_EXTRA_EDGES
-        ).queries(15)
-
-    @pytest.mark.parametrize("system", SYSTEMS)
-    def test_fifteen_random_queries_agree(self, store, queries, system):
-        checked = run_sweep(store, queries, system)
+        checked = run_sweep(
+            load_ssb_cluster(verified(system), 0.02), 15, SSB_EXTRA_EDGES
+        )
         assert checked >= 11

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.harness import latency_percentiles, percentile
 from repro.common.config import SystemConfig
 from repro.common.errors import (
     ExecutionTimeoutError,
@@ -10,7 +9,13 @@ from repro.common.errors import (
     SiteFailureError,
 )
 from repro.core.cluster import QueryOutcome, QueryStatus
-from repro.faults.chaos import RetryPolicy, _failed_attempt_seconds
+from repro.faults.chaos import (
+    ChaosRecord,
+    ChaosReport,
+    RetryPolicy,
+    _failed_attempt_seconds,
+)
+from repro.obs.metrics import percentile
 
 
 class TestRetryPolicy:
@@ -104,5 +109,9 @@ class TestPercentile:
             percentile([1.0], 101.0)
 
     def test_latency_percentiles_keys(self):
-        summary = latency_percentiles([1.0, 2.0, 3.0])
-        assert set(summary) == {50.0, 95.0, 99.0}
+        records = [
+            ChaosRecord(f"q{i}", "select 1", QueryStatus.OK, 1, 0.0, s, s)
+            for i, s in enumerate((1.0, 2.0, 3.0))
+        ]
+        summary = ChaosReport("IC+", 4, 0, records).percentiles()
+        assert summary == {50.0: 2.0, 95.0: 3.0, 99.0: 3.0}

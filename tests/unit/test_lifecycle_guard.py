@@ -149,3 +149,48 @@ def test_the_engine_writes_no_attribute_outside_its_constructor():
         and target.value.id == "self"
     ]
     assert written == []
+
+
+# -- one oracle --------------------------------------------------------------
+
+DIFFERENTIAL = SRC / "verify" / "differential.py"
+
+
+def test_the_reference_executor_is_constructed_in_one_function():
+    constructing = [
+        f"{path.relative_to(SRC)}:{name}"
+        for path in SRC.rglob("*.py")
+        if path != SRC / "verify" / "reference.py"
+        for name, function in _functions(path).items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "ReferenceExecutor"
+    ]
+    assert constructing == ["verify/differential.py:oracle_detail"]
+    for path in SRC.rglob("*.py"):
+        if path.parent != SRC / "verify":
+            assert "ReferenceExecutor(" not in path.read_text(), path
+
+
+@pytest.mark.parametrize(
+    "needle",
+    ["SqlToRelConverter", "QueryPlanner", "ExecutionEngine", "fragment_plan"],
+)
+def test_the_differential_module_owns_no_pipeline(needle):
+    assert needle not in DIFFERENTIAL.read_text()
+
+
+def test_the_cluster_plans_in_one_place_and_never_forks_to_verify():
+    text = CLUSTER.read_text()
+    assert "_differential" not in text
+    assert text.count("QueryPlanner(") == 1
+
+
+def test_the_fault_layer_does_not_import_the_bench_layer():
+    importing = [
+        str(path.relative_to(SRC))
+        for path in (SRC / "faults").rglob("*.py")
+        if "repro.bench" in path.read_text()
+    ]
+    assert importing == []

@@ -34,9 +34,6 @@ def test_label_order_does_not_matter():
 
 def test_gauges_last_write_and_high_water():
     reg = MetricsRegistry()
-    reg.set_gauge("level", 5.0)
-    reg.set_gauge("level", 2.0)
-    assert reg.gauge("level") == 2.0
     reg.gauge_max("peak", 5.0)
     reg.gauge_max("peak", 2.0)
     reg.gauge_max("peak", 9.0)
@@ -60,7 +57,7 @@ def test_histograms_summarise():
 def test_snapshot_is_flat_sorted_and_expands_histograms():
     reg = MetricsRegistry()
     reg.inc("b.counter", 2)
-    reg.set_gauge("a.gauge", 7.0, site="0")
+    reg.gauge_max("a.gauge", 7.0, site="0")
     reg.observe("c.hist", 4.0)
     snap = reg.snapshot()
     assert list(snap) == sorted(snap)
@@ -100,7 +97,7 @@ def test_delta_since_keeps_current_value_for_min_max():
 def test_reset_clears_everything():
     reg = MetricsRegistry()
     reg.inc("c")
-    reg.set_gauge("g", 1.0)
+    reg.gauge_max("g", 1.0)
     reg.observe("h", 1.0)
     reg.reset()
     assert reg.snapshot() == {}
@@ -246,14 +243,12 @@ def test_tenant_scope_none_is_noop():
         assert current_tenant() is None
 
 
-def test_reset_tenant_scope_clears_stack():
-    from repro.obs.metrics import (
-        current_tenant,
-        reset_tenant_scope,
-        tenant_scope,
-    )
 
-    scope = tenant_scope("stuck")
-    scope.__enter__()
-    reset_tenant_scope()
+
+def test_tenant_scope_pops_when_the_block_raises():
+    from repro.obs.metrics import current_tenant, tenant_scope
+
+    with pytest.raises(RuntimeError):
+        with tenant_scope("acme"):
+            raise RuntimeError("request failed")
     assert current_tenant() is None

@@ -21,7 +21,6 @@ from repro.storage.adapters import (
     NativeAdapter,
     PushedScan,
     RemoteCatalogAdapter,
-    adapter_names,
     compile_pushdown,
     create_adapter,
     scan_charge,
@@ -44,7 +43,8 @@ def _schema(name="t", adapter="native"):
 
 class TestRegistry:
     def test_builtin_adapters_registered(self):
-        assert {"native", "columnfile", "remote"} <= set(adapter_names())
+        for name in ("native", "columnfile", "remote"):
+            assert create_adapter(name).name == name
 
     def test_create_adapter_is_case_insensitive(self):
         assert create_adapter("COLUMNFILE").name == "columnfile"

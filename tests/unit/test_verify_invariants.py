@@ -11,7 +11,7 @@ from repro.planner.volcano import QueryPlanner
 from repro.rel.sql2rel import SqlToRelConverter
 from repro.rel.traits import Distribution
 from repro.sql.parser import parse
-from repro.verify.invariants import PlanValidator, validate_query_plan
+from repro.verify.invariants import PlanValidator
 
 JOIN_SQL = (
     "select e.name, s.amount from emp e, sales s "
@@ -45,7 +45,9 @@ class TestCleanPlans:
         from repro.common.config import PRESETS
 
         plan = plan_for(store, sql, PRESETS[system](4))
-        assert validate_query_plan(plan) == []
+        validator = PlanValidator()
+        assert validator.validate_plan(plan) == []
+        assert validator.validate_fragments(fragment_plan(plan)) == []
 
     def test_check_passes_silently_on_clean_plan(self, store):
         PlanValidator().check(plan_for(store, JOIN_SQL))
