@@ -1,9 +1,11 @@
 """Shared fixtures for the paper-reproduction benchmarks.
 
-The heavy experiment matrices (every system x site count x scale factor)
-are computed once per session and shared by the figure benchmarks; each
-benchmark file prints its figure/table in the paper's layout and uses the
-pytest-benchmark fixture to time a representative piece of real work.
+Every figure/table benchmark takes its artefact from one session-scoped
+:class:`repro.bench.reporting.PaperRun` — the object ``repro-bench
+figure*`` prints — so each (system, sites, scale factor) cell is measured
+once per session.  A benchmark file holds what is its own: the paper's
+shape assertions for that artefact and a pytest-benchmark timing of a
+representative piece of real work.
 
 Environment knobs:
 
@@ -14,88 +16,25 @@ Environment knobs:
 from __future__ import annotations
 
 import os
-from typing import Dict, Tuple
 
 import pytest
 
-from repro.bench.harness import ResponseTimeHarness, ResponseTimeResult
-from repro.bench.ssb import SSB_QUERIES, FIGURE11_QUERY_IDS, load_ssb_cluster
-from repro.bench.tpch import ENABLED_QUERY_IDS, QUERIES, load_tpch_cluster
-from repro.common.config import SystemConfig
-
-SYSTEM_MAKERS = {
-    "IC": SystemConfig.ic,
-    "IC+": SystemConfig.ic_plus,
-    "IC+M": SystemConfig.ic_plus_m,
-}
-
-
-def bench_scale_factors() -> Tuple[float, ...]:
-    raw = os.environ.get("REPRO_BENCH_SF", "0.5,1")
-    return tuple(float(x) for x in raw.split(","))
-
-
-def bench_site_counts() -> Tuple[int, ...]:
-    raw = os.environ.get("REPRO_BENCH_SITES", "4,8")
-    return tuple(int(x) for x in raw.split(","))
+from repro.bench.reporting import PaperRun
 
 
 @pytest.fixture(scope="session")
-def scale_factors() -> Tuple[float, ...]:
-    return bench_scale_factors()
+def paper_run() -> PaperRun:
+    sf = os.environ.get("REPRO_BENCH_SF", "0.5,1").split(",")
+    sites = os.environ.get("REPRO_BENCH_SITES", "4,8").split(",")
+    return PaperRun([float(x) for x in sf], [int(x) for x in sites])
 
 
-@pytest.fixture(scope="session")
-def site_counts() -> Tuple[int, ...]:
-    return bench_site_counts()
+@pytest.fixture
+def show(capsys):
+    """Print an artefact's text under pytest's capture."""
 
+    def emit(text: str) -> None:
+        with capsys.disabled():
+            print("\n" + text)
 
-@pytest.fixture(scope="session")
-def tpch_matrix(
-    scale_factors, site_counts
-) -> Dict[Tuple[str, int], ResponseTimeResult]:
-    """Per-query response times for every (system, sites) configuration."""
-    queries = {f"Q{qid}": QUERIES[qid].sql for qid in ENABLED_QUERY_IDS}
-    matrix: Dict[Tuple[str, int], ResponseTimeResult] = {}
-    for sites in site_counts:
-        for name, maker in SYSTEM_MAKERS.items():
-            harness = ResponseTimeHarness(
-                load_tpch_cluster, queries, scale_factors
-            )
-            matrix[(name, sites)] = harness.run(maker(sites))
-    return matrix
-
-
-@pytest.fixture(scope="session")
-def ssb_matrix(
-    scale_factors, site_counts
-) -> Dict[Tuple[str, int], ResponseTimeResult]:
-    """SSB response times for IC and IC+M (Figure 11's comparison)."""
-    queries = {
-        qid: SSB_QUERIES[qid].sql for qid in FIGURE11_QUERY_IDS
-    }
-    matrix: Dict[Tuple[str, int], ResponseTimeResult] = {}
-    for sites in site_counts:
-        for name in ("IC", "IC+M"):
-            harness = ResponseTimeHarness(
-                load_ssb_cluster, queries, scale_factors
-            )
-            matrix[(name, sites)] = harness.run(SYSTEM_MAKERS[name](sites))
-    return matrix
-
-
-def format_gain_table(
-    title: str,
-    queries,
-    gains: Dict[Tuple[str, int], Dict[str, float]],
-    site_counts,
-) -> str:
-    """Render a Figure 7/8-style per-query gain table."""
-    lines = [title, "query  " + "  ".join(f"{s}-sites" for s in site_counts)]
-    for query in queries:
-        cells = []
-        for sites in site_counts:
-            gain = gains.get(("gain", sites), {}).get(query)
-            cells.append("   n/a " if gain is None else f"{gain:6.2f}x")
-        lines.append(f"{query:<6} " + "  ".join(cells))
-    return "\n".join(lines)
+    return emit

@@ -13,12 +13,8 @@ from __future__ import annotations
 import statistics
 
 from repro.bench.harness import run_aql
-from repro.bench.tpch import (
-    ENABLED_QUERY_IDS,
-    IC_FAILING_QUERY_IDS,
-    QUERIES,
-    load_tpch_cluster,
-)
+from repro.bench.reporting import AQL_WORKLOAD, TPCH_WORKLOAD
+from repro.bench.tpch import QUERIES, load_tpch_cluster
 from repro.common.config import SystemConfig
 
 SF = 0.5
@@ -26,11 +22,6 @@ THREADS = (1, 2, 3, 4, 8)
 
 
 def test_ablation_thread_count(benchmark, capsys):
-    workload = {
-        f"Q{qid}": QUERIES[qid].sql
-        for qid in ENABLED_QUERY_IDS
-        if qid not in IC_FAILING_QUERY_IDS
-    }
     single = {}
     loaded = {}
     for threads in THREADS:
@@ -38,13 +29,13 @@ def test_ablation_thread_count(benchmark, capsys):
             SystemConfig.ic_plus_m(4, threads=threads), SF
         )
         latencies = []
-        for qid in ENABLED_QUERY_IDS:
-            outcome = cluster.try_sql(QUERIES[qid].sql)
+        for sql in TPCH_WORKLOAD.values():
+            outcome = cluster.try_sql(sql)
             if outcome.ok:
                 latencies.append(outcome.simulated_seconds)
         single[threads] = statistics.mean(latencies)
         loaded[threads] = run_aql(
-            cluster, workload, clients=4, duration_seconds=300
+            cluster, AQL_WORKLOAD, clients=4, duration_seconds=300
         ).average_latency
 
     lines = ["", "Ablation: variant fragments per fragment (Section 6.2.3)"]

@@ -14,40 +14,31 @@ from repro.common.config import SystemConfig
 from repro.core.cluster import QueryStatus
 
 EXPECTED_IC = {
-    2: QueryStatus.PLANNING_FAILED,
-    5: QueryStatus.PLANNING_FAILED,
-    9: QueryStatus.PLANNING_FAILED,
-    15: QueryStatus.UNSUPPORTED,
-    17: QueryStatus.TIMEOUT,
-    19: QueryStatus.TIMEOUT,
-    20: QueryStatus.PLANNER_DEFECT,
-    21: QueryStatus.TIMEOUT,
+    "Q2": QueryStatus.PLANNING_FAILED,
+    "Q5": QueryStatus.PLANNING_FAILED,
+    "Q9": QueryStatus.PLANNING_FAILED,
+    "Q15": QueryStatus.UNSUPPORTED,
+    "Q17": QueryStatus.TIMEOUT,
+    "Q19": QueryStatus.TIMEOUT,
+    "Q20": QueryStatus.PLANNER_DEFECT,
+    "Q21": QueryStatus.TIMEOUT,
 }
 
 
-def test_failure_matrix(benchmark, scale_factors, capsys):
+def test_failure_matrix(benchmark, paper_run, show):
     # The Q17/Q19/Q21 nested-loop timeouts need enough data to blow the
     # runtime limit; the paper's smallest scale factor is 0.5.
-    sf = max(0.5, min(scale_factors))
-    ic = load_tpch_cluster(SystemConfig.ic(4), sf)
+    sf = max(0.5, min(paper_run.scale_factors))
+    matrix = paper_run.failures(scale_factor=sf)
+    show(matrix.to_text())
+
+    for query, ic_status, ic_plus_status in matrix.rows:
+        expected = EXPECTED_IC.get(query, QueryStatus.OK)
+        assert ic_status == expected.value, (query, ic_status)
+        # Q15 and Q20 are disabled on every system variant.
+        assert (ic_plus_status == "ok") == (query not in ("Q15", "Q20")), (
+            query, ic_plus_status,
+        )
+
     ic_plus = load_tpch_cluster(SystemConfig.ic_plus(4), sf)
-
-    lines = ["", "Baseline failure matrix (Section 1 / Section 6)"]
-    lines.append("query  IC                IC+")
-    for qid in sorted(QUERIES):
-        a = ic.try_sql(QUERIES[qid].sql)
-        b = ic_plus.try_sql(QUERIES[qid].sql)
-        lines.append(f"Q{qid:<5} {a.status.value:<17} {b.status.value}")
-        if qid in EXPECTED_IC:
-            assert a.status is EXPECTED_IC[qid], (qid, a.status)
-        else:
-            assert a.ok, (qid, a.status, a.error)
-        if qid in (15, 20):
-            # Disabled on every system variant.
-            assert not b.ok
-        else:
-            assert b.ok, (qid, b.status, b.error)
-    with capsys.disabled():
-        print("\n".join(lines))
-
     benchmark(lambda: ic_plus.try_sql(QUERIES[2].sql))

@@ -7,37 +7,10 @@ queries benefit — the paper notes Q4 flips to a decrease on eight sites.
 
 from __future__ import annotations
 
-from repro.bench.tpch import ENABLED_QUERY_IDS, QUERIES, load_tpch_cluster
-from repro.common.config import SystemConfig
-
-from test_fig9_multithreading_4sites import (
-    QUERY_NAMES,
-    check_multithreading_shape,
-    multithreading_changes,
-)
-
-SITES = 8
+from test_fig9_multithreading_4sites import check_multithreading
 
 
 def test_fig10_multithreading_8sites(
-    benchmark, tpch_matrix, scale_factors, site_counts, capsys
+    benchmark, paper_run, show
 ):
-    if SITES not in site_counts:
-        import pytest
-
-        pytest.skip("8-site matrix disabled via REPRO_BENCH_SITES")
-    changes = multithreading_changes(tpch_matrix, scale_factors, SITES)
-    lines = ["", f"Figure 10: IC+ vs IC+M incremental change ({SITES} sites)"]
-    for name in QUERY_NAMES:
-        change = changes[name]
-        cell = "   n/a" if change is None else f"{change:+6.1f}%"
-        lines.append(f"{name:<6} {cell}")
-    with capsys.disabled():
-        print("\n".join(lines))
-
-    check_multithreading_shape(changes)
-
-    cluster = load_tpch_cluster(
-        SystemConfig.ic_plus_m(SITES), min(scale_factors)
-    )
-    benchmark(lambda: cluster.sql(QUERIES[6].sql))
+    check_multithreading(benchmark, paper_run, show, sites=8)

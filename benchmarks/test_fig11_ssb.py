@@ -9,36 +9,18 @@ QS1 improves moderately (only the small DATE relation is shipped).
 
 from __future__ import annotations
 
-from repro.bench.ssb import FIGURE11_QUERY_IDS, SSB_QUERIES, load_ssb_cluster
+from repro.bench.ssb import SSB_QUERIES, load_ssb_cluster
 from repro.common.config import SystemConfig
 
 
-def test_fig11_ssb(benchmark, ssb_matrix, scale_factors, site_counts, capsys):
-    multipliers = {}
-    for sites in site_counts:
-        baseline = ssb_matrix[("IC", sites)]
-        overall = ssb_matrix[("IC+M", sites)]
-        multipliers[sites] = {
-            qid: overall.mean_gain_over(baseline, qid, scale_factors)
-            for qid in FIGURE11_QUERY_IDS
-        }
+def test_fig11_ssb(benchmark, paper_run, show):
+    figure = paper_run.figure11()
+    show(figure.to_text())
 
-    lines = ["", "Figure 11: SSB per-query multiplier, IC vs IC+M"]
-    lines.append("query  " + "  ".join(f"{s}-sites" for s in site_counts))
-    for qid in FIGURE11_QUERY_IDS:
-        cells = []
-        for sites in site_counts:
-            gain = multipliers[sites][qid]
-            cells.append("  n/a  " if gain is None else f"{gain:6.2f}x")
-        lines.append(f"{qid:<6} " + "  ".join(cells))
-    lines.append("(QS2 and QS4 excluded, Section 6.4)")
-    with capsys.disabled():
-        print("\n".join(lines))
-
-    for sites in site_counts:
-        flight1 = [multipliers[sites][q] for q in ("Q1.1", "Q1.2", "Q1.3")]
+    for sites in figure.site_counts:
+        flight1 = [figure.gains[(q, sites)] for q in ("Q1.1", "Q1.2", "Q1.3")]
         flight3 = [
-            multipliers[sites][q] for q in ("Q3.1", "Q3.2", "Q3.3", "Q3.4")
+            figure.gains[(q, sites)] for q in ("Q3.1", "Q3.2", "Q3.3", "Q3.4")
         ]
         assert all(m is not None and m >= 1.0 for m in flight1)
         assert all(m is not None and m >= 1.2 for m in flight3)
@@ -46,5 +28,6 @@ def test_fig11_ssb(benchmark, ssb_matrix, scale_factors, site_counts, capsys):
         # QS3's best beats QS1's best: the paper's headline ordering.
         assert max(flight3) > max(flight1)
 
-    cluster = load_ssb_cluster(SystemConfig.ic_plus_m(4), min(scale_factors))
+    smallest_sf = min(paper_run.scale_factors)
+    cluster = load_ssb_cluster(SystemConfig.ic_plus_m(4), smallest_sf)
     benchmark(lambda: cluster.sql(SSB_QUERIES["Q1.1"].sql))

@@ -14,59 +14,42 @@ Q10, Q11, Q13, Q16) and the hash join; Q1/Q6 unchanged (same plans).
 
 from __future__ import annotations
 
-from repro.bench.tpch import ENABLED_QUERY_IDS, QUERIES, load_tpch_cluster
+from repro.bench.tpch import QUERIES, load_tpch_cluster
 from repro.common.config import SystemConfig
 
-QUERY_NAMES = [f"Q{qid}" for qid in ENABLED_QUERY_IDS]
+IC_CASUALTIES = {"Q2", "Q5", "Q9", "Q17", "Q19", "Q21"}
 
 
-def compute_fig7(tpch_matrix, scale_factors, site_counts):
-    gains = {}
-    for sites in site_counts:
-        baseline = tpch_matrix[("IC", sites)]
-        improved = tpch_matrix[("IC+", sites)]
-        gains[sites] = {
-            name: improved.mean_gain_over(baseline, name, scale_factors)
-            for name in QUERY_NAMES
-        }
-    return gains
-
-
-def test_fig7_ic_plus_speedup(
-    benchmark, tpch_matrix, scale_factors, site_counts, capsys
-):
-    gains = compute_fig7(tpch_matrix, scale_factors, site_counts)
-
-    lines = ["", "Figure 7: IC+ speedup over IC (mean across scale factors)"]
-    lines.append("query  " + "  ".join(f"{s}-sites" for s in site_counts))
-    for name in QUERY_NAMES:
-        cells = []
-        for sites in site_counts:
-            gain = gains[sites][name]
-            cells.append("  n/a  " if gain is None else f"{gain:6.2f}x")
-        lines.append(f"{name:<6} " + "  ".join(cells))
-    with capsys.disabled():
-        print("\n".join(lines))
-
-    for sites in site_counts:
-        # Queries IC cannot run have no bar — and they are exactly the six
-        # the paper lists.  (The Q17/Q19/Q21 timeouts are scale-dependent;
-        # below the paper's smallest SF of 0.5 they may complete.)
-        missing = {n for n, g in gains[sites].items() if g is None}
-        if min(scale_factors) >= 0.5:
-            assert missing == {"Q2", "Q5", "Q9", "Q17", "Q19", "Q21"}
+def check_baseline_casualties(figure, smallest_sf):
+    """Queries IC cannot run have no bar — and they are exactly the six
+    the paper lists.  (The Q17/Q19/Q21 timeouts are scale-dependent;
+    below the paper's smallest SF of 0.5 they may complete.)  Every
+    comparable query improves or stays level (>= ~1x).  Returns the
+    comparable gains per site count."""
+    comparable = {}
+    for sites in figure.site_counts:
+        gains = {q: figure.gains[(q, sites)] for q in figure.queries}
+        missing = {q for q, gain in gains.items() if gain is None}
+        if smallest_sf >= 0.5:
+            assert missing == IC_CASUALTIES
         else:
-            assert {"Q2", "Q5", "Q9"} <= missing <= {
-                "Q2", "Q5", "Q9", "Q17", "Q19", "Q21"
-            }
-        # Every comparable query improves or stays level (>= ~1x).
-        for name, gain in gains[sites].items():
+            assert {"Q2", "Q5", "Q9"} <= missing <= IC_CASUALTIES
+        comparable[sites] = [g for g in gains.values() if g is not None]
+        for query, gain in gains.items():
             if gain is not None:
-                assert gain >= 0.85, f"{name} regressed at {sites} sites: {gain}"
+                assert gain >= 0.85, f"{query} regressed at {sites} sites: {gain}"
+    return comparable
+
+
+def test_fig7_ic_plus_speedup(benchmark, paper_run, show):
+    figure = paper_run.figure7()
+    show(figure.to_text())
+
+    smallest_sf = min(paper_run.scale_factors)
+    for gains in check_baseline_casualties(figure, smallest_sf).values():
         # Headline gains: at least a third of the queries improve >= 1.5x.
-        strong = [g for g in gains[sites].values() if g is not None and g >= 1.5]
-        assert len(strong) >= 5
+        assert len([g for g in gains if g >= 1.5]) >= 5
 
     # Benchmark a representative IC+ execution (Q3 at the smallest SF).
-    cluster = load_tpch_cluster(SystemConfig.ic_plus(4), min(scale_factors))
+    cluster = load_tpch_cluster(SystemConfig.ic_plus(4), smallest_sf)
     benchmark(lambda: cluster.sql(QUERIES[3].sql))

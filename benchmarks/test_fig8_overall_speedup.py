@@ -7,50 +7,21 @@ execute them (Section 6.2.2).
 
 from __future__ import annotations
 
-from repro.bench.tpch import ENABLED_QUERY_IDS, QUERIES, load_tpch_cluster
+from repro.bench.tpch import QUERIES, load_tpch_cluster
 from repro.common.config import SystemConfig
 
-QUERY_NAMES = [f"Q{qid}" for qid in ENABLED_QUERY_IDS]
+from test_fig7_ic_plus_speedup import check_baseline_casualties
 
 
-def test_fig8_overall_speedup(
-    benchmark, tpch_matrix, scale_factors, site_counts, capsys
-):
-    gains = {}
-    for sites in site_counts:
-        baseline = tpch_matrix[("IC", sites)]
-        overall = tpch_matrix[("IC+M", sites)]
-        gains[sites] = {
-            name: overall.mean_gain_over(baseline, name, scale_factors)
-            for name in QUERY_NAMES
-        }
+def test_fig8_overall_speedup(benchmark, paper_run, show):
+    figure = paper_run.figure8()
+    show(figure.to_text())
 
-    lines = ["", "Figure 8: IC+M speedup over IC (mean across scale factors)"]
-    lines.append("query  " + "  ".join(f"{s}-sites" for s in site_counts))
-    for name in QUERY_NAMES:
-        cells = []
-        for sites in site_counts:
-            gain = gains[sites][name]
-            cells.append("  n/a  " if gain is None else f"{gain:6.2f}x")
-        lines.append(f"{name:<6} " + "  ".join(cells))
-    with capsys.disabled():
-        print("\n".join(lines))
-
-    for sites in site_counts:
-        missing = {n for n, g in gains[sites].items() if g is None}
-        if min(scale_factors) >= 0.5:
-            assert missing == {"Q2", "Q5", "Q9", "Q17", "Q19", "Q21"}
-        else:
-            assert {"Q2", "Q5", "Q9"} <= missing <= {
-                "Q2", "Q5", "Q9", "Q17", "Q19", "Q21"
-            }
-        for name, gain in gains[sites].items():
-            if gain is not None:
-                assert gain >= 0.85, f"{name} regressed at {sites} sites: {gain}"
+    smallest_sf = min(paper_run.scale_factors)
+    for gains in check_baseline_casualties(figure, smallest_sf).values():
         # The paper reports 1.2x-17x gains overall; check the envelope.
-        comparable = [g for g in gains[sites].values() if g is not None]
-        assert max(comparable) >= 2.0
-        assert min(comparable) >= 0.85
+        assert max(gains) >= 2.0
+        assert min(gains) >= 0.85
 
-    cluster = load_tpch_cluster(SystemConfig.ic_plus_m(4), min(scale_factors))
+    cluster = load_tpch_cluster(SystemConfig.ic_plus_m(4), smallest_sf)
     benchmark(lambda: cluster.sql(QUERIES[1].sql))

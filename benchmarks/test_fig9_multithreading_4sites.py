@@ -10,26 +10,22 @@ keeps the heavy fragment single-threaded (Q16, Q18, Q22).
 
 from __future__ import annotations
 
-from repro.bench.tpch import ENABLED_QUERY_IDS, QUERIES, load_tpch_cluster
+import pytest
+
+from repro.bench.tpch import QUERIES, load_tpch_cluster
 from repro.common.config import SystemConfig
 
-QUERY_NAMES = [f"Q{qid}" for qid in ENABLED_QUERY_IDS]
-SITES = 4
 
+def check_multithreading(benchmark, paper_run, show, sites):
+    """One site count's block of Figures 9/10: print, shape, timing."""
+    if sites not in paper_run.site_counts:
+        pytest.skip(f"{sites}-site matrix disabled via REPRO_BENCH_SITES")
+    figure = paper_run.figure9()
+    show(figure.block(sites))
 
-def multithreading_changes(tpch_matrix, scale_factors, sites):
-    base = tpch_matrix[("IC+", sites)]
-    multi = tpch_matrix[("IC+M", sites)]
-    changes = {}
-    for name in QUERY_NAMES:
-        gain = multi.mean_gain_over(base, name, scale_factors)
-        changes[name] = None if gain is None else (gain - 1.0) * 100.0
-    return changes
-
-
-def check_multithreading_shape(changes):
-    present = {n: c for n, c in changes.items() if c is not None}
-    gainers = [n for n, c in present.items() if c >= 8.0]
+    changes = {q: figure.change(q, sites) for q in figure.queries}
+    present = {q: c for q, c in changes.items() if c is not None}
+    gainers = [q for q, c in present.items() if c >= 8.0]
     # Distributed-computation queries benefit...
     assert "Q1" in gainers, f"Q1 should gain from multithreading: {present['Q1']}"
     assert len(gainers) >= 4
@@ -43,22 +39,10 @@ def check_multithreading_shape(changes):
     )
     assert ranked[0] < 0.0, "someone must pay the variant overhead"
 
-
-def test_fig9_multithreading_4sites(
-    benchmark, tpch_matrix, scale_factors, capsys
-):
-    changes = multithreading_changes(tpch_matrix, scale_factors, SITES)
-    lines = ["", f"Figure 9: IC+ vs IC+M incremental change ({SITES} sites)"]
-    for name in QUERY_NAMES:
-        change = changes[name]
-        cell = "   n/a" if change is None else f"{change:+6.1f}%"
-        lines.append(f"{name:<6} {cell}")
-    with capsys.disabled():
-        print("\n".join(lines))
-
-    check_multithreading_shape(changes)
-
-    cluster = load_tpch_cluster(
-        SystemConfig.ic_plus_m(SITES), min(scale_factors)
-    )
+    smallest_sf = min(paper_run.scale_factors)
+    cluster = load_tpch_cluster(SystemConfig.ic_plus_m(sites), smallest_sf)
     benchmark(lambda: cluster.sql(QUERIES[6].sql))
+
+
+def test_fig9_multithreading_4sites(benchmark, paper_run, show):
+    check_multithreading(benchmark, paper_run, show, sites=4)

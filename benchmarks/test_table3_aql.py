@@ -13,95 +13,38 @@ per-site execution slots (the paper's CPU-contention explanation).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench.harness import run_aql
-from repro.bench.tpch import (
-    ENABLED_QUERY_IDS,
-    IC_FAILING_QUERY_IDS,
-    QUERIES,
-    load_tpch_cluster,
-)
+from repro.bench.reporting import AQL_WORKLOAD
+from repro.bench.tpch import load_tpch_cluster
 from repro.common.config import SystemConfig
 
-CLIENTS = (2, 4, 8)
-SYSTEMS = ("IC", "IC+", "IC+M")
-MAKERS = {
-    "IC": SystemConfig.ic,
-    "IC+": SystemConfig.ic_plus,
-    "IC+M": SystemConfig.ic_plus_m,
-}
 
+def test_table3_aql(benchmark, paper_run, show):
+    table = paper_run.table3(scale_factor=max(paper_run.scale_factors))
+    show(table.to_text())
 
-@pytest.fixture(scope="module")
-def aql_table(site_counts, scale_factors):
-    sf = max(scale_factors)
-    queries = {
-        f"Q{qid}": QUERIES[qid].sql
-        for qid in ENABLED_QUERY_IDS
-        if qid not in IC_FAILING_QUERY_IDS
-    }
-    table = {}
-    for sites in site_counts:
-        for system in SYSTEMS:
-            cluster = load_tpch_cluster(MAKERS[system](sites), sf)
-            for clients in CLIENTS:
-                result = run_aql(cluster, queries, clients, 300.0)
-                table[(sites, system, clients)] = result.average_latency
-    return table
-
-
-def test_table3_aql(benchmark, aql_table, site_counts, scale_factors, capsys):
-    lines = ["", "Table 3: Average Query Latency (simulated seconds)"]
-    header = "clients  " + "  ".join(
-        f"{system}@{sites}" for sites in site_counts for system in SYSTEMS
-    )
-    lines.append(header)
-    for clients in CLIENTS:
-        cells = [
-            f"{aql_table[(sites, system, clients)]:7.3f}"
-            for sites in site_counts
-            for system in SYSTEMS
-        ]
-        lines.append(f"{clients:<8} " + "  ".join(cells))
-    with capsys.disabled():
-        print("\n".join(lines))
-
-    for sites in site_counts:
-        for system in SYSTEMS:
-            series = [aql_table[(sites, system, c)] for c in CLIENTS]
+    aql = table.latencies
+    for sites in table.site_counts:
+        for system in table.systems:
+            series = [aql[(sites, system, c)] for c in table.clients]
             # AQL rises (weakly) with client count.
             assert series[0] <= series[1] * 1.05
             assert series[1] <= series[2] * 1.05
-        for clients in CLIENTS:
+        for clients in table.clients:
             # IC+ always beats IC.
-            assert (
-                aql_table[(sites, "IC+", clients)]
-                < aql_table[(sites, "IC", clients)]
-            )
+            assert aql[(sites, "IC+", clients)] < aql[(sites, "IC", clients)]
         # IC+M wins at two clients, loses ground at eight (contention).
-        assert (
-            aql_table[(sites, "IC+M", 2)]
-            <= aql_table[(sites, "IC+", 2)] * 1.02
-        )
-        assert (
-            aql_table[(sites, "IC+M", 8)]
-            > aql_table[(sites, "IC+", 8)]
-        )
-    if len(site_counts) > 1:
-        small, large = min(site_counts), max(site_counts)
-        for system in SYSTEMS:
-            for clients in CLIENTS:
-                assert (
-                    aql_table[(large, system, clients)]
-                    < aql_table[(small, system, clients)]
-                )
+        assert aql[(sites, "IC+M", 2)] <= aql[(sites, "IC+", 2)] * 1.02
+        assert aql[(sites, "IC+M", 8)] > aql[(sites, "IC+", 8)]
+    if len(table.site_counts) > 1:
+        small, large = min(table.site_counts), max(table.site_counts)
+        for system in table.systems:
+            for clients in table.clients:
+                assert aql[(large, system, clients)] < aql[(small, system, clients)]
 
     # Benchmark one AQL simulation end-to-end (replayed task graphs).
-    queries = {
-        f"Q{qid}": QUERIES[qid].sql
-        for qid in ENABLED_QUERY_IDS
-        if qid not in IC_FAILING_QUERY_IDS
-    }
-    cluster = load_tpch_cluster(SystemConfig.ic_plus(4), min(scale_factors))
-    benchmark(lambda: run_aql(cluster, queries, clients=4, duration_seconds=60.0))
+    smallest_sf = min(paper_run.scale_factors)
+    cluster = load_tpch_cluster(SystemConfig.ic_plus(4), smallest_sf)
+    benchmark(
+        lambda: run_aql(cluster, AQL_WORKLOAD, clients=4, duration_seconds=60.0)
+    )

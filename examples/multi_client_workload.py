@@ -2,56 +2,23 @@
 
     python examples/multi_client_workload.py
 
-Closed-loop terminals submit randomised TPC-H queries for a fixed window;
-concurrent queries contend for each site's execution slots.  Watch IC+M
-win at two clients and fall behind IC+ at four and eight, when its doubled
-thread count oversubscribes the per-site pool — the paper's Section 6.3
-CPU-contention effect.
+Closed-loop terminals submit randomised TPC-H queries for 300 simulated
+seconds; concurrent queries contend for each site's execution slots.
+Watch IC+M win at two clients and fall behind IC+ at four and eight, when
+its doubled thread count oversubscribes the per-site pool — the paper's
+Section 6.3 CPU-contention effect.  Prints the object ``repro-bench
+table3`` prints.
 """
 
-from repro.bench.harness import run_aql
-from repro.bench.tpch import (
-    ENABLED_QUERY_IDS,
-    IC_FAILING_QUERY_IDS,
-    QUERIES,
-    load_tpch_cluster,
-)
-from repro.common import SystemConfig
-
-SCALE_FACTOR = 0.5
-DURATION = 300.0
+from repro.bench.reporting import AQL_WORKLOAD, PaperRun
 
 
-def main() -> None:
+def main(scale_factor=0.5, sites=(4, 8), clients=(2, 4, 8)) -> None:
     # Per the paper, the six queries the baseline cannot run are disabled
     # for every system "to ensure a fair comparison".
-    workload = {
-        f"Q{qid}": QUERIES[qid].sql
-        for qid in ENABLED_QUERY_IDS
-        if qid not in IC_FAILING_QUERY_IDS
-    }
-    print(f"Workload: {len(workload)} TPC-H queries, SF {SCALE_FACTOR}, "
-          f"{DURATION:.0f} simulated seconds per cell\n")
-
-    makers = {
-        "IC": SystemConfig.ic,
-        "IC+": SystemConfig.ic_plus,
-        "IC+M": SystemConfig.ic_plus_m,
-    }
-    for sites in (4, 8):
-        clusters = {
-            name: load_tpch_cluster(maker(sites), SCALE_FACTOR)
-            for name, maker in makers.items()
-        }
-        print(f"--- {sites} sites ---")
-        print(f"{'clients':<8} " + "  ".join(f"{n:>8}" for n in makers))
-        for clients in (2, 4, 8):
-            row = []
-            for name in makers:
-                result = run_aql(clusters[name], workload, clients, DURATION)
-                row.append(f"{result.average_latency:8.3f}")
-            print(f"{clients:<8} " + "  ".join(row))
-        print()
+    print(f"Workload: {len(AQL_WORKLOAD)} TPC-H queries "
+          f"({', '.join(AQL_WORKLOAD)})\n")
+    print(PaperRun((scale_factor,), sites).table3(clients).to_text())
 
 
 if __name__ == "__main__":

@@ -2,53 +2,39 @@
 
     python examples/regenerate_report.py [output.md] [--quick]
 
-Runs the failure matrix, Figures 7/8/11 and Table 3 through
-:mod:`repro.bench.reporting` and writes one self-contained markdown
-document.  ``--quick`` uses small scale factors (~1 minute); the default
-uses the paper-aligned mini SFs 0.5 and 1.0 (several minutes).
+Asks one :class:`repro.bench.reporting.PaperRun` for the failure matrix,
+Figures 7/8/11 and Table 3 and writes their ``to_markdown()`` into one
+self-contained document.  ``--quick`` uses small scale factors (~1
+minute); the default uses the paper-aligned mini SFs 0.5 and 1.0 (several
+minutes).
 """
 
 import sys
 import time
 
-from repro.bench.reporting import (
-    aql_table,
-    failure_matrix,
-    ssb_gain_figure,
-    tpch_gain_figure,
-)
+from repro.bench.reporting import PaperRun
 
 
-def main(path: str = "RESULTS.md", quick: bool = False) -> None:
-    scale_factors = (0.1, 0.2) if quick else (0.5, 1.0)
-    sites = (4, 8)
+def main(
+    path: str = "RESULTS.md",
+    scale_factors=(0.5, 1.0),
+    sites=(4, 8),
+    clients=(2, 4, 8),
+) -> None:
+    run = PaperRun(scale_factors, sites)
+    steps = [
+        # The Q17/Q19/Q21 timeouts need the paper's smallest SF.
+        ("failure matrix", lambda: run.failures(scale_factor=0.5)),
+        ("figure 7", run.figure7),
+        ("figure 8", run.figure8),
+        ("table 3", lambda: run.table3(clients, scale_factor=max(scale_factors))),
+        ("figure 11", run.figure11),
+    ]
     started = time.time()
     sections = []
-
-    print("1/5 failure matrix ...")
-    rows = failure_matrix(0.5)
-    matrix = ["### Baseline failure matrix", "", "| query | IC | IC+ |",
-              "|---|---|---|"]
-    matrix += [f"| {q} | {a} | {b} |" for q, a, b in rows]
-    sections.append("\n".join(matrix))
-
-    print("2/5 figure 7 ...")
-    sections.append(
-        tpch_gain_figure(
-            "Figure 7: IC+ speedup over IC", "IC", "IC+", scale_factors, sites
-        ).to_markdown()
-    )
-    print("3/5 figure 8 ...")
-    sections.append(
-        tpch_gain_figure(
-            "Figure 8: IC+M speedup over IC", "IC", "IC+M",
-            scale_factors, sites,
-        ).to_markdown()
-    )
-    print("4/5 table 3 ...")
-    sections.append(aql_table(max(scale_factors), sites).to_markdown())
-    print("5/5 figure 11 ...")
-    sections.append(ssb_gain_figure(scale_factors, sites).to_markdown())
+    for number, (label, produce) in enumerate(steps, 1):
+        print(f"{number}/{len(steps)} {label} ...")
+        sections.append(produce().to_markdown())
 
     body = (
         "# Reproduced evaluation artefacts\n\n"
@@ -63,7 +49,6 @@ def main(path: str = "RESULTS.md", quick: bool = False) -> None:
 
 
 if __name__ == "__main__":
-    args = [a for a in sys.argv[1:]]
-    quick = "--quick" in args
-    paths = [a for a in args if not a.startswith("--")]
-    main(paths[0] if paths else "RESULTS.md", quick)
+    paths = [a for a in sys.argv[1:] if not a.startswith("--")]
+    quick = "--quick" in sys.argv
+    main(*paths[:1], scale_factors=(0.1, 0.2) if quick else (0.5, 1.0))

@@ -2,58 +2,29 @@
 
     python examples/tpch_showdown.py [scale_factor]
 
-Loads the mini TPC-H data set into all three system variants and runs the
-enabled queries, printing per-query simulated latencies, the failure modes
-the baseline exhibits (planning failures for Q2/Q5/Q9, runtime-limit
-timeouts for Q17/Q19/Q21) and the speedups of the improved systems —
-Figure 7/8 of the paper as a table.
+Loads the mini TPC-H data set into all three system variants on four
+sites and prints the failure modes the baseline exhibits (planning
+failures for Q2/Q5/Q9, runtime-limit timeouts for Q17/Q19/Q21 from SF 0.5
+up) and the per-query speedups of the improved systems — Figures 7 and 8
+of the paper, the same objects ``repro-bench failures|figure7|figure8``
+print.
 """
 
 import sys
 
-from repro.bench.tpch import ENABLED_QUERY_IDS, QUERIES, load_tpch_cluster
-from repro.common import SystemConfig
+from repro.bench.reporting import PaperRun
 
 
 def main(scale_factor: float = 0.5) -> None:
-    print(f"Loading TPC-H (mini) at scale factor {scale_factor} ...")
-    systems = {
-        "IC": load_tpch_cluster(SystemConfig.ic(4), scale_factor),
-        "IC+": load_tpch_cluster(SystemConfig.ic_plus(4), scale_factor),
-        "IC+M": load_tpch_cluster(SystemConfig.ic_plus_m(4), scale_factor),
-    }
-
-    header = f"{'query':<6} {'IC':>12} {'IC+':>10} {'IC+M':>10} {'IC+/IC':>8} {'IC+M/IC':>8}"
-    print()
-    print(header)
-    print("-" * len(header))
-    for qid in ENABLED_QUERY_IDS:
-        cells = {}
-        for name, cluster in systems.items():
-            outcome = cluster.try_sql(QUERIES[qid].sql)
-            cells[name] = outcome
-        def fmt(outcome):
-            if outcome.ok:
-                return f"{outcome.simulated_seconds:.3f}s"
-            return outcome.status.value[:12]
-
-        def gain(name):
-            base, ours = cells["IC"], cells[name]
-            if base.ok and ours.ok:
-                return f"{base.simulated_seconds / ours.simulated_seconds:7.2f}x"
-            return "    n/a"
-
-        print(
-            f"Q{qid:<5} {fmt(cells['IC']):>12} {fmt(cells['IC+']):>10} "
-            f"{fmt(cells['IC+M']):>10} {gain('IC+'):>8} {gain('IC+M'):>8}"
-        )
-
-    print()
+    print(f"TPC-H (mini) at scale factor {scale_factor}, 4 sites\n")
+    run = PaperRun((scale_factor,), (4,))
+    for artefact in (run.failures(), run.figure7(), run.figure8()):
+        print(artefact.to_text())
+        print()
     print("Baseline failure modes (Section 1 of the paper):")
     print("  planning_failed : single-phase optimisation exhausts the budget")
     print("  timeout         : nested-loop plans exceed the runtime limit")
 
 
 if __name__ == "__main__":
-    sf = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
-    main(sf)
+    main(float(sys.argv[1]) if len(sys.argv) > 1 else 0.5)

@@ -1,17 +1,2 @@
-"""Benchmarks: TPC-H, SSB, and the response-time / AQL harness."""
-
-from repro.bench.harness import (
-    AqlResult,
-    QueryMeasurement,
-    ResponseTimeHarness,
-    ResponseTimeResult,
-    run_aql,
-)
-
-__all__ = [
-    "AqlResult",
-    "QueryMeasurement",
-    "ResponseTimeHarness",
-    "ResponseTimeResult",
-    "run_aql",
-]
+"""Benchmarks: TPC-H, SSB, the response-time / AQL measurements and the
+paper-artefact producer (:mod:`repro.bench.reporting`)."""

@@ -1,12 +1,11 @@
-"""Benchmark harness mirroring the paper's methodology (Section 6.1-6.3).
+"""Measurement primitives mirroring the paper's methodology (Section 6.1-6.3).
 
-Two experiment drivers:
-
-* :class:`ResponseTimeHarness` — per-query response time: a warm-up
-  execution followed by measured executions; the mean simulated latency is
-  the query's time for that (system, sites, scale factor) cell.  Per-query
-  *performance gain* over a baseline system is averaged across scale
-  factors, exactly how Figures 7-10 are built.
+* :func:`measure_response_times` — per-query response time: a warm-up
+  execution followed by measured executions (:func:`measure_query`); the
+  mean simulated latency is the query's time for that (system, sites,
+  scale factor) cell.  Per-query *performance gain* over a baseline
+  system is averaged across scale factors, exactly how Figures 7-10 are
+  built (by :class:`repro.bench.reporting.PaperRun`, the one caller).
 
 * :func:`run_aql` — the Average Query Latency test (Table 3): one or more
   closed-loop *terminals* submit randomised queries until the test
@@ -49,8 +48,6 @@ class QueryMeasurement:
 class ResponseTimeResult:
     """All per-query measurements for one (system, sites) configuration."""
 
-    system: str
-    sites: int
     #: (query id, scale factor) -> measurement
     cells: Dict[Tuple[str, float], QueryMeasurement] = field(default_factory=dict)
 
@@ -78,52 +75,48 @@ class ResponseTimeResult:
         return sum(gains) / len(gains)
 
 
-class ResponseTimeHarness:
-    """Runs the per-query response-time experiment for one configuration."""
-
-    def __init__(
-        self,
-        loader: Callable[[SystemConfig, float], IgniteCalciteCluster],
-        queries: Dict[str, str],
-        scale_factors: Sequence[float],
-        repeats: int = 1,
-    ):
-        self._loader = loader
-        self._queries = queries
-        self.scale_factors = tuple(scale_factors)
-        self.repeats = max(1, repeats)
-
-    def run(self, config: SystemConfig) -> ResponseTimeResult:
-        result = ResponseTimeResult(system=config.name, sites=config.sites)
-        for sf in self.scale_factors:
-            cluster = self._loader(config, sf)
-            for name, sql in self._queries.items():
-                result.cells[(name, sf)] = self._measure(cluster, name, sql)
-        return result
-
-    def _measure(
-        self, cluster: IgniteCalciteCluster, name: str, sql: str
-    ) -> QueryMeasurement:
-        registry = get_registry()
-        before = registry.snapshot()
-        warmup = cluster.try_sql(sql)  # warm-up execution (Section 6.2)
-        if not warmup.ok:
-            return QueryMeasurement(
-                name, warmup.status, None, registry.delta_since(before)
-            )
-        latencies = [warmup.simulated_seconds]
-        for _ in range(self.repeats - 1):
-            outcome = cluster.try_sql(sql)
-            latencies.append(outcome.simulated_seconds)
-        # The warm-up itself is excluded from the mean when extra repeats
-        # were measured (paper: warm-up + three measured executions).
-        measured = latencies[1:] if len(latencies) > 1 else latencies
+def measure_query(
+    cluster: IgniteCalciteCluster, name: str, sql: str, repeats: int = 1
+) -> QueryMeasurement:
+    """Warm-up plus ``repeats - 1`` measured executions of one query."""
+    registry = get_registry()
+    before = registry.snapshot()
+    warmup = cluster.try_sql(sql)  # warm-up execution (Section 6.2)
+    if not warmup.ok:
         return QueryMeasurement(
-            name,
-            QueryStatus.OK,
-            sum(measured) / len(measured),
-            registry.delta_since(before),
+            name, warmup.status, None, registry.delta_since(before)
         )
+    latencies = [warmup.simulated_seconds]
+    for _ in range(repeats - 1):
+        outcome = cluster.try_sql(sql)
+        latencies.append(outcome.simulated_seconds)
+    # The warm-up itself is excluded from the mean when extra repeats
+    # were measured (paper: warm-up + three measured executions).
+    measured = latencies[1:] if len(latencies) > 1 else latencies
+    return QueryMeasurement(
+        name,
+        QueryStatus.OK,
+        sum(measured) / len(measured),
+        registry.delta_since(before),
+    )
+
+
+def measure_response_times(
+    loader: Callable[[SystemConfig, float], IgniteCalciteCluster],
+    queries: Dict[str, str],
+    config: SystemConfig,
+    scale_factors: Sequence[float],
+    repeats: int = 1,
+) -> ResponseTimeResult:
+    """The per-query response-time experiment for one configuration."""
+    result = ResponseTimeResult()
+    for sf in scale_factors:
+        cluster = loader(config, sf)
+        for name, sql in queries.items():
+            result.cells[(name, sf)] = measure_query(
+                cluster, name, sql, repeats
+            )
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Three families of subcommands, all listed with their flags by
 ``repro-bench --help`` and ``repro-bench <command> --help``: the paper
-artefacts (``failures``, ``figure7``-``figure11``, ``table3``) re-run an
-experiment on the simulated cluster through :mod:`repro.bench.reporting`
-and print its table; the single-cluster tools (``query``, ``trace``,
+artefacts (``failures``, ``figure7``-``figure11``, ``table3``) ask one
+:class:`repro.bench.reporting.PaperRun` for the artefact and print its
+``to_text()``; the single-cluster tools (``query``, ``trace``,
 ``verify``, ``chaos``, ``adaptive``) load TPC-H or SSB and drive one
 subsystem; and the five artefact benches (``serve``, ``colbench``,
 ``midquery``, ``sketchbench``, ``fedbench``) share one path — run, print,
@@ -23,24 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.bench import colbench, fedbench, midquery, sketchbench
-from repro.bench.reporting import (
-    GainFigure,
-    aql_table,
-    failure_matrix,
-    ssb_gain_figure,
-    tpch_gain_figure,
-)
+from repro.bench.reporting import AQL_WORKLOAD, TPCH_WORKLOAD, PaperRun
 from repro.bench.serve import ServeBenchError, build_tenants, run_serve_bench
 from repro.bench.ssb import SSB_QUERIES, load_ssb_cluster
-from repro.bench.tpch import (
-    ENABLED_QUERY_IDS,
-    IC_FAILING_QUERY_IDS,
-    QUERIES,
-    load_tpch_cluster,
-)
+from repro.bench.tpch import load_tpch_cluster
 from repro.common.config import PRESETS
-
-TPCH_QUERIES = {f"Q{qid}": QUERIES[qid].sql for qid in ENABLED_QUERY_IDS}
 
 #: ``repro-bench`` exit codes.  Distinct codes let CI classify a failure
 #: without parsing stdout; crash > invariant > mismatch when several
@@ -96,12 +83,7 @@ def _workload(bench: str, ic_safe: bool = False):
     drops the TPC-H queries stock IC cannot plan."""
     if bench == "ssb":
         return load_ssb_cluster, {q: SSB_QUERIES[q].sql for q in SSB_QUERIES}
-    pool = {
-        name: sql
-        for name, sql in TPCH_QUERIES.items()
-        if not (ic_safe and int(name[1:]) in IC_FAILING_QUERY_IDS)
-    }
-    return load_tpch_cluster, pool
+    return load_tpch_cluster, AQL_WORKLOAD if ic_safe else TPCH_WORKLOAD
 
 
 def _write_json(path: str, obj, sort_keys: bool = True) -> None:
@@ -110,79 +92,25 @@ def _write_json(path: str, obj, sort_keys: bool = True) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Paper artefacts: text renderings of the repro.bench.reporting objects
+# Paper artefacts: each command prints one repro.bench.reporting record
 # ---------------------------------------------------------------------------
 
-
-def _print_gains(figure: GainFigure) -> None:
-    print(figure.title)
-    print("query  " + "  ".join(f"{s}-sites" for s in figure.site_counts))
-    for query in figure.queries:
-        cells = []
-        for sites in figure.site_counts:
-            gain = figure.gains[(query, sites)]
-            cells.append("  n/a  " if gain is None else f"{gain:6.2f}x")
-        print(f"{query:<6} " + "  ".join(cells))
-
-
-def cmd_failures(args) -> None:
-    sf = args.sf[0]
-    print(f"Baseline failure matrix at SF {sf} (Section 1 / Section 6)")
-    print("query  IC                IC+")
-    for query, ic_status, ic_plus_status in failure_matrix(sf):
-        print(f"{query:<6} {ic_status:<17} {ic_plus_status}")
+#: command (= the PaperRun method) -> (help, default --sf, default --sites).
+PAPER_ARTEFACTS = {
+    "failures": ("the Section 1 failure matrix", "0.5", "4"),
+    "figure7": ("IC+ vs IC per-query speedups", "0.5,1", "4,8"),
+    "figure8": ("IC+M vs IC per-query speedups", "0.5,1", "4,8"),
+    "figure9": ("multithreading increment", "0.5,1", "4"),
+    "table3": ("average query latency under load", "1", "4,8"),
+    "figure11": ("SSB, IC vs IC+M", "0.5,1", "4,8"),
+}
 
 
-def cmd_figure7(args) -> None:
-    _print_gains(tpch_gain_figure(
-        "Figure 7: IC+ speedup over IC", "IC", "IC+", args.sf, args.sites
-    ))
-
-
-def cmd_figure8(args) -> None:
-    _print_gains(tpch_gain_figure(
-        "Figure 8: IC+M speedup over IC", "IC", "IC+M", args.sf, args.sites
-    ))
-
-
-def cmd_figure9(args) -> None:
-    figure = tpch_gain_figure(
-        "Figures 9/10", "IC+", "IC+M", args.sf, args.sites
-    )
-    for sites in figure.site_counts:
-        print(f"Figure {'9' if sites == 4 else '10'}: "
-              f"IC+ vs IC+M incremental change ({sites} sites)")
-        for query in figure.queries:
-            gain = figure.gains[(query, sites)]
-            cell = "   n/a" if gain is None else f"{(gain - 1) * 100:+6.1f}%"
-            print(f"{query:<6} {cell}")
-        print()
-
-
-def cmd_table3(args) -> None:
-    sf = args.sf[0]
-    table = aql_table(sf, args.sites, args.clients)
-    columns = [
-        (sites, system)
-        for sites in table.site_counts
-        for system in table.systems
-    ]
-    print(f"Table 3: Average Query Latency (simulated seconds, SF {sf})")
-    print("clients  " + "  ".join(f"{s}@{n}" for n, s in columns))
-    for clients in table.clients:
-        cells = [
-            f"{table.latencies[(sites, system, clients)]:7.3f}"
-            for sites, system in columns
-        ]
-        print(f"{clients:<8} " + "  ".join(cells))
-
-
-def cmd_figure11(args) -> None:
-    figure = ssb_gain_figure(args.sf, args.sites)
-    # The markdown report parenthesises this title; stdout never did.
-    figure.title = "Figure 11: SSB per-query multiplier, IC vs IC+M"
-    _print_gains(figure)
-    print("(QS2 and QS4 excluded, Section 6.4)")
+def cmd_paper(args) -> None:
+    """The one command path of the six paper artefacts."""
+    produce = getattr(PaperRun(args.sf, args.sites), args.command)
+    extra = {"clients": args.clients} if hasattr(args, "clients") else {}
+    print(produce(**extra).to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +224,7 @@ ARTEFACT_BENCHES: Dict[str, ArtefactBench] = {
             system="IC+", sf=(0.05,), sites=(4,), repeats=1,
             queries=",".join(f"Q{q}" for q in colbench.SMOKE_QUERY_IDS),
         ),
-        known_queries=lambda args: TPCH_QUERIES,
+        known_queries=lambda args: TPCH_WORKLOAD,
     ),
     # Smoke: one system, small scale, the two queries known to re-plan —
     # exercises capture -> trigger -> suffix re-entry -> splice end to
@@ -592,30 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--sites", type=_ints, default=_ints(default_sites)
         )
 
-    p = sub.add_parser("failures", help="the Section 1 failure matrix")
-    common(p, default_sites="4")
-    p.set_defaults(func=cmd_failures)
-
-    p = sub.add_parser("figure7", help="IC+ vs IC per-query speedups")
-    common(p, default_sf="0.5,1")
-    p.set_defaults(func=cmd_figure7)
-
-    p = sub.add_parser("figure8", help="IC+M vs IC per-query speedups")
-    common(p, default_sf="0.5,1")
-    p.set_defaults(func=cmd_figure8)
-
-    p = sub.add_parser("figure9", help="multithreading increment")
-    common(p, default_sf="0.5,1", default_sites="4")
-    p.set_defaults(func=cmd_figure9)
-
-    p = sub.add_parser("table3", help="average query latency under load")
-    common(p, default_sf="1")
-    p.add_argument("--clients", type=_ints, default=(2, 4, 8))
-    p.set_defaults(func=cmd_table3)
-
-    p = sub.add_parser("figure11", help="SSB, IC vs IC+M")
-    common(p, default_sf="0.5,1")
-    p.set_defaults(func=cmd_figure11)
+    for name, (help, sf, sites) in PAPER_ARTEFACTS.items():
+        p = sub.add_parser(name, help=help)
+        common(p, default_sf=sf, default_sites=sites)
+        if name == "table3":
+            p.add_argument("--clients", type=_ints, default=(2, 4, 8))
+        p.set_defaults(func=cmd_paper)
 
     p = sub.add_parser(
         "verify", help="differential checks vs the reference executor"

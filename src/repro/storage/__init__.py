@@ -4,7 +4,6 @@ from repro.storage.adapters import (
     AdapterCosts,
     StorageAdapter,
     create_adapter,
-    register_adapter,
 )
 from repro.storage.store import DataStore
 from repro.storage.table import PartitionIndex, Row, TableData, affinity_partition
@@ -18,5 +17,4 @@ __all__ = [
     "TableData",
     "affinity_partition",
     "create_adapter",
-    "register_adapter",
 ]

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import charges
-from repro.common.errors import StorageError
 from repro.rel.expr import (
     Expr,
     column_vs_literal,
@@ -230,28 +229,3 @@ class StorageAdapter:
         if pushed is None:
             return len(rows), list(rows)
         return len(rows), pushed.apply(rows)
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Callable[[], StorageAdapter]] = {}
-
-
-def register_adapter(name: str, factory: Callable[[], StorageAdapter]) -> None:
-    _REGISTRY[name.lower()] = factory
-
-
-def create_adapter(name: str) -> StorageAdapter:
-    """Instantiate the adapter registered under ``name`` (DDL routing)."""
-    try:
-        factory = _REGISTRY[name.lower()]
-    except KeyError:
-        raise StorageError(
-            f"unknown storage adapter {name!r}; "
-            f"registered: {', '.join(sorted(_REGISTRY))}"
-        ) from None
-    return factory()
-
-

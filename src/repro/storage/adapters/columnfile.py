@@ -24,7 +24,6 @@ from repro.storage.adapters.base import (
     AdapterCosts,
     PushedScan,
     StorageAdapter,
-    register_adapter,
 )
 from repro.storage.table import Row, TableData
 
@@ -187,5 +186,3 @@ class ColumnFileAdapter(StorageAdapter):
                     rows.extend(decoded)
         return scanned, rows
 
-
-register_adapter("columnfile", ColumnFileAdapter)

@@ -8,7 +8,7 @@ measured against.
 
 from __future__ import annotations
 
-from repro.storage.adapters.base import StorageAdapter, register_adapter
+from repro.storage.adapters.base import StorageAdapter
 
 
 class NativeAdapter(StorageAdapter):
@@ -19,5 +19,3 @@ class NativeAdapter(StorageAdapter):
     supports_project_pushdown = False
     supports_limit_pushdown = False
 
-
-register_adapter("native", NativeAdapter)

@@ -20,7 +20,6 @@ from repro.storage.adapters.base import (
     AdapterCosts,
     PushedScan,
     StorageAdapter,
-    register_adapter,
 )
 from repro.storage.table import Row, TableData
 
@@ -65,5 +64,3 @@ class RemoteCatalogAdapter(StorageAdapter):
         self.rows_shipped += len(rows)
         return len(source), rows
 
-
-register_adapter("remote", RemoteCatalogAdapter)

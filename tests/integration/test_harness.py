@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.bench.harness import (
-    ResponseTimeHarness,
-    run_aql,
-)
-from repro.bench.tpch import (
-    ENABLED_QUERY_IDS,
-    IC_FAILING_QUERY_IDS,
-    QUERIES,
-    load_tpch_cluster,
-)
+from repro.bench.harness import measure_response_times, run_aql
+from repro.bench.reporting import AQL_WORKLOAD
+from repro.bench.tpch import IC_FAILING_QUERY_IDS, QUERIES, load_tpch_cluster
 from repro.common.config import SystemConfig
 from repro.core.cluster import QueryStatus
 
@@ -21,42 +14,38 @@ AQL_QUERIES = {
 }
 
 
+def _measure(config, queries, scale_factors, repeats=1):
+    return measure_response_times(
+        load_tpch_cluster, queries, config, scale_factors, repeats
+    )
+
+
 class TestResponseTimeHarness:
     def test_measures_and_classifies(self):
         queries = {"Q1": QUERIES[1].sql, "Q2": QUERIES[2].sql}
-        harness = ResponseTimeHarness(
-            load_tpch_cluster, queries, scale_factors=(0.1,)
-        )
-        result = harness.run(SystemConfig.ic(4))
+        result = _measure(SystemConfig.ic(4), queries, (0.1,))
         assert result.latency("Q1", 0.1) > 0
         assert result.latency("Q2", 0.1) is None
         assert result.cells[("Q2", 0.1)].status is QueryStatus.PLANNING_FAILED
 
     def test_mean_gain_over(self):
         queries = {"Q6": QUERIES[6].sql}
-        harness = ResponseTimeHarness(
-            load_tpch_cluster, queries, scale_factors=(0.1, 0.2)
-        )
-        base = harness.run(SystemConfig.ic(4))
-        improved = harness.run(SystemConfig.ic_plus(4))
+        base = _measure(SystemConfig.ic(4), queries, (0.1, 0.2))
+        improved = _measure(SystemConfig.ic_plus(4), queries, (0.1, 0.2))
         gain = improved.mean_gain_over(base, "Q6", (0.1, 0.2))
         assert gain == pytest.approx(1.0, rel=0.1)
 
     def test_gain_none_when_baseline_always_fails(self):
         queries = {"Q2": QUERIES[2].sql}
-        harness = ResponseTimeHarness(
-            load_tpch_cluster, queries, scale_factors=(0.1,)
-        )
-        base = harness.run(SystemConfig.ic(4))
-        improved = harness.run(SystemConfig.ic_plus(4))
+        base = _measure(SystemConfig.ic(4), queries, (0.1,))
+        improved = _measure(SystemConfig.ic_plus(4), queries, (0.1,))
         assert improved.mean_gain_over(base, "Q2", (0.1,)) is None
 
     def test_repeats_are_deterministic(self):
         queries = {"Q6": QUERIES[6].sql}
-        one = ResponseTimeHarness(load_tpch_cluster, queries, (0.1,), repeats=1)
-        three = ResponseTimeHarness(load_tpch_cluster, queries, (0.1,), repeats=3)
-        a = one.run(SystemConfig.ic_plus(4)).latency("Q6", 0.1)
-        b = three.run(SystemConfig.ic_plus(4)).latency("Q6", 0.1)
+        config = SystemConfig.ic_plus(4)
+        a = _measure(config, queries, (0.1,), repeats=1).latency("Q6", 0.1)
+        b = _measure(config, queries, (0.1,), repeats=3).latency("Q6", 0.1)
         assert a == pytest.approx(b)
 
 
@@ -94,9 +83,7 @@ class TestAql:
 
     def test_paper_workload_excludes_baseline_casualties(self):
         assert set(IC_FAILING_QUERY_IDS) == {2, 5, 9, 17, 19, 21}
-        workload = [
-            qid for qid in ENABLED_QUERY_IDS if qid not in IC_FAILING_QUERY_IDS
-        ]
-        assert len(workload) == 14
+        assert len(AQL_WORKLOAD) == 14
+        assert not {f"Q{qid}" for qid in IC_FAILING_QUERY_IDS} & set(AQL_WORKLOAD)
 
 

@@ -119,12 +119,9 @@ def test_failed_queries_still_close_their_spans():
 
 
 def test_bench_harness_captures_per_query_metrics():
-    from repro.bench.harness import ResponseTimeHarness
+    from repro.bench.harness import measure_query
 
-    harness = ResponseTimeHarness(
-        load_tpch_cluster, {"Q6": QUERIES[6].sql}, (SF,)
-    )
-    result = harness.run(SystemConfig.ic_plus(4))
-    cell = result.cells[("Q6", SF)]
+    cluster = load_tpch_cluster(SystemConfig.ic_plus(4), SF)
+    cell = measure_query(cluster, "Q6", QUERIES[6].sql)
     assert cell.metrics["exec.queries"] == 1
     assert any(k.startswith("operator.rows_out") for k in cell.metrics)

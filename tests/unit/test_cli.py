@@ -424,14 +424,48 @@ def test_validator_requires_every_emitted_key(name, tmp_path):
             ["figure7", "--sf", "0.1", "--sites", "4"],
             "cli-figure7-sf0.1-sites4.txt",
         ),
+        (
+            ["figure8", "--sf", "0.1", "--sites", "4"],
+            "cli-figure8-sf0.1-sites4.txt",
+        ),
+        (
+            ["figure9", "--sf", "0.1", "--sites", "4"],
+            "cli-figure9-sf0.1-sites4.txt",
+        ),
+        (
+            ["figure11", "--sf", "0.1", "--sites", "4"],
+            "cli-figure11-sf0.1-sites4.txt",
+        ),
+        (
+            ["table3", "--sf", "0.1", "--sites", "4", "--clients", "2"],
+            "cli-table3-sf0.1-sites4-clients2.txt",
+        ),
     ],
-    ids=["failures", "figure7"],
+    ids=["failures", "figure7", "figure8", "figure9", "figure11", "table3"],
 )
 def test_paper_artefact_stdout_is_pinned(argv, golden, capsys):
-    """The figure commands render repro.bench.reporting objects; their
-    stdout is pinned to text captured before they did (PR 12's tree)."""
+    """The paper commands print ``to_text()`` of the repro.bench.reporting
+    artefacts; their stdout is pinned to text captured before they did
+    (failures/figure7: PR 12's tree; the other four: PR 23's)."""
     main(argv)
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_failures_runs_at_the_requested_site_count(capsys, monkeypatch):
+    """``failures --sites 8`` used to be accepted and ignored (the matrix
+    hard-coded four sites)."""
+    from repro.bench import reporting
+
+    loaded = []
+    load = reporting.load_tpch_cluster
+
+    def spy(config, scale_factor):
+        loaded.append((config.name, config.sites))
+        return load(config, scale_factor)
+
+    monkeypatch.setattr(reporting, "load_tpch_cluster", spy)
+    main(["failures", "--sf", "0.1", "--sites", "8"])
+    assert loaded == [("IC", 8), ("IC+", 8)]
 
 
 def _documented_subcommands(path):

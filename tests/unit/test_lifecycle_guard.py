@@ -194,3 +194,47 @@ def test_the_fault_layer_does_not_import_the_bench_layer():
         if "repro.bench" in path.read_text()
     ]
     assert importing == []
+
+
+# -- one producer per paper artefact ------------------------------------------
+
+ROOT = SRC.parents[1]
+READERS = sorted(
+    path for name in ("benchmarks", "examples") for path in (ROOT / name).glob("*.py")
+)
+
+
+def _modules_mentioning(needle):
+    return sorted(
+        str(path.relative_to(ROOT))
+        for path in list(SRC.rglob("*.py")) + READERS
+        if SRC / "bench" / "tpch" not in path.parents
+        and needle in path.read_text()
+    )
+
+
+@pytest.mark.parametrize("needle", ["IC_FAILING_QUERY_IDS", ".mean_gain_over("])
+def test_the_aql_filter_and_the_gain_loop_are_written_once(needle):
+    assert _modules_mentioning(needle) == ["src/repro/bench/reporting.py"]
+
+
+@pytest.mark.parametrize(
+    "needle",
+    [
+        # measuring a response-time matrix
+        "measure_response_times", "measure_query", "ResponseTimeResult",
+        # a private copy of PRESETS
+        "SystemConfig.ic,", "SystemConfig.ic_plus,",
+        # laying out a figure or Table 3 row
+        "n/a", "-sites", "}@{",
+    ],
+)
+def test_benchmarks_and_examples_only_read_artefacts(needle):
+    assert READERS
+    assert [p.name for p in READERS if needle in p.read_text()] == []
+
+
+def test_the_cli_has_one_paper_command():
+    functions = _functions(SRC / "cli.py")
+    assert "cmd_paper" in functions
+    assert [n for n in functions if n.startswith(("cmd_figure", "_print_"))] == []

@@ -32,7 +32,7 @@ class TestGainFigure:
 
 class TestAqlTable:
     def test_markdown_rendering(self):
-        table = AqlTable("Table 3", (4,), ("IC", "IC+"), (2, 4))
+        table = AqlTable(1.0, (4,), ("IC", "IC+"), (2, 4))
         table.latencies[(4, "IC", 2)] = 1.234
         table.latencies[(4, "IC+", 2)] = 0.5
         table.latencies[(4, "IC", 4)] = 2.0
