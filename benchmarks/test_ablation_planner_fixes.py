@@ -12,8 +12,8 @@ attributes to each fix:
 
 from __future__ import annotations
 
+from repro.bench.core import paired_run
 from repro.bench.tpch import QUERIES, load_tpch_cluster
-from repro.common.config import SystemConfig
 
 # The fixed-estimation ablation needs enough data for the baseline's
 # nested-loop catastrophe to matter; 0.5 is the paper's smallest SF.
@@ -37,15 +37,16 @@ ABLATIONS = [
 
 
 def test_ablation_planner_fixes(benchmark, capsys):
-    full = load_tpch_cluster(SystemConfig.ic_plus(4), SF)
     lines = ["", "Ablation: disabling one IC+ fix at a time (SF %.1f)" % SF]
     lines.append("query  fix disabled                      IC+       without    impact")
+    full = None
     for label, qid, overrides in ABLATIONS:
-        ablated = load_tpch_cluster(
-            SystemConfig.ic_plus(4).with_(**overrides), SF
+        (pair,) = paired_run(
+            load_tpch_cluster, ["IC+"], sites=4, scale_factor=SF, seed=7,
+            treatment=overrides,
         )
-        base = full.try_sql(QUERIES[qid].sql)
-        without = ablated.try_sql(QUERIES[qid].sql)
+        full = full or pair.control
+        base, without = (run.outcome for run in pair.observe(QUERIES[qid].sql))
         assert base.ok
         flag = next(iter(overrides))
         if without.ok:

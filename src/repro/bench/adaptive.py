@@ -11,12 +11,15 @@ on repeat executions of a fixed workload:
   (and a feedback-driven replan, when one fires) tightened the
   estimates;
 * **safety** — result rows of every repeat are diffed against the first
-  execution; the adaptive layer must never change answers.
+  execution under the bench row convention (``core.same_rows``); the
+  adaptive layer must never change answers.  A run that fails in one of
+  the classified ways (the paper's IC failure matrix) is reported by its
+  status and ends that query's repeats — a failure is not a divergence.
 
-Everything is read off the metrics registry as per-execution deltas
-(:meth:`repro.obs.metrics.MetricsRegistry.delta_since`), the same
-counters ``repro-bench`` reports elsewhere, so the harness observes the
-system rather than instrumenting it.
+Each execution is one ``core.observe``: counters are read off the
+metrics registry as that execution's delta, the same counters
+``repro-bench`` reports elsewhere, so the harness observes the system
+rather than instrumenting it.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
+from repro.bench.core import observe, same_rows
 from repro.common.config import SystemConfig
 from repro.core.cluster import IgniteCalciteCluster
-from repro.obs.metrics import get_registry
 
 
 @dataclass
@@ -44,8 +47,10 @@ class AdaptiveMeasurement:
     replans: int = 0
     #: Estimator row overrides consumed across the whole sequence.
     overrides: int = 0
-    #: Every repeat returned exactly the first execution's rows.
+    #: Every repeat returned the first execution's rows.
     rows_stable: bool = True
+    #: Status of the run that returned no rows ("" when none failed).
+    failed: str = ""
 
     @property
     def first_ticks(self) -> int:
@@ -100,7 +105,7 @@ class AdaptiveBenchResult:
                 f"{name:<8} {m.first_ticks:>10} {m.repeat_ticks:>11} "
                 f"{sum(m.cache_hits):>5} {m.replans:>7} "
                 f"{m.q_error_first:>10.2f} {m.q_error_last:>10.2f} "
-                f"{'ok' if m.rows_stable else 'DIFF':>6}"
+                f"{m.failed or ('ok' if m.rows_stable else 'DIFF'):>6}"
             )
         saved = self.total_first_ticks * (self.repeats - 1)
         spent = self.total_repeat_ticks
@@ -132,7 +137,6 @@ def run_adaptive(
     if repeats < 2:
         raise ValueError("run_adaptive needs at least 2 repeats")
     cluster = loader(config, scale_factor)
-    registry = get_registry()
     result = AdaptiveBenchResult(
         system=config.name, sites=config.sites, repeats=repeats
     )
@@ -140,27 +144,18 @@ def run_adaptive(
         measurement = AdaptiveMeasurement(query=name)
         reference_rows = None
         for _ in range(repeats):
-            before = registry.snapshot()
-            outcome = cluster.try_sql(sql)
-            delta = registry.delta_since(before)
-            if not outcome.ok or outcome.result is None:
-                measurement.rows_stable = False
+            run = observe(cluster, sql)
+            if run.failure:
+                measurement.failed = run.outcome.status.value
                 break
-            measurement.budget_ticks.append(
-                int(delta.get("planner.budget_spent_sum", 0.0))
-            )
-            measurement.cache_hits.append(
-                int(delta.get("plan_cache.hits", 0.0))
-            )
-            measurement.q_errors.append(outcome.result.max_q_error())
-            measurement.replans += int(delta.get("plan_cache.replans", 0.0))
-            measurement.overrides += int(
-                delta.get("adaptive.feedback_overrides", 0.0)
-            )
-            rows = sorted(outcome.result.rows)
+            measurement.budget_ticks.append(run.count("planner.budget_spent_sum"))
+            measurement.cache_hits.append(run.count("plan_cache.hits"))
+            measurement.q_errors.append(run.outcome.result.max_q_error())
+            measurement.replans += run.count("plan_cache.replans")
+            measurement.overrides += run.count("adaptive.feedback_overrides")
             if reference_rows is None:
-                reference_rows = rows
-            elif rows != reference_rows:
+                reference_rows = run.rows
+            elif not same_rows(run.rows, reference_rows, ordered=False):
                 measurement.rows_stable = False
         result.measurements[name] = measurement
     return result

@@ -12,8 +12,8 @@ interpreter wall-clock.  For each TPC-H query it
    and index caches, as any resident server would), and
 3. times ``repeats`` measured executions, keeping the best.
 
-Each per-query record also carries the differential evidence: sorted
-result rows must be identical across backends, and the simulated
+Each per-query record also carries the differential evidence: result
+rows must agree across backends (``core.same_rows``), and the simulated
 makespans must be *bit-identical* (the columnar backend charges the row
 cost model on the same row counts).  The JSON artefact is versioned
 (``repro-colbench/v1``) and :func:`validate_colbench_artefact` is the
@@ -31,11 +31,11 @@ from repro.bench.core import (
     artefact_dict,
     check_envelope,
     checked_records,
-    sorted_rows,
+    paired_run,
+    same_rows,
 )
 from repro.bench.tpch import load_tpch_cluster
 from repro.bench.tpch.queries import ENABLED_QUERY_IDS, QUERIES
-from repro.common.config import PRESETS
 
 #: Version tag stamped into every colbench artefact.
 COLBENCH_SCHEMA = "repro-colbench/v1"
@@ -127,12 +127,14 @@ def run_colbench(
     seed: int = 7,
 ) -> ColbenchReport:
     """Run the row-vs-columnar comparison over the TPC-H query set."""
-    base = PRESETS[system](sites)
-    row_cluster = load_tpch_cluster(
-        base.with_(execution_backend="row"), scale_factor, seed=seed
-    )
-    col_cluster = load_tpch_cluster(
-        base.with_(execution_backend="columnar"), scale_factor, seed=seed
+    (pair,) = paired_run(
+        load_tpch_cluster,
+        [system],
+        sites=sites,
+        scale_factor=scale_factor,
+        seed=seed,
+        control=dict(execution_backend="row"),
+        treatment=dict(execution_backend="columnar"),
     )
     report = ColbenchReport(
         system=system, sites=sites, scale_factor=scale_factor, repeats=repeats
@@ -140,34 +142,27 @@ def run_colbench(
     ids = tuple(query_ids) if query_ids is not None else ENABLED_QUERY_IDS
     for qid in ids:
         name = f"Q{qid}"
-        sql = QUERIES[qid].sql
-        try:
-            row_plan = row_cluster.plan_sql(sql)
-            col_plan = col_cluster.plan_sql(sql)
-            # Warm-up: JIT-free Python, but this populates the columnar
-            # partition/scan/index caches and any lazy imports.
-            row_result = row_cluster.execute_plan(row_plan)
-            col_result = col_cluster.execute_plan(col_plan)
-        except Exception as exc:  # pragma: no cover - preset-dependent
-            report.skipped[name] = f"{type(exc).__name__}: {exc}"
+        # The observed run is the warm-up: it populates the columnar
+        # partition/scan/index caches and the plan's generated kernels.
+        row, col = pair.observe(QUERIES[qid].sql, planned=True)
+        failure = row.failure or col.failure
+        if failure:  # pragma: no cover - preset-dependent
+            report.skipped[name] = failure
             continue
-        row_seconds = _best_time(row_cluster, row_plan, repeats)
-        col_seconds = _best_time(col_cluster, col_plan, repeats)
+        row_seconds = _best_time(pair.control, row.plan, repeats)
+        col_seconds = _best_time(pair.treatment, col.plan, repeats)
         report.queries.append(
             QueryColbench(
                 query=name,
-                rows=len(row_result.rows),
+                rows=len(row.rows),
                 row_seconds=row_seconds,
                 columnar_seconds=col_seconds,
                 speedup=row_seconds / col_seconds if col_seconds else 0.0,
-                simulated_seconds=row_result.simulated_seconds,
-                results_match=(
-                    sorted_rows(row_result.rows)
-                    == sorted_rows(col_result.rows)
-                ),
+                simulated_seconds=row.outcome.simulated_seconds,
+                results_match=same_rows(row.rows, col.rows, ordered=False),
                 makespans_match=(
-                    row_result.simulated_seconds
-                    == col_result.simulated_seconds
+                    row.outcome.simulated_seconds
+                    == col.outcome.simulated_seconds
                 ),
             )
         )

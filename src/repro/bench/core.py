@@ -1,35 +1,47 @@
 """The decisions every bench harness shares, made once.
 
-Each artefact bench (``colbench``, ``midquery``, ``sketchbench``,
-``fedbench``) compares executions, samples registry counters around a
-cell, summarises a distribution and emits a versioned JSON artefact with
-a validator behind it.  The parts of that which are *not* specific to a
-bench live here as plain functions:
+The evidence benches (``colbench``, ``midquery``, ``sketchbench``,
+``fedbench``, ``adaptive``) are the source paper's Section 6 shape: one
+data set, two configurations, the same queries on both.  What is not
+specific to a bench lives here:
 
-* the row convention for comparing two engine runs — floats rounded to
-  six places (``verify.differential.canon_rows``), one NULLS-LAST sort
-  (:func:`sorted_rows`), order-sensitive :func:`ordered_match`; against
-  the reference executor a bench asks ``verify.differential.oracle_detail``;
-* registry counter deltas around a cell (:func:`read_counters` /
-  :func:`counter_deltas`);
+* one data-set loader: a data set is ``(schemas, rows, indexes)`` and
+  :func:`load_dataset` turns it into a loaded cluster;
+* one observation of one query on one cluster (:func:`observe`): the
+  outcome, the ``MetricsRegistry.delta_since`` delta around it and, when
+  asked, the verdict of ``verify.differential.oracle_detail``;
+* one paired run (:func:`paired_run`): per system, a control and a
+  treatment cluster from one preset, seed and scale factor, differing by
+  config changes or by loader arguments;
+* one row convention between two engine runs (:func:`same_rows`):
+  ``canon_rows`` (floats rounded to six places) in the engine's order,
+  or in the one NULLS-LAST order (:func:`sorted_rows`) when unordered;
 * the artefact contract: an artefact is the schema tag plus every
   dataclass field of its report (:func:`artefact_dict`), so the keys a
   validator requires are *derived* from ``dataclasses.fields`` of the
   report and record classes (:func:`check_envelope`,
   :func:`checked_records`) and cannot drift from what is emitted.
 
-What stays in each bench is its workload, its run loop and its semantic
+What stays in each bench is its workload, its records and its semantic
 rules (a re-plan fired, the q-error improved, pushdown reconciles).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
+from repro.common.config import PRESETS
+from repro.common.errors import ReproError
 from repro.common.ordering import NullsLast
+from repro.core.cluster import (
+    IgniteCalciteCluster, QueryOutcome, QueryStatus, classify,
+)
+from repro.exec.physical import PhysNode
 from repro.obs.metrics import get_registry
-from repro.verify.differential import canon_rows
+from repro.verify.differential import canon_rows, oracle_detail
 
 
 def sorted_rows(rows: Iterable[tuple]) -> List[tuple]:
@@ -37,24 +49,123 @@ def sorted_rows(rows: Iterable[tuple]) -> List[tuple]:
     return sorted(rows, key=lambda r: tuple(NullsLast(v) for v in r))
 
 
-def ordered_match(actual: Iterable[tuple], expected: Iterable[tuple]) -> bool:
-    """Order-sensitive row comparison under :func:`canon_rows`."""
-    return canon_rows(actual) == canon_rows(expected)
+def same_rows(a: Iterable[tuple], b: Iterable[tuple], ordered: bool) -> bool:
+    """Two engine runs agree: under ``canon_rows``, in the engine's order
+    when the query orders its output totally, as multisets otherwise."""
+    a, b = canon_rows(a), canon_rows(b)
+    return a == b if ordered else sorted_rows(a) == sorted_rows(b)
 
 
-def read_counters(names: Iterable[str]) -> Dict[str, float]:
-    """Current registry values of ``names`` (the *before* of a cell)."""
+def load_dataset(config, schemas, rows, indexes=()) -> IgniteCalciteCluster:
+    """A cluster with every table of ``schemas`` (in order) loaded from
+    ``rows[name]``, then every ``(table, index name, columns)`` built."""
+    cluster = IgniteCalciteCluster(config)
+    for name, schema in schemas.items():
+        cluster.create_table(schema, rows[name])
+    for table, index_name, columns in indexes:
+        cluster.create_index(table, index_name, columns)
+    return cluster
+
+
+@dataclass
+class Observation:
+    """One query run once on one cluster."""
+
+    outcome: QueryOutcome
+    #: ``MetricsRegistry.delta_since`` around the run: what it consumed.
+    delta: Dict[str, float]
+    #: The plan that ran, when observed with ``planned=True``.
+    plan: Optional[PhysNode] = None
+    #: ``oracle_detail`` of the rows ("" = the reference executor agrees);
+    #: None when the oracle was not asked or no rows came back.
+    oracle: Optional[str] = None
+
+    @property
+    def rows(self) -> List[tuple]:
+        return self.outcome.rows
+
+    @property
+    def oracle_match(self) -> bool:
+        return self.oracle == ""
+
+    @property
+    def failure(self) -> str:
+        """Why no rows came back ("" when they did)."""
+        error = self.outcome.error
+        return "" if error is None else f"{type(error).__name__}: {error}"
+
+    def count(self, name: str) -> int:
+        """How far counter ``name`` moved during the run."""
+        return int(self.delta.get(name, 0.0))
+
+
+def observe(cluster, sql: str, planned=False, oracle=False) -> Observation:
+    """Run ``sql`` once on ``cluster``: through ``try_sql`` (the statement
+    pipeline, adaptive layer included), or — ``planned`` — planned first
+    and that plan executed and kept, for a bench that times or digests
+    it; ``oracle`` diffs the rows against the reference executor."""
     registry = get_registry()
-    return {name: registry.counter(name) for name in names}
+    before, plan = registry.snapshot(), None
+    if not planned:
+        outcome = cluster.try_sql(sql)
+    else:
+        try:
+            plan = cluster.plan_sql(sql)
+            outcome = QueryOutcome(QueryStatus.OK, cluster.execute_plan(plan))
+        except ReproError as exc:
+            outcome = QueryOutcome(classify(exc), error=exc)
+    run = Observation(outcome, registry.delta_since(before), plan)
+    if oracle and outcome.succeeded:
+        logical = cluster.parse_to_logical(sql)
+        run.oracle = oracle_detail(cluster.store, logical, outcome.rows)
+    return run
 
 
-def counter_deltas(before: Dict[str, float]) -> Dict[str, int]:
-    """How far each counter of a :func:`read_counters` sample has moved."""
-    registry = get_registry()
-    return {
-        name: int(registry.counter(name) - value)
-        for name, value in before.items()
-    }
+@dataclass
+class Pair:
+    """One system's control and treatment clusters over one data set."""
+
+    system: str
+    control: IgniteCalciteCluster
+    treatment: IgniteCalciteCluster
+    #: Registry snapshot taken before either side was loaded.
+    since: Dict[str, float]
+
+    def observe(self, sql: str, **how) -> Tuple[Observation, Observation]:
+        """:func:`observe` ``sql`` on each side, control first."""
+        sides = (self.control, self.treatment)
+        return tuple(observe(cluster, sql, **how) for cluster in sides)
+
+    def delta(self) -> Dict[str, float]:
+        """What the pair has consumed so far, loading included."""
+        return get_registry().delta_since(self.since)
+
+
+def paired_run(
+    load: Callable[..., IgniteCalciteCluster],
+    systems: Sequence[str],
+    *,
+    sites: int,
+    scale_factor: float,
+    seed: int,
+    control: Optional[Mapping] = None,
+    treatment: Optional[Mapping] = None,
+    layouts: Tuple[Optional[Mapping], Optional[Mapping]] = (None, None),
+) -> Iterator[Pair]:
+    """Per system, both sides of one comparison, loaded as
+    ``load(PRESETS[system](sites).with_(**changes), scale_factor, seed,
+    **layout)`` with the ``control`` / ``treatment`` config changes and
+    the loader arguments of ``layouts`` (fedbench's adapter placement)."""
+    for system in systems:
+        base, since = PRESETS[system](sites), get_registry().snapshot()
+        control_cluster, treatment_cluster = (
+            load(
+                base.with_(**(changes or {})), scale_factor, seed,
+                **(layout or {}),
+            )
+            for changes, layout in zip((control, treatment), layouts)
+        )
+        yield Pair(system, control_cluster, treatment_cluster, since)
 
 
 def _field_names(cls) -> Tuple[str, ...]:

@@ -34,17 +34,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.core import (
+    Observation,
     artefact_dict,
     check_envelope,
     check_record,
     checked_records,
+    load_dataset,
+    observe,
+    paired_run,
 )
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.common.config import PRESETS
 from repro.core.cluster import IgniteCalciteCluster
-from repro.obs.metrics import get_registry
-from repro.verify.differential import oracle_detail
 
 #: Version tag stamped into every fedbench artefact.
 FEDBENCH_SCHEMA = "repro-fedbench/v1"
@@ -186,12 +188,12 @@ def load_fedbench_cluster(
     identical across layouts — only storage routing differs.
     """
     placement = dict(TABLE_ADAPTERS if adapters is None else adapters)
-    cluster = IgniteCalciteCluster(config)
-    rows = _company_rows(scale_factor, seed)
-    for name, schema in _schemas(placement).items():
-        cluster.create_table(schema, rows[name])
-    cluster.create_index("emp", "emp_pk", ["emp_id"])
-    return cluster
+    return load_dataset(
+        config,
+        _schemas(placement),
+        _company_rows(scale_factor, seed),
+        [("emp", "emp_pk", ["emp_id"])],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,53 +338,70 @@ def run_fedbench(
         systems=list(systems),
         adapters=dict(TABLE_ADAPTERS),
     )
-    registry = get_registry()
-    for system in systems:
-        base = PRESETS[system](sites)
-        for backend in ("row", "columnar"):
-            config = base.with_(execution_backend=backend)
-            cluster = load_fedbench_cluster(config, scale_factor, seed=seed)
-            for query in ids:
-                sql = FEDBENCH_QUERIES[query]
-                plan = cluster.plan_sql(sql)
-                before = registry.snapshot()
-                result = cluster.execute_plan(plan)
-                delta = registry.delta_since(before)
-                report.cells.append(
-                    FedbenchCell(
-                        query=query,
-                        system=system,
-                        backend=backend,
-                        rows=len(result.rows),
-                        simulated_seconds=result.simulated_seconds,
-                        rows_match=not oracle_detail(
-                            cluster.store,
-                            cluster.parse_to_logical(sql),
-                            result.rows,
-                        ),
-                        plan_digest=_plan_digest(plan),
-                    )
+    common = dict(sites=sites, scale_factor=scale_factor, seed=seed)
+    backends = paired_run(
+        load_fedbench_cluster,
+        systems,
+        **common,
+        control=dict(execution_backend="row"),
+        treatment=dict(execution_backend="columnar"),
+    )
+    for pair in backends:
+        runs = {
+            query: pair.observe(
+                FEDBENCH_QUERIES[query], planned=True, oracle=True
+            )
+            for query in ids
+        }
+        for side, backend in enumerate(("row", "columnar")):
+            report.cells.extend(
+                FedbenchCell(
+                    query=query,
+                    system=pair.system,
+                    backend=backend,
+                    rows=len(run[side].rows),
+                    simulated_seconds=run[side].outcome.simulated_seconds,
+                    rows_match=run[side].oracle_match,
+                    plan_digest=_plan_digest(run[side].plan),
                 )
-                if system == systems[0] and backend == "row":
-                    report.pushdown.extend(
-                        _pushdown_evidence(query, delta, result)
-                    )
-    for system in systems:
-        report.plan_flips.extend(
-            _plan_flip(system, sites, scale_factor, seed, ids)
-        )
-    report.chaos = _chaos_cell(systems[0], sites, scale_factor, seed)
+                for query, run in runs.items()
+            )
+        if pair.system == systems[0]:
+            for query, (row_run, _) in runs.items():
+                report.pushdown.extend(_pushdown_evidence(query, row_run))
+    all_native = {name: "native" for name in TABLE_ADAPTERS}
+    layouts = paired_run(
+        load_fedbench_cluster,
+        systems,
+        **common,
+        layouts=(None, dict(adapters=all_native)),
+    )
+    for pair in layouts:
+        for query in (q for q in FLIP_QUERY_IDS if q in ids):
+            sql = FEDBENCH_QUERIES[query]
+            federated = _plan_digest(pair.control.plan_sql(sql))
+            native = _plan_digest(pair.treatment.plan_sql(sql))
+            report.plan_flips.append(
+                PlanFlip(
+                    query=query,
+                    system=pair.system,
+                    federated_digest=federated,
+                    native_digest=native,
+                    flipped=federated != native,
+                )
+            )
+    report.chaos = _chaos_cell(systems[0], **common)
     return report
 
 
-def _pushdown_evidence(query, delta, result) -> List[PushdownEvidence]:
+def _pushdown_evidence(query: str, run: Observation) -> List[PushdownEvidence]:
     """Adapter scan counters for one execution, reconciled against the
     per-operator ``rows_in`` the engine recorded for the same scans."""
     from repro.exec.physical import PhysTableScan
 
     scanned: Dict[str, int] = {}
     out: Dict[str, int] = {}
-    for key, value in delta.items():
+    for key, value in run.delta.items():
         # Flat series names: ``adapter.rows_scanned{adapter=x,table=y}``.
         name, _, label_part = key.partition("{")
         if name not in ("adapter.rows_scanned", "adapter.rows_out"):
@@ -393,6 +412,7 @@ def _pushdown_evidence(query, delta, result) -> List[PushdownEvidence]:
         bucket = scanned if name == "adapter.rows_scanned" else out
         adapter = labels.get("adapter", "?")
         bucket[adapter] = bucket.get(adapter, 0) + int(value)
+    result = run.outcome.result
     scan_rows_in = 0
     for fragment in result.fragment_trees:
         for op in fragment.operators():
@@ -410,41 +430,6 @@ def _pushdown_evidence(query, delta, result) -> List[PushdownEvidence]:
     ]
 
 
-def _plan_flip(
-    system: str,
-    sites: int,
-    scale_factor: float,
-    seed: int,
-    ids: Sequence[str],
-) -> List[PlanFlip]:
-    """Plan digests on the federated layout vs an all-native copy."""
-    config = PRESETS[system](sites)
-    federated = load_fedbench_cluster(config, scale_factor, seed=seed)
-    native = load_fedbench_cluster(
-        config,
-        scale_factor,
-        seed=seed,
-        adapters={name: "native" for name in TABLE_ADAPTERS},
-    )
-    flips: List[PlanFlip] = []
-    for query in FLIP_QUERY_IDS:
-        if query not in ids:
-            continue
-        sql = FEDBENCH_QUERIES[query]
-        fed_digest = _plan_digest(federated.plan_sql(sql))
-        nat_digest = _plan_digest(native.plan_sql(sql))
-        flips.append(
-            PlanFlip(
-                query=query,
-                system=system,
-                federated_digest=fed_digest,
-                native_digest=nat_digest,
-                flipped=fed_digest != nat_digest,
-            )
-        )
-    return flips
-
-
 def _chaos_cell(
     system: str, sites: int, scale_factor: float, seed: int
 ) -> ChaosCell:
@@ -452,23 +437,20 @@ def _chaos_cell(
     from repro.faults.injector import parse_fault
 
     query = "FB1"
-    sql = FEDBENCH_QUERIES[query]
-    config = PRESETS[system](sites).with_(
+    config = PRESETS[system](
+        sites,
         faults=(parse_fault("kill-site", f"{sites - 1}@t=0.0"),),
         max_retries=2,
         failover_redispatch=True,
     )
-    cluster = load_fedbench_cluster(config, scale_factor, seed=seed)
-    outcome = cluster.try_sql(sql)
-    rows_match = outcome.succeeded and not oracle_detail(
-        cluster.store, cluster.parse_to_logical(sql), outcome.rows
-    )
+    cluster = load_fedbench_cluster(config, scale_factor, seed)
+    run = observe(cluster, FEDBENCH_QUERIES[query], oracle=True)
     return ChaosCell(
         query=query,
         system=system,
-        status=outcome.status.value,
-        attempts=outcome.attempts,
-        rows_match=rows_match,
+        status=run.outcome.status.value,
+        attempts=run.outcome.attempts,
+        rows_match=run.oracle_match,
     )
 
 

@@ -33,15 +33,14 @@ from repro.bench.core import (
     artefact_dict,
     check_envelope,
     checked_records,
-    counter_deltas,
-    ordered_match,
-    read_counters,
+    load_dataset,
+    paired_run,
+    same_rows,
 )
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
-from repro.common.config import PRESETS, SystemConfig
+from repro.common.config import SystemConfig
 from repro.core.cluster import IgniteCalciteCluster
-from repro.verify.differential import oracle_detail
 
 #: Version tag stamped into every midquery artefact.
 MIDQUERY_SCHEMA = "repro-midquery/v1"
@@ -80,18 +79,8 @@ MIDQUERY_QUERIES: Dict[str, str] = {
 #: Queries the ``--smoke`` tier runs (kept to the shapes that re-plan).
 SMOKE_QUERY_IDS = ("MQ1", "MQ2")
 
-#: Counters sampled around each adaptive execution.
-_COUNTERS = (
-    "midquery.checkpoints",
-    "midquery.triggers",
-    "midquery.replans",
-    "midquery.plan_switches",
-    "midquery.declined",
-)
-
 #: Report properties the artefact carries next to the dataclass fields.
 _DERIVED = ("total_replans",)
-
 
 def load_skewed_cluster(
     config: SystemConfig,
@@ -125,9 +114,8 @@ def load_skewed_cluster(
         (i, rng.randrange(n_orders), round(rng.random() * 100, 2))
         for i in range(n_payments)
     ]
-    cluster = IgniteCalciteCluster(config)
-    cluster.create_table(
-        TableSchema(
+    schemas = {
+        "customers": TableSchema(
             "customers",
             [
                 Column("id", ColumnType.BIGINT),
@@ -136,10 +124,7 @@ def load_skewed_cluster(
             ],
             ["id"],
         ),
-        customers,
-    )
-    cluster.create_table(
-        TableSchema(
+        "orders": TableSchema(
             "orders",
             [
                 Column("oid", ColumnType.BIGINT),
@@ -148,10 +133,7 @@ def load_skewed_cluster(
             ],
             ["oid"],
         ),
-        orders,
-    )
-    cluster.create_table(
-        TableSchema(
+        "payments": TableSchema(
             "payments",
             [
                 Column("pid", ColumnType.BIGINT),
@@ -160,9 +142,9 @@ def load_skewed_cluster(
             ],
             ["pid"],
         ),
-        payments,
-    )
-    return cluster
+    }
+    rows = {"customers": customers, "orders": orders, "payments": payments}
+    return load_dataset(config, schemas, rows)
 
 
 @dataclass
@@ -245,55 +227,43 @@ def run_midquery_bench(
         threshold=threshold,
     )
     names = tuple(query_ids) if query_ids else tuple(MIDQUERY_QUERIES)
-    for system in systems:
-        base = PRESETS[system](sites)
-        static_cluster = load_skewed_cluster(base, scale_factor, seed)
-        adaptive_cluster = load_skewed_cluster(
-            base.with_(
-                midquery_reoptimization=True,
-                midquery_replan_q_error_threshold=threshold,
-            ),
-            scale_factor,
-            seed,
-        )
+    pairs = paired_run(
+        load_skewed_cluster,
+        systems,
+        sites=sites,
+        scale_factor=scale_factor,
+        seed=seed,
+        treatment=dict(
+            midquery_reoptimization=True,
+            midquery_replan_q_error_threshold=threshold,
+        ),
+    )
+    for pair in pairs:
         for name in names:
-            sql = MIDQUERY_QUERIES[name]
-            key = f"{name}/{system}"
-            before = read_counters(_COUNTERS)
-            try:
-                static_result = static_cluster.sql(sql)
-                adaptive_result = adaptive_cluster.sql(sql)
-                oracle_diff = oracle_detail(
-                    adaptive_cluster.store,
-                    adaptive_cluster.parse_to_logical(sql),
-                    adaptive_result.rows,
-                )
-            except Exception as exc:  # pragma: no cover - preset-dependent
-                report.skipped[key] = f"{type(exc).__name__}: {exc}"
+            static, adaptive = pair.observe(MIDQUERY_QUERIES[name], oracle=True)
+            failure = static.failure or adaptive.failure
+            if failure:  # pragma: no cover - preset-dependent
+                report.skipped[f"{name}/{pair.system}"] = failure
                 continue
-            deltas = counter_deltas(before)
-            adaptive_s = adaptive_result.simulated_seconds
+            static_s = static.outcome.simulated_seconds
+            adaptive_s = adaptive.outcome.simulated_seconds
             report.queries.append(
                 QueryMidquery(
                     query=name,
-                    system=system,
-                    rows=len(static_result.rows),
-                    static_seconds=static_result.simulated_seconds,
+                    system=pair.system,
+                    rows=len(static.rows),
+                    static_seconds=static_s,
                     adaptive_seconds=adaptive_s,
-                    speedup=(
-                        static_result.simulated_seconds / adaptive_s
-                        if adaptive_s
-                        else 0.0
-                    ),
-                    triggers=deltas["midquery.triggers"],
-                    replans=deltas["midquery.replans"],
-                    plan_switches=deltas["midquery.plan_switches"],
-                    declined=deltas["midquery.declined"],
+                    speedup=static_s / adaptive_s if adaptive_s else 0.0,
+                    triggers=adaptive.count("midquery.triggers"),
+                    replans=adaptive.count("midquery.replans"),
+                    plan_switches=adaptive.count("midquery.plan_switches"),
+                    declined=adaptive.count("midquery.declined"),
                     # ORDER BY over unique keys: compare rows *in order*.
-                    results_match=ordered_match(
-                        static_result.rows, adaptive_result.rows
+                    results_match=same_rows(
+                        static.rows, adaptive.rows, ordered=True
                     ),
-                    oracle_match=not oracle_diff,
+                    oracle_match=adaptive.oracle_match,
                 )
             )
     return report

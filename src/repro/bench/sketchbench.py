@@ -43,19 +43,18 @@ from repro.bench.core import (
     artefact_dict,
     check_envelope,
     checked_records,
-    counter_deltas,
-    ordered_match,
-    read_counters,
+    load_dataset,
+    paired_run,
+    same_rows,
 )
 from repro.bench.midquery import HOT_CUSTOMER, load_skewed_cluster
 from repro.bench.ssb import load_ssb_cluster
 from repro.bench.tpch import TPCH_INDEXES, cached_tpch_data, tpch_schemas
-from repro.common.config import PRESETS, SystemConfig
+from repro.common.config import SystemConfig
 from repro.core.cluster import IgniteCalciteCluster
 from repro.exec.engine import ExecutionResult
 from repro.exec.physical import PhysJoinBase
 from repro.obs.metrics import percentile
-from repro.verify.differential import oracle_detail
 
 #: Version tag stamped into every sketchbench artefact.
 SKETCHBENCH_SCHEMA = "repro-sketchbench/v1"
@@ -139,13 +138,6 @@ SKETCHBENCH_QUERIES: Dict[str, Dict[str, str]] = {
 SMOKE_BENCHES = ("company", "tpch")
 SMOKE_QUERY_IDS = ("C1", "T1", "T2")
 
-#: Sketch-registry counters sampled around each cell.
-_COUNTERS = (
-    "sketch.table_builds",
-    "sketch.seam_refreshes",
-    "sketch.operator_hits",
-)
-
 #: Report properties the artefact carries next to the dataclass fields.
 _DERIVED = ("total_plan_flips", "tpch_p95_join_improved")
 
@@ -173,12 +165,9 @@ def load_skewed_tpch_cluster(
         else row
         for row in data["orders"]
     ]
-    cluster = IgniteCalciteCluster(config)
-    for name, schema in tpch_schemas().items():
-        cluster.create_table(schema, orders if name == "orders" else data[name])
-    for table, index_name, columns in TPCH_INDEXES:
-        cluster.create_index(table, index_name, columns)
-    return cluster
+    return load_dataset(
+        config, tpch_schemas(), {**data, "orders": orders}, TPCH_INDEXES
+    )
 
 
 LOADERS = {
@@ -206,6 +195,14 @@ def _distribution(values: Sequence[float]) -> Dict[str, float]:
         "p50": _q_error_percentile(values, 50.0),
         "p95": _q_error_percentile(values, 95.0),
         "max": round(max(values), 4) if values else 1.0,
+    }
+
+
+def _distributions(ops: Sequence[Tuple[bool, float]]) -> Dict[str, Dict]:
+    """The q-error distribution over all operators and over joins only."""
+    return {
+        "all": _distribution([q for _, q in ops]),
+        "join": _distribution([q for is_join, q in ops if is_join]),
     }
 
 
@@ -325,7 +322,6 @@ def run_sketchbench(
     tpch_hist_joins: List[float] = []
     tpch_sketch_joins: List[float] = []
     for bench in benches:
-        loader = LOADERS[bench]
         names = [
             name
             for name in SKETCHBENCH_QUERIES[bench]
@@ -333,56 +329,42 @@ def run_sketchbench(
         ]
         if not names:
             continue
-        for system in systems:
-            base = PRESETS[system](sites)
-            before = read_counters(_COUNTERS)
-            try:
-                hist_cluster = loader(base, scale_factor, seed)
-                sketch_cluster = loader(
-                    base.with_(sketch_statistics=True), scale_factor, seed
-                )
-            except Exception as exc:  # pragma: no cover - preset-dependent
-                report.skipped[f"{bench}/{system}"] = (
-                    f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            hist_all: List[float] = []
-            hist_join: List[float] = []
-            sketch_all: List[float] = []
-            sketch_join: List[float] = []
-            plan_flips = 0
-            ran = 0
+        pairs = paired_run(
+            LOADERS[bench],
+            systems,
+            sites=sites,
+            scale_factor=scale_factor,
+            seed=seed,
+            treatment=dict(sketch_statistics=True),
+        )
+        for pair in pairs:
+            flips: List[bool] = []
+            hist_ops: List[Tuple[bool, float]] = []
+            sketch_ops: List[Tuple[bool, float]] = []
             for name in names:
                 sql = SKETCHBENCH_QUERIES[bench][name]
-                key = f"{name}/{system}"
-                try:
-                    hist_digest = hist_cluster.plan_sql(sql).digest()
-                    sketch_digest = sketch_cluster.plan_sql(sql).digest()
-                    hist_result = hist_cluster.sql(sql)
-                    sketch_result = sketch_cluster.sql(sql)
-                    oracle_diff = oracle_detail(
-                        sketch_cluster.store,
-                        sketch_cluster.parse_to_logical(sql),
-                        sketch_result.rows,
-                    )
-                except Exception as exc:  # pragma: no cover
-                    report.skipped[key] = f"{type(exc).__name__}: {exc}"
+                # Planned before either side runs: a run's seam harvest
+                # feeds the next planning.
+                flip = (
+                    pair.control.plan_sql(sql).digest()
+                    != pair.treatment.plan_sql(sql).digest()
+                )
+                hist, sketch = pair.observe(sql, oracle=True)
+                failure = hist.failure or sketch.failure
+                if failure:  # pragma: no cover - preset-dependent
+                    report.skipped[f"{name}/{pair.system}"] = failure
                     continue
-                ran += 1
-                flip = hist_digest != sketch_digest
-                plan_flips += int(flip)
-                h_ops = _operator_q_errors(hist_result)
-                s_ops = _operator_q_errors(sketch_result)
-                hist_all.extend(q for _, q in h_ops)
-                sketch_all.extend(q for _, q in s_ops)
-                hist_join.extend(q for is_join, q in h_ops if is_join)
-                sketch_join.extend(q for is_join, q in s_ops if is_join)
+                flips.append(flip)
+                h_ops = _operator_q_errors(hist.outcome.result)
+                s_ops = _operator_q_errors(sketch.outcome.result)
+                hist_ops += h_ops
+                sketch_ops += s_ops
                 report.queries.append(
                     QuerySketchbench(
                         bench=bench,
                         query=name,
-                        system=system,
-                        rows=len(hist_result.rows),
+                        system=pair.system,
+                        rows=len(hist.rows),
                         plan_flip=flip,
                         histogram_max_q_error=round(
                             max((q for _, q in h_ops), default=1.0), 4
@@ -391,37 +373,31 @@ def run_sketchbench(
                             max((q for _, q in s_ops), default=1.0), 4
                         ),
                         # ORDER BY over unique keys: compare *in order*.
-                        results_match=ordered_match(
-                            hist_result.rows, sketch_result.rows
+                        results_match=same_rows(
+                            hist.rows, sketch.rows, ordered=True
                         ),
-                        oracle_match=not oracle_diff,
+                        oracle_match=sketch.oracle_match,
                     )
                 )
-            if not ran:
+            if not flips:
                 continue
-            deltas = counter_deltas(before)
+            delta = pair.delta()
             report.cells.append(
                 CellSketchbench(
                     bench=bench,
-                    system=system,
-                    queries=ran,
-                    plan_flips=plan_flips,
-                    histogram_q_errors={
-                        "all": _distribution(hist_all),
-                        "join": _distribution(hist_join),
-                    },
-                    sketch_q_errors={
-                        "all": _distribution(sketch_all),
-                        "join": _distribution(sketch_join),
-                    },
-                    table_builds=deltas["sketch.table_builds"],
-                    seam_refreshes=deltas["sketch.seam_refreshes"],
-                    operator_hits=deltas["sketch.operator_hits"],
+                    system=pair.system,
+                    queries=len(flips),
+                    plan_flips=sum(flips),
+                    histogram_q_errors=_distributions(hist_ops),
+                    sketch_q_errors=_distributions(sketch_ops),
+                    table_builds=int(delta.get("sketch.table_builds", 0)),
+                    seam_refreshes=int(delta.get("sketch.seam_refreshes", 0)),
+                    operator_hits=int(delta.get("sketch.operator_hits", 0)),
                 )
             )
             if bench == "tpch":
-                tpch_hist_joins.extend(hist_join)
-                tpch_sketch_joins.extend(sketch_join)
+                tpch_hist_joins += [q for is_join, q in hist_ops if is_join]
+                tpch_sketch_joins += [q for is_join, q in sketch_ops if is_join]
     report.tpch_join_p95_histograms = _q_error_percentile(
         tpch_hist_joins, 95.0
     )

@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 
+from repro.bench.core import load_dataset
 from repro.bench.ssb.datagen import (
     SSB_INDEXES,
     generate_ssb,
@@ -22,13 +23,9 @@ def load_ssb_cluster(
     config: SystemConfig, scale_factor: float, seed: int = 11
 ) -> IgniteCalciteCluster:
     """A cluster with the SSB schema, data and the paper's nine indexes."""
-    cluster = IgniteCalciteCluster(config)
-    data = cached_ssb_data(scale_factor, seed)
-    for name, schema in ssb_schemas().items():
-        cluster.create_table(schema, data[name])
-    for table, index_name, columns in SSB_INDEXES:
-        cluster.create_index(table, index_name, columns)
-    return cluster
+    return load_dataset(
+        config, ssb_schemas(), cached_ssb_data(scale_factor, seed), SSB_INDEXES
+    )
 
 
 __all__ = [

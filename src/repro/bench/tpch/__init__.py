@@ -1,8 +1,8 @@
 """TPC-H benchmark: schemas, mini dbgen, the 22 queries, cluster loader."""
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
 
+from repro.bench.core import load_dataset
 from repro.bench.tpch.datagen import (
     TPCH_INDEXES,
     generate_tpch,
@@ -30,13 +30,9 @@ def load_tpch_cluster(
     config: SystemConfig, scale_factor: float, seed: int = 7
 ) -> IgniteCalciteCluster:
     """A cluster with the TPC-H schema, data and the paper's 16 indexes."""
-    cluster = IgniteCalciteCluster(config)
-    data = cached_tpch_data(scale_factor, seed)
-    for name, schema_factory in tpch_schemas().items():
-        cluster.create_table(schema_factory, data[name])
-    for table, index_name, columns in TPCH_INDEXES:
-        cluster.create_index(table, index_name, columns)
-    return cluster
+    return load_dataset(
+        config, tpch_schemas(), cached_tpch_data(scale_factor, seed), TPCH_INDEXES
+    )
 
 
 __all__ = [

@@ -163,47 +163,9 @@ def _run_serve(args):
     )
 
 
-def _run_colbench(args):
-    return colbench.run_colbench(
-        system=args.system,
-        scale_factor=args.sf[0],
-        sites=args.sites[0],
-        repeats=args.repeats,
-        query_ids=args.queries and [int(q[1:]) for q in args.queries],
-        seed=args.seed,
-    )
-
-
-def _run_midquery(args):
-    return midquery.run_midquery_bench(
-        systems=args.systems,
-        scale_factor=args.sf[0],
-        sites=args.sites[0],
-        seed=args.seed,
-        threshold=args.threshold,
-        query_ids=args.queries,
-    )
-
-
-def _run_sketchbench(args):
-    return sketchbench.run_sketchbench(
-        systems=args.systems,
-        benches=args.benches,
-        scale_factor=args.sf[0],
-        sites=args.sites[0],
-        seed=args.seed,
-        query_ids=args.queries,
-    )
-
-
-def _run_fedbench(args):
-    return fedbench.run_fedbench(
-        systems=args.systems,
-        scale_factor=args.sf[0],
-        sites=args.sites[0],
-        seed=args.seed,
-        query_ids=args.queries,
-    )
+def _sizes(args) -> Dict[str, object]:
+    """``--sf``/``--sites``/``--seed`` as the benches' keyword arguments."""
+    return dict(scale_factor=args.sf[0], sites=args.sites[0], seed=args.seed)
 
 
 ARTEFACT_BENCHES: Dict[str, ArtefactBench] = {
@@ -219,7 +181,12 @@ ARTEFACT_BENCHES: Dict[str, ArtefactBench] = {
     # both backends end to end and validates the artefact (including the
     # differential columns).
     "colbench": ArtefactBench(
-        run=_run_colbench,
+        run=lambda args: colbench.run_colbench(
+            system=args.system,
+            repeats=args.repeats,
+            query_ids=args.queries and [int(q[1:]) for q in args.queries],
+            **_sizes(args),
+        ),
         smoke=dict(
             system="IC+", sf=(0.05,), sites=(4,), repeats=1,
             queries=",".join(f"Q{q}" for q in colbench.SMOKE_QUERY_IDS),
@@ -231,7 +198,12 @@ ARTEFACT_BENCHES: Dict[str, ArtefactBench] = {
     # end and validates the artefact (including the order-sensitive
     # differential columns).
     "midquery": ArtefactBench(
-        run=_run_midquery,
+        run=lambda args: midquery.run_midquery_bench(
+            systems=args.systems,
+            threshold=args.threshold,
+            query_ids=args.queries,
+            **_sizes(args),
+        ),
         smoke=dict(
             systems="IC+", sf=(0.5,), sites=(4,),
             queries=",".join(midquery.SMOKE_QUERY_IDS),
@@ -244,7 +216,12 @@ ARTEFACT_BENCHES: Dict[str, ArtefactBench] = {
     # seam harvest end to end and validates the artefact including the
     # differential columns.
     "sketchbench": ArtefactBench(
-        run=_run_sketchbench,
+        run=lambda args: sketchbench.run_sketchbench(
+            systems=args.systems,
+            benches=args.benches,
+            query_ids=args.queries,
+            **_sizes(args),
+        ),
         smoke=dict(
             systems="IC+", benches=",".join(sketchbench.SMOKE_BENCHES),
             sf=(0.05,), sites=(4,),
@@ -261,7 +238,9 @@ ARTEFACT_BENCHES: Dict[str, ArtefactBench] = {
     # and the chaos replay end to end and validates the artefact
     # (including the plan-flip evidence).
     "fedbench": ArtefactBench(
-        run=_run_fedbench,
+        run=lambda args: fedbench.run_fedbench(
+            systems=args.systems, query_ids=args.queries, **_sizes(args)
+        ),
         smoke=dict(
             systems="IC+", sf=(0.05,), sites=(4,),
             queries=",".join(fedbench.SMOKE_QUERY_IDS),
@@ -361,7 +340,7 @@ def cmd_query(args) -> None:
 
 
 def cmd_trace(args) -> None:
-    from repro.obs.metrics import get_registry
+    from repro.bench.core import observe
     from repro.obs.trace import validate_trace
 
     loader, pool = _workload(args.bench)
@@ -374,16 +353,12 @@ def cmd_trace(args) -> None:
     sql = pool[name]
     config = PRESETS[args.system](args.sites[0]).with_(tracing=True)
     cluster = loader(config, args.sf[0])
-    registry = get_registry()
-    before = registry.snapshot()
-    outcome = cluster.try_sql(sql)
-    if not outcome.ok:
-        print(f"{outcome.status.value}: {outcome.error}")
+    run = observe(cluster, sql)
+    if not run.outcome.ok:
+        print(f"{run.outcome.status.value}: {run.outcome.error}")
         sys.exit(EXIT_CRASH)
     artefact = cluster.last_trace.to_dict(
-        query=name,
-        system=config.name,
-        metrics=registry.delta_since(before),
+        query=name, system=config.name, metrics=run.delta
     )
     problems = validate_trace(artefact)
     if problems:

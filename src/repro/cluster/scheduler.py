@@ -209,14 +209,15 @@ class WorkloadSimulator:
             raise ExecutionError(f"fault targets unknown site {payload[0]}")
         heapq.heappush(self._fault_heap, (at, next(self._seq), kind, payload))
 
-    def _alive(self) -> List[int]:
+    def alive_sites(self) -> List[int]:
+        """The sites no crash has taken down, in site order."""
         return [s for s in range(self.sites) if not self._down[s]]
 
     def _route_site(self, site: int) -> int:
         """Where a task placed at ``site`` actually runs (failover remap)."""
         if not self._down[site]:
             return site
-        alive = self._alive()
+        alive = self.alive_sites()
         if not alive:
             raise SiteFailureError(
                 "all sites have failed", site=site, at=self._now

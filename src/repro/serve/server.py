@@ -37,6 +37,7 @@ from repro.cluster.scheduler import TaskGraph, WorkloadSimulator
 from repro.common.errors import ReproError, SiteFailureError
 from repro.core.cluster import IgniteCalciteCluster, QueryStatus
 from repro.faults.chaos import RetryPolicy
+from repro.faults.injector import failover_owner
 from repro.obs.metrics import get_registry, tenant_scope
 from repro.obs.trace import Tracer
 from repro.serve.admission import (
@@ -341,7 +342,7 @@ class QueryServer:
             delay = self._retry_policy.delay(
                 retry_index, salt=request.request_id
             )
-            entry.graph, _ = self._remap_graph(entry.graph)
+            entry.graph = self._remap_graph(entry.graph)
             entry.submitted = now + delay
             self.simulator.schedule_event(
                 entry.submitted, lambda: self._submit_attempt(entry)
@@ -353,37 +354,25 @@ class QueryServer:
         self._pump(now)
 
     def _touches_down_site(self, graph: TaskGraph) -> bool:
-        down = self.simulator._down
-        return any(down[task.site % self.config.sites] for task in graph.tasks)
+        alive, sites = self.simulator.alive_sites(), self.config.sites
+        return len(alive) < sites and any(
+            task.site % sites not in alive for task in graph.tasks
+        )
 
-    def _remap_graph(self, graph: TaskGraph) -> Tuple[TaskGraph, bool]:
-        """Move tasks off dead sites (failover to backup owners).
-
-        Returns the graph to submit and whether any task actually moved;
-        a no-op (no dead sites, or no tasks placed on them) returns the
-        original graph unchanged.
-        """
-        down = [
-            site
-            for site in range(self.config.sites)
-            if self.simulator._down[site]
-        ]
-        if not down:
-            return graph, False
-        alive = [
-            site for site in range(self.config.sites) if site not in down
-        ]
+    def _remap_graph(self, graph: TaskGraph) -> TaskGraph:
+        """``graph`` with every task on a dead site moved to that site's
+        failover owner (``faults.injector.failover_owner``); the graph
+        itself when no task moved."""
+        alive, sites = self.simulator.alive_sites(), self.config.sites
         if not alive:
-            return graph, False  # submit() raises "all sites failed"
+            return graph  # submit() raises "all sites failed"
         remapped = TaskGraph()
         moved = False
         for task in graph.tasks:
-            site = task.site % self.config.sites
-            if self.simulator._down[site]:
-                site = alive[site % len(alive)]
-                moved = True
+            site = failover_owner(task.site % sites, sites, alive)
+            moved = moved or site != task.site % sites
             remapped.add(site, task.units, task.deps)
-        return (remapped, True) if moved else (graph, False)
+        return remapped if moved else graph
 
     # -- record plumbing ---------------------------------------------------
 

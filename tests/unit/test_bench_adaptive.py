@@ -54,6 +54,24 @@ class TestRunAdaptive:
         with pytest.raises(ValueError):
             run_adaptive(company_loader, WORKLOAD, SystemConfig.ic_plus(4), 1.0, 1)
 
+    def test_rows_with_nulls_compare_without_raising(self):
+        """Raw ``sorted()`` raised TypeError on a NULL next to an int."""
+        workload = {
+            "left": "select s.sale_id, e.emp_id from emp e left join sales s "
+                    "on e.emp_id = s.emp_id and s.amount > 4000",
+        }
+        config = SystemConfig.ic_plus(4, plan_cache=True)
+        result = run_adaptive(company_loader, workload, config, 1.0, repeats=2)
+        assert result.rows_stable
+
+    def test_a_failed_run_is_reported_by_status_not_as_a_divergence(self):
+        workload = {"view": "create view v as select name from emp"}
+        config = SystemConfig.ic_plus(4, plan_cache=True)
+        result = run_adaptive(company_loader, workload, config, 1.0, repeats=2)
+        assert result.rows_stable
+        assert result.measurements["view"].failed == "unsupported"
+        assert "unsupported" in result.to_text()
+
 
 def test_default_workload_is_a_sorted_slice():
     pool = {"b": "2", "a": "1", "c": "3"}

@@ -161,6 +161,45 @@ class TestExecution:
         assert "rows stable across repeats: yes" in out
         assert "ticks(1st)" in out
 
+    @pytest.mark.parametrize("system", ["IC+", "IC"])
+    def test_adaptive_full_workload_reports_no_false_divergence(
+        self, system, capsys
+    ):
+        """Q9 (IC+) and Q7 (IC) re-plan into a join order whose float sums
+        differ in the last digits, and IC fails Q2/Q5/Q9 (planning) and
+        Q17/Q21 (timeout) as the paper's failure matrix says: neither is a
+        divergence."""
+        main([
+            "adaptive", "--sf", "0.05", "--repeats", "3", "--limit", "22",
+            "--system", system,
+        ])
+        out = capsys.readouterr().out
+        assert "DIFF" not in out
+        assert "rows stable across repeats: yes" in out
+        if system == "IC":
+            assert re.search(r"^Q2 .* planning_failed$", out, re.M)
+            assert re.search(r"^Q17 .* timeout$", out, re.M)
+
+    def test_adaptive_reports_a_real_divergence(self, capsys, monkeypatch):
+        from repro.bench import adaptive
+
+        observe, runs = adaptive.observe, []
+
+        def diverging(cluster, sql, **how):
+            run = observe(cluster, sql, **how)
+            runs.append(run)
+            if len(runs) == 2:
+                run.outcome.result.rows = run.rows + [run.rows[0]]
+            return run
+
+        monkeypatch.setattr(adaptive, "observe", diverging)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["adaptive", "--sf", "0.05", "--limit", "1", "--repeats", "2"])
+        assert excinfo.value.code == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^Q1 .* DIFF$", out, re.M)
+        assert "NO — adaptive layer broke answers" in out
+
 
 class TestServeCommand:
     def test_serve_parser_defaults(self):
@@ -343,10 +382,24 @@ class TestArtefactCommands:
         )
 
 
-def _smoke_artefact(name, tmp_path):
-    path = tmp_path / f"{name}.json"
-    main([name, "--smoke", "--out", str(path)])
-    payload = json.loads(path.read_text())
+@pytest.fixture(scope="module")
+def smoke_text(tmp_path_factory):
+    """bench name -> the text of its ``--smoke`` artefact, each smoke run
+    at most once per module (lazily, inside the first test asking)."""
+    texts = {}
+
+    def run(name):
+        if name not in texts:
+            path = tmp_path_factory.mktemp(name) / f"{name}.json"
+            main([name, "--smoke", "--out", str(path)])
+            texts[name] = path.read_text()
+        return texts[name]
+
+    return run
+
+
+def _smoke_artefact(name, smoke_text):
+    payload = json.loads(smoke_text(name))
     # The serve bench artefact wraps one repro-serve/v1 report per
     # system; that report is what its validator checks.
     return payload["systems"]["IC+"] if name == "serve" else payload
@@ -383,13 +436,13 @@ CONTRACTS = {
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACTS))
-def test_validator_requires_every_emitted_key(name, tmp_path):
+def test_validator_requires_every_emitted_key(name, smoke_text):
     """The artefact contract: every top-level key and every field of
     every record class is required, by name.  Required keys are derived
     from ``dataclasses.fields``, so this fails the moment a dataclass
     field and the validator disagree."""
     validate, records = CONTRACTS[name]
-    valid = _smoke_artefact(name, tmp_path)
+    valid = _smoke_artefact(name, smoke_text)
     assert validate(valid) == []
 
     def problems_without(*path):
@@ -414,6 +467,37 @@ def test_validator_requires_every_emitted_key(name, tmp_path):
                 repr(field_name) in problem
                 for problem in problems_without(key, *first, field_name)
             ), f"dropping {key}.{field_name} went unnoticed"
+
+
+#: colbench's wall-clock fields, per query; masked before pinning.
+WALL_CLOCK_FIELDS = ("row_seconds", "columnar_seconds", "speedup")
+
+
+def _pinned_form(name, text):
+    """The artefact text as pinned: byte for byte, except colbench's
+    wall-clock fields, which read ``null``."""
+    if name != "colbench":
+        return text
+    payload = json.loads(text)
+    payload["geomean_speedup"] = None
+    for row in payload["queries"]:
+        row.update(dict.fromkeys(WALL_CLOCK_FIELDS))
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTS))
+def test_smoke_artefact_is_pinned(name, smoke_text):
+    """Every ``--smoke`` artefact is deterministic at its fixed seed, so
+    a refactor of the bench layer must reproduce it exactly
+    (``tests/golden/smoke-<bench>.json``)."""
+    golden = (GOLDEN / f"smoke-{name}.json").read_text()
+    assert _pinned_form(name, smoke_text(name)) == golden
+
+
+def test_adaptive_default_slice_stdout_is_pinned(capsys):
+    main(["adaptive", "--sf", "0.05", "--repeats", "3"])
+    golden = GOLDEN / "cli-adaptive-sf0.05-repeats3.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 @pytest.mark.parametrize(

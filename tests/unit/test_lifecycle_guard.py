@@ -238,3 +238,74 @@ def test_the_cli_has_one_paper_command():
     functions = _functions(SRC / "cli.py")
     assert "cmd_paper" in functions
     assert [n for n in functions if n.startswith(("cmd_figure", "_print_"))] == []
+
+
+# -- one paired-run harness for the evidence benches --------------------------
+
+BENCH = SRC / "bench"
+EVIDENCE = [
+    BENCH / f"{name}.py"
+    for name in ("adaptive", "colbench", "fedbench", "midquery", "sketchbench")
+]
+CLUSTER_LOADERS = {
+    "load_dataset", "load_tpch_cluster", "load_ssb_cluster", "loader",
+    "load_skewed_cluster", "load_skewed_tpch_cluster", "load_fedbench_cluster",
+}
+
+
+def _bench_modules_containing(needle):
+    return sorted(
+        str(path.relative_to(SRC))
+        for path in BENCH.rglob("*.py")
+        if needle in path.read_text()
+    )
+
+
+def test_one_bench_module_builds_a_cluster():
+    assert _bench_modules_containing("IgniteCalciteCluster(") == ["bench/core.py"]
+    assert (BENCH / "core.py").read_text().count("IgniteCalciteCluster(") == 1
+
+
+def test_the_benches_ask_the_oracle_in_one_module():
+    assert _bench_modules_containing("oracle_detail(") == ["bench/core.py"]
+
+
+@pytest.mark.parametrize("needle", ["read_counters", "counter_deltas"])
+def test_counters_are_sampled_one_way(needle):
+    assert _modules_mentioning(needle) == []
+
+
+@pytest.mark.parametrize(
+    "path", EVIDENCE + sorted((ROOT / "benchmarks").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_no_bench_derives_its_own_treatment(path):
+    """A treatment config is a ``paired_run`` argument, never a preset
+    re-derived with ``.with_(`` next to its control."""
+    assert ".with_(" not in path.read_text()
+
+
+@pytest.mark.parametrize("path", EVIDENCE, ids=lambda path: path.name)
+def test_no_evidence_function_loads_two_clusters(path):
+    """Control and treatment are loaded by ``paired_run``: a function in an
+    evidence bench loads at most one cluster itself."""
+    for name, function in _functions(path).items():
+        loads = [
+            node
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in CLUSTER_LOADERS
+        ]
+        assert len(loads) <= 1, name
+
+
+def test_only_the_simulator_reads_which_sites_are_down():
+    """Everyone else asks ``WorkloadSimulator.alive_sites()`` and maps a
+    dead site's work with ``faults.injector.failover_owner``."""
+    reading = [
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if "._down" in path.read_text()
+    ]
+    assert reading == ["cluster/scheduler.py"]
