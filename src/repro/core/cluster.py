@@ -414,8 +414,8 @@ class IgniteCalciteCluster:
             raise
         except ReproError as exc:
             # Hold on to nothing but the exception: its traceback keeps each
-            # frame's locals alive (a timed-out IC Q21's whole nested-loop
-            # cross product) for as long as the outcome lives.
+            # frame's locals alive (the input rows of the operator that
+            # timed out, say) for as long as the outcome lives.
             traceback.clear_frames(exc.__traceback__)
             outcome.status, outcome.error = classify(exc), exc
         else:

@@ -8,10 +8,13 @@ plan-time ``op_id``, and charges the *work units* the charge spec
 and the columnar backend cannot disagree on simulated time, and the
 planner's cost model reads the same functions.  The context enforces the
 runtime limit — the analogue of the paper's four-hour cap — and
-nested-loop joins pre-check their pair count so a doomed baseline plan
-(Q17/Q19/Q21 on IC) aborts immediately instead of grinding.
+nested-loop joins pre-check their pair count before touching their
+inputs.  A condition-free inner nested-loop join is sized, not built (a
+:class:`CrossProduct`), so when the join above it refuses the pairs —
+Q21 on IC — the product it would have refused never exists.
 
-The row handlers below consume and produce lists of Python tuples.
+The row handlers below consume and produce lists of Python tuples; only
+a nested-loop join ever receives a :class:`CrossProduct`.
 """
 
 from __future__ import annotations
@@ -166,6 +169,8 @@ def run_operator(handlers: dict, node: PhysNode, site: int, ctx: ExecContext):
     if handler is None:
         raise ExecutionError(f"no interpreter for {type(node).__name__}")
     inputs = [run_operator(handlers, child, site, ctx) for child in node.inputs]
+    if type(node) is not PhysNestedLoopJoin:  # it pre-checks before building
+        inputs = [materialise(rows) for rows in inputs]
     out = handler(node, site, ctx, *inputs)
     detail = None
     if type(out) is tuple:
@@ -180,7 +185,38 @@ def run_operator(handlers: dict, node: PhysNode, site: int, ctx: ExecContext):
 
 def execute_node(node: PhysNode, site: int, ctx: ExecContext) -> Rows:
     """Run the fragment tree under ``node`` at ``site`` on the row backend."""
-    return run_operator(_HANDLERS, node, site, ctx)
+    return materialise(run_operator(_HANDLERS, node, site, ctx))
+
+
+class CrossProduct:
+    """The output of a condition-free inner nested-loop join, sized but not
+    yet built.
+
+    ``len()`` is exact, which is all the shell's accounting and a parent
+    nested-loop join's pre-check read; :meth:`build` makes the left-major
+    list the join kernel would have, once, when a consumer needs rows.
+    """
+
+    __slots__ = ("left", "right", "_rows")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self._rows: Optional[Rows] = None
+
+    def __len__(self) -> int:
+        return len(self.left) * len(self.right)
+
+    def build(self) -> Rows:
+        if self._rows is None:
+            right = materialise(self.right)
+            self._rows = [l + r for l in materialise(self.left) for r in right]
+        return self._rows
+
+
+def materialise(rows):
+    """``rows`` as a plain list if it is a deferred :class:`CrossProduct`."""
+    return rows.build() if type(rows) is CrossProduct else rows
 
 
 # -- scans --------------------------------------------------------------------
@@ -341,11 +377,15 @@ def _join_kernel(
 
 
 def _exec_nested_loop_join(
-    node: PhysNestedLoopJoin, site: int, ctx: ExecContext, left: Rows, right: Rows
-) -> Rows:
+    node: PhysNestedLoopJoin, site: int, ctx: ExecContext, left, right
+):
     # Pre-check: a hopeless nested-loop plan must abort without grinding
-    # through the cross product (the paper's four-hour timeout analogue).
+    # through the cross product (the paper's four-hour timeout analogue) —
+    # and before building an input that is itself a deferred product.
     ctx.precheck(node, site, charges.nested_loop_pairs(len(left), len(right)))
+    if node.condition is None and node.join_type is JoinType.INNER:
+        return CrossProduct(left, right)
+    left, right = materialise(left), materialise(right)
     kernel = _compiled(
         node,
         "_kernel",

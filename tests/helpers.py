@@ -622,6 +622,34 @@ def reference_aggregate_rows(rows, group_keys, calls, phase, runs):
     return [key + finalize(acc) for key, acc in groups]
 
 
+def eager_nested_loop_join(node, site, ctx, left, right):
+    """The row nested-loop join handler as it was before a condition-free
+    inner join returned a deferred ``CrossProduct``: every join, cross
+    products included, runs the generated kernel and returns a list."""
+    from repro.common import charges
+    from repro.exec import operators
+
+    ctx.precheck(node, site, charges.nested_loop_pairs(len(left), len(right)))
+    kernel = operators._compiled(
+        node,
+        "_eager_kernel",
+        lambda: operators._join_kernel(
+            node, "nested_loop_join", "left, right", node.condition,
+            ["for l in left:"], "right",
+        ),
+    )
+    return kernel(left, right)[0]
+
+
+def eager_row_handlers():
+    """The row backend's handler table with :func:`eager_nested_loop_join`
+    (run it with ``operators.run_operator``)."""
+    from repro.exec import operators
+    from repro.exec.physical import PhysNestedLoopJoin
+
+    return {**operators._HANDLERS, PhysNestedLoopJoin: eager_nested_loop_join}
+
+
 # ---------------------------------------------------------------------------
 # Reference (sort-based) keyed kernels of the columnar backend
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ standard deployment."  Each failure mode is asserted with its *kind*, and
 each fix is asserted to resolve it.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.bench.tpch import QUERIES, load_tpch_cluster
 from repro.common.config import SystemConfig
-from repro.common.errors import PlanningTimeoutError
+from repro.common.errors import ExecutionTimeoutError, PlanningTimeoutError
 from repro.core.cluster import QueryStatus
+from repro.exec import operators
 
 SF = 0.5
 
@@ -71,6 +74,33 @@ class TestExecutionTimeouts:
         # "all six of these queries completed execution in under one
         # minute on average in IC+" — scaled, far under the limit.
         assert outcome.simulated_seconds < 2.0
+
+
+class TestDoomedPlanIsRefusedCheaply:
+    def test_ic_q21_never_builds_its_cross_product(self, monkeypatch):
+        """At SF 0.02, IC's Q21 plan chains two cross products (4 x 1,201
+        rows, then x 300: 1.44 M rows) into a nested-loop join whose
+        pre-check refuses them.  Both are sized, neither is built, and the
+        refusal reads the elapsed units the eager join read."""
+        config = SystemConfig.ic(4).with_(execution_backend="row")
+        cluster = load_tpch_cluster(config, 0.02)
+        builds = []
+        build = operators.CrossProduct.build
+        monkeypatch.setattr(
+            operators.CrossProduct, "build",
+            lambda self: builds.append(len(self)) or build(self),
+        )
+        tracemalloc.start()
+        try:
+            outcome = cluster.try_sql(QUERIES[21].sql)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.status is QueryStatus.TIMED_OUT
+        assert isinstance(outcome.error, ExecutionTimeoutError)
+        assert float.hex(outcome.error.elapsed) == "0x1.6d9e748f5c28fp+24"
+        assert builds == []
+        assert peak < 16 * 2**20, peak
 
 
 class TestEverythingElseRuns:

@@ -5,8 +5,8 @@
 * an error raised inside a kernel still classifies to the same
   ``QueryOutcome`` / propagates as the same exception type;
 * a classified failure holds no interpreter frame's locals: a timed-out
-  IC Q21 must not pin its nested-loop cross product (332 MB at SF 0.5)
-  for as long as somebody keeps the outcome.
+  IC Q21 must not pin the rows its operators held for as long as
+  somebody keeps the outcome.
 """
 
 import traceback

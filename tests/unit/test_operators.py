@@ -28,6 +28,8 @@ from repro.rel.logical import AggCall, AggFunc, JoinType
 from repro.rel.traits import Collation, Distribution
 from repro.storage.store import DataStore
 
+from helpers import eager_row_handlers
+
 I = ColumnType.INTEGER
 D = ColumnType.DOUBLE
 
@@ -248,6 +250,156 @@ class TestTimeout:
         )
         with pytest.raises(ExecutionTimeoutError):
             execute_node(join, 0, ctx)
+
+
+CROSS_LEFT = [(1, "a"), (2, "b"), (2, "c")]
+CROSS_RIGHT = [(10,), (20,)]
+CROSS_OTHER = [(1, "x"), (2, "y"), (2, "z"), (5, "w")]
+
+
+def cross_product(left=CROSS_LEFT, right=CROSS_RIGHT):
+    """A condition-free inner nested-loop join: (a, b) x (c,)."""
+    return PhysNestedLoopJoin(
+        values_node(left, ("a", "b")), values_node(right, ("c",)),
+        None, JoinType.INNER, Distribution.single(),
+    )
+
+
+def other():
+    return values_node(CROSS_OTHER, ("k", "t"))
+
+
+#: Every kind of consumer a condition-free inner nested-loop join can
+#: feed, built over a fresh product ``cp``.
+CROSS_CONSUMERS = {
+    "root": lambda cp: cp,
+    "filter": lambda cp: PhysFilter(cp, BinaryOp(">", ColRef(2), Literal(10))),
+    "project": lambda cp: PhysProject(
+        cp, [ColRef(2), BinaryOp("+", ColRef(0), ColRef(2))], ["c", "s"]
+    ),
+    "sort": lambda cp: PhysSort(cp, ((2, False), (1, True))),
+    "hash_join_left": lambda cp: PhysHashJoin(
+        cp, other(), [(0, 0)], None, JoinType.INNER, Distribution.single()
+    ),
+    "hash_join_right": lambda cp: PhysHashJoin(
+        other(), cp, [(0, 0)], None, JoinType.INNER, Distribution.single()
+    ),
+    # CROSS_LEFT is sorted on column 0, so the left-major product is too.
+    "merge_join": lambda cp: PhysMergeJoin(
+        cp, other(), [(0, 0)], None, JoinType.INNER, Distribution.single()
+    ),
+    "limit": lambda cp: PhysLimit(cp, 3, offset=1),
+    "hash_aggregate": lambda cp: PhysHashAggregate(
+        cp, (0,),
+        (AggCall(AggFunc.COUNT, None), AggCall(AggFunc.SUM, ColRef(2))),
+        AggPhase.SINGLE, Distribution.single(),
+    ),
+    "nlj_left": lambda cp: PhysNestedLoopJoin(
+        cp, other(), BinaryOp("=", ColRef(0), ColRef(3)), JoinType.INNER,
+        Distribution.single(),
+    ),
+    "nlj_right": lambda cp: PhysNestedLoopJoin(
+        other(), cp, BinaryOp("=", ColRef(0), ColRef(2)), JoinType.INNER,
+        Distribution.single(),
+    ),
+    "nlj_left_semi": lambda cp: PhysNestedLoopJoin(
+        cp, other(), BinaryOp("=", ColRef(0), ColRef(3)), JoinType.SEMI,
+        Distribution.single(),
+    ),
+    "nlj_right_outer": lambda cp: PhysNestedLoopJoin(
+        other(), cp, BinaryOp("=", ColRef(0), ColRef(2)), JoinType.LEFT,
+        Distribution.single(),
+    ),
+    "cross_of_cross": lambda cp: PhysNestedLoopJoin(
+        other(), cp, None, JoinType.INNER, Distribution.single()
+    ),
+}
+
+CROSS_SIDES = {
+    "both": (CROSS_LEFT, CROSS_RIGHT),
+    "empty_left": ([], CROSS_RIGHT),
+    "empty_right": (CROSS_LEFT, []),
+}
+
+
+class TestDeferredCrossProduct:
+    """A condition-free inner nested-loop join is sized, not built: every
+    consumer sees the rows, counts and charges the eager join produced."""
+
+    @staticmethod
+    def run(root, handlers, store):
+        ctx = ExecContext(store, limit_units=1e9)
+        number_operators(root)
+        out = operators.run_operator(handlers, root, 0, ctx)
+        return out, ctx
+
+    @pytest.mark.parametrize("sides", sorted(CROSS_SIDES))
+    @pytest.mark.parametrize("consumer", sorted(CROSS_CONSUMERS))
+    def test_matches_the_eager_join(self, store, consumer, sides):
+        left, right = CROSS_SIDES[sides]
+        build = CROSS_CONSUMERS[consumer]
+        want, eager = self.run(build(cross_product(left, right)),
+                               eager_row_handlers(), store)
+        ctx = ExecContext(store, limit_units=1e9)
+        got = execute_node(build(cross_product(left, right)), 0, ctx)
+        assert type(got) is list
+        assert got == want
+        assert dict(ctx.ops) == dict(eager.ops)
+        assert float.hex(ctx.total_units) == float.hex(eager.total_units)
+
+    def test_eager_oracle_is_the_left_major_product(self, store):
+        rows, _ = self.run(cross_product(), eager_row_handlers(), store)
+        assert rows == [l + r for l in CROSS_LEFT for r in CROSS_RIGHT]
+
+    def test_product_is_sized_then_built_once(self, ctx):
+        node = cross_product()
+        number_operators(node)
+        product = operators.run_operator(operators._HANDLERS, node, 0, ctx)
+        assert type(product) is operators.CrossProduct
+        assert len(product) == len(CROSS_LEFT) * len(CROSS_RIGHT)
+        assert ctx.ops[node.op_id, 0][1] == len(product)
+        rows = product.build()
+        assert product.build() is rows
+        assert rows == [l + r for l in CROSS_LEFT for r in CROSS_RIGHT]
+
+    def test_refused_product_is_never_built(self, store, monkeypatch):
+        def doomed():
+            big = [(i,) for i in range(60)]
+            return PhysNestedLoopJoin(
+                PhysNestedLoopJoin(
+                    values_node(big, ("a",)), values_node(big, ("b",)),
+                    None, JoinType.INNER, Distribution.single(),
+                ),
+                values_node(big, ("c",)),
+                BinaryOp("=", ColRef(0), ColRef(2)),
+                JoinType.INNER,
+                Distribution.single(),
+            )
+
+        # Enough budget for the 3,600-pair product, not for 216,000 pairs.
+        limit = 5e4
+        eager = ExecContext(store, limit_units=limit)
+        root = doomed()
+        number_operators(root)
+        with pytest.raises(ExecutionTimeoutError) as want:
+            operators.run_operator(eager_row_handlers(), root, 0, eager)
+
+        builds = []
+        real_build = operators.CrossProduct.build
+        monkeypatch.setattr(
+            operators.CrossProduct, "build",
+            lambda self: builds.append(1) or real_build(self),
+        )
+        ctx = ExecContext(store, limit_units=limit)
+        root = doomed()
+        with pytest.raises(ExecutionTimeoutError) as got:
+            execute_node(root, 0, ctx)
+        assert builds == []
+        assert float.hex(got.value.elapsed) == float.hex(want.value.elapsed)
+        assert dict(ctx.ops) == dict(eager.ops)
+        # The product ran and was charged; the join above it refused.
+        assert ctx.ops[root.left.op_id, 0][1] == 3600
+        assert ctx.ops[root.op_id, 0][1] == 0
 
 
 class TestAggregateOperators:
