@@ -12,7 +12,9 @@ that loop, following the runtime-dynamic-optimisation line of work
   physical operator families (the feedback key);
 * :mod:`repro.adaptive.cache` — an LRU plan cache consulted by
   ``IgniteCalciteCluster._plan``; a hit skips Hep+Volcano entirely
-  (zero planner-budget ticks);
+  (zero planner-budget ticks); beside it the statement cache, from which
+  a repeated SELECT's text gets its logical plan and signature back
+  without parse or sql2rel;
 * :mod:`repro.adaptive.feedback` — a registry of observed per-operator
   cardinalities harvested from :class:`~repro.exec.engine.ExecutionResult`
   actuals; the estimator consults it on the next planning of the same

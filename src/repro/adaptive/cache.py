@@ -23,18 +23,35 @@ When a request is served inside a :func:`repro.obs.metrics.tenant_scope`
 query caused them.  The cache itself stays shared across tenants — one
 entry per plan shape cluster-wide — so DDL invalidation clears every
 tenant's view at once.
+
+The cache also holds the **statement cache**: exact SQL text -> the
+:class:`Prepared` form of a SELECT (its logical plan and plan signature),
+so a repeated statement skips parse, sql2rel and signing before it asks
+for its plan.  It is a second LRU under the same capacity, cleared with
+the plans, and moves no metric: a hit is counted once, by the plan lookup
+that follows.  Exact text, not a literal-stripped shape: plans are
+literal-guarded, so a shape key would save nothing more.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
+from repro.adaptive.signature import PlanSignature
 from repro.exec.physical import PhysNode
 from repro.obs.metrics import get_registry, tenant_labels
+from repro.rel.logical import RelNode
 
 DEFAULT_CAPACITY = 64
+
+
+class Prepared(NamedTuple):
+    """What the front end made of one SELECT's text, kept for its repeats."""
+
+    logical: RelNode
+    signature: PlanSignature
 
 
 @dataclass
@@ -64,9 +81,23 @@ class PlanCache:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        #: SQL text -> its prepared statement (the statement cache).
+        self._statements: "OrderedDict[str, Prepared]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def statement(self, sql: str) -> Optional[Prepared]:
+        """The prepared form of ``sql``, if this exact text was prepared."""
+        prepared = self._statements.get(sql)
+        if prepared is not None:
+            self._statements.move_to_end(sql)
+        return prepared
+
+    def prepare(self, sql: str, prepared: Prepared) -> None:
+        self._statements[sql] = prepared
+        if len(self._statements) > self.capacity:
+            self._statements.popitem(last=False)
 
     def lookup(self, key: str, literals: Tuple) -> Optional[CacheEntry]:
         entry = self._entries.get(key)
@@ -96,9 +127,11 @@ class PlanCache:
         return False
 
     def clear(self) -> int:
-        """Drop everything (DDL invalidation); returns entries dropped."""
+        """Drop everything (DDL invalidation): plans and prepared
+        statements; returns the plan entries dropped."""
         dropped = len(self._entries)
         if dropped:
             get_registry().inc("plan_cache.invalidations", dropped, **tenant_labels())
         self._entries.clear()
+        self._statements.clear()
         return dropped

@@ -16,7 +16,8 @@ with the estimator consulting the harvested actuals.  An entry that is
 itself the product of a replan is not evicted again — feedback has
 already said its piece, and evicting in a loop would plan the same plan
 forever.  DDL (``create_table`` / ``create_index`` / ``create_view``)
-wipes both the cache and the feedback registry: coarse, but never stale.
+wipes the cache — plans and prepared statements — and the feedback
+registry: coarse, but never stale.
 """
 
 from __future__ import annotations
@@ -68,16 +69,18 @@ class AdaptiveController:
     # -- the serve path ----------------------------------------------------
 
     def lookup(
-        self, logical: RelNode
+        self, logical: RelNode, signature: Optional[PlanSignature] = None
     ) -> Tuple[Optional[PlanSignature], Optional[PhysNode]]:
-        """(signature, cached plan or None) for one logical plan.
+        """(signature, cached plan or None) for one logical plan; a
+        prepared statement brings its ``signature`` along.
 
         The signature is None when the cache is disabled (feedback-only
         mode), in which case nothing is ever served or stored.
         """
         if self.cache is None:
             return None, None
-        signature = plan_signature(logical)
+        if signature is None:
+            signature = plan_signature(logical)
         entry = self.cache.lookup(signature.key, signature.literals)
         return signature, entry.plan if entry is not None else None
 
@@ -103,10 +106,10 @@ class AdaptiveController:
 
     # -- the observe path --------------------------------------------------
 
-    def observe(self, key: Optional[str], result) -> None:
+    def observe(self, signature: Optional[PlanSignature], result) -> None:
         """Harvest one successful execution; maybe evict for replan.
 
-        ``key`` is the plan-signature key the executed plan was planned
+        ``signature`` is the plan signature the executed plan was planned
         under (None when the cache is off or the plan bypassed it).
         Degraded results are ignored outright: failover re-dispatch
         re-reads partitions, which distorts per-operator actuals and the
@@ -116,8 +119,9 @@ class AdaptiveController:
             return
         if self.feedback is not None:
             self.feedback.harvest(result.fragment_trees, result.operator_actuals)
-        if self.cache is None or key is None:
+        if self.cache is None or signature is None:
             return
+        key = signature.key
         entry = self.cache.peek(key)
         if entry is None:
             return
@@ -160,6 +164,7 @@ class AdaptiveController:
         """Test-isolation hook: like invalidate, but metrics-silent."""
         if self.cache is not None:
             self.cache._entries.clear()
+            self.cache._statements.clear()
         if self.feedback is not None:
             self.feedback.clear()
         self._pending_replans.clear()

@@ -64,19 +64,29 @@ class FeedbackRegistry:
 
         Returns the number of observations recorded.
         """
-        # Executed fragment trees replace exchanges with receiver leaves;
-        # the resolver lets signatures descend across those seams into
-        # the source fragment, so a join above an exchange still keys by
-        # its real children rather than an opaque receiver digest.
-        producers = exchange_producers(fragment_trees)
+        producers = None
         recorded = 0
         for fragment in fragment_trees:
-            for op in fragment.operators():
-                actual = operator_actuals.get(op.op_id)
-                if actual is None or not is_harvestable(op):
-                    continue
-                signature = operator_signature(op, producers.get)
-                if signature is None:
+            keys = fragment.feedback_keys
+            if keys is None:
+                # Executed fragment trees replace exchanges with receiver
+                # leaves; the resolver lets signatures descend across those
+                # seams into the source fragment, so a join above an
+                # exchange still keys by its real children rather than an
+                # opaque receiver digest.  A fragment's producers precede
+                # it in every list it is in, so its keys hold for good.
+                if producers is None:
+                    producers = exchange_producers(fragment_trees)
+                keys = fragment.feedback_keys = [
+                    (op.op_id, signature)
+                    for op in fragment.operators()
+                    if is_harvestable(op)
+                    for signature in (operator_signature(op, producers.get),)
+                    if signature is not None
+                ]
+            for op_id, signature in keys:
+                actual = operator_actuals.get(op_id)
+                if actual is None:
                     continue
                 self.record(signature, float(actual.rows_out))
                 recorded += 1

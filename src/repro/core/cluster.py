@@ -13,8 +13,15 @@ Three factory presets mirror the paper's systems under test::
     result.rows, result.simulated_seconds
 
 ``sql`` and ``try_sql`` are two faces of one statement pipeline
-(``_run_statement``: trace -> parse -> dispatch on the statement kind ->
-plan -> execute -> observe -> verify), which returns a result or raises.
+(``_run_statement``: trace -> statement -> plan -> execute -> observe ->
+verify), which returns a result or raises.  The statement stage is
+parse -> dispatch on the statement kind -> sql2rel, except for a SELECT
+whose exact text the plan cache has prepared before: that one comes back
+as its logical plan and plan signature, so a repeat skips parse, sql2rel
+and signing, and — its cached plan keeping the fragments it was cut into
+(``PhysNode.prepared_fragments``) — fragmentation too.  Statements are
+prepared only where the plan cache serves: never under tracing, a fault
+schedule, EXPLAIN [ANALYZE] or DDL, and DDL clears them with the plans.
 Under ``verify_execution`` the last stage diffs the rows about to be
 returned — whatever plan produced them — against the reference executor
 (:func:`repro.verify.differential.oracle_detail`).  ``sql`` is that
@@ -32,7 +39,9 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
+from repro.adaptive.cache import Prepared
 from repro.adaptive.controller import AdaptiveController
+from repro.adaptive.signature import PlanSignature
 from repro.common.config import SystemConfig
 from repro.common.errors import (
     ExecutionTimeoutError,
@@ -318,28 +327,44 @@ class IgniteCalciteCluster:
         tracer = Tracer() if self.config.tracing else NULL_TRACER
         self.last_trace = tracer
         with activate(tracer), tracer.span("query", system=self.config.name):
-            with tracer.span("parse"):
-                statement = parse(sql, allow_views=self.config.views_supported)
-                tracer.advance(1.0)  # parsing is one budget tick
-            if isinstance(statement, ast_module.CreateView):
-                self._register_view(statement)
-                return ExecutionResult([], [])
-            if isinstance(statement, ast_module.CreateTable):
-                self._ddl_create_table(statement)
-                return ExecutionResult([], [])
-            explain = isinstance(statement, ast_module.Explain)
-            logical = self._to_logical(statement.select if explain else statement)
             # The adaptive layer's exclusions, decided here and nowhere
-            # else.  EXPLAIN [ANALYZE] and traced queries stay out of it
-            # entirely, so golden snapshots and traces are bit-identical
-            # with the flags on.  Under a fault schedule nothing is served,
-            # stored or observed (chaos replays stay deterministic), but
-            # the completed prefix of a failed attempt still feeds
-            # feedback: planning under faults never reads it, and later
-            # fault-free queries benefit.
-            adaptive = None if explain or self.config.tracing else self.adaptive
+            # else.  Traced queries, and EXPLAIN [ANALYZE] once parsed,
+            # stay out of it entirely, so golden snapshots and traces are
+            # bit-identical with the flags on.  Under a fault schedule
+            # nothing is served, stored or observed (chaos replays stay
+            # deterministic), but the completed prefix of a failed attempt
+            # still feeds feedback: planning under faults never reads it,
+            # and later fault-free queries benefit.
+            adaptive = None if self.config.tracing else self.adaptive
             serving = adaptive if self.fault_injector is None else None
-            plan, key, outcome.plan_cached = self._plan(logical, serving)
+            # The statement stage: a SELECT whose exact text was prepared
+            # before comes back parsed, converted and signed.  DDL and
+            # EXPLAIN are never prepared, so their text always misses.
+            statements = serving.cache if serving is not None else None
+            prepared = statements.statement(sql) if statements is not None else None
+            if prepared is None:
+                with tracer.span("parse"):
+                    statement = parse(sql, allow_views=self.config.views_supported)
+                    tracer.advance(1.0)  # parsing is one budget tick
+                if isinstance(statement, ast_module.CreateView):
+                    self._register_view(statement)
+                    return ExecutionResult([], [])
+                if isinstance(statement, ast_module.CreateTable):
+                    self._ddl_create_table(statement)
+                    return ExecutionResult([], [])
+                explain = isinstance(statement, ast_module.Explain)
+                if explain:
+                    adaptive = serving = statements = None
+                logical = self._to_logical(statement.select if explain else statement)
+                signature = None
+            else:
+                explain = False
+                logical, signature = prepared
+            plan, signature, outcome.plan_cached = self._plan(
+                logical, serving, signature
+            )
+            if statements is not None and prepared is None:
+                statements.prepare(sql, Prepared(logical, signature))
             if explain and not statement.analyze:
                 return _text_result(plan.explain())
             try:
@@ -349,7 +374,7 @@ class IgniteCalciteCluster:
                     adaptive.harvest_partial(exc.partial)
                 raise
             if serving is not None:
-                serving.observe(key, result)
+                serving.observe(signature, result)
             if explain:
                 # EXPLAIN ANALYZE costs what the query itself cost.
                 return _text_result(result.explain_analyze(), base=result)
@@ -366,25 +391,29 @@ class IgniteCalciteCluster:
             return result
 
     def _plan(
-        self, logical: RelNode, adaptive: Optional[AdaptiveController]
-    ) -> Tuple[PhysNode, Optional[str], bool]:
-        """``(physical plan, plan-signature key, served from the cache)``
-        for one logical plan — through the plan cache and with
+        self,
+        logical: RelNode,
+        adaptive: Optional[AdaptiveController],
+        signature: Optional[PlanSignature] = None,
+    ) -> Tuple[PhysNode, Optional[PlanSignature], bool]:
+        """``(physical plan, plan signature, served from the cache)`` for
+        one logical plan — through the plan cache and with
         feedback-corrected cardinalities when ``adaptive`` is given,
-        straight from the planner otherwise."""
-        signature = feedback = None
+        straight from the planner otherwise.  A prepared statement brings
+        its ``signature``; the cache signs anything else itself."""
+        feedback = None
         if adaptive is not None:
             feedback = adaptive.feedback
-            signature, plan = adaptive.lookup(logical)
+            signature, plan = adaptive.lookup(logical, signature)
             if plan is not None:
-                return plan, signature.key, True
+                return plan, signature, True
         planner = QueryPlanner(
             self.store, self.config, feedback=feedback, sketches=self.sketches
         )
         plan = planner.plan(logical)
         if adaptive is not None:
             adaptive.store(signature, plan, planner.last_budget_spent)
-        return plan, signature.key if signature is not None else None, False
+        return plan, signature, False
 
     # -- execution ----------------------------------------------------------------------
 

@@ -9,7 +9,8 @@ latency; the benchmark harness replays task graphs for the multi-client
 experiments.
 
 One query is four steps over one per-query record (:class:`_Run`):
-**prepare** (fragment, who is alive, backend, observers), **run
+**prepare** (fragment — once per plan, kept on its root as
+``prepared_fragments`` — who is alive, backend, observers), **run
 fragments** (interpret and route, calling the
 :class:`~repro.exec.fragments.SeamObserver` list at every non-root
 seam), **simulate** (task graph, makespan, deadline) and **report**
@@ -292,9 +293,17 @@ class ExecutionEngine:
         self, plan: PhysNode, injector: FaultInjector, at: float
     ) -> _Run:
         """Fragment the plan, decide who is alive and which backend and
-        observers this run gets."""
+        observers this run gets.
+
+        A plan is fragmented once, on its first execution (a cached plan's
+        repeats reuse the list); each run gets its own copy of the list,
+        which an observer's splice may change without touching the kept one.
+        """
         with get_tracer().span("fragment") as span:
-            fragments = fragment_plan(plan)
+            prepared = plan.prepared_fragments
+            if prepared is None:
+                prepared = plan.prepared_fragments = fragment_plan(plan)
+            fragments = list(prepared)
             span.attrs["fragments"] = len(fragments)
         if self.config.verify_execution:
             # Imported lazily: repro.verify imports this module.

@@ -67,6 +67,13 @@ class Fragment:
     #: True for fragments spliced in by mid-query re-optimization
     #: (:mod:`repro.adaptive.midquery`); EXPLAIN ANALYZE flags them.
     replanned: bool = False
+    #: ``[(op_id, operator signature)]`` of the operators cardinality
+    #: feedback harvests here: derived on the first harvest
+    #: (``FeedbackRegistry.harvest``) and kept with the tree, which a
+    #: cached plan's repeats execute again.
+    feedback_keys: Optional[List[Tuple[int, str]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def is_root(self) -> bool:

@@ -37,6 +37,11 @@ class PhysNode(RelNode):
 
     #: Exchanges set this; Algorithm 2 looks for it.
     is_exchange = False
+    #: The fragments this node was cut into as the root of an executed
+    #: plan: derived by ``ExecutionEngine._prepare`` on the first
+    #: execution and kept, like the cumulative cost, because neither the
+    #: tree nor how it fragments changes afterwards.
+    prepared_fragments: Optional[list] = None
 
     def __init__(
         self,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import PlanInvariantError
-from repro.exec.fragments import Fragment, PhysReceiver, fragment_plan
+from repro.exec.fragments import Fragment, PhysReceiver
 from repro.exec.physical import (
     DEGRADED_HASH_KEY,
     PhysAggregateBase,
@@ -77,10 +77,11 @@ class PlanValidator:
     def check(
         self, plan: PhysNode, fragments: Optional[Sequence[Fragment]] = None
     ) -> None:
+        """Raise if ``plan`` — or, when given, the ``fragments`` it was
+        cut into — breaks an invariant."""
         violations = self.validate_plan(plan)
-        if fragments is None:
-            fragments = fragment_plan(plan)
-        violations += self.validate_fragments(fragments)
+        if fragments is not None:
+            violations += self.validate_fragments(fragments)
         if violations:
             lines = "\n".join(str(v) for v in violations)
             raise PlanInvariantError(

@@ -20,6 +20,7 @@ sys.path.insert(
 
 from repro.adaptive import reset_adaptive_state  # noqa: E402
 from repro.exec.engine import ExecutionEngine  # noqa: E402
+from repro.exec.fragments import fragment_plan  # noqa: E402
 from repro.obs.metrics import reset_registry  # noqa: E402
 from repro.stats import reset_sketch_state  # noqa: E402
 from repro.verify.invariants import (  # noqa: E402
@@ -112,7 +113,7 @@ def _validate_every_executed_plan(monkeypatch):
     validator = PlanValidator()
 
     def checked_execute(self, plan, **kwargs):
-        validator.check(plan)
+        validator.check(plan, fragment_plan(plan))
         result = original(self, plan, **kwargs)
         check_execution_result(result)
         return result

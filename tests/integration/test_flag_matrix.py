@@ -12,7 +12,9 @@ and without the fault schedule, because a faulted run executes statically
 and would otherwise mask the axes it shares a cell with.  Every cell runs
 seeded ``QueryGenerator`` queries on the (sales-skewed) company schema
 and three TPC-H queries at SF 0.02, each **twice per cluster**: the
-second run is the plan-cache hit / feedback-corrected re-plan.
+second run is the plan-cache hit / feedback-corrected re-plan.  Where the
+plan cache is on, a third run is the hit after that re-plan: a prepared
+statement served a plan whose kept fragments the runs before it shared.
 
 A failure prints a triple to replay it with::
 
@@ -115,7 +117,7 @@ def test_cell_agrees_with_the_reference_executor(cell, dataset):
     faulted, adaptive = cell[-1], cell[0]
     for sql in _queries(dataset, cluster):
         triple = f"replay: seed={SEED} flags={flags!r} sql={sql!r}"
-        for run in ("first", "second"):
+        for run in ("first", "second", "third")[: 3 if adaptive else 2]:
             try:
                 report = differential_check(sql, cluster)
             except Exception as exc:

@@ -102,6 +102,48 @@ def test_the_adaptive_layer_is_entered_once(call):
     assert CLUSTER.read_text().count(f".{call}(") == 1
 
 
+def _callers(name):
+    """``module:function`` (innermost) of every call of the bare name
+    ``name`` in ``src/repro``."""
+    found = set()
+
+    def visit(node, module, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == name
+        ):
+            found.add(f"{module}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in SRC.rglob("*.py"):
+        visit(ast.parse(path.read_text()), path.relative_to(SRC), "<module>")
+    return sorted(found)
+
+
+def test_statements_are_parsed_by_the_pipeline_alone():
+    """A prepared statement is a stage of ``_run_statement``, not a second
+    front end: no other function parses SQL text (``create_view`` is the
+    typed DDL face the statement-kind dispatch guard exempts too)."""
+    assert _callers("parse") == [
+        "core/cluster.py:_run_statement",
+        "core/cluster.py:create_view",
+        "core/cluster.py:parse_to_logical",
+    ]
+
+
+def test_plans_are_fragmented_where_they_are_prepared():
+    """The engine cuts a plan into fragments once, in ``_prepare``; only a
+    mid-query re-plan cuts the new suffix it splices in."""
+    assert _callers("fragment_plan") == [
+        "adaptive/midquery.py:_replan",
+        "exec/engine.py:_prepare",
+    ]
+
+
 # -- one execution shape -----------------------------------------------------
 
 
