@@ -22,7 +22,6 @@ registry: coarse, but never stale.
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional, Set, Tuple
 
 from repro.adaptive.cache import CacheEntry, PlanCache
@@ -32,15 +31,9 @@ from repro.exec.physical import PhysNode
 from repro.obs.metrics import get_registry, tenant_labels
 from repro.rel.logical import RelNode
 
-#: Live controllers, tracked so the test suite can wipe adaptive state
-#: between tests (order independence) without keeping controllers alive.
-_LIVE_CONTROLLERS: "weakref.WeakSet[AdaptiveController]" = weakref.WeakSet()
-
 
 def reset_adaptive_state() -> None:
-    """Clear every live plan cache and feedback registry (test hook)."""
-    for controller in list(_LIVE_CONTROLLERS):
-        controller.reset()
+    """No-op kept for old callers: each cluster owns its cache and feedback."""
 
 
 class AdaptiveController:
@@ -58,7 +51,6 @@ class AdaptiveController:
         #: Keys evicted for excessive q-error and not yet re-stored; the
         #: replacement entry is marked ``replanned``.
         self._pending_replans: Set[str] = set()
-        _LIVE_CONTROLLERS.add(self)
 
     @staticmethod
     def from_config(config) -> Optional["AdaptiveController"]:
@@ -148,7 +140,9 @@ class AdaptiveController:
         if self.feedback is None or partial is None:
             return
         if self.feedback.harvest(*partial):
-            get_registry().inc("adaptive.feedback_partial_harvests")
+            get_registry().inc(
+                "adaptive.feedback_partial_harvests", **tenant_labels()
+            )
 
     # -- invalidation ------------------------------------------------------
 
@@ -156,15 +150,6 @@ class AdaptiveController:
         """DDL hook: drop every cached plan and every observation."""
         if self.cache is not None:
             self.cache.clear()
-        if self.feedback is not None:
-            self.feedback.clear()
-        self._pending_replans.clear()
-
-    def reset(self) -> None:
-        """Test-isolation hook: like invalidate, but metrics-silent."""
-        if self.cache is not None:
-            self.cache._entries.clear()
-            self.cache._statements.clear()
         if self.feedback is not None:
             self.feedback.clear()
         self._pending_replans.clear()

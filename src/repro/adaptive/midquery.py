@@ -9,7 +9,7 @@ point: the fragment has fully produced its output (a hash-join build
 side, an aggregation, a sort, an exchange send), so its *true*
 cardinality is known before any consumer runs.  The engine calls
 :meth:`MidQueryController.checkpoint` there; when the observed q-error
-exceeds ``SystemConfig.midquery_replan_q_error_threshold`` the controller
+exceeds ``SystemConfig.replan_q_error_threshold`` the controller
 
 1. converts the un-executed plan suffix (the root fragment's tree,
    descending through exchange seams into other un-executed fragments)
@@ -115,7 +115,7 @@ class MidQueryController(SeamObserver):
     def __init__(self, store: DataStore, config: SystemConfig):
         self.store = store
         self.config = config
-        self.threshold = config.midquery_replan_q_error_threshold
+        self.threshold = config.replan_q_error_threshold
         self.replans_done = 0
         #: Temp tables installed in ``store`` (dropped by :meth:`close`).
         self.temp_tables: List[str] = []

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.scheduler import TaskGraph, WorkloadSimulator
 from repro.common.config import SystemConfig
+from repro.common.constants import CORES_PER_SITE
 from repro.core.cluster import IgniteCalciteCluster, QueryOutcome, QueryStatus
 from repro.obs.metrics import get_registry
 
@@ -160,7 +161,7 @@ def run_aql(
 
     names = sorted(graphs)
     config = cluster.config
-    simulator = WorkloadSimulator(config.sites, config.cores_per_site)
+    simulator = WorkloadSimulator(config.sites, CORES_PER_SITE)
     latencies: List[float] = []
     next_tag = [0]
     tag_terminal: Dict[int, int] = {}

@@ -235,7 +235,7 @@ def run_midquery_bench(
         seed=seed,
         treatment=dict(
             midquery_reoptimization=True,
-            midquery_replan_q_error_threshold=threshold,
+            replan_q_error_threshold=threshold,
         ),
     )
     for pair in pairs:

@@ -7,13 +7,15 @@ The paper evaluates three system variants (Section 6.1):
 * **IC+** — IC with the query-planner fixes (Section 4), the join execution
   optimisations (Section 5.1) and join-condition simplification (Section
   5.2).  The paper notes these changes are interdependent, so they toggle
-  together in the presets (but each has its own flag here to support the
-  ablation benchmarks).
+  together in the presets; the ablation benchmarks flip the ones they
+  study one at a time (the three cost-model fixes of Sections 4.1-4.2 are
+  one flag, ``cost_model_fixes``: nothing ablates them separately).
 * **IC+M** — IC+ plus multithreaded execution plans (Section 5.3) with the
   dual-threaded configuration the paper found best.
 
 Every behavioural difference between the variants is expressed as a flag on
-:class:`SystemConfig` so experiments can toggle one change at a time.
+:class:`SystemConfig`; a field exists only because some caller varies it
+(``tests/unit/test_config.py`` pins the count).
 """
 
 from __future__ import annotations
@@ -43,13 +45,6 @@ class SystemConfig:
 
     # ----- cluster shape (Section 6.1 methodology) ---------------------------
     sites: int = 4
-    #: Concurrent query-execution slots per site.  The paper's machines
-    #: have 24 logical cores, but fragments contend for Ignite's
-    #: query-execution thread pool, not for raw cores; this knob is
-    #: calibrated (DESIGN.md) so that the multi-client contention knee of
-    #: Table 3 lands at the same client counts as the paper's — IC+M's 2x
-    #: threads overtake the pool between 2 and 4 concurrent clients.
-    cores_per_site: int = 4
     #: Hash partitions per partitioned table (spread evenly over sites).
     partitions_per_table: int = 8
 
@@ -59,15 +54,14 @@ class SystemConfig:
     fixed_join_estimation: bool = False
     #: Include the FILTER_CORRELATE rule in the first (Hep) planning stage.
     filter_correlate_rule: bool = False
-    #: Apply the multi-target penalty in the exchange cost (the baseline
-    #: compares against the wrong constant and never applies it).
-    exchange_penalty_fix: bool = False
 
-    # ----- Section 4.2: cost model -------------------------------------------
-    #: Unit-normalised memory/network cost (Eq. 5) instead of bytes (Eq. 4).
-    normalized_cost_units: bool = False
-    #: Reward distributed execution via the distribution factor (Alg. 2).
-    distribution_factor: bool = False
+    # ----- Sections 4.1-4.2: cost model -----------------------------------------
+    #: The three cost-model fixes together: the exchange's multi-target
+    #: penalty is applied (the baseline compares against a shadowed
+    #: constant and never does), memory/network are charged in
+    #: unit-normalised rows (Eq. 5) instead of bytes (Eq. 4), and the
+    #: distribution factor (Alg. 2) rewards partitioned execution.
+    cost_model_fixes: bool = False
 
     # ----- Section 4.3: planner exploration -----------------------------------
     #: Two-phase (logical then physical) optimisation instead of the
@@ -133,26 +127,27 @@ class SystemConfig:
     #: execution and let the estimator override its statistical guesses
     #: with them on the next planning of the same operator signature.
     cardinality_feedback: bool = False
-    #: A cached plan whose execution reports ``max_q_error()`` above this
-    #: is evicted and replanned with feedback-corrected cardinalities
-    #: (requires both ``plan_cache`` and ``cardinality_feedback``).
+    #: The q-error (``max(est/actual, actual/est)``) past which both
+    #: adaptive mechanisms re-plan: a cached plan whose execution reports
+    #: ``max_q_error()`` above it is evicted and replanned with
+    #: feedback-corrected cardinalities (requires both ``plan_cache`` and
+    #: ``cardinality_feedback``), and a materialization point observed
+    #: above it has its plan suffix re-planned mid-query.
     replan_q_error_threshold: float = 8.0
 
     # ----- mid-query re-optimization (repro.adaptive.midquery) ----------------------
     #: Re-optimize *within* a query at pipeline breakers: after each
     #: non-root fragment materializes (hash-join build sides, aggregation
     #: and sort fragments, exchange sends), the engine compares the true
-    #: cardinality against the planner's estimate; past the q-error
-    #: threshold below, the un-executed plan suffix is re-entered through
-    #: Volcano with the materialized intermediate installed as a new leaf
-    #: table carrying exact statistics, and the new physical suffix is
-    #: spliced into the fragment/task graph.  Off by default: with the
-    #: flag off, plans, makespans and traces are byte-identical to the
-    #: static path.  Fault-injected runs always execute statically.
+    #: cardinality against the planner's estimate; past
+    #: ``replan_q_error_threshold``, the un-executed plan suffix is
+    #: re-entered through Volcano with the materialized intermediate
+    #: installed as a new leaf table carrying exact statistics, and the
+    #: new physical suffix is spliced into the fragment/task graph.  Off
+    #: by default: with the flag off, plans, makespans and traces are
+    #: byte-identical to the static path.  Fault-injected runs always
+    #: execute statically.
     midquery_reoptimization: bool = False
-    #: Observed q-error (``max(est/actual, actual/est)``) at a
-    #: materialization point above which the suffix is re-planned.
-    midquery_replan_q_error_threshold: float = 8.0
 
     # ----- sketch-based statistics (repro.stats.sketches) ---------------------------
     #: Consult seeded Fast-AGMS / Count-Min / HyperLogLog sketches in the
@@ -243,9 +238,7 @@ class SystemConfig:
             sites=sites,
             fixed_join_estimation=True,
             filter_correlate_rule=True,
-            exchange_penalty_fix=True,
-            normalized_cost_units=True,
-            distribution_factor=True,
+            cost_model_fixes=True,
             two_phase_optimization=True,
             broadcast_join_mapping=True,
             hash_join=True,

@@ -37,6 +37,11 @@ AFS = 8.0
 
 # --- Simulation constants ---------------------------------------------------
 
+#: Query-execution slots per site: Ignite's per-site thread pool, not the
+#: paper's 24 cores, calibrated (DESIGN.md) so Table 3's contention knee —
+#: IC+M's 2x threads overtake the pool between 2 and 4 clients — matches.
+CORES_PER_SITE = 4
+
 #: Work units a single core retires per simulated second.
 CORE_UNITS_PER_SECOND = 200_000.0
 

@@ -184,10 +184,10 @@ class IgniteCalciteCluster:
         self._engine = ExecutionEngine(self.store, config, sketches=self.sketches)
         #: View name -> defining SELECT AST (views_supported extension).
         self._views: dict = {}
-        #: The fault injector behind ``config.faults`` (None = fault-free).
-        #: Shared by every query on this cluster so one-shot faults fire
-        #: exactly once per schedule entry.
-        self.fault_injector = FaultInjector.from_config(config)
+        #: The fault injector behind ``config.faults`` (the empty schedule
+        #: when fault-free).  Shared by every query on this cluster so
+        #: one-shot faults fire exactly once per schedule entry.
+        self.fault_injector = FaultInjector(config.faults)
         #: Trace of the most recent ``sql``/``try_sql`` call.  The inert
         #: :data:`~repro.obs.trace.NULL_TRACER` unless ``config.tracing``.
         self.last_trace: Tracer = NULL_TRACER
@@ -336,7 +336,7 @@ class IgniteCalciteCluster:
             # still feeds feedback: planning under faults never reads it,
             # and later fault-free queries benefit.
             adaptive = None if self.config.tracing else self.adaptive
-            serving = adaptive if self.fault_injector is None else None
+            serving = None if self.fault_injector.schedule else adaptive
             # The statement stage: a SELECT whose exact text was prepared
             # before comes back parsed, converted and signed.  DDL and
             # EXPLAIN are never prepared, so their text always misses.

@@ -4,19 +4,19 @@ Every operator cost is a four-component object — CPU, Memory, IO, Network —
 whose equal-weighted sum is the operator's cost (Eq. 2).  IO is always zero
 (Ignite is in-memory).  A plan's cost is the sum over its operators (Eq. 1).
 
-Two defects of the stock model are reproducible via flags:
+``cost_model_fixes`` off reproduces the stock model, with two defects
+and without the distribution factor:
 
-* ``normalized_units`` off reproduces the Eq. 4 unit mismatch: memory and
-  network charge *bytes* (cardinality x width x AFS) while CPU charges
-  *operations* (cardinality), over-weighting data size in planning;
-  with the flag on, Eq. 5 applies (cardinality only).
-* ``exchange_penalty_fix`` off reproduces the shadowed-constant bug: the
-  multi-target penalty of an exchange is never applied, so a broadcast
-  exchange costs the same as a point-to-point one.
-
-``distribution_factor`` (Alg. 2) rewards operators that run on partitioned
-data without an intervening exchange by dividing their work by the number
-of partition sites (Eq. 6).
+* the Eq. 4 unit mismatch: memory and network charge *bytes*
+  (cardinality x width x AFS) while CPU charges *operations*
+  (cardinality), over-weighting data size in planning; fixed, Eq. 5
+  applies (cardinality only);
+* the shadowed-constant bug: the multi-target penalty of an exchange is
+  never applied, so a broadcast exchange costs the same as a
+  point-to-point one;
+* fixed, :func:`distribution_factor` (Alg. 2) rewards operators that run
+  on partitioned data without an intervening exchange by dividing their
+  work by the number of partition sites (Eq. 6).
 
 CPU terms are not written here: each is the charge spec's function
 (:mod:`repro.common.charges`) on estimated local row counts, the function
@@ -103,8 +103,7 @@ class CostModel:
     """Operator costing parameterised by the system configuration."""
 
     def __init__(self, config: SystemConfig):
-        self.config = config
-        self._normalized = config.normalized_cost_units
+        self._fixed = config.cost_model_fixes
 
     # -- helpers -----------------------------------------------------------------
 
@@ -114,13 +113,13 @@ class CostModel:
         Legacy (Eq. 4): bytes = rows * width * AFS.  Normalised (Eq. 5):
         just rows.
         """
-        if self._normalized:
+        if self._fixed:
             return rows
         return rows * width * AFS
 
     def _df(self, factor: float) -> float:
-        """Distribution factor, honouring the Section 4.2 flag."""
-        if self.config.distribution_factor:
+        """Distribution factor, honouring the Section 4.2 fix."""
+        if self._fixed:
             return max(1.0, factor)
         return 1.0
 
@@ -255,11 +254,11 @@ class CostModel:
         The multi-target penalty multiplies the network charge by the
         number of destination sites.  The baseline never applies it — the
         constant in the check was shadowed by a same-named constant from
-        another class (Section 4.1) — so without ``exchange_penalty_fix`` a
+        another class (Section 4.1) — so without ``cost_model_fixes`` a
         broadcast costs the same as a unicast.
         """
         local = rows / self._df(df)
         network = self._bytes(local, width)
-        if self.config.exchange_penalty_fix and target_sites > 1:
+        if self._fixed and target_sites > 1:
             network *= target_sites
         return Cost(cpu=charges.exchange(local), network=network)

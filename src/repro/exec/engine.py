@@ -39,6 +39,7 @@ from repro.common.config import SystemConfig
 from repro.common.constants import (
     AFS,
     CORE_UNITS_PER_SECOND,
+    CORES_PER_SITE,
     FRAGMENT_SETUP_UNITS,
     RPTC,
     VARIANT_MIN_UNITS,
@@ -495,14 +496,14 @@ class ExecutionEngine:
             run.makespan, run.redispatched = simulate_makespan_with_faults(
                 run.graph,
                 self.config.sites,
-                self.config.cores_per_site,
+                CORES_PER_SITE,
                 events,
                 at=run.at,
                 redispatch=self.config.failover_redispatch,
             )
         else:
             run.makespan = simulate_makespan(
-                run.graph, self.config.sites, self.config.cores_per_site
+                run.graph, self.config.sites, CORES_PER_SITE
             )
         deadline = self.config.query_deadline_seconds
         if deadline is not None and run.makespan > deadline:

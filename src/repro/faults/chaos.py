@@ -211,8 +211,7 @@ def run_chaos(
     """
     config = cluster.config
     policy = RetryPolicy(max_retries=config.max_retries, seed=seed)
-    if cluster.fault_injector is not None:
-        cluster.fault_injector.reset()
+    cluster.fault_injector.reset()
     names = sorted(queries)
     if shuffle:
         random.Random(seed).shuffle(names)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.obs.metrics import get_registry
@@ -193,15 +193,6 @@ class FaultInjector:
         #: Indices (not specs) of consumed one-shots: two identical specs
         #: in a schedule mean two faults, and each must fire once.
         self._consumed: set = set()
-
-    # -- composition ---------------------------------------------------------
-
-    @staticmethod
-    def from_config(config) -> Optional["FaultInjector"]:
-        """An injector for ``config.faults``, or None when fault-free."""
-        if not getattr(config, "faults", ()):
-            return None
-        return FaultInjector(config.faults)
 
     # -- site liveness -------------------------------------------------------
 

@@ -12,9 +12,11 @@ benchmark harness stores per measured query and what the trace artefact
 embeds.
 
 The registry is intentionally global (like Prometheus client default
-registries): instrumented code never threads a handle around.  Tests
-isolate themselves through :func:`reset_registry`, invoked by an autouse
-fixture in ``tests/conftest.py``.
+registries): instrumented code never threads a handle around.  It is the
+one process-wide registry left — plan caches, feedback and sketches
+belong to their cluster — so tests isolate themselves through
+:func:`reset_registry` alone, invoked by an autouse fixture in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations

@@ -17,12 +17,12 @@ per-query latency decomposes as ``latency = queue_wait + execution``
 where execution starts when the query's first task gets a core.
 
 Resilience: an optional mid-run site crash is applied to the shared
-simulator.  With failover re-dispatch on, affected queries finish
-``DEGRADED``; with it off, only the queries whose fragments touch the
-dead site — in flight at the crash, or dispatched after it — fail
-(``FAILED_SITE``) and are retried with exponential backoff up to
-``config.max_retries`` times, their surviving-site replays remapped
-exactly like the engine's failover.  Queries with no fragments on the
+simulator.  With failover re-dispatch on (``config.failover_redispatch``,
+the default), affected queries finish ``DEGRADED``; with it off, only
+the queries whose fragments touch the dead site — in flight at the
+crash, or dispatched after it — fail (``FAILED_SITE``) and are retried
+with exponential backoff up to ``config.max_retries`` times, their
+surviving-site replays remapped exactly like the engine's failover.  Queries with no fragments on the
 dead site are untouched — the blast radius is per-query, never
 per-cluster.
 """
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.scheduler import TaskGraph, WorkloadSimulator
+from repro.common.constants import CORES_PER_SITE
 from repro.common.errors import ReproError, SiteFailureError
 from repro.core.cluster import IgniteCalciteCluster, QueryStatus
 from repro.faults.chaos import RetryPolicy
@@ -133,13 +134,12 @@ class QueryServer:
         keep_rows: bool = False,
         record_traces: bool = False,
         site_crashes: Sequence[Tuple[int, float]] = (),
-        redispatch: bool = True,
     ):
         if not tenants:
             raise ServeError("a serving run needs at least one tenant")
         self.cluster = cluster
         self.config = cluster.config
-        if cluster.fault_injector is not None:
+        if cluster.fault_injector.schedule:
             # Serving-layer crashes live on the shared simulator; a cluster
             # fault schedule would also disable the plan cache (chaos
             # bypass) and double-inject faults per attempt.
@@ -152,7 +152,7 @@ class QueryServer:
         self.keep_rows = keep_rows
         self.record_traces = record_traces
         self.site_crashes = tuple(site_crashes)
-        self.redispatch = redispatch
+        self.redispatch = self.config.failover_redispatch
         self._traffic = TrafficGenerator(tenants, seed=seed)
         self._retry_policy = RetryPolicy(
             max_retries=self.config.max_retries, seed=seed
@@ -182,7 +182,7 @@ class QueryServer:
         )
         simulator = WorkloadSimulator(
             self.config.sites,
-            self.config.cores_per_site,
+            CORES_PER_SITE,
             redispatch_on_failure=self.redispatch,
         )
         simulator.on_complete = self._on_complete

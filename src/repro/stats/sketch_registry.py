@@ -41,7 +41,6 @@ the store without DDL (mid-query temp tables).
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exec.fragments import SeamObserver, exchange_producers
@@ -60,20 +59,9 @@ from repro.stats.sketches import (
 #: distinct count, which the estimator's min-clamps tolerate.
 MAX_SEAM_ROWS = 50_000
 
-#: Live registries, tracked so the test suite can wipe online-refreshed
-#: operator sketches between tests without keeping registries alive.
-_LIVE_REGISTRIES: "weakref.WeakSet[SketchRegistry]" = weakref.WeakSet()
-
 
 def reset_sketch_state() -> None:
-    """Clear every live registry's operator-level sketches (test hook).
-
-    Table-level sketches are pure functions of immutable loaded data and
-    carry no cross-test state; only the online-harvested operator tier
-    depends on which queries ran before.
-    """
-    for registry in list(_LIVE_REGISTRIES):
-        registry.invalidate()
+    """No-op kept for old callers: each cluster owns its sketch registry."""
 
 
 class ColumnSketches:
@@ -106,11 +94,7 @@ class SketchRegistry:
 
     @staticmethod
     def from_config(config, store) -> Optional["SketchRegistry"]:
-        if not getattr(config, "sketch_statistics", False):
-            return None
-        registry = SketchRegistry(store)
-        _LIVE_REGISTRIES.add(registry)
-        return registry
+        return SketchRegistry(store) if config.sketch_statistics else None
 
     # -- table-level sketches ----------------------------------------------
 

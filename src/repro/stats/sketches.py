@@ -37,10 +37,11 @@ so "bit-identical" is literal: ``==`` compares full state.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from array import array
 from typing import Iterable, List, Optional
+
+from repro.common.hashing import encode_value, value_hash
 
 __all__ = [
     "DEFAULT_SEED",
@@ -99,43 +100,6 @@ def _mix64(x: int) -> int:
     x = (x * 0xC4CEB9FE1A85EC53) & _MASK64
     x ^= x >> 33
     return x
-
-
-def encode_value(value: object) -> bytes:
-    """Canonical bytes for a stored value.
-
-    Values that compare equal under SQL semantics must encode equally:
-    ``1``, ``1.0`` and ``True`` all hash as the integer 1, so a BIGINT
-    join key meets a DOUBLE join key in the same sketch bucket.
-    """
-    if value is None:
-        return b"\x00"
-    if isinstance(value, bool):
-        value = int(value)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, int):
-        return b"i" + str(value).encode()
-    if isinstance(value, float):
-        return b"f" + repr(value).encode()
-    if isinstance(value, str):
-        return b"s" + value.encode("utf-8", "surrogatepass")
-    return b"o" + repr(value).encode()
-
-
-def value_hash(value: object, seed: int) -> int:
-    """Stable keyed 64-bit hash of ``value``.
-
-    blake2b keyed by the seed: deterministic across processes (unlike
-    builtin ``hash`` on strings) and statistically strong enough that the
-    cheap per-row mixers below can derive the whole hash family from it.
-    """
-    digest = hashlib.blake2b(
-        encode_value(value),
-        digest_size=8,
-        key=(seed & _MASK64).to_bytes(8, "little"),
-    ).digest()
-    return int.from_bytes(digest, "little")
 
 
 class HyperLogLog:

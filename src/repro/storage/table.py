@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.catalog.schema import IndexDef, TableSchema
 from repro.catalog.statistics import TableStats, compute_table_stats
 from repro.common.errors import StorageError
+from repro.common.hashing import value_hash
 from repro.common.ordering import NullsLast, sort_rows
 
 Row = Tuple
@@ -28,11 +29,6 @@ Row = Tuple
 # DEFAULT_SEED so affinity placement and sketch estimates stay uncorrelated.
 AFFINITY_SEED = 0xAF1717
 
-# Lazily bound to repro.stats.sketches.value_hash: repro.stats imports the
-# estimator, which imports the store, which imports this module, so a
-# top-level import would be circular.
-_value_hash = None
-
 
 def _stable_hash(value: object) -> int:
     """A ``PYTHONHASHSEED``-independent stand-in for ``hash``.
@@ -40,18 +36,13 @@ def _stable_hash(value: object) -> int:
     Ints (and int-valued floats/bools) keep Python's identity hash, so the
     dense TPC-H surrogate keys spread over partitions exactly as before.
     Strings — whose builtin hash is salted per process — route through the
-    sketch engine's keyed blake2b hash instead.  Tuples (multi-column
+    keyed blake2b :func:`~repro.common.hashing.value_hash` instead.  Tuples (multi-column
     affinity routing) rehash each unstable component first; Python's tuple
     hash combiner itself is unsalted, so an all-int tuple keeps its builtin
     hash bit-for-bit.
     """
-    global _value_hash
     if isinstance(value, str):
-        if _value_hash is None:
-            from repro.stats.sketches import value_hash
-
-            _value_hash = value_hash
-        return _value_hash(value, AFFINITY_SEED)
+        return value_hash(value, AFFINITY_SEED)
     if isinstance(value, tuple):
         return hash(tuple(
             _stable_hash(v) if isinstance(v, (str, tuple)) else v

@@ -1,6 +1,13 @@
-"""Pytest path setup plus the always-on plan-invariant net.
+"""Pytest path setup, the metrics reset and the always-on plan-invariant net.
 
-The autouse fixture wraps ``ExecutionEngine.execute`` so that *every*
+Two autouse fixtures, and only two.  The metrics registry is the one
+process-wide state a test leaves behind, so every test starts with it
+empty.  Plan
+caches, feedback and sketches need no reset: each cluster owns its own,
+and no fixture that outlives a test builds a cluster with one switched
+on (``tests/unit/test_lifecycle_guard.py`` keeps it so).
+
+The second fixture wraps ``ExecutionEngine.execute`` so that *every*
 physical plan executed anywhere in the suite is first checked against the
 structural invariants in :mod:`repro.verify.invariants`.  Any test that
 drives a query through the engine therefore doubles as an invariant test:
@@ -18,11 +25,9 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "src")
 )
 
-from repro.adaptive import reset_adaptive_state  # noqa: E402
 from repro.exec.engine import ExecutionEngine  # noqa: E402
 from repro.exec.fragments import fragment_plan  # noqa: E402
 from repro.obs.metrics import reset_registry  # noqa: E402
-from repro.stats import reset_sketch_state  # noqa: E402
 from repro.verify.invariants import (  # noqa: E402
     PlanValidator,
     check_execution_result,
@@ -79,32 +84,6 @@ def _reset_metrics_registry():
     reset_registry()
     yield
     reset_registry()
-
-
-@pytest.fixture(autouse=True)
-def _reset_adaptive_state():
-    """Each test starts with empty plan caches and feedback registries.
-
-    Clusters created by module/session-scoped fixtures outlive a single
-    test; wiping their adaptive state keeps cached plans and harvested
-    cardinalities from leaking across tests.
-    """
-    reset_adaptive_state()
-    yield
-    reset_adaptive_state()
-
-
-@pytest.fixture(autouse=True)
-def _reset_sketch_state():
-    """Each test starts with empty sketch registries.
-
-    Module-scoped clusters outlive a single test; wiping their table and
-    operator sketches keeps seam-harvested HLLs from one test from
-    steering another test's plans.
-    """
-    reset_sketch_state()
-    yield
-    reset_sketch_state()
 
 
 @pytest.fixture(autouse=True)

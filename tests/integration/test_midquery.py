@@ -39,7 +39,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 THRESHOLD = 4.0
 ADAPTIVE_KNOBS = dict(
     midquery_reoptimization=True,
-    midquery_replan_q_error_threshold=THRESHOLD,
+    replan_q_error_threshold=THRESHOLD,
 )
 
 
@@ -306,7 +306,7 @@ class TestFlagOff:
         armed = load_skewed_cluster(
             base.with_(
                 midquery_reoptimization=True,
-                midquery_replan_q_error_threshold=float("inf"),
+                replan_q_error_threshold=float("inf"),
             )
         )
         sql = MIDQUERY_QUERIES["MQ1"]

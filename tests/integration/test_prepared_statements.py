@@ -255,7 +255,7 @@ def test_a_splice_leaves_the_kept_fragments_intact():
     config = SystemConfig.ic_plus(4).with_(
         plan_cache=True,
         midquery_reoptimization=True,
-        midquery_replan_q_error_threshold=4.0,
+        replan_q_error_threshold=4.0,
     )
     cluster = load_skewed_cluster(config, scale_factor=0.1)
     sql = MIDQUERY_QUERIES["MQ2"]

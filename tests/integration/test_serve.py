@@ -14,6 +14,7 @@ import pytest
 
 from helpers import make_company_cluster
 from repro.common.config import SystemConfig
+from repro.common.constants import CORES_PER_SITE
 from repro.core.cluster import QueryStatus
 from repro.serve import (
     ClosedLoopArrivals,
@@ -117,7 +118,7 @@ class TestRegressionPin:
                 at_offset, _ = simulate_makespan_with_faults(
                     outcome.result.task_graph,
                     config.sites,
-                    config.cores_per_site,
+                    CORES_PER_SITE,
                     at=record.dispatched,
                 )
                 assert record.execution_seconds == at_offset  # bit-identical

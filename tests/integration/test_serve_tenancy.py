@@ -20,6 +20,9 @@ pytestmark = pytest.mark.serve
 
 SQL = "SELECT COUNT(*) FROM emp"
 OTHER_SQL = "SELECT COUNT(*) FROM dept"
+JOIN_SQL = (
+    "select e.name, s.amount from emp e, sales s where e.emp_id = s.emp_id"
+)
 
 
 def _cluster():
@@ -94,6 +97,30 @@ class TestTenantAttribution:
         ) + registry.counter("plan_cache.hits", tenant="biz")
         assert total == sum(1 for r in result.completed if r.cache_hit)
         assert total > 0  # repeated-template traffic must actually hit
+
+    def test_partial_harvests_carry_tenant_label(self):
+        """Every query misses its deadline, and the completed prefix each
+        one leaves feeds feedback on behalf of the tenant that sent it."""
+        cluster = make_company_cluster(
+            SystemConfig.ic_plus(
+                cardinality_feedback=True, query_deadline_seconds=1e-6
+            )
+        )
+        templates = (QueryTemplate("join", JOIN_SQL),)
+        tenants = [
+            TenantSpec(name, templates, PoissonArrivals(rate=2.0))
+            for name in ("acme", "biz")
+        ]
+        result = QueryServer(cluster, tenants, seed=3).run(4.0)
+        assert result.records and not result.completed
+        registry = get_registry()
+        for tenant in ("acme", "biz"):
+            assert (
+                registry.counter(
+                    "adaptive.feedback_partial_harvests", tenant=tenant
+                )
+                >= 1
+            )
 
 
 class TestDdlInvalidation:

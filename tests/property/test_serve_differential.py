@@ -115,7 +115,11 @@ class TestConcurrentDifferentialSweep:
 
 class TestMidStreamCrashCell:
     def _serve_with_crash(self, victim, seed, max_retries=0):
-        config = _config(max_retries=max_retries, serve_max_concurrent=2)
+        config = _config(
+            max_retries=max_retries,
+            serve_max_concurrent=2,
+            failover_redispatch=False,
+        )
         cluster = make_company_cluster(config)
         tenants = [
             TenantSpec("a", TEMPLATES, PoissonArrivals(rate=4.0)),
@@ -127,7 +131,6 @@ class TestMidStreamCrashCell:
             seed=seed,
             keep_rows=True,
             site_crashes=((victim, 1.0),),
-            redispatch=False,
         )
         return server.run(6.0)
 

@@ -13,9 +13,7 @@ class TestPresets:
         assert config.name == "IC"
         assert not config.fixed_join_estimation
         assert not config.filter_correlate_rule
-        assert not config.exchange_penalty_fix
-        assert not config.normalized_cost_units
-        assert not config.distribution_factor
+        assert not config.cost_model_fixes
         assert not config.two_phase_optimization
         assert not config.broadcast_join_mapping
         assert not config.hash_join
@@ -27,9 +25,7 @@ class TestPresets:
         assert config.name == "IC+"
         assert config.fixed_join_estimation
         assert config.filter_correlate_rule
-        assert config.exchange_penalty_fix
-        assert config.normalized_cost_units
-        assert config.distribution_factor
+        assert config.cost_model_fixes
         assert config.two_phase_optimization
         assert config.broadcast_join_mapping
         assert config.hash_join
@@ -58,6 +54,11 @@ class TestPresets:
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SystemConfig.ic().sites = 10
+
+    def test_no_new_field_without_deleting_one(self):
+        """Every field is an option some caller varies; adding one means
+        deleting one (or showing why both must vary)."""
+        assert len(dataclasses.fields(SystemConfig)) == 33
 
     def test_q20_defect_present_in_all_presets(self):
         """The paper leaves the Q20 bug unresolved in every variant."""

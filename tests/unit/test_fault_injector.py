@@ -165,18 +165,18 @@ class TestExchangeDelay:
 
 
 class TestComposition:
-    def test_from_config_is_none_without_faults(self):
-        from repro.common.config import SystemConfig
+    def test_fault_free_cluster_carries_the_empty_schedule(self):
+        from repro.core.cluster import IgniteCalciteCluster
 
-        assert FaultInjector.from_config(SystemConfig.ic_plus(4)) is None
+        injector = IgniteCalciteCluster.ic_plus(4).fault_injector
+        assert injector.schedule == ()
+        assert injector.alive_sites(4, 0.0) == [0, 1, 2, 3]
 
-    def test_from_config_wraps_schedule(self):
-        from repro.common.config import SystemConfig
+    def test_cluster_injector_wraps_the_config_schedule(self):
+        from repro.core.cluster import IgniteCalciteCluster
 
-        config = SystemConfig.ic_plus(4).with_(faults=(SiteCrash(1, 0.5),))
-        injector = FaultInjector.from_config(config)
-        assert injector is not None
-        assert injector.dead_sites(1.0) == {1}
+        cluster = IgniteCalciteCluster.ic_plus(4, faults=(SiteCrash(1, 0.5),))
+        assert cluster.fault_injector.dead_sites(1.0) == {1}
 
     def test_random_schedule_is_deterministic(self):
         a = random_schedule(seed=7, sites=4, horizon_seconds=2.0, crashes=2)

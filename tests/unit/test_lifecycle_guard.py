@@ -351,3 +351,73 @@ def test_only_the_simulator_reads_which_sites_are_down():
         if "._down" in path.read_text()
     ]
     assert reading == ["cluster/scheduler.py"]
+
+
+# -- the cluster owns its state ------------------------------------------------
+
+TESTS = ROOT / "tests"
+#: The switches that give a cluster state which queries leave behind.
+STATEFUL_FLAGS = (
+    "plan_cache", "cardinality_feedback", "sketch_statistics", "midquery_reoptimization",
+)
+
+
+def _fixtures(path: Path):
+    """``(fixture function, its decorator call)`` for every ``pytest.fixture(...)``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef):
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call) and "fixture" in set(_names(decorator.func)):
+                    yield node, decorator
+
+
+def _keyword(call: ast.Call, name: str):
+    return next(
+        (k.value.value for k in call.keywords
+         if k.arg == name and isinstance(k.value, ast.Constant)),
+        None,
+    )
+
+
+def test_no_process_global_state_outside_obs():
+    """Plan caches, feedback and sketches hang off their cluster: no weak-set
+    of live objects and no rebound module global holds them."""
+    offending = []
+    for path in SRC.rglob("*.py"):
+        if SRC / "obs" in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            )
+            if isinstance(node, ast.Global) or "weakref" in imported:
+                offending.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offending == []
+
+
+def test_conftest_has_two_autouse_fixtures():
+    autouse = [
+        function.name
+        for function, call in _fixtures(TESTS / "conftest.py")
+        if _keyword(call, "autouse") is True
+    ]
+    assert autouse == ["_reset_metrics_registry", "_validate_every_executed_plan"]
+
+
+def test_no_shared_fixture_builds_a_stateful_cluster():
+    """Why the suite needs no adaptive or sketch reset: a cluster that
+    outlives one test never has one of the stateful switches on."""
+    offending = [
+        f"{path.relative_to(TESTS)}:{function.name}"
+        for path in TESTS.rglob("*.py")
+        for function, call in _fixtures(path)
+        if _keyword(call, "scope") in ("module", "class", "session")
+        and any(flag in ast.get_source_segment(path.read_text(), function)
+                for flag in STATEFUL_FLAGS)
+    ]
+    assert offending == []
+
+
+def test_a_cluster_always_carries_an_injector():
+    assert _modules_mentioning("fault_injector is") == []
