@@ -90,8 +90,9 @@ FEDBENCH_QUERIES: Dict[str, str] = {
 #: zone-map range — small but still crossing all three adapters.
 SMOKE_QUERY_IDS = ("FB1", "FB3", "FB4")
 
-#: Query whose plan must flip between the federated and all-native
-#: layouts (the remote gateway collapses dept's distribution).
+#: Queries whose plan must flip between the federated and all-native
+#: layouts (``dept`` is replicated, so the flip comes from the remote
+#: adapter's ``AdapterCosts``, not from where its rows live).
 FLIP_QUERY_IDS = ("FB1", "FB2", "FB6")
 
 
@@ -433,7 +434,7 @@ def _pushdown_evidence(query: str, run: Observation) -> List[PushdownEvidence]:
 def _chaos_cell(
     system: str, sites: int, scale_factor: float, seed: int
 ) -> ChaosCell:
-    """One cross-source join under an injected non-gateway site failure."""
+    """One cross-source join with its last site dead from t=0."""
     from repro.faults.injector import parse_fault
 
     query = "FB1"

@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.common.constants import CORE_UNITS_PER_SECOND
 from repro.common.errors import ExecutionError, SiteFailureError
 from repro.obs.metrics import get_registry
+from repro.storage.table import failover_owner
 
 
 @dataclass
@@ -228,7 +229,7 @@ class WorkloadSimulator:
                 site=site,
                 at=self._now,
             )
-        return alive[site % len(alive)]
+        return failover_owner(site, self.sites, alive)
 
     def _apply_fault(self, kind: str, payload: Tuple) -> None:
         if kind == "slow":

@@ -58,7 +58,7 @@ from repro.cluster.scheduler import (
     simulate_makespan,
     simulate_makespan_with_faults,
 )
-from repro.faults.injector import FaultInjector, failover_owner
+from repro.faults.injector import FaultInjector
 from repro.obs.metrics import get_registry, q_error
 from repro.obs.trace import get_tracer
 from repro.exec.fragments import Fragment, SeamObserver, fragment_plan
@@ -73,7 +73,7 @@ from repro.exec.physical import PhysNode
 from repro.exec.variants import SOURCE, plan_variants
 from repro.rel.traits import Distribution, satisfies
 from repro.storage.store import DataStore
-from repro.storage.table import affinity_partition
+from repro.storage.table import affinity_partition, failover_owner
 
 #: The site that receives SINGLE-distribution data and serves results.
 COORDINATOR = 0
@@ -444,22 +444,19 @@ class ExecutionEngine:
             keys = target.keys
             partitions = self.store.partitions_per_table
             sites = self.config.sites
-            if len(alive) < sites:
-                def owner(partition: int) -> int:
-                    return failover_owner(partition, sites, alive)
-            else:
-                def owner(partition: int) -> int:
-                    return partition % sites
+            owners = [
+                failover_owner(p, sites, alive) for p in range(partitions)
+            ]
             if len(keys) == 1:
                 key = keys[0]
                 for row in stream_rows(out):
                     partition = affinity_partition(row[key], partitions)
-                    buckets[owner(partition)].append(row)
+                    buckets[owners[partition]].append(row)
             else:
                 for row in stream_rows(out):
                     value = tuple(row[k] for k in keys)
                     partition = affinity_partition(value, partitions)
-                    buckets[owner(partition)].append(row)
+                    buckets[owners[partition]].append(row)
             for destination, bucket in buckets.items():
                 ctx.deliver(sender.exchange_id, destination, bucket)
             copies = 1

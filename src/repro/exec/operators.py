@@ -57,6 +57,7 @@ from repro.rel.expr import KernelBuilder
 from repro.rel.logical import JoinType
 from repro.storage.adapters import compile_pushdown, scan_charge
 from repro.storage.store import DataStore
+from repro.storage.table import failover_owner
 
 Row = Tuple
 Rows = List[Row]
@@ -93,23 +94,19 @@ class ExecContext:
         self.network_units = 0.0
         #: rows shipped over the network (reporting).
         self.rows_shipped = 0
-        #: Surviving sites (None = every site is up).  When a site is dead,
-        #: its partitions fail over to survivors via ``failover_owner`` so
-        #: scans and hash routing agree on placement.
-        self.alive_sites: Optional[Tuple[int, ...]] = (
-            tuple(alive_sites) if alive_sites is not None else None
+        #: Surviving sites (default: every site).  A dead site's partitions
+        #: fail over to survivors via ``failover_owner``, which scans and
+        #: hash routing share, so they agree on placement.
+        self.alive_sites: Tuple[int, ...] = tuple(
+            range(store.site_count) if alive_sites is None else alive_sites
         )
 
     def partitions_for(self, data, site: int) -> List[int]:
         """Partitions ``site`` reads for ``data``, including failed-over
         partitions of dead sites (the re-partitioned inputs)."""
-        if self.alive_sites is None or data.schema.replicated:
+        if data.schema.replicated:
             return data.partitions_at_site(site)
         alive = self.alive_sites
-        if len(alive) == data.site_count:
-            return data.partitions_at_site(site)
-        from repro.faults.injector import failover_owner
-
         return [
             p
             for p in range(data.partition_count)

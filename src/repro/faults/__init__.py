@@ -21,10 +21,10 @@ from repro.faults.injector import (
     FragmentOom,
     SiteCrash,
     SiteSlowdown,
-    failover_owner,
     parse_fault,
     random_schedule,
 )
+from repro.storage.table import failover_owner
 
 _CHAOS_EXPORTS = ("ChaosRecord", "ChaosReport", "RetryPolicy", "run_chaos")
 

@@ -157,26 +157,6 @@ def random_schedule(
     return tuple(sorted(schedule, key=lambda s: (s.at, s.site)))
 
 
-def failover_owner(
-    partition: int, site_count: int, alive: Sequence[int]
-) -> int:
-    """The site serving ``partition`` given the surviving ``alive`` sites.
-
-    The primary owner is the round-robin site (``partition % site_count``,
-    mirroring ``TableData``'s placement); when it is dead, ownership fails
-    over deterministically to ``alive[partition % len(alive)]`` — the
-    simulation's stand-in for promoting a backup copy.  Scans and hash
-    routing share this function, so co-partitioned joins stay colocated
-    after a failure.
-    """
-    if not alive:
-        raise ExecutionError("no surviving sites to own partitions")
-    owner = partition % site_count
-    if owner in alive:
-        return owner
-    return alive[partition % len(alive)]
-
-
 class FaultInjector:
     """Interprets a fault schedule for the engine and the scheduler.
 

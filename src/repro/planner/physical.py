@@ -578,12 +578,10 @@ class PhysicalPlanner:
             if node.join_type is JoinType.INNER:
 
                 def dist_out(left_plan, right_plan):
-                    remapped = right_plan.distribution.remap(
+                    # A total mapping: the right input's hash keys survive.
+                    return right_plan.distribution.remap(
                         lambda i: i + left_width
                     )
-                    if remapped is not None:
-                        return remapped
-                    return Distribution.hash((999_998,))
 
                 fallback = tuple(rk for _, rk in pairs) or (0,)
                 mappings.append(
@@ -600,9 +598,7 @@ class PhysicalPlanner:
             # the shape that lets semi/anti joins and left joins run
             # distributed.
             def left_part_out(left_plan, right_plan):
-                if left_plan.distribution.is_hash:
-                    return left_plan.distribution
-                return Distribution.hash((999_997,))
+                return left_plan.distribution  # hash, by ANY_HASH
 
             fallback_left = tuple(lk for lk, _ in pairs) or (0,)
             mappings.append(

@@ -38,7 +38,6 @@ from repro.common.constants import CORES_PER_SITE
 from repro.common.errors import ReproError, SiteFailureError
 from repro.core.cluster import IgniteCalciteCluster, QueryStatus
 from repro.faults.chaos import RetryPolicy
-from repro.faults.injector import failover_owner
 from repro.obs.metrics import get_registry, tenant_scope
 from repro.obs.trace import Tracer
 from repro.serve.admission import (
@@ -47,6 +46,7 @@ from repro.serve.admission import (
     AdmissionController,
 )
 from repro.serve.traffic import QueryRequest, TenantSpec, TrafficGenerator
+from repro.storage.table import failover_owner
 
 
 class ServeError(ReproError):
@@ -361,7 +361,7 @@ class QueryServer:
 
     def _remap_graph(self, graph: TaskGraph) -> TaskGraph:
         """``graph`` with every task on a dead site moved to that site's
-        failover owner (``faults.injector.failover_owner``); the graph
+        failover owner (``storage.table.failover_owner``); the graph
         itself when no task moved."""
         alive, sites = self.simulator.alive_sites(), self.config.sites
         if not alive:

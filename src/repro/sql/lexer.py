@@ -33,6 +33,9 @@ KEYWORDS = frozenset(
     """.split()
 )
 
+#: Number tokens are ASCII: ``str.isdigit`` accepts ``²``, which ``int`` rejects.
+DIGITS = frozenset("0123456789")
+
 SYMBOLS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "+", "-", "*", "/", ";")
 
 
@@ -93,16 +96,16 @@ def tokenize(sql: str) -> List[Token]:
                 pos += 1
             tokens.append(Token(TokenType.STRING, "".join(chunks), line, start_col))
             continue
-        if ch.isdigit() or (ch == "." and pos + 1 < length and sql[pos + 1].isdigit()):
+        if ch in DIGITS or (ch == "." and sql[pos + 1:pos + 2] in DIGITS):
             start = pos
             start_col = column()
             seen_dot = False
-            while pos < length and (sql[pos].isdigit() or (sql[pos] == "." and not seen_dot)):
+            while pos < length and (sql[pos] in DIGITS or (sql[pos] == "." and not seen_dot)):
                 if sql[pos] == ".":
                     # ``1.`` followed by an identifier is a qualified name,
                     # not a decimal; only treat the dot as decimal when a
                     # digit follows.
-                    if pos + 1 >= length or not sql[pos + 1].isdigit():
+                    if sql[pos + 1:pos + 2] not in DIGITS:
                         break
                     seen_dot = True
                 pos += 1

@@ -2,7 +2,7 @@
 
 Calcite's founding pitch is optimizing over heterogeneous sources; this
 module is the reproduction's seam for that.  A :class:`StorageAdapter`
-owns how one table's partitions are *placed*, *scanned* and *charged*:
+owns how one table's partitions are *scanned* and *charged*:
 
 * **capabilities** — an adapter advertises which pushdowns it accepts
   (filter conjuncts, projections, LIMIT prefixes).  The planner's
@@ -12,9 +12,11 @@ owns how one table's partitions are *placed*, *scanned* and *charged*:
 * **cost constants** — per-adapter :class:`AdapterCosts` feed both the
   planner's :meth:`repro.cost.model.CostModel.scan` and the execution
   engine's scan charges, so plan choice responds to source asymmetry and
-  the simulated clock agrees with the plan the optimizer priced;
-* **placement** — adapters may override round-robin partition placement
-  (the remote adapter parks every partition behind one gateway site).
+  the simulated clock agrees with the plan the optimizer priced.
+
+*Where* partitions live is not an adapter's choice: every partitioned
+table follows :func:`repro.storage.table.failover_owner`, the placement
+the planner's ``hash[affinity]`` trait and exchange routing assume.
 
 The native in-memory engine is itself an adapter
 (:mod:`repro.storage.adapters.native`) that declines every capability and
@@ -205,14 +207,6 @@ class StorageAdapter:
 
     def detach(self, data: TableData) -> None:
         """Release adapter-side state for a dropped table."""
-
-    # -- placement ------------------------------------------------------------
-
-    def partition_sites(
-        self, partition_count: int, site_count: int
-    ) -> List[Tuple[int, ...]]:
-        """Partition -> owning sites; default round-robin (native layout)."""
-        return [(p % site_count,) for p in range(partition_count)]
 
     # -- scanning -------------------------------------------------------------
 

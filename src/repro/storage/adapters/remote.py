@@ -1,14 +1,14 @@
 """A simulated remote-catalog storage adapter.
 
 Models a federated source behind a network gateway (a remote Ignite
-cluster, a cloud warehouse): every partition is *placed* at the gateway
-site 0 — so the planner sees one partition site, the distribution factor
-collapses to 1 and co-located join plans stop being free — and every scan
-pays a per-request round-trip charge plus a per-shipped-row bandwidth
-charge.  Because shipping dominates, the adapter accepts *all three*
-pushdowns: filtering, projecting and LIMIT-capping at the source cut the
-rows crossing the simulated wire, which is exactly the asymmetry that
-makes IC/IC+/IC+M pick different plans for federated tables.
+cluster, a cloud warehouse): every scan pays a per-request round-trip
+charge plus a per-shipped-row bandwidth charge.  Its partitions are
+placed like every other table's (``storage.table.failover_owner``), so
+co-located join plans over it stay correct; the asymmetry is in the
+charges alone.  Because shipping dominates, the adapter accepts *all
+three* pushdowns: filtering, projecting and LIMIT-capping at the source
+cut the rows crossing the simulated wire, which is exactly the asymmetry
+that makes IC/IC+/IC+M pick different plans for federated tables.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from repro.storage.adapters.base import (
     StorageAdapter,
 )
 from repro.storage.table import Row, TableData
-
-#: The simulated gateway: every remote partition is reachable only here.
-GATEWAY_SITE = 0
 
 
 class RemoteCatalogAdapter(StorageAdapter):
@@ -47,11 +44,6 @@ class RemoteCatalogAdapter(StorageAdapter):
         #: Rows shipped back over the simulated wire.
         self.rows_shipped = 0
 
-    def partition_sites(
-        self, partition_count: int, site_count: int
-    ) -> List[Tuple[int, ...]]:
-        return [(GATEWAY_SITE,) for _ in range(partition_count)]
-
     def scan_partition(
         self, data: TableData, partition: int, pushed: Optional[PushedScan]
     ) -> Tuple[int, List[Row]]:
@@ -63,4 +55,3 @@ class RemoteCatalogAdapter(StorageAdapter):
             rows = pushed.apply(source)
         self.rows_shipped += len(rows)
         return len(source), rows
-

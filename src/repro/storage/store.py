@@ -36,9 +36,8 @@ class DataStore:
         """Register a schema and load its rows (DDL + bulk load).
 
         ``adapter`` overrides the schema's ``USING`` clause; each table
-        gets its own adapter instance, which also decides partition
-        placement and materialises any adapter-side state (column files,
-        remote handles) via ``attach``.
+        gets its own adapter instance, which materialises any
+        adapter-side state (column files, remote handles) via ``attach``.
         """
         adapter_name = (adapter or getattr(schema, "adapter", "native")).lower()
         schema.adapter = adapter_name

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import IndexDef, TableSchema
 from repro.catalog.statistics import TableStats, compute_table_stats
-from repro.common.errors import StorageError
+from repro.common.errors import ExecutionError, StorageError
 from repro.common.hashing import value_hash
 from repro.common.ordering import NullsLast, sort_rows
 
@@ -59,6 +59,25 @@ def affinity_partition(value: object, partition_count: int) -> int:
     even for string affinity keys (see :func:`_stable_hash`).
     """
     return _stable_hash(value) % partition_count
+
+
+def failover_owner(
+    partition: int, site_count: int, alive: Sequence[int]
+) -> int:
+    """The site serving ``partition`` given the surviving ``alive`` sites.
+
+    The one placement rule, shared by table layout, scans, hash routing
+    and task re-dispatch, so ``hash[affinity]`` means "partition ``p``
+    lives where exchanges send ``p``" on every table.  The owner is the
+    round-robin site; a dead owner's partition fails over to
+    ``alive[partition % len(alive)]`` (a promoted backup copy).
+    """
+    if not alive:
+        raise ExecutionError("no surviving sites to own partitions")
+    owner = partition % site_count
+    if owner in alive:
+        return owner
+    return alive[partition % len(alive)]
 
 
 class PartitionIndex:
@@ -141,8 +160,9 @@ class TableData:
             raise StorageError("partition_count and site_count must be >= 1")
         self.schema = schema
         self.site_count = site_count
-        # The storage adapter backing this table.  ``None`` until the store
-        # attaches one; scans treat that the same as the native adapter.
+        # The storage adapter backing this table (how it is scanned, not
+        # where it lives).  ``None`` until the store attaches one; scans
+        # treat that the same as the native adapter.
         self.adapter = adapter
         for row in rows:
             if len(row) != schema.width:
@@ -162,17 +182,10 @@ class TableData:
             for row in rows:
                 part = affinity_partition(row[key_pos], partition_count)
                 self.partitions[part].append(row)
-            if adapter is not None:
-                # Adapters may override placement (a remote source keeps
-                # every partition behind one gateway site, for example).
-                self.partition_sites = adapter.partition_sites(
-                    partition_count, site_count
-                )
-            else:
-                # Round-robin partition placement over sites.
-                self.partition_sites = [
-                    (p % site_count,) for p in range(partition_count)
-                ]
+            self.partition_sites = [
+                (failover_owner(p, site_count, range(site_count)),)
+                for p in range(partition_count)
+            ]
         self.stats: TableStats = compute_table_stats(rows, schema.column_names)
         # index name -> per-partition PartitionIndex
         self.indexes: Dict[str, List[PartitionIndex]] = {}

@@ -344,13 +344,55 @@ def test_no_evidence_function_loads_two_clusters(path):
 
 def test_only_the_simulator_reads_which_sites_are_down():
     """Everyone else asks ``WorkloadSimulator.alive_sites()`` and maps a
-    dead site's work with ``faults.injector.failover_owner``."""
+    dead site's work with ``storage.table.failover_owner``."""
     reading = [
         str(path.relative_to(SRC))
         for path in SRC.rglob("*.py")
         if "._down" in path.read_text()
     ]
     assert reading == ["cluster/scheduler.py"]
+
+
+# -- one placement rule ----------------------------------------------------------
+
+
+def test_no_adapter_places_its_own_partitions():
+    """The planner reports ``hash[affinity]`` for every partitioned table,
+    so an adapter that moved partitions would make co-located joins drop
+    rows: placement is ``failover_owner``'s alone."""
+    assert [
+        str(path.relative_to(SRC))
+        for path in (SRC / "storage" / "adapters").rglob("*.py")
+        if "partition_sites" in _functions(path)
+    ] == []
+
+
+def _is_owner_arithmetic(node) -> bool:
+    """``x % len(alive)`` or ``partition % <site count>``."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)):
+        return False
+    right = set(_names(node.right))
+    return any("alive" in name for name in right) or bool(
+        set(_names(node.left)) & {"p", "part", "partition"}
+        and any("site" in name for name in right)
+    )
+
+
+def test_partition_owners_are_computed_in_one_function():
+    computing = set()
+    for path in SRC.rglob("*.py"):
+        for name, function in _functions(path).items():
+            if any(_is_owner_arithmetic(node) for node in ast.walk(function)):
+                computing.add(f"{path.relative_to(SRC)}:{name}")
+    assert sorted(computing) == ["storage/table.py:failover_owner"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["exec/engine.py", "exec/operators.py", "cluster/scheduler.py", "serve/server.py"],
+)
+def test_every_placement_reader_asks_the_rule(path):
+    assert "failover_owner" in set(_names(ast.parse((SRC / path).read_text())))
 
 
 # -- the cluster owns its state ------------------------------------------------

@@ -1,5 +1,5 @@
 """Storage-adapter units: registry, capabilities, costs, column files,
-remote gateway placement — and the drop/recreate staleness regression.
+remote scans and placement — and the drop/recreate staleness regression.
 
 The staleness sweep (the PR's bugfix audit): dropping a table and
 recreating the same name on a *different* adapter must leave no stale
@@ -26,7 +26,6 @@ from repro.storage.adapters import (
     scan_charge,
 )
 from repro.storage.adapters.columnfile import ROW_GROUP_ROWS
-from repro.storage.adapters.remote import GATEWAY_SITE
 from repro.storage.store import DataStore
 
 pytestmark = pytest.mark.federation
@@ -148,9 +147,20 @@ class TestColumnFile:
 
 
 class TestRemote:
-    def test_all_partitions_placed_at_gateway(self):
-        adapter = create_adapter("remote")
-        assert adapter.partition_sites(8, 4) == [(GATEWAY_SITE,)] * 8
+    def test_partitioned_remote_joins_native_on_every_row(self):
+        """A remote table is placed like any other, so the co-located
+        ``hash[k]`` join the planner picks sees every partition (it used
+        to park them all on one gateway site and return 50 of 200)."""
+        cluster = IgniteCalciteCluster(PRESETS["IC+"](4))
+        for name, adapter in (("r", "remote"), ("n", "native")):
+            cluster.create_table(
+                _schema(name, adapter=adapter),
+                [(k, f"{name}{k}") for k in range(200)],
+            )
+        rows = cluster.sql("select r.k, n.v from r join n on r.k = n.k").rows
+        assert sorted(rows) == [(k, f"n{k}") for k in range(200)]
+        placed = cluster.store.table("r").partition_sites
+        assert placed == cluster.store.table("n").partition_sites
 
     def test_scan_counts_requests_and_shipped_rows(self):
         store = DataStore(site_count=2, partitions_per_table=2)
