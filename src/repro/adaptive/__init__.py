@@ -6,22 +6,20 @@ ANALYZE surfaces are observed but never acted on.  This package closes
 that loop, following the runtime-dynamic-optimisation line of work
 (Pavlopoulou et al.):
 
-* :mod:`repro.adaptive.signature` — deterministic plan signatures: the
-  normalised logical plan with literals parameterised out (the cache key)
-  and canonical per-operator signatures that match across the logical and
-  physical operator families (the feedback key);
-* :mod:`repro.adaptive.cache` — an LRU plan cache consulted by
-  ``IgniteCalciteCluster._plan``; a hit skips Hep+Volcano entirely
-  (zero planner-budget ticks); beside it the statement cache, from which
-  a repeated SELECT's text gets its logical plan and signature back
-  without parse or sql2rel;
+* :mod:`repro.adaptive.cache` — one LRU plan cache keyed by statement
+  text, consulted by ``IgniteCalciteCluster._run_statement``: a repeated
+  SELECT gets its logical plan back without parse or sql2rel, and its
+  physical plan without Hep+Volcano (zero planner-budget ticks);
+* :mod:`repro.adaptive.signature` — canonical per-operator signatures
+  that match across the logical and physical operator families (the
+  feedback key);
 * :mod:`repro.adaptive.feedback` — a registry of observed per-operator
   cardinalities harvested from :class:`~repro.exec.engine.ExecutionResult`
   actuals; the estimator consults it on the next planning of the same
   operator signature;
 * :mod:`repro.adaptive.controller` — the per-cluster coordinator: serve /
   store / invalidate cache entries, harvest feedback after execution, and
-  evict-for-replan when a cached plan's observed ``max_q_error()``
+  drop a cached plan for a replan when its observed ``max_q_error()``
   exceeds the configured threshold.
 
 Everything is off by default (``SystemConfig.plan_cache`` /
@@ -33,11 +31,7 @@ from repro.adaptive.cache import CacheEntry, PlanCache
 from repro.adaptive.controller import AdaptiveController, reset_adaptive_state
 from repro.adaptive.feedback import FeedbackRegistry
 from repro.adaptive.midquery import MidQueryController
-from repro.adaptive.signature import (
-    PlanSignature,
-    operator_signature,
-    plan_signature,
-)
+from repro.adaptive.signature import operator_signature
 
 __all__ = [
     "AdaptiveController",
@@ -45,8 +39,6 @@ __all__ = [
     "FeedbackRegistry",
     "MidQueryController",
     "PlanCache",
-    "PlanSignature",
     "operator_signature",
-    "plan_signature",
     "reset_adaptive_state",
 ]

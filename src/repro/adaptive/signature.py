@@ -1,49 +1,36 @@
-"""Deterministic signatures for plans and operators.
+"""Deterministic operator signatures: the feedback key.
 
-Two different keying problems live here:
+An operator signature (:func:`operator_signature`) keys the feedback
+registry.  It must match across the logical and physical operator
+families so a cardinality observed on an executed ``PhysHashJoin`` can be
+found again when the estimator prices the corresponding ``LogicalJoin``.
+The normalisation rules:
 
-* **Plan signatures** (:func:`plan_signature`) key the plan cache.  The
-  signature is the normalised logical plan with literals parameterised
-  out, plus the vector of literal values in traversal order.  Two queries
-  that differ only in constants share a signature string and contend for
-  one cache slot; the cached entry records the literal vector it was
-  planned with, and the cache only serves it when the vectors match
-  exactly (physical plans embed literals — in filter conditions and index
-  scan bounds — so serving a plan across literal values would be wrong).
+- cardinality-preserving wrappers are peeled: exchanges, projections,
+  and sorts without FETCH never change row counts;
+- filters key on the *sorted set* of canonical conjunct digests over
+  the child signature, so conjunct order does not matter, and an index
+  range scan contributes the predicate it absorbed — carried verbatim
+  as ``PhysIndexScan.bound_condition``, never rebuilt from the bounds —
+  so the pushed-down shape matches the logical ``Filter(Scan)`` it came
+  from whichever way that predicate was spelled (``g = 3``, ``3 = g``,
+  ``g >= 3 AND g <= 3``);
+- inner joins are commutative: the orientation is canonicalised by
+  ordering the child signatures, swapping key pairs and remapping
+  residual references when needed (this makes the commuted H* hash
+  join match its logical join);
+- two-phase aggregations key on the *semantic* aggregate: the REDUCE
+  operator descends through the gather exchange to the MAP half to
+  recover the original group keys and child (the MAP half itself is
+  not harvested — its output is partial states, not result rows).
 
-* **Operator signatures** (:func:`operator_signature`) key the feedback
-  registry.  They must match across the logical and physical operator
-  families so a cardinality observed on an executed ``PhysHashJoin`` can
-  be found again when the estimator prices the corresponding
-  ``LogicalJoin``.  The normalisation rules:
-
-  - cardinality-preserving wrappers are peeled: exchanges, projections,
-    and sorts without FETCH never change row counts;
-  - filters key on the *sorted set* of canonical conjunct digests over
-    the child signature, so conjunct order does not matter, and an index
-    range scan contributes the predicate it absorbed — carried verbatim
-    as ``PhysIndexScan.bound_condition``, never rebuilt from the bounds —
-    so the pushed-down shape matches the logical ``Filter(Scan)`` it came
-    from whichever way that predicate was spelled (``g = 3``, ``3 = g``,
-    ``g >= 3 AND g <= 3``);
-  - inner joins are commutative: the orientation is canonicalised by
-    ordering the child signatures, swapping key pairs and remapping
-    residual references when needed (this makes the commuted H* hash
-    join match its logical join);
-  - two-phase aggregations key on the *semantic* aggregate: the REDUCE
-    operator descends through the gather exchange to the MAP half to
-    recover the original group keys and child (the MAP half itself is
-    not harvested — its output is partial states, not result rows).
-
-  Unlike plan signatures, operator signatures keep literal values: a
-  feedback override is only trustworthy for the exact predicate that was
-  executed.  A signature is a function of the operator tree alone: no
-  catalog or store is consulted.
+Operator signatures keep literal values: a feedback override is only
+trustworthy for the exact predicate that was executed.  A signature is a
+function of the operator tree alone: no catalog or store is consulted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.exec.physical import (
@@ -63,18 +50,7 @@ from repro.exec.physical import (
     PhysValues,
 )
 from repro.rel import expr as rex
-from repro.rel.expr import (
-    BinaryOp,
-    CaseExpr,
-    ColRef,
-    Expr,
-    FuncCall,
-    InList,
-    IsNull,
-    LikeExpr,
-    Literal,
-    UnaryOp,
-)
+from repro.rel.expr import BinaryOp, Expr, Literal
 from repro.rel.logical import (
     JoinType,
     LogicalAggregate,
@@ -86,115 +62,6 @@ from repro.rel.logical import (
     LogicalValues,
     RelNode,
 )
-
-# ---------------------------------------------------------------------------
-# Plan signatures (cache keys)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlanSignature:
-    """Cache key for one logical plan shape.
-
-    ``key`` is the parameterised digest; ``literals`` the constants bound
-    at the parameter positions, in traversal order.
-    """
-
-    key: str
-    literals: Tuple
-
-
-def plan_signature(logical: RelNode) -> PlanSignature:
-    literals: List = []
-    key = _rel_key(logical, literals)
-    return PlanSignature(key, tuple(literals))
-
-
-def _rel_key(node: RelNode, literals: List) -> str:
-    if isinstance(node, LogicalTableScan):
-        return f"scan({node.table}/{node.alias})"
-    if isinstance(node, LogicalFilter):
-        cond = _expr_key(node.condition, literals)
-        return f"filter({cond}, {_rel_key(node.input, literals)})"
-    if isinstance(node, LogicalProject):
-        exprs = ", ".join(_expr_key(e, literals) for e in node.exprs)
-        return f"project([{exprs}], {_rel_key(node.input, literals)})"
-    if isinstance(node, LogicalJoin):
-        cond = (
-            _expr_key(node.condition, literals)
-            if node.condition is not None
-            else "true"
-        )
-        return (
-            f"join({node.join_type.value}, {cond}, "
-            f"{_rel_key(node.left, literals)}, "
-            f"{_rel_key(node.right, literals)})"
-        )
-    if isinstance(node, LogicalAggregate):
-        # Aggregate calls stay verbatim: literals inside SUM(CASE ...)
-        # arguments change the output *values*, not just selectivity, so
-        # generalising over them buys nothing.
-        calls = ", ".join(c.digest() for c in node.agg_calls)
-        return (
-            f"agg({list(node.group_keys)}, [{calls}], "
-            f"{_rel_key(node.input, literals)})"
-        )
-    if isinstance(node, LogicalSort):
-        # FETCH/OFFSET change plan shape (limit pushdown) — part of the
-        # key.  Offset is appended only when set so offset-free queries
-        # keep their historical cache keys.
-        extra = f", offset={node.offset}" if node.offset is not None else ""
-        return (
-            f"sort({list(node.sort_keys)}, fetch={node.fetch}{extra}, "
-            f"{_rel_key(node.input, literals)})"
-        )
-    # VALUES rows and any future node kinds stay verbatim: a maximally
-    # specific key is always correct, just less general.
-    return node.digest()
-
-
-def _expr_key(expr: Expr, literals: List) -> str:
-    if isinstance(expr, Literal):
-        literals.append(expr.value)
-        return "?"
-    if isinstance(expr, ColRef):
-        return f"${expr.index}"
-    if isinstance(expr, BinaryOp):
-        left = _expr_key(expr.left, literals)
-        right = _expr_key(expr.right, literals)
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, UnaryOp):
-        return f"({expr.op} {_expr_key(expr.operand, literals)})"
-    if isinstance(expr, FuncCall):
-        inner = ", ".join(_expr_key(a, literals) for a in expr.args)
-        return f"{expr.name}({inner})"
-    if isinstance(expr, CaseExpr):
-        parts = " ".join(
-            f"WHEN {_expr_key(c, literals)} THEN {_expr_key(v, literals)}"
-            for c, v in expr.whens
-        )
-        return f"CASE {parts} ELSE {_expr_key(expr.default, literals)} END"
-    if isinstance(expr, InList):
-        operand = _expr_key(expr.operand, literals)
-        # The whole value set is one parameter; the set *size* stays in
-        # the key because it drives selectivity and plan choice.
-        literals.append(tuple(sorted(expr.values, key=repr)))
-        op = "NOT IN" if expr.negated else "IN"
-        return f"({operand} {op} ?*{len(expr.values)})"
-    if isinstance(expr, LikeExpr):
-        operand = _expr_key(expr.operand, literals)
-        literals.append(expr.pattern)
-        op = "NOT LIKE" if expr.negated else "LIKE"
-        return f"({operand} {op} ?)"
-    if isinstance(expr, IsNull):
-        op = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"({_expr_key(expr.operand, literals)} {op})"
-    return expr.digest()
-
-
-# ---------------------------------------------------------------------------
-# Operator signatures (feedback keys)
-# ---------------------------------------------------------------------------
 
 
 def operator_signature(node: RelNode, resolve=None) -> Optional[str]:

@@ -16,12 +16,12 @@ Three factory presets mirror the paper's systems under test::
 (``_run_statement``: trace -> statement -> plan -> execute -> observe ->
 verify), which returns a result or raises.  The statement stage is
 parse -> dispatch on the statement kind -> sql2rel, except for a SELECT
-whose exact text the plan cache has prepared before: that one comes back
-as its logical plan and plan signature, so a repeat skips parse, sql2rel
-and signing, and — its cached plan keeping the fragments it was cut into
-(``PhysNode.prepared_fragments``) — fragmentation too.  Statements are
-prepared only where the plan cache serves: never under tracing, a fault
-schedule, EXPLAIN [ANALYZE] or DDL, and DDL clears them with the plans.
+whose exact text is in the plan cache — one cache keyed by statement
+text: that one comes back as its logical plan, so a repeat skips parse
+and sql2rel, and — its cached plan keeping the fragments it was cut into
+(``PhysNode.prepared_fragments``) — planning and fragmentation too.  The
+cache is read and filled only where it serves: never under tracing, a
+fault schedule, EXPLAIN [ANALYZE] or DDL, and DDL clears it.
 Under ``verify_execution`` the last stage diffs the rows about to be
 returned — whatever plan produced them — against the reference executor
 (:func:`repro.verify.differential.oracle_detail`).  ``sql`` is that
@@ -39,9 +39,8 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.adaptive.cache import Prepared
+from repro.adaptive.cache import CacheEntry
 from repro.adaptive.controller import AdaptiveController
-from repro.adaptive.signature import PlanSignature
 from repro.common.config import SystemConfig
 from repro.common.errors import (
     ExecutionTimeoutError,
@@ -139,9 +138,6 @@ class QueryOutcome:
     status: QueryStatus
     result: Optional[ExecutionResult] = None
     error: Optional[ReproError] = None
-    #: Execution attempts consumed (1 on the happy path; > 1 after
-    #: retries by the resilience layer in :mod:`repro.faults.chaos`).
-    attempts: int = 1
     #: The plan came out of the plan cache (whether or not it then ran to
     #: completion): Hep + Volcano skipped, zero budget ticks spent.
     plan_cached: bool = False
@@ -301,7 +297,7 @@ class IgniteCalciteCluster:
         return statement.name
 
     def plan_sql(self, sql: str) -> PhysNode:
-        return self._plan(self.parse_to_logical(sql), None)[0]
+        return self._plan(self.parse_to_logical(sql), None, sql)[0]
 
     def explain(self, sql: str) -> str:
         """The optimised physical plan, rendered for humans."""
@@ -337,12 +333,11 @@ class IgniteCalciteCluster:
             # and later fault-free queries benefit.
             adaptive = None if self.config.tracing else self.adaptive
             serving = None if self.fault_injector.schedule else adaptive
-            # The statement stage: a SELECT whose exact text was prepared
-            # before comes back parsed, converted and signed.  DDL and
-            # EXPLAIN are never prepared, so their text always misses.
-            statements = serving.cache if serving is not None else None
-            prepared = statements.statement(sql) if statements is not None else None
-            if prepared is None:
+            # The statement stage: a SELECT whose exact text is cached
+            # comes back as its logical plan.  DDL and EXPLAIN are never
+            # cached, so their text always misses.
+            entry = serving.lookup(sql) if serving is not None else None
+            if entry is None:
                 with tracer.span("parse"):
                     statement = parse(sql, allow_views=self.config.views_supported)
                     tracer.advance(1.0)  # parsing is one budget tick
@@ -354,17 +349,11 @@ class IgniteCalciteCluster:
                     return ExecutionResult([], [])
                 explain = isinstance(statement, ast_module.Explain)
                 if explain:
-                    adaptive = serving = statements = None
+                    adaptive = serving = None
                 logical = self._to_logical(statement.select if explain else statement)
-                signature = None
             else:
-                explain = False
-                logical, signature = prepared
-            plan, signature, outcome.plan_cached = self._plan(
-                logical, serving, signature
-            )
-            if statements is not None and prepared is None:
-                statements.prepare(sql, Prepared(logical, signature))
+                explain, logical = False, entry.logical
+            plan, outcome.plan_cached = self._plan(logical, serving, sql, entry)
             if explain and not statement.analyze:
                 return _text_result(plan.explain())
             try:
@@ -374,7 +363,7 @@ class IgniteCalciteCluster:
                     adaptive.harvest_partial(exc.partial)
                 raise
             if serving is not None:
-                serving.observe(signature, result)
+                serving.observe(sql, result)
             if explain:
                 # EXPLAIN ANALYZE costs what the query itself cost.
                 return _text_result(result.explain_analyze(), base=result)
@@ -394,26 +383,26 @@ class IgniteCalciteCluster:
         self,
         logical: RelNode,
         adaptive: Optional[AdaptiveController],
-        signature: Optional[PlanSignature] = None,
-    ) -> Tuple[PhysNode, Optional[PlanSignature], bool]:
-        """``(physical plan, plan signature, served from the cache)`` for
-        one logical plan — through the plan cache and with
-        feedback-corrected cardinalities when ``adaptive`` is given,
-        straight from the planner otherwise.  A prepared statement brings
-        its ``signature``; the cache signs anything else itself."""
+        sql: str,
+        entry: Optional[CacheEntry] = None,
+    ) -> Tuple[PhysNode, bool]:
+        """``(physical plan, served from the cache)`` for the logical plan
+        of ``sql`` — through the plan cache and with feedback-corrected
+        cardinalities when ``adaptive`` is given, straight from the
+        planner otherwise.  ``entry`` is what the cache holds for ``sql``."""
         feedback = None
         if adaptive is not None:
             feedback = adaptive.feedback
-            signature, plan = adaptive.lookup(logical, signature)
+            plan = adaptive.serve(entry)
             if plan is not None:
-                return plan, signature, True
+                return plan, True
         planner = QueryPlanner(
             self.store, self.config, feedback=feedback, sketches=self.sketches
         )
         plan = planner.plan(logical)
         if adaptive is not None:
-            adaptive.store(signature, plan, planner.last_budget_spent)
-        return plan, signature, False
+            adaptive.store(sql, logical, plan)
+        return plan, False
 
     # -- execution ----------------------------------------------------------------------
 

@@ -92,6 +92,19 @@ class TestPlanCacheHit:
         assert delta.get("plan_cache.misses") == 1.0
         assert delta.get("planner.queries_planned") == 1.0
 
+    def test_two_bindings_of_one_query_keep_their_own_plans(self):
+        cluster = make_company_cluster(SystemConfig.ic_plus(4, plan_cache=True))
+        texts = [
+            "select name from emp where salary > 50000",
+            "select name from emp where salary > 90000",
+        ]
+        outcomes = [cluster.try_sql(texts[i % 2]) for i in range(6)]
+        assert [o.plan_cached for o in outcomes] == [False, False] + [True] * 4
+        for i, outcome in enumerate(outcomes[2:], start=2):
+            assert outcome.rows == outcomes[i % 2].rows
+        assert outcomes[0].rows != outcomes[1].rows
+        assert get_registry().counter("planner.queries_planned") == 2.0
+
     def test_cache_off_by_default(self):
         cluster = make_company_cluster(SystemConfig.ic_plus(4))
         assert cluster.adaptive is None

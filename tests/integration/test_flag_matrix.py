@@ -13,7 +13,7 @@ and would otherwise mask the axes it shares a cell with.  Every cell runs
 seeded ``QueryGenerator`` queries on the (sales-skewed) company schema
 and three TPC-H queries at SF 0.02, each **twice per cluster**: the
 second run is the plan-cache hit / feedback-corrected re-plan.  Where the
-plan cache is on, a third run is the hit after that re-plan: a prepared
+plan cache is on, a third run is the hit after that re-plan: a cached
 statement served a plan whose kept fragments the runs before it shared.
 
 A failure prints a triple to replay it with::

@@ -1,9 +1,9 @@
 """Prepared statements: a repeated SELECT on the cache-hit path.
 
-Where the plan cache serves, the statement pipeline keeps each SELECT's
-text prepared — its logical plan and plan signature — so a repeat skips
-parse, sql2rel and signing, and its cached plan keeps the fragments the
-engine cut it into.  Pinned here:
+Where the plan cache serves, the statement pipeline keeps each SELECT
+under its text — its logical plan and physical plan in one cache entry —
+so a repeat skips parse, sql2rel and planning, and its cached plan keeps
+the fragments the engine cut it into.  Pinned here:
 
 * **no stale statement** — after CREATE VIEW, a table replaced through
   ``drop_table`` + ``create_table``, or ``create_index``, the same text
@@ -20,7 +20,7 @@ import pytest
 
 import repro.core.cluster as cluster_module
 from helpers import make_company_cluster
-from repro.adaptive.signature import plan_signature
+from repro.adaptive.cache import DEFAULT_CAPACITY
 from repro.bench.midquery import MIDQUERY_QUERIES, load_skewed_cluster
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
@@ -62,7 +62,7 @@ def _table(name, columns):
 
 
 def _prepared(cluster, sql):
-    return cluster.adaptive.cache.statement(sql)
+    return cluster.adaptive.cache.peek(sql)
 
 
 # -- the hit path ---------------------------------------------------------------
@@ -153,8 +153,7 @@ def test_a_feedback_eviction_replans_the_prepared_logical_plan(parses):
     del parses[:]
     outcome = cluster.try_sql(sql)
     assert parses == [] and not outcome.plan_cached  # prepared, re-planned
-    key = plan_signature(cluster.parse_to_logical(sql)).key
-    entry = cluster.adaptive.cache.peek(key)
+    entry = _prepared(cluster, sql)
     assert entry.replanned
     assert entry.plan.explain() == fresh.explain()
 
@@ -222,13 +221,20 @@ def test_the_plan_cache_counts_as_before():
 def test_statements_share_the_plan_cache_capacity():
     cluster = make_company_cluster(SystemConfig.ic_plus(4, **CACHED))
     cache = cluster.adaptive.cache
-    cache.capacity = 2
-    texts = [f"select name from emp where salary > {s}" for s in (1, 2, 3)]
-    for sql in texts:
-        cluster.sql(sql)
-    assert [cache.statement(sql) is not None for sql in texts] == [
-        False, True, True
+    texts = [
+        f"select name from emp where salary > {s}"
+        for s in range(DEFAULT_CAPACITY + 1)
     ]
+    for sql in texts[:-1]:
+        cluster.sql(sql)
+    assert len(cache) == DEFAULT_CAPACITY
+    oldest = _prepared(cluster, texts[0])
+    assert oldest.logical is not None and oldest.plan is not None
+    cluster.sql(texts[-1])
+    assert len(cache) == DEFAULT_CAPACITY
+    assert _prepared(cluster, texts[0]) is None
+    assert all(_prepared(cluster, sql) is not None for sql in texts[1:])
+    assert get_registry().counter("plan_cache.evictions") == 1.0
 
 
 # -- prepared fragments are shared safely ----------------------------------------
@@ -261,8 +267,7 @@ def test_a_splice_leaves_the_kept_fragments_intact():
     sql = MIDQUERY_QUERIES["MQ2"]
     first = cluster.sql(sql)
     assert first.fragment_trees[-1].replanned  # the run spliced its suffix
-    key = plan_signature(cluster.parse_to_logical(sql)).key
-    plan = cluster.adaptive.cache.peek(key).plan
+    plan = _prepared(cluster, sql).plan
     kept = list(plan.prepared_fragments)
     assert _shape(plan.prepared_fragments) == _shape(fragment_plan(plan))
     assert not any(f.replanned for f in kept)

@@ -102,6 +102,28 @@ def test_the_adaptive_layer_is_entered_once(call):
     assert CLUSTER.read_text().count(f".{call}(") == 1
 
 
+@pytest.mark.parametrize(
+    "needle",
+    ["plan_signature", "PlanSignature", "Prepared", "_pending_replans", "literals"],
+)
+def test_the_plan_cache_has_one_key(needle):
+    """Statement text is the cache key: no literal-stripped plan shape, no
+    prepared form kept beside the plans, no replan state off the entry."""
+    paths = [*sorted((SRC / "adaptive").glob("*.py")), CLUSTER]
+    assert [str(p.relative_to(SRC)) for p in paths if needle in p.read_text()] == []
+
+
+def test_the_plan_cache_is_one_lru():
+    constructed = [
+        node
+        for node in ast.walk(ast.parse((SRC / "adaptive" / "cache.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "OrderedDict"
+    ]
+    assert len(constructed) == 1
+
+
 def _callers(name):
     """``module:function`` (innermost) of every call of the bare name
     ``name`` in ``src/repro``."""
@@ -125,7 +147,7 @@ def _callers(name):
 
 
 def test_statements_are_parsed_by_the_pipeline_alone():
-    """A prepared statement is a stage of ``_run_statement``, not a second
+    """A cached statement is a stage of ``_run_statement``, not a second
     front end: no other function parses SQL text (``create_view`` is the
     typed DDL face the statement-kind dispatch guard exempts too)."""
     assert _callers("parse") == [

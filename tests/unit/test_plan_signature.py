@@ -1,8 +1,8 @@
-"""Unit tests for plan and operator signatures (repro.adaptive.signature)."""
+"""Unit tests for operator signatures (repro.adaptive.signature)."""
 
 import pytest
 
-from repro.adaptive.signature import operator_signature, plan_signature
+from repro.adaptive.signature import operator_signature
 from repro.common.config import SystemConfig
 from repro.rel.expr import BinaryOp, ColRef, Literal
 from repro.rel.logical import (
@@ -41,57 +41,6 @@ def store():
 def scan(store, table):
     schema = store.table(table).schema
     return LogicalTableScan(table, table, schema.column_names)
-
-
-class TestPlanSignature:
-    def test_literals_parameterised_out(self, cluster):
-        a = plan_signature(
-            cluster.parse_to_logical("select name from emp where salary > 50000")
-        )
-        b = plan_signature(
-            cluster.parse_to_logical("select name from emp where salary > 99000")
-        )
-        assert a.key == b.key
-        assert a.literals != b.literals
-        assert 50000 in a.literals and 99000 in b.literals
-
-    def test_shape_changes_change_the_key(self, cluster):
-        a = plan_signature(
-            cluster.parse_to_logical("select name from emp where salary > 1")
-        )
-        b = plan_signature(
-            cluster.parse_to_logical("select name from emp where salary < 1")
-        )
-        c = plan_signature(cluster.parse_to_logical("select name from emp"))
-        assert len({a.key, b.key, c.key}) == 3
-
-    def test_in_list_keeps_size_in_key(self, cluster):
-        two = plan_signature(
-            cluster.parse_to_logical(
-                "select name from emp where dept_id in (1, 2)"
-            )
-        )
-        three = plan_signature(
-            cluster.parse_to_logical(
-                "select name from emp where dept_id in (1, 2, 3)"
-            )
-        )
-        assert two.key != three.key  # set size drives selectivity
-
-    def test_fetch_is_part_of_the_key(self, cluster):
-        a = plan_signature(
-            cluster.parse_to_logical("select name from emp order by name limit 5")
-        )
-        b = plan_signature(
-            cluster.parse_to_logical("select name from emp order by name limit 9")
-        )
-        assert a.key != b.key
-
-    def test_deterministic(self, cluster):
-        sql = "select dept_id, count(*) from emp group by dept_id"
-        a = plan_signature(cluster.parse_to_logical(sql))
-        b = plan_signature(cluster.parse_to_logical(sql))
-        assert a == b
 
 
 class TestOperatorSignature:
