@@ -13,30 +13,96 @@ self cost (``self_cost``), mirroring Ignite's per-operator ``getSelfCost``.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import PlannerError
 from repro.cost.model import Cost, ZERO_COST
-from repro.rel.expr import Expr
+from repro.rel.expr import ColRef, Expr
 from repro.rel.logical import AggCall, JoinType, RelNode, ScanColumns
 from repro.rel.traits import Collation, Distribution, EMPTY_COLLATION
 
 
-class PhysNode(RelNode):
+class CostedSubtree:
+    """What the planner reads of a subtree, derived one way for a built
+    :class:`PhysNode` and for a priced alternative that becomes one only
+    if it wins (:mod:`repro.planner.physical`), so the two agree bit for
+    bit: Algorithm 2's two questions, answered at construction from the
+    (already final) ``inputs``, and the cumulative cost, summed once by
+    :meth:`costed`."""
+
+    __slots__ = ()
+
+    #: Exchanges set this; Algorithm 2 looks for it.
+    is_exchange = False
+
+    def _derive(self) -> None:
+        has_exchange = self.is_exchange
+        sites = None
+        for child in self.inputs:
+            has_exchange = has_exchange or child.has_exchange
+            if sites is None or child.leaf_partition_sites < sites:
+                sites = child.leaf_partition_sites
+        #: An exchange occurs somewhere in this subtree (this node included).
+        self.has_exchange: bool = has_exchange
+        #: Smallest partition-site count among the subtree's leaves (scans
+        #: set their own; any other leaf counts as one site).
+        self.leaf_partition_sites: int = 1 if sites is None else sites
+        self._rows_est: float = 1.0
+        self._self_cost: Cost = ZERO_COST
+        self._total_cost: Optional[Cost] = None
+
+    @property
+    def rows_est(self) -> float:
+        """The planner's estimated output row count (set by :meth:`costed`)."""
+        return self._rows_est
+
+    @property
+    def self_cost(self) -> Cost:
+        """This operator's own cost, Ignite's ``getSelfCost``."""
+        return self._self_cost
+
+    def costed(self, rows_est: float, self_cost: Cost = ZERO_COST):
+        """Fix the estimate and self cost, once, and sum the cumulative
+        cost (Eq. 1) from them: self first, then the inputs left to right.
+        Returns ``self``."""
+        if self._total_cost is not None:
+            raise PlannerError(
+                f"{type(self).__name__} is already costed; build a new node "
+                "(copy()) instead of re-costing one whose cumulative cost "
+                "may have been read"
+            )
+        total = self_cost
+        for child in self.inputs:
+            total = total + child.total_cost()
+        self._rows_est = rows_est
+        self._self_cost = self_cost
+        self._total_cost = total
+        return self
+
+    def total_cost(self) -> Cost:
+        """Cumulative cost of the subtree, as :meth:`costed` summed it.
+
+        Reading it on a node that was never costed fixes that node at its
+        defaults (one row, zero self cost).
+        """
+        total = self._total_cost
+        if total is None:
+            total = self.costed(self._rows_est, self._self_cost)._total_cost
+        return total
+
+
+class PhysNode(CostedSubtree, RelNode):
     """Base class for physical operators.
 
-    A node is built bottom-up and never changes afterwards.  What the
-    planner keeps asking of a subtree is therefore derived once per node
-    from its (already final) inputs: whether an exchange occurs in it and
-    the smallest leaf partition-site count (Algorithm 2's two questions,
-    fixed at construction), and the cumulative cost (summed on first read,
-    after which :meth:`costed` refuses to change what it was summed from).
+    A node is built bottom-up and never changes afterwards: its exchange
+    flag and leaf partition sites are derived at construction and its
+    cumulative cost by :meth:`costed` (see :class:`CostedSubtree`).  The
+    planner prices alternatives without building them and builds only
+    the winner, so a node exists only for a subtree some plan keeps.
     Rewrites go through :meth:`copy`, which carries the estimate and self
     cost over and derives everything else afresh from the new inputs.
     """
 
-    #: Exchanges set this; Algorithm 2 looks for it.
-    is_exchange = False
     #: The fragments this node was cut into as the root of an executed
     #: plan: derived by ``ExecutionEngine._prepare`` on the first
     #: execution and kept, like the cumulative cost, because neither the
@@ -50,63 +116,10 @@ class PhysNode(RelNode):
         distribution: Distribution,
         collation: Collation = EMPTY_COLLATION,
     ):
-        super().__init__(inputs, fields)
+        RelNode.__init__(self, inputs, fields)
         self.distribution = distribution
         self.collation = collation
-        self._rows_est: float = 1.0
-        self._self_cost: Cost = ZERO_COST
-        self._sealed = False  # by costed(), or by the first total_cost()
-        self._total_cost: Optional[Cost] = None
-        has_exchange = self.is_exchange
-        sites = None
-        for child in self.inputs:
-            has_exchange = has_exchange or child.has_exchange
-            if sites is None or child.leaf_partition_sites < sites:
-                sites = child.leaf_partition_sites
-        #: An exchange occurs somewhere in this subtree (this node included).
-        self.has_exchange: bool = has_exchange
-        #: Smallest partition-site count among the subtree's leaves (scans
-        #: set their own; any other leaf counts as one site).
-        self.leaf_partition_sites: int = 1 if sites is None else sites
-
-    @property
-    def rows_est(self) -> float:
-        """The planner's estimated output row count (set by :meth:`costed`)."""
-        return self._rows_est
-
-    @property
-    def self_cost(self) -> Cost:
-        """This operator's own cost, Ignite's ``getSelfCost``."""
-        return self._self_cost
-
-    def costed(self, rows_est: float, self_cost: Cost = ZERO_COST) -> "PhysNode":
-        """Fix the estimate and self cost, once; returns ``self``."""
-        if self._sealed:
-            raise PlannerError(
-                f"{type(self).__name__} is already costed; build a new node "
-                "(copy()) instead of re-costing one whose cumulative cost "
-                "may have been read"
-            )
-        self._sealed = True
-        self._rows_est = rows_est
-        self._self_cost = self_cost
-        return self
-
-    def total_cost(self) -> Cost:
-        """Cumulative cost of the subtree (Eq. 1): self first, then the
-        inputs left to right, summed on the first read and kept.
-
-        Reading it on a node that was never costed fixes that node at its
-        defaults (one row, zero self cost).
-        """
-        total = self._total_cost
-        if total is None:
-            self._sealed = True
-            total = self._self_cost
-            for child in self.inputs:
-                total = total + child.total_cost()
-            self._total_cost = total
-        return total
+        self._derive()
 
     def copy(self, inputs: Sequence[RelNode]) -> "PhysNode":
         """Clone over new inputs, carrying the estimate and self cost.
@@ -299,25 +312,10 @@ class PhysProject(PhysNode):
     def __init__(
         self, input_node: PhysNode, exprs: Sequence[Expr], names: Sequence[str]
     ):
-        # A projection may destroy the hash distribution keys / collation.
-        from repro.rel.expr import ColRef
-
-        mapping = {}
-        for out_index, expr in enumerate(exprs):
-            if isinstance(expr, ColRef) and expr.index not in mapping:
-                mapping[expr.index] = out_index
-        dist = input_node.distribution.remap(lambda i: mapping.get(i))
-        collation_keys = []
-        for key, asc in input_node.collation.keys:
-            if key in mapping:
-                collation_keys.append((mapping[key], asc))
-            else:
-                break
-        super().__init__(
-            (input_node,), names,
-            dist if dist is not None else _degraded(input_node),
-            Collation(tuple(collation_keys)),
+        distribution, collation = project_traits(
+            input_node.distribution, input_node.collation, passthrough(exprs)
         )
+        super().__init__((input_node,), names, distribution, collation)
         self.exprs = tuple(exprs)
 
     @property
@@ -339,7 +337,36 @@ class PhysProject(PhysNode):
 DEGRADED_HASH_KEY = 999_999
 
 
-def _degraded(input_node: PhysNode) -> Distribution:
+def passthrough(exprs: Sequence[Expr]) -> Dict[int, int]:
+    """Input column -> the first output position a projection of
+    ``exprs`` passes it through to."""
+    mapping: Dict[int, int] = {}
+    for out_index, expr in enumerate(exprs):
+        if isinstance(expr, ColRef) and expr.index not in mapping:
+            mapping[expr.index] = out_index
+    return mapping
+
+
+def project_traits(
+    distribution: Distribution, collation: Collation, mapping: Dict[int, int]
+) -> Tuple[Distribution, Collation]:
+    """The distribution and collation a projection keeps of its input's,
+    given its :func:`passthrough` ``mapping``: hash keys and a collation
+    prefix survive where a column is passed through; a hash whose keys
+    were projected away degrades."""
+    kept = distribution.remap(mapping.get)
+    collation_keys = []
+    for key, asc in collation.keys:
+        if key not in mapping:
+            break
+        collation_keys.append((mapping[key], asc))
+    return (
+        kept if kept is not None else _degraded(distribution),
+        Collation(tuple(collation_keys)),
+    )
+
+
+def _degraded(distribution: Distribution) -> Distribution:
     """Distribution after hash keys are projected away.
 
     The rows still live where they lived, but the hash property is no
@@ -347,9 +374,9 @@ def _degraded(input_node: PhysNode) -> Distribution:
     hash marker over a synthetic key so trait satisfaction fails and an
     exchange is forced when a specific placement is required.
     """
-    if input_node.distribution.is_hash:
+    if distribution.is_hash:
         return Distribution.hash((DEGRADED_HASH_KEY,))
-    return input_node.distribution
+    return distribution
 
 
 class PhysJoinBase(PhysNode):

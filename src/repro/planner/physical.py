@@ -11,12 +11,16 @@ exchange enforcer is inserted.
 The planner is a memoised dynamic program with Calcite's two levels.  A
 *group* (Calcite's ``RelSet``) is a logical digest; the un-enforced
 physical alternatives of a join, aggregate or sort do not depend on what
-the parent requires, so they are built once per group.  A *winner*
-(``RelSubset``) belongs to a (group, requirement) pair: enforcers are put
-on every alternative and the cheapest is kept.  Each winner sought and
-each join/aggregate alternative weighed charges one tick against the
-planning budget, which is how single-phase optimisation over large join
-search spaces exhausts Calcite's limits (Section 4.3).
+the parent requires, so they are made once per group — a join's as
+priced records (:class:`_Alternative`), not nodes.  A *winner*
+(``RelSubset``) belongs to a (group, requirement) pair: the enforcers the
+requirement needs are priced on every alternative, and only the cheapest
+is built, enforced.  Pricing sums costs in the order the built nodes'
+``costed()`` sums them, so the choice and the cost bits are the ones
+building every alternative would give.  Each winner sought and each
+join/aggregate alternative weighed charges one tick against the planning
+budget, which is how single-phase optimisation over large join search
+spaces exhausts Calcite's limits (Section 4.3).
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import PlannerError
-from repro.cost.model import CostModel, distribution_factor
+from repro.cost.model import Cost, CostModel, distribution_factor
 from repro.exec.physical import (
     DEGRADED_HASH_KEY,
     AggPhase,
+    CostedSubtree,
     PhysExchange,
     PhysFilter,
     PhysHashAggregate,
@@ -45,6 +50,8 @@ from repro.exec.physical import (
     PhysSortAggregate,
     PhysTableScan,
     PhysValues,
+    passthrough,
+    project_traits,
 )
 from repro.planner.budget import PlanningBudget
 from repro.rel import expr as rex
@@ -133,6 +140,52 @@ _SINGLE_REQ = Requirement(ReqKind.SINGLE)
 _BROADCAST_REQ = Requirement(ReqKind.BROADCAST)
 
 
+#: The self costs of the exchange and the sort a plan needs under one
+#: requirement; ``None`` for an enforcer it does not need.
+_Enforcers = Tuple[Optional[Cost], Optional[Cost]]
+_NO_ENFORCERS: _Enforcers = (None, None)
+
+
+class _Alternative(CostedSubtree):
+    """A priced join alternative that is not a node yet: the operator
+    class ``make``, its parameters and inputs (nodes or alternatives), the
+    traits the node will carry and, derived as the node derives them, its
+    costs.  :meth:`build` makes the node, once, when it wins.  It holds
+    data, never the planner, so a finished memo is freed by reference
+    counting rather than by the cycle collector."""
+
+    __slots__ = (
+        "make", "params", "inputs", "width", "distribution", "collation",
+        "has_exchange", "leaf_partition_sites",
+        "_rows_est", "_self_cost", "_total_cost", "_node",
+    )
+
+    def __init__(
+        self, make, params: tuple, inputs: tuple, width: int,
+        distribution: Distribution, collation: Collation,
+        rows_est: float, self_cost: Cost,
+    ):
+        self.make, self.params, self.inputs = make, params, inputs
+        self.width = width
+        self.distribution, self.collation = distribution, collation
+        self._node: Optional[PhysNode] = None
+        self._derive()
+        self.costed(rows_est, self_cost)
+
+    def build(self) -> PhysNode:
+        node = self._node
+        if node is None:
+            inputs = [_built(child) for child in self.inputs]
+            node = self._node = self.make(*inputs, *self.params).costed(
+                self._rows_est, self._self_cost
+            )
+        return node
+
+
+def _built(plan) -> PhysNode:
+    return plan.build() if isinstance(plan, _Alternative) else plan
+
+
 class PhysicalPlanner:
     """Implements logical trees as costed physical plans."""
 
@@ -151,10 +204,9 @@ class PhysicalPlanner:
         self._budget = budget
         #: (group, requirement) -> winner.
         self._memo: Dict[Tuple[str, Requirement], PhysNode] = {}
-        #: group -> un-enforced alternatives (joins, aggregates, sorts).
-        self._groups: Dict[str, List[PhysNode]] = {}
-        #: (left width, right width) -> the H* column-order restore list.
-        self._restore_refs: Dict[Tuple[int, int], List[ColRef]] = {}
+        #: group -> un-enforced alternatives: an aggregate's or a sort's
+        #: nodes, a join's records.
+        self._groups: Dict[str, list] = {}
 
     # -- entry point -------------------------------------------------------------
 
@@ -197,33 +249,52 @@ class PhysicalPlanner:
 
     # -- enforcers ---------------------------------------------------------------------
 
-    def _enforce(self, plan: PhysNode, req: Requirement) -> PhysNode:
-        """Insert exchange/sort enforcers so ``plan`` satisfies ``req``."""
-        result = plan
-        # Enforcers neither drop rows nor change the schema.
-        rows, width = plan.rows_est, plan.width
+    def _enforcers(self, plan, req: Requirement, memo: dict) -> _Enforcers:
+        """The self costs of the exchange and the sort that make ``plan``
+        (a node or a record) satisfy ``req``, kept in ``memo`` for one
+        requirement: enforcers neither drop rows nor change the schema, so
+        the costs depend on the plan only through this key."""
+        exchange = not req.distribution_satisfied(plan.distribution)
         wanted = req.collation
-        if not req.distribution_satisfied(result.distribution):
-            target = req.target
+        sort = wanted.is_sorted and not plan.collation.satisfies(wanted)
+        if not (exchange or sort):
+            return _NO_ENFORCERS
+        rows, width, df = plan.rows_est, plan.width, distribution_factor(plan)
+        key = (rows, width, df, exchange, sort)
+        costs = memo.get(key)
+        if costs is None:
+            sites = self._target_site_count(req.target) if exchange else 0
+            costs = memo[key] = (
+                self._cost.exchange(rows, width, sites, df) if exchange else None,
+                # A sort above an exchange sees the whole relation (df 1).
+                self._cost.sort(rows, width, 1.0 if exchange else df)
+                if sort
+                else None,
+            )
+        return costs
+
+    def _enforce(
+        self, plan: PhysNode, req: Requirement,
+        costs: Optional[_Enforcers] = None,
+    ) -> PhysNode:
+        """Build the enforcers ``costs`` prices (by default, whatever
+        ``req`` needs) on top of ``plan``."""
+        exchange_cost, sort_cost = costs or self._enforcers(plan, req, {})
+        result = plan
+        rows = plan.rows_est
+        wanted = req.collation
+        if exchange_cost is not None:
+            # A merging exchange keeps an order the requirement wants.
             merge = (
-                result.collation
-                if wanted.is_sorted and result.collation.satisfies(wanted)
+                plan.collation
+                if wanted.is_sorted and plan.collation.satisfies(wanted)
                 else EMPTY_COLLATION
             )
-            result = PhysExchange(result, target, merge).costed(
-                rows,
-                self._cost.exchange(
-                    rows,
-                    width,
-                    self._target_site_count(target),
-                    distribution_factor(result),
-                ),
+            result = PhysExchange(result, req.target, merge).costed(
+                rows, exchange_cost
             )
-        if wanted.is_sorted and not result.collation.satisfies(wanted):
-            result = PhysSort(result, wanted.keys).costed(
-                rows,
-                self._cost.sort(rows, width, distribution_factor(result)),
-            )
+        if sort_cost is not None:
+            result = PhysSort(result, wanted.keys).costed(rows, sort_cost)
         return result
 
     def _target_site_count(self, dist: Distribution) -> int:
@@ -231,25 +302,39 @@ class PhysicalPlanner:
             return 1
         return self._store.site_count
 
-    def _cheapest(self, candidates: List[PhysNode]) -> PhysNode:
-        """The first candidate of minimal cumulative cost."""
+    def _cheapest(self, candidates: list, req: Requirement) -> PhysNode:
+        """Price ``req``'s enforcers on every candidate (a node or a
+        record) and build only the first of least cumulative cost."""
         if not candidates:
             raise PlannerError("no physical candidates produced")
-        return min(candidates, key=lambda p: p.total_cost().value)
+        memo: dict = {}
+        best = costs = None
+        least = 0.0
+        for plan in candidates:
+            exchange_cost, sort_cost = enforcers = self._enforcers(plan, req, memo)
+            # Summed as the built nodes will sum it: self cost, then input.
+            total = plan.total_cost()
+            if exchange_cost is not None:
+                total = exchange_cost + total
+            if sort_cost is not None:
+                total = sort_cost + total
+            if best is None or total.value < least:  # the first strict minimum
+                best, costs, least = plan, enforcers, total.value
+        return self._enforce(_built(best), req, costs)
 
     def _winner(
         self, node: RelNode, build, req: Requirement, charge_each: bool
     ) -> PhysNode:
-        """Enforce ``req`` on every alternative of ``node``'s group and keep
-        the cheapest.  The group is built by ``build(node)`` the first time
-        it is met; ``charge_each`` bills one tick per alternative weighed."""
+        """The cheapest alternative of ``node``'s group under ``req``.  The
+        group is made by ``build(node)`` the first time it is met;
+        ``charge_each`` bills one tick per alternative weighed."""
         digest = node.digest()
         alternatives = self._groups.get(digest)
         if alternatives is None:
             alternatives = self._groups[digest] = build(node)
         if charge_each:
             self._budget.charge(len(alternatives))
-        return self._cheapest([self._enforce(p, req) for p in alternatives])
+        return self._cheapest(alternatives, req)
 
     # -- scans --------------------------------------------------------------------------
 
@@ -274,15 +359,15 @@ class PhysicalPlanner:
             pushed_project=node.pushed_project,
             pushed_fetch=node.pushed_fetch,
         ).costed(rows, scan_cost)
-        candidates = [self._enforce(table_scan, req)]
+        candidates = [table_scan]
         # Engine-side index scans read the in-memory mirror and would not
         # honour adapter-pushed work, so they only compete on plain scans.
         if req.collation.is_sorted and not node.has_pushdown:
             index_name = self._matching_index(data.schema, req.collation)
             if index_name is not None:
                 index_scan = self._index_scan(node, data, index_name, rows)
-                candidates.append(self._enforce(index_scan, req))
-        return self._cheapest(candidates)
+                candidates.append(index_scan)
+        return self._cheapest(candidates, req)
 
     def _index_scan(
         self, scan: LogicalTableScan, data, index_name: str, rows: float,
@@ -331,15 +416,13 @@ class PhysicalPlanner:
                 self._est.row_count(node),
                 self._cost.filter(child.rows_est, distribution_factor(child)),
             )
-            candidates.append(self._enforce(filt, req))
-        range_scan = self._try_index_range(node, req)
+            candidates.append(filt)
+        range_scan = self._try_index_range(node)
         if range_scan is not None:
             candidates.append(range_scan)
-        return self._cheapest(candidates)
+        return self._cheapest(candidates, req)
 
-    def _try_index_range(
-        self, node: LogicalFilter, req: Requirement
-    ) -> Optional[PhysNode]:
+    def _try_index_range(self, node: LogicalFilter) -> Optional[PhysNode]:
         """A sargable predicate over a base-table scan becomes a bounded
         index scan plus a residual filter (index range pushdown)."""
         scan = node.input
@@ -397,7 +480,7 @@ class PhysicalPlanner:
                     self._est.row_count(node),
                     self._cost.filter(scanned, distribution_factor(result)),
                 )
-            return self._enforce(result, req)
+            return result
         return None
 
     def _pass_through_reqs(self, req: Requirement) -> List[Requirement]:
@@ -420,121 +503,119 @@ class PhysicalPlanner:
 
     # -- joins ---------------------------------------------------------------------------------
 
-    def _join_alternatives(self, node: LogicalJoin) -> List[PhysNode]:
-        """Every distribution mapping x join algorithm, not yet enforced."""
-        pairs, residual_list = rex.extract_equi_keys(
-            node.condition, node.left.width
-        )
+    def _join_alternatives(self, node: LogicalJoin) -> List[_Alternative]:
+        """Every distribution mapping x join algorithm, priced but neither
+        enforced nor built."""
+        left_width, right_width = node.left.width, node.right.width
+        width, join_type = node.width, node.join_type
+        pairs, residual_list = rex.extract_equi_keys(node.condition, left_width)
         residual = make_conjunction(residual_list)
         rows = self._est.row_count(node)
-        alternatives: List[PhysNode] = []
+        if pairs:
+            # What the equi-join alternatives of every mapping share: the
+            # merge join's sorted inputs, and H*'s commuted keys, residual
+            # and projection back to the join's column order.
+            left_sorted = Requirement(
+                ReqKind.ANY, (), Collation(tuple((lk, True) for lk, _ in pairs))
+            )
+            right_sorted = Requirement(
+                ReqKind.ANY, (), Collation(tuple((rk, True) for _, rk in pairs))
+            )
+            star_pairs = [(rk, lk) for lk, rk in pairs]
+            star_residual = (
+                _swap_sides(residual, left_width, right_width)
+                if residual is not None
+                else None
+            )
+            restore = [ColRef(right_width + i) for i in range(left_width)] + [
+                ColRef(i) for i in range(right_width)
+            ]
+            restored = passthrough(restore)
+            sort_memo: dict = {}
+        alternatives: List[_Alternative] = []
         for left_req, right_req, out_dist in self._join_mappings(node, pairs):
             left_plan = self.implement(node.left, left_req)
             right_plan = self.implement(node.right, right_req)
             if callable(out_dist):
                 out_dist = out_dist(left_plan, right_plan)
+            inputs = (left_plan, right_plan)
 
             # Nested-loop join: always available, any condition.
-            nlj = PhysNestedLoopJoin(
-                left_plan, right_plan, node.condition, node.join_type, out_dist
-            )
-            nlj_cost = self._cost.nested_loop_join(
-                left_plan.rows_est, right_plan.rows_est, right_plan.width,
-                distribution_factor(left_plan),
-            )
-            alternatives.append(nlj.costed(rows, nlj_cost))
-            if pairs:
-                alternatives.extend(
-                    self._equi_join_alternatives(
-                        node, pairs, residual, rows,
-                        left_plan, right_plan, out_dist,
-                    )
+            alternatives.append(_Alternative(
+                PhysNestedLoopJoin, (node.condition, join_type, out_dist),
+                inputs, width, out_dist, EMPTY_COLLATION, rows,
+                self._cost.nested_loop_join(
+                    left_plan.rows_est, right_plan.rows_est, right_plan.width,
+                    distribution_factor(left_plan),
+                ),
+            ))
+            if not pairs:
+                continue
+
+            # Merge join: sort both inputs on the join keys.
+            sorted_left = self._sorted(left_plan, left_sorted, sort_memo)
+            sorted_right = self._sorted(right_plan, right_sorted, sort_memo)
+            order = sorted_left.collation
+            alternatives.append(_Alternative(
+                PhysMergeJoin, (pairs, residual, join_type, out_dist, order),
+                (sorted_left, sorted_right), width, out_dist, order, rows,
+                self._cost.merge_join(
+                    sorted_left.rows_est, sorted_right.rows_est,
+                    distribution_factor(sorted_left),
+                ),
+            ))
+            if not self._config.hash_join:
+                continue
+
+            df_left = distribution_factor(left_plan)
+            df_right = distribution_factor(right_plan)
+            # Section 5.1.3: never build the hash table on shipped data.  When
+            # exactly one input is a local partition (df > 1), the build side
+            # must be that input; the commuted H* operator is how the planner
+            # reaches the swapped orientation.
+            if not (df_right == 1.0 and df_left > 1.0):
+                alternatives.append(_Alternative(
+                    PhysHashJoin, (pairs, residual, join_type, out_dist),
+                    inputs, width, out_dist, EMPTY_COLLATION, rows,
+                    self._cost.hash_join(
+                        left_plan.rows_est, right_plan.rows_est,
+                        right_plan.width, df_right,
+                    ),
+                ))
+            if join_type is JoinType.INNER and not (
+                df_left == 1.0 and df_right > 1.0
+            ):
+                # Section 5.1.3's H*: the commuted hash join that builds on
+                # the (possibly cheaper) other side; a projection restores
+                # the output column order.
+                star_dist = _swap_distribution(out_dist, left_width, right_width)
+                star = _Alternative(
+                    PhysHashJoin,
+                    (star_pairs, star_residual, join_type, star_dist),
+                    (right_plan, left_plan), width, star_dist, EMPTY_COLLATION,
+                    rows,
+                    self._cost.hash_join(
+                        right_plan.rows_est, left_plan.rows_est,
+                        left_plan.width, df_left,
+                    ),
                 )
+                alternatives.append(_Alternative(
+                    PhysProject, (restore, node.fields), (star,), width,
+                    *project_traits(star_dist, EMPTY_COLLATION, restored), rows,
+                    self._cost.project(rows, width, distribution_factor(star)),
+                ))
         return alternatives
 
-    def _equi_join_alternatives(
-        self,
-        node: LogicalJoin,
-        pairs: List[Tuple[int, int]],
-        residual,
-        rows: float,
-        left_plan: PhysNode,
-        right_plan: PhysNode,
-        out_dist: Distribution,
-    ) -> List[PhysNode]:
-        left_width, right_width = node.left.width, node.right.width
-
-        # Merge join: sort both inputs on the join keys.
-        left_order = Collation(tuple((lk, True) for lk, _ in pairs))
-        right_order = Collation(tuple((rk, True) for _, rk in pairs))
-        sorted_left = self._enforce(
-            left_plan, Requirement(ReqKind.ANY, (), left_order)
+    def _sorted(self, plan: PhysNode, req: Requirement, memo: dict):
+        """``plan`` sorted as ``req`` (ANY distribution) asks: itself when
+        it already is, else a priced sort over it."""
+        _, sort_cost = self._enforcers(plan, req, memo)
+        if sort_cost is None:
+            return plan
+        return _Alternative(
+            PhysSort, (req.collation.keys,), (plan,), plan.width,
+            plan.distribution, req.collation, plan.rows_est, sort_cost,
         )
-        sorted_right = self._enforce(
-            right_plan, Requirement(ReqKind.ANY, (), right_order)
-        )
-        merge = PhysMergeJoin(
-            sorted_left, sorted_right, pairs, residual, node.join_type,
-            out_dist, sorted_left.collation,
-        )
-        merge_cost = self._cost.merge_join(
-            sorted_left.rows_est, sorted_right.rows_est,
-            distribution_factor(sorted_left),
-        )
-        alternatives: List[PhysNode] = [merge.costed(rows, merge_cost)]
-        if not self._config.hash_join:
-            return alternatives
-
-        df_left = distribution_factor(left_plan)
-        df_right = distribution_factor(right_plan)
-        # Section 5.1.3: never build the hash table on shipped data.  When
-        # exactly one input is a local partition (df > 1), the build side
-        # must be that input; the commuted H* operator is how the planner
-        # reaches the swapped orientation.
-        if not (df_right == 1.0 and df_left > 1.0):
-            hash_join = PhysHashJoin(
-                left_plan, right_plan, pairs, residual, node.join_type, out_dist
-            )
-            hash_cost = self._cost.hash_join(
-                left_plan.rows_est, right_plan.rows_est, right_plan.width,
-                df_right,
-            )
-            alternatives.append(hash_join.costed(rows, hash_cost))
-
-        if node.join_type is JoinType.INNER and not (
-            df_left == 1.0 and df_right > 1.0
-        ):
-            # Section 5.1.3's H*: the commuted hash join that builds on the
-            # (possibly cheaper) other side; a projection restores the
-            # output column order.
-            star = PhysHashJoin(
-                right_plan, left_plan,
-                [(rk, lk) for lk, rk in pairs],
-                _swap_sides(residual, left_width, right_width)
-                if residual is not None
-                else None,
-                node.join_type,
-                _swap_distribution(out_dist, left_width, right_width),
-            )
-            star_cost = self._cost.hash_join(
-                right_plan.rows_est, left_plan.rows_est, left_plan.width,
-                df_left,
-            )
-            star.costed(rows, star_cost)
-            restore = self._restore_refs.get((left_width, right_width))
-            if restore is None:
-                restore = self._restore_refs[left_width, right_width] = [
-                    ColRef(right_width + i) for i in range(left_width)
-                ] + [ColRef(i) for i in range(right_width)]
-            project_cost = self._cost.project(
-                rows, node.width, distribution_factor(star)
-            )
-            alternatives.append(
-                PhysProject(star, restore, node.fields).costed(
-                    rows, project_cost
-                )
-            )
-        return alternatives
 
     def _join_mappings(self, node: LogicalJoin, pairs):
         """Distribution mappings for a join (Table 2 + Section 5.1.1).

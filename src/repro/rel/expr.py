@@ -460,9 +460,14 @@ class KernelBuilder:
             return self._strict([expr.operand], call)
         if isinstance(expr, IsNull):
             op = "is not" if expr.negated else "is"
-            if isinstance(expr.operand, Literal):  # "5 is None" is a SyntaxWarning
-                return repr((expr.operand.value is None) is not expr.negated)
-            return f"({self.render(expr.operand)} {op} None)"
+            operand = expr.operand
+            if isinstance(operand, Literal):  # "5 is None" is a SyntaxWarning
+                return repr((operand.value is None) is not expr.negated)
+            code = self.render(operand)
+            if not isinstance(operand, ColRef):
+                # So is "(-False) is None": test a temporary, as _strict does.
+                code = f"({self._temp()} := {code})"
+            return f"({code} {op} None)"
         raise ValidationError(f"cannot compile expression {expr!r}")
 
     def _logical(self, expr: BinaryOp, test: bool) -> str:

@@ -9,6 +9,7 @@ with optional decimal point.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import List, Union
 
@@ -33,12 +34,6 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-#: Number tokens are ASCII: ``str.isdigit`` accepts ``²``, which ``int`` rejects.
-DIGITS = frozenset("0123456789")
-
-SYMBOLS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "+", "-", "*", "/", ";")
-
-
 @dataclass(frozen=True)
 class Token:
     type: TokenType
@@ -53,85 +48,76 @@ class Token:
         return f"{self.value!r}"
 
 
+#: Every token shape as one alternation, tried in this order at each
+#: position.  A string is quote-delimited with ``''`` as an escaped quote;
+#: a quote that closes no string is ``unterminated``.  Numbers are ASCII
+#: (``\d`` would take ``²``, which ``int`` rejects); a dot is decimal
+#: only with a digit after it, so ``t1.col`` is a qualified name.  A word
+#: is ``\w`` (``str.isalnum`` or ``_``) after a non-digit first character,
+#: which :func:`tokenize` further holds to ``str.isalpha`` or ``_``.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r]+)"
+    r"|(?P<newline>\n)"
+    r"|(?P<comment>--[^\n]*)"
+    r"|(?P<string>'[^']*(?:''[^']*)*'(?!'))"
+    r"|(?P<unterminated>')"
+    r"|(?P<number>[0-9]+(?:\.[0-9]+)?|\.[0-9]+)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<symbol><=|>=|<>|!=|[=<>(),.+\-*/;])"
+)
+
+
 def tokenize(sql: str) -> List[Token]:
-    """Tokenize ``sql``, raising :class:`SqlSyntaxError` on bad input."""
+    """Tokenize ``sql``, raising :class:`SqlSyntaxError` on bad input.
+
+    Lines advance only at a newline token, never inside a string.
+    """
     tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     pos = 0
     line = 1
     line_start = 0
     length = len(sql)
-
-    def column() -> int:
-        return pos - line_start + 1
-
     while pos < length:
-        ch = sql[pos]
-        if ch == "\n":
+        found = match(sql, pos)
+        kind = found.lastgroup if found is not None else None
+        column = pos - line_start + 1
+        if kind == "space" or kind == "comment":
+            pass
+        elif kind == "word":
+            word = found.group()
+            if not (word[0].isalpha() or word[0] == "_"):
+                # ``²`` is \w but not a letter, so it starts no word.
+                raise SqlSyntaxError(
+                    f"unexpected character {word[0]!r}", line, column
+                )
+            word = word.lower()
+            token_type = (
+                TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
+            )
+            append(Token(token_type, word, line, column))
+        elif kind == "symbol":
+            symbol = found.group()
+            value = "<>" if symbol == "!=" else symbol
+            append(Token(TokenType.SYMBOL, value, line, column))
+        elif kind == "number":
+            text = found.group()
+            number: Union[int, float] = float(text) if "." in text else int(text)
+            append(Token(TokenType.NUMBER, number, line, column))
+        elif kind == "string":
+            text = found.group()[1:-1].replace("''", "'")
+            append(Token(TokenType.STRING, text, line, column))
+        elif kind == "newline":
             line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if ch == "-" and pos + 1 < length and sql[pos + 1] == "-":
-            while pos < length and sql[pos] != "\n":
-                pos += 1
-            continue
-        if ch == "'":
-            start_col = column()
-            pos += 1
-            chunks: List[str] = []
-            while True:
-                if pos >= length:
-                    raise SqlSyntaxError("unterminated string", line, start_col)
-                if sql[pos] == "'":
-                    if pos + 1 < length and sql[pos + 1] == "'":
-                        chunks.append("'")
-                        pos += 2
-                        continue
-                    pos += 1
-                    break
-                chunks.append(sql[pos])
-                pos += 1
-            tokens.append(Token(TokenType.STRING, "".join(chunks), line, start_col))
-            continue
-        if ch in DIGITS or (ch == "." and sql[pos + 1:pos + 2] in DIGITS):
-            start = pos
-            start_col = column()
-            seen_dot = False
-            while pos < length and (sql[pos] in DIGITS or (sql[pos] == "." and not seen_dot)):
-                if sql[pos] == ".":
-                    # ``1.`` followed by an identifier is a qualified name,
-                    # not a decimal; only treat the dot as decimal when a
-                    # digit follows.
-                    if sql[pos + 1:pos + 2] not in DIGITS:
-                        break
-                    seen_dot = True
-                pos += 1
-            text = sql[start:pos]
-            value: Union[int, float] = float(text) if "." in text else int(text)
-            tokens.append(Token(TokenType.NUMBER, value, line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            start_col = column()
-            while pos < length and (sql[pos].isalnum() or sql[pos] == "_"):
-                pos += 1
-            word = sql[start:pos].lower()
-            kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(kind, word, line, start_col))
-            continue
-        matched = False
-        for symbol in SYMBOLS:
-            if sql.startswith(symbol, pos):
-                value = "<>" if symbol == "!=" else symbol
-                tokens.append(Token(TokenType.SYMBOL, value, line, column()))
-                pos += len(symbol)
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(f"unexpected character {ch!r}", line, column())
+            line_start = pos + 1
+        elif kind == "unterminated":
+            raise SqlSyntaxError("unterminated string", line, column)
+        else:
+            raise SqlSyntaxError(
+                f"unexpected character {sql[pos]!r}", line, column
+            )
+        pos = found.end()
 
-    tokens.append(Token(TokenType.EOF, "", line, column()))
+    tokens.append(Token(TokenType.EOF, "", line, length - line_start + 1))
     return tokens

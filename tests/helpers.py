@@ -705,3 +705,131 @@ def reference_group_ids(batch, keys):
     rank = np.empty(len(uniques), dtype=np.int64)
     rank[order] = np.arange(len(uniques), dtype=np.int64)
     return rank[inv.astype(np.int64, copy=False)], len(uniques), first_idx[order]
+
+
+# ---------------------------------------------------------------------------
+# Eager winner search of the physical planner
+# ---------------------------------------------------------------------------
+#
+# ``PhysicalPlanner._winner`` prices the enforcers each alternative needs
+# and builds only the cheapest.  This is the search it replaced: build
+# every alternative, build its enforcers on it, and keep the built plan of
+# least cumulative cost — the oracle the priced search is compared against
+# plan for plan, tick for tick and cost bit for cost bit.  Install it with
+# ``monkeypatch.setattr(PhysicalPlanner, "_winner", eager_winner)``.
+
+
+def eager_winner(planner, node, build, req, charge_each):
+    digest = node.digest()
+    alternatives = planner._groups.get(digest)
+    if alternatives is None:
+        alternatives = planner._groups[digest] = build(node)
+    if charge_each:
+        planner._budget.charge(len(alternatives))
+    built = [p.build() if hasattr(p, "build") else p for p in alternatives]
+    enforced = [planner._enforce(p, req) for p in built]
+    return min(enforced, key=lambda p: p.total_cost().value)
+
+
+# ---------------------------------------------------------------------------
+# Character-loop SQL lexer
+# ---------------------------------------------------------------------------
+#
+# ``repro.sql.lexer.tokenize`` matches one compiled alternation per token.
+# This is the character loop it replaced, kept as the oracle the token
+# stream — types, values, lines, columns and error positions — is
+# compared against.
+
+#: Number tokens are ASCII: ``str.isdigit`` accepts ``²``, which ``int`` rejects.
+_REFERENCE_DIGITS = frozenset("0123456789")
+
+_REFERENCE_SYMBOLS = (
+    "<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "+", "-", "*",
+    "/", ";",
+)
+
+
+def reference_tokenize(sql: str):
+    from repro.common.errors import SqlSyntaxError
+    from repro.sql.lexer import KEYWORDS, Token, TokenType
+
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    length = len(sql)
+
+    def column() -> int:
+        return pos - line_start + 1
+
+    while pos < length:
+        ch = sql[pos]
+        if ch == "\n":
+            line += 1
+            pos += 1
+            line_start = pos
+            continue
+        if ch in " \t\r":
+            pos += 1
+            continue
+        if ch == "-" and pos + 1 < length and sql[pos + 1] == "-":
+            while pos < length and sql[pos] != "\n":
+                pos += 1
+            continue
+        if ch == "'":
+            start_col = column()
+            pos += 1
+            chunks = []
+            while True:
+                if pos >= length:
+                    raise SqlSyntaxError("unterminated string", line, start_col)
+                if sql[pos] == "'":
+                    if pos + 1 < length and sql[pos + 1] == "'":
+                        chunks.append("'")
+                        pos += 2
+                        continue
+                    pos += 1
+                    break
+                chunks.append(sql[pos])
+                pos += 1
+            tokens.append(Token(TokenType.STRING, "".join(chunks), line, start_col))
+            continue
+        if ch in _REFERENCE_DIGITS or (ch == "." and sql[pos + 1:pos + 2] in _REFERENCE_DIGITS):
+            start = pos
+            start_col = column()
+            seen_dot = False
+            while pos < length and (sql[pos] in _REFERENCE_DIGITS or (sql[pos] == "." and not seen_dot)):
+                if sql[pos] == ".":
+                    # ``1.`` followed by an identifier is a qualified name,
+                    # not a decimal; only treat the dot as decimal when a
+                    # digit follows.
+                    if sql[pos + 1:pos + 2] not in _REFERENCE_DIGITS:
+                        break
+                    seen_dot = True
+                pos += 1
+            text = sql[start:pos]
+            value = float(text) if "." in text else int(text)
+            tokens.append(Token(TokenType.NUMBER, value, line, start_col))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = pos
+            start_col = column()
+            while pos < length and (sql[pos].isalnum() or sql[pos] == "_"):
+                pos += 1
+            word = sql[start:pos].lower()
+            kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
+            tokens.append(Token(kind, word, line, start_col))
+            continue
+        matched = False
+        for symbol in _REFERENCE_SYMBOLS:
+            if sql.startswith(symbol, pos):
+                value = "<>" if symbol == "!=" else symbol
+                tokens.append(Token(TokenType.SYMBOL, value, line, column()))
+                pos += len(symbol)
+                matched = True
+                break
+        if not matched:
+            raise SqlSyntaxError(f"unexpected character {ch!r}", line, column())
+
+    tokens.append(Token(TokenType.EOF, "", line, column()))
+    return tokens

@@ -148,6 +148,19 @@ class TestGeneratedExpressions:
             assert compile_expr(IsNull(Literal("x"), negated=True))(()) is True
             assert compile_expr(IsNull(UnaryOp("-", Literal(5))))(()) is False
 
+    def test_is_null_over_a_constant_expression_compiles_under_warnings_as_errors(self):
+        import warnings
+
+        negated_false = UnaryOp("-", Literal(False))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compile_expr(IsNull(negated_false))(()) is False
+            assert compile_expr(IsNull(negated_false, negated=True))(()) is True
+            assert compile_expr(IsNull(UnaryOp("NOT", Literal(True))))(()) is False
+            assert compile_expr(
+                IsNull(UnaryOp("-", Literal(None)), negated=True)
+            )(()) is False
+
 
 # -- orderings -----------------------------------------------------------------
 
