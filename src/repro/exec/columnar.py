@@ -35,9 +35,11 @@ Three rules keep the backend honest:
 The engine seam is unchanged: :func:`execute_columnar` has the same
 signature as ``execute_node``, so fragments, scheduling, fault
 injection, tracing and the serve layer all work unchanged.  A fragment's
-output stays a :class:`ColumnBatch` across single and broadcast
-exchanges; whoever needs tuples (hash routing, seam capture, the result)
-asks for ``to_rows()`` there, and receivers re-batch only row lists.
+output stays a :class:`ColumnBatch` across every exchange: single and
+broadcast exchanges ship the batch itself, hash exchanges index views of
+it (:func:`hash_views`), and receivers concatenate lazily
+(:func:`concat_columns`); whoever needs tuples (seam capture, the
+result) asks for ``to_rows()`` there.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ from repro.rel.expr import (
     references,
 )
 from repro.rel.logical import AggFunc, JoinType
+from repro.storage.table import affinity_partitions
 
 #: Kind codes: 'b' bool, 'i' int64, 'f' float64, 'U' unicode, 'O' object,
 #: 'n' no non-null value seen (typed only by the schema, if at all).
@@ -128,15 +131,18 @@ class Column:
     holds an arbitrary fill value (except object columns, which keep
     ``None`` in place).  ``mask is None`` means no NULLs.
 
-    A column is either *materialised* or *deferred*: ``take`` copies
-    nothing, it returns a reference to a materialised source column plus
-    an int64 index vector.  Reading ``values``/``mask`` gathers once and
-    caches; ``kind`` and ``len()`` answer from the source, and a further
-    ``take``/``slice`` composes index vectors, so a column nobody reads
-    is never gathered however many joins, filters and sorts it crosses.
+    A column is *materialised*, *deferred* or *chunked*.  ``take`` copies
+    nothing: it returns a reference to a materialised or chunked source
+    column plus an int64 index vector.  ``concat_columns`` copies nothing
+    either: it returns the parts end to end as chunks.  Reading
+    ``values``/``mask`` gathers or concatenates once (``_force``) and
+    caches; ``kind`` and ``len()`` answer from the source or the chunks,
+    and a further ``take``/``slice`` composes index vectors, so a column
+    nobody reads is never gathered or concatenated however many
+    exchanges, joins, filters and sorts it crosses.
     """
 
-    __slots__ = ("_values", "_mask", "_source", "_index", "_ucache")
+    __slots__ = ("_values", "_mask", "_source", "_index", "_chunks", "_ucache")
 
     def __init__(self, values: np.ndarray, mask: Optional[np.ndarray] = None):
         self._values = values
@@ -144,6 +150,7 @@ class Column:
         self._mask = mask if (mask is not None and mask.any()) else None
         self._source: Optional["Column"] = None
         self._index: Optional[np.ndarray] = None
+        self._chunks: Optional[Tuple["Column", ...]] = None
         #: Lazily cached ``U``-dtype view of an all-string object column
         #: (False = known unconvertible).  Pays off when LIKE repeatedly
         #: scans a cached table column of wide strings.
@@ -151,44 +158,67 @@ class Column:
 
     @classmethod
     def _deferred(cls, source: "Column", index: np.ndarray) -> "Column":
-        """``source`` (materialised) gathered at ``index`` — on first read."""
+        """``source`` (materialised or chunked) gathered at ``index`` — on
+        first read."""
         col = cls.__new__(cls)
-        col._values = col._mask = col._ucache = None
+        col._values = col._mask = col._chunks = col._ucache = None
         col._source, col._index = source, index
         return col
 
-    def _force(self) -> None:
-        """Materialise a deferred column: the one place data is gathered."""
+    @classmethod
+    def _chunked(cls, chunks: Sequence["Column"]) -> "Column":
+        """``chunks`` end to end — concatenated on first read."""
+        col = cls.__new__(cls)
+        col._values = col._mask = col._source = col._index = col._ucache = None
+        col._chunks = tuple(chunks)
+        return col
+
+    def _gather(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """A deferred or chunked column's ``(values, mask)``, not cached
+        here.  A deferred column's chunked source is concatenated, and
+        cached on the source, by the first read of any view of it."""
+        if self._chunks is not None:
+            return _concat_chunks(self._chunks)
         source, index = self._source, self._index
-        mask = source._mask
-        if mask is not None:
-            mask = mask[index]
-            self._mask = mask if mask.any() else None
-        self._values = source._values[index]
-        self._source = self._index = None
+        mask = source.mask
+        return source.values[index], None if mask is None else mask[index]
+
+    def _force(self) -> None:
+        """Materialise a deferred or chunked column: the one place data is
+        gathered or concatenated."""
+        values, mask = self._gather()
+        self._values = values
+        self._mask = mask if mask is not None and mask.any() else None
+        self._source = self._index = self._chunks = None
 
     @property
     def values(self) -> np.ndarray:
-        if self._source is not None:
+        if self._values is None:
             self._force()
         return self._values
 
     @property
     def mask(self) -> Optional[np.ndarray]:
-        if self._source is not None:
+        if self._values is None:
             self._force()
         return self._mask
 
     def __len__(self) -> int:
-        if self._source is not None:
-            return len(self._index)
-        return len(self._values)
+        if self._values is not None:
+            return len(self._values)
+        if self._chunks is not None:
+            return sum(map(len, self._chunks))
+        return len(self._index)
 
     @property
     def kind(self) -> str:
-        source = self._source
-        dtype = (self if source is None else source)._values.dtype
-        return _DTYPE_KINDS.get(dtype.kind, "O")
+        values = self._values
+        if values is not None:
+            return _DTYPE_KINDS.get(values.dtype.kind, "O")
+        if self._chunks is not None:
+            kinds = {chunk.kind for chunk in self._chunks}
+            return kinds.pop() if len(kinds) == 1 else "O"
+        return self._source.kind
 
     def null_mask(self) -> np.ndarray:
         mask = self.mask
@@ -200,7 +230,10 @@ class Column:
         return _take_columns((self,), indices)[0]
 
     def slice(self, start: int, stop: Optional[int]) -> "Column":
-        if self._source is not None:
+        if self._values is None:
+            if self._chunks is not None:
+                bounds = slice(start, stop).indices(len(self))
+                return Column._deferred(self, np.arange(*bounds, dtype=np.int64))
             return Column._deferred(self._source, self._index[start:stop])
         mask = self._mask
         return Column(
@@ -209,11 +242,50 @@ class Column:
         )
 
     def to_list(self) -> list:
-        out = self.values.tolist()
-        if self._mask is not None:
-            for i in np.flatnonzero(self._mask).tolist():
-                out[i] = None
-        return out
+        return _python_values(self.values, self.mask)
+
+
+def _python_values(values: np.ndarray, mask: Optional[np.ndarray]) -> list:
+    """Python values of a column's parts, ``None`` where ``mask`` is set."""
+    out = values.tolist()
+    if mask is not None:
+        for i in np.flatnonzero(mask).tolist():
+            out[i] = None
+    return out
+
+
+def _concat_chunks(
+    chunks: Sequence[Column],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(values, mask)`` of ``chunks`` end to end.
+
+    A deferred chunk is gathered for the concatenation only, not cached
+    on the chunk (a hash exchange's views stay in the run's inbound
+    buffers).  Chunks of different kinds (one stream inferred ints,
+    another floats, or a narrow-string part meets a demoted wide-string
+    part) must not meet in ``np.concatenate``, which would silently
+    promote and rewrite values (1 -> 1.0): they become an object column
+    holding the exact Python values, NULLs as in-place ``None``.
+    """
+    parts = [
+        (chunk.values, chunk.mask) if chunk._source is None
+        else chunk._gather()
+        for chunk in chunks
+    ]
+    if len({chunk.kind for chunk in chunks}) > 1:
+        values = np.empty(sum(len(v) for v, _ in parts), dtype=object)
+        pos = 0
+        for part, mask in parts:
+            values[pos : pos + len(part)] = _python_values(part, mask)
+            pos += len(part)
+    else:
+        values = np.concatenate([part for part, _ in parts])
+    if all(mask is None for _, mask in parts):
+        return values, None
+    return values, np.concatenate([
+        np.zeros(len(part), dtype=np.bool_) if mask is None else mask
+        for part, mask in parts
+    ])
 
 
 _KIND_OF_TYPE = {bool: "b", int: "i", float: "f", str: "U"}
@@ -274,11 +346,14 @@ def column_from_values(values: Sequence, kind: Optional[str] = None) -> Column:
     else:
         has_null = None in values
     if kind == "U" and values:
-        if has_null:
-            longest = max(len(v) for v in values if v is not None)
-        else:
-            longest = max(map(len, values))
-        if longest > _WIDE_STR_CHARS:
+        strings = [v for v in values if v is not None] if has_null else values
+        # ``default``: a schema-typed part may hold only NULLs.  A fixed-
+        # width ``U`` array drops trailing NULs, so strings with one stay
+        # Python objects.
+        if (
+            max(map(len, strings), default=0) > _WIDE_STR_CHARS
+            or "\x00" in "".join(strings)
+        ):
             kind = "O"
     if kind in ("O", "n"):
         return _object_column(values)
@@ -409,28 +484,11 @@ def from_rows(
 
 
 def concat_columns(columns: Sequence[Column]) -> Column:
+    """``columns`` end to end, as one column that holds them as chunks:
+    nothing is copied until it is read (``Column._force``)."""
     if len(columns) == 1:
         return columns[0]
-    if len({c.kind for c in columns}) > 1:
-        # Heterogeneous parts (one stream inferred ints, another floats,
-        # or a narrow-string part meets a demoted wide-string part):
-        # ``np.concatenate`` would silently promote and rewrite values
-        # (1 -> 1.0), so fall back to an object column holding the exact
-        # Python values, NULLs as in-place ``None``.
-        total = sum(len(c) for c in columns)
-        values = np.empty(total, dtype=object)
-        pos = 0
-        for c in columns:
-            values[pos : pos + len(c)] = c.to_list()
-            pos += len(c)
-        mask = np.concatenate([c.null_mask() for c in columns])
-        return Column(values, mask)
-    values = np.concatenate([c.values for c in columns])
-    if any(c.mask is not None for c in columns):
-        mask = np.concatenate([c.null_mask() for c in columns])
-    else:
-        mask = None
-    return Column(values, mask)
+    return Column._chunked(columns)
 
 
 def concat_batches(batches: Sequence[ColumnBatch], width: int) -> ColumnBatch:
@@ -1139,20 +1197,45 @@ def _exec_index_scan(
     return batch
 
 
+def hash_views(
+    batch: ColumnBatch,
+    keys: Sequence[int],
+    owners: Sequence[int],
+    destinations: Sequence[int],
+) -> Dict[int, ColumnBatch]:
+    """A hash exchange's split of ``batch``: per destination, an index
+    view of the rows whose key partition ``owners`` maps there, in the
+    batch's row order (the row backend's buckets, as deferred takes)."""
+    partitions = affinity_partitions(
+        [batch.column(k) for k in keys], len(owners)
+    )
+    sites = np.asarray(owners, dtype=np.int64)[partitions]
+    return {
+        dest: batch.take(np.flatnonzero(sites == dest))
+        for dest in destinations
+    }
+
+
 def _exec_receiver(
     node: PhysReceiver, site: int, ctx: ExecContext
 ) -> ColumnBatch:
     streams = ctx.inbound.get((node.exchange_id, site), [])
-    # Singleton and broadcast exchanges deliver the sender's batch as it
-    # is; hash exchanges deliver per-destination row lists.
-    batches = [
-        stream if isinstance(stream, ColumnBatch)
-        else from_rows(stream, node.width)
-        for stream in streams
-    ]
-    batch = concat_batches(batches, node.width)
-    if node.collation.is_sorted and len(streams) > 1:
-        batch = sort_batch(batch, node.collation.keys)
+    # Every exchange delivers batches: single and broadcast ones the
+    # sender's own, hash ones index views of it.  A broadcast delivers the
+    # same streams to every site, so their batch is built once per run.
+    kept = ctx.broadcast_batches.get(node.exchange_id)
+    if (
+        kept is not None
+        and len(kept[0]) == len(streams)
+        and all(a is b for a, b in zip(kept[0], streams))
+    ):
+        batch = kept[1]
+    else:
+        batch = concat_batches(streams, node.width)
+        if node.collation.is_sorted and len(streams) > 1:
+            batch = sort_batch(batch, node.collation.keys)
+        if node.distribution.is_broadcast:
+            ctx.broadcast_batches[node.exchange_id] = (streams, batch)
     ctx.record_input(node, site, sum(len(s) for s in streams))
     ctx.note_memory(site, batch.length * node.width * AFS)
     return batch

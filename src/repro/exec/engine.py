@@ -419,7 +419,8 @@ class ExecutionEngine:
     def _route(self, run: _Run, fragment: Fragment, site: int, out) -> None:
         """Ship one site's fragment output (a row list or a columnar
         batch): single and broadcast exchanges hand it over as it is,
-        hash exchanges read its rows into per-destination lists."""
+        hash exchanges split it per destination — row lists by a tuple
+        loop, batches into index views (``columnar.hash_views``)."""
         sender = fragment.sender
         assert sender is not None
         if run.injector.take_exchange_drop(sender.exchange_id, run.at):
@@ -440,23 +441,29 @@ class ExecutionEngine:
                 ctx.deliver(sender.exchange_id, destination, out)
             copies = len(alive)
         elif target.is_hash:
-            buckets: Dict[int, List[Tuple]] = {dest: [] for dest in alive}
             keys = target.keys
             partitions = self.store.partitions_per_table
             sites = self.config.sites
             owners = [
                 failover_owner(p, sites, alive) for p in range(partitions)
             ]
-            if len(keys) == 1:
-                key = keys[0]
-                for row in stream_rows(out):
-                    partition = affinity_partition(row[key], partitions)
-                    buckets[owners[partition]].append(row)
+            if not isinstance(out, list):
+                # Imported lazily: the row backend must work without numpy.
+                from repro.exec.columnar import hash_views
+
+                buckets = hash_views(out, keys, owners, alive)
             else:
-                for row in stream_rows(out):
-                    value = tuple(row[k] for k in keys)
-                    partition = affinity_partition(value, partitions)
-                    buckets[owners[partition]].append(row)
+                buckets = {dest: [] for dest in alive}
+                if len(keys) == 1:
+                    key = keys[0]
+                    for row in out:
+                        partition = affinity_partition(row[key], partitions)
+                        buckets[owners[partition]].append(row)
+                else:
+                    for row in out:
+                        value = tuple(row[k] for k in keys)
+                        partition = affinity_partition(value, partitions)
+                        buckets[owners[partition]].append(row)
             for destination, bucket in buckets.items():
                 ctx.deliver(sender.exchange_id, destination, bucket)
             copies = 1

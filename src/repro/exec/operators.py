@@ -90,6 +90,9 @@ class ExecContext:
         #: (exchange id, site) -> inbound streams, in the sending
         #: backend's own form (row lists, or columnar batches).
         self.inbound: Dict[Tuple[int, int], list] = {}
+        #: exchange id -> (inbound streams, the batch the columnar
+        #: receiver built from them): a broadcast's sites share one batch.
+        self.broadcast_batches: Dict[int, tuple] = {}
         #: total network units charged (reporting).
         self.network_units = 0.0
         #: rows shipped over the network (reporting).

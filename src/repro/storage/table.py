@@ -61,6 +61,50 @@ def affinity_partition(value: object, partition_count: int) -> int:
     return _stable_hash(value) % partition_count
 
 
+#: ``hash(n) == n`` exactly for ints in ``[0, 2**61 - 1)`` (CPython
+#: reduces int hashes modulo this Mersenne prime).
+_INT_HASH_MODULUS = (1 << 61) - 1
+
+
+def affinity_partitions(columns: Sequence, partition_count: int):
+    """:func:`affinity_partition` of every row of columnar key ``columns``
+    (one per key part, a tuple key when there are several), as an int64
+    vector — the form a columnar hash exchange routes by.
+
+    One fast path: a single NULL-free integer column whose values lie in
+    ``[0, 2**61 - 1)`` is its own hash, so its partitions are
+    ``values % partition_count``.  Every other key — strings, floats,
+    bools, NULLs, negative or huge ints, multi-column keys — calls the
+    scalar function once per distinct value or tuple, so both forms agree
+    row by row.
+    """
+    # Imported lazily: the row backend must work without numpy.
+    import numpy as np
+
+    if len(columns) == 1:
+        column = columns[0]
+        values = column.values
+        if (
+            values.dtype.kind == "i"
+            and column.mask is None
+            and (
+                not len(values)
+                or (values.min() >= 0 and values.max() < _INT_HASH_MODULUS)
+            )
+        ):
+            return values % partition_count
+        keys = column.to_list()
+    else:
+        keys = list(zip(*(column.to_list() for column in columns)))
+    partition_of = {
+        key: affinity_partition(key, partition_count)
+        for key in dict.fromkeys(keys)
+    }
+    return np.fromiter(
+        map(partition_of.__getitem__, keys), np.int64, count=len(keys)
+    )
+
+
 def failover_owner(
     partition: int, site_count: int, alive: Sequence[int]
 ) -> int:

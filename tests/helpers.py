@@ -708,6 +708,38 @@ def reference_group_ids(batch, keys):
 
 
 # ---------------------------------------------------------------------------
+# Eager concatenation of the columnar backend
+# ---------------------------------------------------------------------------
+
+
+def eager_concat_columns(columns):
+    """``concat_columns`` as it was before it returned a chunked column:
+    every part is read (gathered, if deferred) and concatenated at once.
+    The oracle the chunked concatenation must match by ``kind``, ``len``,
+    ``to_list`` and mask."""
+    import numpy as np
+    from repro.exec.columnar import Column
+
+    if len(columns) == 1:
+        return columns[0]
+    if len({c.kind for c in columns}) > 1:
+        total = sum(len(c) for c in columns)
+        values = np.empty(total, dtype=object)
+        pos = 0
+        for c in columns:
+            values[pos : pos + len(c)] = c.to_list()
+            pos += len(c)
+        mask = np.concatenate([c.null_mask() for c in columns])
+        return Column(values, mask)
+    values = np.concatenate([c.values for c in columns])
+    if any(c.mask is not None for c in columns):
+        mask = np.concatenate([c.null_mask() for c in columns])
+    else:
+        mask = None
+    return Column(values, mask)
+
+
+# ---------------------------------------------------------------------------
 # Eager winner search of the physical planner
 # ---------------------------------------------------------------------------
 #

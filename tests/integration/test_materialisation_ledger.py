@@ -12,15 +12,23 @@ back to the scan/receiver column it came from, and asserts that
   ships are ever gathered, and the wide text columns are not;
 * the batch a join chain hands to the project above it still carries
   every column that project ignores as an un-gathered index view (this
-  catches an eager copy that bypasses ``_force`` altogether).
+  catches an eager copy that bypasses ``_force`` altogether);
+* a receiver's columns are concatenated only when read (the pinned
+  concat and gather counts), and a broadcast receiver builds one batch
+  per exchange, shared by every site it reached.
 """
+
+from collections import Counter
 
 import pytest
 
+from repro.bench.ssb import load_ssb_cluster
+from repro.bench.ssb.queries import SSB_QUERIES
 from repro.bench.tpch import load_tpch_cluster
 from repro.bench.tpch.queries import QUERIES
 from repro.common.config import PRESETS
-from repro.exec import columnar
+from repro.exec import columnar, operators
+from repro.exec.fragments import PhysReceiver
 from repro.exec.physical import (
     AggPhase,
     PhysAggregateBase,
@@ -87,7 +95,8 @@ class Ledger:
         self.alive = []       # labelled columns/nodes: ids stay unique
         self.allowed = set()  # what the plans say may be gathered
         self.gathered = set()
-        self.gathers = 0
+        self.gathers = 0      # deferred columns gathered
+        self.concats = 0      # chunked columns concatenated
         self.views_checked = 0
         self._last_output = {}
         self._force = columnar.Column._force
@@ -140,7 +149,10 @@ class Ledger:
 
     def force(self, col):
         labels = self.origin.get(id(col)) or self.origin.get(id(col._source))
-        self.gathers += 1
+        if col._chunks is not None:
+            self.concats += 1
+        else:
+            self.gathers += 1
         if labels:  # else: derived from a computed (project/aggregate) column
             self.origin[id(col)] = labels
             self.alive.append(col)
@@ -148,10 +160,17 @@ class Ledger:
         self._force(col)
 
 
+CONFIG = PRESETS["IC+M"](4)
+
+
 @pytest.fixture(scope="module")
 def cluster():
-    config = PRESETS["IC+M"](4).with_(execution_backend="columnar")
-    return load_tpch_cluster(config, 0.02)
+    return load_tpch_cluster(CONFIG.with_(execution_backend="columnar"), 0.02)
+
+
+@pytest.fixture(scope="module")
+def ssb_cluster():
+    return load_ssb_cluster(CONFIG.with_(execution_backend="columnar"), 0.02)
 
 
 @pytest.mark.parametrize(
@@ -173,3 +192,80 @@ def test_only_columns_something_reads_are_gathered(
     assert not (never_gathered & gathered_names)
     assert never_gathered <= set(ledger.names.values())
     assert ledger.views_checked, "no project-over-join seam was inspected"
+
+
+#: ``Column._force`` calls of a warm run (scan caches built): (chunked
+#: columns concatenated, deferred columns gathered).  Before receivers
+#: concatenated lazily and hash exchanges shipped index views, every
+#: force was a gather — 89, 29 and 101 of them — and gathers must not
+#: rise past that.
+FORCES = {
+    ("tpch", 9): (9, 49),
+    ("tpch", 18): (9, 5),
+    ("ssb", "Q3.1"): (8, 25),
+}
+GATHERS_BEFORE = {("tpch", 9): 89, ("tpch", 18): 29, ("ssb", "Q3.1"): 101}
+
+
+@pytest.mark.parametrize("query", sorted(FORCES, key=str), ids="{0[0]}-{0[1]}".format)
+def test_receivers_concatenate_only_what_is_read(
+    cluster, ssb_cluster, monkeypatch, query
+):
+    bench, qid = query
+    target, sql = (
+        (cluster, QUERIES[qid].sql) if bench == "tpch"
+        else (ssb_cluster, SSB_QUERIES[qid].sql)
+    )
+    target.sql(sql)  # warm the scan caches
+    ledger = Ledger(monkeypatch)
+    target.sql(sql)
+    assert (ledger.concats, ledger.gathers) == FORCES[query]
+    assert ledger.gathers <= GATHERS_BEFORE[query]
+
+
+def test_a_broadcast_receiver_builds_one_batch_per_exchange(monkeypatch):
+    """One batch per broadcast exchange per run, whichever site receives
+    it — while every site still records its own delivered rows and
+    memory, as the row backend does."""
+    sql = SSB_QUERIES["Q2.2"].sql
+    received = {}
+    per_site = {}
+    built = Counter()
+    concat = columnar.concat_batches
+    monkeypatch.setattr(
+        columnar, "concat_batches",
+        lambda batches, width: built.update([1]) or concat(batches, width),
+    )
+    for backend, handlers in (
+        ("row", operators._HANDLERS), ("columnar", columnar._HANDLERS)
+    ):
+        target = load_ssb_cluster(CONFIG.with_(execution_backend=backend), 0.02)
+        target.sql(sql)  # warm the scan caches
+        log = received[backend] = []
+        receive = handlers[PhysReceiver]
+
+        def observed(node, site, ctx, receive=receive, log=log):
+            out = receive(node, site, ctx)
+            log.append((node, site, out, ctx))
+            return out
+
+        monkeypatch.setitem(handlers, PhysReceiver, observed)
+        built.clear()
+        target.sql(sql)
+        ctx = log[-1][3]
+        per_site[backend] = (
+            {(n.op_id, site): ctx.ops[n.op_id, site][0] for n, site, _, _ in log},
+            dict(ctx.fragment_memory),
+        )
+    assert per_site["columnar"] == per_site["row"]
+
+    batches, sites, others = {}, Counter(), 0
+    for node, site, out, _ in received["columnar"]:
+        if node.distribution.is_broadcast:
+            batches.setdefault(node.exchange_id, set()).add(id(out))
+            sites[node.exchange_id] += 1
+        else:
+            others += 1
+    assert batches and max(sites.values()) > 1
+    assert all(len(ids) == 1 for ids in batches.values())
+    assert built[1] == len(batches) + others

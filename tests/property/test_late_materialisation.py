@@ -35,7 +35,8 @@ def rows_of(kinds, max_size=8):
 
 
 def deferred(batch):
-    return [col._source is not None for col in batch.columns]
+    """Per column: not yet gathered or concatenated."""
+    return [col._values is None for col in batch.columns]
 
 
 def probe_without_forcing(batch, kinds):

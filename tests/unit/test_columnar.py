@@ -72,6 +72,17 @@ class TestColumnFromValues:
         col = column_from_values([None, None])
         assert col.to_list() == [None, None]
 
+    def test_schema_typed_all_null_string_part(self):
+        # A string table's partition may hold only NULLs in a column the
+        # table-wide plan types ``U``; building its batch used to raise.
+        col = column_from_values([None, None], "U")
+        assert (col.kind, col.to_list()) == ("U", [None, None])
+
+    def test_trailing_nul_strings_stay_objects(self):
+        # numpy's fixed-width strings would drop the trailing NUL.
+        col = column_from_values(["a\x00", "b", None])
+        assert (col.kind, col.to_list()) == ("O", ["a\x00", "b", None])
+
     def test_wide_strings_demote_to_object(self):
         wide = "x" * 64
         col = column_from_values(["a", wide])
