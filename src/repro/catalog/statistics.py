@@ -11,9 +11,11 @@ estimators in :mod:`repro.stats` consume these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.catalog.histogram import EquiDepthHistogram
+from repro.common.ordering import NullsLast, orderable
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,13 @@ class TableStats:
 def compute_table_stats(
     rows: Sequence[Tuple], column_names: Iterable[str]
 ) -> TableStats:
-    """Scan ``rows`` once and compute full statistics.
+    """Compute full statistics over ``rows``, one column at a time.
 
     This is what Ignite's statistics collection ("statistics enabled" in the
-    paper's methodology, Section 6.1) produces for the planner.
+    paper's methodology, Section 6.1) produces for the planner.  Min and
+    max are the first least and greatest non-NULL values; a column mixing
+    kinds (ints with strings) takes them under the engine's total order
+    and gets no histogram, since raw ``<`` cannot order it.
     """
     names = [n.lower() for n in column_names]
     row_count = len(rows)
@@ -58,37 +63,29 @@ def compute_table_stats(
         columns = {n: ColumnStats(distinct_count=0) for n in names}
         return TableStats(row_count=0, columns=columns)
 
-    distinct = [set() for _ in names]
-    nulls = [0] * len(names)
-    mins: list = [None] * len(names)
-    maxs: list = [None] * len(names)
-    for row in rows:
-        for i, value in enumerate(row):
-            if value is None:
-                nulls[i] += 1
-                continue
-            distinct[i].add(value)
-            if mins[i] is None or value < mins[i]:
-                mins[i] = value
-            if maxs[i] is None or value > maxs[i]:
-                maxs[i] = value
-
+    # Sample rows (not distinct values) so bucket depths reflect the
+    # actual value frequencies.
+    sample_step = max(1, row_count // 4096)
     columns = {}
     for i, name in enumerate(names):
-        histogram = None
-        if len(distinct[i]) > 1:
-            # Sample rows (not distinct values) so bucket depths reflect
-            # the actual value frequencies.
-            sample_step = max(1, row_count // 4096)
-            sample = [
-                row[i] for row in rows[::sample_step] if row[i] is not None
-            ]
-            histogram = EquiDepthHistogram.build(sample)
+        column = list(map(itemgetter(i), rows))
+        nulls = column.count(None)
+        present = [v for v in column if v is not None] if nulls else column
+        distinct = set(present)
+        low = high = histogram = None
+        if present:
+            one_kind = orderable(distinct) or len(set(map(type, distinct))) == 1
+            key = None if one_kind else NullsLast
+            low, high = min(present, key=key), max(present, key=key)
+            if len(distinct) > 1 and one_kind:
+                histogram = EquiDepthHistogram.build(
+                    [v for v in column[::sample_step] if v is not None]
+                )
         columns[name] = ColumnStats(
-            distinct_count=len(distinct[i]),
-            null_count=nulls[i],
-            min_value=mins[i],
-            max_value=maxs[i],
+            distinct_count=len(distinct),
+            null_count=nulls,
+            min_value=low,
+            max_value=high,
             histogram=histogram,
         )
     return TableStats(row_count=row_count, columns=columns)

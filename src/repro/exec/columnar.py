@@ -44,6 +44,7 @@ result) asks for ``to_rows()`` there.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +52,7 @@ import numpy as np
 from repro.common import charges
 from repro.common.constants import AFS
 from repro.common.errors import ExecutionError
-from repro.common.ordering import NullsLast
+from repro.common.ordering import NullsLast, orderable
 from repro.exec.aggregates import AggregateEvaluator
 from repro.exec.fragments import PhysReceiver
 from repro.exec.operators import (
@@ -60,7 +61,6 @@ from repro.exec.operators import (
     adapter_scan,
     apply_offset_fetch,
     exec_limit,
-    merge_sorted,
     run_operator,
 )
 from repro.exec.physical import (
@@ -158,8 +158,8 @@ class Column:
 
     @classmethod
     def _deferred(cls, source: "Column", index: np.ndarray) -> "Column":
-        """``source`` (materialised or chunked) gathered at ``index`` — on
-        first read."""
+        """``source`` (materialised, chunked, or a cached index scan
+        column) gathered at ``index`` — on first read."""
         col = cls.__new__(cls)
         col._values = col._mask = col._chunks = col._ucache = None
         col._source, col._index = source, index
@@ -1036,7 +1036,8 @@ def sort_batch(
     Equivalent to ``sort_rows``: NULLS LAST under ASC, NULLS FIRST under
     DESC, stable for equal keys.  Object-kind key columns use a Python
     permutation sort (mixed types need ``NullsLast``'s type-name
-    fallback); everything else is a single ``np.lexsort``.
+    fallback, which a column of one orderable kind skips, as in
+    ``sort_rows``); everything else is a single ``np.lexsort``.
     """
     n = batch.length
     if n <= 1 or not keys:
@@ -1047,7 +1048,8 @@ def sort_batch(
         for pos, ascending in reversed(list(keys)):
             values = lists[pos]
             perm.sort(
-                key=lambda i, v=values: NullsLast(v[i]),
+                key=values.__getitem__ if orderable(values)
+                else lambda i, v=values: NullsLast(v[i]),
                 reverse=not ascending,
             )
         return batch.take(np.asarray(perm, dtype=np.int64))
@@ -1114,14 +1116,21 @@ def _table_plan(data) -> List[str]:
     return kinds
 
 
-def _partition_batch(data, partition: int) -> ColumnBatch:
-    cache = data.__dict__.setdefault("_columnar_cache", {})
-    batch = cache.get(partition)
+def _site_batch(data, partitions: Tuple[int, ...]) -> ColumnBatch:
+    """The one columnar copy of the stored rows of ``partitions``: built
+    once from their rows, end to end, and cached per partition set
+    (stored rows are immutable after load; failover reassignments get
+    their own entries).  Every columnar scan and index scan of those
+    partitions is this batch or an index view of it."""
+    cache = data.__dict__.setdefault("_columnar_scan_cache", {})
+    batch = cache.get(partitions)
     if batch is None:
         batch = from_rows(
-            data.partitions[partition], data.schema.width, _table_plan(data)
+            list(chain.from_iterable(data.partitions[p] for p in partitions)),
+            data.schema.width,
+            _table_plan(data),
         )
-        cache[partition] = batch
+        cache[partitions] = batch
     return batch
 
 
@@ -1141,34 +1150,24 @@ def _exec_table_scan(
         if node.pushed_project is not None:
             kinds = [kinds[i] for i in node.pushed_project]
         return from_rows(rows, len(node.fields), kinds), detail
-    partitions = tuple(ctx.partitions_for(data, site))
-    # Stored rows are immutable after load, so the concatenated batch for
-    # one site's partition set is cached too (keyed by the partition set:
-    # failover reassignments get their own entries).
-    cache = data.__dict__.setdefault("_columnar_scan_cache", {})
-    batch = cache.get(partitions)
-    if batch is None:
-        batch = concat_batches(
-            [_partition_batch(data, p) for p in partitions],
-            data.schema.width,
-        )
-        cache[partitions] = batch
-    return batch
+    return _site_batch(data, tuple(ctx.partitions_for(data, site)))
 
 
 def _index_order_batch(
     data, index_name: str, partitions: Tuple[int, ...]
 ) -> ColumnBatch:
-    """One site's rows in index order: its partitions' sorted streams
-    merged once (by the row path's own merge, ties to the earlier
-    partition) and cached per partition set like ``_columnar_scan_cache``."""
+    """One site's rows in index order: the site batch stably sorted by
+    the index key, an index view of it cached per ``(index, partition
+    set)``.  The site batch holds the partitions end to end, so the
+    stable sort orders by key with ties to the earlier partition — the
+    row path's merge of the per-partition index streams."""
     cache = data.__dict__.setdefault("_columnar_index_cache", {})
     batch = cache.get((index_name, partitions))
     if batch is None:
-        indexes = data.index(index_name)
-        keys = [(k, True) for k in indexes[0].key_positions] if indexes else ()
-        rows = merge_sorted([indexes[p].rows for p in partitions], keys)
-        batch = from_rows(rows, data.schema.width, _table_plan(data))
+        positions = data.index(index_name)[0].key_positions
+        batch = sort_batch(
+            _site_batch(data, partitions), [(k, True) for k in positions]
+        )
         cache[index_name, partitions] = batch
     return batch
 
@@ -1179,8 +1178,9 @@ def _exec_index_scan(
     data = ctx.store.table(node.table)
     partitions = tuple(ctx.partitions_for(data, site))
     batch = _index_order_batch(data, node.index_name, partitions)
+    start, stop = 0, batch.length
     if node.is_range_scan:
-        # The leading key orders the merged batch, so the rows in range
+        # The leading key orders the sorted batch, so the rows in range
         # are one block of it: it starts after every partition's rows
         # below the range and holds every partition's rows inside it, in
         # merged order — the merge of the per-partition slices.
@@ -1191,10 +1191,22 @@ def _exec_index_scan(
             )
             for p in partitions
         ]
-        batch = batch.slice(
-            sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
-        )
-    return batch
+        start, stop = sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
+    # A column some scan read is the cached one, or a slice of it; any
+    # other is deferred over the cached column itself, not composed
+    # through to the site batch, so its first read gathers it into the
+    # index batch once and later scans read it in index order.
+    whole = (start, stop) == (0, batch.length)
+    index = None
+    columns = []
+    for column in batch.columns:
+        if column._values is None:
+            if index is None:
+                index = np.arange(start, stop, dtype=np.int64)
+            columns.append(Column._deferred(column, index))
+        else:
+            columns.append(column if whole else column.slice(start, stop))
+    return ColumnBatch(columns, stop - start)
 
 
 def hash_views(

@@ -9,7 +9,14 @@ cache mode with zero backups", Section 6.1):
   REGION are small enough that the reproduction replicates them, matching
   the "replicated base relation has one partition" note under Alg. 2);
 * secondary indexes are per-partition sorted row lists, giving the engine
-  ordered access paths and range pruning.
+  ordered access paths and range pruning.  An index holds no per-row key
+  objects: range pruning bisects the sorted rows with a probe that
+  compares its value with each row's leading key.
+
+Each partition's rows are stored once, as tuples.  The columnar backend
+adds one copy per (table, site partition set) — the site batch
+(``exec.columnar._site_batch``) — and serves every index scan of those
+partitions as a sorted index view of it, sliced by ``range_bounds``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from repro.catalog.schema import IndexDef, TableSchema
 from repro.catalog.statistics import TableStats, compute_table_stats
 from repro.common.errors import ExecutionError, StorageError
 from repro.common.hashing import value_hash
-from repro.common.ordering import NullsLast, sort_rows
+from repro.common.ordering import sort_rows
 
 Row = Tuple
 
@@ -124,6 +131,43 @@ def failover_owner(
     return alive[partition % len(alive)]
 
 
+class _KeyProbe:
+    """A leading-key value that ``bisect`` compares with sorted rows
+    directly: ``row < probe`` reaches ``__gt__`` once the tuple declines,
+    ``probe < row`` reaches ``__lt__``.  Both are ``NullsLast.__lt__``
+    inlined (NULL greatest, incomparable kinds by type name) — a call or
+    a wrapper per probe would cost more than the bisect — so a search
+    wraps no row's key, and the index keeps no key per row."""
+
+    __slots__ = ("position", "value")
+
+    def __init__(self, position: int, value: object):
+        self.position = position
+        self.value = value
+
+    def __gt__(self, row: Row) -> bool:
+        a, b = row[self.position], self.value
+        if a is None:
+            return False
+        if b is None:
+            return True
+        try:
+            return a < b
+        except TypeError:
+            return type(a).__name__ < type(b).__name__
+
+    def __lt__(self, row: Row) -> bool:
+        a, b = self.value, row[self.position]
+        if a is None:
+            return False
+        if b is None:
+            return True
+        try:
+            return a < b
+        except TypeError:
+            return type(a).__name__ < type(b).__name__
+
+
 class PartitionIndex:
     """A sorted index over one partition's rows.
 
@@ -133,17 +177,17 @@ class PartitionIndex:
 
     def __init__(self, key_positions: Sequence[int], rows: Iterable[Row]):
         self.key_positions = tuple(key_positions)
-        first = self.key_positions[0]
         # Sorted through the engine's total order: NULL keys sort last and
         # mixed-type keys cannot raise TypeError at index-build time.
-        decorated = sort_rows(rows, [(p, True) for p in self.key_positions])
-        self.rows: List[Row] = decorated
-        self._leading_keys = [NullsLast(row[first]) for row in decorated]
+        self.rows: List[Row] = sort_rows(
+            rows, [(p, True) for p in self.key_positions]
+        )
         # First slot whose leading key is NULL: bounded range scans stop
         # here, because NULL satisfies no range predicate.
-        self._first_null = bisect.bisect_left(
-            self._leading_keys, NullsLast(None)
-        )
+        self._first_null = self._bisect(bisect.bisect_left, None, len(self.rows))
+
+    def _bisect(self, search, value: object, end: int) -> int:
+        return search(self.rows, _KeyProbe(self.key_positions[0], value), 0, end)
 
     def scan(self) -> List[Row]:
         return self.rows
@@ -160,21 +204,16 @@ class PartitionIndex:
         The columnar backend slices its cached index batches with these
         bounds instead of re-batching ``range_scan``'s row lists.
         """
-        keys = self._leading_keys
         start = 0
-        end = len(keys)
+        end = len(self.rows)
         if low is not None or high is not None:
             end = self._first_null
         if low is not None:
-            if low_inclusive:
-                start = bisect.bisect_left(keys, NullsLast(low), 0, end)
-            else:
-                start = bisect.bisect_right(keys, NullsLast(low), 0, end)
+            search = bisect.bisect_left if low_inclusive else bisect.bisect_right
+            start = self._bisect(search, low, end)
         if high is not None:
-            if high_inclusive:
-                end = bisect.bisect_right(keys, NullsLast(high), 0, end)
-            else:
-                end = bisect.bisect_left(keys, NullsLast(high), 0, end)
+            search = bisect.bisect_right if high_inclusive else bisect.bisect_left
+            end = self._bisect(search, high, end)
         return start, max(start, end)
 
     def range_scan(

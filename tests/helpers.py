@@ -865,3 +865,49 @@ def reference_tokenize(sql: str):
 
     tokens.append(Token(TokenType.EOF, "", line, column()))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Merged index order and per-row key bisect of the storage indexes
+# ---------------------------------------------------------------------------
+#
+# The columnar backend serves an index scan as an index view of the site
+# batch, stably sorted by the index key, and ``PartitionIndex`` bisects
+# through a view that wraps only the keys it probes.  These are what they
+# replaced: the partitions' sorted index streams merged by the row path
+# and rebuilt as a batch, and a bisect over a list holding one
+# ``NullsLast`` per row — the oracles the views are compared against.
+
+
+def merged_index_batch(data, index_name, partitions):
+    """One site's rows of ``partitions`` in index order, as a full-width
+    batch built from the row path's merge of the index streams."""
+    from repro.exec.columnar import _table_plan, from_rows
+    from repro.exec.operators import merge_sorted
+
+    indexes = data.index(index_name)
+    keys = [(k, True) for k in indexes[0].key_positions]
+    rows = merge_sorted([indexes[p].rows for p in partitions], keys)
+    return from_rows(rows, data.schema.width, _table_plan(data))
+
+
+def reference_range_bounds(
+    index, low=None, high=None, low_inclusive=True, high_inclusive=True
+):
+    """``PartitionIndex.range_bounds`` over a list of wrapped leading keys."""
+    import bisect
+
+    from repro.common.ordering import NullsLast
+
+    first = index.key_positions[0]
+    keys = [NullsLast(row[first]) for row in index.rows]
+    start, end = 0, len(keys)
+    if low is not None or high is not None:
+        end = bisect.bisect_left(keys, NullsLast(None))
+    if low is not None:
+        probe = bisect.bisect_left if low_inclusive else bisect.bisect_right
+        start = probe(keys, NullsLast(low), 0, end)
+    if high is not None:
+        probe = bisect.bisect_right if high_inclusive else bisect.bisect_left
+        end = probe(keys, NullsLast(high), 0, end)
+    return start, max(start, end)

@@ -145,6 +145,41 @@ class TestDegenerateShapes:
         assert len(c.sql("select v from dup").rows) == 3
 
 
+class TestMixedKindColumn:
+    """A nullable VARCHAR column that also holds an int loads — its
+    statistics take min and max under the engine's total order, where an
+    int sorts before a string — and WHERE / ORDER BY over it come back
+    classified, with the same rows on both backends and with or without
+    an index on it."""
+
+    QUERIES = {
+        "select k, v from m where v = 'a'": [(1, "a")],
+        "select k from m where v is null": [(3,)],
+        "select k, v from m where v is not null order by v": [(2, 3), (1, "a")],
+        "select k, v from m order by v desc, k": [(3, None), (1, "a"), (2, 3)],
+    }
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["heap", "indexed"])
+    def test_loads_and_answers_on_both_backends(self, execution_backend, indexed):
+        c = IgniteCalciteCluster.ic_plus(
+            sites=4, execution_backend=execution_backend
+        )
+        c.create_table(
+            TableSchema("m", [Column("k", I), Column("v", S, nullable=True)], ["k"]),
+            [(1, "a"), (2, 3), (3, None)],
+        )
+        if indexed:
+            c.create_index("m", "m_v", ["v"])
+        stats = c.store.table("m").stats.column("v")
+        assert (stats.min_value, stats.max_value) == (3, "a")
+        assert (stats.distinct_count, stats.null_count) == (2, 1)
+        assert stats.histogram is None
+        for sql, want in self.QUERIES.items():
+            outcome = c.try_sql(sql)
+            assert outcome.status is QueryStatus.OK, (sql, outcome.error)
+            assert outcome.rows == want, sql
+
+
 class TestErrorPaths:
     def test_unknown_table(self, cluster):
         outcome = cluster.try_sql("select x from ghost")
