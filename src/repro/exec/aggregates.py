@@ -190,7 +190,7 @@ def aggregate_kernel(
         else:
             better = "<" if call.func is AggFunc.MIN else ">"
             init.append("None")
-            guard += f" and ({slot} is None or v {better} {slot})"
+            guard += f" and ({slot} is None or {builder.compare(better, 'v', slot)})"
             step = [f"{slot} = v"]
             final.append(slot)
         if call.distinct:

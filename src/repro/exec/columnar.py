@@ -89,6 +89,7 @@ from repro.rel.expr import (
     IsNull,
     LikeExpr,
     Literal,
+    TOTAL_ORDER,
     UnaryOp,
     compile_expr,
     references,
@@ -142,7 +143,7 @@ class Column:
     exchanges, joins, filters and sorts it crosses.
     """
 
-    __slots__ = ("_values", "_mask", "_source", "_index", "_chunks", "_ucache")
+    __slots__ = ("_values", "_mask", "_source", "_index", "_chunks", "_likes")
 
     def __init__(self, values: np.ndarray, mask: Optional[np.ndarray] = None):
         self._values = values
@@ -151,17 +152,14 @@ class Column:
         self._source: Optional["Column"] = None
         self._index: Optional[np.ndarray] = None
         self._chunks: Optional[Tuple["Column", ...]] = None
-        #: Lazily cached ``U``-dtype view of an all-string object column
-        #: (False = known unconvertible).  Pays off when LIKE repeatedly
-        #: scans a cached table column of wide strings.
-        self._ucache = None
+        self._likes: Optional[Dict[str, object]] = None  # _like_leaf
 
     @classmethod
     def _deferred(cls, source: "Column", index: np.ndarray) -> "Column":
         """``source`` (materialised, chunked, or a cached index scan
         column) gathered at ``index`` — on first read."""
         col = cls.__new__(cls)
-        col._values = col._mask = col._chunks = col._ucache = None
+        col._values = col._mask = col._chunks = col._likes = None
         col._source, col._index = source, index
         return col
 
@@ -169,7 +167,7 @@ class Column:
     def _chunked(cls, chunks: Sequence["Column"]) -> "Column":
         """``chunks`` end to end — concatenated on first read."""
         col = cls.__new__(cls)
-        col._values = col._mask = col._source = col._index = col._ucache = None
+        col._values = col._mask = col._source = col._index = col._likes = None
         col._chunks = tuple(chunks)
         return col
 
@@ -701,35 +699,13 @@ def _eval_func(expr: FuncCall, batch: ColumnBatch) -> Column:
     raise _Fallback  # SUBSTRING, COALESCE: row fallback
 
 
-def _eval_like(expr: LikeExpr, batch: ColumnBatch) -> Column:
-    operand = _eval_vec(expr.operand, batch)
+#: Patterns whose LIKE results a column keeps, oldest dropped first.
+_LIKE_MEMO = 4
+
+
+def _like_values(values: np.ndarray, expr: LikeExpr) -> np.ndarray:
+    """Whether each string of a ``U`` array matches ``expr``'s pattern."""
     pattern = expr.pattern
-    if operand.kind == "U":
-        values = operand.values
-    elif operand.kind == "O":
-        # Wide strings are stored as objects (see _WIDE_STR_CHARS); the
-        # pattern scan still vectorizes after a one-off U conversion,
-        # cached on the column (table-scan columns are long-lived).
-        if operand._ucache is False:
-            raise _Fallback
-        values = operand._ucache
-        if values is None:
-            lst = operand.values.tolist()
-            if not lst:
-                return Column(np.zeros(0, np.bool_))
-            types = set(map(type, lst))
-            types.discard(_NONE_TYPE)
-            if types - {str}:
-                operand._ucache = False
-                raise _Fallback
-            values = np.array(
-                ["" if v is None else v for v in lst]
-                if operand.mask is not None
-                else lst
-            )
-            operand._ucache = values
-    else:
-        raise _Fallback
     if "_" not in pattern:
         pieces = pattern.split("%")
         if len(pieces) == 1:
@@ -762,10 +738,50 @@ def _eval_like(expr: LikeExpr, batch: ColumnBatch) -> Column:
             np.bool_,
             count=len(values),
         )
-    out = np.asarray(out, dtype=np.bool_)
-    if expr.negated:
-        out = ~out
-    return Column(out, operand.mask)
+    return np.asarray(out, dtype=np.bool_)
+
+
+def _like_leaf(leaf: Column, expr: LikeExpr) -> np.ndarray:
+    """``expr``'s matches over a materialised column, kept on it for warm
+    runs (False: it holds a non-string).  Wide strings are objects (see
+    ``_WIDE_STR_CHARS``) and match after a ``U`` conversion."""
+    memo = leaf._likes = leaf._likes or {}
+    out = memo.get(expr.pattern)
+    if out is None:
+        values = leaf.values
+        if leaf.kind == "O":
+            strings = values.tolist()
+            if set(map(type, strings)) <= {str, _NONE_TYPE}:
+                values = np.array(["" if v is None else v for v in strings], "U")
+        out = _like_values(values, expr) if values.dtype.kind == "U" else False
+        if len(memo) >= _LIKE_MEMO:
+            del memo[next(iter(memo))]
+        memo[expr.pattern] = out
+    if out is False:
+        raise _Fallback
+    return out
+
+
+def _leafwise(col: Column, read) -> np.ndarray:
+    """``read(leaf)`` of each materialised column under ``col``, taken
+    through its index vectors and chunks; ``col`` is not gathered."""
+    if col._values is not None:
+        return read(col)
+    if col._chunks is not None:
+        return np.concatenate([_leafwise(chunk, read) for chunk in col._chunks])
+    return _leafwise(col._source, read)[col._index]
+
+
+def _eval_like(expr: LikeExpr, batch: ColumnBatch) -> Column:
+    """LIKE runs once per stored leaf column of the operand; a deferred
+    or chunked operand then only gathers booleans."""
+    operand = _eval_vec(expr.operand, batch)
+    if operand.kind not in ("U", "O"):
+        raise _Fallback
+    out = _leafwise(operand, lambda leaf: _like_leaf(leaf, expr))
+    return Column(
+        ~out if expr.negated else out, _leafwise(operand, Column.null_mask)
+    )
 
 
 def _eval_in_list(expr: InList, batch: ColumnBatch) -> Column:
@@ -891,6 +907,17 @@ _CODE_LIMIT = 1 << 62
 #: multi-column products) keeps the sort-based kernels, whose cost does
 #: not depend on the span.
 _DENSE_SPAN = 8
+
+#: A join keeps only the rows that can match first (``_semi_reduce``)
+#: when its probe keys cover at most ``1/_REDUCE_SPAN`` of the span and
+#: the span tops ``_REDUCE_SPAN`` slots per row or the build side is big:
+#: ``_REDUCE_MIN`` rows and ``_REDUCE_RATIO`` per probe row.  Smaller,
+#: mid-size sparse shapes pay more for the reduction than it saves.
+_REDUCE_SPAN, _REDUCE_RATIO, _REDUCE_MIN = 4, 16, 4096
+
+#: Up to this many slots per row the reduction uses ``bool`` tables, an
+#: eighth of the int64 slot direct addressing pays.
+_FLAG_SPAN = 8 * _DENSE_SPAN
 
 
 def _dense_codes(
@@ -1306,8 +1333,8 @@ def _gather_joined(
     left_idx: np.ndarray,
     right_idx: np.ndarray,
 ) -> ColumnBatch:
-    """Joined output rows (deferred); ``right_idx == -1`` pads NULLs,
-    which forces the right columns: the pad joins their null masks."""
+    """Joined output rows (deferred); ``right_idx == -1`` pads NULLs, a
+    view of one NULL row past each right column's end."""
     n = int(len(left_idx))
     columns = _take_columns(left.columns, left_idx)
     pad = right_idx < 0
@@ -1321,8 +1348,10 @@ def _gather_joined(
             values[:] = None
             columns.append(Column(values, pad))
     else:
-        for col in _take_columns(right.columns, np.where(pad, 0, right_idx)):
-            columns.append(Column(col.values, col.null_mask() | pad))
+        index = np.where(pad, right.length, right_idx)
+        for col in right.columns:
+            null = column_from_values([None], col.kind)
+            columns.append(Column._deferred(concat_columns([col, null]), index))
     return ColumnBatch(columns, n)
 
 
@@ -1356,6 +1385,34 @@ def _assemble_join_output(
     return _gather_joined(left, right, all_li[order], all_ri[order])
 
 
+def _semi_reduce(
+    lcodes: np.ndarray, rcodes: np.ndarray, slots: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(probes, kept)``, ascending: the probe rows that may match and
+    the build rows whose code some probe row has, by a ``bool`` table
+    per side — past ``_FLAG_SPAN`` by a search of the probe side's sorted
+    codes, keeping every non-NULL probe row.  ``None``: it does not pay."""
+    n_left, n_right = len(lcodes), len(rcodes)
+    n = n_left + n_right
+    big = n_right >= max(_REDUCE_RATIO * n_left, _REDUCE_MIN)
+    if slots <= _REDUCE_SPAN * n_left or not (big or slots > _REDUCE_SPAN * n):
+        return None
+    if slots <= _FLAG_SPAN * n:
+        flags = np.zeros(slots, np.bool_)
+        flags[lcodes + 1] = True
+        flags[0] = False  # slot 0 is the NULL code's: it asks for nothing
+        kept = np.flatnonzero(flags[rcodes + 1])
+        flags[:] = False
+        flags[rcodes[kept] + 1] = True
+        return np.flatnonzero(flags[lcodes + 1]), kept
+    if not big:
+        return None
+    wanted = np.sort(lcodes)  # not np.unique: it imports numpy.ma, ≈ 1 MiB
+    at = np.minimum(np.searchsorted(wanted, rcodes), n_left - 1)
+    kept = np.flatnonzero((wanted[at] == rcodes) & (rcodes >= 0))
+    return np.flatnonzero(lcodes >= 0), kept
+
+
 def _equi_candidates(
     left: ColumnBatch,
     right: ColumnBatch,
@@ -1365,8 +1422,9 @@ def _equi_candidates(
     rows in insertion order — the row hash table's probe order.
 
     Returns ``(cand_left, cand_right, counts, offsets, pos_in_bucket)``,
-    the same arrays whether dense codes address a table directly or
-    sparse ones are sorted and binary-searched.
+    the same arrays whether the sides are semi-join reduced first, dense
+    codes address a table directly or sparse ones are sorted and
+    binary-searched.
     """
     n_left, n_right = left.length, right.length
     if n_left == 0 or n_right == 0:
@@ -1374,8 +1432,15 @@ def _equi_candidates(
         return none, none, zeros, zeros.copy(), none
     lcodes, rcodes = _join_codes(left, right, pairs)
     slots = _code_count(lcodes, rcodes) + 1
+    reduced = _semi_reduce(lcodes, rcodes, slots)
+    if reduced is None:
+        probes = np.arange(n_left, dtype=np.int64)
+    else:
+        probes, kept = reduced
+        lcodes, rcodes = lcodes[probes], rcodes[kept]
+        n_right = len(rcodes)
     if (
-        slots <= _DENSE_SPAN * (n_left + n_right)
+        slots <= _DENSE_SPAN * (len(lcodes) + n_right)
         and slots * n_right < _CODE_LIMIT
     ):
         # Direct addressing: one slot per code (slot 0 collects the -1
@@ -1383,7 +1448,7 @@ def _equi_candidates(
         build, rows = rcodes + 1, np.arange(n_right, dtype=np.int64)
         sizes = np.bincount(build, minlength=slots)
         starts = lcodes + 1
-        counts = sizes[starts]
+        hits = sizes[starts]
         if sizes[1:].max(initial=0) <= 1:
             # Key-unique build side: the scatter table *is* the bucket
             # array, each bucket starting at its own slot.
@@ -1398,17 +1463,22 @@ def _equi_candidates(
         order = np.argsort(rcodes, kind="stable")
         sorted_codes = rcodes[order]
         starts = np.searchsorted(sorted_codes, lcodes, side="left")
-        counts = np.searchsorted(sorted_codes, lcodes, side="right") - starts
-    counts[lcodes < 0] = 0  # NULL keys probe nothing
-    total = int(counts.sum())
-    offsets = np.zeros(len(counts), dtype=np.int64)
-    if len(counts):
-        np.cumsum(counts[:-1], out=offsets[1:])
-    cand_left = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        hits = np.searchsorted(sorted_codes, lcodes, side="right") - starts
+    hits[lcodes < 0] = 0  # NULL keys probe nothing
+    counts = hits
+    if reduced is not None:
+        counts = np.zeros(n_left, np.int64)
+        counts[probes] = hits
+    offsets = np.zeros(n_left, dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    cand_left = np.repeat(probes, hits)
+    firsts = offsets if reduced is None else offsets[probes]
     pos_in_bucket = (
-        np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+        np.arange(len(cand_left), dtype=np.int64) - np.repeat(firsts, hits)
     )
-    cand_right = order[pos_in_bucket + np.repeat(starts, counts)]
+    cand_right = order[pos_in_bucket + np.repeat(starts, hits)]
+    if reduced is not None:
+        cand_right = kept[cand_right]
     return cand_left, cand_right, counts, offsets, pos_in_bucket
 
 
@@ -1587,8 +1657,10 @@ def _group_minmax(
     valid = ~col.null_mask()
     out: list = [None] * n_groups
     if col.kind == "O":
-        gids = group_ids.tolist()
-        for i, value in enumerate(col.to_list()):
+        gids, values = group_ids.tolist(), col.to_list()
+        if TOTAL_ORDER.get():  # see ``run_operator``
+            values = [v if v is None else NullsLast(v) for v in values]
+        for i, value in enumerate(values):
             if value is None:
                 continue
             g = gids[i]
@@ -1597,6 +1669,8 @@ def _group_minmax(
                 value < current if is_min else value > current
             ):
                 out[g] = value
+        if TOTAL_ORDER.get():
+            return [None if v is None else v.value for v in out]
         return out
     values = col.values[valid]
     gids = group_ids[valid]

@@ -53,7 +53,7 @@ from repro.exec.physical import (
     PhysValues,
 )
 from repro.obs.metrics import get_registry
-from repro.rel.expr import KernelBuilder
+from repro.rel.expr import TOTAL_ORDER, KernelBuilder
 from repro.rel.logical import JoinType
 from repro.storage.adapters import compile_pushdown, scan_charge
 from repro.storage.store import DataStore
@@ -171,7 +171,18 @@ def run_operator(handlers: dict, node: PhysNode, site: int, ctx: ExecContext):
     inputs = [run_operator(handlers, child, site, ctx) for child in node.inputs]
     if type(node) is not PhysNestedLoopJoin:  # it pre-checks before building
         inputs = [materialise(rows) for rows in inputs]
-    out = handler(node, site, ctx, *inputs)
+    try:
+        out = handler(node, site, ctx, *inputs)
+    except TypeError:
+        # Python cannot order two of the values (3 < 'a'): again, with the
+        # node's kernel made in the engine's total order.
+        node.__dict__.pop("_kernel", None)
+        token = TOTAL_ORDER.set(True)
+        try:
+            out = handler(node, site, ctx, *inputs)
+        finally:
+            TOTAL_ORDER.reset(token)
+            node.__dict__.pop("_kernel", None)
     detail = None
     if type(out) is tuple:
         out, detail = out

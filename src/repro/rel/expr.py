@@ -16,9 +16,11 @@ factoring of Section 5.2.
 from __future__ import annotations
 
 import linecache
+from contextvars import ContextVar
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ValidationError
+from repro.common.ordering import NullsLast
 
 # ---------------------------------------------------------------------------
 # Expression nodes
@@ -343,6 +345,17 @@ def _compile_like(pattern: str) -> Callable[[str], bool]:
 
 _PYTHON_OPS = {"=": "==", "<>": "!="}
 
+#: True while ``run_operator`` runs a handler again because Python could
+#: not order two of its values (``3 < 'a'``): kernels made meanwhile
+#: compare as the engine's total order (``NullsLast``) does.
+TOTAL_ORDER: ContextVar[bool] = ContextVar("total_order", default=False)
+_TOTAL_ORDER = {
+    "<": lambda a, b: NullsLast(a) < NullsLast(b),
+    ">": lambda a, b: NullsLast(b) < NullsLast(a),
+    "<=": lambda a, b: not NullsLast(b) < NullsLast(a),
+    ">=": lambda a, b: not NullsLast(a) < NullsLast(b),
+}
+
 
 def _can_raise(expr: Expr) -> bool:
     """Whether evaluating ``expr`` can raise: it holds an arithmetic,
@@ -380,6 +393,12 @@ class KernelBuilder:
     def _temp(self) -> str:
         self._temps += 1
         return f"_t{self._temps}"
+
+    def compare(self, op: str, left: str, right: str) -> str:
+        """Source for ``left op right``, a comparison or arithmetic."""
+        if op in _TOTAL_ORDER and TOTAL_ORDER.get():
+            return f"{self.bind(_TOTAL_ORDER[op])}({left}, {right})"
+        return f"{left} {_PYTHON_OPS.get(op, op)} {right}"
 
     def _strict(self, operands: Sequence[Expr], apply: str) -> str:
         """``apply.format(*operands)``, or NULL when an operand is NULL.
@@ -435,8 +454,7 @@ class KernelBuilder:
                 )
                 chain = f"{self.render(expr.left)} == {self.render(expr.right)}"
                 return f"({chain})" if known else f"({chain} is not None)"
-            python_op = _PYTHON_OPS.get(op, op)
-            return self._strict(expr.children(), f"{{}} {python_op} {{}}")
+            return self._strict(expr.children(), self.compare(op, "{}", "{}"))
         if isinstance(expr, UnaryOp):
             return self._strict([expr.operand], "not {}" if expr.op == "NOT" else "-{}")
         if isinstance(expr, FuncCall):

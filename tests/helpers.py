@@ -682,6 +682,51 @@ def reference_equi_candidates(left, right, pairs):
     return cand_left, cand_right, counts, offsets, pos_in_bucket
 
 
+def unreduced_equi_candidates(left, right, pairs):
+    """The probe as it ran before the semi-join reduction: direct
+    addressing over every build row when the codes are dense (within
+    ``columnar._DENSE_SPAN`` slots per row, read at call time), the
+    stable sorted probe otherwise.  The reduced kernel must return its
+    five arrays exactly."""
+    import numpy as np
+    from repro.exec import columnar
+
+    n_left, n_right = left.length, right.length
+    if n_left == 0 or n_right == 0:
+        none, zeros = np.empty(0, np.int64), np.zeros(n_left, np.int64)
+        return none, none, zeros, zeros.copy(), none
+    lcodes, rcodes = columnar._join_codes(left, right, pairs)
+    slots = columnar._code_count(lcodes, rcodes) + 1
+    if (
+        slots <= columnar._DENSE_SPAN * (n_left + n_right)
+        and slots * n_right < columnar._CODE_LIMIT
+    ):
+        build, rows = rcodes + 1, np.arange(n_right, dtype=np.int64)
+        sizes = np.bincount(build, minlength=slots)
+        starts = lcodes + 1
+        counts = sizes[starts]
+        if sizes[1:].max(initial=0) <= 1:
+            order = np.zeros(slots, np.int64)
+            order[build] = rows
+        else:
+            order = np.sort(build * n_right + rows) % n_right
+            starts = (np.cumsum(sizes) - sizes)[starts]
+    else:
+        order = np.argsort(rcodes, kind="stable")
+        sorted_codes = rcodes[order]
+        starts = np.searchsorted(sorted_codes, lcodes, side="left")
+        counts = np.searchsorted(sorted_codes, lcodes, side="right") - starts
+    counts[lcodes < 0] = 0
+    total = int(counts.sum())
+    offsets = np.zeros(len(counts), dtype=np.int64)
+    if len(counts):
+        np.cumsum(counts[:-1], out=offsets[1:])
+    cand_left = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    pos_in_bucket = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+    cand_right = order[pos_in_bucket + np.repeat(starts, counts)]
+    return cand_left, cand_right, counts, offsets, pos_in_bucket
+
+
 def reference_group_ids(batch, keys):
     import numpy as np
     from repro.exec.columnar import _dict_codes
@@ -705,6 +750,71 @@ def reference_group_ids(batch, keys):
     rank = np.empty(len(uniques), dtype=np.int64)
     rank[order] = np.arange(len(uniques), dtype=np.int64)
     return rank[inv.astype(np.int64, copy=False)], len(uniques), first_idx[order]
+
+
+# ---------------------------------------------------------------------------
+# LIKE of the columnar backend, before it ran on the stored leaf columns
+# ---------------------------------------------------------------------------
+
+
+def eager_eval_like(expr, batch):
+    """``_eval_like`` as it was before it ran once per stored leaf
+    column: the operand is read (gathered, concatenated) and an object
+    column converted to ``U`` on every call.  Raises
+    ``columnar._Fallback`` where that did (non-string values)."""
+    import numpy as np
+    from repro.exec.columnar import Column, _Fallback, _eval_vec
+
+    operand = _eval_vec(expr.operand, batch)
+    pattern = expr.pattern
+    if operand.kind == "U":
+        values = operand.values
+    elif operand.kind == "O":
+        lst = operand.values.tolist()
+        if not lst:
+            return Column(np.zeros(0, np.bool_))
+        types = set(map(type, lst))
+        types.discard(type(None))
+        if types - {str}:
+            raise _Fallback
+        values = np.array(
+            ["" if v is None else v for v in lst]
+            if operand.mask is not None
+            else lst
+        )
+    else:
+        raise _Fallback
+    if "_" not in pattern:
+        pieces = pattern.split("%")
+        if len(pieces) == 1:
+            out = values == pieces[0]
+        else:
+            prefix, suffix = pieces[0], pieces[-1]
+            middles = [p for p in pieces[1:-1] if p]
+            n = len(values)
+            out = np.ones(n, dtype=np.bool_)
+            if prefix:
+                out &= np.strings.startswith(values, prefix)
+            if suffix:
+                out &= np.strings.endswith(values, suffix)
+            if middles or prefix or suffix:
+                limit = np.strings.str_len(values) - len(suffix)
+                pos = np.full(n, len(prefix), dtype=limit.dtype)
+                for mid in middles:
+                    found = np.strings.find(values, mid, pos, limit)
+                    hit = found >= 0
+                    out &= hit
+                    pos = np.where(hit, found + len(mid), pos)
+                out &= pos <= limit
+    else:
+        matcher = expr._matcher
+        out = np.fromiter(
+            (matcher(v) for v in values.tolist()), np.bool_, count=len(values)
+        )
+    out = np.asarray(out, dtype=np.bool_)
+    if expr.negated:
+        out = ~out
+    return Column(out, operand.mask)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """The columnar backend keeps one copy of each table per site partition set.
 
-After a cold pass over TPC-H the caches are inspected, not the process's
-memory: the site batch of a partition set is the only columnar copy of
-its rows (no per-partition batches), every index batch is an index view
-of that site batch (an unread column still points at the site batch's
-column), and no storage index keeps a key object per row.  Fault-free,
-and with site 1 dead so that partition sets which take over its
-partitions are cached too.
+After a cold and a warm pass over TPC-H the caches are inspected, not
+the process's memory: the site batch of a partition set is the only
+columnar copy of its rows (no per-partition batches), every index batch
+is an index view of that site batch (an unread column still points at
+the site batch's column), no storage index keeps a key object per row,
+and a column keeps LIKE results as booleans, never a ``U`` copy of its
+strings.  Fault-free, and with site 1 dead so that partition sets which
+take over its partitions are cached too.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro.bench.tpch import load_tpch_cluster
 from repro.bench.tpch.queries import QUERIES
 from repro.common.config import PRESETS
+from repro.exec import columnar
 from repro.exec.operators import ExecContext
 from repro.faults.injector import SiteCrash
 
@@ -30,8 +32,9 @@ def cold_cluster(request):
         execution_backend="columnar", faults=faults, max_retries=1
     )
     cluster = load_tpch_cluster(config, 0.02)
-    for query in QUERIES.values():
-        cluster.try_sql(query.sql)
+    for _ in ("cold", "warm"):
+        for query in QUERIES.values():
+            cluster.try_sql(query.sql)
     return cluster, dead
 
 
@@ -99,3 +102,28 @@ def test_storage_indexes_keep_no_key_per_row(cold_cluster):
                     if isinstance(value, list) and value is not index.rows
                 ]
                 assert per_row == [], (data.schema.name, name)
+
+
+def _cached_columns(cluster):
+    for data in _tables(cluster):
+        caches = ("_columnar_scan_cache", "_columnar_index_cache")
+        for cache in caches:
+            for batch in vars(data).get(cache, {}).values():
+                yield from ((data.schema.name, col) for col in batch.columns)
+
+
+def test_like_keeps_booleans_not_strings(cold_cluster):
+    """Q2/Q9/Q13/Q14/Q16's LIKE ran on the stored columns, each of whose
+    results is one ``bool`` per row; no slot holds a ``U`` array unless
+    it is a ``U`` column's own values."""
+    cluster, _ = cold_cluster
+    memos = 0
+    for table, col in _cached_columns(cluster):
+        for slot in columnar.Column.__slots__:
+            value = getattr(col, slot)
+            if getattr(value, "dtype", None) is not None and value.dtype.kind == "U":
+                assert slot == "_values", (table, slot)
+        for pattern, out in (col._likes or {}).items():
+            memos += 1
+            assert out.dtype == bool and len(out) == len(col), (table, pattern)
+    assert memos

@@ -148,15 +148,20 @@ class TestDegenerateShapes:
 class TestMixedKindColumn:
     """A nullable VARCHAR column that also holds an int loads — its
     statistics take min and max under the engine's total order, where an
-    int sorts before a string — and WHERE / ORDER BY over it come back
-    classified, with the same rows on both backends and with or without
-    an index on it."""
+    int sorts before a string — and WHERE / ORDER BY / MIN / MAX over it
+    come back classified, with the same rows on both backends and with or
+    without an index on it: a range predicate or MIN/MAX that Python
+    cannot order (``3 < 'a'`` raises ``TypeError``) falls back to that
+    total order, the one the index range scan already uses."""
 
     QUERIES = {
         "select k, v from m where v = 'a'": [(1, "a")],
         "select k from m where v is null": [(3,)],
         "select k, v from m where v is not null order by v": [(2, 3), (1, "a")],
         "select k, v from m order by v desc, k": [(3, None), (1, "a"), (2, 3)],
+        "select k from m where v < 5": [(2,)],
+        "select k from m where v > 'a'": [],
+        "select min(v), max(v) from m": [(3, "a")],
     }
 
     @pytest.mark.parametrize("indexed", [False, True], ids=["heap", "indexed"])
