@@ -22,11 +22,11 @@ The row interpreter (:mod:`repro.exec.operators`), the reference oracle
 (:mod:`repro.exec.columnar`) must all agree on this order — keep it in
 one place.
 
-The wrapper costs a Python-level ``__lt__`` per comparison, so the
-sorting paths ask :func:`orderable` first: a key column that holds one
-orderable kind (numbers, or strings) and no NULL is already totally
-ordered by raw ``<`` exactly as ``NullsLast`` orders it, and is compared
-raw at C speed.
+The wrapper costs a Python-level ``__lt__`` per comparison, so ordered
+paths compare raw at C speed where raw ``<`` is the total order (one
+orderable kind, numbers or strings, and no NULL): :func:`sort_rows`
+tries raw keys and falls back when Python raises; the merge join, the
+statistics and the columnar sort ask :func:`orderable` first.
 """
 
 from __future__ import annotations
@@ -84,16 +84,22 @@ def sort_rows(rows: Iterable[Tuple], keys: Sequence[Tuple[int, bool]]) -> List[T
     ASC (first under DESC) and mixed-type keys cannot raise TypeError.
     Keys of one direction sort in one pass over a tuple key; mixed
     directions sort once per key, least significant first.
+
+    Raw keys go first: a sort Python finishes compared only values that
+    raw ``<`` orders as the total order does.  When Python raises, the
+    untouched input is sorted again by ``ordering_key``.
     """
-    result = list(rows)
     if len({ascending for _, ascending in keys}) == 1:
         passes = [(tuple(index for index, _ in keys), keys[0][1])]
     else:
         passes = [((index,), ascending) for index, ascending in reversed(keys)]
-    for positions, ascending in passes:
-        if all(orderable(map(itemgetter(p), result)) for p in positions):
-            key = itemgetter(*positions)
-        else:
+    result = rows = rows if type(rows) is list else list(rows)
+    try:
+        for positions, ascending in passes:
+            result = sorted(result, key=itemgetter(*positions), reverse=not ascending)
+    except TypeError:
+        result = rows
+        for positions, ascending in passes:
             key = lambda row, positions=positions: ordering_key(row, positions)
-        result.sort(key=key, reverse=not ascending)
+            result = sorted(result, key=key, reverse=not ascending)
     return result

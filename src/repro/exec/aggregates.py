@@ -22,9 +22,15 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
+from repro.common.ordering import NullsLast
 from repro.exec.physical import AggPhase
-from repro.rel.expr import KernelBuilder, compile_expr
+from repro.rel.expr import TOTAL_ORDER, KernelBuilder, compile_expr
 from repro.rel.logical import AggCall, AggFunc
+
+
+def _less(a, b) -> bool:
+    """``a < b``, in the engine's total order while ``TOTAL_ORDER`` is set."""
+    return NullsLast(a) < NullsLast(b) if TOTAL_ORDER.get() else a < b
 
 
 class AggAccumulator:
@@ -61,10 +67,10 @@ class AggAccumulator:
             self._sum += value
             self._count += 1
         elif func is AggFunc.MIN:
-            if self._min is None or value < self._min:
+            if self._min is None or _less(value, self._min):
                 self._min = value
         else:  # MAX
-            if self._max is None or value > self._max:
+            if self._max is None or _less(self._max, value):
                 self._max = value
 
     # -- partial-state phase -----------------------------------------------------
@@ -94,10 +100,10 @@ class AggAccumulator:
                 self._sum += partial[0]
                 self._count += partial[1]
         elif func is AggFunc.MIN:
-            if partial is not None and (self._min is None or partial < self._min):
+            if partial is not None and (self._min is None or _less(partial, self._min)):
                 self._min = partial
         else:
-            if partial is not None and (self._max is None or partial > self._max):
+            if partial is not None and (self._max is None or _less(self._max, partial)):
                 self._max = partial
 
     # -- finalisation -----------------------------------------------------------------

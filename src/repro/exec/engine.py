@@ -31,6 +31,7 @@ sub-partitioning.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -275,6 +276,11 @@ class ExecutionEngine:
         the run carries the completed prefix as ``partial``.
         """
         run = self._prepare(plan, injector or FaultInjector(), at)
+        # Row tuples are never cycles, yet the collector would walk the
+        # live ones again and again: pause it for the run (unless the
+        # caller did), then run the young collection the run made due.
+        paused = gc.isenabled()
+        gc.disable()
         try:
             with get_tracer().span("execute"):
                 self._run_fragments(run)
@@ -283,6 +289,10 @@ class ExecutionEngine:
                 exc.partial = (run.completed, run.actuals())
             raise
         finally:
+            if paused:
+                gc.enable()
+                if gc.get_count()[0] > gc.get_threshold()[0]:
+                    gc.collect(1)
             for observer in run.observers:
                 observer.close()
         self._simulate(run)

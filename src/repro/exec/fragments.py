@@ -204,6 +204,7 @@ def fragment_plan(
         return rebuilt, child_ids
 
     new_root, child_ids = split(root)
+    del split  # a recursive closure and its own cell form a cycle: break it
     fragment_id = next_ids["fragment"]
     fragments.append(
         Fragment(

@@ -175,14 +175,17 @@ def run_operator(handlers: dict, node: PhysNode, site: int, ctx: ExecContext):
         out = handler(node, site, ctx, *inputs)
     except TypeError:
         # Python cannot order two of the values (3 < 'a'): again, with the
-        # node's kernel made in the engine's total order.
-        node.__dict__.pop("_kernel", None)
+        # node's kernels (its own, an adapter scan's pushed filter) made
+        # in the engine's total order.
+        for kernel in ("_kernel", "_pushed_scan"):
+            node.__dict__.pop(kernel, None)
         token = TOTAL_ORDER.set(True)
         try:
             out = handler(node, site, ctx, *inputs)
         finally:
             TOTAL_ORDER.reset(token)
-            node.__dict__.pop("_kernel", None)
+            for kernel in ("_kernel", "_pushed_scan"):
+                node.__dict__.pop(kernel, None)
     detail = None
     if type(out) is tuple:
         out, detail = out

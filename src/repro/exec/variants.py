@@ -108,6 +108,6 @@ def plan_variants(fragment: Fragment) -> Optional[VariantPlan]:
         scaling[node.op_id] = mode
         return all(classify(child, mode) for child in node.inputs)
 
-    if not classify(fragment.root, SPLIT):
-        return None
-    return VariantPlan(scaling)
+    splits = classify(fragment.root, SPLIT)
+    del classify, source_rows  # recursive closures and their cells form cycles: break them
+    return VariantPlan(scaling) if splits else None

@@ -272,6 +272,7 @@ class JoinOrderEnumerator:
             inputs.append(node)
 
         descend(root)
+        del descend  # a recursive closure and its own cell form a cycle: break it
         return inputs, conjuncts
 
     def _equi_edges(
@@ -324,6 +325,7 @@ class JoinOrderEnumerator:
             extend([start], {start})
             if len(orders) >= MAX_JOIN_ORDERS:
                 break
+        del extend  # a recursive closure and its own cell form a cycle: break it
         return orders
 
     def _build_order(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import linecache
 from contextvars import ContextVar
+from types import CodeType
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ValidationError
@@ -357,6 +358,11 @@ _TOTAL_ORDER = {
 }
 
 
+#: Kernel sources whose code objects ``KernelBuilder.function`` keeps (LRU).
+KERNEL_CODE_CACHE = 256
+_CODE: Dict[str, CodeType] = {}
+
+
 def _can_raise(expr: Expr) -> bool:
     """Whether evaluating ``expr`` can raise: it holds an arithmetic,
     comparison, function or LIKE node (type errors, division by zero)."""
@@ -506,13 +512,23 @@ class KernelBuilder:
     def function(self, name: str, params: str, body: Sequence[str]) -> Callable:
         """Compile ``def name(params): body``.  The source stays on the
         function (``__source__``) and in ``linecache`` under a filename
-        derived from it, so a traceback through the kernel shows its line."""
+        derived from it, so a traceback through the kernel shows its line.
+
+        Statements of one shape render the same source (constants are
+        bound by name), so the code object comes from an LRU keyed by the
+        source; each builder still runs it in its own namespace."""
         source = f"def {name}({params}):\n"
         source += "".join(f"    {line}\n" for line in body)
-        filename = f"<kernel {name} {hash(source) & 0xFFFFFFFFFFFFFFFF:016x}>"
-        lines = source.splitlines(True)
-        linecache.cache[filename] = (len(source), None, lines, filename)
-        exec(compile(source, filename, "exec"), self.namespace)
+        code = _CODE.pop(source, None)
+        if code is None:
+            filename = f"<kernel {name} {hash(source) & 0xFFFFFFFFFFFFFFFF:016x}>"
+            lines = source.splitlines(True)
+            linecache.cache[filename] = (len(source), None, lines, filename)
+            code = compile(source, filename, "exec")
+            if len(_CODE) >= KERNEL_CODE_CACHE:
+                del _CODE[next(iter(_CODE))]
+        _CODE[source] = code
+        exec(code, self.namespace)
         function = self.namespace.pop(name)  # no globals -> function cycle
         function.__source__ = source
         return function

@@ -434,7 +434,9 @@ def max_nested_joins(node: RelNode) -> int:
             return child_depth + 1
         return child_depth
 
-    return depth(node)
+    deepest = depth(node)
+    del depth  # a recursive closure and its own cell form a cycle: break it
+    return deepest
 
 
 def scans_in(node: RelNode) -> List[LogicalTableScan]:

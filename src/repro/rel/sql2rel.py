@@ -719,7 +719,9 @@ class SqlToRelConverter:
         result = LogicalProject(result, exprs, names)
         if select.distinct:
             result = LogicalAggregate(result, tuple(range(len(names))), ())
-        return self._apply_order_limit(result, select, names, rewrite)
+        result = self._apply_order_limit(result, select, names, rewrite)
+        del rewrite  # a recursive closure and its own cell form a cycle: break it
+        return result
 
     def _apply_order_limit(
         self,

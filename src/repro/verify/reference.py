@@ -22,6 +22,7 @@ from repro.common.errors import ExecutionError
 from repro.common.ordering import NullsLast
 from repro.exec.aggregates import AggregateEvaluator
 from repro.rel.expr import (
+    TOTAL_ORDER,
     compile_expr,
     extract_equi_keys,
     make_conjunction,
@@ -141,8 +142,18 @@ class ReferenceExecutor:
         self.store = store
 
     def execute(self, plan: RelNode) -> Rows:
-        """Evaluate a logical plan tree over the store's tables."""
-        return self._eval(push_filters(plan))
+        """Evaluate a logical plan tree over the store's tables; where
+        Python cannot order two values (``3 < 'a'``), again in the
+        engine's total order, as ``run_operator`` reruns a handler."""
+        plan = push_filters(plan)
+        try:
+            return self._eval(plan)
+        except TypeError:
+            token = TOTAL_ORDER.set(True)
+            try:
+                return self._eval(plan)
+            finally:
+                TOTAL_ORDER.reset(token)
 
     # -- dispatch -----------------------------------------------------------
 

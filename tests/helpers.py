@@ -554,6 +554,27 @@ def reference_sort_rows(rows, keys):
     return result
 
 
+def census_sort_rows(rows, keys):
+    """``sort_rows`` as it was before it went raw-first: a pass over each
+    key column's kinds (``orderable``) picks raw or ``NullsLast`` keys."""
+    from operator import itemgetter
+
+    from repro.common.ordering import orderable, ordering_key
+
+    result = list(rows)
+    if len({ascending for _, ascending in keys}) == 1:
+        passes = [(tuple(index for index, _ in keys), keys[0][1])]
+    else:
+        passes = [((index,), ascending) for index, ascending in reversed(keys)]
+    for positions, ascending in passes:
+        if all(orderable(map(itemgetter(p), result)) for p in positions):
+            key = itemgetter(*positions)
+        else:
+            key = lambda row, positions=positions: ordering_key(row, positions)
+        result.sort(key=key, reverse=not ascending)
+    return result
+
+
 def reference_merge_join(left, right, pairs, join_type, residual_fn, right_width):
     from repro.common.ordering import NullsLast, ordering_key
 

@@ -164,21 +164,56 @@ class TestMixedKindColumn:
         "select min(v), max(v) from m": [(3, "a")],
     }
 
+    @staticmethod
+    def _load(c, adapter="native"):
+        c.create_table(
+            TableSchema(
+                "m", [Column("k", I), Column("v", S, nullable=True)], ["k"],
+                adapter=adapter,
+            ),
+            [(1, "a"), (2, 3), (3, None)],
+        )
+
     @pytest.mark.parametrize("indexed", [False, True], ids=["heap", "indexed"])
     def test_loads_and_answers_on_both_backends(self, execution_backend, indexed):
         c = IgniteCalciteCluster.ic_plus(
             sites=4, execution_backend=execution_backend
         )
-        c.create_table(
-            TableSchema("m", [Column("k", I), Column("v", S, nullable=True)], ["k"]),
-            [(1, "a"), (2, 3), (3, None)],
-        )
+        self._load(c)
         if indexed:
             c.create_index("m", "m_v", ["v"])
         stats = c.store.table("m").stats.column("v")
         assert (stats.min_value, stats.max_value) == (3, "a")
         assert (stats.distinct_count, stats.null_count) == (2, 1)
         assert stats.histogram is None
+        for sql, want in self.QUERIES.items():
+            outcome = c.try_sql(sql)
+            assert outcome.status is QueryStatus.OK, (sql, outcome.error)
+            assert outcome.rows == want, sql
+
+    @pytest.mark.parametrize("adapter", ["native", "columnfile"])
+    def test_the_reference_executor_agrees(self, execution_backend, adapter):
+        """Under ``verify_execution`` every answer is diffed against the
+        reference executor, which falls back to the same total order."""
+        c = IgniteCalciteCluster.ic_plus(
+            sites=4, execution_backend=execution_backend, verify_execution=True
+        )
+        self._load(c, adapter)
+        for sql, want in self.QUERIES.items():
+            outcome = c.try_sql(sql)
+            assert outcome.status is QueryStatus.OK, (sql, outcome.error)
+            assert outcome.rows == want, sql
+
+    @pytest.mark.parametrize("adapter", ["columnfile", "remote"])
+    def test_adapter_pushed_filters_fall_back_too(self, execution_backend, adapter):
+        """A range predicate pushed into an adapter scan is compiled raw;
+        it is made again in the total order when Python cannot order."""
+        c = IgniteCalciteCluster.ic_plus(
+            sites=4, execution_backend=execution_backend, adapter_pushdown=True
+        )
+        self._load(c, adapter)
+        for sql in ("select k from m where v < 5", "select k from m where v > 'a'"):
+            assert "filter=" in c.explain(sql), sql
         for sql, want in self.QUERIES.items():
             outcome = c.try_sql(sql)
             assert outcome.status is QueryStatus.OK, (sql, outcome.error)
