@@ -1,7 +1,7 @@
 """The engine's single total order over SQL values.
 
-Sorting, merge joins and sorted index access all need to compare values
-that may include SQL NULL (``None``) or, after outer joins, values of
+Sorting, sorted-stream merges and sorted index access all need to compare
+values that may include SQL NULL (``None``) or, after outer joins, values of
 mixed Python types.  Python's ``<`` raises ``TypeError`` for both, which
 would abort a query mid-operator, so every ordered code path in the
 engine wraps key components in :class:`NullsLast` instead of comparing
@@ -25,8 +25,8 @@ one place.
 The wrapper costs a Python-level ``__lt__`` per comparison, so ordered
 paths compare raw at C speed where raw ``<`` is the total order (one
 orderable kind, numbers or strings, and no NULL): :func:`sort_rows`
-tries raw keys and falls back when Python raises; the merge join, the
-statistics and the columnar sort ask :func:`orderable` first.
+tries raw keys and falls back when Python raises; the statistics and the
+columnar sort ask :func:`orderable` first.
 """
 
 from __future__ import annotations

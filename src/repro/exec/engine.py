@@ -276,27 +276,30 @@ class ExecutionEngine:
         the run carries the completed prefix as ``partial``.
         """
         run = self._prepare(plan, injector or FaultInjector(), at)
-        # Row tuples are never cycles, yet the collector would walk the
-        # live ones again and again: pause it for the run (unless the
-        # caller did), then run the young collection the run made due.
+        # Row tuples are never cycles, yet the collector would walk the live
+        # ones again and again: pause it (unless the caller did), and run the
+        # young collection the run made due once it and its streams are freed.
         paused = gc.isenabled()
         gc.disable()
         try:
-            with get_tracer().span("execute"):
-                self._run_fragments(run)
-        except ExecutionError as exc:
-            if run.completed:
-                exc.partial = (run.completed, run.actuals())
-            raise
+            try:
+                with get_tracer().span("execute"):
+                    self._run_fragments(run)
+            except ExecutionError as exc:
+                if run.completed:
+                    exc.partial = (run.completed, run.actuals())
+                raise
+            finally:
+                for observer in run.observers:
+                    observer.close()
+            self._simulate(run)
+            return self._report(run)
         finally:
+            del run
             if paused:
                 gc.enable()
                 if gc.get_count()[0] > gc.get_threshold()[0]:
                     gc.collect(1)
-            for observer in run.observers:
-                observer.close()
-        self._simulate(run)
-        return self._report(run)
 
     # -- step 1: prepare ------------------------------------------------------------
 

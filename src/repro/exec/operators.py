@@ -20,8 +20,7 @@ a nested-loop join ever receives a :class:`CrossProduct`.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import charges
@@ -32,7 +31,7 @@ from repro.common.constants import (
     NETWORK_UNITS_PER_MESSAGE,
 )
 from repro.common.errors import ExecutionError, ExecutionTimeoutError
-from repro.common.ordering import orderable, ordering_key, sort_rows
+from repro.common.ordering import sort_rows
 from repro.exec.aggregates import aggregate_kernel
 from repro.exec.fragments import PhysReceiver
 from repro.exec.physical import (
@@ -351,43 +350,54 @@ def _exec_values(node: PhysValues, site: int, ctx: ExecContext) -> Rows:
 # -- joins ------------------------------------------------------------------------
 
 
-def _join_kernel(
-    node, name: str, params: str, condition, head: Sequence[str], candidates: str
-) -> Callable:
-    """Generate one join loop, specialised to the node's join type.
+def _join_kernel(node, name: str, condition, head: list, candidates: str) -> Callable:
+    """Generate one join, specialised to the node's join type.
 
-    ``head`` are the source lines up to and including the ``for l in
-    ...:`` over left rows plus whatever finds ``candidates`` (the right
-    rows ``l`` may match); the condition is tested on ``(l, r)`` without
-    building ``l + r`` for a failing pair.  The kernel returns the output
-    rows and how many candidates were tested (hash join bills them).
+    ``head`` are the source lines that build what ``candidates`` reads:
+    an expression in the left row ``l`` for the right rows it may match.
+    The probe is one comprehension wherever the join type allows; the
+    condition is tested on ``(l, r)`` without building ``l + r`` for a
+    failing pair.  The kernel returns the output rows and how many
+    candidates were tested (hash join bills them).
     """
     width = node.left.width
     builder = KernelBuilder(lambda i: f"l[{i}]" if i < width else f"r[{i - width}]")
     test = None if condition is None else builder.render(condition, test=True)
     join_type = node.join_type
-    if join_type.projects_right:
-        where = "" if test is None else f" if {test}"
-        body = [
-            f"tested += len({candidates})",
-            f"m = [l + r for r in {candidates}{where}]",
+    if join_type is JoinType.LEFT:
+        pad = builder.bind((None,) * node.right.width)
+    if join_type is JoinType.INNER and test is None:
+        tail = [
+            f"out = [l + r for l in left for r in {candidates}]",
+            "return out, len(out)",
         ]
-        if join_type is JoinType.INNER:
-            body.append("out += m")
-        else:
-            pad = builder.bind((None,) * node.right.width)
-            body += ["if m:", "    out += m", "else:", f"    out.append(l + {pad})"]
+    elif join_type is JoinType.INNER or (join_type is JoinType.LEFT and test is None):
+        # LEFT: an unmatched row meets the NULL pad.
+        probe = f"(bucket or ({pad},))" if test is None else f"bucket if {test}"
+        tail = [
+            f"buckets = [{candidates} for l in left]",
+            f"out = [l + r for l, bucket in zip(left, buckets) for r in {probe}]",
+            "return out, sum(map(len, buckets))",
+        ]
     elif test is None:
         keep = candidates if join_type is JoinType.SEMI else f"not {candidates}"
-        body = [f"if {keep}:", "    out.append(l)"]
+        tail = [f"return [l for l in left if {keep}], 0"]
     else:
-        body = [f"for r in {candidates}:", "    tested += 1", f"    if {test}:"]
-        if join_type is JoinType.SEMI:  # emit on the first match
-            body += ["        out.append(l)", "        break"]
-        else:  # ANTI: emit when the loop finds none
-            body += ["        break", "else:", "    out.append(l)"]
-    lines = ["out = []", "tested = 0", *head, *(f"    {line}" for line in body)]
-    return builder.function(name, params, lines + ["return out, tested"])
+        if join_type is JoinType.LEFT:
+            body = [
+                f"bucket = {candidates}",
+                "tested += len(bucket)",
+                f"out += [l + r for r in bucket if {test}] or [l + {pad}]",
+            ]
+        else:
+            body = [f"for r in {candidates}:", "    tested += 1", f"    if {test}:"]
+            if join_type is JoinType.SEMI:  # emit on the first match
+                body += ["        out.append(l)", "        break"]
+            else:  # ANTI: emit when the loop finds none
+                body += ["        break", "else:", "    out.append(l)"]
+        tail = ["out = []", "tested = 0", "for l in left:"]
+        tail += [f"    {line}" for line in body] + ["return out, tested"]
+    return builder.function(name, "left, right", [*head, *tail])
 
 
 def _exec_nested_loop_join(
@@ -403,10 +413,7 @@ def _exec_nested_loop_join(
     kernel = _compiled(
         node,
         "_kernel",
-        lambda: _join_kernel(
-            node, "nested_loop_join", "left, right", node.condition,
-            ["for l in left:"], "right",
-        ),
+        lambda: _join_kernel(node, "nested_loop_join", node.condition, [], "right"),
     )
     return kernel(left, right)[0]
 
@@ -417,7 +424,7 @@ def _key_source(row: str, positions: Sequence[int]) -> str:
     return "(" + "".join(f"{row}[{p}], " for p in positions) + ")"
 
 
-def _hash_join_kernel(node: PhysHashJoin) -> Callable:
+def _hash_join_kernel(node: PhysHashJoin | PhysMergeJoin) -> Callable:
     left_keys = [lk for lk, _ in node.pairs]
     right_keys = [rk for _, rk in node.pairs]
     # Build phase on the right input (Section 5.1.2).  NULL join keys are
@@ -434,64 +441,20 @@ def _hash_join_kernel(node: PhysHashJoin) -> Callable:
         "        else:",
         "            table[k] = [r]",
         "get = table.get",
-        "for l in left:",
-        f"    bucket = get({_key_source('l', left_keys)}, ())",
     ]
-    return _join_kernel(node, "hash_join", "left, right", node.residual, head, "bucket")
+    probe = f"get({_key_source('l', left_keys)}, ())"
+    return _join_kernel(node, "hash_join", node.residual, head, probe)
 
 
-def _exec_hash_join(
-    node: PhysHashJoin, site: int, ctx: ExecContext, left: Rows, right: Rows
-) -> Tuple[Rows, int]:
-    """Returns the output and the bucket candidates tested (billed)."""
-    kernel = _compiled(node, "_kernel", lambda: _hash_join_kernel(node))
-    ctx.note_memory(site, len(right) * node.right.width * AFS)
-    return kernel(left, right)
-
-
-def _merge_join_kernel(node: PhysMergeJoin) -> Callable:
-    # ``lkeys``/``rkeys`` are the two sorted key columns; consecutive
-    # left rows with one key share the block of right rows carrying it.
-    head = [
-        "j, n = 0, len(right)",
-        "block = prev = None",
-        "for l, key, null in zip(left, lkeys, nulls):",
-        "    if block is None or key != prev:",
-        "        prev = key",
-        "        while j < n and rkeys[j] < key:",
-        "            j += 1",
-        "        end = j",
-        "        while end < n and rkeys[end] == key:",
-        "            end += 1",
-        # SQL NULL = NULL is not true: a NULL-keyed left row matches no
-        # right block (and NULL-keyed right rows match nothing).
-        "        block = () if null else right[j:end]",
-    ]
-    params = "left, right, lkeys, rkeys, nulls"
-    return _join_kernel(node, "merge_join", params, node.residual, head, "block")
-
-
-def _exec_merge_join(
-    node: PhysMergeJoin, site: int, ctx: ExecContext, left: Rows, right: Rows
-) -> Rows:
-    left_keys = [lk for lk, _ in node.pairs]
-    right_keys = [rk for _, rk in node.pairs]
-    lkeys = list(map(itemgetter(*left_keys), left))
-    if all(
-        orderable(map(itemgetter(lk), left), map(itemgetter(rk), right))
-        for lk, rk in node.pairs
-    ):
-        rkeys = list(map(itemgetter(*right_keys), right))
-        nulls = repeat(False)
-    else:
-        # Ordered comparisons go through the engine's total order (NULLS
-        # LAST, mixed-type safe) so a None key can't raise TypeError.
-        single = len(left_keys) == 1
-        nulls = [key is None if single else None in key for key in lkeys]
-        lkeys = [ordering_key(row, left_keys) for row in left]
-        rkeys = [ordering_key(row, right_keys) for row in right]
-    kernel = _compiled(node, "_kernel", lambda: _merge_join_kernel(node))
-    return kernel(left, right, lkeys, rkeys, nulls)[0]
+def _exec_equi_join(node, site: int, ctx: ExecContext, left: Rows, right: Rows):
+    """Hash and merge join: the output and the bucket candidates tested (a
+    hash join bills them).  On sorted inputs a key's merge block is its
+    hash bucket — that key's right rows in input order — so the merge scan
+    is an access-path detail: its charge ignores the count, and only the
+    hash join notes its table's memory."""
+    if type(node) is PhysHashJoin:
+        ctx.note_memory(site, len(right) * node.right.width * AFS)
+    return _compiled(node, "_kernel", lambda: _hash_join_kernel(node))(left, right)
 
 
 # -- sort / limit ---------------------------------------------------------------------
@@ -608,8 +571,8 @@ _HANDLERS = {
     PhysProject: _exec_project,
     PhysValues: _exec_values,
     PhysNestedLoopJoin: _exec_nested_loop_join,
-    PhysHashJoin: _exec_hash_join,
-    PhysMergeJoin: _exec_merge_join,
+    PhysHashJoin: _exec_equi_join,
+    PhysMergeJoin: _exec_equi_join,
     PhysSort: _exec_sort,
     PhysLimit: exec_limit,
     PhysHashAggregate: _exec_hash_aggregate,

@@ -643,23 +643,132 @@ def reference_aggregate_rows(rows, group_keys, calls, phase, runs):
     return [key + finalize(acc) for key, acc in groups]
 
 
+def per_row_join_kernel(node, name, params, condition, head, candidates):
+    """The row join generator as it was before its probe became one
+    comprehension: ``head`` ends in the ``for l in ...:`` over left rows
+    and finds ``candidates``; each left row then runs its own loop or
+    comprehension.  Returns ``(rows, tested)`` as the engine's does."""
+    from repro.rel.expr import KernelBuilder
+
+    width = node.left.width
+    builder = KernelBuilder(lambda i: f"l[{i}]" if i < width else f"r[{i - width}]")
+    test = None if condition is None else builder.render(condition, test=True)
+    join_type = node.join_type
+    if join_type.projects_right:
+        where = "" if test is None else f" if {test}"
+        body = [
+            f"tested += len({candidates})",
+            f"m = [l + r for r in {candidates}{where}]",
+        ]
+        if join_type is JoinType.INNER:
+            body.append("out += m")
+        else:
+            pad = builder.bind((None,) * node.right.width)
+            body += ["if m:", "    out += m", "else:", f"    out.append(l + {pad})"]
+    elif test is None:
+        keep = candidates if join_type is JoinType.SEMI else f"not {candidates}"
+        body = [f"if {keep}:", "    out.append(l)"]
+    else:
+        body = [f"for r in {candidates}:", "    tested += 1", f"    if {test}:"]
+        if join_type is JoinType.SEMI:  # emit on the first match
+            body += ["        out.append(l)", "        break"]
+        else:  # ANTI: emit when the loop finds none
+            body += ["        break", "else:", "    out.append(l)"]
+    lines = ["out = []", "tested = 0", *head, *(f"    {line}" for line in body)]
+    return builder.function(name, params, lines + ["return out, tested"])
+
+
+def _per_row_key(row, positions):
+    if len(positions) == 1:
+        return f"{row}[{positions[0]}]"
+    return "(" + "".join(f"{row}[{p}], " for p in positions) + ")"
+
+
+def per_row_nested_loop_join(node, left, right):
+    """``(rows, tested)`` of the pre-comprehension nested-loop kernel."""
+    kernel = per_row_join_kernel(
+        node, "nested_loop_join", "left, right", node.condition,
+        ["for l in left:"], "right",
+    )
+    return kernel(left, right)
+
+
+def per_row_hash_join(node, left, right):
+    """``(rows, tested)`` of the pre-comprehension hash-join kernel."""
+    left_keys = [lk for lk, _ in node.pairs]
+    right_keys = [rk for _, rk in node.pairs]
+    null_free = "k is not None" if len(right_keys) == 1 else "None not in k"
+    head = [
+        "table = {}",
+        "for r in right:",
+        f"    k = {_per_row_key('r', right_keys)}",
+        f"    if {null_free}:",
+        "        if k in table:",
+        "            table[k].append(r)",
+        "        else:",
+        "            table[k] = [r]",
+        "get = table.get",
+        "for l in left:",
+        f"    bucket = get({_per_row_key('l', left_keys)}, ())",
+    ]
+    kernel = per_row_join_kernel(
+        node, "hash_join", "left, right", node.residual, head, "bucket"
+    )
+    return kernel(left, right)
+
+
+def walking_merge_join(node, left, right):
+    """The row merge join as it was before it ran the hash-join kernel:
+    a block walk over the two sorted key columns, raw where ``orderable``
+    says raw ``<`` is the total order, through ``ordering_key`` otherwise.
+    Returns the rows."""
+    from itertools import repeat
+    from operator import itemgetter
+
+    from repro.common.ordering import orderable, ordering_key
+
+    left_keys = [lk for lk, _ in node.pairs]
+    right_keys = [rk for _, rk in node.pairs]
+    lkeys = list(map(itemgetter(*left_keys), left))
+    if all(
+        orderable(map(itemgetter(lk), left), map(itemgetter(rk), right))
+        for lk, rk in node.pairs
+    ):
+        rkeys = list(map(itemgetter(*right_keys), right))
+        nulls = repeat(False)
+    else:
+        single = len(left_keys) == 1
+        nulls = [key is None if single else None in key for key in lkeys]
+        lkeys = [ordering_key(row, left_keys) for row in left]
+        rkeys = [ordering_key(row, right_keys) for row in right]
+    head = [
+        "j, n = 0, len(right)",
+        "block = prev = None",
+        "for l, key, null in zip(left, lkeys, nulls):",
+        "    if block is None or key != prev:",
+        "        prev = key",
+        "        while j < n and rkeys[j] < key:",
+        "            j += 1",
+        "        end = j",
+        "        while end < n and rkeys[end] == key:",
+        "            end += 1",
+        "        block = () if null else right[j:end]",
+    ]
+    kernel = per_row_join_kernel(
+        node, "merge_join", "left, right, lkeys, rkeys, nulls", node.residual,
+        head, "block",
+    )
+    return kernel(left, right, lkeys, rkeys, nulls)[0]
+
+
 def eager_nested_loop_join(node, site, ctx, left, right):
     """The row nested-loop join handler as it was before a condition-free
     inner join returned a deferred ``CrossProduct``: every join, cross
     products included, runs the generated kernel and returns a list."""
     from repro.common import charges
-    from repro.exec import operators
 
     ctx.precheck(node, site, charges.nested_loop_pairs(len(left), len(right)))
-    kernel = operators._compiled(
-        node,
-        "_eager_kernel",
-        lambda: operators._join_kernel(
-            node, "nested_loop_join", "left, right", node.condition,
-            ["for l in left:"], "right",
-        ),
-    )
-    return kernel(left, right)[0]
+    return per_row_nested_loop_join(node, left, right)[0]
 
 
 def eager_row_handlers():

@@ -1,0 +1,124 @@
+"""``tools/perf_pairs.py``: alternating parent/change perfbench pairs.
+
+A fake runner stands in for ``perfbench/run.py``: the tests pin the run
+order (which side goes first alternates, seeds S..S+N-1, one traced pair
+at S last), the two ``perfbench-suite/v1`` files — which perfbench's own
+``compare`` must accept — the per-pair ratios, and that nothing is
+written inside either checkout.
+"""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT))
+
+from perfbench.bench import EXACT_METRICS  # noqa: E402
+from perfbench.suite import compare_files  # noqa: E402
+
+_spec = importlib.util.spec_from_file_location(
+    "perf_pairs", ROOT / "tools" / "perf_pairs.py"
+)
+perf_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perf_pairs)
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = [metric["name"] for metric in SPEC["end_to_end"]]
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        sides[side].mkdir()
+        shutil.copy(ROOT / "BENCHMARK.json", sides[side])
+    return sides
+
+
+def fake_runner(calls, speedup=1.25):
+    """Records each call; the change side answers ``speedup``x the queries
+    per second, and the traced runs answer identical exact counts."""
+
+    def run(checkout, workload, seed, trace, out):
+        calls.append((checkout.name, workload, seed, trace))
+        names = EXACT_METRICS if trace else END_TO_END
+        value = 10.0 * (speedup if checkout.name == "change" else 1.0)
+        metrics = {m: {"value": value if m == "queries_per_s" else 5.0} for m in names}
+        return {"metrics": metrics, "attempted": 20, "failed": 0}
+
+    return run
+
+
+def _argv(checkouts, out, *extra):
+    return ["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+            "--out", str(out), *extra]
+
+
+def test_pairs_alternate_and_the_traced_pair_comes_last(checkouts, tmp_path):
+    calls = []
+    argv = _argv(checkouts, tmp_path / "out", "--workload", "tpch_row_paper",
+                 "--pairs", "4", "--seed", "7")
+    assert perf_pairs.main(argv, run=fake_runner(calls)) == 0
+    assert calls == [
+        ("parent", "tpch_row_paper", 7, 0), ("change", "tpch_row_paper", 7, 0),
+        ("change", "tpch_row_paper", 8, 0), ("parent", "tpch_row_paper", 8, 0),
+        ("parent", "tpch_row_paper", 9, 0), ("change", "tpch_row_paper", 9, 0),
+        ("change", "tpch_row_paper", 10, 0), ("parent", "tpch_row_paper", 10, 0),
+        ("parent", "tpch_row_paper", 7, 1), ("change", "tpch_row_paper", 7, 1),
+    ]
+    ratios = json.loads((tmp_path / "out" / "pairs.json").read_text())
+    assert [pair["queries_per_s"] for pair in ratios["tpch_row_paper"]] == [1.25] * 4
+    assert ratios["tpch_row_paper"][0]["setup_s"] == 1.0
+
+
+def test_the_suite_files_are_what_compare_reads(checkouts, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = _argv(checkouts, out, "--pairs", "3")
+    assert perf_pairs.main(argv, run=fake_runner([])) == 0
+    for side in ("parent", "change"):
+        document = json.loads((out / f"{side}.json").read_text())
+        assert document["schema"] == "perfbench-suite/v1" and not document["smoke"]
+        assert list(document["workloads"]) == [w["name"] for w in SPEC["workloads"]]
+        for entry in document["workloads"].values():
+            assert all(len(entry["end_to_end"][m]) == 3 for m in END_TO_END)
+            assert set(entry["per_layer"]) == set(EXACT_METRICS)
+            assert (entry["attempted"], entry["failed"]) == (80, 0)
+    assert compare_files(str(out / "parent.json"), str(out / "change.json")) == 0
+    printed = capsys.readouterr().out
+    assert "better" in printed and "MOVED" not in printed
+    assert "exact counts compared at seed 1" in printed
+    # Nothing landed in either checkout.
+    assert sorted(p.name for p in checkouts["change"].iterdir()) == ["BENCHMARK.json"]
+
+
+def test_out_inside_a_checkout_is_refused(checkouts):
+    argv = _argv(checkouts, checkouts["change"] / "out")
+    with pytest.raises(SystemExit):
+        perf_pairs.main(argv, run=fake_runner([]))
+    assert not (checkouts["change"] / "out").exists()
+
+
+def test_a_run_is_one_run_py_process_outside_the_checkout(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_subprocess_run(command, cwd, env, **kwargs):
+        seen.update(command=command, cwd=cwd, env=env)
+        return subprocess.CompletedProcess(command, 0, stdout='noise\n{"failed": 0}\n')
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", fake_subprocess_run)
+    checkout, out = tmp_path / "change", tmp_path / "out"
+    result = perf_pairs.perfbench_run(checkout, "plan_explain", 3, 0, out)
+    assert result == {"failed": 0}
+    assert seen["command"][1:] == [
+        str(checkout / "perfbench" / "run.py"), "--workload", "plan_explain",
+        "--seed", "3", "--trace", "0",
+    ]
+    assert seen["cwd"] == out
+    assert seen["env"]["PYTHONPYCACHEPREFIX"] == str(out / "pycache")

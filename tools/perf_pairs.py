@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of perfbench runs, for a wall-clock claim.
+
+    python3 tools/perf_pairs.py --parent P --change C --out DIR \\
+        [--workload W ...] [--pairs 10] [--seed 1]
+
+Pair i runs ``perfbench/run.py --trace 0`` at seed S+i on both checkouts
+for each workload (default: all in the change's ``BENCHMARK.json``), the
+parent first on even i; a traced pair at seed S follows.  Writes
+``DIR/{parent,change}.json`` (``perfbench-suite/v1``, for ``run.py
+compare`` when they hold every workload) and the per-pair change/parent
+ratios, ``DIR/pairs.json``; bytecode goes to ``DIR/pycache``.
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def perfbench_run(checkout, workload, seed, trace, out):
+    """One ``run.py`` process of ``checkout``, run from ``out``; its result."""
+    command = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload",
+               workload, "--seed", str(seed), "--trace", str(trace)]
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(out / "pycache"))
+    done = subprocess.run(command, cwd=out, env=env, stdout=subprocess.PIPE,
+                          text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None, run=perfbench_run) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    for flag in ("--parent", "--change", "--out"):
+        parser.add_argument(flag, required=True, type=lambda p: Path(p).resolve())
+    parser.add_argument("--workload", action="append")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if any(c == args.out or c in args.out.parents for c in (args.parent, args.change)):
+        parser.error("--out must lie outside both checkouts")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    env = {"python": platform.python_version(), "nproc": os.cpu_count()}
+    docs = {side: {"schema": "perfbench-suite/v1", "smoke": False, "seed": args.seed,
+                   "repeats": args.pairs, "seconds": spec["run_seconds"], "env": env,
+                   "workloads": {}} for side in SIDES}
+    ratios = {}
+    args.out.mkdir(parents=True, exist_ok=True)
+    for i in range(args.pairs + 1):  # the last pair is the traced one
+        trace, seed = (1, args.seed) if i == args.pairs else (0, args.seed + i)
+        for workload in workloads:
+            got = {}
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                result = run(getattr(args, side), workload, seed, trace, args.out)
+                got[side] = {m: r["value"] for m, r in result["metrics"].items()}
+                entry = docs[side]["workloads"].setdefault(workload, {
+                    "end_to_end": {}, "per_layer": {}, "attempted": 0, "failed": 0})
+                entry["attempted"] += result["attempted"]
+                entry["failed"] += result["failed"]
+                if trace:
+                    entry["per_layer"].update(got[side])
+                for metric, value in [] if trace else got[side].items():
+                    entry["end_to_end"].setdefault(metric, []).append(value)
+            if not trace:
+                base, new = got["parent"], got["change"]
+                ratio = {m: new[m] / v if v else None for m, v in base.items()}
+                ratios.setdefault(workload, []).append(ratio)
+                print(f"pair {i + 1} {workload}: {ratio}", file=sys.stderr)
+    for name, document in [*docs.items(), ("pairs", ratios)]:
+        (args.out / f"{name}.json").write_text(json.dumps(document, indent=1) + "\n")
+    return int(any(w["failed"] for d in docs.values() for w in d["workloads"].values()))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
