@@ -98,7 +98,7 @@ class PhysNode(CostedSubtree, RelNode):
     flag and leaf partition sites are derived at construction and its
     cumulative cost by :meth:`costed` (see :class:`CostedSubtree`).  The
     planner prices alternatives without building them and builds only
-    the winner, so a node exists only for a subtree some plan keeps.
+    the plan it returns, so a node exists only for a subtree it keeps.
     Rewrites go through :meth:`copy`, which carries the estimate and self
     cost over and derives everything else afresh from the new inputs.
     """

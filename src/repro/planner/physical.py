@@ -11,21 +11,23 @@ exchange enforcer is inserted.
 The planner is a memoised dynamic program with Calcite's two levels.  A
 *group* (Calcite's ``RelSet``) is a logical digest; the un-enforced
 physical alternatives of a join, aggregate or sort do not depend on what
-the parent requires, so they are made once per group — a join's as
-priced records (:class:`_Alternative`), not nodes.  A *winner*
-(``RelSubset``) belongs to a (group, requirement) pair: the enforcers the
-requirement needs are priced on every alternative, and only the cheapest
-is built, enforced.  Pricing sums costs in the order the built nodes'
-``costed()`` sums them, so the choice and the cost bits are the ones
-building every alternative would give.  Each winner sought and each
-join/aggregate alternative weighed charges one tick against the planning
-budget, which is how single-phase optimisation over large join search
-spaces exhausts Calcite's limits (Section 4.3).
+the parent requires, so they are made once per group, ranked by own cost.
+A *winner* (``RelSubset``) belongs to a (group, requirement) pair: down the
+ranking, the requirement's enforcers are priced only while an alternative
+can still win.  Alternatives and winners are priced records
+(:class:`_Alternative`); :meth:`PhysicalPlanner.plan` builds the plan it
+returns and nothing else (Calcite's ``buildCheapestPlan``).  Pricing sums
+costs in the order the built nodes' ``costed()`` sums them, so the choice
+and the cost bits are the ones building every alternative would give.
+Each winner sought and each join/aggregate alternative weighed charges one
+tick against the planning budget, which is how single-phase optimisation
+over large join search spaces exhausts Calcite's limits (Section 4.3).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -106,26 +108,24 @@ class Requirement:
         object.__setattr__(self, "target", target)
 
     @staticmethod
-    def any() -> "Requirement":
-        return _ANY_REQ
+    def any(collation: Collation = EMPTY_COLLATION) -> "Requirement":
+        return _requirement(ReqKind.ANY, (), collation)
 
     @staticmethod
     def single(collation: Collation = EMPTY_COLLATION) -> "Requirement":
-        if collation is EMPTY_COLLATION:
-            return _SINGLE_REQ
-        return Requirement(ReqKind.SINGLE, (), collation)
+        return _requirement(ReqKind.SINGLE, (), collation)
 
     @staticmethod
     def broadcast() -> "Requirement":
-        return _BROADCAST_REQ
+        return _requirement(ReqKind.BROADCAST)
 
     @staticmethod
     def hash(keys: Sequence[int]) -> "Requirement":
-        return Requirement(ReqKind.HASH, tuple(keys))
+        return _requirement(ReqKind.HASH, tuple(keys))
 
     @staticmethod
     def any_hash(fallback_keys: Sequence[int]) -> "Requirement":
-        return Requirement(ReqKind.ANY_HASH, tuple(fallback_keys))
+        return _requirement(ReqKind.ANY_HASH, tuple(fallback_keys))
 
     def distribution_satisfied(self, dist: Distribution) -> bool:
         if self.kind is ReqKind.ANY:
@@ -135,9 +135,8 @@ class Requirement:
         return satisfies(dist, self.target)
 
 
-_ANY_REQ = Requirement()
-_SINGLE_REQ = Requirement(ReqKind.SINGLE)
-_BROADCAST_REQ = Requirement(ReqKind.BROADCAST)
+#: One requirement per value: they are frozen and compare by value.
+_requirement = functools.lru_cache(maxsize=4096)(Requirement)
 
 
 #: The self costs of the exchange and the sort a plan needs under one
@@ -147,29 +146,32 @@ _NO_ENFORCERS: _Enforcers = (None, None)
 
 
 class _Alternative(CostedSubtree):
-    """A priced join alternative that is not a node yet: the operator
-    class ``make``, its parameters and inputs (nodes or alternatives), the
-    traits the node will carry and, derived as the node derives them, its
-    costs.  :meth:`build` makes the node, once, when it wins.  It holds
+    """A priced plan that is not a node yet: the operator class ``make``,
+    its parameters and inputs (records or nodes), the traits the node will
+    carry and, derived as the node derives them, its costs (a scan passes
+    its partition ``sites``).  :meth:`build` makes the node, once.  It holds
     data, never the planner, so a finished memo is freed by reference
     counting rather than by the cycle collector."""
 
     __slots__ = (
         "make", "params", "inputs", "width", "distribution", "collation",
-        "has_exchange", "leaf_partition_sites",
+        "is_exchange", "has_exchange", "leaf_partition_sites",
         "_rows_est", "_self_cost", "_total_cost", "_node",
     )
 
     def __init__(
         self, make, params: tuple, inputs: tuple, width: int,
         distribution: Distribution, collation: Collation,
-        rows_est: float, self_cost: Cost,
+        rows_est: float, self_cost: Cost, sites: Optional[int] = None,
     ):
         self.make, self.params, self.inputs = make, params, inputs
         self.width = width
         self.distribution, self.collation = distribution, collation
+        self.is_exchange = make.is_exchange
         self._node: Optional[PhysNode] = None
         self._derive()
+        if sites is not None:
+            self.leaf_partition_sites = sites
         self.costed(rows_est, self_cost)
 
     def build(self) -> PhysNode:
@@ -182,8 +184,28 @@ class _Alternative(CostedSubtree):
         return node
 
 
+def _over(make, params: tuple, child, rows_est: float, self_cost: Cost,
+          collation: Optional[Collation] = None) -> _Alternative:
+    """A one-input record keeping its input's width, distribution and
+    (unless given) collation."""
+    return _Alternative(
+        make, params, (child,), child.width, child.distribution,
+        child.collation if collation is None else collation,
+        rows_est, self_cost,
+    )
+
+
 def _built(plan) -> PhysNode:
     return plan.build() if isinstance(plan, _Alternative) else plan
+
+
+def _ranked(alternatives: list) -> list:
+    """``(own cost, position, plan)`` per alternative, cheapest first and
+    ties by position: the order :meth:`PhysicalPlanner._cheapest` walks."""
+    return sorted(
+        (plan.total_cost().value, index, plan)
+        for index, plan in enumerate(alternatives)
+    )
 
 
 class PhysicalPlanner:
@@ -203,20 +225,23 @@ class PhysicalPlanner:
         self._cost = cost_model
         self._budget = budget
         #: (group, requirement) -> winner.
-        self._memo: Dict[Tuple[str, Requirement], PhysNode] = {}
-        #: group -> un-enforced alternatives: an aggregate's or a sort's
-        #: nodes, a join's records.
+        self._memo: Dict[Tuple[str, Requirement], CostedSubtree] = {}
+        #: group -> its un-enforced alternatives, in the order made.
         self._groups: Dict[str, list] = {}
+        #: group -> the same alternatives, :func:`_ranked`.
+        self._rankings: Dict[str, list] = {}
 
     # -- entry point -------------------------------------------------------------
 
-    def plan(self, root: RelNode) -> PhysNode:
-        """Produce the final physical plan; results flow to a single site."""
-        return self.implement(root, Requirement.single())
+    def plan(self, root: RelNode, req=Requirement.single()) -> PhysNode:
+        """The cheapest plan of ``root`` (by default, results flow to a
+        single site), built: the only nodes planning makes."""
+        return _built(self.implement(root, req))
 
     # -- core dispatch -------------------------------------------------------------
 
-    def implement(self, node: RelNode, req: Requirement) -> PhysNode:
+    def implement(self, node: RelNode, req: Requirement) -> CostedSubtree:
+        """The winner of ``node`` under ``req``, a priced record."""
         key = (node.digest(), req)
         cached = self._memo.get(key)
         if cached is not None:
@@ -263,7 +288,8 @@ class PhysicalPlanner:
         key = (rows, width, df, exchange, sort)
         costs = memo.get(key)
         if costs is None:
-            sites = self._target_site_count(req.target) if exchange else 0
+            single = exchange and req.target.is_single
+            sites = 1 if single else self._store.site_count
             costs = memo[key] = (
                 self._cost.exchange(rows, width, sites, df) if exchange else None,
                 # A sort above an exchange sees the whole relation (df 1).
@@ -273,15 +299,9 @@ class PhysicalPlanner:
             )
         return costs
 
-    def _enforce(
-        self, plan: PhysNode, req: Requirement,
-        costs: Optional[_Enforcers] = None,
-    ) -> PhysNode:
-        """Build the enforcers ``costs`` prices (by default, whatever
-        ``req`` needs) on top of ``plan``."""
-        exchange_cost, sort_cost = costs or self._enforcers(plan, req, {})
-        result = plan
-        rows = plan.rows_est
+    def _enforce(self, plan, req: Requirement, costs: _Enforcers):
+        """``plan`` under the enforcers ``costs`` prices, as records."""
+        exchange_cost, sort_cost = costs
         wanted = req.collation
         if exchange_cost is not None:
             # A merging exchange keeps an order the requirement wants.
@@ -290,27 +310,28 @@ class PhysicalPlanner:
                 if wanted.is_sorted and plan.collation.satisfies(wanted)
                 else EMPTY_COLLATION
             )
-            result = PhysExchange(result, req.target, merge).costed(
-                rows, exchange_cost
+            plan = _Alternative(
+                PhysExchange, (req.target, merge), (plan,), plan.width,
+                req.target, merge, plan.rows_est, exchange_cost,
             )
         if sort_cost is not None:
-            result = PhysSort(result, wanted.keys).costed(rows, sort_cost)
-        return result
+            plan = _over(
+                PhysSort, (wanted.keys,), plan, plan.rows_est, sort_cost, wanted
+            )
+        return plan
 
-    def _target_site_count(self, dist: Distribution) -> int:
-        if dist.is_single:
-            return 1
-        return self._store.site_count
-
-    def _cheapest(self, candidates: list, req: Requirement) -> PhysNode:
-        """Price ``req``'s enforcers on every candidate (a node or a
-        record) and build only the first of least cumulative cost."""
-        if not candidates:
+    def _cheapest(self, ranked: list, req: Requirement) -> CostedSubtree:
+        """The first alternative (in ``ranked``'s positions) of least
+        cumulative cost under ``req``, enforced.  Enforcer costs are
+        non-negative and IEEE addition is monotone, so no enforced total is
+        below its own cost: the walk stops at an own cost above the best."""
+        if not ranked:
             raise PlannerError("no physical candidates produced")
         memo: dict = {}
-        best = costs = None
-        least = 0.0
-        for plan in candidates:
+        best = None
+        for own, index, plan in ranked:
+            if best is not None and own > least:
+                break
             exchange_cost, sort_cost = enforcers = self._enforcers(plan, req, memo)
             # Summed as the built nodes will sum it: self cost, then input.
             total = plan.total_cost()
@@ -318,27 +339,30 @@ class PhysicalPlanner:
                 total = exchange_cost + total
             if sort_cost is not None:
                 total = sort_cost + total
-            if best is None or total.value < least:  # the first strict minimum
-                best, costs, least = plan, enforcers, total.value
-        return self._enforce(_built(best), req, costs)
+            value = total.value
+            # Ties keep the lowest position: the list's first strict minimum.
+            if best is None or value < least or (value == least and index < first):
+                best, costs, least, first = plan, enforcers, value, index
+        return self._enforce(best, req, costs)
 
     def _winner(
         self, node: RelNode, build, req: Requirement, charge_each: bool
-    ) -> PhysNode:
+    ) -> CostedSubtree:
         """The cheapest alternative of ``node``'s group under ``req``.  The
-        group is made by ``build(node)`` the first time it is met;
-        ``charge_each`` bills one tick per alternative weighed."""
+        group is made by ``build(node)`` and ranked the first time it is
+        met; ``charge_each`` bills one tick per alternative weighed."""
         digest = node.digest()
-        alternatives = self._groups.get(digest)
-        if alternatives is None:
+        ranked = self._rankings.get(digest)
+        if ranked is None:
             alternatives = self._groups[digest] = build(node)
+            ranked = self._rankings[digest] = _ranked(alternatives)
         if charge_each:
-            self._budget.charge(len(alternatives))
-        return self._cheapest(alternatives, req)
+            self._budget.charge(len(ranked))
+        return self._cheapest(ranked, req)
 
     # -- scans --------------------------------------------------------------------------
 
-    def _implement_scan(self, node: LogicalTableScan, req: Requirement) -> PhysNode:
+    def _implement_scan(self, node: LogicalTableScan, req: Requirement):
         data = self._store.table(node.table)
         native = _native_distribution(data.schema, node.pushed_project)
         sites = data.partition_site_count()
@@ -353,41 +377,45 @@ class PhysicalPlanner:
             )
         else:
             scan_cost = self._cost.scan(rows, len(node.fields), sites)
-        table_scan = PhysTableScan(
-            node.table, node.alias, node.fields, native, sites,
-            pushed_filter=node.pushed_filter,
-            pushed_project=node.pushed_project,
-            pushed_fetch=node.pushed_fetch,
-        ).costed(rows, scan_cost)
-        candidates = [table_scan]
+        candidates = [_Alternative(
+            PhysTableScan,
+            (node.table, node.alias, node.fields, native, sites,
+             node.pushed_filter, node.pushed_project, node.pushed_fetch),
+            (), len(node.fields), native, EMPTY_COLLATION, rows, scan_cost,
+            sites,
+        )]
         # Engine-side index scans read the in-memory mirror and would not
         # honour adapter-pushed work, so they only compete on plain scans.
         if req.collation.is_sorted and not node.has_pushdown:
             index_name = self._matching_index(data.schema, req.collation)
             if index_name is not None:
-                index_scan = self._index_scan(node, data, index_name, rows)
-                candidates.append(index_scan)
-        return self._cheapest(candidates, req)
+                candidates.append(self._index_scan(node, data, index_name, rows))
+        return self._cheapest(_ranked(candidates), req)
 
     def _index_scan(
         self, scan: LogicalTableScan, data, index_name: str, rows: float,
-        **bounds,
-    ) -> PhysIndexScan:
-        """A costed index-ordered scan of a plain (un-pushed) table scan.
+        *bounds,
+    ) -> _Alternative:
+        """A priced index-ordered scan of a plain (un-pushed) table scan;
+        ``bounds`` are :class:`PhysIndexScan`'s range parameters.
 
         Index scans pay a small per-row indirection premium but deliver
         order for free.
         """
         schema = data.schema
         sites = data.partition_site_count()
-        keys = tuple(
+        native = _native_distribution(schema)
+        order = Collation(tuple(
             (schema.column_index(c), True)
             for c in schema.indexes[index_name].columns
+        ))
+        return _Alternative(
+            PhysIndexScan,
+            (scan.table, scan.alias, scan.fields, index_name, native, order,
+             sites, *bounds),
+            (), len(scan.fields), native, order, rows,
+            self._cost.index_scan(rows, sites), sites,
         )
-        return PhysIndexScan(
-            scan.table, scan.alias, scan.fields, index_name,
-            _native_distribution(schema), Collation(keys), sites, **bounds,
-        ).costed(rows, self._cost.index_scan(rows, sites))
 
     def _matching_index(self, schema, collation: Collation) -> Optional[str]:
         """An index whose key order provides the requested collation."""
@@ -404,25 +432,25 @@ class PhysicalPlanner:
 
     # -- filter / project ------------------------------------------------------------------
 
-    def _implement_filter(self, node: LogicalFilter, req: Requirement) -> PhysNode:
+    def _implement_filter(self, node: LogicalFilter, req: Requirement):
         # Filters preserve distribution and collation: push the requirement
         # through so enforcement happens below the (row-reducing) filter
         # only when that is genuinely necessary; also consider filtering
-        # before exchanging (usually far cheaper).
-        candidates: List[PhysNode] = []
-        for child_req in self._pass_through_reqs(req):
+        # before exchanging (usually far cheaper) under ANY, which is
+        # ``req`` itself when it asks for no distribution.
+        candidates = []
+        for child_req in dict.fromkeys((req, Requirement.any(req.collation))):
             child = self.implement(node.input, child_req)
-            filt = PhysFilter(child, node.condition).costed(
-                self._est.row_count(node),
+            candidates.append(_over(
+                PhysFilter, (node.condition,), child, self._est.row_count(node),
                 self._cost.filter(child.rows_est, distribution_factor(child)),
-            )
-            candidates.append(filt)
+            ))
         range_scan = self._try_index_range(node)
         if range_scan is not None:
             candidates.append(range_scan)
-        return self._cheapest(candidates, req)
+        return self._cheapest(_ranked(candidates), req)
 
-    def _try_index_range(self, node: LogicalFilter) -> Optional[PhysNode]:
+    def _try_index_range(self, node: LogicalFilter) -> Optional[_Alternative]:
         """A sargable predicate over a base-table scan becomes a bounded
         index scan plus a residual filter (index range pushdown)."""
         scan = node.input
@@ -466,40 +494,34 @@ class PhysicalPlanner:
                 self._est.row_count(scan)
                 * self._est.selectivity(bound_condition, scan),
             )
-            result: PhysNode = self._index_scan(
+            result = self._index_scan(
                 scan, data, index_name, scanned,
-                low=low, high=high,
-                low_inclusive=low_inc, high_inclusive=high_inc,
-                bound_condition=bound_condition,
+                low, high, low_inc, high_inc, bound_condition,
             )
             residual = make_conjunction(
                 [c for c in conjuncts if not any(c is u for u in used)]
             )
             if residual is not None:
-                result = PhysFilter(result, residual).costed(
-                    self._est.row_count(node),
+                result = _over(
+                    PhysFilter, (residual,), result, self._est.row_count(node),
                     self._cost.filter(scanned, distribution_factor(result)),
                 )
             return result
         return None
 
-    def _pass_through_reqs(self, req: Requirement) -> List[Requirement]:
-        """Requirements to try on a transparent operator's input: the
-        original requirement (enforce below) and ANY (enforce above)."""
-        reqs = [req]
-        if req.kind is not ReqKind.ANY:
-            reqs.append(Requirement(ReqKind.ANY, (), req.collation))
-        return reqs
-
-    def _implement_project(self, node: LogicalProject, req: Requirement) -> PhysNode:
+    def _implement_project(self, node: LogicalProject, req: Requirement):
         child = self.implement(node.input, Requirement.any())
-        project = PhysProject(child, node.exprs, node.fields).costed(
+        project = _Alternative(
+            PhysProject, (node.exprs, node.fields), (child,), node.width,
+            *project_traits(
+                child.distribution, child.collation, passthrough(node.exprs)
+            ),
             child.rows_est,
             self._cost.project(
                 child.rows_est, node.width, distribution_factor(child)
             ),
         )
-        return self._enforce(project, req)
+        return self._cheapest(_ranked([project]), req)
 
     # -- joins ---------------------------------------------------------------------------------
 
@@ -515,11 +537,11 @@ class PhysicalPlanner:
             # What the equi-join alternatives of every mapping share: the
             # merge join's sorted inputs, and H*'s commuted keys, residual
             # and projection back to the join's column order.
-            left_sorted = Requirement(
-                ReqKind.ANY, (), Collation(tuple((lk, True) for lk, _ in pairs))
+            left_sorted = Requirement.any(
+                Collation(tuple((lk, True) for lk, _ in pairs))
             )
-            right_sorted = Requirement(
-                ReqKind.ANY, (), Collation(tuple((rk, True) for _, rk in pairs))
+            right_sorted = Requirement.any(
+                Collation(tuple((rk, True) for _, rk in pairs))
             )
             star_pairs = [(rk, lk) for lk, rk in pairs]
             star_residual = (
@@ -606,15 +628,15 @@ class PhysicalPlanner:
                 ))
         return alternatives
 
-    def _sorted(self, plan: PhysNode, req: Requirement, memo: dict):
+    def _sorted(self, plan, req: Requirement, memo: dict):
         """``plan`` sorted as ``req`` (ANY distribution) asks: itself when
         it already is, else a priced sort over it."""
         _, sort_cost = self._enforcers(plan, req, memo)
         if sort_cost is None:
             return plan
-        return _Alternative(
-            PhysSort, (req.collation.keys,), (plan,), plan.width,
-            plan.distribution, req.collation, plan.rows_est, sort_cost,
+        return _over(
+            PhysSort, (req.collation.keys,), plan, plan.rows_est, sort_cost,
+            req.collation,
         )
 
     def _join_mappings(self, node: LogicalJoin, pairs):
@@ -693,78 +715,71 @@ class PhysicalPlanner:
 
     # -- aggregates ------------------------------------------------------------------------------
 
-    def _aggregate_alternatives(self, node: LogicalAggregate) -> List[PhysNode]:
-        groups = self._est.row_count(node)
-        width = node.width
+    def _aggregate_alternatives(self, node: LogicalAggregate) -> list:
+        groups, width = self._est.row_count(node), node.width
+        keys, calls, single = node.group_keys, node.agg_calls, Distribution.single()
 
         # (a) Single-phase: gather, then aggregate (a reduction operator).
         child_single = self.implement(node.input, Requirement.single())
-        single = PhysHashAggregate(
-            child_single, node.group_keys, node.agg_calls,
-            AggPhase.SINGLE, Distribution.single(),
-        )
-        single_cost = self._cost.hash_aggregate(
-            child_single.rows_est, groups, width,
-            distribution_factor(child_single),
-        )
-        alternatives: List[PhysNode] = [single.costed(groups, single_cost)]
+        alternatives = [_Alternative(
+            PhysHashAggregate, (keys, calls, AggPhase.SINGLE, single),
+            (child_single,), width, single, EMPTY_COLLATION, groups,
+            self._cost.hash_aggregate(
+                child_single.rows_est, groups, width,
+                distribution_factor(child_single),
+            ),
+        )]
 
         # (b) Two-phase map-reduce when every call can be split.
-        if all(not c.distinct for c in node.agg_calls):
+        if all(not c.distinct for c in calls):
             child_any = self.implement(node.input, Requirement.any())
             if not child_any.distribution.is_single:
-                map_groups = min(
-                    child_any.rows_est,
-                    groups * float(self._store.site_count),
+                sites = float(self._store.site_count)
+                map_groups = min(child_any.rows_est, groups * sites)
+                map_agg = _Alternative(
+                    PhysHashAggregate,
+                    (keys, calls, AggPhase.MAP, child_any.distribution),
+                    (child_any,), width, child_any.distribution,
+                    EMPTY_COLLATION, map_groups,
+                    self._cost.hash_aggregate(
+                        child_any.rows_est, map_groups, width,
+                        distribution_factor(child_any),
+                    ),
                 )
-                map_agg = PhysHashAggregate(
-                    child_any, node.group_keys, node.agg_calls,
-                    AggPhase.MAP, child_any.distribution,
+                gather = _Alternative(
+                    PhysExchange, (single,), (map_agg,), width, single,
+                    EMPTY_COLLATION, map_groups,
+                    self._cost.exchange(
+                        map_groups, width, 1, distribution_factor(map_agg)
+                    ),
                 )
-                map_cost = self._cost.hash_aggregate(
-                    child_any.rows_est, map_groups, width,
-                    distribution_factor(child_any),
-                )
-                map_agg.costed(map_groups, map_cost)
-                gather = PhysExchange(map_agg, Distribution.single())
-                gather_cost = self._cost.exchange(
-                    map_groups, width, 1, distribution_factor(map_agg)
-                )
-                reduce_agg = PhysHashAggregate(
-                    gather.costed(map_groups, gather_cost),
-                    tuple(range(len(node.group_keys))), node.agg_calls,
-                    AggPhase.REDUCE, Distribution.single(),
-                )
-                reduce_cost = self._cost.hash_aggregate(
-                    map_groups, groups, width, 1.0
-                )
-                alternatives.append(reduce_agg.costed(groups, reduce_cost))
+                alternatives.append(_Alternative(
+                    PhysHashAggregate,
+                    (tuple(range(len(keys))), calls, AggPhase.REDUCE, single),
+                    (gather,), width, single, EMPTY_COLLATION, groups,
+                    self._cost.hash_aggregate(map_groups, groups, width, 1.0),
+                ))
 
         # (c) Sort-based aggregation over input sorted on the group keys
         # (the Q14 plan shape).
-        if node.group_keys:
-            collation = Collation(tuple((k, True) for k in node.group_keys))
-            child_sorted = self.implement(
-                node.input, Requirement.single(collation)
-            )
+        if keys:
+            collation = Collation(tuple((k, True) for k in keys))
+            child_sorted = self.implement(node.input, Requirement.single(collation))
             if child_sorted.collation.satisfies(collation):
-                out_order = tuple(
-                    (i, True) for i in range(len(node.group_keys))
-                )
-                sort_agg = PhysSortAggregate(
-                    child_sorted, node.group_keys, node.agg_calls,
-                    AggPhase.SINGLE, Distribution.single(),
-                    Collation(out_order),
-                )
-                sort_cost = self._cost.sort_aggregate(
-                    child_sorted.rows_est, groups, width, 1.0
-                )
-                alternatives.append(sort_agg.costed(groups, sort_cost))
+                out_order = Collation(tuple((i, True) for i in range(len(keys))))
+                alternatives.append(_Alternative(
+                    PhysSortAggregate,
+                    (keys, calls, AggPhase.SINGLE, single, out_order),
+                    (child_sorted,), width, single, out_order, groups,
+                    self._cost.sort_aggregate(
+                        child_sorted.rows_est, groups, width, 1.0
+                    ),
+                ))
         return alternatives
 
     # -- sort / limit -------------------------------------------------------------------------------
 
-    def _sort_alternatives(self, node: LogicalSort) -> List[PhysNode]:
+    def _sort_alternatives(self, node: LogicalSort) -> list:
         collation = Collation(tuple(node.sort_keys))
         offset = node.offset
         limited = node.fetch is not None or offset is not None
@@ -776,20 +791,21 @@ class PhysicalPlanner:
                 rows = min(rows, float(node.fetch))
             return rows
 
-        def limit(child: PhysNode) -> PhysNode:
+        def limit(child):
             rows = out_est(child.rows_est)
-            return PhysLimit(child, node.fetch, offset).costed(
-                rows, self._cost.limit(rows)
+            return _over(
+                PhysLimit, (node.fetch, offset), child, rows,
+                self._cost.limit(rows),
             )
 
         # (a) Gather first, sort at one site.
         child_single = self.implement(node.input, Requirement.single())
         if node.sort_keys:
-            sorted_single: PhysNode = PhysSort(
-                child_single, node.sort_keys, node.fetch, offset
-            ).costed(
+            sorted_single = _over(
+                PhysSort, (node.sort_keys, node.fetch, offset), child_single,
                 out_est(child_single.rows_est),
                 self._cost.sort(child_single.rows_est, node.width, 1.0),
+                collation,
             )
         else:
             sorted_single = limit(child_single) if limited else child_single
@@ -810,18 +826,17 @@ class PhysicalPlanner:
                     if node.fetch is not None
                     else None
                 )
-                local_sort = PhysSort(
-                    child_any, node.sort_keys, prefetch
-                ).costed(
-                    rows,
+                local_sort = _over(
+                    PhysSort, (node.sort_keys, prefetch), child_any, rows,
                     self._cost.sort(
                         rows, node.width, distribution_factor(child_any)
                     ),
+                    collation,
                 )
-                merge = PhysExchange(
-                    local_sort, Distribution.single(), collation
-                ).costed(
-                    rows,
+                single = Distribution.single()
+                merge = _Alternative(
+                    PhysExchange, (single, collation), (local_sort,),
+                    local_sort.width, single, collation, rows,
                     self._cost.exchange(
                         rows, node.width, 1, distribution_factor(local_sort)
                     ),
@@ -829,12 +844,14 @@ class PhysicalPlanner:
                 alternatives.append(limit(merge) if limited else merge)
         return alternatives
 
-    def _implement_values(self, node: LogicalValues, req: Requirement) -> PhysNode:
+    def _implement_values(self, node: LogicalValues, req: Requirement):
         rows = float(len(node.rows))
-        values = PhysValues(node.rows, node.fields).costed(
-            rows, self._cost.values(rows)
+        values = _Alternative(
+            PhysValues, (node.rows, node.fields), (), node.width,
+            Distribution.broadcast(), EMPTY_COLLATION, rows,
+            self._cost.values(rows),
         )
-        return self._enforce(values, req)
+        return self._cheapest(_ranked([values]), req)
 
 
 def _native_distribution(schema, pushed_project=None) -> Distribution:

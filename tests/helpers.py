@@ -983,12 +983,56 @@ def eager_concat_columns(columns):
 # Eager winner search of the physical planner
 # ---------------------------------------------------------------------------
 #
-# ``PhysicalPlanner._winner`` prices the enforcers each alternative needs
-# and builds only the cheapest.  This is the search it replaced: build
-# every alternative, build its enforcers on it, and keep the built plan of
-# least cumulative cost — the oracle the priced search is compared against
-# plan for plan, tick for tick and cost bit for cost bit.  Install it with
-# ``monkeypatch.setattr(PhysicalPlanner, "_winner", eager_winner)``.
+# ``PhysicalPlanner._winner`` walks a group's alternatives ranked by their
+# own cost, prices the enforcers each needs only while it could still win,
+# and returns priced records that become nodes only in the plan that ships.
+# These are the searches it replaced:
+#
+# * ``eager_winner`` builds every alternative, builds its enforcers on it
+#   (``eager_enforce``), and keeps the built plan of least cumulative cost
+#   — the oracle the priced search is compared against plan for plan, tick
+#   for tick and cost bit for cost bit.  Install it with
+#   ``monkeypatch.setattr(PhysicalPlanner, "_winner", eager_winner)``.
+# * ``linear_cheapest`` prices the enforcers on every candidate in list
+#   order and keeps the first strict minimum: what the bounded walk must
+#   choose, alternative for alternative.
+
+
+def eager_enforce(planner, plan, req):
+    """``plan`` (a node) under real enforcer nodes for whatever ``req``
+    needs."""
+    from repro.exec.physical import PhysExchange, PhysSort
+    from repro.rel.traits import EMPTY_COLLATION
+
+    exchange_cost, sort_cost = planner._enforcers(plan, req, {})
+    rows, wanted = plan.rows_est, req.collation
+    if exchange_cost is not None:
+        merge = (
+            plan.collation
+            if wanted.is_sorted and plan.collation.satisfies(wanted)
+            else EMPTY_COLLATION
+        )
+        plan = PhysExchange(plan, req.target, merge).costed(rows, exchange_cost)
+    if sort_cost is not None:
+        plan = PhysSort(plan, wanted.keys).costed(rows, sort_cost)
+    return plan
+
+
+def linear_cheapest(planner, candidates, req):
+    """``(position, enforced total)`` of the first candidate of least
+    cumulative cost under ``req``, every candidate priced."""
+    memo: dict = {}
+    best = least = None
+    for index, plan in enumerate(candidates):
+        exchange_cost, sort_cost = planner._enforcers(plan, req, memo)
+        total = plan.total_cost()
+        if exchange_cost is not None:
+            total = exchange_cost + total
+        if sort_cost is not None:
+            total = sort_cost + total
+        if best is None or total.value < least.value:  # the first strict minimum
+            best, least = index, total
+    return best, least
 
 
 def eager_winner(planner, node, build, req, charge_each):
@@ -999,7 +1043,7 @@ def eager_winner(planner, node, build, req, charge_each):
     if charge_each:
         planner._budget.charge(len(alternatives))
     built = [p.build() if hasattr(p, "build") else p for p in alternatives]
-    enforced = [planner._enforce(p, req) for p in built]
+    enforced = [eager_enforce(planner, p, req) for p in built]
     return min(enforced, key=lambda p: p.total_cost().value)
 
 

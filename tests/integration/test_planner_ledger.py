@@ -16,6 +16,9 @@ To accept an intended change of search strategy or cost arithmetic::
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,26 @@ def test_planner_ledger_is_byte_identical(snapshot_update):
         f"{len(moved)} planner-ledger cell(s) moved (ticks, join orders, plan "
         f"text or cost bits); if intended, re-run with --snapshot-update\n{detail}"
     )
+
+
+def test_planner_ledger_does_not_depend_on_hash_order():
+    """Every cell re-planned in a fresh interpreter under a fixed string
+    hash seed matches the golden file: no ranking, tie-break or memo walk
+    may follow set or dict-of-str iteration order."""
+    here = Path(__file__).resolve().parent
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED="1",
+        PYTHONPATH=os.pathsep.join((str(here.parents[1] / "src"), str(here))),
+    )
+    script = (
+        "import sys\n"
+        "from test_planner_ledger import build_ledger\n"
+        "sys.stdout.write(build_ledger())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == LEDGER.read_text(encoding="utf-8")

@@ -1,8 +1,10 @@
-"""Physical planning prices every alternative and builds only the winner.
+"""Physical planning prices alternatives and builds only the returned plan.
 
-``PhysicalPlanner._winner`` weighs each alternative of a memo group with
-its enforcers priced arithmetically, and join alternatives are records
-that become nodes only when they win.  Three things pin that down:
+``PhysicalPlanner._winner`` walks a memo group's alternatives ranked by
+their own cost, pricing enforcers only while an alternative can still
+win, and every alternative and winner is a record that becomes a node
+only in the plan ``PhysicalPlanner.plan`` returns.  Three things pin that
+down:
 
 * a differential against the eager search it replaced
   (:func:`helpers.eager_winner`, which builds every alternative and every
@@ -10,8 +12,9 @@ that become nodes only when they win.  Three things pin that down:
   outcome, the EXPLAIN text, the root's cumulative cost to the bit and
   the budget ticks are identical, and every record that wins carries the
   traits and cost of the node built from it, bit for bit;
-* a construction ledger: planning one SSB star join builds a small
-  fraction of the nodes the eager search built, over the same memo;
+* a construction and pricing ledger: planning one SSB star join fills
+  the same memo as before, builds exactly the nodes of the plan it
+  returns, and prices a pinned number of enforcer sets;
 * records hold data, never the planner, so a finished planner is freed
   by reference counting (a cycle kept memos alive until the cycle
   collector ran, which raised peak RSS).
@@ -25,7 +28,7 @@ from repro.bench.ssb import SSB_QUERIES, load_ssb_cluster
 from repro.bench.tpch import QUERIES, load_tpch_cluster
 from repro.common.config import PRESETS
 from repro.common.errors import PlanningTimeoutError, ReproError
-from repro.exec.physical import PhysNode
+from repro.exec.physical import PhysNode, walk_physical
 from repro.planner import physical as physical_planner
 from repro.planner.physical import PhysicalPlanner
 from repro.planner.volcano import QueryPlanner
@@ -118,22 +121,31 @@ def test_priced_search_matches_the_eager_oracle(monkeypatch):
 
 
 #: Planning EXPLAIN SSB Q2.3 on IC+M (8 sites, sf 0.05): the memo the
-#: search fills, and the most nodes it may build doing so.  The eager
-#: search built 2,018 nodes over the same memo.
+#: search fills, and how many enforcer sets it prices doing so.  Pricing
+#: every alternative of a group for each requirement took 2,114 and built
+#: 176 nodes for a plan of 18; the eager search built 2,018 nodes over
+#: the same memo.
 Q23_MEMO = {"winners": 144, "groups": 32, "alternatives": 558}
-Q23_NODE_CEILING = 250
+Q23_ENFORCER_PRICINGS = 534
 
 
 def test_star_join_builds_only_winners(monkeypatch):
     cluster = load_ssb_cluster(PRESETS["IC+M"](8), SCALE_FACTOR)
     built = []
     memos = []
+    plans = []
+    pricings = []
     init = PhysNode.__init__
     plan = PhysicalPlanner.plan
+    enforcers = PhysicalPlanner._enforcers
 
     def counting_init(node, *args, **kwargs):
-        built.append(type(node).__name__)
+        built.append(node)
         init(node, *args, **kwargs)
+
+    def counting_enforcers(planner, *args):
+        pricings.append(1)
+        return enforcers(planner, *args)
 
     def recording_plan(planner, root):
         result = plan(planner, root)
@@ -142,16 +154,22 @@ def test_star_join_builds_only_winners(monkeypatch):
             "groups": len(planner._groups),
             "alternatives": sum(len(a) for a in planner._groups.values()),
         })
+        plans.append(result)
         return result
 
     monkeypatch.setattr(PhysNode, "__init__", counting_init)
+    monkeypatch.setattr(PhysicalPlanner, "_enforcers", counting_enforcers)
     monkeypatch.setattr(PhysicalPlanner, "plan", recording_plan)
     outcome = cluster.try_sql("EXPLAIN " + SSB_QUERIES["Q2.3"].sql)
     assert outcome.ok, outcome
     assert memos == [Q23_MEMO]
-    assert len(built) <= Q23_NODE_CEILING, (
-        f"{len(built)} nodes built planning SSB Q2.3"
+    (returned,) = plans
+    shipped = sorted(id(node) for node in walk_physical(returned))
+    assert sorted(id(node) for node in built) == shipped, (
+        f"{len(built)} nodes built planning SSB Q2.3 for a plan of "
+        f"{len(shipped)}"
     )
+    assert len(pricings) == Q23_ENFORCER_PRICINGS
 
 
 def test_a_finished_planner_is_freed_without_the_cycle_collector(monkeypatch):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import SystemConfig
 from repro.common.constants import AFS, HAC, RCC, RPTC
@@ -163,6 +165,23 @@ class TestExchangeCost:
     def test_legacy_network_charges_bytes(self):
         model = CostModel(SystemConfig.ic())
         assert model.exchange(100, 8, 1).network == pytest.approx(100 * 8 * AFS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.floats(0.0, 1e15, allow_nan=False, allow_infinity=False),
+    width=st.integers(0, 1000),
+    sites=st.integers(0, 512),
+    df=st.floats(0.0, 512.0, allow_nan=False),
+    fixes=st.booleans(),
+)
+def test_enforcer_costs_are_non_negative(rows, width, sites, df, fixes):
+    """The physical planner stops pricing a group's alternatives once one's
+    own cost exceeds the best enforced total; that is exact only while an
+    enforcer never lowers a cost component."""
+    model = CostModel(SystemConfig.ic().with_(cost_model_fixes=fixes))
+    for cost in (model.exchange(rows, width, sites, df), model.sort(rows, width, df)):
+        assert min(cost.cpu, cost.memory, cost.io, cost.network) >= 0.0
 
 
 class TestMergeJoinCost:

@@ -80,7 +80,7 @@ class TestPlanShape:
                 ]
             ),
         )
-        plan = planner_for(store).implement(node, Requirement.any())
+        plan = planner_for(store).plan(node, Requirement.any())
         scans = [
             n for n in walk_physical(plan) if isinstance(n, PhysIndexScan)
         ]
@@ -98,7 +98,7 @@ class TestPlanShape:
                 ]
             ),
         )
-        plan = planner_for(store).implement(node, Requirement.any())
+        plan = planner_for(store).plan(node, Requirement.any())
         if any(isinstance(n, PhysIndexScan) for n in walk_physical(plan)):
             filters = [
                 n for n in walk_physical(plan) if isinstance(n, PhysFilter)
@@ -109,7 +109,7 @@ class TestPlanShape:
         node = LogicalFilter(
             scan(store), BinaryOp(">=", ColRef(4), Literal("2020-01-01"))
         )
-        plan = planner_for(store).implement(node, Requirement.any())
+        plan = planner_for(store).plan(node, Requirement.any())
         scans = [
             n for n in walk_physical(plan)
             if isinstance(n, PhysIndexScan) and n.is_range_scan

@@ -60,26 +60,26 @@ def ops(plan, cls):
 class TestScans:
     def test_partitioned_scan_native_distribution(self, store):
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(scan(store, "emp"), Requirement.any())
+        plan = planner.plan(scan(store, "emp"), Requirement.any())
         assert isinstance(plan, PhysTableScan)
         assert plan.distribution.is_hash
         assert plan.distribution.keys == (0,)
 
     def test_replicated_scan_is_broadcast(self, store):
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(scan(store, "dept"), Requirement.any())
+        plan = planner.plan(scan(store, "dept"), Requirement.any())
         assert plan.distribution.is_broadcast
 
     def test_single_requirement_inserts_exchange(self, store):
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(scan(store, "emp"), Requirement.single())
+        plan = planner.plan(scan(store, "emp"), Requirement.single())
         assert isinstance(plan, PhysExchange)
         assert plan.distribution.is_single
 
     def test_replicated_scan_satisfies_single_without_exchange(self, store):
         """Table 1: broadcast satisfies single — no shipping needed."""
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(scan(store, "dept"), Requirement.single())
+        plan = planner.plan(scan(store, "dept"), Requirement.single())
         assert not ops(plan, PhysExchange)
 
     def test_collation_requirement_uses_index(self, store):
@@ -87,7 +87,7 @@ class TestScans:
         from repro.rel.traits import Collation
 
         req = Requirement(collation=Collation(((0, True),)))
-        plan = planner.implement(scan(store, "emp"), req)
+        plan = planner.plan(scan(store, "emp"), req)
         assert ops(plan, PhysIndexScan)
         assert not ops(plan, PhysSort)
 
@@ -96,7 +96,7 @@ class TestScans:
         from repro.rel.traits import Collation
 
         req = Requirement(collation=Collation(((3, True),)))
-        plan = planner.implement(scan(store, "emp"), req)
+        plan = planner.plan(scan(store, "emp"), req)
         assert ops(plan, PhysSort)
 
 
@@ -109,13 +109,13 @@ class TestJoins:
 
     def test_baseline_has_no_hash_join(self, store):
         planner = planner_for(store, SystemConfig.ic())
-        plan = planner.implement(self._join(store), Requirement.single())
+        plan = planner.plan(self._join(store), Requirement.single())
         assert not ops(plan, PhysHashJoin)
         assert ops(plan, PhysMergeJoin) or ops(plan, PhysNestedLoopJoin)
 
     def test_improved_uses_hash_join(self, store):
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(self._join(store), Requirement.single())
+        plan = planner.plan(self._join(store), Requirement.single())
         assert ops(plan, PhysHashJoin)
 
     def test_non_equi_condition_forces_nested_loop(self, store):
@@ -124,14 +124,14 @@ class TestJoins:
         condition = BinaryOp("<", ColRef(3), ColRef(5 + 2))
         join = LogicalJoin(emp, sales, condition)
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(join, Requirement.single())
+        plan = planner.plan(join, Requirement.single())
         assert ops(plan, PhysNestedLoopJoin)
         assert not ops(plan, PhysHashJoin)
 
     def test_broadcast_mapping_keeps_large_side_local(self, store):
         """Section 5.1.1: the small relation ships, the large stays put."""
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(self._join(store), Requirement.any())
+        plan = planner.plan(self._join(store), Requirement.any())
         exchanges = ops(plan, PhysExchange)
         # Whatever ships must be far smaller than the sales table.
         sales_rows = store.row_count("sales")
@@ -144,7 +144,7 @@ class TestJoins:
             emp, sales, BinaryOp("=", ColRef(0), ColRef(6)), JoinType.SEMI
         )
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(join, Requirement.single())
+        plan = planner.plan(join, Requirement.single())
         join_ops = ops(plan, PhysHashJoin) + ops(plan, PhysMergeJoin) + ops(
             plan, PhysNestedLoopJoin
         )
@@ -160,13 +160,13 @@ class TestAggregates:
 
     def test_splittable_aggregate_goes_map_reduce(self, store):
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(self._agg(store), Requirement.single())
+        plan = planner.plan(self._agg(store), Requirement.single())
         phases = {a.phase for a in ops(plan, PhysHashAggregate)}
         assert phases == {AggPhase.MAP, AggPhase.REDUCE}
 
     def test_distinct_aggregate_forces_single_phase(self, store):
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(
+        plan = planner.plan(
             self._agg(store, distinct=True), Requirement.single()
         )
         aggs = ops(plan, PhysHashAggregate) + ops(plan, PhysSortAggregate)
@@ -176,7 +176,7 @@ class TestAggregates:
         emp = scan(store, "emp")
         agg = LogicalAggregate(emp, (), (AggCall(AggFunc.COUNT, None),))
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(agg, Requirement.single())
+        plan = planner.plan(agg, Requirement.single())
         assert plan.distribution.is_single
 
 
@@ -184,7 +184,7 @@ class TestSorts:
     def test_distributed_sort_uses_merging_exchange(self, store):
         node = LogicalSort(scan(store, "emp"), ((3, True),))
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(node, Requirement.single())
+        plan = planner.plan(node, Requirement.single())
         merging = [
             e for e in ops(plan, PhysExchange) if e.collation.is_sorted
         ]
@@ -197,7 +197,7 @@ class TestSorts:
     def test_fetch_limits_rows(self, store):
         node = LogicalSort(scan(store, "emp"), ((3, False),), fetch=5)
         planner = planner_for(store, SystemConfig.ic_plus())
-        plan = planner.implement(node, Requirement.single())
+        plan = planner.plan(node, Requirement.single())
         assert plan.rows_est <= 5
 
 
@@ -205,8 +205,8 @@ class TestMemoAndBudget:
     def test_memoisation_reuses_plans(self, store):
         planner = planner_for(store, SystemConfig.ic_plus())
         node = scan(store, "emp")
-        first = planner.implement(node, Requirement.single())
-        second = planner.implement(node, Requirement.single())
+        first = planner.plan(node, Requirement.single())
+        second = planner.plan(node, Requirement.single())
         assert first is second
 
     def test_budget_charges(self, store):
@@ -216,7 +216,7 @@ class TestMemoAndBudget:
         planner = PhysicalPlanner(
             store, config, estimator, CostModel(config), budget
         )
-        planner.implement(scan(store, "emp"), Requirement.single())
+        planner.plan(scan(store, "emp"), Requirement.single())
         assert budget.spent > 0
 
     def test_budget_exhaustion_raises(self, store):
@@ -231,4 +231,4 @@ class TestMemoAndBudget:
         sales = scan(store, "sales")
         join = LogicalJoin(emp, sales, BinaryOp("=", ColRef(0), ColRef(6)))
         with pytest.raises(PlanningTimeoutError):
-            planner.implement(join, Requirement.single())
+            planner.plan(join, Requirement.single())
