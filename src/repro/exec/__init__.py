@@ -1,54 +1,1 @@
 """Execution engine: physical operators, fragments, variants, interpreter."""
-
-from repro.exec.engine import ExecutionEngine, ExecutionResult, FragmentStats
-from repro.exec.fragments import Fragment, PhysReceiver, SenderSpec, fragment_plan
-from repro.exec.operators import ExecContext, execute_node
-from repro.exec.physical import (
-    AggPhase,
-    PhysExchange,
-    PhysFilter,
-    PhysHashAggregate,
-    PhysHashJoin,
-    PhysIndexScan,
-    PhysLimit,
-    PhysMergeJoin,
-    PhysNestedLoopJoin,
-    PhysNode,
-    PhysProject,
-    PhysSort,
-    PhysSortAggregate,
-    PhysTableScan,
-    PhysValues,
-    walk_physical,
-)
-from repro.exec.variants import VariantPlan, plan_variants
-
-__all__ = [
-    "AggPhase",
-    "ExecContext",
-    "ExecutionEngine",
-    "ExecutionResult",
-    "Fragment",
-    "FragmentStats",
-    "PhysExchange",
-    "PhysFilter",
-    "PhysHashAggregate",
-    "PhysHashJoin",
-    "PhysIndexScan",
-    "PhysLimit",
-    "PhysMergeJoin",
-    "PhysNestedLoopJoin",
-    "PhysNode",
-    "PhysProject",
-    "PhysReceiver",
-    "PhysSort",
-    "PhysSortAggregate",
-    "PhysTableScan",
-    "PhysValues",
-    "SenderSpec",
-    "VariantPlan",
-    "execute_node",
-    "fragment_plan",
-    "plan_variants",
-    "walk_physical",
-]

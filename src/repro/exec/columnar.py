@@ -44,6 +44,7 @@ result) asks for ``to_rows()`` there.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -454,16 +455,24 @@ def _take_columns(
     """
     composed: Dict[int, np.ndarray] = {}
     out: List[Optional[Column]] = []
+    new = Column.__new__  # ``Column._deferred``, inlined: a join's hot loop
+    seen = index = None
     for col in columns:
         if col is None:
             out.append(None)
-        elif col._source is None:
-            out.append(Column._deferred(col, indices))
-        else:
-            index = composed.get(id(col._index))
+            continue
+        source = col._source
+        if source is None:
+            source, index, seen = col, indices, None
+        elif col._index is not seen:  # siblings share their index vector
+            seen = col._index
+            index = composed.get(id(seen))
             if index is None:
-                index = composed[id(col._index)] = col._index[indices]
-            out.append(Column._deferred(col._source, index))
+                index = composed[id(seen)] = seen[indices]
+        view = new(Column)
+        view._values = view._mask = view._chunks = view._likes = None
+        view._source, view._index = source, index
+        out.append(view)
     return out
 
 
@@ -591,6 +600,24 @@ def _kleene(op: str, ltrue, lnull, rtrue, rnull) -> Column:
     return Column(decided, (lnull | rnull) & ~decided)
 
 
+_COMPARISONS = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _scalar_fits(values: np.ndarray, value) -> bool:
+    """Whether ``values`` compare with the scalar ``value`` exactly as
+    with ``_literal_column(value)``: int64 with an int in range, float64
+    with a float, unicode with a str."""
+    kind = type(value)
+    if kind is int:
+        return values.dtype == np.int64 and -(1 << 63) <= value < (1 << 63)
+    if kind is float:
+        return values.dtype == np.float64
+    return kind is str and values.dtype.kind == "U"
+
+
 def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Column:
     op = expr.op
     n = batch.length
@@ -598,16 +625,20 @@ def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Colu
         left = _eval_vec(expr.left, batch, test)
         if left.kind != "b":
             raise _Fallback
-        lnull = left.null_mask()
-        ltrue = left.values & ~lnull
         if not _can_raise(expr.right):
             # Division-free right side: evaluate eagerly on the whole
             # batch and combine with masks — short-circuit unobservable.
             right = _eval_vec(expr.right, batch, test)
             if right.kind != "b":
                 raise _Fallback
-            rnull = right.null_mask()
+            if left.mask is None and right.mask is None:
+                lv, rv = left.values, right.values
+                return Column(lv & rv if op == "AND" else lv | rv)
+            lnull, rnull = left.null_mask(), right.null_mask()
+            ltrue = left.values & ~lnull
             return _kleene(op, ltrue, lnull, right.values & ~rnull, rnull)
+        lnull = left.null_mask()
+        ltrue = left.values & ~lnull
         # The row path short-circuits: the right side runs only where the
         # left has not decided the result — and, where only truth is
         # tested (NULL as good as FALSE), not behind a NULL left AND.
@@ -626,8 +657,22 @@ def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Colu
             rtrue[sub] = right.values & ~rnull[sub]
         return _kleene(op, ltrue, lnull, rtrue, rnull)
 
-    left = _eval_vec(expr.left, batch)
-    right = _eval_vec(expr.right, batch)
+    compare = _COMPARISONS.get(op)
+    if compare is not None and isinstance(expr.right, Literal):
+        left = _eval_vec(expr.left, batch)
+        value = expr.right.value
+        if _scalar_fits(left.values, value):
+            return Column(compare(left.values, value), left.mask)
+        right = _literal_column(value, n)
+    elif compare is not None and isinstance(expr.left, Literal):
+        right = _eval_vec(expr.right, batch)
+        value = expr.left.value
+        if _scalar_fits(right.values, value):
+            return Column(compare(value, right.values), right.mask)
+        left = _literal_column(value, n)
+    else:
+        left = _eval_vec(expr.left, batch)
+        right = _eval_vec(expr.right, batch)
     lk, rk = left.kind, right.kind
     numeric = ("b", "i", "f")
     if not (
@@ -1293,6 +1338,14 @@ def _exec_filter(
 def _exec_project(
     node: PhysProject, site: int, ctx: ExecContext, batch: ColumnBatch
 ) -> ColumnBatch:
+    picks = node.__dict__.get("_picks")
+    if picks is None:
+        # A projection of column references only moves columns.
+        picks = node.__dict__["_picks"] = all(
+            isinstance(e, ColRef) for e in node.exprs
+        ) and [e.index for e in node.exprs]
+    if picks is not False:
+        return ColumnBatch([batch.column(i) for i in picks], batch.length)
     return ColumnBatch([eval_expr(e, batch) for e in node.exprs], batch.length)
 
 

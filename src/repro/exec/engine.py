@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common import charges
@@ -72,7 +73,6 @@ from repro.exec.operators import (
 )
 from repro.exec.physical import PhysNode
 from repro.exec.variants import SOURCE, plan_variants
-from repro.rel.traits import Distribution, satisfies
 from repro.storage.store import DataStore
 from repro.storage.table import affinity_partition, failover_owner
 
@@ -82,6 +82,14 @@ COORDINATOR = 0
 #: Fixed parallelism assumed when converting the wall-clock runtime limit
 #: into a work-unit budget (see ExecutionEngine.execute).
 RUNTIME_LIMIT_PARALLELISM = 4
+
+
+@lru_cache(maxsize=1024)
+def _partition_owners(
+    partitions: int, sites: int, alive: Tuple[int, ...]
+) -> Tuple[int, ...]:
+    """Each partition's ``failover_owner``, once per shape and survivors."""
+    return tuple(failover_owner(p, sites, alive) for p in range(partitions))
 
 
 @dataclass
@@ -217,6 +225,8 @@ class _Run:
     observers: List[SeamObserver]
     fragment_sites: Dict[int, List[int]] = field(default_factory=dict)
     completed: List[Fragment] = field(default_factory=list)
+    #: exchange id -> [rows, bytes, batches] shipped, for ``_publish``.
+    shipped: Dict[int, list] = field(default_factory=dict)
     result_rows: Optional[List[Tuple]] = None
     # -- filled in by the simulate step --
     graph: Optional[TaskGraph] = None
@@ -231,13 +241,14 @@ class _Run:
         failure — reports through; plain ints, floats and tuples, so it
         serialises."""
         actuals: Dict[int, OperatorActuals] = {}
+        ops = self.ctx.ops
         for fragment in self.completed:
             sites = self.fragment_sites[fragment.fragment_id]
             for op in fragment.operators():
                 rows_in = rows_out = 0
                 units = 0.0
                 for site in sites:
-                    cell = self.ctx.ops[op.op_id, site]
+                    cell = ops[op.op_id, site]
                     rows_in += cell[0]
                     rows_out += cell[1]
                     units += cell[2]
@@ -292,6 +303,7 @@ class ExecutionEngine:
             finally:
                 for observer in run.observers:
                     observer.close()
+                self._publish(run)
             self._simulate(run)
             return self._report(run)
         finally:
@@ -387,7 +399,11 @@ class ExecutionEngine:
                     f"fragment #{fragment.fragment_id} was OOM-killed",
                     fragment_id=fragment.fragment_id,
                 )
-            sites = self._fragment_sites(fragment, run)
+            # The processing sites (Section 3.2.3): the coordinator — the
+            # lowest survivor if site 0 is dead — or every survivor.
+            sites = list(ctx.alive_sites)
+            if fragment.at_one_site:
+                sites = [run.coordinator]
             run.fragment_sites[fragment.fragment_id] = sites
             ctx.current_fragment = fragment.fragment_id
             units_before = ctx.total_units
@@ -419,16 +435,6 @@ class ExecutionEngine:
         ctx.current_fragment = None
         assert run.result_rows is not None
 
-    def _fragment_sites(self, fragment: Fragment, run: _Run) -> List[int]:
-        """The processing sites a fragment is sent to (Section 3.2.3).
-
-        With dead sites, distributed fragments run on the survivors only
-        and the coordinator role falls to the lowest surviving site.
-        """
-        if satisfies(fragment.root.distribution, Distribution.single()):
-            return [run.coordinator]
-        return list(run.ctx.alive_sites)
-
     def _route(self, run: _Run, fragment: Fragment, site: int, out) -> None:
         """Ship one site's fragment output (a row list or a columnar
         batch): single and broadcast exchanges hand it over as it is,
@@ -456,10 +462,7 @@ class ExecutionEngine:
         elif target.is_hash:
             keys = target.keys
             partitions = self.store.partitions_per_table
-            sites = self.config.sites
-            owners = [
-                failover_owner(p, sites, alive) for p in range(partitions)
-            ]
+            owners = _partition_owners(partitions, self.config.sites, alive)
             if not isinstance(out, list):
                 # Imported lazily: the row backend must work without numpy.
                 from repro.exec.columnar import hash_views
@@ -487,20 +490,21 @@ class ExecutionEngine:
         ctx.charge(fragment.root, site, charges.exchange(shipped) + network)
         ctx.network_units += network
         ctx.rows_shipped += shipped * copies
+        totals = run.shipped.get(sender.exchange_id)
+        if totals is None:
+            totals = run.shipped[sender.exchange_id] = [0, 0.0, 0]
+        totals[0] += shipped * copies
+        totals[1] += shipped * width * AFS * copies
+        totals[2] += network_messages(shipped) * copies
+
+    @staticmethod
+    def _publish(run: _Run) -> None:
+        """The run's exchange counters, once, on every way out of it."""
         registry = get_registry()
-        registry.inc(
-            "exchange.rows", shipped * copies, exchange=sender.exchange_id
-        )
-        registry.inc(
-            "exchange.bytes",
-            shipped * width * AFS * copies,
-            exchange=sender.exchange_id,
-        )
-        registry.inc(
-            "exchange.batches",
-            network_messages(shipped) * copies,
-            exchange=sender.exchange_id,
-        )
+        for exchange_id, (rows, size, batches) in run.shipped.items():
+            registry.inc("exchange.rows", rows, exchange=exchange_id)
+            registry.inc("exchange.bytes", size, exchange=exchange_id)
+            registry.inc("exchange.batches", batches, exchange=exchange_id)
 
     # -- step 3: simulate -----------------------------------------------------------
 
@@ -538,20 +542,17 @@ class ExecutionEngine:
     def _build_task_graph(
         self, run: _Run
     ) -> Tuple[TaskGraph, List[FragmentStats]]:
-        ctx = run.ctx
+        ops = run.ctx.ops
         graph = TaskGraph()
         fragment_tasks: Dict[int, List[int]] = {}
         stats: List[FragmentStats] = []
-        variants_requested = max(1, self.config.variant_fragments)
 
         for fragment in run.fragments:
             sites = run.fragment_sites[fragment.fragment_id]
             deps: List[int] = []
             for child_id in fragment.child_ids:
                 deps.extend(fragment_tasks.get(child_id, ()))
-            variant_plan = (
-                plan_variants(fragment) if variants_requested > 1 else None
-            )
+            variants, factors, sources = self._variants(fragment)
             # An injected exchange delay stretches every task of the
             # producing fragment: the shipment occupies its pipeline for
             # the extra time.
@@ -566,13 +567,14 @@ class ExecutionEngine:
             task_ids: List[int] = []
             fragment_units = 0.0
             rows_out = 0
-            operators = list(fragment.operators())
+            operators = fragment.operators()
+            root_id = fragment.root.op_id
             for site in sites:
-                rows_out += ctx.ops[fragment.root.op_id, site][1]
-                per_op = [ctx.ops[op.op_id, site][2] for op in operators]
+                rows_out += ops[root_id, site][1]
+                per_op = [ops[op.op_id, site][2] for op in operators]
                 site_units = sum(per_op)
                 fragment_units += site_units
-                if variant_plan is None or site_units < VARIANT_MIN_UNITS:
+                if factors is None or site_units < VARIANT_MIN_UNITS:
                     # Too little work at this site to amortise the variant
                     # setup and re-read overheads: keep it single-threaded.
                     task_ids.append(
@@ -583,18 +585,19 @@ class ExecutionEngine:
                         )
                     )
                     continue
-                source_rows = self._source_rows(
-                    fragment, site, ctx, variant_plan
-                )
-                overhead = (
+                # Every variant re-reads the sources' rows.
+                source_rows = 0.0
+                for position in sources:
+                    source_rows += per_op[position] / RPTC
+                duration = (
                     VARIANT_SETUP_UNITS
                     + source_rows * VARIANT_SPLIT_UNITS_PER_ROW
+                    + FRAGMENT_SETUP_UNITS
+                    + delay_units
                 )
-                for _ in range(variants_requested):
-                    duration = overhead + FRAGMENT_SETUP_UNITS + delay_units
-                    for op, units in zip(operators, per_op):
-                        factor = variant_plan.factor(op, variants_requested)
-                        duration += units * factor
+                for units, factor in zip(per_op, factors):
+                    duration += units * factor
+                for _ in range(variants):
                     task_ids.append(graph.add(site, duration, deps))
             fragment_tasks[fragment.fragment_id] = task_ids
             stats.append(
@@ -603,20 +606,25 @@ class ExecutionEngine:
                     sites=list(sites),
                     rows_out=rows_out,
                     units=fragment_units,
-                    variants=1 if variant_plan is None else variants_requested,
+                    variants=1 if factors is None else variants,
                 )
             )
         return graph, stats
 
-    def _source_rows(
-        self, fragment: Fragment, site: int, ctx: ExecContext, variant_plan
-    ) -> float:
-        """Rows read by the fragment's sources at ``site`` (re-read cost)."""
-        rows = 0.0
-        for op in fragment.operators():
-            if variant_plan.scaling.get(op.op_id) == SOURCE:
-                rows += ctx.ops[op.op_id, site][2] / RPTC
-        return rows
+    def _variants(self, fragment: Fragment) -> tuple:
+        """``fragment.variants`` for the configured variant count, kept."""
+        requested = max(1, self.config.variant_fragments)
+        kept = fragment.variants
+        if kept is None or kept[0] != requested:
+            plan = plan_variants(fragment) if requested > 1 else None
+            factors = sources = None
+            if plan is not None:
+                operators = fragment.operators()
+                factors = [plan.factor(op, requested) for op in operators]
+                kinds = [plan.scaling.get(op.op_id) for op in operators]
+                sources = [i for i, kind in enumerate(kinds) if kind == SOURCE]
+            kept = fragment.variants = (requested, factors, sources)
+        return kept
 
     # -- step 4: report -------------------------------------------------------------
 
@@ -630,13 +638,19 @@ class ExecutionEngine:
         degraded = (
             run.redispatched > 0 or len(ctx.alive_sites) < self.config.sites
         )
-        registry = get_registry()
+        flows: Dict[str, list] = {}  # operator type -> [rows out, rows in]
         for fragment in run.fragments:
             for op in fragment.operators():
                 actual = actuals[op.op_id]
-                op_name = type(op).__name__
-                registry.inc("operator.rows_out", actual.rows_out, op=op_name)
-                registry.inc("operator.rows_in", actual.rows_in, op=op_name)
+                flow = flows.get(type(op).__name__)
+                if flow is None:
+                    flow = flows[type(op).__name__] = [0, 0]
+                flow[0] += actual.rows_out
+                flow[1] += actual.rows_in
+        registry = get_registry()
+        for op_name, (rows_out, rows_in) in flows.items():
+            registry.inc("operator.rows_out", rows_out, op=op_name)
+            registry.inc("operator.rows_in", rows_in, op=op_name)
         for stat in run.stats:
             stat.mem_bytes = max(
                 (

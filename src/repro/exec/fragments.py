@@ -11,11 +11,12 @@ is the *root fragment* and serves results to the user.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.physical import PhysExchange, PhysNode, walk_physical
 from repro.rel.logical import RelNode
-from repro.rel.traits import Collation, Distribution, EMPTY_COLLATION
+from repro.rel.traits import Collation, Distribution, EMPTY_COLLATION, satisfies
 
 
 class PhysReceiver(PhysNode):
@@ -58,7 +59,9 @@ class SenderSpec:
 
 @dataclass
 class Fragment:
-    """One executable subtree plus its shipping specification."""
+    """One executable subtree plus its shipping specification, and what
+    a run derives from the tree alone, derived once and kept: a cached
+    plan's repeats walk no tree."""
 
     fragment_id: int
     root: PhysNode
@@ -74,13 +77,25 @@ class Fragment:
     feedback_keys: Optional[List[Tuple[int, str]]] = field(
         default=None, repr=False, compare=False
     )
+    #: ``(variant count, per-operator elapsed factors or None, source
+    #: positions)`` for the task graph (``ExecutionEngine._variants``).
+    variants: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def is_root(self) -> bool:
         return self.sender is None
 
-    def operators(self):
-        return walk_physical(self.root)
+    def operators(self) -> Tuple[PhysNode, ...]:
+        return self._operators  # pre-order
+
+    @cached_property
+    def _operators(self) -> Tuple[PhysNode, ...]:
+        return tuple(walk_physical(self.root))
+
+    @cached_property
+    def at_one_site(self) -> bool:
+        """Whether the fragment runs at the coordinator alone."""
+        return satisfies(self.root.distribution, Distribution.single())
 
     def explain(self) -> str:
         head = (

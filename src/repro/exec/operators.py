@@ -20,6 +20,7 @@ a nested-loop join ever receives a :class:`CrossProduct`.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -103,21 +104,22 @@ class ExecContext:
             range(store.site_count) if alive_sites is None else alive_sites
         )
 
-    def partitions_for(self, data, site: int) -> List[int]:
+    def partitions_for(self, data, site: int) -> Sequence[int]:
         """Partitions ``site`` reads for ``data``, including failed-over
         partitions of dead sites (the re-partitioned inputs)."""
         if data.schema.replicated:
             return data.partitions_at_site(site)
-        alive = self.alive_sites
-        return [
-            p
-            for p in range(data.partition_count)
-            if failover_owner(p, data.site_count, alive) == site
-        ]
+        return _owned_partitions(
+            data.partition_count, data.site_count, self.alive_sites, site
+        )
 
     def charge(self, node: PhysNode, site: int, units: float) -> None:
+        self.charge_cell(self.ops[node.op_id, site], units)
+
+    def charge_cell(self, cell: list, units: float) -> None:
+        """``charge`` into an operator's ``ops`` cell already in hand."""
         self.total_units += units
-        self.ops[node.op_id, site][2] += units
+        cell[2] += units
         if self.total_units > self.limit_units:
             raise ExecutionTimeoutError(
                 "simulated execution exceeded the runtime limit",
@@ -147,6 +149,16 @@ class ExecContext:
         self.inbound.setdefault((exchange_id, site), []).append(stream)
 
 
+@lru_cache(maxsize=1024)
+def _owned_partitions(
+    partitions: int, sites: int, alive: Tuple[int, ...], site: int
+) -> Tuple[int, ...]:
+    """The partitions ``failover_owner`` gives ``site``, computed once."""
+    return tuple(
+        p for p in range(partitions) if failover_owner(p, sites, alive) == site
+    )
+
+
 def _compiled(node: PhysNode, attr: str, factory: Callable):
     cached = node.__dict__.get(attr)
     if cached is None:
@@ -164,11 +176,12 @@ def run_operator(handlers: dict, node: PhysNode, site: int, ctx: ExecContext):
     detail)`` when the charge needs something only it saw (see
     ``_CHARGES``).  Outputs only need ``len()``.
     """
-    handler = handlers.get(type(node))
+    kind = type(node)
+    handler = handlers.get(kind)
     if handler is None:
-        raise ExecutionError(f"no interpreter for {type(node).__name__}")
+        raise ExecutionError(f"no interpreter for {kind.__name__}")
     inputs = [run_operator(handlers, child, site, ctx) for child in node.inputs]
-    if type(node) is not PhysNestedLoopJoin:  # it pre-checks before building
+    if inputs and kind is not PhysNestedLoopJoin:  # it pre-checks first
         inputs = [materialise(rows) for rows in inputs]
     try:
         out = handler(node, site, ctx, *inputs)
@@ -189,10 +202,11 @@ def run_operator(handlers: dict, node: PhysNode, site: int, ctx: ExecContext):
     if type(out) is tuple:
         out, detail = out
     counts = [len(rows) for rows in inputs]
+    rows_out = len(out)
     cell = ctx.ops[node.op_id, site]
     cell[0] += sum(counts)
-    cell[1] += len(out)
-    ctx.charge(node, site, _CHARGES[type(node)](counts, len(out), detail))
+    cell[1] += rows_out
+    ctx.charge_cell(cell, _CHARGES[kind](counts, rows_out, detail))
     return out
 
 

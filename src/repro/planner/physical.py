@@ -106,26 +106,32 @@ class Requirement:
         else:
             target = Distribution.hash(self.keys)
         object.__setattr__(self, "target", target)
+        # Every memo probe hashes one: the dataclass hash, computed once.
+        key = (self.kind, self.keys, self.collation)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def any(collation: Collation = EMPTY_COLLATION) -> "Requirement":
-        return _requirement(ReqKind.ANY, (), collation)
+        return _requirement("any", (), collation)
 
     @staticmethod
     def single(collation: Collation = EMPTY_COLLATION) -> "Requirement":
-        return _requirement(ReqKind.SINGLE, (), collation)
+        return _requirement("single", (), collation)
 
     @staticmethod
     def broadcast() -> "Requirement":
-        return _requirement(ReqKind.BROADCAST)
+        return _requirement("broadcast")
 
     @staticmethod
     def hash(keys: Sequence[int]) -> "Requirement":
-        return _requirement(ReqKind.HASH, tuple(keys))
+        return _requirement("hash", tuple(keys))
 
     @staticmethod
     def any_hash(fallback_keys: Sequence[int]) -> "Requirement":
-        return _requirement(ReqKind.ANY_HASH, tuple(fallback_keys))
+        return _requirement("any_hash", tuple(fallback_keys))
 
     def distribution_satisfied(self, dist: Distribution) -> bool:
         if self.kind is ReqKind.ANY:
@@ -135,8 +141,11 @@ class Requirement:
         return satisfies(dist, self.target)
 
 
-#: One requirement per value: they are frozen and compare by value.
-_requirement = functools.lru_cache(maxsize=4096)(Requirement)
+@functools.lru_cache(maxsize=4096)
+def _requirement(kind: str, keys=(), collation=EMPTY_COLLATION) -> Requirement:
+    """One requirement per value (frozen, compared by value), keyed by the
+    kind's value: a str hashes in C, an enum member in Python."""
+    return Requirement(ReqKind(kind), keys, collation)
 
 
 #: The self costs of the exchange and the sort a plan needs under one

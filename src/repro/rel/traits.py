@@ -129,6 +129,14 @@ class Collation:
 
     keys: Tuple[Tuple[int, bool], ...] = ()
 
+    def __hash__(self) -> int:
+        # The dataclass hash, computed once: plan memo probes hash it.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.keys,))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     @property
     def is_sorted(self) -> bool:
         return bool(self.keys)

@@ -1195,3 +1195,127 @@ def reference_range_bounds(
         probe = bisect.bisect_right if high_inclusive else bisect.bisect_left
         end = probe(keys, NullsLast(high), 0, end)
     return start, max(start, end)
+
+
+# ---------------------------------------------------------------------------
+# Comparisons, AND/OR and projections of the columnar backend, before they
+# compared against scalar literals, skipped the masks of NULL-free AND/OR
+# and picked the columns of ColRef-only projections
+# ---------------------------------------------------------------------------
+
+
+def literal_column_eval(expr, batch, test: bool = False):
+    """``columnar._eval_vec`` with every binary operator, at any depth,
+    evaluated by :func:`literal_column_eval_binary`."""
+    from repro.exec.columnar import _eval_vec
+    from repro.rel.expr import BinaryOp
+
+    if isinstance(expr, BinaryOp):
+        return literal_column_eval_binary(expr, batch, test)
+    return _eval_vec(expr, batch, test)
+
+
+def _literal_column_on_subset(expr, batch, indices, test: bool = False):
+    """``columnar._eval_on_subset``: ``eval_expr`` — the row evaluator
+    where the vectorized one falls back — on the rows ``indices``."""
+    from repro.exec.columnar import (
+        ColumnBatch,
+        _Fallback,
+        _take_columns,
+        column_from_values,
+    )
+    from repro.rel.expr import references
+
+    refs = references(expr)
+    columns = _take_columns(
+        [col if i in refs else None for i, col in enumerate(batch.columns)],
+        indices,
+    )
+    subset = ColumnBatch(columns, int(len(indices)))
+    try:
+        return literal_column_eval(expr, subset, test)
+    except _Fallback:
+        fn = compile_expr(expr, test)
+        return column_from_values([fn(row) for row in subset.partial_rows(refs)])
+
+
+def literal_column_eval_binary(expr, batch, test: bool = False):
+    """``_eval_binary`` as it was: a literal operand is a full column
+    (``_literal_column``) and AND/OR always combine the null masks."""
+    import numpy as np
+    from repro.exec.columnar import Column, _Fallback, _can_raise, _kleene
+
+    op = expr.op
+    n = batch.length
+    if op in ("AND", "OR"):
+        left = literal_column_eval(expr.left, batch, test)
+        if left.kind != "b":
+            raise _Fallback
+        lnull = left.null_mask()
+        ltrue = left.values & ~lnull
+        if not _can_raise(expr.right):
+            right = literal_column_eval(expr.right, batch, test)
+            if right.kind != "b":
+                raise _Fallback
+            rnull = right.null_mask()
+            return _kleene(op, ltrue, lnull, right.values & ~rnull, rnull)
+        if op == "OR":
+            decided = ltrue
+        else:
+            decided = ~ltrue if test else ~(ltrue | lnull)
+        sub = np.flatnonzero(~decided)
+        rtrue = np.zeros(n, np.bool_)
+        rnull = np.zeros(n, np.bool_)
+        if sub.size:
+            right = _literal_column_on_subset(expr.right, batch, sub, test)
+            if right.kind != "b":
+                raise _Fallback
+            rnull[sub] = right.null_mask()
+            rtrue[sub] = right.values & ~rnull[sub]
+        return _kleene(op, ltrue, lnull, rtrue, rnull)
+
+    left = literal_column_eval(expr.left, batch)
+    right = literal_column_eval(expr.right, batch)
+    lk, rk = left.kind, right.kind
+    numeric = ("b", "i", "f")
+    if not ((lk in numeric and rk in numeric) or (lk == "U" and rk == "U")):
+        raise _Fallback
+    null = None
+    if left.mask is not None or right.mask is not None:
+        null = left.null_mask() | right.null_mask()
+    lv, rv = left.values, right.values
+    if op == "=":
+        return Column(lv == rv, null)
+    if op == "<>":
+        return Column(lv != rv, null)
+    if op == "<":
+        return Column(lv < rv, null)
+    if op == "<=":
+        return Column(lv <= rv, null)
+    if op == ">":
+        return Column(lv > rv, null)
+    if op == ">=":
+        return Column(lv >= rv, null)
+    if lk == "U" or rk == "U":
+        raise _Fallback
+    if op == "+":
+        return Column(lv + rv, null)
+    if op == "-":
+        return Column(lv - rv, null)
+    if op == "*":
+        return Column(lv * rv, null)
+    if op == "/":
+        valid = ~null if null is not None else np.ones(n, np.bool_)
+        if bool(np.any((rv == 0) & valid)):
+            raise ZeroDivisionError("division by zero")
+        safe = np.where(valid, rv, 1)
+        return Column(lv / safe, null)
+    raise _Fallback
+
+
+def evaluating_project(node, site, ctx, batch):
+    """The columnar ``_exec_project`` as it was: ``eval_expr`` per
+    expression, a ``ColRef`` included."""
+    from repro.exec.columnar import ColumnBatch, eval_expr
+
+    return ColumnBatch([eval_expr(e, batch) for e in node.exprs], batch.length)

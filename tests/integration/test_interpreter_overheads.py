@@ -19,6 +19,7 @@ The kernel count is a count of ``compile()`` calls made by
 
 import builtins
 import gc
+import sys
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.bench.tpch import QUERIES, load_tpch_cluster
 from repro.common.config import PRESETS, SystemConfig
 from repro.core.cluster import QueryStatus
 from repro.exec import engine as engine_module
+from repro.exec.physical import PhysProject
 from repro.faults.injector import FragmentOom
 from repro.obs.metrics import get_registry
 from repro.rel import expr as expr_module
@@ -302,3 +304,83 @@ def test_a_successful_statement_leaves_no_cyclic_garbage(
         if ok and found:
             left[number] = found
     assert left == {}
+
+
+# -- a plan-cache hit derives nothing from its plan ---------------------------------
+
+
+def _hit(cluster, sql):
+    """Run ``sql`` until a run is served from the plan cache (feedback may
+    evict a plan whose estimates were off and re-plan it first)."""
+    registry = get_registry()
+    for _ in range(4):
+        hits = registry.counter("plan_cache.hits")
+        assert cluster.try_sql(sql).status is QueryStatus.OK
+        if registry.counter("plan_cache.hits") > hits:
+            return
+    pytest.fail(f"never served from the plan cache: {sql}")
+
+
+@pytest.mark.parametrize("backend", ["row", "columnar"])
+def test_a_cache_hit_walks_no_plan_and_projects_no_column_expression(
+    backend, monkeypatch
+):
+    """What a run derives from its plan alone — operators, variant
+    factors, one-site fragments, partition placement — is derived on the
+    plan's first run and kept with its fragments; a cached repeat derives
+    none of it again.  A projection of column references picks columns
+    on the columnar backend: it never reaches ``eval_expr``."""
+    from repro.exec import columnar, fragments, operators, physical
+    from repro.exec.engine import ExecutionEngine
+    from repro.verify import invariants
+
+    # The suite-wide invariant net walks every executed plan: run bare.
+    monkeypatch.setattr(ExecutionEngine, "execute", ExecutionEngine.execute.__wrapped__)
+    config = PRESETS["IC+M"](4).with_(
+        execution_backend=backend, plan_cache=True, cardinality_feedback=True
+    )
+    cluster = load_ssb_cluster(config, 0.01)
+    for sql in SSB:
+        _hit(cluster, sql)
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module in (physical, fragments, invariants):
+        count(module, "walk_physical")
+    count(engine_module, "plan_variants")
+    for module in (engine_module, operators):
+        count(module, "failover_owner")
+    projected = []
+    evaluate = columnar.eval_expr
+
+    def watched_eval(expr, batch, test=False):
+        caller = sys._getframe(1)
+        if caller.f_code is columnar._exec_project.__code__:
+            projected.append(caller.f_locals["node"])
+        return evaluate(expr, batch, test)
+
+    monkeypatch.setattr(columnar, "eval_expr", watched_eval)
+    handlers = columnar._HANDLERS if backend == "columnar" else operators._HANDLERS
+    project = handlers[PhysProject]
+    picks = []
+
+    def watched_project(node, *args):
+        picks.append(all(isinstance(e, ColRef) for e in node.exprs))
+        return project(node, *args)
+
+    monkeypatch.setitem(handlers, PhysProject, watched_project)
+    for sql in SSB:
+        _hit(cluster, sql)
+    assert calls == []
+    assert any(picks), "no projection of column references ran"
+    assert not [
+        node for node in projected if all(isinstance(e, ColRef) for e in node.exprs)
+    ]

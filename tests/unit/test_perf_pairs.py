@@ -122,3 +122,38 @@ def test_a_run_is_one_run_py_process_outside_the_checkout(tmp_path, monkeypatch)
     ]
     assert seen["cwd"] == out
     assert seen["env"]["PYTHONPYCACHEPREFIX"] == str(out / "pycache")
+
+
+def test_the_summary_reads_medians_and_better_pairs(checkouts, tmp_path, capsys):
+    """The summary is the median change/parent ratio of each end-to-end
+    metric and the count of pairs that moved its better way — higher for
+    ``queries_per_s``, lower for the latencies — in ``pairs.json`` and on
+    stderr."""
+    speedups = iter([1.25, 0.8, 1.5, 1.1, 0.9])
+
+    def run(checkout, workload, seed, trace, out):
+        result = fake_runner([])(checkout, workload, seed, trace, out)
+        if checkout.name == "change" and not trace:
+            speedup = next(speedups)
+            result["metrics"]["queries_per_s"]["value"] = 10.0 * speedup
+            result["metrics"]["query_ms_p50"]["value"] = 5.0 / speedup
+        return result
+
+    argv = _argv(checkouts, tmp_path / "out", "--workload", "serve_ssb_mixed", "--pairs", "5")
+    assert perf_pairs.main(argv, run=run) == 0
+    summary = json.loads((tmp_path / "out" / "pairs.json").read_text())["summary"]
+    cells = summary["serve_ssb_mixed"]
+    assert set(cells) == set(END_TO_END)
+    assert cells["queries_per_s"] == {"median": 1.1, "better": 3, "pairs": 5}
+    assert cells["query_ms_p50"]["median"] == pytest.approx(1 / 1.1)
+    assert cells["query_ms_p50"]["better"] == 3
+    assert cells["setup_s"] == {"median": 1.0, "better": 0, "pairs": 5}
+    printed = capsys.readouterr().err
+    assert "summary serve_ssb_mixed queries_per_s: median ratio 1.100, better in 3/5" in printed
+
+
+def test_summarise_skips_metrics_without_a_ratio():
+    ratios = {"w": [{"a": None, "b": 0.5}, {"a": None, "b": 2.0}, {"a": None, "b": 0.9}]}
+    assert perf_pairs.summarise(ratios, {"a": "lower", "b": "lower"}) == {
+        "w": {"b": {"median": 0.9, "better": 2, "pairs": 3}}
+    }

@@ -19,7 +19,7 @@ from repro.exec.physical import (
     walk_physical,
 )
 from repro.planner.budget import PlanningBudget
-from repro.planner.physical import PhysicalPlanner, Requirement
+from repro.planner.physical import PhysicalPlanner, ReqKind, Requirement
 from repro.rel.expr import BinaryOp, ColRef, Literal, make_conjunction
 from repro.rel.logical import (
     AggCall,
@@ -31,6 +31,7 @@ from repro.rel.logical import (
     LogicalSort,
     LogicalTableScan,
 )
+from repro.rel.traits import Collation
 from repro.stats.estimator import Estimator
 
 from helpers import make_company_store
@@ -232,3 +233,23 @@ class TestMemoAndBudget:
         join = LogicalJoin(emp, sales, BinaryOp("=", ColRef(0), ColRef(6)))
         with pytest.raises(PlanningTimeoutError):
             planner.plan(join, Requirement.single())
+
+
+def test_requirements_and_collations_hash_like_their_values():
+    """Both keep their hash after computing it once; equal values still
+    hash and compare equal, whether interned or built directly, and the
+    hash is the dataclass one of the compared fields."""
+    keys = ((0, True), (2, False))
+    collation = Collation(keys)
+    assert collation == Collation(keys) and hash(collation) == hash(Collation(keys))
+    assert hash(collation) == hash((keys,))
+    assert collation != Collation(keys[:1])
+    built = Requirement(ReqKind.ANY, (), Collation(keys))
+    assert Requirement.any(collation) is Requirement.any(Collation(keys))
+    assert Requirement.any(collation) == built and hash(Requirement.any(collation)) == hash(built)
+    assert hash(built) == hash((ReqKind.ANY, (), collation))
+    assert Requirement.hash([1, 2]) == Requirement(ReqKind.HASH, (1, 2))
+    assert hash(Requirement.hash([1, 2])) == hash(Requirement(ReqKind.HASH, (1, 2)))
+    assert Requirement.hash([1, 2]) != Requirement.any_hash([1, 2])
+    assert Requirement.single() != Requirement.single(collation)
+    assert {Requirement.broadcast(): 1}[Requirement(ReqKind.BROADCAST)] == 1

@@ -9,13 +9,16 @@ for each workload (default: all in the change's ``BENCHMARK.json``), the
 parent first on even i; a traced pair at seed S follows.  Writes
 ``DIR/{parent,change}.json`` (``perfbench-suite/v1``, for ``run.py
 compare`` when they hold every workload) and the per-pair change/parent
-ratios, ``DIR/pairs.json``; bytecode goes to ``DIR/pycache``.
+ratios, ``DIR/pairs.json``; bytecode goes to ``DIR/pycache``.  Per
+workload and end-to-end metric, the median ratio and the number of pairs
+that moved the better way go to stderr and to ``pairs.json["summary"]``.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +34,21 @@ def perfbench_run(checkout, workload, seed, trace, out):
     done = subprocess.run(command, cwd=out, env=env, stdout=subprocess.PIPE,
                           text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summarise(ratios, better):
+    """``{workload: {metric: {"median", "better", "pairs"}}}``: the median
+    change/parent ratio of each metric in ``better`` (metric -> "higher"
+    or "lower") and how many of its pairs moved that way."""
+    summary = {}
+    for workload, pairs in ratios.items():
+        for metric, direction in better.items():
+            values = [pair[metric] for pair in pairs if pair.get(metric) is not None]
+            if values:
+                won = sum(v > 1 if direction == "higher" else v < 1 for v in values)
+                summary.setdefault(workload, {})[metric] = {
+                    "median": statistics.median(values), "better": won, "pairs": len(values)}
+    return summary
 
 
 def main(argv=None, run=perfbench_run) -> int:
@@ -71,7 +89,13 @@ def main(argv=None, run=perfbench_run) -> int:
                 ratio = {m: new[m] / v if v else None for m, v in base.items()}
                 ratios.setdefault(workload, []).append(ratio)
                 print(f"pair {i + 1} {workload}: {ratio}", file=sys.stderr)
-    for name, document in [*docs.items(), ("pairs", ratios)]:
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    summary = summarise(ratios, better)
+    for workload, metrics in summary.items():
+        for metric, line in metrics.items():
+            print(f"summary {workload} {metric}: median ratio {line['median']:.3f}, "
+                  f"better in {line['better']}/{line['pairs']}", file=sys.stderr)
+    for name, document in [*docs.items(), ("pairs", {**ratios, "summary": summary})]:
         (args.out / f"{name}.json").write_text(json.dumps(document, indent=1) + "\n")
     return int(any(w["failed"] for d in docs.values() for w in d["workloads"].values()))
 
