@@ -50,12 +50,15 @@ def build_tenants(
     limit: int = 0,
     clients: int = 2,
     mean_think_seconds: float = 1.0,
+    slots: int = 0,
 ) -> List[TenantSpec]:
     """``tenants`` specs over an even mix of ``queries``.
 
     ``tenant0`` gets the highest priority and weight; every tenant gets
     the same arrival process at the same ``rate`` (queries/second for the
-    open-loop models), so priority effects are visible at equal load.
+    open-loop models), so priority effects are visible at equal load,
+    and the same cap of ``slots`` concurrently executing queries
+    (0 = uncapped).
     """
     if tenants < 1:
         raise ServeBenchError(f"need >= 1 tenant, got {tenants}")
@@ -86,6 +89,7 @@ def build_tenants(
                 arrivals=process,
                 priority=tenants - 1 - index,
                 weight=float(tenants - index),
+                slots=slots,
             )
         )
     return specs
@@ -139,7 +143,6 @@ def run_serve_bench(
     policy: str = "fifo",
     max_concurrent: int = 0,
     queue_depth: int = 0,
-    tenant_slots: int = 0,
     shed_wait_seconds: float = None,
     plan_cache: bool = True,
 ) -> ServeBenchResult:
@@ -159,7 +162,6 @@ def run_serve_bench(
             serve_policy=policy,
             serve_max_concurrent=max_concurrent,
             serve_queue_depth=queue_depth,
-            serve_tenant_slots=tenant_slots,
             serve_shed_wait_seconds=shed_wait_seconds,
         )
         cluster = loader(config, sf)

@@ -145,6 +145,7 @@ def _run_serve(args):
         arrivals=args.arrivals,
         limit=args.limit,
         clients=args.clients,
+        slots=args.tenant_slots,
     )
     return run_serve_bench(
         loader,
@@ -157,7 +158,6 @@ def _run_serve(args):
         policy=args.policy,
         max_concurrent=args.max_concurrent,
         queue_depth=args.queue_depth,
-        tenant_slots=args.tenant_slots,
         shed_wait_seconds=args.shed_wait,
         plan_cache=not args.no_plan_cache,
     )

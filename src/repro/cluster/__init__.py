@@ -1,17 +1,1 @@
 """Simulated cluster: task scheduling and workload simulation."""
-
-from repro.cluster.scheduler import (
-    SimTask,
-    TaskGraph,
-    WorkloadSimulator,
-    simulate_makespan,
-    simulate_makespan_with_faults,
-)
-
-__all__ = [
-    "SimTask",
-    "TaskGraph",
-    "WorkloadSimulator",
-    "simulate_makespan",
-    "simulate_makespan_with_faults",
-]

@@ -185,9 +185,6 @@ class SystemConfig:
     #: Bounded run queue: arrivals beyond this many waiting queries are
     #: REJECTED outright (0 = unbounded, admission never rejects).
     serve_queue_depth: int = 0
-    #: Per-tenant cap on concurrently executing queries (0 = uncapped;
-    #: a TenantSpec may override per tenant).
-    serve_tenant_slots: int = 0
     #: Deadline-based shedding: a queued query still waiting after this
     #: many simulated seconds is REJECTED instead of dispatched (None =
     #: never shed).

@@ -225,8 +225,9 @@ class _Run:
     observers: List[SeamObserver]
     fragment_sites: Dict[int, List[int]] = field(default_factory=dict)
     completed: List[Fragment] = field(default_factory=list)
-    #: exchange id -> [rows, bytes, batches] shipped, for ``_publish``.
-    shipped: Dict[int, list] = field(default_factory=dict)
+    #: [rows, bytes, batches] the run's exchanges shipped, for
+    #: ``_publish``; None until one routes.
+    shipped: Optional[list] = None
     result_rows: Optional[List[Tuple]] = None
     # -- filled in by the simulate step --
     graph: Optional[TaskGraph] = None
@@ -490,9 +491,9 @@ class ExecutionEngine:
         ctx.charge(fragment.root, site, charges.exchange(shipped) + network)
         ctx.network_units += network
         ctx.rows_shipped += shipped * copies
-        totals = run.shipped.get(sender.exchange_id)
+        totals = run.shipped
         if totals is None:
-            totals = run.shipped[sender.exchange_id] = [0, 0.0, 0]
+            totals = run.shipped = [0, 0.0, 0]
         totals[0] += shipped * copies
         totals[1] += shipped * width * AFS * copies
         totals[2] += network_messages(shipped) * copies
@@ -500,11 +501,12 @@ class ExecutionEngine:
     @staticmethod
     def _publish(run: _Run) -> None:
         """The run's exchange counters, once, on every way out of it."""
-        registry = get_registry()
-        for exchange_id, (rows, size, batches) in run.shipped.items():
-            registry.inc("exchange.rows", rows, exchange=exchange_id)
-            registry.inc("exchange.bytes", size, exchange=exchange_id)
-            registry.inc("exchange.batches", batches, exchange=exchange_id)
+        if run.shipped is not None:
+            rows, size, batches = run.shipped
+            registry = get_registry()
+            registry.inc("exchange.rows", rows)
+            registry.inc("exchange.bytes", size)
+            registry.inc("exchange.batches", batches)
 
     # -- step 3: simulate -----------------------------------------------------------
 
@@ -659,11 +661,7 @@ class ExecutionEngine:
                 ),
                 default=0.0,
             )
-            registry.gauge_max(
-                "fragment.mem_highwater_bytes",
-                stat.mem_bytes,
-                fragment=stat.fragment_id,
-            )
+            registry.gauge_max("fragment.mem_highwater_bytes", stat.mem_bytes)
         registry.inc("exec.queries")
         registry.inc("exec.result_rows", len(run.result_rows))
         registry.inc("exec.rows_shipped", ctx.rows_shipped)

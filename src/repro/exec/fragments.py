@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.physical import PhysExchange, PhysNode, walk_physical
-from repro.rel.logical import RelNode
 from repro.rel.traits import Collation, Distribution, EMPTY_COLLATION, satisfies
 
 
@@ -26,6 +25,8 @@ class PhysReceiver(PhysNode):
     streams instead of concatenating them (a merging exchange).
     """
 
+    param_names = ("exchange_id", "fields", "distribution", "collation")
+
     def __init__(
         self,
         exchange_id: int,
@@ -35,11 +36,6 @@ class PhysReceiver(PhysNode):
     ):
         super().__init__((), fields, distribution, collation)
         self.exchange_id = exchange_id
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysReceiver":
-        return PhysReceiver(
-            self.exchange_id, self.fields, self.distribution, self.collation
-        )
 
     def _build_digest(self) -> str:
         return f"PReceiver(#{self.exchange_id})[{self._traits()}]"

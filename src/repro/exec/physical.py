@@ -127,11 +127,7 @@ class PhysNode(CostedSubtree, RelNode):
         The clone's cumulative cost, exchange flag, leaf sites and digest
         are its own, derived from ``inputs`` — never the original's.
         """
-        return self._clone(inputs).costed(self._rows_est, self._self_cost)
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysNode":
-        """Same operator parameters over ``inputs``, not yet costed."""
-        raise NotImplementedError
+        return RelNode.copy(self, inputs).costed(self._rows_est, self._self_cost)
 
     def _traits(self) -> str:
         parts = [str(self.distribution)]
@@ -156,6 +152,11 @@ class PhysTableScan(ScanColumns, PhysNode):
     digest and EXPLAIN output are byte-identical to the historical form.
     """
 
+    param_names = (
+        "table", "alias", "fields", "distribution", "partition_site_count",
+        "pushed_filter", "pushed_project", "pushed_fetch",
+    )
+
     def __init__(
         self,
         table: str,
@@ -177,27 +178,6 @@ class PhysTableScan(ScanColumns, PhysNode):
             tuple(pushed_project) if pushed_project is not None else None
         )
         self.pushed_fetch = pushed_fetch
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysTableScan":
-        return PhysTableScan(
-            self.table, self.alias, self.fields, self.distribution,
-            self.partition_site_count,
-            pushed_filter=self.pushed_filter,
-            pushed_project=self.pushed_project,
-            pushed_fetch=self.pushed_fetch,
-        )
-
-    def pushdown_digest(self) -> str:
-        extras = []
-        if self.pushed_filter is not None:
-            extras.append(f"filter={self.pushed_filter.digest()}")
-        if self.pushed_project is not None:
-            extras.append(f"project={list(self.pushed_project)}")
-        if self.pushed_fetch is not None:
-            extras.append(f"fetch={self.pushed_fetch}")
-        if not extras:
-            return ""
-        return ", pushed[" + ", ".join(extras) + "]"
 
     def _build_digest(self) -> str:
         return (
@@ -231,6 +211,12 @@ class PhysIndexScan(ScanColumns, PhysNode):
     EXPLAIN.
     """
 
+    param_names = (
+        "table", "alias", "fields", "index_name", "distribution", "collation",
+        "partition_site_count", "low", "high", "low_inclusive",
+        "high_inclusive", "bound_condition",
+    )
+
     def __init__(
         self,
         table: str,
@@ -262,14 +248,6 @@ class PhysIndexScan(ScanColumns, PhysNode):
     def is_range_scan(self) -> bool:
         return self.low is not None or self.high is not None
 
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysIndexScan":
-        return PhysIndexScan(
-            self.table, self.alias, self.fields, self.index_name,
-            self.distribution, self.collation, self.partition_site_count,
-            self.low, self.high, self.low_inclusive, self.high_inclusive,
-            self.bound_condition,
-        )
-
     def _build_digest(self) -> str:
         bounds = ""
         if self.is_range_scan:
@@ -283,20 +261,14 @@ class PhysIndexScan(ScanColumns, PhysNode):
 
 
 class PhysFilter(PhysNode):
+    param_names = ("condition",)
+
     def __init__(self, input_node: PhysNode, condition: Expr):
         super().__init__(
             (input_node,), input_node.fields,
             input_node.distribution, input_node.collation,
         )
         self.condition = condition
-
-    @property
-    def input(self) -> PhysNode:
-        return self.inputs[0]  # type: ignore[return-value]
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysFilter":
-        (child,) = inputs
-        return PhysFilter(child, self.condition)  # type: ignore[arg-type]
 
     def _build_digest(self) -> str:
         return f"PFilter({self.condition.digest()}, {self.inputs[0].digest()})"
@@ -309,6 +281,8 @@ class PhysFilter(PhysNode):
 
 
 class PhysProject(PhysNode):
+    param_names = ("exprs", "fields")
+
     def __init__(
         self, input_node: PhysNode, exprs: Sequence[Expr], names: Sequence[str]
     ):
@@ -317,14 +291,6 @@ class PhysProject(PhysNode):
         )
         super().__init__((input_node,), names, distribution, collation)
         self.exprs = tuple(exprs)
-
-    @property
-    def input(self) -> PhysNode:
-        return self.inputs[0]  # type: ignore[return-value]
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysProject":
-        (child,) = inputs
-        return PhysProject(child, self.exprs, self.fields)  # type: ignore[arg-type]
 
     def _build_digest(self) -> str:
         inner = ", ".join(e.digest() for e in self.exprs)
@@ -383,6 +349,7 @@ class PhysJoinBase(PhysNode):
     """Common parts of the three join algorithms."""
 
     algorithm = "join"
+    param_names = ("condition", "join_type", "distribution", "collation")
 
     def __init__(
         self,
@@ -400,14 +367,6 @@ class PhysJoinBase(PhysNode):
         super().__init__((left, right), fields, distribution, collation)
         self.condition = condition
         self.join_type = join_type
-
-    @property
-    def left(self) -> PhysNode:
-        return self.inputs[0]  # type: ignore[return-value]
-
-    @property
-    def right(self) -> PhysNode:
-        return self.inputs[1]  # type: ignore[return-value]
 
     def _build_digest(self) -> str:
         cond = self.condition.digest() if self.condition else "true"
@@ -431,18 +390,12 @@ class PhysNestedLoopJoin(PhysJoinBase):
 
     algorithm = "NestedLoopJoin"
 
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysNestedLoopJoin":
-        left, right = inputs
-        return PhysNestedLoopJoin(
-            left, right, self.condition, self.join_type, self.distribution,
-            self.collation,
-        )
 
+class PhysEquiJoin(PhysJoinBase):
+    """The shape of the equi-join algorithms: key ``pairs`` (left column,
+    right column) plus a ``residual`` condition over the joined row."""
 
-class PhysMergeJoin(PhysJoinBase):
-    """Merge join over inputs sorted on the equi keys."""
-
-    algorithm = "MergeJoin"
+    param_names = ("pairs", "residual", "join_type", "distribution", "collation")
 
     def __init__(
         self,
@@ -458,54 +411,25 @@ class PhysMergeJoin(PhysJoinBase):
         self.pairs = tuple(pairs)
         self.residual = residual
 
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysMergeJoin":
-        left, right = inputs
-        return PhysMergeJoin(
-            left, right, self.pairs, self.residual, self.join_type,
-            self.distribution, self.collation,
-        )
-
     def _build_digest(self) -> str:
         return (
-            f"PMergeJoin({self.join_type.value}, {self.pairs}, "
+            f"P{self.algorithm}({self.join_type.value}, {self.pairs}, "
             f"{self.residual.digest() if self.residual else 'true'}, "
             f"{self.inputs[0].digest()}, {self.inputs[1].digest()})"
             f"[{self._traits()}]"
         )
 
 
-class PhysHashJoin(PhysJoinBase):
+class PhysMergeJoin(PhysEquiJoin):
+    """Merge join over inputs sorted on the equi keys."""
+
+    algorithm = "MergeJoin"
+
+
+class PhysHashJoin(PhysEquiJoin):
     """The Section 5.1.2 in-memory hash join: build right, probe left."""
 
     algorithm = "HashJoin"
-
-    def __init__(
-        self,
-        left: PhysNode,
-        right: PhysNode,
-        pairs: Sequence[Tuple[int, int]],
-        residual: Optional[Expr],
-        join_type: JoinType,
-        distribution: Distribution,
-    ):
-        super().__init__(left, right, residual, join_type, distribution)
-        self.pairs = tuple(pairs)
-        self.residual = residual
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysHashJoin":
-        left, right = inputs
-        return PhysHashJoin(
-            left, right, self.pairs, self.residual, self.join_type,
-            self.distribution,
-        )
-
-    def _build_digest(self) -> str:
-        return (
-            f"PHashJoin({self.join_type.value}, {self.pairs}, "
-            f"{self.residual.digest() if self.residual else 'true'}, "
-            f"{self.inputs[0].digest()}, {self.inputs[1].digest()})"
-            f"[{self._traits()}]"
-        )
 
 
 class PhysSort(PhysNode):
@@ -514,6 +438,8 @@ class PhysSort(PhysNode):
     order.  ``offset`` is only ever set on a single-distribution sort —
     distributed plans pre-fetch ``fetch + offset`` rows locally and apply
     the offset once after the merge."""
+
+    param_names = ("keys", "fetch", "offset")
 
     def __init__(
         self,
@@ -530,16 +456,6 @@ class PhysSort(PhysNode):
         self.fetch = fetch
         self.offset = offset
 
-    @property
-    def input(self) -> PhysNode:
-        return self.inputs[0]  # type: ignore[return-value]
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysSort":
-        (child,) = inputs
-        return PhysSort(  # type: ignore[arg-type]
-            child, self.keys, self.fetch, self.offset
-        )
-
     def _build_digest(self) -> str:
         extra = f", offset={self.offset}" if self.offset is not None else ""
         return (
@@ -549,6 +465,8 @@ class PhysSort(PhysNode):
 
 
 class PhysLimit(PhysNode):
+    param_names = ("fetch", "offset")
+
     def __init__(
         self,
         input_node: PhysNode,
@@ -561,16 +479,6 @@ class PhysLimit(PhysNode):
         )
         self.fetch = fetch
         self.offset = offset
-
-    @property
-    def input(self) -> PhysNode:
-        return self.inputs[0]  # type: ignore[return-value]
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysLimit":
-        (child,) = inputs
-        return PhysLimit(  # type: ignore[arg-type]
-            child, self.fetch, self.offset
-        )
 
     def _build_digest(self) -> str:
         extra = f", offset={self.offset}" if self.offset is not None else ""
@@ -595,6 +503,8 @@ class AggPhase(enum.Enum):
 
 
 class PhysAggregateBase(PhysNode):
+    param_names = ("group_keys", "agg_calls", "phase", "distribution", "collation")
+
     def __init__(
         self,
         input_node: PhysNode,
@@ -610,10 +520,6 @@ class PhysAggregateBase(PhysNode):
         self.group_keys = tuple(group_keys)
         self.agg_calls = tuple(agg_calls)
         self.phase = phase
-
-    @property
-    def input(self) -> PhysNode:
-        return self.inputs[0]  # type: ignore[return-value]
 
     @property
     def is_reduction(self) -> bool:
@@ -637,23 +543,11 @@ class PhysAggregateBase(PhysNode):
 
 
 class PhysHashAggregate(PhysAggregateBase):
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysHashAggregate":
-        (child,) = inputs
-        return PhysHashAggregate(
-            child, self.group_keys, self.agg_calls, self.phase,
-            self.distribution, self.collation,
-        )
+    """Aggregation by hashing the group keys."""
 
 
 class PhysSortAggregate(PhysAggregateBase):
     """Aggregation over input sorted on the group keys."""
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysSortAggregate":
-        (child,) = inputs
-        return PhysSortAggregate(
-            child, self.group_keys, self.agg_calls, self.phase,
-            self.distribution, self.collation,
-        )
 
 
 class PhysExchange(PhysNode):
@@ -666,6 +560,7 @@ class PhysExchange(PhysNode):
     """
 
     is_exchange = True
+    param_names = ("distribution", "collation")
 
     def __init__(
         self,
@@ -677,14 +572,6 @@ class PhysExchange(PhysNode):
             (input_node,), input_node.fields, distribution, merge_keys
         )
 
-    @property
-    def input(self) -> PhysNode:
-        return self.inputs[0]  # type: ignore[return-value]
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysExchange":
-        (child,) = inputs
-        return PhysExchange(child, self.distribution, self.collation)  # type: ignore[arg-type]
-
     def _build_digest(self) -> str:
         return (
             f"PExchange({self.distribution}, {self.inputs[0].digest()})"
@@ -693,12 +580,11 @@ class PhysExchange(PhysNode):
 
 
 class PhysValues(PhysNode):
+    param_names = ("rows", "fields")
+
     def __init__(self, rows: Sequence[Tuple], names: Sequence[str]):
         super().__init__((), names, Distribution.broadcast())
         self.rows = tuple(tuple(r) for r in rows)
-
-    def _clone(self, inputs: Sequence[RelNode]) -> "PhysValues":
-        return PhysValues(self.rows, self.fields)
 
     def _build_digest(self) -> str:
         return f"PValues({self.rows!r})"

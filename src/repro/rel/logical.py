@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ValidationError
@@ -30,7 +31,25 @@ class JoinType(enum.Enum):
 
 
 class RelNode:
-    """Base class for all relational operators (logical and physical)."""
+    """Base class for all relational operators (logical and physical).
+
+    A concrete operator's constructor takes its inputs first, then the
+    parameters its ``param_names`` lists, in that order, each kept on the
+    node under that name: :meth:`copy` rebuilds any node from them, so an
+    operator states its parameters in its ``__init__`` and that tuple only.
+    """
+
+    #: The constructor's parameters after the inputs, as attribute names.
+    param_names: Tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = vars(cls).get("param_names")
+        if names is not None:
+            cls._params = staticmethod(
+                operator.attrgetter(*names) if len(names) > 1
+                else lambda node, get=operator.attrgetter(*names): (get(node),)
+            )
 
     def __init__(self, inputs: Sequence["RelNode"], fields: Sequence[str]):
         self.inputs: Tuple[RelNode, ...] = tuple(inputs)
@@ -43,9 +62,27 @@ class RelNode:
     def width(self) -> int:
         return len(self.fields)
 
+    @property
+    def input(self) -> "RelNode":
+        """The input of a one-input operator."""
+        return self.inputs[0]
+
+    @property
+    def left(self) -> "RelNode":
+        return self.inputs[0]
+
+    @property
+    def right(self) -> "RelNode":
+        return self.inputs[1]
+
     def copy(self, inputs: Sequence["RelNode"]) -> "RelNode":
         """Clone this node with new inputs (same operator parameters)."""
-        raise NotImplementedError
+        if len(inputs) != len(self.inputs):
+            raise ValidationError(
+                f"{type(self).__name__} takes {len(self.inputs)} inputs, "
+                f"got {len(inputs)}"
+            )
+        return type(self)(*inputs, *self._params(self))
 
     def digest(self) -> str:
         """A canonical string identifying this subtree up to equivalence.
@@ -86,63 +123,18 @@ class RelNode:
 
 class ScanColumns:
     """Mixin of the scan nodes, logical and physical, whose ``fields`` are
-    ``alias.column`` strings."""
+    ``alias.column`` strings, and of the work an adapter may push into
+    them (see :class:`LogicalTableScan`; an index scan carries none)."""
+
+    pushed_filter: Optional[Expr] = None
+    pushed_project: Optional[Tuple[int, ...]] = None
+    pushed_fetch: Optional[int] = None
 
     @functools.cached_property
     def column_names(self) -> Tuple[str, ...]:
         """The base-table column behind each output field, by position
         (a ``pushed_project`` scan lists exactly its subset)."""
         return tuple(f.split(".", 1)[1] for f in self.fields)
-
-
-class LogicalTableScan(ScanColumns, RelNode):
-    """Scan of a base table; ``alias`` disambiguates self-joins.
-
-    Storage adapters that advertise pushdown capabilities can absorb work
-    into the scan itself (the Calcite adapter convention — Bodo's
-    ``SnowflakeFilter``/``SnowflakeSort`` pattern):
-
-    * ``pushed_filter`` — a predicate over the table's *original* full-width
-      row, applied by the adapter before rows leave the source;
-    * ``pushed_project`` — original column positions the adapter returns
-      (``fields`` then lists exactly that subset, keeping the original
-      ``alias.column`` names so statistics tracing still resolves);
-    * ``pushed_fetch`` — a per-partition row-prefix cap (a LIMIT absorbed
-      at the source; the engine-side Sort/Limit is always retained, so the
-      cap is a sound over-approximation).
-
-    All three default to "absent", and digests/EXPLAIN only mention them
-    when set, so un-pushed plans stay byte-identical to historical ones.
-    """
-
-    def __init__(
-        self,
-        table: str,
-        alias: str,
-        column_names: Sequence[str],
-        pushed_filter: Optional[Expr] = None,
-        pushed_project: Optional[Sequence[int]] = None,
-        pushed_fetch: Optional[int] = None,
-    ):
-        self.table = table.lower()
-        self.alias = alias.lower()
-        self.pushed_filter = pushed_filter
-        self.pushed_project = (
-            tuple(pushed_project) if pushed_project is not None else None
-        )
-        self.pushed_fetch = pushed_fetch
-        fields = [f"{self.alias}.{c.lower()}" for c in column_names]
-        super().__init__(inputs=(), fields=fields)
-
-    def copy(self, inputs: Sequence[RelNode]) -> "LogicalTableScan":
-        if inputs:
-            raise ValidationError("scan takes no inputs")
-        return LogicalTableScan(
-            self.table, self.alias, self.column_names,
-            pushed_filter=self.pushed_filter,
-            pushed_project=self.pushed_project,
-            pushed_fetch=self.pushed_fetch,
-        )
 
     @property
     def has_pushdown(self) -> bool:
@@ -166,6 +158,51 @@ class LogicalTableScan(ScanColumns, RelNode):
             return ""
         return ", pushed[" + ", ".join(extras) + "]"
 
+
+class LogicalTableScan(ScanColumns, RelNode):
+    """Scan of a base table; ``alias`` disambiguates self-joins.
+
+    Storage adapters that advertise pushdown capabilities can absorb work
+    into the scan itself (the Calcite adapter convention — Bodo's
+    ``SnowflakeFilter``/``SnowflakeSort`` pattern):
+
+    * ``pushed_filter`` — a predicate over the table's *original* full-width
+      row, applied by the adapter before rows leave the source;
+    * ``pushed_project`` — original column positions the adapter returns
+      (``fields`` then lists exactly that subset, keeping the original
+      ``alias.column`` names so statistics tracing still resolves);
+    * ``pushed_fetch`` — a per-partition row-prefix cap (a LIMIT absorbed
+      at the source; the engine-side Sort/Limit is always retained, so the
+      cap is a sound over-approximation).
+
+    All three default to "absent", and digests/EXPLAIN only mention them
+    when set, so un-pushed plans stay byte-identical to historical ones.
+    """
+
+    param_names = (
+        "table", "alias", "column_names",
+        "pushed_filter", "pushed_project", "pushed_fetch",
+    )
+
+    def __init__(
+        self,
+        table: str,
+        alias: str,
+        column_names: Sequence[str],
+        pushed_filter: Optional[Expr] = None,
+        pushed_project: Optional[Sequence[int]] = None,
+        pushed_fetch: Optional[int] = None,
+    ):
+        self.table = table.lower()
+        self.alias = alias.lower()
+        self.pushed_filter = pushed_filter
+        self.pushed_project = (
+            tuple(pushed_project) if pushed_project is not None else None
+        )
+        self.pushed_fetch = pushed_fetch
+        fields = [f"{self.alias}.{c.lower()}" for c in column_names]
+        super().__init__(inputs=(), fields=fields)
+
     def _build_digest(self) -> str:
         return f"Scan({self.table} as {self.alias}{self.pushdown_digest()})"
 
@@ -179,17 +216,11 @@ class LogicalTableScan(ScanColumns, RelNode):
 class LogicalFilter(RelNode):
     """Row filter; output schema equals input schema."""
 
+    param_names = ("condition",)
+
     def __init__(self, input_node: RelNode, condition: Expr):
         super().__init__(inputs=(input_node,), fields=input_node.fields)
         self.condition = condition
-
-    @property
-    def input(self) -> RelNode:
-        return self.inputs[0]
-
-    def copy(self, inputs: Sequence[RelNode]) -> "LogicalFilter":
-        (child,) = inputs
-        return LogicalFilter(child, self.condition)
 
     def _build_digest(self) -> str:
         return f"Filter({self.condition.digest()}, {self.inputs[0].digest()})"
@@ -201,6 +232,8 @@ class LogicalFilter(RelNode):
 class LogicalProject(RelNode):
     """Computes output expressions over the input row."""
 
+    param_names = ("exprs", "fields")
+
     def __init__(
         self, input_node: RelNode, exprs: Sequence[Expr], names: Sequence[str]
     ):
@@ -208,14 +241,6 @@ class LogicalProject(RelNode):
             raise ValidationError("project exprs/names length mismatch")
         super().__init__(inputs=(input_node,), fields=names)
         self.exprs: Tuple[Expr, ...] = tuple(exprs)
-
-    @property
-    def input(self) -> RelNode:
-        return self.inputs[0]
-
-    def copy(self, inputs: Sequence[RelNode]) -> "LogicalProject":
-        (child,) = inputs
-        return LogicalProject(child, self.exprs, self.fields)
 
     def _build_digest(self) -> str:
         inner = ", ".join(e.digest() for e in self.exprs)
@@ -236,6 +261,8 @@ class LogicalJoin(RelNode):
     filters past these joins.
     """
 
+    param_names = ("condition", "join_type", "correlate_origin")
+
     def __init__(
         self,
         left: RelNode,
@@ -252,20 +279,6 @@ class LogicalJoin(RelNode):
         self.condition = condition
         self.join_type = join_type
         self.correlate_origin = correlate_origin
-
-    @property
-    def left(self) -> RelNode:
-        return self.inputs[0]
-
-    @property
-    def right(self) -> RelNode:
-        return self.inputs[1]
-
-    def copy(self, inputs: Sequence[RelNode]) -> "LogicalJoin":
-        left, right = inputs
-        return LogicalJoin(
-            left, right, self.condition, self.join_type, self.correlate_origin
-        )
 
     def _build_digest(self) -> str:
         cond = self.condition.digest() if self.condition else "true"
@@ -320,6 +333,8 @@ class AggCall:
 class LogicalAggregate(RelNode):
     """GROUP BY + aggregate calls; a *reduction operator* in Section 5.3."""
 
+    param_names = ("group_keys", "agg_calls")
+
     def __init__(
         self,
         input_node: RelNode,
@@ -331,14 +346,6 @@ class LogicalAggregate(RelNode):
         fields = [input_node.fields[k] for k in self.group_keys]
         fields += [call.name for call in self.agg_calls]
         super().__init__(inputs=(input_node,), fields=fields)
-
-    @property
-    def input(self) -> RelNode:
-        return self.inputs[0]
-
-    def copy(self, inputs: Sequence[RelNode]) -> "LogicalAggregate":
-        (child,) = inputs
-        return LogicalAggregate(child, self.group_keys, self.agg_calls)
 
     def _build_digest(self) -> str:
         calls = ", ".join(c.digest() for c in self.agg_calls)
@@ -355,6 +362,8 @@ class LogicalAggregate(RelNode):
 class LogicalSort(RelNode):
     """ORDER BY with optional LIMIT (``fetch``) and OFFSET (``offset``)."""
 
+    param_names = ("sort_keys", "fetch", "offset")
+
     def __init__(
         self,
         input_node: RelNode,
@@ -366,14 +375,6 @@ class LogicalSort(RelNode):
         self.sort_keys: Tuple[Tuple[int, bool], ...] = tuple(sort_keys)
         self.fetch = fetch
         self.offset = offset
-
-    @property
-    def input(self) -> RelNode:
-        return self.inputs[0]
-
-    def copy(self, inputs: Sequence[RelNode]) -> "LogicalSort":
-        (child,) = inputs
-        return LogicalSort(child, self.sort_keys, self.fetch, self.offset)
 
     def _build_digest(self) -> str:
         keys = [f"{i}{'' if asc else 'd'}" for i, asc in self.sort_keys]
@@ -394,12 +395,11 @@ class LogicalSort(RelNode):
 class LogicalValues(RelNode):
     """A constant relation (used for single-row subquery scaffolding)."""
 
+    param_names = ("rows", "fields")
+
     def __init__(self, rows: Sequence[Tuple], names: Sequence[str]):
         super().__init__(inputs=(), fields=names)
         self.rows: Tuple[Tuple, ...] = tuple(tuple(r) for r in rows)
-
-    def copy(self, inputs: Sequence[RelNode]) -> "LogicalValues":
-        return LogicalValues(self.rows, self.fields)
 
     def _build_digest(self) -> str:
         return f"Values({self.rows!r})"

@@ -78,7 +78,6 @@ class AdmissionController:
         policy: str = "fifo",
         queue_depth: int = 0,
         max_concurrent: int = 0,
-        tenant_slots: int = 0,
         shed_wait_seconds: Optional[float] = None,
     ):
         if policy not in POLICIES:
@@ -86,7 +85,7 @@ class AdmissionController:
                 f"unknown admission policy {policy!r} "
                 f"(choose from {', '.join(POLICIES)})"
             )
-        if queue_depth < 0 or max_concurrent < 0 or tenant_slots < 0:
+        if queue_depth < 0 or max_concurrent < 0:
             raise AdmissionError("admission caps must be >= 0 (0 = unbounded)")
         if shed_wait_seconds is not None and shed_wait_seconds < 0:
             raise AdmissionError("shed wait must be >= 0 seconds")
@@ -96,9 +95,7 @@ class AdmissionController:
         self.shed_wait_seconds = shed_wait_seconds
         self._tenants: Dict[str, _TenantState] = {}
         for spec in tenants:
-            self._tenants[spec.name] = _TenantState(
-                spec=spec, slots=spec.slots if spec.slots > 0 else tenant_slots
-            )
+            self._tenants[spec.name] = _TenantState(spec=spec, slots=spec.slots)
         self._queue: List[_QueueItem] = []
         self._seq = itertools.count()
         self.running_total = 0
@@ -114,7 +111,6 @@ class AdmissionController:
             policy=config.serve_policy,
             queue_depth=config.serve_queue_depth,
             max_concurrent=config.serve_max_concurrent,
-            tenant_slots=config.serve_tenant_slots,
             shed_wait_seconds=config.serve_shed_wait_seconds,
         )
 

@@ -139,7 +139,7 @@ class TenantSpec:
     priority: int = 0
     #: Fair share under the ``wfq`` policy (relative to other tenants).
     weight: float = 1.0
-    #: Per-tenant concurrency cap (0 = inherit ``serve_tenant_slots``).
+    #: Cap on the tenant's concurrently executing queries (0 = uncapped).
     slots: int = 0
 
     def __post_init__(self):
@@ -148,6 +148,10 @@ class TenantSpec:
         if self.weight <= 0:
             raise TrafficError(
                 f"tenant {self.name!r} weight must be > 0, got {self.weight}"
+            )
+        if self.slots < 0:
+            raise TrafficError(
+                f"tenant {self.name!r} slots must be >= 0, got {self.slots}"
             )
 
     @property

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.serve import build_tenants
 from repro.obs.metrics import get_registry
 from repro.serve.admission import (
     REASON_QUEUE_FULL,
@@ -14,6 +15,7 @@ from repro.serve.traffic import (
     QueryRequest,
     QueryTemplate,
     TenantSpec,
+    TrafficError,
 )
 
 pytestmark = pytest.mark.serve
@@ -180,13 +182,20 @@ class TestConcurrencyCaps:
         assert ctrl.admit(0.0).request_id == 3
         assert ctrl.admit(0.0) is None
 
-    def test_default_tenant_slots_from_controller(self):
-        a = _tenant("a")  # no per-spec cap
-        ctrl = AdmissionController([a], tenant_slots=1)
-        ctrl.offer(_request(a, 1), 0.0)
-        ctrl.offer(_request(a, 2), 0.0)
-        assert ctrl.admit(0.0) is not None
+    def test_tenant_slots_come_from_the_spec(self):
+        capped, uncapped = _tenant("a", slots=1), _tenant("b")  # 0 = uncapped
+        ctrl = AdmissionController([capped, uncapped])
+        for rid, spec in enumerate((capped, capped, uncapped, uncapped)):
+            ctrl.offer(_request(spec, rid), 0.0)
+        assert [ctrl.admit(0.0).request_id for _ in range(3)] == [0, 2, 3]
         assert ctrl.admit(0.0) is None
+        with pytest.raises(TrafficError):
+            _tenant("c", slots=-1)
+
+    def test_build_tenants_caps_every_tenant(self):
+        specs = build_tenants({"q": "SELECT 1"}, tenants=3, slots=2)
+        assert [spec.slots for spec in specs] == [2, 2, 2]
+        assert {spec.slots for spec in build_tenants({"q": "SELECT 1"})} == {0}
 
 
 class TestDeterminism:

@@ -1,4 +1,7 @@
-"""Unit tests for physical-node mechanics: copies, digests, costs, traits."""
+"""Unit tests for plan-node mechanics: copies (logical and physical),
+digests, costs, traits."""
+
+import inspect
 
 import pytest
 
@@ -8,7 +11,7 @@ from helpers import (
     reference_leaf_partition_sites,
     reference_total_cost,
 )
-from repro.common.errors import PlannerError
+from repro.common.errors import PlannerError, ValidationError
 from repro.cost.model import Cost
 from repro.exec.fragments import PhysReceiver
 from repro.exec.physical import (
@@ -30,7 +33,19 @@ from repro.exec.physical import (
     walk_physical,
 )
 from repro.rel.expr import BinaryOp, ColRef, Literal
-from repro.rel.logical import AggCall, AggFunc, JoinType
+from repro.rel.logical import (
+    AggCall,
+    AggFunc,
+    JoinType,
+    LogicalAggregate,
+    LogicalFilter,
+    LogicalJoin,
+    LogicalProject,
+    LogicalSort,
+    LogicalTableScan,
+    LogicalValues,
+    RelNode,
+)
 from repro.rel.traits import Collation, Distribution
 
 
@@ -70,15 +85,18 @@ def _calls():
     return (AggCall(AggFunc.COUNT, None),)
 
 
-#: One constructor per node class with a ``copy()``: ``(arity, build)``
-#: where ``build`` takes that many input nodes.
+#: One constructor per concrete physical node class: ``(arity, build)``
+#: where ``build`` takes that many input nodes.  The samples set the
+#: parameters no digest shows (pushed work, an index scan's bound
+#: condition), so a copy that dropped one would still digest alike.
 CLONE_PATHS = {
     "PhysTableScan": (0, lambda: PhysTableScan(
-        "t", "t", ["t.a", "t.b"], Distribution.hash((0,)), 4
+        "t", "t", ["t.a", "t.b"], Distribution.hash((0,)), 4,
+        pushed_filter=_cond(), pushed_project=(0, 1), pushed_fetch=5,
     )),
     "PhysIndexScan": (0, lambda: PhysIndexScan(
         "t", "t", ["t.a", "t.b"], "idx", Distribution.hash((0,)),
-        Collation(((0, True),)), 4, low=1,
+        Collation(((0, True),)), 4, low=1, bound_condition=_cond(),
     )),
     "PhysValues": (0, lambda: PhysValues([(1, 2)], ["a", "b"])),
     "PhysReceiver": (0, lambda: PhysReceiver(
@@ -108,11 +126,57 @@ CLONE_PATHS = {
     )),
 }
 
+#: The same for the concrete logical node classes.
+LOGICAL_CLONE_PATHS = {
+    "LogicalTableScan": (0, lambda: LogicalTableScan(
+        "t", "t", ["a", "b"],
+        pushed_filter=_cond(), pushed_project=(0, 1), pushed_fetch=5,
+    )),
+    "LogicalValues": (0, lambda: LogicalValues([(1, 2)], ["a", "b"])),
+    "LogicalFilter": (1, lambda c: LogicalFilter(c, _cond())),
+    "LogicalProject": (1, lambda c: LogicalProject(
+        c, [ColRef(1), ColRef(0)], ["b", "a"]
+    )),
+    "LogicalAggregate": (1, lambda c: LogicalAggregate(c, (0,), _calls())),
+    "LogicalSort": (1, lambda c: LogicalSort(c, ((0, False),), 5, 1)),
+    "LogicalJoin": (2, lambda l, r: LogicalJoin(
+        l, r, _cond(), JoinType.LEFT, correlate_origin=True
+    )),
+}
+
+#: Parameters a constructor normalises (lower-cases, re-tuples, derives
+#: from ``fields``): a copy keeps them equal, not identical.
+NORMALISED = {
+    ("LogicalTableScan", "table"),
+    ("LogicalTableScan", "alias"),
+    ("LogicalTableScan", "column_names"),
+    ("LogicalValues", "rows"),
+    ("PhysValues", "rows"),
+}
+
 
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
         yield from _subclasses(sub)
+
+
+def _concrete(classes):
+    return {cls.__name__ for cls in classes if not cls.__subclasses__()}
+
+
+def assert_keeps_parameters(original, clone):
+    """Every declared parameter of ``clone`` is ``original``'s own, and
+    the declared parameters are all the constructor takes after the inputs."""
+    name, params = type(original).__name__, type(original).param_names
+    constructor = inspect.signature(type(original)).parameters
+    assert len(constructor) == len(original.inputs) + len(params)
+    for param in params:
+        kept, had = getattr(clone, param), getattr(original, param)
+        if (name, param) in NORMALISED:
+            assert kept == had, param
+        else:
+            assert kept is had, param
 
 
 class TestSetOnce:
@@ -134,12 +198,14 @@ class TestSetOnce:
             setattr(scan(), attribute, 1.0)
 
     def test_every_copyable_class_has_a_clone_path_test(self):
-        copyable = {
-            cls.__name__
-            for cls in _subclasses(PhysNode)
-            if "_clone" in vars(cls)
-        }
-        assert copyable == set(CLONE_PATHS)
+        assert _concrete(_subclasses(PhysNode)) == set(CLONE_PATHS)
+        assert "PhysReceiver" in CLONE_PATHS
+
+    def test_every_logical_class_has_a_clone_path_test(self):
+        logical = [
+            cls for cls in _subclasses(RelNode) if not issubclass(cls, PhysNode)
+        ]
+        assert _concrete(logical) == set(LOGICAL_CLONE_PATHS)
 
 
 @pytest.mark.parametrize("name", sorted(CLONE_PATHS))
@@ -194,6 +260,55 @@ class TestClonePaths:
         _, clone, _ = self._original_and_clone(name)
         with pytest.raises(PlannerError):
             clone.costed(1.0)
+
+    def test_keeps_every_declared_parameter(self, name):
+        original, clone, replacement = self._original_and_clone(name)
+        assert_keeps_parameters(original, clone)
+        assert clone.inputs == tuple(replacement)
+        assert all(a is b for a, b in zip(clone.inputs, replacement))
+
+    def test_a_wrong_input_count_raises(self, name):
+        arity, build = CLONE_PATHS[name]
+        original = build(*[scan() for _ in range(arity)])
+        with pytest.raises(ValidationError):
+            original.copy([scan() for _ in range(arity + 1)])
+
+
+def _logical_scan(table):
+    return LogicalTableScan(table, table, ["a", "b"])
+
+
+@pytest.mark.parametrize("name", sorted(LOGICAL_CLONE_PATHS))
+class TestLogicalClonePaths:
+    """A logical ``copy()`` is the same operator over the new inputs."""
+
+    def _original_and_clone(self, name):
+        arity, build = LOGICAL_CLONE_PATHS[name]
+        original = build(*[_logical_scan("t") for _ in range(arity)])
+        original.digest()
+        replacement = [_logical_scan("u") for _ in range(arity)]
+        return original, original.copy(replacement), replacement
+
+    def test_keeps_every_declared_parameter(self, name):
+        original, clone, replacement = self._original_and_clone(name)
+        assert type(clone) is type(original) and clone is not original
+        assert_keeps_parameters(original, clone)
+        assert all(a is b for a, b in zip(clone.inputs, replacement))
+        assert len(clone.inputs) == len(replacement)
+
+    def test_digest_is_the_clones_own(self, name):
+        original, clone, replacement = self._original_and_clone(name)
+        assert clone.digest() == reference_digest(clone)
+        if replacement:
+            assert clone.digest() != original.digest()
+        else:
+            assert clone.digest() == original.digest()
+
+    def test_a_wrong_input_count_raises(self, name):
+        arity, build = LOGICAL_CLONE_PATHS[name]
+        original = build(*[_logical_scan("t") for _ in range(arity)])
+        with pytest.raises(ValidationError):
+            original.copy([_logical_scan("t") for _ in range(arity + 1)])
 
 
 class TestProjectTraitPropagation:
