@@ -28,6 +28,8 @@ from repro.bench.serve import ServeBenchError, build_tenants, run_serve_bench
 from repro.bench.ssb import SSB_QUERIES, load_ssb_cluster
 from repro.bench.tpch import load_tpch_cluster
 from repro.common.config import PRESETS
+from repro.serve.admission import AdmissionError
+from repro.serve.traffic import TrafficError
 
 #: ``repro-bench`` exit codes.  Distinct codes let CI classify a failure
 #: without parsing stdout; crash > invariant > mismatch when several
@@ -271,7 +273,7 @@ def cmd_artefact(args) -> None:
                 canon=_query_name,
             )
         report = bench.run(args)
-    except (UsageError, ServeBenchError) as exc:
+    except (UsageError, ServeBenchError, AdmissionError, TrafficError) as exc:
         raise UsageError(f"bad {name} parameters: {exc}") from None
     print(report.to_text())
     problems = report.validate()

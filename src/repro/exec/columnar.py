@@ -144,7 +144,7 @@ class Column:
     exchanges, joins, filters and sorts it crosses.
     """
 
-    __slots__ = ("_values", "_mask", "_source", "_index", "_chunks", "_likes")
+    __slots__ = ("_values", "_mask", "_source", "_index", "_chunks", "_likes", "_keys")
 
     def __init__(self, values: np.ndarray, mask: Optional[np.ndarray] = None):
         self._values = values
@@ -154,21 +154,21 @@ class Column:
         self._index: Optional[np.ndarray] = None
         self._chunks: Optional[Tuple["Column", ...]] = None
         self._likes: Optional[Dict[str, object]] = None  # _like_leaf
+        self._keys: object = None  # a stored column's key buckets; False: unbuilt
 
     @classmethod
     def _deferred(cls, source: "Column", index: np.ndarray) -> "Column":
         """``source`` (materialised, chunked, or a cached index scan
         column) gathered at ``index`` — on first read."""
         col = cls.__new__(cls)
-        col._values = col._mask = col._chunks = col._likes = None
+        col._values = col._mask = col._chunks = col._likes = col._keys = None
         col._source, col._index = source, index
         return col
 
     @classmethod
     def _chunked(cls, chunks: Sequence["Column"]) -> "Column":
         """``chunks`` end to end — concatenated on first read."""
-        col = cls.__new__(cls)
-        col._values = col._mask = col._source = col._index = col._likes = None
+        col = cls._deferred(None, None)
         col._chunks = tuple(chunks)
         return col
 
@@ -470,7 +470,7 @@ def _take_columns(
             if index is None:
                 index = composed[id(seen)] = seen[indices]
         view = new(Column)
-        view._values = view._mask = view._chunks = view._likes = None
+        view._values = view._mask = view._chunks = view._likes = view._keys = None
         view._source, view._index = source, index
         out.append(view)
     return out
@@ -1202,6 +1202,8 @@ def _site_batch(data, partitions: Tuple[int, ...]) -> ColumnBatch:
             data.schema.width,
             _table_plan(data),
         )
+        for column in batch.columns:
+            column._keys = False  # its key buckets: built by a join
         cache[partitions] = batch
     return batch
 
@@ -1466,6 +1468,44 @@ def _semi_reduce(
     return np.flatnonzero(lcodes >= 0), kept
 
 
+def _bucket_lookup(col: Column, probe: Column) -> Tuple[np.ndarray, ...]:
+    """``(starts, hits, rows)``: where each ``probe`` key's bucket starts
+    in a stored column's non-NULL ``rows`` (key order, stable) and its
+    size (0 for NULL).  The column's first join builds and keeps them:
+    ``starts`` of slot ``v - low`` within ``_DENSE_SPAN`` slots per row,
+    else of ``v``'s rank in the sorted distinct ``keys``; one empty last."""
+    if col._keys is False:
+        values = col.values.astype(np.int64, copy=False)
+        rows = np.flatnonzero(~col.null_mask())
+        rows = rows[np.argsort(values[rows], kind="stable")]
+        keys, n = values[rows], len(rows)
+        small = np.int32 if len(values) < 2**31 else np.int64
+        low, span = (int(keys[0]), int(keys[-1]) - int(keys[0]) + 1) if n else (0, 0)
+        if span <= _DENSE_SPAN * len(values):
+            starts = np.zeros(span + 2, small)
+            np.cumsum(np.bincount(keys - low, minlength=span + 1), out=starts[1:])
+            keys = None
+        else:
+            head = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+            starts, keys = np.append(head, [n, n]).astype(small), keys[head]
+        col._keys = (low, keys, starts, rows.astype(small))
+    low, keys, starts, rows = col._keys
+    values = probe.values.astype(np.int64, copy=False)
+    miss = len(starts) - 2  # the empty bucket
+    if keys is None:
+        # The range first: ``v - low`` of a key outside it may overflow.
+        inside = (values >= low) & (values <= low + miss - 1)
+        slot = np.full(len(values), miss, np.int64)
+        np.subtract(values, low, out=slot, where=inside)
+    else:
+        slot = np.searchsorted(keys, values)
+        slot[keys[np.minimum(slot, miss - 1)] != values] = miss
+    if probe.mask is not None:
+        slot[probe.mask] = miss
+    first = starts[slot]
+    return first, (starts[slot + 1] - first).astype(np.int64), rows
+
+
 def _equi_candidates(
     left: ColumnBatch,
     right: ColumnBatch,
@@ -1475,49 +1515,67 @@ def _equi_candidates(
     rows in insertion order — the row hash table's probe order.
 
     Returns ``(cand_left, cand_right, counts, offsets, pos_in_bucket)``,
-    the same arrays whether the sides are semi-join reduced first, dense
-    codes address a table directly or sparse ones are sorted and
-    binary-searched.
+    the same arrays whether a stored side's kept buckets are looked up,
+    the sides are semi-join reduced first, dense codes address a table
+    directly or sparse ones are sorted and binary-searched.
     """
     n_left, n_right = left.length, right.length
     if n_left == 0 or n_right == 0:
         none, zeros = np.empty(0, np.int64), np.zeros(n_left, np.int64)
         return none, none, zeros, zeros.copy(), none
-    lcodes, rcodes = _join_codes(left, right, pairs)
-    slots = _code_count(lcodes, rcodes) + 1
-    reduced = _semi_reduce(lcodes, rcodes, slots)
-    if reduced is None:
-        probes = np.arange(n_left, dtype=np.int64)
+    (lk, rk), *more = pairs
+    lcol, rcol = left.column(lk), right.column(rk)
+    stored = lcol._keys is not None or rcol._keys is not None
+    stored = stored and not more and lcol.kind in "bi" and rcol.kind in "bi"
+    probes, reduced = np.arange(n_left, dtype=np.int64), None
+    if stored and rcol._keys is not None:
+        # A stored build side: the probe keys look up its buckets.
+        starts, hits, order = _bucket_lookup(rcol, lcol)
+    elif stored and lcol._keys is not None:
+        # A stored probe side: the build keys look up its buckets, and
+        # the (distinct) pairs sort left-major, build rows ascending.
+        at, found, rows = _bucket_lookup(lcol, rcol)
+        ends = np.cumsum(found)
+        code = rows[np.arange(ends[-1]) + np.repeat(at - ends + found, found)]
+        code = code.astype(np.int64) * n_right + np.repeat(np.arange(n_right), found)
+        lrows, order = np.divmod(np.sort(code), n_right)
+        counts = np.bincount(lrows, minlength=n_left)
+        offsets = np.cumsum(counts) - counts
+        return lrows, order, counts, offsets, np.arange(len(lrows)) - offsets[lrows]
     else:
-        probes, kept = reduced
-        lcodes, rcodes = lcodes[probes], rcodes[kept]
-        n_right = len(rcodes)
-    if (
-        slots <= _DENSE_SPAN * (len(lcodes) + n_right)
-        and slots * n_right < _CODE_LIMIT
-    ):
-        # Direct addressing: one slot per code (slot 0 collects the -1
-        # NULL codes and is never probed), bucket sizes by counting.
-        build, rows = rcodes + 1, np.arange(n_right, dtype=np.int64)
-        sizes = np.bincount(build, minlength=slots)
-        starts = lcodes + 1
-        hits = sizes[starts]
-        if sizes[1:].max(initial=0) <= 1:
-            # Key-unique build side: the scatter table *is* the bucket
-            # array, each bucket starting at its own slot.
-            order = np.zeros(slots, np.int64)
-            order[build] = rows
+        lcodes, rcodes = _join_codes(left, right, pairs)
+        slots = _code_count(lcodes, rcodes) + 1
+        reduced = _semi_reduce(lcodes, rcodes, slots)
+        if reduced is not None:
+            probes, kept = reduced
+            lcodes, rcodes = lcodes[probes], rcodes[kept]
+            n_right = len(rcodes)
+        if (
+            slots <= _DENSE_SPAN * (len(lcodes) + n_right)
+            and slots * n_right < _CODE_LIMIT
+        ):
+            # Direct addressing: one slot per code (slot 0 collects the -1
+            # NULL codes and is never probed), bucket sizes by counting.
+            build, rows = rcodes + 1, np.arange(n_right, dtype=np.int64)
+            sizes = np.bincount(build, minlength=slots)
+            starts = lcodes + 1
+            hits = sizes[starts]
+            if sizes[1:].max(initial=0) <= 1:
+                # Key-unique build side: the scatter table *is* the bucket
+                # array, each bucket starting at its own slot.
+                order = np.zeros(slots, np.int64)
+                order[build] = rows
+            else:
+                # Buckets in slot order, insertion order inside each: the
+                # (slot, row) pairs are distinct, so any sort is stable.
+                order = np.sort(build * n_right + rows) % n_right
+                starts = (np.cumsum(sizes) - sizes)[starts]
         else:
-            # Buckets in slot order, insertion order inside each: the
-            # (slot, row) pairs are distinct, so any sort is stable.
-            order = np.sort(build * n_right + rows) % n_right
-            starts = (np.cumsum(sizes) - sizes)[starts]
-    else:
-        order = np.argsort(rcodes, kind="stable")
-        sorted_codes = rcodes[order]
-        starts = np.searchsorted(sorted_codes, lcodes, side="left")
-        hits = np.searchsorted(sorted_codes, lcodes, side="right") - starts
-    hits[lcodes < 0] = 0  # NULL keys probe nothing
+            order = np.argsort(rcodes, kind="stable")
+            sorted_codes = rcodes[order]
+            starts = np.searchsorted(sorted_codes, lcodes, side="left")
+            hits = np.searchsorted(sorted_codes, lcodes, side="right") - starts
+        hits[lcodes < 0] = 0  # NULL keys probe nothing
     counts = hits
     if reduced is not None:
         counts = np.zeros(n_left, np.int64)
@@ -1530,6 +1588,7 @@ def _equi_candidates(
         np.arange(len(cand_left), dtype=np.int64) - np.repeat(firsts, hits)
     )
     cand_right = order[pos_in_bucket + np.repeat(starts, hits)]
+    cand_right = cand_right.astype(np.int64, copy=False)
     if reduced is not None:
         cand_right = kept[cand_right]
     return cand_left, cand_right, counts, offsets, pos_in_bucket

@@ -169,17 +169,15 @@ def _tighter(candidate: object, current: object, low: bool) -> bool:
 def compile_pushdown(node) -> Optional[PushedScan]:
     """The :class:`PushedScan` for a scan node, or None when nothing is
     pushed (the engine then keeps its historical fast path)."""
-    pushed_filter = getattr(node, "pushed_filter", None)
-    pushed_project = getattr(node, "pushed_project", None)
-    pushed_fetch = getattr(node, "pushed_fetch", None)
-    if pushed_filter is None and pushed_project is None and pushed_fetch is None:
+    if not node.has_pushdown:
         return None
+    pushed_filter, pushed_project = node.pushed_filter, node.pushed_project
     filter_fn = compile_expr(pushed_filter, test=True) if pushed_filter is not None else None
     return PushedScan(
         filter_fn,
         sargable_bounds(pushed_filter),
         tuple(pushed_project) if pushed_project is not None else None,
-        pushed_fetch,
+        node.pushed_fetch,
     )
 
 

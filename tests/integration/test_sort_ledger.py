@@ -15,9 +15,12 @@ interpreter makes is recorded with the functions of
 * where a join *is* reduced first (``columnar._semi_reduce``), every
   sort or search it makes sees at most as many values as the join has
   candidate pairs: Q9's two-column joins at SF 1 (two ``bool`` tables
-  over ≈ 200 k code slots) and SSB Q3.4's one-month date joins (31
-  probe dates against ≈ 7,500 build rows per site, by a search of the
-  sorted probe codes);
+  over ≈ 200 k code slots);
+* SSB Q3.4's one-month date joins (31 probe dates against ≈ 7,500
+  stored ``lineorder`` rows per site) look the dates up in the key
+  buckets the cold pass kept on the stored column: no key codes, no
+  reduction, and no sort or search of an array as long as the build
+  side;
 * SSB's ``yyyymmdd`` date keys are sparse (about 20 M code slots over a
   few thousand rows), so Q1.1's join at SF 0.02 and Q3.1's mid-size
   joins at SF 1 (334–380 probe rows against 2,192) still take the plain
@@ -66,7 +69,11 @@ class SortLedger:
         ))
         reduce = columnar._semi_reduce
         monkeypatch.setattr(columnar, "_semi_reduce", lambda *args: self.reduced(
-            reduce(*args)
+            reduce(*self.called("_semi_reduce", args))
+        ))
+        codes = columnar._join_codes
+        monkeypatch.setattr(columnar, "_join_codes", lambda *args: codes(
+            *self.called("_join_codes", args)
         ))
         monkeypatch.setitem(
             columnar._HANDLERS, PhysIndexScan,
@@ -110,6 +117,11 @@ class SortLedger:
 
         return call
 
+    def called(self, name, args):
+        if self._probe is not None:
+            self._probe.called.add(name)
+        return args
+
     def reduced(self, result):
         if self._probe is not None:
             self._probe.reduced = result is not None
@@ -131,14 +143,16 @@ class SortLedger:
 
 class Probe:
     """One probe: key width, side lengths, whether it was semi-join
-    reduced, its candidate pairs, and the length of every array a numpy
-    sort or search under it was handed (a search's sorted haystack)."""
+    reduced, its candidate pairs, the length of every array a numpy
+    sort or search under it was handed (a search's sorted haystack) and
+    which of ``_join_codes`` / ``_semi_reduce`` it called."""
 
     def __init__(self, width, left, right):
         self.width, self.left, self.right = width, left, right
         self.reduced = False
         self.candidates = 0
         self.seen = []
+        self.called = set()
 
 
 def warm_ledger(cluster, monkeypatch, sqls):
@@ -193,15 +207,20 @@ def test_q9_two_column_joins_sort_no_more_than_their_candidates(
         assert max(probe.seen) <= probe.candidates, vars(probe)
 
 
-def test_ssb_date_keys_reduce_one_month_and_sort_mid_size(ssb_sf1, monkeypatch):
+def test_ssb_one_month_probes_stored_buckets_and_mid_size_sorts(
+    ssb_sf1, monkeypatch
+):
     ledger = warm_ledger(
         ssb_sf1, monkeypatch, [SSB_QUERIES[q].sql for q in ("Q3.4", "Q3.1")]
     )
     one_month = [probe for probe in ledger.probes if probe.left == 31]
     assert len(one_month) == 4, "one per site"
     for probe in one_month:
-        assert probe.reduced and probe.right > 7000, vars(probe)
-        assert max(probe.seen) <= probe.candidates, vars(probe)
+        # The build side is stored ``lineorder``: its date buckets were
+        # kept by the cold pass, so nothing is coded, reduced, sorted or
+        # searched at its length.
+        assert probe.right > 7000 and not probe.called, vars(probe)
+        assert probe.right not in probe.seen, vars(probe)
     mid_size = [probe for probe in ledger.probes if 300 < probe.left < 400]
     assert len(mid_size) == 4
     for probe in mid_size:

@@ -13,7 +13,9 @@ inputs, few matches over spans far past the rows, spans past ``2**62``
 representatives)`` triple of the reference kernels (``tests/helpers.py``:
 the sort-based ones and the pre-reduction probe), with the constants
 forced either way.  The switches themselves are pinned one slot or row
-either side of each constant.
+either side of each constant.  A side marked stored (as ``_site_batch``
+marks its columns) answers a one-key join from the key buckets kept on
+its column, and must give the same five arrays.
 """
 
 from contextlib import contextmanager
@@ -302,3 +304,73 @@ def test_many_dense_keys_do_not_overflow_the_combined_code():
     got = _group_ids(batch, list(range(8)))
     assert got[0].tolist() == ids and got[1] == len(seen)
     same(got, reference_group_ids(batch, list(range(8))))
+
+
+def stored(batch):
+    """``batch`` with its columns marked stored, as ``_site_batch`` does."""
+    for col in batch.columns:
+        col._keys = False
+    return batch
+
+
+def key_span(rows):
+    keys = [row[0] for row in rows if row[0] is not None]
+    return int(max(keys)) - int(min(keys)) + 1 if keys else 0
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_stored_side_buckets_match_the_sorted_reference(data):
+    """Either side stored, its buckets dense or sorted (``_DENSE_SPAN``
+    forced either way while the table fits): NULLs, duplicates, empty
+    sides and the int64 edges give the reference's arrays."""
+    kinds = data.draw(st.lists(st.sampled_from("bi"), min_size=2, max_size=2))
+    rows = [data.draw(key_rows(kind, 12)) for kind in kinds]
+    want = reference_equi_candidates(
+        from_rows(rows[0], 1), from_rows(rows[1], 1), [(0, 0)]
+    )
+    for side in (0, 1):
+        spans = [0, columnar._DENSE_SPAN]
+        if key_span(rows[side]) <= _FORCIBLE_SLOTS:
+            spans.append(1 << 40)
+        for span in spans:
+            left, right = from_rows(rows[0], 1), from_rows(rows[1], 1)
+            marked = stored((left, right)[side])
+            with forced_span(span):
+                same(_equi_candidates(left, right, [(0, 0)]), want)
+            table = marked.columns[0]._keys
+            kinds = {left.columns[0].kind, right.columns[0].kind}
+            if len(left) and len(right) and kinds <= set("bi"):
+                assert (table[1] is None) == (
+                    key_span(rows[side]) <= span * len(marked)
+                )
+                # A second join on the stored column reuses its table.
+                same(_equi_candidates(left, right, [(0, 0)]), want)
+                assert marked.columns[0]._keys is table
+            else:  # not a one-key integer join: today's kernel, no table
+                assert table is False
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("build", [
+    [-(2**63), -(2**63) + 1, None, -(2**63)],
+    [2**63 - 1, 2**63 - 2, None, 2**63 - 1],
+], ids=["low-edge", "high-edge"])
+def test_keys_outside_a_dense_table_never_match(side, build):
+    """A two-slot table at either end of int64: a probe key whose
+    difference from ``low`` overflows int64 is out of range, not a
+    wrapped slot."""
+    far = [2**63 - 1, -(2**63) + 1, None, 2**63 - 2, -(2**63), 0, -1]
+    rows = {"left": far, "right": build}
+    if side == "left":
+        rows = {"left": build, "right": far}
+    left = from_rows([(v,) for v in rows["left"]], 1)
+    right = from_rows([(v,) for v in rows["right"]], 1)
+    want = reference_equi_candidates(left, right, [(0, 0)])
+    stored(left if side == "left" else right)
+    got = _equi_candidates(left, right, [(0, 0)])
+    same(got, want)
+    assert (left if side == "left" else right).columns[0]._keys[1] is None
+    assert len(got[0]) == sum(
+        a == b for a in rows["left"] for b in rows["right"] if a is not None
+    )

@@ -341,6 +341,16 @@ class TestArtefactCommands:
         if argv[1] != "--tenants":
             assert "choose from" in out
 
+    @pytest.mark.parametrize("flag", ["--queue-depth", "--tenant-slots"])
+    def test_negative_serve_caps_exit_usage(self, flag, capsys):
+        """Admission and tenant caps are validated by the serving layer;
+        its error is a usage error, one line, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--smoke", flag, "-1"])
+        assert excinfo.value.code == 64
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("bad serve parameters: ")
+
     @pytest.mark.parametrize(
         "name, invalid_exit",
         [

@@ -15,6 +15,8 @@ from repro.common.config import PRESETS
 from repro.common.constants import NETWORK_UNITS_PER_MESSAGE, RPTC
 from repro.common.errors import StorageError
 from repro.core.cluster import IgniteCalciteCluster
+from repro.exec.physical import PhysTableScan
+from repro.rel.traits import Distribution
 from repro.storage.adapters import (
     AdapterCosts,
     ColumnFileAdapter,
@@ -263,12 +265,9 @@ class TestDropRecreateStaleness:
 
 class TestPushedScanCompilation:
     def test_compile_pushdown_none_when_nothing_pushed(self):
-        class Bare:
-            pushed_filter = None
-            pushed_project = None
-            pushed_fetch = None
-
-        assert compile_pushdown(Bare()) is None
+        scan = PhysTableScan("t", "t", ["t.a"], Distribution.hash((0,)), 4)
+        assert not scan.has_pushdown
+        assert compile_pushdown(scan) is None
 
     def test_apply_filters_projects_and_caps_in_order(self):
         pushed = PushedScan(
