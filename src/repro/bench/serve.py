@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Sequence
 
 from repro.common.config import PRESETS, SystemConfig
 from repro.common.errors import ReproError
+from repro.serve.admission import AdmissionController
 from repro.serve.slo import SloReport, validate_slo_artefact
 from repro.serve.server import QueryServer, ServeResult
 from repro.serve.traffic import (
@@ -164,6 +165,7 @@ def run_serve_bench(
             serve_queue_depth=queue_depth,
             serve_shed_wait_seconds=shed_wait_seconds,
         )
+        AdmissionController.from_config(config, tenants)  # bad caps: no load
         cluster = loader(config, sf)
         server = QueryServer(cluster, tenants, seed=seed)
         result = server.run(duration)

@@ -604,6 +604,10 @@ _COMPARISONS = {
     "=": operator.eq, "<>": operator.ne, "<": operator.lt,
     "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv,
+}
 
 
 def _scalar_fits(values: np.ndarray, value) -> bool:
@@ -683,33 +687,17 @@ def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Colu
     if left.mask is not None or right.mask is not None:
         null = left.null_mask() | right.null_mask()
     lv, rv = left.values, right.values
-    if op == "=":
-        return Column(lv == rv, null)
-    if op == "<>":
-        return Column(lv != rv, null)
-    if op == "<":
-        return Column(lv < rv, null)
-    if op == "<=":
-        return Column(lv <= rv, null)
-    if op == ">":
-        return Column(lv > rv, null)
-    if op == ">=":
-        return Column(lv >= rv, null)
-    if lk == "U" or rk == "U":
+    if compare is not None:
+        return Column(compare(lv, rv), null)
+    arithmetic = _ARITHMETIC.get(op)
+    if arithmetic is None or lk == "U" or rk == "U":
         raise _Fallback  # string arithmetic: rare, row fallback
-    if op == "+":
-        return Column(lv + rv, null)
-    if op == "-":
-        return Column(lv - rv, null)
-    if op == "*":
-        return Column(lv * rv, null)
     if op == "/":
         valid = ~null if null is not None else np.ones(n, np.bool_)
         if bool(np.any((rv == 0) & valid)):
             raise ZeroDivisionError("division by zero")
-        safe = np.where(valid, rv, 1)
-        return Column(lv / safe, null)
-    raise _Fallback
+        rv = np.where(valid, rv, 1)
+    return Column(arithmetic(lv, rv), null)
 
 
 def _eval_func(expr: FuncCall, batch: ColumnBatch) -> Column:
@@ -961,7 +949,8 @@ _DENSE_SPAN = 8
 _REDUCE_SPAN, _REDUCE_RATIO, _REDUCE_MIN = 4, 16, 4096
 
 #: Up to this many slots per row the reduction uses ``bool`` tables, an
-#: eighth of the int64 slot direct addressing pays.
+#: eighth of the int64 slot direct addressing pays; past it the reduction
+#: declines and the plain probe runs.
 _FLAG_SPAN = 8 * _DENSE_SPAN
 
 
@@ -1445,27 +1434,22 @@ def _semi_reduce(
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``(probes, kept)``, ascending: the probe rows that may match and
     the build rows whose code some probe row has, by a ``bool`` table
-    per side — past ``_FLAG_SPAN`` by a search of the probe side's sorted
-    codes, keeping every non-NULL probe row.  ``None``: it does not pay."""
+    per side.  ``None``: it does not pay, or the tables would top
+    ``_FLAG_SPAN`` slots per row."""
     n_left, n_right = len(lcodes), len(rcodes)
     n = n_left + n_right
     big = n_right >= max(_REDUCE_RATIO * n_left, _REDUCE_MIN)
-    if slots <= _REDUCE_SPAN * n_left or not (big or slots > _REDUCE_SPAN * n):
+    if slots <= _REDUCE_SPAN * n_left or slots > _FLAG_SPAN * n:
         return None
-    if slots <= _FLAG_SPAN * n:
-        flags = np.zeros(slots, np.bool_)
-        flags[lcodes + 1] = True
-        flags[0] = False  # slot 0 is the NULL code's: it asks for nothing
-        kept = np.flatnonzero(flags[rcodes + 1])
-        flags[:] = False
-        flags[rcodes[kept] + 1] = True
-        return np.flatnonzero(flags[lcodes + 1]), kept
-    if not big:
+    if not (big or slots > _REDUCE_SPAN * n):
         return None
-    wanted = np.sort(lcodes)  # not np.unique: it imports numpy.ma, ≈ 1 MiB
-    at = np.minimum(np.searchsorted(wanted, rcodes), n_left - 1)
-    kept = np.flatnonzero((wanted[at] == rcodes) & (rcodes >= 0))
-    return np.flatnonzero(lcodes >= 0), kept
+    flags = np.zeros(slots, np.bool_)
+    flags[lcodes + 1] = True
+    flags[0] = False  # slot 0 is the NULL code's: it asks for nothing
+    kept = np.flatnonzero(flags[rcodes + 1])
+    flags[:] = False
+    flags[rcodes[kept] + 1] = True
+    return np.flatnonzero(flags[lcodes + 1]), kept
 
 
 def _bucket_lookup(col: Column, probe: Column) -> Tuple[np.ndarray, ...]:
@@ -1829,129 +1813,90 @@ def _distinct_keep(gids: np.ndarray, col: Column) -> np.ndarray:
 def _agg_columns(
     node, batch: ColumnBatch, group_ids: np.ndarray, n_groups: int
 ) -> List[Column]:
-    """One result column per aggregate call (vectorized accumulators).
+    """One result column per aggregate call, for every phase.
 
-    Float sums use ``np.bincount`` with weights, which accumulates in
-    row order — the identical sequence of float additions as the row
-    accumulator, so SUM/AVG are bit-for-bit equal.  DISTINCT calls
-    first reduce the argument to first-occurrence ``(group, value)``
-    pairs and then aggregate that subset the ordinary way.
+    SINGLE and MAP read each call's argument; REDUCE reads the MAP
+    partial states found after the keys — COUNT an int, SUM/AVG a
+    ``(sum, count)`` pair, MIN/MAX a value-or-None.  Either way COUNT,
+    SUM and AVG come down to per-group counts and sums, and MIN/MAX to
+    ``_group_minmax``.  Float sums use ``np.bincount`` with weights,
+    which accumulates in row order — the identical sequence of float
+    additions as the row accumulator and its ``merge_row`` loop, so
+    SUM/AVG are bit-for-bit equal.  DISTINCT calls first reduce the
+    argument to first-occurrence ``(group, value)`` pairs and then
+    aggregate that subset the ordinary way.
     """
     is_map = node.phase is AggPhase.MAP
-    columns: List[Column] = []
-    for call in node.agg_calls:
-        func = call.func
-        if is_map and call.distinct:
-            raise ExecutionError("distinct aggregates cannot be split")
-        if call.arg is None:  # COUNT(*)
-            counts = np.bincount(group_ids, minlength=n_groups)
-            if call.distinct:
-                # The row accumulator dedupes the ``True`` sentinel.
-                counts = np.minimum(counts, 1)
-            values = [int(c) for c in counts.tolist()]
-            columns.append(column_from_values(values, "i"))
-            continue
-        arg = eval_expr(call.arg, batch)
-        valid = ~arg.null_mask()
-        gids = group_ids[valid]
-        if call.distinct and func is not AggFunc.MIN and func is not AggFunc.MAX:
-            # MIN/MAX are dedup-invariant; COUNT/SUM/AVG are not.
-            sub = arg.take(np.flatnonzero(valid))
-            keep = _distinct_keep(gids, sub)
-            gids = gids[keep]
-            arg_values = sub.values[keep]
-        else:
-            arg_values = arg.values[valid]
-        if func is AggFunc.COUNT:
-            counts = np.bincount(gids, minlength=n_groups)
-            columns.append(column_from_values(
-                [int(c) for c in counts.tolist()], "i"
-            ))
-        elif func is AggFunc.SUM or func is AggFunc.AVG:
-            weights = np.asarray(arg_values, dtype=np.float64)
-            sums = np.bincount(gids, weights=weights, minlength=n_groups)
-            counts = np.bincount(gids, minlength=n_groups)
-            if is_map:
-                values = [
-                    (float(s), int(c))
-                    for s, c in zip(sums.tolist(), counts.tolist())
-                ]
-            elif func is AggFunc.SUM:
-                values = [
-                    float(s) if c else None
-                    for s, c in zip(sums.tolist(), counts.tolist())
-                ]
-            else:
-                values = [
-                    float(s) / int(c) if c else None
-                    for s, c in zip(sums.tolist(), counts.tolist())
-                ]
-            columns.append(column_from_values(values))
-        else:  # MIN / MAX
-            values = _group_minmax(
-                group_ids, n_groups, arg, func is AggFunc.MIN
-            )
-            columns.append(column_from_values(values))
-    return columns
-
-
-def _reduce_columns(
-    node, batch: ColumnBatch, group_ids: np.ndarray, n_groups: int
-) -> List[Column]:
-    """REDUCE phase: merge the MAP partial states found after the keys.
-
-    Column ``len(keys) + i`` holds call ``i``'s partials — COUNT an int,
-    SUM/AVG a ``(sum, count)`` pair, MIN/MAX a value-or-None.  Per-group
-    merges proceed in batch row order, the same sequence the row core's
-    ``merge_row`` loop follows, so float sums stay bit-for-bit equal.
-    """
+    is_reduce = node.phase is AggPhase.REDUCE
     offset = len(node.group_keys)
     columns: List[Column] = []
     for index, call in enumerate(node.agg_calls):
         func = call.func
-        col = batch.column(offset + index)
-        n = len(col)
-        if func is AggFunc.COUNT:
-            acc = np.zeros(n_groups, dtype=np.int64)
-            if col.kind in ("i", "b"):
-                np.add.at(acc, group_ids, col.values.astype(np.int64, copy=False))
-            else:
-                for g, v in zip(group_ids.tolist(), col.to_list()):
-                    acc[g] += v
-            columns.append(column_from_values(
-                [int(v) for v in acc.tolist()], "i"
-            ))
-        elif func is AggFunc.SUM or func is AggFunc.AVG:
-            partials = col.to_list()
-            comp_sum = np.fromiter(
-                (p[0] if p is not None else 0.0 for p in partials),
-                np.float64,
-                count=n,
-            )
-            comp_count = np.fromiter(
-                (p[1] if p is not None else 0 for p in partials),
-                np.int64,
-                count=n,
-            )
-            sums = np.bincount(group_ids, weights=comp_sum, minlength=n_groups)
-            counts = np.bincount(
-                group_ids, weights=comp_count, minlength=n_groups
-            ).astype(np.int64)
-            if func is AggFunc.SUM:
-                values = [
-                    float(s) if c else None
-                    for s, c in zip(sums.tolist(), counts.tolist())
-                ]
-            else:
-                values = [
-                    float(s) / int(c) if c else None
-                    for s, c in zip(sums.tolist(), counts.tolist())
-                ]
-            columns.append(column_from_values(values))
-        else:  # MIN / MAX over value-or-None partials
+        if is_map and call.distinct:
+            raise ExecutionError("distinct aggregates cannot be split")
+        if is_reduce:
+            arg = batch.column(offset + index)
+        elif call.arg is not None:
+            arg = eval_expr(call.arg, batch)
+        if func is AggFunc.MIN or func is AggFunc.MAX:
             columns.append(column_from_values(_group_minmax(
-                group_ids, n_groups, col, func is AggFunc.MIN
+                group_ids, n_groups, arg, func is AggFunc.MIN
             )))
+            continue
+        sums = None
+        if is_reduce:
+            if func is AggFunc.COUNT:
+                weights = arg.values if arg.kind in ("i", "b") else np.fromiter(
+                    arg.to_list(), np.float64, count=len(arg)
+                )
+            else:
+                partials = arg.to_list()
+                sums = np.bincount(group_ids, weights=np.fromiter(
+                    (p[0] if p is not None else 0.0 for p in partials),
+                    np.float64,
+                    count=len(partials),
+                ), minlength=n_groups)
+                weights = np.fromiter(
+                    (p[1] if p is not None else 0 for p in partials),
+                    np.int64,
+                    count=len(partials),
+                )
+            counts = np.bincount(
+                group_ids, weights=weights, minlength=n_groups
+            ).astype(np.int64)
+        elif call.arg is None:  # COUNT(*)
+            counts = np.bincount(group_ids, minlength=n_groups)
+            if call.distinct:
+                # The row accumulator dedupes the ``True`` sentinel.
+                counts = np.minimum(counts, 1)
+        else:
+            valid = ~arg.null_mask()
+            gids = group_ids[valid]
+            if call.distinct:
+                sub = arg.take(np.flatnonzero(valid))
+                keep = _distinct_keep(gids, sub)
+                gids = gids[keep]
+                arg_values = sub.values[keep]
+            else:
+                arg_values = arg.values[valid]
+            if func is not AggFunc.COUNT:
+                weights = np.asarray(arg_values, dtype=np.float64)
+                sums = np.bincount(gids, weights=weights, minlength=n_groups)
+            counts = np.bincount(gids, minlength=n_groups)
+        counts = counts.tolist()
+        if func is AggFunc.COUNT:
+            columns.append(column_from_values([int(c) for c in counts], "i"))
+            continue
+        if is_map:
+            values = [(float(s), int(c)) for s, c in zip(sums.tolist(), counts)]
+        elif func is AggFunc.SUM:
+            values = [float(s) if c else None for s, c in zip(sums.tolist(), counts)]
+        else:
+            values = [
+                float(s) / int(c) if c else None
+                for s, c in zip(sums.tolist(), counts)
+            ]
+        columns.append(column_from_values(values))
     return columns
 
 
@@ -1969,10 +1914,7 @@ def _aggregate_batch(node, batch: ColumnBatch, sorted_runs: bool) -> ColumnBatch
             return from_rows([row], node.width)
         return from_rows([], node.width)
     columns = _take_columns([batch.column(k) for k in keys], rep_idx)
-    if node.phase is AggPhase.REDUCE:
-        columns.extend(_reduce_columns(node, batch, group_ids, n_groups))
-    else:
-        columns.extend(_agg_columns(node, batch, group_ids, n_groups))
+    columns.extend(_agg_columns(node, batch, group_ids, n_groups))
     return ColumnBatch(columns, n_groups)
 
 

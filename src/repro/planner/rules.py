@@ -20,7 +20,7 @@ The library reproduces the rules the paper's narrative depends on:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.rel import expr as rex
 from repro.rel.expr import ColRef, Expr, Literal, make_conjunction, shift_refs
@@ -57,6 +57,37 @@ def substitute_refs(expr: Expr, exprs: Sequence[Expr]) -> Expr:
     if not children:
         return expr
     return expr.with_children([substitute_refs(c, exprs) for c in children])
+
+
+def _filter_over(node: RelNode, condition: Optional[Expr]) -> RelNode:
+    return node if condition is None else LogicalFilter(node, condition)
+
+
+def _push_to_inputs(
+    join: LogicalJoin, condition: Expr, left_ok: bool, right_ok: bool
+) -> Optional[Tuple[List[RelNode], Optional[Expr]]]:
+    """The join's inputs with the one-sided conjuncts of ``condition``
+    that may move (``left_ok``/``right_ok``) filtered onto them, and the
+    rest; ``None`` when nothing moves.  One split serves a filter on a
+    join and a join's own condition, as Calcite's ``FilterJoinRule`` does."""
+    left_width = join.left.width
+    lefts: List[Expr] = []
+    rights: List[Expr] = []
+    keep: List[Expr] = []
+    for conjunct in rex.split_conjunction(condition):
+        side = rex.is_literal_condition(conjunct, left_width)
+        if side == "left" and left_ok:
+            lefts.append(conjunct)
+        elif side == "right" and right_ok:
+            rights.append(shift_refs(conjunct, -left_width))
+        else:
+            keep.append(conjunct)
+    if not lefts and not rights:
+        return None
+    return [
+        _filter_over(join.left, make_conjunction(lefts)),
+        _filter_over(join.right, make_conjunction(rights)),
+    ], make_conjunction(keep)
 
 
 class FilterMergeRule(Rule):
@@ -139,29 +170,15 @@ class JoinConditionPushRule(Rule):
             return None
         if node.condition is None or node.correlate_origin:
             return None
-        left_width = node.left.width
-        left_parts: List[Expr] = []
-        right_parts: List[Expr] = []
-        keep: List[Expr] = []
-        for conjunct in rex.split_conjunction(node.condition):
-            side = rex.is_literal_condition(conjunct, left_width)
-            if side == "left" and node.join_type is not JoinType.ANTI:
-                # An anti join *emits* left rows that fail the condition,
-                # so a left-only ON conjunct must not become a filter.
-                left_parts.append(conjunct)
-            elif side == "right":
-                right_parts.append(shift_refs(conjunct, -left_width))
-            else:
-                keep.append(conjunct)
-        if not left_parts and not right_parts:
+        # An anti join *emits* left rows that fail the condition, so a
+        # left-only ON conjunct must not become a filter.
+        pushed = _push_to_inputs(
+            node, node.condition, node.join_type is not JoinType.ANTI, True
+        )
+        if pushed is None:
             return None
-        left = node.left
-        right = node.right
-        if left_parts:
-            left = LogicalFilter(left, make_conjunction(left_parts))
-        if right_parts:
-            right = LogicalFilter(right, make_conjunction(right_parts))
-        return LogicalJoin(left, right, make_conjunction(keep), node.join_type)
+        (left, right), keep = pushed
+        return LogicalJoin(left, right, keep, node.join_type)
 
 
 class FilterJoinTransposeRule(Rule):
@@ -185,35 +202,17 @@ class FilterJoinTransposeRule(Rule):
             JoinType.INNER, JoinType.LEFT, JoinType.SEMI, JoinType.ANTI
         ):
             return None
-        left_width = child.left.width
-        left_parts: List[Expr] = []
-        right_parts: List[Expr] = []
-        keep: List[Expr] = []
-        for conjunct in rex.split_conjunction(node.condition):
-            side = rex.is_literal_condition(conjunct, left_width)
-            if side == "left":
-                # Valid for every join type: for semi/anti/left the output
-                # left columns are exactly the input left columns, and for
-                # anti a pre-filter on the left only narrows which rows are
-                # tested, identical to filtering afterwards.
-                left_parts.append(conjunct)
-            elif side == "right" and child.join_type is JoinType.INNER:
-                right_parts.append(shift_refs(conjunct, -left_width))
-            else:
-                keep.append(conjunct)
-        if not left_parts and not right_parts:
+        # A left-side conjunct moves for every join type: for semi/anti/left
+        # the output left columns are exactly the input left columns, and
+        # for anti a pre-filter on the left only narrows which rows are
+        # tested, identical to filtering afterwards.
+        pushed = _push_to_inputs(
+            child, node.condition, True, child.join_type is JoinType.INNER
+        )
+        if pushed is None:
             return None
-        left = child.left
-        right = child.right
-        if left_parts:
-            left = LogicalFilter(left, make_conjunction(left_parts))
-        if right_parts:
-            right = LogicalFilter(right, make_conjunction(right_parts))
-        new_join = LogicalJoin(left, right, child.condition, child.join_type)
-        remainder = make_conjunction(keep)
-        if remainder is None:
-            return new_join
-        return LogicalFilter(new_join, remainder)
+        inputs, remainder = pushed
+        return _filter_over(child.copy(inputs), remainder)
 
 
 class FilterCorrelateRule(Rule):
@@ -244,27 +243,11 @@ class FilterCorrelateRule(Rule):
         # Decorrelated scalar-aggregate joins are inner correlates whose
         # output also carries the aggregate columns; only conjuncts that
         # reference the left side alone may move.
-        left_width = child.left.width
-        pushable: List[Expr] = []
-        keep: List[Expr] = []
-        for conjunct in rex.split_conjunction(node.condition):
-            if rex.is_literal_condition(conjunct, left_width) == "left":
-                pushable.append(conjunct)
-            else:
-                keep.append(conjunct)
-        if not pushable:
+        pushed = _push_to_inputs(child, node.condition, True, False)
+        if pushed is None:
             return None
-        pushed_join = LogicalJoin(
-            LogicalFilter(child.left, make_conjunction(pushable)),
-            child.right,
-            child.condition,
-            child.join_type,
-            correlate_origin=True,
-        )
-        remainder = make_conjunction(keep)
-        if remainder is None:
-            return pushed_join
-        return LogicalFilter(pushed_join, remainder)
+        inputs, remainder = pushed
+        return _filter_over(child.copy(inputs), remainder)
 
 
 class FilterSortTransposeRule(Rule):
@@ -311,11 +294,7 @@ class FilterAggregateTransposeRule(Rule):
         if not pushable:
             return None
         filtered = LogicalFilter(child.input, make_conjunction(pushable))
-        new_agg = child.copy([filtered])
-        remainder = make_conjunction(keep)
-        if remainder is None:
-            return new_agg
-        return LogicalFilter(new_agg, remainder)
+        return _filter_over(child.copy([filtered]), make_conjunction(keep))
 
 
 class JoinConditionSimplificationRule(Rule):

@@ -163,7 +163,7 @@ class SqlToRelConverter:
         self, select: ast.Select, outer: Optional[Scope]
     ) -> Tuple[RelNode, Scope]:
         plan, scope = self._build_from(select.from_items, outer)
-        plan = self._apply_where(plan, scope, select.where)
+        plan = self._apply_where(plan, scope, _ast_conjuncts(select.where))
         plan = self._build_projection(plan, scope, select)
         return plan, scope
 
@@ -230,28 +230,22 @@ class SqlToRelConverter:
     # -- WHERE clause ---------------------------------------------------------------
 
     def _apply_where(
-        self, plan: RelNode, scope: Scope, where: Optional[ast.SqlExpr]
+        self, plan: RelNode, scope: Scope, conjuncts: Sequence[ast.SqlExpr]
     ) -> RelNode:
-        if where is None:
-            return plan
+        """Subquery-derived joins first; the plain filter goes on top —
+        exactly where the unoptimised Calcite tree leaves it, so pushing
+        it down requires the FILTER_CORRELATE rule (Section 4.1)."""
         plain: List[ast.SqlExpr] = []
-        subqueryish: List[ast.SqlExpr] = []
-        for conjunct in _ast_conjuncts(where):
+        scalar_filters: List[Expr] = []
+        for conjunct in conjuncts:
             if _contains_subquery(conjunct):
-                subqueryish.append(conjunct)
+                plan = self._apply_subquery_conjunct(
+                    plan, scope, conjunct, scalar_filters
+                )
             else:
                 plain.append(conjunct)
-        # Subquery-derived joins first; the plain filter goes on top —
-        # exactly where the unoptimised Calcite tree leaves it, so pushing
-        # it down requires the FILTER_CORRELATE rule (Section 4.1).
-        scalar_filters: List[Expr] = []
-        for conjunct in subqueryish:
-            plan = self._apply_subquery_conjunct(
-                plan, scope, conjunct, scalar_filters
-            )
         conjuncts = [self._convert_expr(c, scope) for c in plain]
-        conjuncts.extend(scalar_filters)
-        condition = make_conjunction(conjuncts)
+        condition = make_conjunction(conjuncts + scalar_filters)
         if condition is not None:
             plan = LogicalFilter(plan, condition)
         return plan
@@ -340,8 +334,6 @@ class SqlToRelConverter:
         unresolved bug in the planning code".
         """
         if self.q20_defect_fixed:
-            return
-        if subquery.where is None:
             return
         for conjunct in _ast_conjuncts(subquery.where):
             for node in _walk_ast(conjunct):
@@ -467,8 +459,6 @@ class SqlToRelConverter:
         correlation triples ``(op, outer_side_ast, inner_side_ast)``."""
         inner_conjuncts: List[ast.SqlExpr] = []
         correlated: List[Tuple[str, ast.SqlExpr, ast.SqlExpr]] = []
-        if subquery.where is None:
-            return inner_conjuncts, correlated
         for conjunct in _ast_conjuncts(subquery.where):
             level = self._conjunct_level(conjunct, inner_scope)
             if level == 0:
@@ -537,23 +527,7 @@ class SqlToRelConverter:
         # Inner conjuncts may themselves contain subqueries (nested INs,
         # correlated scalar aggregates — TPC-H Q20's shape); route them
         # through the same subquery machinery against the inner scope.
-        plain: List[ast.SqlExpr] = []
-        nested: List[ast.SqlExpr] = []
-        for conjunct in inner_conjuncts:
-            if _contains_subquery(conjunct):
-                nested.append(conjunct)
-            else:
-                plain.append(conjunct)
-        scalar_filters: List[Expr] = []
-        for conjunct in nested:
-            plan = self._apply_subquery_conjunct(
-                plan, inner_scope, conjunct, scalar_filters
-            )
-        conjuncts = [self._convert_expr(c, inner_scope) for c in plain]
-        conjuncts.extend(scalar_filters)
-        condition = make_conjunction(conjuncts)
-        if condition is not None:
-            plan = LogicalFilter(plan, condition)
+        plan = self._apply_where(plan, inner_scope, inner_conjuncts)
         # Project the select items so IN sees its value column at index 0,
         # followed by any correlation columns the join condition needs.
         exprs: List[Expr] = []
@@ -878,7 +852,9 @@ class _ProjectedInner:
 # ---------------------------------------------------------------------------
 
 
-def _ast_conjuncts(expr: ast.SqlExpr) -> List[ast.SqlExpr]:
+def _ast_conjuncts(expr: Optional[ast.SqlExpr]) -> List[ast.SqlExpr]:
+    if expr is None:
+        return []
     if isinstance(expr, ast.Binary) and expr.op == "AND":
         return _ast_conjuncts(expr.left) + _ast_conjuncts(expr.right)
     return [expr]

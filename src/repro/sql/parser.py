@@ -8,7 +8,7 @@ support SQL VIEWs, which is why the paper disables TPC-H Q15 (Section 6).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.common.errors import SqlSyntaxError, UnsupportedSqlError
 from repro.sql import ast
@@ -16,6 +16,8 @@ from repro.sql.lexer import Token, TokenType, tokenize
 
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max"})
 SCALAR_FUNCTION_NAMES = frozenset({"upper", "lower", "abs", "coalesce", "substr"})
+
+_Item = TypeVar("_Item")
 
 
 def parse(sql: str, allow_views: bool = False):
@@ -77,6 +79,23 @@ class _Parser:
     def _expect_symbol(self, symbol: str) -> None:
         if not self._accept_symbol(symbol):
             raise self._error(f"expected {symbol!r}")
+
+    def _comma_list(self, parse_item: Callable[[], _Item]) -> List[_Item]:
+        """``item ("," item)*``: every list production of the grammar."""
+        items = [parse_item()]
+        while self._accept_symbol(","):
+            items.append(parse_item())
+        return items
+
+    def _optional_integer(self, keyword: str) -> Optional[int]:
+        """``[keyword integer]``, as in ``LIMIT n`` and ``OFFSET n``."""
+        if not self._accept_keyword(keyword):
+            return None
+        token = self._current
+        if token.type is not TokenType.NUMBER or not isinstance(token.value, int):
+            raise self._error(f"{keyword.upper()} requires an integer")
+        self._advance()
+        return token.value
 
     def _expect_ident(self) -> str:
         token = self._current
@@ -151,9 +170,7 @@ class _Parser:
                 self._advance()
                 self._advance()
                 self._expect_symbol("(")
-                primary_key.append(self._expect_ident())
-                while self._accept_symbol(","):
-                    primary_key.append(self._expect_ident())
+                primary_key.extend(self._comma_list(self._expect_ident))
                 self._expect_symbol(")")
             else:
                 column = self._expect_ident()
@@ -184,41 +201,25 @@ class _Parser:
     def _parse_select(self) -> ast.Select:
         self._expect_keyword("select")
         distinct = self._accept_keyword("distinct")
-        items = self._parse_select_items()
+        items = self._comma_list(self._parse_select_item)
         self._expect_keyword("from")
-        from_items = self._parse_from_list()
+        from_items = self._comma_list(self._parse_join_chain)
         where = None
         if self._accept_keyword("where"):
             where = self._parse_expr()
         group_by: List[ast.SqlExpr] = []
         if self._accept_keyword("group"):
             self._expect_keyword("by")
-            group_by.append(self._parse_expr())
-            while self._accept_symbol(","):
-                group_by.append(self._parse_expr())
+            group_by = self._comma_list(self._parse_expr)
         having = None
         if self._accept_keyword("having"):
             having = self._parse_expr()
         order_by: List[ast.OrderItem] = []
         if self._accept_keyword("order"):
             self._expect_keyword("by")
-            order_by.append(self._parse_order_item())
-            while self._accept_symbol(","):
-                order_by.append(self._parse_order_item())
-        limit = None
-        if self._accept_keyword("limit"):
-            token = self._current
-            if token.type is not TokenType.NUMBER or not isinstance(token.value, int):
-                raise self._error("LIMIT requires an integer")
-            limit = token.value
-            self._advance()
-        offset = None
-        if self._accept_keyword("offset"):
-            token = self._current
-            if token.type is not TokenType.NUMBER or not isinstance(token.value, int):
-                raise self._error("OFFSET requires an integer")
-            offset = token.value
-            self._advance()
+            order_by = self._comma_list(self._parse_order_item)
+        limit = self._optional_integer("limit")
+        offset = self._optional_integer("offset")
         if self._current.is_keyword("union"):
             raise UnsupportedSqlError("UNION is not supported")
         return ast.Select(
@@ -232,12 +233,6 @@ class _Parser:
             offset=offset,
             distinct=distinct,
         )
-
-    def _parse_select_items(self) -> List[ast.SelectItem]:
-        items = [self._parse_select_item()]
-        while self._accept_symbol(","):
-            items.append(self._parse_select_item())
-        return items
 
     def _parse_select_item(self) -> ast.SelectItem:
         if self._current.type is TokenType.SYMBOL and self._current.value == "*":
@@ -263,12 +258,6 @@ class _Parser:
         return ast.OrderItem(expr=expr, ascending=ascending)
 
     # -- FROM clause ------------------------------------------------------------
-
-    def _parse_from_list(self) -> List[ast.TableExpr]:
-        items = [self._parse_join_chain()]
-        while self._accept_symbol(","):
-            items.append(self._parse_join_chain())
-        return items
 
     def _parse_join_chain(self) -> ast.TableExpr:
         left = self._parse_table_primary()
@@ -385,9 +374,7 @@ class _Parser:
             return ast.InExpr(
                 operand=operand, values=None, subquery=subquery, negated=negated
             )
-        values = [self._parse_expr()]
-        while self._accept_symbol(","):
-            values.append(self._parse_expr())
+        values = self._comma_list(self._parse_expr)
         self._expect_symbol(")")
         return ast.InExpr(operand=operand, values=values, subquery=None, negated=negated)
 
@@ -492,9 +479,7 @@ class _Parser:
             self._expect_symbol(")")
             return ast.FunctionCall(name=name, args=[], star=True)
         distinct = self._accept_keyword("distinct")
-        args = [self._parse_expr()]
-        while self._accept_symbol(","):
-            args.append(self._parse_expr())
+        args = self._comma_list(self._parse_expr)
         self._expect_symbol(")")
         return ast.FunctionCall(name=name, args=args, distinct=distinct)
 

@@ -191,19 +191,21 @@ class HyperLogLog:
         return f"HyperLogLog(p={self.p}, est={self.estimate():.1f})"
 
 
-class CountMinSketch:
-    """Point-frequency sketch: ``depth`` rows of ``width`` counters."""
+class _CounterRows:
+    """``depth`` rows of ``width`` int64 counters, merged by summing.
+
+    Count-Min and Fast-AGMS are one family of linear sketches: they
+    differ only in what ``add_hash`` adds to each row's bucket (the
+    count, or the count times a +/-1 sign) and in what they estimate.
+    Two sketches combine only when they are of the same type, shape and
+    seed.
+    """
 
     __slots__ = ("depth", "width", "seed", "rows", "total")
 
-    def __init__(
-        self,
-        depth: int = DEFAULT_CMS_DEPTH,
-        width: int = DEFAULT_CMS_WIDTH,
-        seed: int = DEFAULT_SEED,
-    ):
+    def __init__(self, depth: int, width: int, seed: int = DEFAULT_SEED):
         if depth < 1 or depth > len(_ROW_SALTS) or width < 1:
-            raise ValueError(f"bad CMS dimensions {depth}x{width}")
+            raise ValueError(f"bad {type(self).__name__} dimensions {depth}x{width}")
         self.depth = depth
         self.width = width
         self.seed = seed
@@ -211,20 +213,12 @@ class CountMinSketch:
         #: Values added (the frequency-estimate denominator).
         self.total = 0
 
-    # -- updates -----------------------------------------------------------
-
     def add(self, value: object, count: int = 1) -> None:
         if value is None:
             return
         self.add_hash(value_hash(value, self.seed), count)
 
-    def add_hash(self, h: int, count: int = 1) -> None:
-        for i in range(self.depth):
-            bucket = _mix64(h ^ _ROW_SALTS[i]) % self.width
-            self.rows[i][bucket] += count
-        self.total += count
-
-    def merge(self, other: "CountMinSketch") -> None:
+    def merge(self, other: "_CounterRows") -> None:
         """Counter-wise sum: the sketch of the concatenated streams."""
         self._check_compatible(other)
         for mine, theirs in zip(self.rows, other.rows):
@@ -232,7 +226,54 @@ class CountMinSketch:
                 mine[i] += theirs[i]
         self.total += other.total
 
-    # -- estimation --------------------------------------------------------
+    def copy(self) -> "_CounterRows":
+        clone = type(self)(self.depth, self.width, self.seed)
+        for mine, theirs in zip(clone.rows, self.rows):
+            mine[:] = theirs
+        clone.total = self.total
+        return clone
+
+    def state_bytes(self) -> bytes:
+        return b"".join(row.tobytes() for row in self.rows)
+
+    def _shape(self) -> tuple:
+        return type(self), self.depth, self.width, self.seed
+
+    def _check_compatible(self, other: "_CounterRows") -> None:
+        if self._shape() != other._shape():
+            raise ValueError(f"cannot combine {self!r} with {other!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _CounterRows)
+            and self._shape() == other._shape()
+            and self.total == other.total
+            and self.rows == other.rows
+        )
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        return f"{name}({self.depth}x{self.width}, seed={self.seed}, total={self.total})"
+
+
+class CountMinSketch(_CounterRows):
+    """Point-frequency sketch: ``depth`` rows of ``width`` counters."""
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        depth: int = DEFAULT_CMS_DEPTH,
+        width: int = DEFAULT_CMS_WIDTH,
+        seed: int = DEFAULT_SEED,
+    ):
+        super().__init__(depth, width, seed)
+
+    def add_hash(self, h: int, count: int = 1) -> None:
+        for i in range(self.depth):
+            bucket = _mix64(h ^ _ROW_SALTS[i]) % self.width
+            self.rows[i][bucket] += count
+        self.total += count
 
     def estimate(self, value: object) -> int:
         """Estimated frequency of ``value`` (over-estimates only)."""
@@ -247,41 +288,8 @@ class CountMinSketch:
                 best = count
         return best or 0
 
-    # -- plumbing ----------------------------------------------------------
 
-    def copy(self) -> "CountMinSketch":
-        clone = CountMinSketch(self.depth, self.width, self.seed)
-        for mine, theirs in zip(clone.rows, self.rows):
-            mine[:] = theirs
-        clone.total = self.total
-        return clone
-
-    def state_bytes(self) -> bytes:
-        return b"".join(row.tobytes() for row in self.rows)
-
-    def _check_compatible(self, other: "CountMinSketch") -> None:
-        if (
-            self.depth != other.depth
-            or self.width != other.width
-            or self.seed != other.seed
-        ):
-            raise ValueError("cannot merge CMS with different dims or seed")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CountMinSketch)
-            and self.depth == other.depth
-            and self.width == other.width
-            and self.seed == other.seed
-            and self.total == other.total
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CountMinSketch({self.depth}x{self.width}, total={self.total})"
-
-
-class FastAGMSSketch:
+class FastAGMSSketch(_CounterRows):
     """Join-size sketch: ``depth`` signed-counter rows of ``width`` buckets.
 
     Two sketches built with the same (seed, depth, width) over columns A
@@ -292,7 +300,7 @@ class FastAGMSSketch:
     ``|est - J| <= 4 * sqrt(F2(A) * F2(B) / width)`` w.h.p. is stated in.
     """
 
-    __slots__ = ("depth", "width", "seed", "rows", "total")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -300,20 +308,7 @@ class FastAGMSSketch:
         width: int = DEFAULT_AGMS_WIDTH,
         seed: int = DEFAULT_SEED,
     ):
-        if depth < 1 or depth > len(_ROW_SALTS) or width < 1:
-            raise ValueError(f"bad AGMS dimensions {depth}x{width}")
-        self.depth = depth
-        self.width = width
-        self.seed = seed
-        self.rows: List[array] = [array("q", [0]) * width for _ in range(depth)]
-        self.total = 0
-
-    # -- updates -----------------------------------------------------------
-
-    def add(self, value: object, count: int = 1) -> None:
-        if value is None:
-            return
-        self.add_hash(value_hash(value, self.seed), count)
+        super().__init__(depth, width, seed)
 
     def add_hash(self, h: int, count: int = 1) -> None:
         for i in range(self.depth):
@@ -321,15 +316,6 @@ class FastAGMSSketch:
             sign = 1 if _mix64(h ^ _SIGN_SALTS[i]) & 1 else -1
             self.rows[i][bucket] += sign * count
         self.total += count
-
-    def merge(self, other: "FastAGMSSketch") -> None:
-        self._check_compatible(other)
-        for mine, theirs in zip(self.rows, other.rows):
-            for i in range(self.width):
-                mine[i] += theirs[i]
-        self.total += other.total
-
-    # -- estimation --------------------------------------------------------
 
     def join_size(self, other: "FastAGMSSketch") -> float:
         """Estimated equi-join size between this column and ``other``."""
@@ -343,39 +329,6 @@ class FastAGMSSketch:
     def second_moment(self) -> float:
         """Estimated ``F2 = sum_v f(v)^2`` of the sketched column."""
         return self.join_size(self)
-
-    # -- plumbing ----------------------------------------------------------
-
-    def copy(self) -> "FastAGMSSketch":
-        clone = FastAGMSSketch(self.depth, self.width, self.seed)
-        for mine, theirs in zip(clone.rows, self.rows):
-            mine[:] = theirs
-        clone.total = self.total
-        return clone
-
-    def state_bytes(self) -> bytes:
-        return b"".join(row.tobytes() for row in self.rows)
-
-    def _check_compatible(self, other: "FastAGMSSketch") -> None:
-        if (
-            self.depth != other.depth
-            or self.width != other.width
-            or self.seed != other.seed
-        ):
-            raise ValueError("cannot combine AGMS with different dims or seed")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FastAGMSSketch)
-            and self.depth == other.depth
-            and self.width == other.width
-            and self.seed == other.seed
-            and self.total == other.total
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FastAGMSSketch({self.depth}x{self.width}, total={self.total})"
 
 
 def merge_all(sketches: Iterable):

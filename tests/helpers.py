@@ -1319,3 +1319,146 @@ def evaluating_project(node, site, ctx, batch):
     from repro.exec.columnar import ColumnBatch, eval_expr
 
     return ColumnBatch([eval_expr(e, batch) for e in node.exprs], batch.length)
+
+
+# ---------------------------------------------------------------------------
+# Columnar aggregate columns, one kernel per phase
+# ---------------------------------------------------------------------------
+#
+# Before one kernel served every phase, SINGLE and MAP read the argument in
+# ``_agg_columns`` and REDUCE merged the partial states in ``_reduce_columns``.
+# ``phased_agg_columns`` dispatches to those two, verbatim, as the oracle the
+# folded kernel must equal column for column (values, kind and mask).
+
+
+def phased_agg_columns(node, batch, group_ids, n_groups):
+    from repro.exec.physical import AggPhase
+
+    if node.phase is AggPhase.REDUCE:
+        return _reduce_partial_columns(node, batch, group_ids, n_groups)
+    return _single_or_map_columns(node, batch, group_ids, n_groups)
+
+
+def _single_or_map_columns(node, batch, group_ids, n_groups):
+    import numpy as np
+    from repro.common.errors import ExecutionError
+    from repro.exec.columnar import (
+        _distinct_keep,
+        _group_minmax,
+        column_from_values,
+        eval_expr,
+    )
+    from repro.exec.physical import AggPhase
+    from repro.rel.logical import AggFunc
+
+    is_map = node.phase is AggPhase.MAP
+    columns = []
+    for call in node.agg_calls:
+        func = call.func
+        if is_map and call.distinct:
+            raise ExecutionError("distinct aggregates cannot be split")
+        if call.arg is None:  # COUNT(*)
+            counts = np.bincount(group_ids, minlength=n_groups)
+            if call.distinct:
+                # The row accumulator dedupes the ``True`` sentinel.
+                counts = np.minimum(counts, 1)
+            values = [int(c) for c in counts.tolist()]
+            columns.append(column_from_values(values, "i"))
+            continue
+        arg = eval_expr(call.arg, batch)
+        valid = ~arg.null_mask()
+        gids = group_ids[valid]
+        if call.distinct and func is not AggFunc.MIN and func is not AggFunc.MAX:
+            # MIN/MAX are dedup-invariant; COUNT/SUM/AVG are not.
+            sub = arg.take(np.flatnonzero(valid))
+            keep = _distinct_keep(gids, sub)
+            gids = gids[keep]
+            arg_values = sub.values[keep]
+        else:
+            arg_values = arg.values[valid]
+        if func is AggFunc.COUNT:
+            counts = np.bincount(gids, minlength=n_groups)
+            columns.append(column_from_values(
+                [int(c) for c in counts.tolist()], "i"
+            ))
+        elif func is AggFunc.SUM or func is AggFunc.AVG:
+            weights = np.asarray(arg_values, dtype=np.float64)
+            sums = np.bincount(gids, weights=weights, minlength=n_groups)
+            counts = np.bincount(gids, minlength=n_groups)
+            if is_map:
+                values = [
+                    (float(s), int(c))
+                    for s, c in zip(sums.tolist(), counts.tolist())
+                ]
+            elif func is AggFunc.SUM:
+                values = [
+                    float(s) if c else None
+                    for s, c in zip(sums.tolist(), counts.tolist())
+                ]
+            else:
+                values = [
+                    float(s) / int(c) if c else None
+                    for s, c in zip(sums.tolist(), counts.tolist())
+                ]
+            columns.append(column_from_values(values))
+        else:  # MIN / MAX
+            values = _group_minmax(
+                group_ids, n_groups, arg, func is AggFunc.MIN
+            )
+            columns.append(column_from_values(values))
+    return columns
+
+
+def _reduce_partial_columns(node, batch, group_ids, n_groups):
+    import numpy as np
+    from repro.exec.columnar import _group_minmax, column_from_values
+    from repro.rel.logical import AggFunc
+
+    offset = len(node.group_keys)
+    columns = []
+    for index, call in enumerate(node.agg_calls):
+        func = call.func
+        col = batch.column(offset + index)
+        n = len(col)
+        if func is AggFunc.COUNT:
+            acc = np.zeros(n_groups, dtype=np.int64)
+            if col.kind in ("i", "b"):
+                np.add.at(acc, group_ids, col.values.astype(np.int64, copy=False))
+            else:
+                for g, v in zip(group_ids.tolist(), col.to_list()):
+                    acc[g] += v
+            columns.append(column_from_values(
+                [int(v) for v in acc.tolist()], "i"
+            ))
+        elif func is AggFunc.SUM or func is AggFunc.AVG:
+            partials = col.to_list()
+            comp_sum = np.fromiter(
+                (p[0] if p is not None else 0.0 for p in partials),
+                np.float64,
+                count=n,
+            )
+            comp_count = np.fromiter(
+                (p[1] if p is not None else 0 for p in partials),
+                np.int64,
+                count=n,
+            )
+            sums = np.bincount(group_ids, weights=comp_sum, minlength=n_groups)
+            counts = np.bincount(
+                group_ids, weights=comp_count, minlength=n_groups
+            ).astype(np.int64)
+            if func is AggFunc.SUM:
+                values = [
+                    float(s) if c else None
+                    for s, c in zip(sums.tolist(), counts.tolist())
+                ]
+            else:
+                values = [
+                    float(s) / int(c) if c else None
+                    for s, c in zip(sums.tolist(), counts.tolist())
+                ]
+            columns.append(column_from_values(values))
+        else:  # MIN / MAX over value-or-None partials
+            columns.append(column_from_values(_group_minmax(
+                group_ids, n_groups, col, func is AggFunc.MIN
+            )))
+    return columns

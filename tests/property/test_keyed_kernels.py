@@ -1,8 +1,8 @@
 """Property: every path of the keyed kernels equals the sort-based one.
 
 ``_equi_candidates`` may first keep only the rows that can match
-(``_semi_reduce``: two ``bool`` tables, or a search of the probe side's
-sorted codes), then probes a table with one slot per key code when
+(``_semi_reduce``: two ``bool`` tables, within ``_FLAG_SPAN`` slots per
+row), then probes a table with one slot per key code when
 the span is within ``_DENSE_SPAN`` times the rows at hand, and a stable
 ``argsort`` + ``searchsorted`` otherwise; ``_group_ids`` scatters first
 occurrences under the same bound and keeps ``np.unique`` past it.
@@ -135,8 +135,8 @@ def test_both_groupings_match_the_unique_reference(data):
             same(_group_ids(batch, keys), want)
 
 
-#: The reduction always runs, by the ``bool`` tables or by the sorted
-#: codes; or it never runs.
+#: The reduction runs wherever its ``bool`` tables fit (``_FLAG_SPAN``
+#: slots per row); or it never runs.
 ALWAYS = dict(_REDUCE_SPAN=0, _REDUCE_RATIO=0, _REDUCE_MIN=0)
 NEVER = dict(_REDUCE_SPAN=1 << 62)
 
@@ -263,15 +263,15 @@ def test_flag_tables_give_way_to_sorted_codes_at_the_flag_bound(
     big, delta, monkeypatch
 ):
     """Up to ``_FLAG_SPAN`` slots per row the reduction uses ``bool``
-    tables; past it a big build side is reduced by the probe side's
-    sorted codes, and any other keeps the plain sorted probe."""
+    tables; past it the reduction declines and the plain sorted probe
+    runs, however big the build side.  It never searches sorted codes."""
     n_right = columnar._REDUCE_MIN if big else 64
     probe = [5, 17, None, 5]
     slots = columnar._FLAG_SPAN * (len(probe) + n_right) + delta
     build = [i % 23 for i in range(n_right - 1)] + [slots - 2]
     reduced, searched, sorted_kept = probe_path(monkeypatch, probe, build)
-    assert reduced == (big or delta <= 0)
-    assert searched == (big and delta > 0)
+    assert reduced == (delta <= 0)
+    assert not searched
     assert sorted_kept
 
 

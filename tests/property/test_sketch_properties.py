@@ -16,6 +16,7 @@ The estimator trusts three mathematical guarantees:
   dominates both streams' second moments.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -295,3 +296,65 @@ def test_registry_default_seed_makes_any_pair_inner_productable():
         a.add(i)
         b.add(i)
     assert a.join_size(b) > 0.0
+
+
+# -- pinned state -------------------------------------------------------------
+
+
+def _pinned_stream():
+    rng = random.Random(41)
+    values = []
+    for _ in range(3000):
+        r = rng.random()
+        if r < 0.5:
+            values.append(rng.randrange(500))
+        elif r < 0.8:
+            values.append(f"k{rng.randrange(200)}")
+        elif r < 0.95:
+            values.append(rng.randrange(-(10**12), 10**12))
+        else:
+            values.append(None)
+    return values
+
+
+#: sha256 of ``state_bytes()`` after the stream above, recorded before the
+#: Count-Min and Fast-AGMS sketches shared one counter-row base: a fold of
+#: the sketch code must leave every bucket choice and sign where it was.
+_PINNED_DIGESTS = {
+    "hll-default": (
+        lambda: HyperLogLog(),
+        "209f4a2d2ea96707a5414d7ec481ea627f129c3d01a559f1516a52844f127e61",
+    ),
+    "hll-small": (
+        lambda: HyperLogLog(p=6, seed=7),
+        "56c76af4349bf40f948d3d39555b0f0c17a68afc235a9749bb23cbd18e5ec146",
+    ),
+    "cms-default": (
+        lambda: CountMinSketch(),
+        "c3cff5a29633bc3711c649c7a8b731f06008169663ccb19551738515b881ecea",
+    ),
+    "cms-small": (
+        lambda: CountMinSketch(depth=3, width=64, seed=7),
+        "06009f55d00287de56ab505eacd6dc21ef72de9eab5337893025d087411740bd",
+    ),
+    "agms-default": (
+        lambda: FastAGMSSketch(),
+        "b49168fbe6fa8106e9f47eb06e44cb3d75d3e647ccf3629d77ca3c4c11f18b9d",
+    ),
+    "agms-small": (
+        lambda: FastAGMSSketch(depth=3, width=32, seed=7),
+        "3fc69087b7ec6c2422f089bed2e4f15000ab3429d3c060a74ed7072c17642340",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PINNED_DIGESTS))
+def test_sketch_state_is_pinned(shape):
+    make, digest = _PINNED_DIGESTS[shape]
+    sketch = make()
+    for i, value in enumerate(_pinned_stream()):
+        if isinstance(sketch, HyperLogLog):
+            sketch.add(value)
+        else:
+            sketch.add(value, 1 + i % 3)
+    assert hashlib.sha256(sketch.state_bytes()).hexdigest() == digest

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.serve import build_tenants
+from repro.bench.serve import build_tenants, run_serve_bench
 from repro.obs.metrics import get_registry
 from repro.serve.admission import (
     REASON_QUEUE_FULL,
@@ -56,6 +56,21 @@ class TestValidation:
             AdmissionController([_tenant("a")], queue_depth=-1)
         with pytest.raises(AdmissionError):
             AdmissionController([_tenant("a")], shed_wait_seconds=-0.5)
+
+    @pytest.mark.parametrize(
+        "caps",
+        [dict(queue_depth=-1), dict(max_concurrent=-1), dict(shed_wait_seconds=-0.5)],
+        ids=["queue_depth", "max_concurrent", "shed_wait"],
+    )
+    def test_serve_bench_rejects_caps_before_loading(self, caps):
+        """Bad caps fail before a single cluster is loaded."""
+        loads = []
+        with pytest.raises(AdmissionError):
+            run_serve_bench(
+                lambda config, sf: loads.append((config, sf)),
+                ["IC", "IC+"], 0.02, [_tenant("a")], duration=1.0, **caps,
+            )
+        assert loads == []
 
     def test_unknown_tenant_rejected(self):
         ctrl = AdmissionController([_tenant("a")])
