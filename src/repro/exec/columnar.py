@@ -154,7 +154,7 @@ class Column:
         self._index: Optional[np.ndarray] = None
         self._chunks: Optional[Tuple["Column", ...]] = None
         self._likes: Optional[Dict[str, object]] = None  # _like_leaf
-        self._keys: object = None  # a stored column's key buckets; False: unbuilt
+        self._keys: object = None  # stored: buckets, or a U dictionary; False: unbuilt
 
     @classmethod
     def _deferred(cls, source: "Column", index: np.ndarray) -> "Column":
@@ -306,10 +306,6 @@ def _scan_values(values: Sequence) -> Tuple[str, bool]:
     if len(types) == 1:
         return _KIND_OF_TYPE.get(next(iter(types)), "O"), has_null
     return "O", has_null
-
-
-def _infer_kind(values: Sequence) -> str:
-    return _scan_values(values)[0]
 
 
 def _merge_kind(a: str, b: str) -> str:
@@ -529,7 +525,7 @@ def _literal_column(value, n: int) -> Column:
             pass
     elif t is float:
         return Column(np.full(n, value, dtype=np.float64))
-    elif t is str:
+    elif t is str and "\x00" not in value:  # ``U`` drops trailing NULs
         return Column(np.full(n, value))
     arr = np.empty(n, dtype=object)
     arr[:] = [value] * n
@@ -613,13 +609,13 @@ _ARITHMETIC = {
 def _scalar_fits(values: np.ndarray, value) -> bool:
     """Whether ``values`` compare with the scalar ``value`` exactly as
     with ``_literal_column(value)``: int64 with an int in range, float64
-    with a float, unicode with a str."""
+    with a float, unicode with a NUL-free str."""
     kind = type(value)
     if kind is int:
         return values.dtype == np.int64 and -(1 << 63) <= value < (1 << 63)
     if kind is float:
         return values.dtype == np.float64
-    return kind is str and values.dtype.kind == "U"
+    return kind is str and values.dtype.kind == "U" and "\x00" not in value
 
 
 def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Column:
@@ -662,21 +658,26 @@ def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Colu
         return _kleene(op, ltrue, lnull, rtrue, rnull)
 
     compare = _COMPARISONS.get(op)
-    if compare is not None and isinstance(expr.right, Literal):
-        left = _eval_vec(expr.left, batch)
-        value = expr.right.value
-        if _scalar_fits(left.values, value):
-            return Column(compare(left.values, value), left.mask)
-        right = _literal_column(value, n)
-    elif compare is not None and isinstance(expr.left, Literal):
-        right = _eval_vec(expr.right, batch)
-        value = expr.left.value
-        if _scalar_fits(right.values, value):
-            return Column(compare(value, right.values), right.mask)
-        left = _literal_column(value, n)
+    flip = isinstance(expr.left, Literal) and not isinstance(expr.right, Literal)
+    if compare is not None and (flip or isinstance(expr.right, Literal)):
+        # One scalar compare, of the distinct values where there is a dictionary.
+        col = _eval_vec(expr.right if flip else expr.left, batch)
+        value = (expr.left if flip else expr.right).value
+        fn = (lambda v: compare(value, v)) if flip else (lambda v: compare(v, value))
+        if type(value) is str and "\x00" not in value:
+            coded = _by_code(col, (op, flip, value), lambda u: fn(np.append(u, "")))
+            if coded is not None:
+                return Column(*coded)
+        if _scalar_fits(col.values, value):
+            return Column(fn(col.values), col.mask)
+        const = _literal_column(value, n)
+        left, right = (const, col) if flip else (col, const)
     else:
         left = _eval_vec(expr.left, batch)
         right = _eval_vec(expr.right, batch)
+        out = None if compare is None else _compare_coded(left, right, compare)
+        if out is not None:
+            return out
     lk, rk = left.kind, right.kind
     numeric = ("b", "i", "f")
     if not (
@@ -700,26 +701,31 @@ def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Colu
     return Column(arithmetic(lv, rv), null)
 
 
+#: EXTRACT over ``U`` ISO dates: characters 0-3, or 5-6, as an int.
+_EXTRACTS = {
+    "EXTRACT_YEAR": lambda v: v.astype("U4").astype(np.int64),
+    "EXTRACT_MONTH": lambda v: np.asarray(v.astype("U7"), order="C").view("U1")
+    .reshape(len(v), 7)[:, 5:].astype(np.int64) @ np.array([10, 1]),
+}
+
+
 def _eval_func(expr: FuncCall, batch: ColumnBatch) -> Column:
     name = expr.name
-    if name == "EXTRACT_YEAR" or name == "EXTRACT_MONTH":
+    extract = _EXTRACTS.get(name)
+    if extract is not None:
         arg = _eval_vec(expr.args[0], batch)
         if arg.kind != "U":
             raise _Fallback
-        values = arg.values
+        try:  # of every distinct value of the leaf, not only of these rows
+            coded = _by_code(arg, name, lambda u: extract(np.append(u, "0000-01-01")))
+        except ValueError:
+            coded = None
+        if coded is not None:
+            return Column(*coded)
+        values = arg.values  # a NULL's fill widens even an all-NULL ``U1``
         if arg.mask is not None:
-            values = values.copy()
-            values[arg.mask] = "0000-01-01"
-        if name == "EXTRACT_YEAR":
-            out = values.astype("U4").astype(np.int64)
-        else:
-            padded = np.asarray(values.astype("U7"), order="C")
-            chars = padded.view("U1").reshape(len(values), 7)
-            out = (
-                chars[:, 5].astype(np.int64) * 10
-                + chars[:, 6].astype(np.int64)
-            )
-        return Column(out, arg.mask)
+            values = np.where(arg.mask, "0000-01-01", values)
+        return Column(extract(values), arg.mask)
     if name == "ABS":
         arg = _eval_vec(expr.args[0], batch)
         return Column(np.abs(_numeric_values(arg)), arg.mask)
@@ -805,6 +811,81 @@ def _leafwise(col: Column, read) -> np.ndarray:
     return _leafwise(col._source, read)[col._index]
 
 
+def _leaf(col: Column) -> Optional[Column]:
+    """The one materialised column all of ``col``'s rows come from."""
+    if col._values is not None:
+        return col
+    if col._chunks is None:
+        return _leaf(col._source)
+    first = _leaf(col._chunks[0])
+    if first is not None and all(_leaf(chunk) is first for chunk in col._chunks[1:]):
+        return first
+    return None
+
+
+def _codes(col: Column) -> Optional[Tuple[Column, np.ndarray, np.ndarray]]:
+    """``(leaf, uniques, codes)`` for a ``U`` view of one stored column:
+    its dictionary's sorted distinct values and the view's codes into
+    them (NULL: ``len(uniques)``); None if no one dictionary serves, or it
+    holds more values than the view rows.  The first reader builds it in
+    the leaf's ``_keys`` (a ``U`` column has no key buckets) by a ``dict``
+    pass, 2.3x faster than ``np.unique`` on 30k dates."""
+    leaf = col if col._values is not None else _leaf(col)
+    if leaf is None or leaf._keys is None or leaf._values.dtype.kind != "U":
+        return None
+    if leaf._keys is False:
+        strings = _python_values(leaf._values, leaf._mask)
+        uniques = sorted(set(strings) - {None})
+        rank = dict(zip(uniques + [None], range(len(uniques) + 1)))
+        codes = np.fromiter(map(rank.__getitem__, strings), np.int32, len(strings))
+        leaf._keys = (np.array(uniques, leaf._values.dtype), codes, {})
+    uniques, codes, _ = leaf._keys
+    if len(uniques) > len(col):
+        return None
+    return leaf, uniques, codes if col is leaf else _leafwise(col, lambda _: codes)
+
+
+def _by_code(col: Column, key, table) -> Optional[Tuple[np.ndarray, ...]]:
+    """``(values, mask)``: ``table`` of ``col``'s distinct values and the
+    NULL slot, gathered by code; None where ``_codes`` is.  The dictionary
+    keeps the last ``_LIKE_MEMO`` tables, by ``key``."""
+    coded = _codes(col)
+    if coded is None:
+        return None
+    leaf, uniques, codes = coded
+    kept = leaf._keys[2]
+    out = kept.get(key)
+    if out is None:
+        if len(kept) >= _LIKE_MEMO:
+            del kept[next(iter(kept))]
+        out = kept[key] = table(uniques)
+    return out.take(codes), None if leaf._mask is None else codes == len(uniques)
+
+
+def _compare_coded(left: Column, right: Column, compare) -> Optional[Column]:
+    """``U``-vs-``U`` on two dictionaries' codes: a left value ranks
+    ``2·searchsorted(right uniques) − ¬exact`` against the right's
+    ``2·code``, exact for all six operators.  NULL ranks as its fill
+    ``""``, which joins the right uniques first if they lack it.  The
+    tables are kept on the left dictionary, keyed by the right one."""
+    coded = left.kind == right.kind == "U" and (_codes(left), _codes(right))
+    if not coded or None in coded:
+        return None
+    (lleaf, lu, lcodes), (rleaf, ru, rcodes) = coded
+    kept = lleaf._keys[2].get(("vs", len(ru)))
+    if kept is None or kept[0] is not ru:  # another column of as many values
+        space = ru if len(ru) and ru[0] == "" else np.append("", ru)
+        values, first = np.append(lu, ""), len(space) - len(ru)
+        pos = np.searchsorted(space, values)
+        exact = space[np.minimum(pos, len(ru) - 1 + first)] == values
+        kept = (ru, 2 * pos - 1 + exact, np.append(2 * (np.arange(len(ru)) + first), 0))
+        lleaf._keys[2]["vs", len(ru)] = kept
+    null = None
+    if lleaf._mask is not None or rleaf._mask is not None:
+        null = (lcodes == len(lu)) | (rcodes == len(ru))
+    return Column(compare(kept[1][lcodes], kept[2][rcodes]), null)
+
+
 def _eval_like(expr: LikeExpr, batch: ColumnBatch) -> Column:
     """LIKE runs once per stored leaf column of the operand; a deferred
     or chunked operand then only gathers booleans."""
@@ -822,21 +903,24 @@ def _eval_in_list(expr: InList, batch: ColumnBatch) -> Column:
     kind = operand.kind
     if kind == "O":
         raise _Fallback
-    if kind in ("b", "i", "f"):
-        members = [
-            v for v in expr.values if isinstance(v, (bool, int, float))
-        ]
-    else:
-        members = [v for v in expr.values if isinstance(v, str)]
-    out = (
-        np.isin(operand.values, members)
-        if members
-        else np.zeros(batch.length, np.bool_)
-    )
     # The row path evaluates ``operand in values`` without null
     # propagation: a NULL operand tests whether None is in the list.
-    if operand.mask is not None:
-        out[operand.mask] = None in expr.values
+    null, coded = None in expr.values, None
+    if kind in ("b", "i", "f"):
+        members = [v for v in expr.values if isinstance(v, (bool, int, float))]
+    else:
+        members = [v for v in expr.values if isinstance(v, str)]
+        if "\x00" in "".join(members):  # ``U`` drops trailing NULs
+            raise _Fallback
+        coded = _by_code(
+            operand, expr.values, lambda u: np.append(np.isin(u, members), null)
+        )
+    if coded is not None:
+        out = coded[0]
+    else:
+        out = np.isin(operand.values, members)
+        if operand.mask is not None:
+            out[operand.mask] = null
     if expr.negated:
         out = ~out
     return Column(out)
@@ -1065,8 +1149,13 @@ def _group_codes(col: Column) -> Tuple[np.ndarray, int]:
     one fresh code (the row path groups by the raw tuple, where
     ``(None,) == (None,)``).
     """
-    if col.kind == "O":
+    kind = col.kind  # of a chunked column: a walk over the chunks
+    if kind == "O":
         return _dict_codes(col.to_list())
+    coded = _codes(col) if kind == "U" else None
+    if coded is not None:
+        leaf, uniques, codes = coded
+        return codes, len(uniques) + (leaf._mask is not None)
     values, codes = col.values, None
     if col.kind in "bi" and len(values):
         values = values.astype(np.int64, copy=False)
@@ -1168,7 +1257,7 @@ def _table_plan(data) -> List[str]:
         for partition in data.partitions:
             for i in range(width):
                 kinds[i] = _merge_kind(
-                    kinds[i], _infer_kind([row[i] for row in partition])
+                    kinds[i], _scan_values([row[i] for row in partition])[0]
                 )
         for i, column in enumerate(data.schema.columns):
             if kinds[i] == "n":
@@ -1258,12 +1347,17 @@ def _exec_index_scan(
     # A column some scan read is the cached one, or a slice of it; any
     # other is deferred over the cached column itself, not composed
     # through to the site batch, so its first read gathers it into the
-    # index batch once and later scans read it in index order.
+    # index batch once and later scans read it in index order.  A string
+    # column stays a view of the site batch's, to read its dictionary.
     whole = (start, stop) == (0, batch.length)
-    index = None
+    index = in_order = None
     columns = []
     for column in batch.columns:
-        if column._values is None:
+        if column._values is None and column.kind == "U":
+            if in_order is None:  # the sort order, shared by the siblings
+                in_order = column._index[start:stop]
+            columns.append(Column._deferred(column._source, in_order))
+        elif column._values is None:
             if index is None:
                 index = np.arange(start, stop, dtype=np.int64)
             columns.append(Column._deferred(column, index))

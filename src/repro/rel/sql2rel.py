@@ -261,14 +261,7 @@ class SqlToRelConverter:
             return self._apply_exists(plan, scope, conjunct)
         if isinstance(conjunct, ast.InExpr) and conjunct.subquery is not None:
             return self._apply_in_subquery(plan, scope, conjunct)
-        if isinstance(conjunct, ast.Binary) and conjunct.op in (
-            "=",
-            "<>",
-            "<",
-            "<=",
-            ">",
-            ">=",
-        ):
+        if isinstance(conjunct, ast.Binary) and conjunct.op in rex.MIRRORED:
             left_sub = isinstance(conjunct.left, ast.ScalarSubquery)
             right_sub = isinstance(conjunct.right, ast.ScalarSubquery)
             if left_sub == right_sub:
@@ -356,17 +349,9 @@ class SqlToRelConverter:
         scalar_filters: List[Expr],
     ) -> RelNode:
         agg_item = self._single_aggregate_item(subquery)
-        inner_scope = Scope(parent=scope)
-        inner_plan, inner_scope = self._build_from_inner(subquery, inner_scope)
-        inner_conjuncts, correlated = self._split_correlation(
-            subquery, inner_scope
-        )
-        if inner_conjuncts:
-            condition = make_conjunction(
-                [self._convert_expr(c, inner_scope) for c in inner_conjuncts]
-            )
-            if condition is not None:
-                inner_plan = LogicalFilter(inner_plan, condition)
+        inner_plan, inner_scope = self._build_from(subquery.from_items, scope)
+        inner_conjuncts, correlated = self._split_correlation(subquery, inner_scope)
+        inner_plan = self._apply_where(inner_plan, inner_scope, inner_conjuncts)
 
         func = _AGG_FUNCS[agg_item.name]
         arg_expr = (
@@ -443,15 +428,6 @@ class SqlToRelConverter:
 
     # Correlation machinery -------------------------------------------------------------
 
-    def _build_from_inner(
-        self, subquery: ast.Select, inner_scope: Scope
-    ) -> Tuple[RelNode, Scope]:
-        plan: Optional[RelNode] = None
-        for item in subquery.from_items:
-            plan = self._convert_table(item, plan, inner_scope)
-        assert plan is not None
-        return plan, inner_scope
-
     def _split_correlation(
         self, subquery: ast.Select, inner_scope: Scope
     ) -> Tuple[List[ast.SqlExpr], List[Tuple[str, ast.SqlExpr, ast.SqlExpr]]]:
@@ -468,14 +444,7 @@ class SqlToRelConverter:
                 raise UnsupportedSqlError(
                     "correlation deeper than one level is unsupported"
                 )
-            if not isinstance(conjunct, ast.Binary) or conjunct.op not in (
-                "=",
-                "<>",
-                "<",
-                "<=",
-                ">",
-                ">=",
-            ):
+            if not isinstance(conjunct, ast.Binary) or conjunct.op not in rex.MIRRORED:
                 raise UnsupportedSqlError(
                     "correlated predicate must be a simple comparison"
                 )
@@ -512,8 +481,7 @@ class SqlToRelConverter:
         IN value column) plus the correlation triples with the inner scope
         they must be converted against.
         """
-        inner_scope = Scope(parent=outer_scope)
-        plan, inner_scope = self._build_from_inner(subquery, inner_scope)
+        plan, inner_scope = self._build_from(subquery.from_items, outer_scope)
         inner_conjuncts, correlated = self._split_correlation(subquery, inner_scope)
         if not correlated and (
             subquery.group_by
@@ -547,8 +515,7 @@ class SqlToRelConverter:
             # EXISTS(SELECT * FROM t) with no correlation: keep one column.
             exprs = [ColRef(0, plan.fields[0])]
             names = [plan.fields[0].split(".")[-1]]
-        projected = LogicalProject(plan, exprs, names)
-        return projected, corr_out
+        return LogicalProject(plan, exprs, names), corr_out
 
     def _correlation_condition(
         self,
@@ -590,8 +557,7 @@ class SqlToRelConverter:
                 continue
             exprs.append(self._convert_expr(item.expr, scope))
             names.append(item.alias or _display_name(item.expr, len(names)))
-        project = LogicalProject(plan, exprs, names)
-        result: RelNode = project
+        result: RelNode = LogicalProject(plan, exprs, names)
         if select.distinct:
             result = LogicalAggregate(result, tuple(range(len(names))), ())
         result = self._apply_order_limit(

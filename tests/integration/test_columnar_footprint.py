@@ -12,6 +12,7 @@ take over its partitions are cached too.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench.tpch import load_tpch_cluster
@@ -127,3 +128,24 @@ def test_like_keeps_booleans_not_strings(cold_cluster):
             memos += 1
             assert out.dtype == bool and len(out) == len(col), (table, pattern)
     assert memos
+
+
+def test_dictionaries_hold_int32_codes_and_distinct_values(cold_cluster):
+    """A stored ``U`` column's dictionary is one int32 code per row and at
+    most one string per row, sorted and distinct; it is built on the
+    stored copies only, never on an index batch, whose string columns
+    stay views of the site batch's."""
+    cluster, _ = cold_cluster
+    built = 0
+    for data in _tables(cluster):
+        for batch in vars(data).get("_columnar_index_cache", {}).values():
+            assert all(col._keys is None for col in batch.columns if col._values is not None)
+    for table, col in _cached_columns(cluster):
+        if col.kind != "U" or not isinstance(col._keys, tuple):
+            continue
+        uniques, codes, _ = col._keys
+        built += 1
+        assert codes.dtype == np.int32 and len(codes) == len(col), table
+        assert len(uniques) <= len(col) and uniques.dtype.kind == "U", table
+        assert (uniques[1:] > uniques[:-1]).all(), table
+    assert built

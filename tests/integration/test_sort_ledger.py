@@ -179,11 +179,38 @@ def test_dense_tpch_keys_never_sort_to_probe_group_or_scan(monkeypatch):
     assert not ledger.under("_exec_index_scan")
     assert not ledger.under("_equi_candidates", ("searchsorted", "argsort"))
     assert not ledger.under("_group_ids", ("argsort",))
-    # Grouping may still factorise a string key (Q1's flags) — never the
-    # integer codes themselves.
+    # Grouping may still factorise a string key whose rows come from
+    # several sites' dictionaries — never the integer codes themselves.
     assert all(
         key[1][0] == "_group_codes" for key in ledger.under("_group_ids")
     )
+
+
+def test_warm_q1_groups_its_flags_by_dictionary_code(monkeypatch):
+    """Each site's MAP aggregate groups the flags of its range scan by the
+    codes of the stored columns' dictionaries; only the REDUCE aggregate,
+    whose partial groups come from four sites' dictionaries, still runs
+    ``np.unique`` — over one row per site and group."""
+    cluster = load_tpch_cluster(config(), 0.02)
+    cluster.sql(QUERIES[1].sql)
+    grouped, sorted_sizes = [], []
+    unique, group_ids = np.unique, columnar._group_ids
+
+    def counted(values, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "_group_ids":
+            frame = frame.f_back
+        if frame is not None:
+            sorted_sizes.append(len(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    monkeypatch.setattr(columnar, "_group_ids", lambda batch, keys: (
+        grouped.append(batch.length) or group_ids(batch, keys)
+    ))
+    cluster.sql(QUERIES[1].sql)
+    assert len(grouped) == 5 and min(sorted(grouped)[1:]) > 200, grouped
+    assert sorted_sizes and max(sorted_sizes) <= 4 * 6, sorted_sizes
 
 
 @pytest.fixture(scope="module")

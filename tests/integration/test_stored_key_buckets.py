@@ -42,12 +42,13 @@ def site_batches(cluster):
 
 
 def built_tables(cluster):
-    """``{(table, partitions, column): buckets}`` built so far."""
+    """``{(table, partitions, column): buckets}`` built so far (a string
+    column's ``_keys`` holds its dictionary, not buckets)."""
     return {
         (name, partitions, i): col._keys
         for name, partitions, batch in site_batches(cluster)
         for i, col in enumerate(batch.columns)
-        if col._keys is not False
+        if col._keys is not False and col.kind in "bi"
     }
 
 

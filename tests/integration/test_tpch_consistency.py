@@ -115,3 +115,24 @@ def test_q22_matches_direct_computation():
     for code, count, total in rows:
         assert expected[code][0] == count
         assert expected[code][1] == pytest.approx(total)
+
+
+#: A subquery that is a top-level conjunct of a scalar subquery's WHERE.
+NESTED_EXISTS = (
+    "select count(*) from orders o where o.o_totalprice > (select "
+    "avg(l_extendedprice) from lineitem l where l.l_orderkey = o.o_orderkey "
+    "and exists (select * from part p where p.p_partkey = l.l_partkey))"
+)
+
+
+@pytest.mark.parametrize("system", ["IC", "IC+", "IC+M"])
+def test_a_subquery_inside_a_scalar_subquery_plans_like_its_join_form(system):
+    cluster = load_tpch_cluster(getattr(SystemConfig, {
+        "IC": "ic", "IC+": "ic_plus", "IC+M": "ic_plus_m"}[system])(4), 0.01)
+    joined = NESTED_EXISTS.replace(
+        "lineitem l where", "lineitem l, part p where"
+    ).replace(" and exists (select * from part p where", " and").replace("))", ")")
+    assert cluster.sql(joined).rows == [(141,)]
+    outcome = cluster.try_sql(NESTED_EXISTS)
+    assert outcome.ok, outcome.error
+    assert outcome.rows == [(141,)]

@@ -157,3 +157,45 @@ def test_summarise_skips_metrics_without_a_ratio():
     assert perf_pairs.summarise(ratios, {"a": "lower", "b": "lower"}) == {
         "w": {"b": {"median": 0.9, "better": 2, "pairs": 3}}
     }
+
+
+def test_per_statement_medians_come_from_each_run_s_typical_latencies(
+    checkouts, tmp_path, capsys
+):
+    """After each untraced run the tool reads that checkout's
+    ``perfbench/out/<workload>.trace0.json``; ``pairs.json["ops"]`` holds
+    each statement's median change/parent ratio, fastest first, and the
+    five largest movers each way go to stderr.  A traced run's file is
+    never read."""
+    speedups = iter([0.5, 0.6, 0.7])
+
+    def run(checkout, workload, seed, trace, out):
+        result = fake_runner([])(checkout, workload, seed, trace, out)
+        if not trace:
+            change = checkout.name == "change"
+            factor = next(speedups) if change else 1.0
+            typical = {f"IC+M/tpch.Q{q}": q * (factor if q == 1 else 1.0)
+                       for q in range(1, 8)}
+            typical["IC+M/tpch.Q7"] *= 1.1 if change else 1.0
+            target = checkout / "perfbench" / "out"
+            target.mkdir(parents=True, exist_ok=True)
+            (target / f"{workload}.trace0.json").write_text(
+                json.dumps({"op_typical_ms": typical}))
+        return result
+
+    argv = _argv(checkouts, tmp_path / "out", "--workload", "tpch_col_warm", "--pairs", "3")
+    assert perf_pairs.main(argv, run=run) == 0
+    ops = json.loads((tmp_path / "out" / "pairs.json").read_text())["ops"]
+    medians = ops["tpch_col_warm"]
+    assert list(medians)[0] == "IC+M/tpch.Q1" and medians["IC+M/tpch.Q1"] == 0.6
+    assert medians["IC+M/tpch.Q7"] == pytest.approx(1.1)
+    assert list(medians)[-1] == "IC+M/tpch.Q7" and len(medians) == 7
+    printed = capsys.readouterr().err
+    assert "ops tpch_col_warm faster: IC+M/tpch.Q1 0.600" in printed
+    assert "ops tpch_col_warm slower: IC+M/tpch.Q7 1.100" in printed
+
+
+def test_no_typical_latencies_means_no_ops(checkouts, tmp_path):
+    argv = _argv(checkouts, tmp_path / "out", "--workload", "plan_explain", "--pairs", "2")
+    assert perf_pairs.main(argv, run=fake_runner([])) == 0
+    assert json.loads((tmp_path / "out" / "pairs.json").read_text())["ops"] == {}

@@ -12,6 +12,10 @@ compare`` when they hold every workload) and the per-pair change/parent
 ratios, ``DIR/pairs.json``; bytecode goes to ``DIR/pycache``.  Per
 workload and end-to-end metric, the median ratio and the number of pairs
 that moved the better way go to stderr and to ``pairs.json["summary"]``.
+Per statement, the median change/parent ratio of each untraced pair's
+``op_typical_ms`` (what ``run.py`` leaves in the checkout's
+``perfbench/out/<workload>.trace0.json``) goes to ``pairs.json["ops"]``,
+and the five largest movers each way to stderr.
 """
 
 import argparse
@@ -34,6 +38,19 @@ def perfbench_run(checkout, workload, seed, trace, out):
     done = subprocess.run(command, cwd=out, env=env, stdout=subprocess.PIPE,
                           text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def op_typical(checkout, workload):
+    """``{op: typical ms}`` of the checkout's last untraced run, or {}."""
+    path = checkout / "perfbench" / "out" / f"{workload}.trace0.json"
+    return json.loads(path.read_text()).get("op_typical_ms", {}) if path.exists() else {}
+
+
+def op_medians(op_ratios):
+    """``{workload: {op: median change/parent ratio}}``, fastest first."""
+    return {workload: dict(sorted(
+        ((op, statistics.median(values)) for op, values in ops.items()),
+        key=lambda item: item[1])) for workload, ops in op_ratios.items()}
 
 
 def summarise(ratios, better):
@@ -67,15 +84,16 @@ def main(argv=None, run=perfbench_run) -> int:
     docs = {side: {"schema": "perfbench-suite/v1", "smoke": False, "seed": args.seed,
                    "repeats": args.pairs, "seconds": spec["run_seconds"], "env": env,
                    "workloads": {}} for side in SIDES}
-    ratios = {}
+    ratios, op_ratios = {}, {}
     args.out.mkdir(parents=True, exist_ok=True)
     for i in range(args.pairs + 1):  # the last pair is the traced one
         trace, seed = (1, args.seed) if i == args.pairs else (0, args.seed + i)
         for workload in workloads:
-            got = {}
+            got, typical = {}, {}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 result = run(getattr(args, side), workload, seed, trace, args.out)
                 got[side] = {m: r["value"] for m, r in result["metrics"].items()}
+                typical[side] = {} if trace else op_typical(getattr(args, side), workload)
                 entry = docs[side]["workloads"].setdefault(workload, {
                     "end_to_end": {}, "per_layer": {}, "attempted": 0, "failed": 0})
                 entry["attempted"] += result["attempted"]
@@ -89,13 +107,24 @@ def main(argv=None, run=perfbench_run) -> int:
                 ratio = {m: new[m] / v if v else None for m, v in base.items()}
                 ratios.setdefault(workload, []).append(ratio)
                 print(f"pair {i + 1} {workload}: {ratio}", file=sys.stderr)
+                for op, ms in typical["parent"].items():
+                    if ms and op in typical["change"]:
+                        op_ratios.setdefault(workload, {}).setdefault(op, []).append(
+                            typical["change"][op] / ms)
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     summary = summarise(ratios, better)
     for workload, metrics in summary.items():
         for metric, line in metrics.items():
             print(f"summary {workload} {metric}: median ratio {line['median']:.3f}, "
                   f"better in {line['better']}/{line['pairs']}", file=sys.stderr)
-    for name, document in [*docs.items(), ("pairs", {**ratios, "summary": summary})]:
+    ops = op_medians(op_ratios)
+    for workload, medians in ops.items():
+        movers = list(medians.items())
+        for label, chosen in (("faster", movers[:5]), ("slower", movers[::-1][:5])):
+            print(f"ops {workload} {label}: " + ", ".join(
+                f"{op} {ratio:.3f}" for op, ratio in chosen), file=sys.stderr)
+    pairs = {**ratios, "summary": summary, "ops": ops}
+    for name, document in [*docs.items(), ("pairs", pairs)]:
         (args.out / f"{name}.json").write_text(json.dumps(document, indent=1) + "\n")
     return int(any(w["failed"] for d in docs.values() for w in d["workloads"].values()))
 
