@@ -15,7 +15,7 @@ Takes TPC-H Q4 (a date-filtered EXISTS query) and shows:
 """
 
 from repro.bench.tpch import QUERIES, load_tpch_cluster
-from repro.common import SystemConfig
+from repro.common.config import SystemConfig
 from repro.exec.fragments import fragment_plan
 
 SQL = QUERIES[4].sql

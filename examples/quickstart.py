@@ -8,7 +8,8 @@ optimised physical plan, and the simulated distributed-execution latency.
 """
 
 from repro import IgniteCalciteCluster
-from repro.catalog import Column, ColumnType, TableSchema
+from repro.catalog.schema import Column, TableSchema
+from repro.catalog.types import ColumnType
 
 I = ColumnType.INTEGER
 D = ColumnType.DOUBLE

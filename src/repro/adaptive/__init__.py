@@ -27,18 +27,5 @@ Everything is off by default (``SystemConfig.plan_cache`` /
 in this package runs.
 """
 
-from repro.adaptive.cache import CacheEntry, PlanCache
-from repro.adaptive.controller import AdaptiveController, reset_adaptive_state
-from repro.adaptive.feedback import FeedbackRegistry
-from repro.adaptive.midquery import MidQueryController
-from repro.adaptive.signature import operator_signature
-
-__all__ = [
-    "AdaptiveController",
-    "CacheEntry",
-    "FeedbackRegistry",
-    "MidQueryController",
-    "PlanCache",
-    "operator_signature",
-    "reset_adaptive_state",
-]
+# perfbench imports this no-op from the package (each cluster owns its state).
+from repro.adaptive.controller import reset_adaptive_state  # noqa: F401

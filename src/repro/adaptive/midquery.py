@@ -79,7 +79,9 @@ from repro.rel.logical import (
     LogicalValues,
     RelNode,
 )
+from repro.planner.volcano import QueryPlanner
 from repro.storage.store import DataStore
+from repro.verify.invariants import PlanValidator
 
 #: Work units charged per planner-budget tick spent re-planning, so the
 #: re-optimization itself shows up in the simulated makespan.
@@ -228,9 +230,6 @@ class MidQueryController(SeamObserver):
         self, fragments: Sequence[Fragment], index: int
     ) -> Tuple[List[Fragment], float, float, int]:
         """(new suffix, budget ticks, shipping units, rows shipped)."""
-        # Imported lazily: the planner imports repro.adaptive.signature.
-        from repro.planner.volcano import QueryPlanner
-
         executed = {f.fragment_id for f in fragments[: index + 1]}
         suffix_logical = self._to_logical(
             fragments[-1].root, exchange_producers(fragments), executed
@@ -240,9 +239,6 @@ class MidQueryController(SeamObserver):
         new_physical = planner.plan(suffix_logical)
         new_fragments = fragment_plan(new_physical, *self._free_ids(fragments))
         if self.config.verify_execution:
-            # Imported lazily: repro.verify imports the engine.
-            from repro.verify.invariants import PlanValidator
-
             PlanValidator().check(new_physical, new_fragments)
         trigger_id = fragments[index].fragment_id
         self._wire_dependencies(new_fragments, trigger_id)

@@ -46,6 +46,9 @@ from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
 from repro.common.config import PRESETS
 from repro.core.cluster import IgniteCalciteCluster
+from repro.exec.physical import PhysTableScan
+from repro.faults.chaos import run_chaos
+from repro.faults.injector import parse_fault
 
 #: Version tag stamped into every fedbench artefact.
 FEDBENCH_SCHEMA = "repro-fedbench/v1"
@@ -397,8 +400,6 @@ def run_fedbench(
 def _pushdown_evidence(query: str, run: Observation) -> List[PushdownEvidence]:
     """Adapter scan counters for one execution, reconciled against the
     per-operator ``rows_in`` the engine recorded for the same scans."""
-    from repro.exec.physical import PhysTableScan
-
     scanned: Dict[str, int] = {}
     out: Dict[str, int] = {}
     for key, value in run.delta.items():
@@ -434,9 +435,6 @@ def _chaos_cell(
     system: str, sites: int, scale_factor: float, seed: int
 ) -> ChaosCell:
     """One cross-source join with its last site dead from t=0."""
-    from repro.faults.chaos import run_chaos
-    from repro.faults.injector import parse_fault
-
     query = "FB1"
     config = PRESETS[system](
         sites,

@@ -3,13 +3,8 @@
 from functools import lru_cache
 
 from repro.bench.core import load_dataset
-from repro.bench.ssb.datagen import (
-    SSB_INDEXES,
-    generate_ssb,
-    ssb_schemas,
-    table_cardinalities,
-)
-from repro.bench.ssb.queries import FIGURE11_QUERY_IDS, SSB_QUERIES, SsbQuerySpec
+from repro.bench.ssb.datagen import SSB_INDEXES, generate_ssb, ssb_schemas
+from repro.bench.ssb.queries import FIGURE11_QUERY_IDS, SSB_QUERIES
 from repro.common.config import SystemConfig
 from repro.core.cluster import IgniteCalciteCluster
 
@@ -27,15 +22,3 @@ def load_ssb_cluster(
         config, ssb_schemas(), cached_ssb_data(scale_factor, seed), SSB_INDEXES
     )
 
-
-__all__ = [
-    "FIGURE11_QUERY_IDS",
-    "SSB_INDEXES",
-    "SSB_QUERIES",
-    "SsbQuerySpec",
-    "cached_ssb_data",
-    "generate_ssb",
-    "load_ssb_cluster",
-    "ssb_schemas",
-    "table_cardinalities",
-]

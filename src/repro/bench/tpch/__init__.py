@@ -13,7 +13,6 @@ from repro.bench.tpch.queries import (
     ENABLED_QUERY_IDS,
     IC_FAILING_QUERY_IDS,
     QUERIES,
-    QuerySpec,
     query_sql,
 )
 from repro.common.config import SystemConfig
@@ -34,17 +33,3 @@ def load_tpch_cluster(
         config, tpch_schemas(), cached_tpch_data(scale_factor, seed), TPCH_INDEXES
     )
 
-
-__all__ = [
-    "ENABLED_QUERY_IDS",
-    "IC_FAILING_QUERY_IDS",
-    "QUERIES",
-    "QuerySpec",
-    "TPCH_INDEXES",
-    "cached_tpch_data",
-    "generate_tpch",
-    "load_tpch_cluster",
-    "query_sql",
-    "table_cardinalities",
-    "tpch_schemas",
-]

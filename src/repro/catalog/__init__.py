@@ -1,18 +1,1 @@
 """Catalog: column types, table schemas, indexes and statistics."""
-
-from repro.catalog.histogram import EquiDepthHistogram
-from repro.catalog.schema import Catalog, Column, IndexDef, TableSchema
-from repro.catalog.statistics import ColumnStats, TableStats, compute_table_stats
-from repro.catalog.types import ColumnType
-
-__all__ = [
-    "Catalog",
-    "Column",
-    "ColumnStats",
-    "ColumnType",
-    "EquiDepthHistogram",
-    "IndexDef",
-    "TableSchema",
-    "TableStats",
-    "compute_table_stats",
-]

@@ -23,13 +23,21 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.bench import colbench, fedbench, midquery, sketchbench
+from repro.bench.adaptive import default_workload, run_adaptive
+from repro.bench.core import observe
 from repro.bench.reporting import AQL_WORKLOAD, TPCH_WORKLOAD, PaperRun
 from repro.bench.serve import ServeBenchError, build_tenants, run_serve_bench
 from repro.bench.ssb import SSB_QUERIES, load_ssb_cluster
 from repro.bench.tpch import load_tpch_cluster
 from repro.common.config import PRESETS
+from repro.common.errors import ReproError
+from repro.faults.chaos import run_chaos
+from repro.faults.injector import parse_fault
+from repro.obs.trace import validate_trace
 from repro.serve.admission import AdmissionError
 from repro.serve.traffic import TrafficError
+from repro.verify import differential  # looked up per call, so a patched check runs
+from repro.verify.generator import SSB_EXTRA_EDGES, QueryGenerator
 
 #: ``repro-bench`` exit codes.  Distinct codes let CI classify a failure
 #: without parsing stdout; crash > invariant > mismatch when several
@@ -288,8 +296,6 @@ def cmd_artefact(args) -> None:
 
 
 def cmd_adaptive(args) -> None:
-    from repro.bench.adaptive import default_workload, run_adaptive
-
     loader, pool = _workload(args.queries)
     config = PRESETS[args.system](args.sites[0]).with_(
         plan_cache=True,
@@ -342,9 +348,6 @@ def cmd_query(args) -> None:
 
 
 def cmd_trace(args) -> None:
-    from repro.bench.core import observe
-    from repro.obs.trace import validate_trace
-
     loader, pool = _workload(args.bench)
     name = _query_name(args.query) if args.bench == "tpch" else args.query
     if name not in pool:
@@ -379,9 +382,6 @@ def cmd_trace(args) -> None:
 
 
 def cmd_verify(args) -> None:
-    from repro.verify.differential import INVARIANT, differential_check
-    from repro.verify.generator import QueryGenerator, SSB_EXTRA_EDGES
-
     loader, _ = _workload(args.queries)
     extra_edges = SSB_EXTRA_EDGES if args.queries == "ssb" else ()
     systems = _choices(args.systems, sorted(PRESETS), "system(s)")
@@ -411,7 +411,7 @@ def cmd_verify(args) -> None:
         ok = skipped = crashed = 0
         for sql in queries:
             try:
-                report = differential_check(sql, cluster)
+                report = differential.differential_check(sql, cluster)
             except Exception as exc:  # the harness must never die silently
                 crashed += 1
                 crashes.append(f"[{system}] {type(exc).__name__}: {exc}")
@@ -434,7 +434,7 @@ def cmd_verify(args) -> None:
     if crashes:
         print(f"CRASH: {len(crashes)} harness crash(es)")
         sys.exit(EXIT_CRASH)
-    invariants = [f for f in failures if f.status == INVARIANT]
+    invariants = [f for f in failures if f.status == differential.INVARIANT]
     if invariants:
         print(
             f"FAIL: {len(invariants)} invariant violation(s) "
@@ -448,10 +448,6 @@ def cmd_verify(args) -> None:
 
 
 def cmd_chaos(args) -> None:
-    from repro.common.errors import ReproError
-    from repro.faults import run_chaos
-    from repro.faults.injector import parse_fault
-
     faults = []
     for kind, specs in (
         ("kill-site", args.kill_site),

@@ -97,7 +97,7 @@ def simulate_makespan_with_faults(
 
     ``events`` are ``(time, kind, payload)`` triples in *absolute*
     simulated time — ``("crash", (site,))`` or ``("slow", (site, factor))``
-    — typically from :meth:`repro.faults.FaultInjector.scheduler_events`.
+    — typically from :meth:`repro.faults.injector.FaultInjector.scheduler_events`.
     Returns ``(makespan, redispatched)`` where ``redispatched`` counts the
     tasks restarted on surviving sites; raises
     :class:`~repro.common.errors.SiteFailureError` when ``redispatch`` is

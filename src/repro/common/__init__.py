@@ -1,34 +1,1 @@
 """Shared infrastructure: configuration, constants and errors."""
-
-from repro.common.config import PRESETS, SystemConfig
-from repro.common.errors import (
-    CatalogError,
-    ExecutionError,
-    ExecutionTimeoutError,
-    PlannerDefectError,
-    PlannerError,
-    PlanningTimeoutError,
-    ReproError,
-    SqlError,
-    SqlSyntaxError,
-    StorageError,
-    UnsupportedSqlError,
-    ValidationError,
-)
-
-__all__ = [
-    "PRESETS",
-    "SystemConfig",
-    "CatalogError",
-    "ExecutionError",
-    "ExecutionTimeoutError",
-    "PlannerDefectError",
-    "PlannerError",
-    "PlanningTimeoutError",
-    "ReproError",
-    "SqlError",
-    "SqlSyntaxError",
-    "StorageError",
-    "UnsupportedSqlError",
-    "ValidationError",
-]

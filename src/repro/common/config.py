@@ -162,16 +162,6 @@ class SystemConfig:
     #: system.
     sketch_statistics: bool = False
 
-    # ----- pluggable storage adapters (repro.storage.adapters) ----------------------
-    #: Run the adapter-pushdown Hep pass: filter conjuncts, pure-column
-    #: projections and keyless LIMIT prefixes are absorbed into the scans
-    #: of tables whose storage adapter advertises the matching capability.
-    #: The native in-memory adapter declines every capability, so plans
-    #: over native-only schemas are byte-identical with the flag on or off;
-    #: default-on therefore only affects ``CREATE TABLE ... USING``-routed
-    #: tables.
-    adapter_pushdown: bool = True
-
     # ----- multi-tenant serving (repro.serve) --------------------------------------
     #: Run-queue ordering for the serving layer's admission controller:
     #: ``fifo`` (arrival order), ``priority`` (higher tenant priority

@@ -1,5 +1,1 @@
 """Core public API: the simulated Ignite+Calcite cluster."""
-
-from repro.core.cluster import IgniteCalciteCluster, QueryOutcome, QueryStatus
-
-__all__ = ["IgniteCalciteCluster", "QueryOutcome", "QueryStatus"]

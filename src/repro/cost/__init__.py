@@ -1,5 +1,1 @@
 """Cost model: Cost objects, CostModel, distribution factor (Alg. 2)."""
-
-from repro.cost.model import ZERO_COST, Cost, CostModel, distribution_factor
-
-__all__ = ["ZERO_COST", "Cost", "CostModel", "distribution_factor"]

@@ -136,7 +136,7 @@ class CostModel:
         """Table or index scan: pass every tuple of the local partition.
 
         For adapter-backed tables, ``adapter_costs`` (an
-        :class:`repro.storage.adapters.AdapterCosts`) prices the source
+        :class:`repro.storage.adapters.base.AdapterCosts`) prices the source
         asymmetry: CPU and IO are charged on the ``rows`` the source must
         read, network shipping on ``out_rows`` — the rows surviving any
         pushed filter/project/fetch — so pushdown visibly cheapens the

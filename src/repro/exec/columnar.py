@@ -663,13 +663,19 @@ def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Colu
         # One scalar compare, of the distinct values where there is a dictionary.
         col = _eval_vec(expr.right if flip else expr.left, batch)
         value = (expr.left if flip else expr.right).value
-        fn = (lambda v: compare(value, v)) if flip else (lambda v: compare(v, value))
         if type(value) is str and "\x00" not in value:
-            coded = _by_code(col, (op, flip, value), lambda u: fn(np.append(u, "")))
+
+            def on_uniques(u):
+                u = np.append(u, "")
+                return compare(value, u) if flip else compare(u, value)
+
+            coded = _by_code(col, (op, flip, value), on_uniques)
             if coded is not None:
                 return Column(*coded)
-        if _scalar_fits(col.values, value):
-            return Column(fn(col.values), col.mask)
+        values = col.values
+        if _scalar_fits(values, value):
+            out = compare(value, values) if flip else compare(values, value)
+            return Column(out, col.mask)
         const = _literal_column(value, n)
         left, right = (const, col) if flip else (col, const)
     else:

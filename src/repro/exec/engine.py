@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.adaptive.midquery import MidQueryController
 from repro.common import charges
 from repro.common.config import SystemConfig
 from repro.common.constants import (
@@ -75,6 +76,7 @@ from repro.exec.physical import PhysNode
 from repro.exec.variants import SOURCE, plan_variants
 from repro.storage.store import DataStore
 from repro.storage.table import affinity_partition, failover_owner
+from repro.verify.invariants import PlanValidator, check_execution_result
 
 #: The site that receives SINGLE-distribution data and serves results.
 COORDINATOR = 0
@@ -333,9 +335,6 @@ class ExecutionEngine:
             fragments = list(prepared)
             span.attrs["fragments"] = len(fragments)
         if self.config.verify_execution:
-            # Imported lazily: repro.verify imports this module.
-            from repro.verify.invariants import PlanValidator
-
             PlanValidator().check(plan, fragments)
         # The runtime limit is a wall-clock cap.  A runaway nested-loop
         # join is serial per site, so the chargeable parallelism is fixed
@@ -377,9 +376,6 @@ class ExecutionEngine:
         if injector.schedule:
             return observers
         if self.config.midquery_reoptimization:
-            # Imported lazily: repro.adaptive imports repro.exec.
-            from repro.adaptive.midquery import MidQueryController
-
             observers.append(MidQueryController(self.store, self.config))
         if self.sketches is not None:
             observers.append(self.sketches.seam_harvest())
@@ -686,7 +682,5 @@ class ExecutionEngine:
             redispatched_tasks=run.redispatched,
         )
         if self.config.verify_execution:
-            from repro.verify.invariants import check_execution_result
-
             check_execution_result(result)
         return result

@@ -55,7 +55,7 @@ from repro.exec.physical import (
 from repro.obs.metrics import get_registry
 from repro.rel.expr import TOTAL_ORDER, KernelBuilder
 from repro.rel.logical import JoinType
-from repro.storage.adapters import compile_pushdown, scan_charge
+from repro.storage.adapters.base import compile_pushdown, scan_charge
 from repro.storage.store import DataStore
 from repro.storage.table import failover_owner
 

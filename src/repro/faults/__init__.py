@@ -13,44 +13,3 @@ composition is *unstable*: queries fail outright or time out under load
   reporting availability, retry counts and latency percentiles, and
   cross-checking every recovered query against the reference oracle.
 """
-
-from repro.faults.injector import (
-    ExchangeDelay,
-    ExchangeDrop,
-    FaultInjector,
-    FragmentOom,
-    SiteCrash,
-    SiteSlowdown,
-    parse_fault,
-    random_schedule,
-)
-from repro.storage.table import failover_owner
-
-_CHAOS_EXPORTS = ("ChaosRecord", "ChaosReport", "RetryPolicy", "run_chaos")
-
-
-def __getattr__(name):
-    # The chaos harness imports the cluster facade (and through it the
-    # engine), while the engine imports this package for the injector;
-    # loading repro.faults.chaos lazily breaks the cycle.
-    if name in _CHAOS_EXPORTS:
-        from repro.faults import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "ChaosRecord",
-    "ChaosReport",
-    "ExchangeDelay",
-    "ExchangeDrop",
-    "FaultInjector",
-    "FragmentOom",
-    "RetryPolicy",
-    "SiteCrash",
-    "SiteSlowdown",
-    "failover_owner",
-    "parse_fault",
-    "random_schedule",
-    "run_chaos",
-]

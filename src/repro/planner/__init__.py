@@ -1,14 +1,1 @@
 """Query planning: Hep rewriting, Volcano cost-based stage, physical DP."""
-
-from repro.planner.budget import PlanningBudget
-from repro.planner.hep import HepPlanner
-from repro.planner.physical import PhysicalPlanner, Requirement
-from repro.planner.volcano import QueryPlanner
-
-__all__ = [
-    "HepPlanner",
-    "PhysicalPlanner",
-    "PlanningBudget",
-    "QueryPlanner",
-    "Requirement",
-]

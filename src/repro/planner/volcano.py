@@ -120,9 +120,7 @@ class QueryPlanner:
             # Adapter pushdown (Hep pass 4): only when a scan actually
             # reads through a non-native adapter, so native-only queries
             # keep their historical budget charges and rule traces.
-            if self.config.adapter_pushdown and has_federated_scan(
-                self.store, tree
-            ):
+            if has_federated_scan(self.store, tree):
                 tree = HepPlanner(
                     adapter_pushdown_rules(self.store), budget
                 ).optimize(tree)

@@ -1,86 +1,1 @@
 """Relational algebra: expressions, logical operators, traits, conversion."""
-
-from repro.rel.expr import (
-    BinaryOp,
-    CaseExpr,
-    ColRef,
-    Expr,
-    FuncCall,
-    InList,
-    IsNull,
-    LikeExpr,
-    Literal,
-    UnaryOp,
-    compile_expr,
-    extract_equi_keys,
-    factor_common_conjuncts,
-    make_conjunction,
-    make_disjunction,
-    references,
-    remap_refs,
-    shift_refs,
-    split_conjunction,
-    split_disjunction,
-)
-from repro.rel.logical import (
-    AggCall,
-    AggFunc,
-    JoinType,
-    LogicalAggregate,
-    LogicalFilter,
-    LogicalJoin,
-    LogicalProject,
-    LogicalSort,
-    LogicalTableScan,
-    LogicalValues,
-    RelNode,
-    count_joins,
-    max_nested_joins,
-    scans_in,
-    walk,
-)
-from repro.rel.sql2rel import SqlToRelConverter
-from repro.rel.traits import Collation, Distribution, DistributionType, satisfies
-
-__all__ = [
-    "AggCall",
-    "AggFunc",
-    "BinaryOp",
-    "CaseExpr",
-    "ColRef",
-    "Collation",
-    "Distribution",
-    "DistributionType",
-    "Expr",
-    "FuncCall",
-    "InList",
-    "IsNull",
-    "JoinType",
-    "LikeExpr",
-    "Literal",
-    "LogicalAggregate",
-    "LogicalFilter",
-    "LogicalJoin",
-    "LogicalProject",
-    "LogicalSort",
-    "LogicalTableScan",
-    "LogicalValues",
-    "RelNode",
-    "SqlToRelConverter",
-    "UnaryOp",
-    "compile_expr",
-    "count_joins",
-    "extract_equi_keys",
-    "factor_common_conjuncts",
-    "make_conjunction",
-    "make_disjunction",
-    "max_nested_joins",
-    "references",
-    "remap_refs",
-    "satisfies",
-    "scans_in",
-    "shift_refs",
-    "split_conjunction",
-    "split_disjunction",
-    "walk",
-]

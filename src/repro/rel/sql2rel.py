@@ -448,8 +448,8 @@ class SqlToRelConverter:
                 raise UnsupportedSqlError(
                     "correlated predicate must be a simple comparison"
                 )
-            left_level = self._expr_level(conjunct.left, inner_scope)
-            right_level = self._expr_level(conjunct.right, inner_scope)
+            left_level = self._conjunct_level(conjunct.left, inner_scope)
+            right_level = self._conjunct_level(conjunct.right, inner_scope)
             if left_level == 1 and right_level == 0:
                 correlated.append((rex.MIRRORED[conjunct.op], conjunct.left, conjunct.right))
             elif left_level == 0 and right_level == 1:
@@ -468,9 +468,6 @@ class SqlToRelConverter:
                 resolved = scope.resolve(node.qualifier, node.column)
                 level = max(level, resolved[0])
         return level
-
-    def _expr_level(self, expr: ast.SqlExpr, scope: Scope) -> int:
-        return self._conjunct_level(expr, scope)
 
     def _convert_correlated_body(
         self, subquery: ast.Select, outer_scope: Scope

@@ -21,56 +21,3 @@ that serves sustained multi-tenant traffic on the simulated clock:
 
 Driven by ``repro-bench serve`` (see :mod:`repro.bench.serve`).
 """
-
-from repro.serve.admission import (
-    POLICIES,
-    REASON_QUEUE_FULL,
-    REASON_SHED,
-    AdmissionController,
-    AdmissionError,
-)
-from repro.serve.server import QueryServer, ServeError, ServeRecord, ServeResult
-from repro.serve.slo import (
-    GLOBAL_TENANT,
-    SLO_SCHEMA,
-    SloReport,
-    TenantSlo,
-    validate_slo_artefact,
-)
-from repro.serve.traffic import (
-    BurstyArrivals,
-    ClosedLoopArrivals,
-    PoissonArrivals,
-    QueryRequest,
-    QueryTemplate,
-    TenantSpec,
-    TrafficError,
-    TrafficGenerator,
-    even_template_mix,
-)
-
-__all__ = [
-    "POLICIES",
-    "REASON_QUEUE_FULL",
-    "REASON_SHED",
-    "AdmissionController",
-    "AdmissionError",
-    "BurstyArrivals",
-    "ClosedLoopArrivals",
-    "GLOBAL_TENANT",
-    "PoissonArrivals",
-    "QueryRequest",
-    "QueryServer",
-    "QueryTemplate",
-    "SLO_SCHEMA",
-    "ServeError",
-    "ServeRecord",
-    "ServeResult",
-    "SloReport",
-    "TenantSlo",
-    "TenantSpec",
-    "TrafficError",
-    "TrafficGenerator",
-    "even_template_mix",
-    "validate_slo_artefact",
-]

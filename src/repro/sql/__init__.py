@@ -1,5 +1,1 @@
 """SQL front end: lexer, AST and parser."""
-
-from repro.sql.parser import parse
-
-__all__ = ["parse"]

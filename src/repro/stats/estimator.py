@@ -37,6 +37,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.catalog.histogram import as_number
 from repro.catalog.statistics import ColumnStats
+from repro.obs.metrics import get_registry, tenant_labels
 from repro.rel import expr as rex
 from repro.rel.expr import (
     BinaryOp,
@@ -157,8 +158,6 @@ class Estimator:
         observed = self._feedback.row_override(node)
         if observed is None:
             return None
-        from repro.obs.metrics import get_registry, tenant_labels
-
         get_registry().inc("adaptive.feedback_overrides", **tenant_labels())
         return max(1.0, float(observed))
 

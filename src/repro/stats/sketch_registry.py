@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.adaptive.signature import is_harvestable, operator_signature
 from repro.exec.fragments import SeamObserver, exchange_producers
 from repro.exec.operators import stream_rows
 from repro.obs.metrics import get_registry
@@ -191,8 +192,6 @@ class SketchRegistry:
         each non-root seam, outputs still in the backend's own form.
         Returns the number of fragments harvested.
         """
-        from repro.adaptive.signature import is_harvestable, operator_signature
-
         producers = exchange_producers(fragments)
         #: fragment id -> (fragment, its per-site outputs), in seam order
         by_fragment: Dict[int, Tuple] = {}
@@ -236,8 +235,6 @@ class SketchRegistry:
         """Online HLL distinct estimate for one operator output column."""
         if not self._operators:
             return None
-        from repro.adaptive.signature import operator_signature
-
         signature = operator_signature(node)
         if signature is None:
             return None

@@ -8,14 +8,7 @@
 from types import MappingProxyType
 
 from repro.common.errors import StorageError
-from repro.storage.adapters.base import (
-    AdapterCosts,
-    PushedScan,
-    StorageAdapter,
-    compile_pushdown,
-    sargable_bounds,
-    scan_charge,
-)
+from repro.storage.adapters.base import StorageAdapter
 from repro.storage.adapters.columnfile import ColumnFileAdapter
 from repro.storage.adapters.native import NativeAdapter
 from repro.storage.adapters.remote import RemoteCatalogAdapter
@@ -38,16 +31,3 @@ def create_adapter(name: str) -> StorageAdapter:
         ) from None
     return adapter()
 
-
-__all__ = [
-    "AdapterCosts",
-    "ColumnFileAdapter",
-    "NativeAdapter",
-    "PushedScan",
-    "RemoteCatalogAdapter",
-    "StorageAdapter",
-    "compile_pushdown",
-    "create_adapter",
-    "sargable_bounds",
-    "scan_charge",
-]

@@ -90,6 +90,7 @@ def differential_check(
     SQL from a generator, an engine defect) is re-raised, so a sweep
     cannot pass by failing to run anything.
     """
+    # Imported here: the cluster imports this module.
     from repro.core.cluster import QueryStatus
 
     if not cluster.config.verify_execution:

@@ -10,7 +10,7 @@ import pytest
 from helpers import make_company_cluster
 from repro.common.config import SystemConfig
 from repro.core.cluster import QueryStatus
-from repro.faults import run_chaos
+from repro.faults.chaos import run_chaos
 from repro.faults.injector import (
     ExchangeDrop,
     FragmentOom,

@@ -209,7 +209,7 @@ class TestMixedKindColumn:
         """A range predicate pushed into an adapter scan is compiled raw;
         it is made again in the total order when Python cannot order."""
         c = IgniteCalciteCluster.ic_plus(
-            sites=4, execution_backend=execution_backend, adapter_pushdown=True
+            sites=4, execution_backend=execution_backend
         )
         self._load(c, adapter)
         for sql in ("select k from m where v < 5", "select k from m where v > 'a'"):

@@ -16,15 +16,13 @@ from helpers import make_company_cluster
 from repro.common.config import SystemConfig
 from repro.common.constants import CORES_PER_SITE
 from repro.core.cluster import QueryStatus
-from repro.serve import (
+from repro.serve.server import QueryServer, ServeError
+from repro.serve.slo import SloReport, validate_slo_artefact
+from repro.serve.traffic import (
     ClosedLoopArrivals,
     PoissonArrivals,
-    QueryServer,
     QueryTemplate,
-    ServeError,
-    SloReport,
     TenantSpec,
-    validate_slo_artefact,
 )
 
 pytestmark = pytest.mark.serve

@@ -14,7 +14,8 @@ from repro.common.config import SystemConfig
 from repro.obs.metrics import get_registry, tenant_scope
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import ColumnType
-from repro.serve import PoissonArrivals, QueryServer, QueryTemplate, TenantSpec
+from repro.serve.server import QueryServer
+from repro.serve.traffic import PoissonArrivals, QueryTemplate, TenantSpec
 
 pytestmark = pytest.mark.serve
 

@@ -23,12 +23,9 @@ from helpers import make_company_cluster
 from repro.common.config import SystemConfig
 from repro.core.cluster import QueryStatus
 from repro.rel.sql2rel import SqlToRelConverter
-from repro.serve import (
-    PoissonArrivals,
-    QueryServer,
-    QueryTemplate,
-    TenantSpec,
-)
+from repro.serve.server import QueryServer
+from repro.serve.slo import SloReport
+from repro.serve.traffic import PoissonArrivals, QueryTemplate, TenantSpec
 from repro.sql.parser import parse
 from repro.verify.differential import compare_results
 from repro.verify.reference import ReferenceExecutor
@@ -180,8 +177,6 @@ class TestMidStreamCrashCell:
         )
 
     def test_crash_failures_count_in_slo_report(self):
-        from repro.serve import SloReport
-
         result = self._serve_with_crash(victim=1, seed=7)
         report = SloReport.from_result(result)
         assert report.overall.failed == sum(

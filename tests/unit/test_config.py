@@ -58,7 +58,7 @@ class TestPresets:
     def test_no_new_field_without_deleting_one(self):
         """Every field is an option some caller varies; adding one means
         deleting one (or showing why both must vary)."""
-        assert len(dataclasses.fields(SystemConfig)) == 32
+        assert len(dataclasses.fields(SystemConfig)) == 31
 
     def test_q20_defect_present_in_all_presets(self):
         """The paper leaves the Q20 bug unresolved in every variant."""

@@ -17,17 +17,16 @@ from repro.common.errors import StorageError
 from repro.core.cluster import IgniteCalciteCluster
 from repro.exec.physical import PhysTableScan
 from repro.rel.traits import Distribution
-from repro.storage.adapters import (
+from repro.storage.adapters import create_adapter
+from repro.storage.adapters.base import (
     AdapterCosts,
-    ColumnFileAdapter,
-    NativeAdapter,
     PushedScan,
-    RemoteCatalogAdapter,
     compile_pushdown,
-    create_adapter,
     scan_charge,
 )
-from repro.storage.adapters.columnfile import ROW_GROUP_ROWS
+from repro.storage.adapters.columnfile import ROW_GROUP_ROWS, ColumnFileAdapter
+from repro.storage.adapters.native import NativeAdapter
+from repro.storage.adapters.remote import RemoteCatalogAdapter
 from repro.storage.store import DataStore
 
 pytestmark = pytest.mark.federation
