@@ -47,8 +47,6 @@ class CacheEntry:
     logical: RelNode
     #: None once feedback dropped it: the next run re-plans ``logical``.
     plan: Optional[PhysNode]
-    #: Plans served from this entry.
-    hits: int = 0
     #: True when the plan was planned *with* feedback overrides active —
     #: i.e. it is already the product of a replan.
     replanned: bool = False
@@ -79,7 +77,6 @@ class PlanCache:
         if entry is None or entry.plan is None:
             get_registry().inc("plan_cache.misses", **tenant_labels())
             return None
-        entry.hits += 1
         get_registry().inc("plan_cache.hits", **tenant_labels())
         return entry.plan
 

@@ -16,8 +16,8 @@ entry's plan is dropped and the next run of the statement plans its
 logical plan afresh with the estimator consulting the harvested actuals.
 An entry that is itself the product of a replan is not dropped again —
 feedback has already said its piece, and dropping in a loop would plan
-the same plan forever.  DDL (``create_table`` / ``create_index`` /
-``create_view``) wipes the cache and the feedback registry: coarse, but
+the same plan forever.  DDL (``create_table`` / ``drop_table`` /
+``create_index``) wipes the cache and the feedback registry: coarse, but
 never stale.
 """
 

@@ -22,7 +22,6 @@ summed per-site actual equals the operator's semantic output size:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.adaptive.signature import is_harvestable, operator_signature
@@ -30,19 +29,12 @@ from repro.exec.fragments import exchange_producers
 from repro.obs.metrics import get_registry, tenant_labels
 
 
-@dataclass
-class FeedbackEntry:
-    """Latest observed cardinality for one operator signature."""
-
-    rows: float
-    observations: int = 1
-
-
 class FeedbackRegistry:
     """Observed operator cardinalities, keyed by operator signature."""
 
     def __init__(self):
-        self._entries: Dict[str, FeedbackEntry] = {}
+        #: Signature -> the latest observed cardinality.
+        self._entries: Dict[str, float] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -50,13 +42,7 @@ class FeedbackRegistry:
     # -- recording ---------------------------------------------------------
 
     def record(self, signature: str, rows: float) -> None:
-        rows = max(0.0, float(rows))
-        entry = self._entries.get(signature)
-        if entry is None:
-            self._entries[signature] = FeedbackEntry(rows)
-        else:
-            entry.rows = rows
-            entry.observations += 1
+        self._entries[signature] = max(0.0, float(rows))
 
     def harvest(self, fragment_trees, operator_actuals) -> int:
         """Record every eligible operator actual of the executed
@@ -97,8 +83,7 @@ class FeedbackRegistry:
     # -- consumption -------------------------------------------------------
 
     def lookup(self, signature: str) -> Optional[float]:
-        entry = self._entries.get(signature)
-        return entry.rows if entry is not None else None
+        return self._entries.get(signature)
 
     def row_override(self, node) -> Optional[float]:
         """Observed output cardinality for ``node``, if any.

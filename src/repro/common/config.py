@@ -67,8 +67,6 @@ class SystemConfig:
     #: Two-phase (logical then physical) optimisation instead of the
     #: single-phase mix of all 52 rules.
     two_phase_optimization: bool = False
-    #: Rule-application budget standing in for Calcite's planning limits.
-    planning_budget: int = 600_000
 
     # ----- Section 5.1: join execution ----------------------------------------
     #: Add the broadcast (fully distributed) join distribution mapping.
@@ -83,13 +81,6 @@ class SystemConfig:
     #: Variant fragments per fragment (1 = no multithreading; paper's best
     #: configuration is 2).
     variant_fragments: int = 1
-
-    # ----- execution limits -----------------------------------------------------
-    #: Simulated-seconds limit per query; the analogue of the paper's 4 h
-    #: wall-clock cap that baseline Q17/Q19/Q21 plans exceeded.  Scaled to
-    #: the mini data sizes: ~10-300x a well-planned query's latency, as the
-    #: paper's 4 h cap was relative to second-to-minute query times.
-    runtime_limit_seconds: float = 15.0
 
     # ----- faults & resilience (repro.faults) -------------------------------------
     #: The fault schedule: a tuple of frozen fault specs from
@@ -106,9 +97,9 @@ class SystemConfig:
     #: (:class:`repro.faults.chaos.RetryPolicy`).  0 = fail fast.
     max_retries: int = 0
     #: Per-query deadline in simulated wall-clock seconds (None = no
-    #: deadline).  Distinct from ``runtime_limit_seconds``: the runtime
-    #: limit caps a plan's *work*, the deadline caps elapsed time including
-    #: queueing, slow sites and failover re-execution.
+    #: deadline).  Distinct from ``constants.RUNTIME_LIMIT_SECONDS``: the
+    #: runtime limit caps a plan's *work*, the deadline caps elapsed time
+    #: including queueing, slow sites and failover re-execution.
     query_deadline_seconds: Optional[float] = None
 
     # ----- observability (repro.obs) ----------------------------------------------
@@ -197,14 +188,6 @@ class SystemConfig:
     #: twice, so the flag composes with every other one.  EXPLAIN
     #: [ANALYZE] returns plan text and stays unverified.
     verify_execution: bool = False
-
-    # ----- defects kept in both systems ------------------------------------------
-    #: TPC-H Q20's planner defect is unresolved in the paper for *all*
-    #: variants; flipping this documents what "fixed" would mean.
-    q20_defect_fixed: bool = False
-    #: SQL VIEW support (unsupported in Ignite+Calcite; TPC-H Q15's
-    #: blocker).  Enabling it is a beyond-the-paper extension.
-    views_supported: bool = False
 
     def with_(self, **changes) -> "SystemConfig":
         """Return a copy with the given fields replaced."""

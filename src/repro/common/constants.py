@@ -66,6 +66,12 @@ VARIANT_SETUP_UNITS = 1_400.0
 #: Work units for a fragment's fixed startup (scheduling, codegen analogue).
 FRAGMENT_SETUP_UNITS = 1_000.0
 
+#: Simulated-seconds limit per query; the analogue of the paper's 4 h
+#: wall-clock cap that baseline Q17/Q19/Q21 plans exceeded.  Scaled to the
+#: mini data sizes: ~10-300x a well-planned query's latency, as the paper's
+#: 4 h cap was relative to second-to-minute query times.
+RUNTIME_LIMIT_SECONDS = 15.0
+
 #: Below this much per-site work, a fragment is not worth splitting into
 #: variant fragments: the setup and re-read overheads exceed any gain, so
 #: the engine keeps it single-threaded (a per-site runtime decision).

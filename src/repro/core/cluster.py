@@ -178,8 +178,6 @@ class IgniteCalciteCluster:
         #: HLLs refreshed by the engine at fragment seams.
         self.sketches = SketchRegistry.from_config(config, self.store)
         self._engine = ExecutionEngine(self.store, config, sketches=self.sketches)
-        #: View name -> defining SELECT AST (views_supported extension).
-        self._views: dict = {}
         #: The fault injector behind ``config.faults`` (the empty schedule
         #: when fault-free).  Shared by every query on this cluster so
         #: one-shot faults fire exactly once per schedule entry.
@@ -266,35 +264,15 @@ class IgniteCalciteCluster:
     # -- planning --------------------------------------------------------------------
 
     def _to_logical(self, select: ast_module.Select) -> RelNode:
-        converter = SqlToRelConverter(
-            self.store.catalog,
-            q20_defect_fixed=self.config.q20_defect_fixed,
-            views=self._views,
-        )
-        return converter.convert(select)
+        return SqlToRelConverter(self.store.catalog).convert(select)
 
     def parse_to_logical(self, sql: str) -> RelNode:
-        statement = parse(sql, allow_views=self.config.views_supported)
-        if isinstance(statement, (ast_module.CreateView, ast_module.CreateTable)):
+        statement = parse(sql)
+        if isinstance(statement, ast_module.CreateTable):
             raise UnsupportedSqlError(
                 "DDL statements have no logical plan; use sql() or try_sql()"
             )
         return self._to_logical(statement)
-
-    def create_view(self, sql: str) -> str:
-        """Register a view from ``CREATE VIEW name AS select`` (extension).
-
-        Requires ``views_supported``; stock Ignite+Calcite rejects views.
-        """
-        statement = parse(sql, allow_views=self.config.views_supported)
-        if not isinstance(statement, ast_module.CreateView):
-            raise UnsupportedSqlError("create_view expects a CREATE VIEW")
-        return self._register_view(statement)
-
-    def _register_view(self, statement: ast_module.CreateView) -> str:
-        self._views[statement.name] = statement.select
-        self._invalidate_plans()
-        return statement.name
 
     def plan_sql(self, sql: str) -> PhysNode:
         return self._plan(self.parse_to_logical(sql), None, sql)[0]
@@ -339,11 +317,8 @@ class IgniteCalciteCluster:
             entry = serving.lookup(sql) if serving is not None else None
             if entry is None:
                 with tracer.span("parse"):
-                    statement = parse(sql, allow_views=self.config.views_supported)
+                    statement = parse(sql)
                     tracer.advance(1.0)  # parsing is one budget tick
-                if isinstance(statement, ast_module.CreateView):
-                    self._register_view(statement)
-                    return ExecutionResult([], [])
                 if isinstance(statement, ast_module.CreateTable):
                     self._ddl_create_table(statement)
                     return ExecutionResult([], [])
@@ -431,15 +406,21 @@ class IgniteCalciteCluster:
         except VerificationError:
             raise
         except ReproError as exc:
-            # Hold on to nothing but the exception: its traceback keeps each
-            # frame's locals alive (the input rows of the operator that
-            # timed out, say) for as long as the outcome lives.
-            traceback.clear_frames(exc.__traceback__)
+            _clear_frames(exc)
             outcome.status, outcome.error = classify(exc), exc
         else:
             if outcome.result.degraded:
                 outcome.status = QueryStatus.DEGRADED
         return outcome
+
+
+def _clear_frames(exc: Optional[BaseException]) -> None:
+    """Hold on to nothing but the exception: its traceback, and its
+    cause's, keep each frame's locals alive (the input rows of the
+    operator that timed out, say) as long as the outcome lives."""
+    while exc is not None:
+        traceback.clear_frames(exc.__traceback__)
+        exc = exc.__cause__
 
 
 def classify(exc: ReproError) -> QueryStatus:

@@ -1884,32 +1884,6 @@ def _group_minmax(
     return out
 
 
-def _distinct_keep(gids: np.ndarray, col: Column) -> np.ndarray:
-    """Indices of first-occurrence distinct ``(group, value)`` pairs.
-
-    Reproduces the row accumulator's ``_seen`` set: within each group
-    only the first row carrying each value survives, and the surviving
-    indices stay in row order so float sums accumulate in the identical
-    sequence.  ``col`` must already be the NULL-free argument subset.
-    """
-    n = len(gids)
-    if n == 0:
-        return np.empty(0, np.int64)
-    if col.kind == "O":
-        seen = set()
-        keep: List[int] = []
-        for i, (g, v) in enumerate(zip(gids.tolist(), col.to_list())):
-            if (g, v) not in seen:
-                seen.add((g, v))
-                keep.append(i)
-        return np.asarray(keep, dtype=np.int64)
-    _, inv = np.unique(col.values, return_inverse=True)
-    inv = inv.astype(np.int64, copy=False)
-    pair = gids * (int(inv.max(initial=0)) + 1) + inv
-    _, first = np.unique(pair, return_index=True)
-    return np.sort(first)
-
-
 def _agg_columns(
     node, batch: ColumnBatch, group_ids: np.ndarray, n_groups: int
 ) -> List[Column]:
@@ -1974,7 +1948,11 @@ def _agg_columns(
             gids = group_ids[valid]
             if call.distinct:
                 sub = arg.take(np.flatnonzero(valid))
-                keep = _distinct_keep(gids, sub)
+                # The row accumulator's ``_seen`` set: the first row of each
+                # (group, value) pair, kept in row order so float sums
+                # accumulate in the identical sequence.
+                pairs = ColumnBatch([Column(gids), sub], len(gids))
+                keep = _group_ids(pairs, (0, 1))[2]
                 gids = gids[keep]
                 arg_values = sub.values[keep]
             else:

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.adaptive.midquery import MidQueryController
-from repro.common import charges
+from repro.common import charges, constants
 from repro.common.config import SystemConfig
 from repro.common.constants import (
     AFS,
@@ -341,7 +341,7 @@ class ExecutionEngine:
         # (the paper's 4-hour cap did not stretch with cluster size), not
         # proportional to the site count.
         limit_units = (
-            self.config.runtime_limit_seconds
+            constants.RUNTIME_LIMIT_SECONDS
             * CORE_UNITS_PER_SECOND
             * RUNTIME_LIMIT_PARALLELISM
         )

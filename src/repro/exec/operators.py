@@ -174,7 +174,9 @@ def run_operator(handlers: dict, node: PhysNode, site: int, ctx: ExecContext):
     A handler is a pure transform ``handler(node, site, ctx, *inputs)`` of
     its already-evaluated inputs; it returns its output, or ``(output,
     detail)`` when the charge needs something only it saw (see
-    ``_CHARGES``).  Outputs only need ``len()``.
+    ``_CHARGES``).  Outputs only need ``len()``.  An expression that fails
+    on the values it meets (``1/0``, ``sum`` of strings, ``upper`` of a
+    number) raises :class:`ExecutionError`, caused by Python's exception.
     """
     kind = type(node)
     handler = handlers.get(kind)
@@ -184,20 +186,23 @@ def run_operator(handlers: dict, node: PhysNode, site: int, ctx: ExecContext):
     if inputs and kind is not PhysNestedLoopJoin:  # it pre-checks first
         inputs = [materialise(rows) for rows in inputs]
     try:
-        out = handler(node, site, ctx, *inputs)
-    except TypeError:
-        # Python cannot order two of the values (3 < 'a'): again, with the
-        # node's kernels (its own, an adapter scan's pushed filter) made
-        # in the engine's total order.
-        for kernel in ("_kernel", "_pushed_scan"):
-            node.__dict__.pop(kernel, None)
-        token = TOTAL_ORDER.set(True)
         try:
             out = handler(node, site, ctx, *inputs)
-        finally:
-            TOTAL_ORDER.reset(token)
+        except TypeError:
+            # Python cannot order two of the values (3 < 'a'): again, with
+            # the node's kernels (its own, an adapter scan's pushed filter)
+            # made in the engine's total order.
             for kernel in ("_kernel", "_pushed_scan"):
                 node.__dict__.pop(kernel, None)
+            token = TOTAL_ORDER.set(True)
+            try:
+                out = handler(node, site, ctx, *inputs)
+            finally:
+                TOTAL_ORDER.reset(token)
+                for kernel in ("_kernel", "_pushed_scan"):
+                    node.__dict__.pop(kernel, None)
+    except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
+        raise ExecutionError(f"{kind.__name__}: {exc}") from exc
     detail = None
     if type(out) is tuple:
         out, detail = out

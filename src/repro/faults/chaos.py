@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.common import constants
 from repro.common.errors import (
     ExecutionTimeoutError,
     QueryDeadlineError,
@@ -229,7 +230,7 @@ def run_chaos(
             if outcome.succeeded:
                 clock += outcome.result.simulated_seconds
                 break
-            clock += _failed_attempt_seconds(outcome, clock, config)
+            clock += _failed_attempt_seconds(outcome, clock)
             retry = attempts - 1  # 0-based index of the upcoming retry
             if outcome.status not in RETRYABLE or retry >= policy.max_retries:
                 break
@@ -265,9 +266,7 @@ def _salt(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-def _failed_attempt_seconds(
-    outcome: QueryOutcome, clock: float, config
-) -> float:
+def _failed_attempt_seconds(outcome: QueryOutcome, clock: float) -> float:
     """Chaos-clock seconds a failed attempt burned before dying."""
     error = outcome.error
     if isinstance(error, SiteFailureError) and error.at:
@@ -275,7 +274,7 @@ def _failed_attempt_seconds(
     if isinstance(error, QueryDeadlineError):
         return error.limit
     if isinstance(error, ExecutionTimeoutError):
-        return config.runtime_limit_seconds
+        return constants.RUNTIME_LIMIT_SECONDS
     # Row-phase faults (lost exchange, OOM kill) fail fast.
     return 0.0
 

@@ -10,14 +10,20 @@ budget; exhausting it raises :class:`PlanningTimeoutError`.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.common.errors import PlanningTimeoutError
+
+#: Ticks one query may spend planning, standing in for Calcite's planning
+#: limits.  Read when a budget is made, so a test can patch it.
+PLANNING_BUDGET = 600_000
 
 
 class PlanningBudget:
     """A tick budget shared by all phases of planning one query."""
 
-    def __init__(self, limit: int):
-        self.limit = limit
+    def __init__(self, limit: Optional[int] = None):
+        self.limit = PLANNING_BUDGET if limit is None else limit
         self.spent = 0
 
     def charge(self, ticks: int = 1) -> None:

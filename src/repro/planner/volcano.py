@@ -107,7 +107,7 @@ class QueryPlanner:
         self.last_budget_spent: int = 0
 
     def plan(self, logical: RelNode) -> PhysNode:
-        budget = PlanningBudget(self.config.planning_budget)
+        budget = PlanningBudget()
         tracer = get_tracer()
         # --- Stage 1: the three HepPlanner passes (Section 3.2.1). ---
         tree = logical

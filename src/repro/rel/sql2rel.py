@@ -21,12 +21,12 @@ reproduction recreates the Q4/Q22 behaviour.
 It also reproduces the unresolved planner defect that forces the paper to
 disable TPC-H Q20 (Section 6): converting an ``IN`` subquery whose body
 contains a further *correlated* scalar subquery raises
-:class:`PlannerDefectError` unless ``q20_defect_fixed`` is set.
+:class:`PlannerDefectError` on every system variant, as in the paper.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Catalog
 from repro.common.errors import (
@@ -133,22 +133,10 @@ class Scope:
 
 
 class SqlToRelConverter:
-    """Converts parsed SELECT statements into logical plans.
+    """Converts parsed SELECT statements into logical plans."""
 
-    ``views`` maps view names to their defining SELECT ASTs; references to
-    a view expand like derived tables (a beyond-the-paper extension,
-    enabled via ``SystemConfig.views_supported``).
-    """
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        q20_defect_fixed: bool = False,
-        views: Optional[Dict[str, ast.Select]] = None,
-    ):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.q20_defect_fixed = q20_defect_fixed
-        self.views = views or {}
         self._anon = 0
 
     # -- public API ---------------------------------------------------------
@@ -183,14 +171,6 @@ class SqlToRelConverter:
         self, item: ast.TableExpr, plan: Optional[RelNode], scope: Scope
     ) -> RelNode:
         if isinstance(item, ast.TableRef):
-            view = self.views.get(item.name.lower())
-            if view is not None:
-                # Expand a view reference like a derived table.
-                return self._convert_table(
-                    ast.SubqueryRef(select=view, alias=item.binding),
-                    plan,
-                    scope,
-                )
             schema = self.catalog.table(item.name)
             node: RelNode = LogicalTableScan(
                 schema.name, item.binding, schema.column_names
@@ -326,8 +306,6 @@ class SqlToRelConverter:
         subquery* trips the defect, matching "Query 20 contained an
         unresolved bug in the planning code".
         """
-        if self.q20_defect_fixed:
-            return
         for conjunct in _ast_conjuncts(subquery.where):
             for node in _walk_ast(conjunct):
                 if isinstance(node, ast.ScalarSubquery):

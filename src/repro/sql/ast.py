@@ -207,20 +207,6 @@ class Explain:
 
 
 @dataclass
-class CreateView:
-    """``CREATE VIEW name AS select``.
-
-    Ignite+Calcite rejects views (the paper disables TPC-H Q15 for this
-    reason); the reproduction parses them only when view support is
-    explicitly enabled (``SystemConfig.views_supported``) as a
-    beyond-the-paper extension.
-    """
-
-    name: str
-    select: Select
-
-
-@dataclass
 class CreateTable:
     """``CREATE TABLE name (col TYPE, ..., PRIMARY KEY (...)) [USING adapter]``.
 

@@ -20,22 +20,20 @@ SCALAR_FUNCTION_NAMES = frozenset({"upper", "lower", "abs", "coalesce", "substr"
 _Item = TypeVar("_Item")
 
 
-def parse(sql: str, allow_views: bool = False):
-    """Parse one SQL statement.
+def parse(sql: str):
+    """Parse one SQL statement into an :class:`ast.Select`,
+    :class:`ast.Explain` or :class:`ast.CreateTable`.
 
-    Returns an :class:`ast.Select`, or an :class:`ast.CreateView` when
-    ``allow_views`` is set and the statement is a view definition.  With
-    ``allow_views`` off (Ignite+Calcite's behaviour), CREATE VIEW raises
-    :class:`UnsupportedSqlError` — the reason TPC-H Q15 is disabled.
+    CREATE VIEW raises :class:`UnsupportedSqlError`, as in Ignite+Calcite —
+    the reason TPC-H Q15 is disabled.
     """
-    return _Parser(tokenize(sql), allow_views).parse_statement()
+    return _Parser(tokenize(sql)).parse_statement()
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], allow_views: bool = False):
+    def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._pos = 0
-        self._allow_views = allow_views
 
     # -- token helpers --------------------------------------------------------
 
@@ -123,19 +121,10 @@ class _Parser:
         if self._current.is_keyword("create"):
             self._advance()
             if self._current.is_keyword("view"):
-                if not self._allow_views:
-                    raise UnsupportedSqlError(
-                        "SQL VIEWs are not supported by Ignite+Calcite "
-                        "(the reason TPC-H Q15 is disabled)"
-                    )
-                self._advance()
-                name = self._expect_ident()
-                self._expect_keyword("as")
-                select = self._parse_select()
-                self._accept_symbol(";")
-                if self._current.type is not TokenType.EOF:
-                    raise self._error("trailing tokens after statement")
-                return ast.CreateView(name=name.lower(), select=select)
+                raise UnsupportedSqlError(
+                    "SQL VIEWs are not supported by Ignite+Calcite "
+                    "(the reason TPC-H Q15 is disabled)"
+                )
             if (
                 self._current.type is TokenType.IDENT
                 and self._current.value == "table"

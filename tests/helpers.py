@@ -1339,11 +1339,38 @@ def phased_agg_columns(node, batch, group_ids, n_groups):
     return _single_or_map_columns(node, batch, group_ids, n_groups)
 
 
+def _distinct_keep(gids, col):
+    """Indices of first-occurrence distinct ``(group, value)`` pairs.
+
+    Reproduces the row accumulator's ``_seen`` set: within each group
+    only the first row carrying each value survives, and the surviving
+    indices stay in row order so float sums accumulate in the identical
+    sequence.  ``col`` must already be the NULL-free argument subset.
+    """
+    import numpy as np
+
+    n = len(gids)
+    if n == 0:
+        return np.empty(0, np.int64)
+    if col.kind == "O":
+        seen = set()
+        keep: List[int] = []
+        for i, (g, v) in enumerate(zip(gids.tolist(), col.to_list())):
+            if (g, v) not in seen:
+                seen.add((g, v))
+                keep.append(i)
+        return np.asarray(keep, dtype=np.int64)
+    _, inv = np.unique(col.values, return_inverse=True)
+    inv = inv.astype(np.int64, copy=False)
+    pair = gids * (int(inv.max(initial=0)) + 1) + inv
+    _, first = np.unique(pair, return_index=True)
+    return np.sort(first)
+
+
 def _single_or_map_columns(node, batch, group_ids, n_groups):
     import numpy as np
     from repro.common.errors import ExecutionError
     from repro.exec.columnar import (
-        _distinct_keep,
         _group_minmax,
         column_from_values,
         eval_expr,

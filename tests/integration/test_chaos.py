@@ -8,6 +8,7 @@ heavier schedules are marked ``chaos``.
 import pytest
 
 from helpers import make_company_cluster
+from repro.common import constants
 from repro.common.config import SystemConfig
 from repro.core.cluster import QueryStatus
 from repro.faults.chaos import run_chaos
@@ -133,12 +134,12 @@ class TestRetrySemantics:
 
 
 class TestBudgetExhaustion:
-    def test_timed_out_leaks_no_partial_rows(self):
+    def test_timed_out_leaks_no_partial_rows(self, monkeypatch):
         # The work-unit budget dies mid-fragment: the outcome must be
         # TIMED_OUT with no result object, and reading rows must raise
         # rather than surface whatever the operators had produced so far.
-        config = chaos_config(runtime_limit_seconds=1e-9)
-        cluster = make_company_cluster(config)
+        monkeypatch.setattr(constants, "RUNTIME_LIMIT_SECONDS", 1e-9)
+        cluster = make_company_cluster(chaos_config())
         outcome = cluster.try_sql(WORKLOAD["join"])
         assert outcome.status is QueryStatus.TIMED_OUT
         assert outcome.result is None
@@ -147,8 +148,9 @@ class TestBudgetExhaustion:
         with pytest.raises(RuntimeError):
             outcome.simulated_seconds
 
-    def test_timed_out_is_retryable_but_stays_failed(self):
-        config = chaos_config(runtime_limit_seconds=1e-9, max_retries=2)
+    def test_timed_out_is_retryable_but_stays_failed(self, monkeypatch):
+        monkeypatch.setattr(constants, "RUNTIME_LIMIT_SECONDS", 1e-9)
+        config = chaos_config(max_retries=2)
         report = run_chaos(
             make_company_cluster(config),
             {"join": WORKLOAD["join"]},

@@ -2,8 +2,9 @@
 
 * a kernel's source is on the function (``__source__``) and in
   ``linecache``, so a traceback through generated code shows the line;
-* an error raised inside a kernel still classifies to the same
-  ``QueryOutcome`` / propagates as the same exception type;
+* an error raised inside a kernel becomes an ``ExecutionError`` caused by
+  it, so ``try_sql`` classifies it ``ERROR`` and the cause keeps the
+  kernel's frames;
 * a classified failure holds no interpreter frame's locals: a timed-out
   IC Q21 must not pin the rows its operators held for as long as
   somebody keeps the outcome.
@@ -16,6 +17,7 @@ import pytest
 from helpers import make_company_cluster
 from repro.bench.tpch import QUERIES, load_tpch_cluster
 from repro.common.config import PRESETS
+from repro.common.errors import ExecutionError
 from repro.core.cluster import QueryStatus
 from repro.exec.fragments import number_operators
 from repro.exec.physical import PhysFilter, PhysValues
@@ -45,9 +47,10 @@ class TestKernelTracebacks:
         )
         ctx = ExecContext(DataStore(site_count=1, partitions_per_table=1), 1e9)
         number_operators(node)
-        with pytest.raises(ZeroDivisionError) as info:
+        with pytest.raises(ExecutionError) as info:
             execute_node(node, 0, ctx)
-        frames = kernel_frames(info.value)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        frames = kernel_frames(info.value.__cause__)
         assert frames and frames[0].name == "filter"
         assert "row[0] / row[1]" in frames[-1].line
         assert node._kernel.__source__.splitlines()[frames[0].lineno - 1].strip() == (
@@ -61,14 +64,17 @@ class TestKernelTracebacks:
         (frame,) = kernel_frames(info.value)
         assert "row[0] < row[1]" in frame.line
 
-    def test_kernel_errors_escape_sql_as_before(self, execution_backend):
-        """Not a ReproError: ``try_sql`` never classified a division by
-        zero, and generated code must not change what callers catch."""
+    def test_kernel_errors_classify(self, execution_backend):
+        """A division by zero in generated code is the query's error, not
+        the caller's: ``try_sql`` classifies it, ``sql`` raises it."""
         cluster = make_company_cluster(
             PRESETS["IC+"](2).with_(execution_backend=execution_backend)
         )
-        with pytest.raises(ZeroDivisionError):
-            cluster.try_sql("select emp_id / (emp_id - emp_id) from emp")
+        sql = "select emp_id / (emp_id - emp_id) from emp"
+        assert cluster.try_sql(sql).status is QueryStatus.ERROR
+        with pytest.raises(ExecutionError) as info:
+            cluster.sql(sql)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     def test_timeout_inside_generated_plan_classifies(self):
         cluster = load_tpch_cluster(PRESETS["IC"](4), 0.02)
@@ -100,4 +106,20 @@ class TestFailedOutcomeRetention:
         tb = outcome.error.__traceback__.tb_next
         while tb is not None:
             assert tb.tb_frame.f_locals == {}
+            tb = tb.tb_next
+
+    def test_an_expression_error_and_its_cause_are_cleared(self, execution_backend):
+        cluster = make_company_cluster(
+            PRESETS["IC+"](2).with_(execution_backend=execution_backend)
+        )
+        outcome = cluster.try_sql("select emp_id / (emp_id - emp_id) from emp")
+        assert outcome.status is QueryStatus.ERROR
+        cause = outcome.error.__cause__
+        assert isinstance(cause, ZeroDivisionError)
+        # The cause's traceback reaches the operator handler that held the
+        # rows; none of its frames keeps them.
+        tb = cause.__traceback__
+        assert tb is not None
+        while tb is not None:
+            assert tb.tb_frame.f_locals == {}, tb.tb_frame.f_code.co_name
             tb = tb.tb_next

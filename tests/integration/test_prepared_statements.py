@@ -5,7 +5,7 @@ under its text — its logical plan and physical plan in one cache entry —
 so a repeat skips parse, sql2rel and planning, and its cached plan keeps
 the fragments the engine cut it into.  Pinned here:
 
-* **no stale statement** — after CREATE VIEW, a table replaced through
+* **no stale statement** — after a table replaced through
   ``drop_table`` + ``create_table``, or ``create_index``, the same text
   returns what a fresh parse would, and a feedback eviction re-plans the
   prepared logical plan to the plan a fresh parse gets;
@@ -87,22 +87,6 @@ def test_a_cached_plan_is_fragmented_once():
 
 
 # -- no stale statement ---------------------------------------------------------
-
-
-def test_a_redefined_view_is_read_afresh(parses):
-    config = SystemConfig.ic_plus(4, views_supported=True, **CACHED)
-    cluster = make_company_cluster(config)
-    sql = "select name from rich order by name"
-    cluster.sql("create view rich as select name from emp where salary > 90000")
-    before = cluster.sql(sql).rows
-    assert cluster.sql(sql).rows == before  # served prepared
-    cluster.sql("create view rich as select name from emp where salary > 50000")
-    after = cluster.sql(sql).rows
-    expected = cluster.sql(
-        "select name from emp where salary > 50000 order by name"
-    ).rows
-    assert after == expected and after != before
-    assert parses.count(sql) == 2
 
 
 def test_a_replaced_table_is_read_afresh():

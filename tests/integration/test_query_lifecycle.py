@@ -16,6 +16,7 @@ else about the query changes.
 import pytest
 
 from helpers import make_company_cluster
+from repro.common import constants
 from repro.common.config import SystemConfig
 from repro.common.errors import (
     CatalogError,
@@ -40,6 +41,7 @@ from repro.exec.engine import ExecutionEngine
 from repro.exec.physical import walk_physical
 from repro.faults.injector import SiteCrash
 from repro.obs.metrics import get_registry
+from repro.planner import budget
 
 JOIN = (
     "select e.name, s.amount from emp e, sales s "
@@ -48,6 +50,10 @@ JOIN = (
 AGG = "select region, count(*) from sales group by region order by region"
 ADAPTIVE = dict(plan_cache=True, cardinality_feedback=True)
 EVERY_SITE_DEAD = tuple(SiteCrash(site, at=0.0) for site in range(4))
+
+#: The two limits are module constants, not config fields: an override
+#: named after one patches it in its module instead.
+LIMITS = {"PLANNING_BUDGET": budget, "RUNTIME_LIMIT_SECONDS": constants}
 
 #: name -> (config overrides, statement, what ``sql`` raises or None)
 STATEMENTS = {
@@ -59,17 +65,17 @@ STATEMENTS = {
         {}, "create table t (a int, b varchar) using columnfile", None,
     ),
     "create-view": (
-        {"views_supported": True},
-        "create view big as select * from sales where amount > 4000",
-        None,
+        {}, "create view big as select * from sales", UnsupportedSqlError,
     ),
     "unknown-table": ({}, "select * from nowhere", CatalogError),
     "unsupported-sql": (
-        {}, "create view big as select * from sales", UnsupportedSqlError,
+        {},
+        "select region from sales union select region from sales",
+        UnsupportedSqlError,
     ),
-    "budget-exhausted": ({"planning_budget": 5}, JOIN, PlanningTimeoutError),
+    "budget-exhausted": ({"PLANNING_BUDGET": 5}, JOIN, PlanningTimeoutError),
     "runtime-limit": (
-        {"runtime_limit_seconds": 1e-9}, JOIN, ExecutionTimeoutError,
+        {"RUNTIME_LIMIT_SECONDS": 1e-9}, JOIN, ExecutionTimeoutError,
     ),
     "site-crash-degraded": ({"faults": (SiteCrash(1, at=0.0),)}, JOIN, None),
     "site-crash-fatal": ({"faults": EVERY_SITE_DEAD}, JOIN, SiteFailureError),
@@ -79,16 +85,26 @@ STATEMENTS = {
 }
 
 
+def _configure(overrides, monkeypatch, **fields):
+    """IC+ with ``overrides`` and ``fields``; a limit among them is patched."""
+    for key, value in overrides.items():
+        if key in LIMITS:
+            monkeypatch.setattr(LIMITS[key], key, value)
+        else:
+            fields[key] = value
+    return SystemConfig.ic_plus(4).with_(**fields)
+
+
 def _span_names(tracer):
     return [span.name for span in tracer.spans()]
 
 
 @pytest.mark.parametrize("tracing", [False, True], ids=["plain", "traced"])
 @pytest.mark.parametrize("name", sorted(STATEMENTS))
-def test_sql_and_try_sql_agree(name, tracing, execution_backend):
+def test_sql_and_try_sql_agree(name, tracing, execution_backend, monkeypatch):
     overrides, statement, raises = STATEMENTS[name]
-    config = SystemConfig.ic_plus(4).with_(
-        execution_backend=execution_backend, tracing=tracing, **overrides
+    config = _configure(
+        overrides, monkeypatch, execution_backend=execution_backend, tracing=tracing
     )
     strict, lenient = make_company_cluster(config), make_company_cluster(config)
     # Twice: the second statement of an adaptive config is served from the
@@ -117,7 +133,6 @@ def test_sql_and_try_sql_agree(name, tracing, execution_backend):
         assert sorted(lenient.store.table_names()) == sorted(
             strict.store.table_names()
         )
-        assert sorted(lenient._views) == sorted(strict._views)
     if name == "site-crash-degraded":
         assert outcome.status is QueryStatus.DEGRADED
 
@@ -160,20 +175,6 @@ def test_status_table_lists_subclasses_before_their_bases():
 
 
 class TestSharedPipelineBugfixes:
-    def test_sql_registers_a_view_like_try_sql(self):
-        cluster = make_company_cluster(
-            SystemConfig.ic_plus(4).with_(views_supported=True)
-        )
-        result = cluster.sql(STATEMENTS["create-view"][1])
-        assert result.rows == []
-        assert len(cluster.sql("select * from big").rows) > 0
-
-    def test_sql_rejects_a_view_without_the_extension(self):
-        cluster = make_company_cluster(SystemConfig.ic_plus(4))
-        with pytest.raises(UnsupportedSqlError):
-            cluster.sql("create view big as select * from sales")
-        assert cluster._views == {}
-
     def test_try_sql_runs_the_differential_harness(self, monkeypatch):
         import repro.verify.differential as differential
 
@@ -188,11 +189,10 @@ class TestSharedPipelineBugfixes:
         with pytest.raises(ResultMismatchError):
             cluster.try_sql(JOIN)
 
-    def test_try_sql_falls_through_a_skipped_check(self):
+    def test_try_sql_falls_through_a_skipped_check(self, monkeypatch):
+        monkeypatch.setattr(budget, "PLANNING_BUDGET", 5)
         cluster = make_company_cluster(
-            SystemConfig.ic_plus(4).with_(
-                verify_execution=True, planning_budget=5
-            )
+            SystemConfig.ic_plus(4).with_(verify_execution=True)
         )
         outcome = cluster.try_sql(JOIN)
         assert outcome.status is QueryStatus.PLANNING_FAILED
@@ -267,8 +267,7 @@ class TestVerifyStage:
         with pytest.raises(ResultMismatchError) as raised:
             cluster.try_sql(JOIN)
         assert raised.value.sql == JOIN and raised.value.detail == "forced"
-        (entry,) = cluster.adaptive.cache._entries.values()
-        assert entry.hits == 1
+        assert get_registry().counter("plan_cache.hits") == 1
 
     def test_a_midquery_replanned_run_is_verified(self, monkeypatch):
         from repro.bench.midquery import MIDQUERY_QUERIES, load_skewed_cluster
@@ -317,7 +316,7 @@ class TestVerifyStage:
     )
     def test_the_flag_changes_no_classification(self, name, monkeypatch):
         overrides, statement, _ = STATEMENTS[name]
-        config = SystemConfig.ic_plus(4).with_(**overrides)
+        config = _configure(overrides, monkeypatch)
         plain = make_company_cluster(config).try_sql(statement)
         # EXPLAIN stays unverified: even a forced divergence passes.
         _force_divergence(monkeypatch)
@@ -344,14 +343,13 @@ class TestNoSideChannels:
             outcome = cluster.try_sql(AGG)
             assert outcome.plan_cached
         (served,) = cluster.adaptive.cache._entries.values()
-        assert served.plan is entry.plan and served.hits == 3
+        assert served.plan is entry.plan
+        assert get_registry().counter("plan_cache.hits") == 3
         assert {id(n): sorted(vars(n)) for n in walk_physical(entry.plan)} == stored
 
-    def test_plan_cached_survives_a_failed_execution(self):
-        config = SystemConfig.ic_plus(4).with_(
-            plan_cache=True, runtime_limit_seconds=1e-9
-        )
-        cluster = make_company_cluster(config)
+    def test_plan_cached_survives_a_failed_execution(self, monkeypatch):
+        monkeypatch.setattr(constants, "RUNTIME_LIMIT_SECONDS", 1e-9)
+        cluster = make_company_cluster(SystemConfig.ic_plus(4, plan_cache=True))
         first, second = cluster.try_sql(JOIN), cluster.try_sql(JOIN)
         assert first.status is second.status is QueryStatus.TIMED_OUT
         assert (first.plan_cached, second.plan_cached) == (False, True)

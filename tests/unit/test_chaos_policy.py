@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import SystemConfig
+from repro.common import constants
 from repro.common.errors import (
     ExecutionTimeoutError,
     QueryDeadlineError,
@@ -51,31 +51,30 @@ class TestFailedAttemptAccounting:
             QueryStatus.FAILED_SITE,
             error=SiteFailureError("boom", site=1, at=2.0),
         )
-        config = SystemConfig.ic_plus(4)
-        assert _failed_attempt_seconds(outcome, 0.5, config) == pytest.approx(1.5)
+        assert _failed_attempt_seconds(outcome, 0.5) == pytest.approx(1.5)
         # A crash in the past costs the attempt nothing extra.
-        assert _failed_attempt_seconds(outcome, 3.0, config) == 0.0
+        assert _failed_attempt_seconds(outcome, 3.0) == 0.0
 
     def test_deadline_burns_the_deadline(self):
         outcome = QueryOutcome(
             QueryStatus.TIMED_OUT,
             error=QueryDeadlineError("deadline", limit=1.25),
         )
-        config = SystemConfig.ic_plus(4)
-        assert _failed_attempt_seconds(outcome, 0.0, config) == pytest.approx(1.25)
+        assert _failed_attempt_seconds(outcome, 0.0) == pytest.approx(1.25)
 
-    def test_budget_timeout_burns_the_runtime_limit(self):
+    def test_budget_timeout_burns_the_runtime_limit(self, monkeypatch):
         outcome = QueryOutcome(
             QueryStatus.TIMED_OUT, error=ExecutionTimeoutError("budget")
         )
-        config = SystemConfig.ic_plus(4)
-        assert _failed_attempt_seconds(outcome, 0.0, config) == pytest.approx(
-            config.runtime_limit_seconds
+        assert _failed_attempt_seconds(outcome, 0.0) == pytest.approx(
+            constants.RUNTIME_LIMIT_SECONDS
         )
+        monkeypatch.setattr(constants, "RUNTIME_LIMIT_SECONDS", 2.5)
+        assert _failed_attempt_seconds(outcome, 0.0) == pytest.approx(2.5)
 
     def test_row_phase_faults_fail_fast(self):
         outcome = QueryOutcome(QueryStatus.FAILED_SITE, error=None)
-        assert _failed_attempt_seconds(outcome, 0.0, SystemConfig.ic(4)) == 0.0
+        assert _failed_attempt_seconds(outcome, 0.0) == 0.0
 
 
 class TestPercentile:

@@ -133,7 +133,7 @@ class TestPreserving:
 
 def _hep_optimised(cluster, sql):
     tree = cluster.parse_to_logical(sql)
-    budget = PlanningBudget(cluster.config.planning_budget)
+    budget = PlanningBudget()
     config = cluster.config
     for rules in stage_one_passes(
         config.filter_correlate_rule, config.join_condition_simplification

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common import constants
 from repro.common.config import SystemConfig
 from repro.exec.engine import ExecutionEngine
 from repro.planner.volcano import QueryPlanner
@@ -83,24 +84,22 @@ class TestAccounting:
 
 
 class TestRuntimeLimit:
-    def test_limit_is_wall_clock_not_per_site(self, store):
+    def test_limit_is_wall_clock_not_per_site(self, store, monkeypatch):
         """The limit must not stretch with cluster size."""
         sql = (
             "select e1.name from emp e1, sales s1 "
             "where e1.salary * s1.amount > 999999999999.0"
         )
-        config4 = SystemConfig.ic_plus(sites=4).with_(
-            runtime_limit_seconds=0.001
-        )
+        monkeypatch.setattr(constants, "RUNTIME_LIMIT_SECONDS", 0.001)
         from repro.common.errors import ExecutionTimeoutError
 
         with pytest.raises(ExecutionTimeoutError):
-            run(store, config4, sql)
+            run(store, SystemConfig.ic_plus(sites=4), sql)
 
-    def test_generous_limit_allows_cross_products(self, store):
-        config = SystemConfig.ic_plus().with_(runtime_limit_seconds=3600)
+    def test_generous_limit_allows_cross_products(self, store, monkeypatch):
+        monkeypatch.setattr(constants, "RUNTIME_LIMIT_SECONDS", 3600)
         result = run(
-            store, config,
+            store, SystemConfig.ic_plus(),
             "select count(*) from emp e1, dept d where e1.salary > d.budget",
         )
         assert result.rows[0][0] > 0

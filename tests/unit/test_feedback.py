@@ -37,7 +37,7 @@ class TestRecordLookup:
         registry.record("sig", 100.0)
         registry.record("sig", 250.0)
         assert registry.lookup("sig") == 250.0
-        assert registry._entries["sig"].observations == 2
+        assert len(registry) == 1
 
     def test_negative_rows_clamped(self):
         registry = FeedbackRegistry()

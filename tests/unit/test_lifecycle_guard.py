@@ -82,12 +82,12 @@ def test_sql_and_try_sql_are_thin_faces_of_one_method():
         assert "_run_statement" in _called_methods(functions[name]), name
 
 
-@pytest.mark.parametrize("kind", ["CreateView", "CreateTable", "Explain"])
+@pytest.mark.parametrize("kind", ["CreateTable", "Explain"])
 def test_each_statement_kind_is_dispatched_once(kind):
     tested = [
         name
         for name, function in _functions(CLUSTER).items()
-        if name not in ("parse_to_logical", "create_view")
+        if name != "parse_to_logical"
         for node in ast.walk(function)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
@@ -148,11 +148,9 @@ def _callers(name):
 
 def test_statements_are_parsed_by_the_pipeline_alone():
     """A cached statement is a stage of ``_run_statement``, not a second
-    front end: no other function parses SQL text (``create_view`` is the
-    typed DDL face the statement-kind dispatch guard exempts too)."""
+    front end: no other function parses SQL text."""
     assert _callers("parse") == [
         "core/cluster.py:_run_statement",
-        "core/cluster.py:create_view",
         "core/cluster.py:parse_to_logical",
     ]
 

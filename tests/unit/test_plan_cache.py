@@ -36,12 +36,14 @@ class TestLookup:
         assert served(cache, "where x > 6") == "six"
         assert len(cache) == 2
 
-    def test_hit_counts_per_entry(self):
+    def test_every_hit_is_counted(self):
         cache = PlanCache(4)
         cache.store("k", entry())
+        cache.store("j", entry())
         served(cache, "k")
         served(cache, "k")
-        assert cache.peek("k").hits == 2
+        served(cache, "j")
+        assert get_registry().counter("plan_cache.hits") == 3.0
 
     def test_peek_is_silent(self):
         cache = PlanCache(4)

@@ -54,8 +54,8 @@ def catalog():
     return cat
 
 
-def convert(catalog, sql, **kwargs):
-    return SqlToRelConverter(catalog, **kwargs).convert(parse(sql))
+def convert(catalog, sql):
+    return SqlToRelConverter(catalog).convert(parse(sql))
 
 
 def nodes_of(plan, cls):
@@ -300,19 +300,6 @@ class TestSubqueries:
         )
         with pytest.raises(PlannerDefectError):
             convert(catalog, sql)
-
-    def test_q20_shape_converts_when_defect_fixed(self, catalog):
-        sql = (
-            "select emp_id from emp where emp_id in "
-            "(select s.emp_id from sales s where s.amount > "
-            "(select avg(s2.amount) from sales s2 where s2.emp_id = s.emp_id))"
-        )
-        plan = convert(catalog, sql, q20_defect_fixed=True)
-        semis = [
-            j for j in nodes_of(plan, LogicalJoin)
-            if j.join_type is JoinType.SEMI
-        ]
-        assert semis
 
     def test_derived_table(self, catalog):
         plan = convert(

@@ -5,7 +5,7 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.common.errors import PlanningTimeoutError
 from repro.exec.physical import PhysNode
-from repro.planner import volcano
+from repro.planner import budget, volcano
 from repro.planner.volcano import (
     QueryPlanner,
     _redundant_equi_connections,
@@ -45,10 +45,12 @@ class TestPhases:
             assert isinstance(plan, PhysNode)
             assert plan.distribution.is_single or plan.distribution.is_broadcast
 
-    def test_hep_budget_is_charged(self, store):
-        config = SystemConfig.ic_plus().with_(planning_budget=1)
+    def test_hep_budget_is_charged(self, store, monkeypatch):
+        monkeypatch.setattr(budget, "PLANNING_BUDGET", 1)
         with pytest.raises(PlanningTimeoutError):
-            plan_sql(store, config, "select emp_id from emp where emp_id = 1")
+            plan_sql(
+                store, SystemConfig.ic_plus(), "select emp_id from emp where emp_id = 1"
+            )
 
     def test_two_phase_reorders_small_joins(self, store):
         """With permutations enabled, the selective filter should end up
