@@ -318,6 +318,12 @@ def _merge_kind(a: str, b: str) -> str:
     return "O"
 
 
+def _empty_like(col: Column) -> Column:
+    """No rows of ``col``'s kind, without gathering it."""
+    fill = _FILLS.get(col.kind)
+    return _object_column(()) if fill is None else Column(np.array([fill])[:0])
+
+
 def _object_column(values: Sequence) -> Column:
     n = len(values)
     arr = np.empty(n, dtype=object)
@@ -580,10 +586,13 @@ def _can_raise(expr: Expr) -> bool:
     return any(_can_raise(child) for child in expr.children())
 
 
-def _numeric_values(col: Column) -> np.ndarray:
-    if col.kind in ("b", "i", "f"):
-        return col.values
-    raise _Fallback
+def _negatable_values(col: Column) -> np.ndarray:
+    """``col``'s values where ``-`` and ``abs`` give the row path's result:
+    floats, and ints with no ``-2**63`` (whose negation leaves int64)."""
+    values = col.values
+    if col.kind == "f" or (col.kind == "i" and values.min(initial=0) > -(1 << 63)):
+        return values
+    raise _Fallback  # and bools, which Python negates to ints
 
 
 def _kleene(op: str, ltrue, lnull, rtrue, rnull) -> Column:
@@ -616,6 +625,15 @@ def _scalar_fits(values: np.ndarray, value) -> bool:
     if kind is float:
         return values.dtype == np.float64
     return kind is str and values.dtype.kind == "U" and "\x00" not in value
+
+
+def _wraps(arithmetic, lv: np.ndarray, rv: np.ndarray) -> bool:
+    """Whether an int64 ``+``/``-``/``*`` may leave int64 on some row, where
+    the row path's Python ints grow: its Python-int values at the corners
+    of the operands' ranges bound it (four reductions, no temporaries)."""
+    ranges = [(int(v.min(initial=0)), int(v.max(initial=0))) for v in (lv, rv)]
+    ends = [arithmetic(a, b) for a in ranges[0] for b in ranges[1]]
+    return min(ends) < -(1 << 63) or max(ends) >= 1 << 63
 
 
 def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Column:
@@ -697,13 +715,17 @@ def _eval_binary(expr: BinaryOp, batch: ColumnBatch, test: bool = False) -> Colu
     if compare is not None:
         return Column(compare(lv, rv), null)
     arithmetic = _ARITHMETIC.get(op)
-    if arithmetic is None or lk == "U" or rk == "U":
-        raise _Fallback  # string arithmetic: rare, row fallback
+    if arithmetic is None or lk == "U" or rk == "U" or lk == rk == "b":
+        raise _Fallback  # string arithmetic, and Python's int-valued bools
     if op == "/":
+        if not (_float_exact(left) and _float_exact(right)):
+            raise _Fallback  # Python rounds int / int once, numpy each int first
         valid = ~null if null is not None else np.ones(n, np.bool_)
         if bool(np.any((rv == 0) & valid)):
             raise ZeroDivisionError("division by zero")
         rv = np.where(valid, rv, 1)
+    elif lk != "f" and rk != "f" and _wraps(arithmetic, lv, rv):
+        raise _Fallback  # Python ints past int64, row-wise
     return Column(arithmetic(lv, rv), null)
 
 
@@ -734,7 +756,7 @@ def _eval_func(expr: FuncCall, batch: ColumnBatch) -> Column:
         return Column(extract(values), arg.mask)
     if name == "ABS":
         arg = _eval_vec(expr.args[0], batch)
-        return Column(np.abs(_numeric_values(arg)), arg.mask)
+        return Column(np.abs(_negatable_values(arg)), arg.mask)
     if name in ("UPPER", "LOWER"):
         arg = _eval_vec(expr.args[0], batch)
         if arg.kind != "U":
@@ -985,7 +1007,7 @@ def _eval_vec(expr: Expr, batch: ColumnBatch, test: bool = False) -> Column:
             if operand.kind != "b":
                 raise _Fallback
             return Column(~operand.values, operand.mask)
-        return Column(-_numeric_values(operand), operand.mask)
+        return Column(-_negatable_values(operand), operand.mask)
     if isinstance(expr, FuncCall):
         return _eval_func(expr, batch)
     if isinstance(expr, CaseExpr):
@@ -1821,8 +1843,6 @@ def _run_ids(
     keys.  Non-adjacent equal keys are distinct groups, exactly like the
     row path's current-key comparison."""
     n = batch.length
-    if n == 0:
-        return np.empty(0, np.int64), 0, np.empty(0, np.int64)
     boundary = np.zeros(n, dtype=np.bool_)
     boundary[0] = True
     for key in keys:
@@ -1848,11 +1868,11 @@ def _run_ids(
 
 def _group_minmax(
     group_ids: np.ndarray, n_groups: int, col: Column, is_min: bool
-) -> list:
-    """Per-group MIN/MAX preserving the stored values' Python types."""
-    valid = ~col.null_mask()
-    out: list = [None] * n_groups
+) -> Column:
+    """Per-group MIN/MAX preserving the stored values' Python types; a
+    ``b``/``i``/``f`` argument's winners stay in its array."""
     if col.kind == "O":
+        out: list = [None] * n_groups
         gids, values = group_ids.tolist(), col.to_list()
         if TOTAL_ORDER.get():  # see ``run_operator``
             values = [v if v is None else NullsLast(v) for v in values]
@@ -1866,22 +1886,26 @@ def _group_minmax(
             ):
                 out[g] = value
         if TOTAL_ORDER.get():
-            return [None if v is None else v.value for v in out]
-        return out
-    values = col.values[valid]
-    gids = group_ids[valid]
-    if len(values) == 0:
-        return out
+            out = [None if v is None else v.value for v in out]
+        return column_from_values(out)
+    values, gids = col.values, group_ids
+    if col.mask is not None:
+        valid = ~col.mask
+        values, gids = values[valid], gids[valid]
+    if len(values) == 0:  # no rows keep their kind; no values read as NULLs
+        return Column(values) if n_groups == 0 else column_from_values([None] * n_groups)
     uniques, inv = np.unique(values, return_inverse=True)
     sentinel = len(uniques) if is_min else -1
     codes = np.full(n_groups, sentinel, dtype=np.int64)
     reducer = np.minimum if is_min else np.maximum
     reducer.at(codes, gids, inv.astype(np.int64, copy=False))
-    found = codes != sentinel
-    winners = uniques[codes[found]].tolist()
-    for slot, value in zip(np.flatnonzero(found).tolist(), winners):
-        out[slot] = value
-    return out
+    missing = codes == sentinel
+    codes[missing] = 0
+    winners = uniques[codes]
+    if col.kind == "U":  # re-checked for width and NULs
+        return column_from_values(_python_values(winners, missing))
+    winners[missing] = _FILLS[col.kind]
+    return Column(winners, missing)
 
 
 def _agg_columns(
@@ -1893,16 +1917,22 @@ def _agg_columns(
     partial states found after the keys — COUNT an int, SUM/AVG a
     ``(sum, count)`` pair, MIN/MAX a value-or-None.  Either way COUNT,
     SUM and AVG come down to per-group counts and sums, and MIN/MAX to
-    ``_group_minmax``.  Float sums use ``np.bincount`` with weights,
-    which accumulates in row order — the identical sequence of float
-    additions as the row accumulator and its ``merge_row`` loop, so
-    SUM/AVG are bit-for-bit equal.  DISTINCT calls first reduce the
+    ``_group_minmax``, all kept in arrays.  Float sums use ``np.bincount``
+    with weights, which accumulates in row order — the identical sequence
+    of float additions as the row accumulator and its merge loop, so
+    SUM/AVG are bit-for-bit equal.  The group sizes and each argument's
+    column and sums are computed once per batch.  A MAP SUM/AVG partial
+    is one structured ``(s, c)`` column, read by ``to_list`` as the row
+    path's ``(float, int)`` tuples.  DISTINCT calls first reduce the
     argument to first-occurrence ``(group, value)`` pairs and then
     aggregate that subset the ordinary way.
     """
     is_map = node.phase is AggPhase.MAP
     is_reduce = node.phase is AggPhase.REDUCE
     offset = len(node.group_keys)
+    sizes: Optional[np.ndarray] = None  # rows per group, once asked for
+    args: Dict[Expr, Column] = {}
+    sums_of: Dict[Expr, np.ndarray] = {}  # of NULL-free arguments
     columns: List[Column] = []
     for index, call in enumerate(node.agg_calls):
         func = call.func
@@ -1911,38 +1941,38 @@ def _agg_columns(
         if is_reduce:
             arg = batch.column(offset + index)
         elif call.arg is not None:
-            arg = eval_expr(call.arg, batch)
+            arg = args.get(call.arg)
+            if arg is None:
+                arg = args[call.arg] = eval_expr(call.arg, batch)
         if func is AggFunc.MIN or func is AggFunc.MAX:
-            columns.append(column_from_values(_group_minmax(
+            columns.append(_group_minmax(
                 group_ids, n_groups, arg, func is AggFunc.MIN
-            )))
+            ))
             continue
-        sums = None
         if is_reduce:
+            values = arg.values
             if func is AggFunc.COUNT:
-                weights = arg.values if arg.kind in ("i", "b") else np.fromiter(
+                weights = values if arg.kind in ("i", "b") else np.fromiter(
                     arg.to_list(), np.float64, count=len(arg)
                 )
             else:
-                partials = arg.to_list()
-                sums = np.bincount(group_ids, weights=np.fromiter(
-                    (p[0] if p is not None else 0.0 for p in partials),
-                    np.float64,
-                    count=len(partials),
-                ), minlength=n_groups)
-                weights = np.fromiter(
-                    (p[1] if p is not None else 0 for p in partials),
-                    np.int64,
-                    count=len(partials),
-                )
-            counts = np.bincount(
-                group_ids, weights=weights, minlength=n_groups
-            ).astype(np.int64)
-        elif call.arg is None:  # COUNT(*)
-            counts = np.bincount(group_ids, minlength=n_groups)
-            if call.distinct:
-                # The row accumulator dedupes the ``True`` sentinel.
-                counts = np.minimum(counts, 1)
+                if not values.dtype.names:  # tuples: a splice's rows, an object chunk
+                    values = np.array(
+                        [(0.0, 0) if p is None else p for p in arg.to_list()],
+                        [("s", np.float64), ("c", np.int64)],
+                    )
+                sums = np.bincount(group_ids, weights=values["s"], minlength=n_groups)
+                weights = values["c"]
+            counts = np.bincount(group_ids, weights=weights, minlength=n_groups)
+        elif call.arg is None or (arg.mask is None and not call.distinct):
+            if sizes is None:
+                sizes = np.bincount(group_ids, minlength=n_groups)
+            # The row accumulator dedupes COUNT(DISTINCT *)'s ``True`` sentinel.
+            counts = np.minimum(sizes, 1) if call.distinct else sizes
+            if func is not AggFunc.COUNT and call.arg not in sums_of:
+                weights = np.asarray(arg.values, dtype=np.float64)
+                sums_of[call.arg] = np.bincount(group_ids, weights, n_groups)
+            sums = sums_of.get(call.arg)
         else:
             valid = ~arg.null_mask()
             gids = group_ids[valid]
@@ -1961,36 +1991,41 @@ def _agg_columns(
                 weights = np.asarray(arg_values, dtype=np.float64)
                 sums = np.bincount(gids, weights=weights, minlength=n_groups)
             counts = np.bincount(gids, minlength=n_groups)
-        counts = counts.tolist()
+        counts = counts.astype(np.int64)
         if func is AggFunc.COUNT:
-            columns.append(column_from_values([int(c) for c in counts], "i"))
-            continue
-        if is_map:
-            values = [(float(s), int(c)) for s, c in zip(sums.tolist(), counts)]
-        elif func is AggFunc.SUM:
-            values = [float(s) if c else None for s, c in zip(sums.tolist(), counts)]
+            columns.append(Column(counts))
+        elif is_map:
+            state = np.empty(n_groups, [("s", np.float64), ("c", np.int64)])
+            state["s"], state["c"] = sums, counts
+            columns.append(Column(state))
+        elif not counts.any():  # no group saw a value: the all-NULL column
+            columns.append(column_from_values([None] * n_groups))
         else:
-            values = [
-                float(s) / int(c) if c else None
-                for s, c in zip(sums.tolist(), counts)
-            ]
-        columns.append(column_from_values(values))
+            empty = counts == 0
+            if func is AggFunc.AVG:
+                sums = np.divide(sums, counts, out=np.zeros(n_groups), where=~empty)
+            columns.append(Column(sums, empty))
     return columns
 
 
 def _aggregate_batch(node, batch: ColumnBatch, sorted_runs: bool) -> ColumnBatch:
     keys = node.group_keys
-    if sorted_runs:
-        group_ids, n_groups, rep_idx = _run_ids(batch, keys)
-    else:
-        group_ids, n_groups, rep_idx = _group_ids(batch, keys)
-    if n_groups == 0:
+    if batch.length == 0:
         if not keys and node.phase is not AggPhase.MAP:
             # Scalar aggregate over an empty input still yields one row.
             evaluator = AggregateEvaluator(node.agg_calls)
             row = evaluator.results(evaluator.new_group())
             return from_rows([row], node.width)
-        return from_rows([], node.width)
+        # No groups, in columns of the input's kinds (read, not gathered):
+        # a MAP site with no rows keeps its exchange's concatenation typed.
+        empty = ColumnBatch([_empty_like(col) for col in batch.columns], 0)
+        columns = [empty.column(k) for k in keys]
+        columns += _agg_columns(node, empty, np.empty(0, np.int64), 0)
+        return ColumnBatch(columns, 0)
+    if sorted_runs:
+        group_ids, n_groups, rep_idx = _run_ids(batch, keys)
+    else:
+        group_ids, n_groups, rep_idx = _group_ids(batch, keys)
     columns = _take_columns([batch.column(k) for k in keys], rep_idx)
     columns.extend(_agg_columns(node, batch, group_ids, n_groups))
     return ColumnBatch(columns, n_groups)

@@ -1328,7 +1328,49 @@ def evaluating_project(node, site, ctx, batch):
 # Before one kernel served every phase, SINGLE and MAP read the argument in
 # ``_agg_columns`` and REDUCE merged the partial states in ``_reduce_columns``.
 # ``phased_agg_columns`` dispatches to those two, verbatim, as the oracle the
-# folded kernel must equal column for column (values, kind and mask).
+# folded kernel must equal column for column (values, kind and mask).  Both
+# read MIN/MAX from ``_group_minmax`` as it was then, a per-group list of
+# Python values, also verbatim below.
+
+
+def _group_minmax(group_ids, n_groups, col, is_min):
+    """Per-group MIN/MAX preserving the stored values' Python types."""
+    import numpy as np
+    from repro.common.ordering import NullsLast
+    from repro.rel.expr import TOTAL_ORDER
+
+    valid = ~col.null_mask()
+    out: list = [None] * n_groups
+    if col.kind == "O":
+        gids, values = group_ids.tolist(), col.to_list()
+        if TOTAL_ORDER.get():  # see ``run_operator``
+            values = [v if v is None else NullsLast(v) for v in values]
+        for i, value in enumerate(values):
+            if value is None:
+                continue
+            g = gids[i]
+            current = out[g]
+            if current is None or (
+                value < current if is_min else value > current
+            ):
+                out[g] = value
+        if TOTAL_ORDER.get():
+            return [None if v is None else v.value for v in out]
+        return out
+    values = col.values[valid]
+    gids = group_ids[valid]
+    if len(values) == 0:
+        return out
+    uniques, inv = np.unique(values, return_inverse=True)
+    sentinel = len(uniques) if is_min else -1
+    codes = np.full(n_groups, sentinel, dtype=np.int64)
+    reducer = np.minimum if is_min else np.maximum
+    reducer.at(codes, gids, inv.astype(np.int64, copy=False))
+    found = codes != sentinel
+    winners = uniques[codes[found]].tolist()
+    for slot, value in zip(np.flatnonzero(found).tolist(), winners):
+        out[slot] = value
+    return out
 
 
 def phased_agg_columns(node, batch, group_ids, n_groups):
@@ -1370,11 +1412,7 @@ def _distinct_keep(gids, col):
 def _single_or_map_columns(node, batch, group_ids, n_groups):
     import numpy as np
     from repro.common.errors import ExecutionError
-    from repro.exec.columnar import (
-        _group_minmax,
-        column_from_values,
-        eval_expr,
-    )
+    from repro.exec.columnar import column_from_values, eval_expr
     from repro.exec.physical import AggPhase
     from repro.rel.logical import AggFunc
 
@@ -1438,7 +1476,7 @@ def _single_or_map_columns(node, batch, group_ids, n_groups):
 
 def _reduce_partial_columns(node, batch, group_ids, n_groups):
     import numpy as np
-    from repro.exec.columnar import _group_minmax, column_from_values
+    from repro.exec.columnar import column_from_values
     from repro.rel.logical import AggFunc
 
     offset = len(node.group_keys)

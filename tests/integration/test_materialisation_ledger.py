@@ -200,11 +200,13 @@ def test_only_columns_something_reads_are_gathered(
 #: force was a gather — 89, 29 and 101 of them — and gathers must not
 #: rise past that.  Q13 gathered 14 columns (every orders column, for its
 #: LEFT join's NULL pads and its LIKE) before LIKE ran on the stored
-#: columns and a pad became a view.
+#: columns and a pad became a view.  Q18 concatenated 9 columns while an
+#: aggregate over no rows still coded its empty group keys; it returns
+#: before reading them now.
 FORCES = {
     ("tpch", 9): (9, 49),
     ("tpch", 13): (4, 5),
-    ("tpch", 18): (9, 5),
+    ("tpch", 18): (3, 5),
     ("ssb", "Q3.1"): (8, 25),
 }
 GATHERS_BEFORE = {

@@ -144,19 +144,50 @@ def test_the_summary_reads_medians_and_better_pairs(checkouts, tmp_path, capsys)
     summary = json.loads((tmp_path / "out" / "pairs.json").read_text())["summary"]
     cells = summary["serve_ssb_mixed"]
     assert set(cells) == set(END_TO_END)
-    assert cells["queries_per_s"] == {"median": 1.1, "better": 3, "pairs": 5}
+    qps = cells["queries_per_s"]
+    assert {key: qps[key] for key in ("median", "better", "pairs")} == {
+        "median": 1.1, "better": 3, "pairs": 5}
+    assert qps["parent"] == [10.0] * 3 and qps["change"] == pytest.approx([9.0, 11.0, 12.5])
     assert cells["query_ms_p50"]["median"] == pytest.approx(1 / 1.1)
     assert cells["query_ms_p50"]["better"] == 3
-    assert cells["setup_s"] == {"median": 1.0, "better": 0, "pairs": 5}
+    assert {key: cells["setup_s"][key] for key in ("median", "better", "pairs")} == {
+        "median": 1.0, "better": 0, "pairs": 5}
+    assert not any(cell["gain"] for cell in cells.values())  # 3/5 is no gain
     printed = capsys.readouterr().err
-    assert "summary serve_ssb_mixed queries_per_s: median ratio 1.100, better in 3/5" in printed
+    assert ("summary serve_ssb_mixed queries_per_s: median ratio 1.100, better in 3/5, "
+            "gain not shown") in printed
 
 
 def test_summarise_skips_metrics_without_a_ratio():
     ratios = {"w": [{"a": None, "b": 0.5}, {"a": None, "b": 2.0}, {"a": None, "b": 0.9}]}
-    assert perf_pairs.summarise(ratios, {"a": "lower", "b": "lower"}) == {
-        "w": {"b": {"median": 0.9, "better": 2, "pairs": 3}}
-    }
+    runs = {"parent": {"w": {"a": [0.0] * 3, "b": [2.0, 1.0, 10.0]}},
+            "change": {"w": {"a": [1.0] * 3, "b": [1.0, 2.0, 9.0]}}}
+    summary = perf_pairs.summarise(ratios, {"a": "lower", "b": "lower"}, runs)
+    assert list(summary) == ["w"] and list(summary["w"]) == ["b"]
+    cell = summary["w"]["b"]
+    assert {key: cell[key] for key in ("median", "better", "pairs")} == {
+        "median": 0.9, "better": 2, "pairs": 3}
+    assert not cell["gain"]
+
+
+def gain(parent, change, direction="higher"):
+    """The summary's verdict on one metric's raw per-pair values."""
+    ratios = {"w": [{"m": c / p} for p, c in zip(parent, change)]}
+    runs = {"parent": {"w": {"m": parent}}, "change": {"w": {"m": change}}}
+    return perf_pairs.summarise(ratios, {"m": direction}, runs)["w"]["m"]["gain"]
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    assert gain(parent, [p * 1.2 for p in parent])
+    assert gain(parent, [p / 1.2 for p in parent], "lower")
+    # Nine wins and a tie: a tie counts for neither side.
+    assert gain(parent, [p * 1.2 for p in parent[:9]] + parent[9:])
+    # Eight wins of ten, though the medians lie far apart.
+    assert not gain(parent, [p * 1.2 for p in parent[:8]] + [p * 0.95 for p in parent[8:]])
+    # Ten wins of ten, by less than the parent's inter-quartile distance.
+    wide = [5.0, 15.0, 6.0, 14.0, 7.0, 13.0, 8.0, 12.0, 9.0, 11.0]
+    assert not gain(wide, [p * 1.05 for p in wide])
 
 
 def test_per_statement_medians_come_from_each_run_s_typical_latencies(

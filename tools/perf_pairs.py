@@ -10,8 +10,12 @@ parent first on even i; a traced pair at seed S follows.  Writes
 ``DIR/{parent,change}.json`` (``perfbench-suite/v1``, for ``run.py
 compare`` when they hold every workload) and the per-pair change/parent
 ratios, ``DIR/pairs.json``; bytecode goes to ``DIR/pycache``.  Per
-workload and end-to-end metric, the median ratio and the number of pairs
-that moved the better way go to stderr and to ``pairs.json["summary"]``.
+workload and end-to-end metric, the median ratio, the number of pairs
+that moved the better way, each side's quartiles and the gain verdict go
+to stderr and to ``pairs.json["summary"]``: a gain holds when the change
+wins at least nine tenths of the pairs (a tie counts for neither side)
+and the two medians differ, the better way, by more than the distance
+between the parent's quartiles.
 Per statement, the median change/parent ratio of each untraced pair's
 ``op_typical_ms`` (what ``run.py`` leaves in the checkout's
 ``perfbench/out/<workload>.trace0.json``) goes to ``pairs.json["ops"]``,
@@ -53,18 +57,35 @@ def op_medians(op_ratios):
         key=lambda item: item[1])) for workload, ops in op_ratios.items()}
 
 
-def summarise(ratios, better):
-    """``{workload: {metric: {"median", "better", "pairs"}}}``: the median
-    change/parent ratio of each metric in ``better`` (metric -> "higher"
-    or "lower") and how many of its pairs moved that way."""
+def quartiles(values):
+    """``[lower quartile, median, upper quartile]`` of ``values``."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return [low, median, high]
+
+
+def summarise(ratios, better, runs):
+    """``{workload: {metric: {"median", "better", "pairs", "parent",
+    "change", "gain"}}}``: the median change/parent ratio of each metric
+    in ``better`` (metric -> "higher" or "lower"), how many of its pairs
+    moved that way, each side's quartiles of ``runs`` (``{side: {workload:
+    {metric: [value per pair]}}}``) and the verdict: at least nine tenths
+    of the pairs won, and the medians apart, the better way, by more than
+    the parent's inter-quartile distance."""
     summary = {}
     for workload, pairs in ratios.items():
         for metric, direction in better.items():
             values = [pair[metric] for pair in pairs if pair.get(metric) is not None]
-            if values:
-                won = sum(v > 1 if direction == "higher" else v < 1 for v in values)
-                summary.setdefault(workload, {})[metric] = {
-                    "median": statistics.median(values), "better": won, "pairs": len(values)}
+            if not values:
+                continue
+            won = sum(v > 1 if direction == "higher" else v < 1 for v in values)
+            parent, change = (quartiles(runs[side][workload][metric]) for side in SIDES)
+            gap = change[1] - parent[1] if direction == "higher" else parent[1] - change[1]
+            summary.setdefault(workload, {})[metric] = {
+                "median": statistics.median(values), "better": won, "pairs": len(values),
+                "parent": parent, "change": change,
+                "gain": 10 * won >= 9 * len(values) and gap > parent[2] - parent[0]}
     return summary
 
 
@@ -112,11 +133,14 @@ def main(argv=None, run=perfbench_run) -> int:
                         op_ratios.setdefault(workload, {}).setdefault(op, []).append(
                             typical["change"][op] / ms)
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
-    summary = summarise(ratios, better)
+    runs = {side: {workload: entry["end_to_end"] for workload, entry in doc["workloads"].items()}
+            for side, doc in docs.items()}
+    summary = summarise(ratios, better, runs)
     for workload, metrics in summary.items():
         for metric, line in metrics.items():
             print(f"summary {workload} {metric}: median ratio {line['median']:.3f}, "
-                  f"better in {line['better']}/{line['pairs']}", file=sys.stderr)
+                  f"better in {line['better']}/{line['pairs']}, "
+                  f"gain {'holds' if line['gain'] else 'not shown'}", file=sys.stderr)
     ops = op_medians(op_ratios)
     for workload, medians in ops.items():
         movers = list(medians.items())
